@@ -51,13 +51,19 @@ let reserved_words = 80
 
 type ctx = { cache : Cachesim.t; stats : Stats.t }
 
+let new_ctx config =
+  { cache = Cachesim.create ~capacity:config.Config.cache_lines; stats = Stats.create () }
+
 type t = {
   config : Config.t;
   volatile : int array;
   persisted : int array;
   log : Storelog.t;
-  ctxs : ctx array;
+  (* A thread's context is built on its first use: most arenas only
+     ever run tid 0. *)
+  ctxs : ctx option array;
   mutable cur : int;
+  mutable ctx : ctx; (* the context of [cur] *)
   mutable epoch : int;
   mutable stores : int;
   mutable flushes : int;
@@ -86,20 +92,21 @@ type t = {
   mutable fs_media_reads : int;
 }
 
-let create ?(config = Config.default) ~words () =
-  let words =
-    (* round up to a line boundary *)
-    (words + words_per_line - 1) / words_per_line * words_per_line
-  in
+let round_to_lines words = (words + words_per_line - 1) / words_per_line * words_per_line
+
+(* The fresh state that [create], [clone] and [load_from_file] start from. *)
+let make config ~volatile ~persisted =
+  let ctx = new_ctx config in
+  let ctxs = Array.make config.Config.max_threads None in
+  ctxs.(0) <- Some ctx;
   {
     config;
-    volatile = Array.make words 0;
-    persisted = Array.make words 0;
+    volatile;
+    persisted;
     log = Storelog.create ();
-    ctxs =
-      Array.init config.Config.max_threads (fun _ ->
-          { cache = Cachesim.create ~capacity:config.Config.cache_lines; stats = Stats.create () });
+    ctxs;
     cur = 0;
+    ctx;
     epoch = 0;
     stores = 0;
     flushes = 0;
@@ -122,24 +129,38 @@ let create ?(config = Config.default) ~words () =
     fs_media_reads = 0;
   }
 
+let create ?(config = Config.default) ~words () =
+  let words = round_to_lines words in
+  make config ~volatile:(Array.make words 0) ~persisted:(Array.make words 0)
+
 let config t = t.config
 let capacity t = Array.length t.volatile
 
 let set_tid t tid =
   assert (tid >= 0 && tid < Array.length t.ctxs);
-  t.cur <- tid
+  let ctx =
+    match t.ctxs.(tid) with
+    | Some c -> c
+    | None ->
+        let c = new_ctx t.config in
+        t.ctxs.(tid) <- Some c;
+        c
+  in
+  t.cur <- tid;
+  t.ctx <- ctx
 
 let tid t = t.cur
-let stats t tid = t.ctxs.(tid).stats
+let stats t tid = match t.ctxs.(tid) with Some c -> c.stats | None -> Stats.create ()
+let iter_ctxs t f = Array.iter (Option.iter f) t.ctxs
 
 let total_stats t =
   let acc = Stats.create () in
-  Array.iter (fun c -> Stats.add acc c.stats) t.ctxs;
+  iter_ctxs t (fun c -> Stats.add acc c.stats);
   acc
 
-let reset_stats t = Array.iter (fun c -> Stats.reset c.stats) t.ctxs
+let reset_stats t = iter_ctxs t (fun c -> Stats.reset c.stats)
 
-let set_phase t phase = (t.ctxs.(t.cur).stats).Stats.phase <- phase
+let set_phase t phase = t.ctx.stats.Stats.phase <- phase
 
 let set_yield_hook t hook = t.yield_hook <- hook
 let set_event_sink t sink = t.sink <- sink
@@ -147,7 +168,7 @@ let event_sink t = t.sink
 
 (* Charge [ns] to the current phase bucket and run the yield hook. *)
 let charge t ns =
-  let s = t.ctxs.(t.cur).stats in
+  let s = t.ctx.stats in
   (match s.Stats.phase with
   | Stats.Search -> s.Stats.search_ns <- s.Stats.search_ns + ns
   | Stats.Update -> s.Stats.update_ns <- s.Stats.update_ns + ns
@@ -155,12 +176,12 @@ let charge t ns =
   match t.yield_hook with None -> () | Some f -> f ns
 
 let charge_flush t ns =
-  let s = t.ctxs.(t.cur).stats in
+  let s = t.ctx.stats in
   s.Stats.flush_ns <- s.Stats.flush_ns + ns;
   match t.yield_hook with None -> () | Some f -> f ns
 
 let charge_fence t ns =
-  let s = t.ctxs.(t.cur).stats in
+  let s = t.ctx.stats in
   s.Stats.fence_ns <- s.Stats.fence_ns + ns;
   match t.yield_hook with None -> () | Some f -> f ns
 
@@ -172,7 +193,7 @@ let check addr t =
 
 let read t addr =
   check addr t;
-  let ctx = t.ctxs.(t.cur) in
+  let ctx = t.ctx in
   let s = ctx.stats in
   s.Stats.loads <- s.Stats.loads + 1;
   let cfg = t.config in
@@ -180,13 +201,13 @@ let read t addr =
   | Cachesim.Hit ->
       s.Stats.line_hits <- s.Stats.line_hits + 1;
       charge t cfg.Config.l1_hit_ns
-  | Cachesim.Miss { sequential } ->
+  | Cachesim.Miss ->
       s.Stats.line_misses <- s.Stats.line_misses + 1;
-      if sequential then begin
-        s.Stats.seq_misses <- s.Stats.seq_misses + 1;
-        charge t (cfg.Config.read_latency_ns / cfg.Config.mlp_factor)
-      end
-      else charge t cfg.Config.read_latency_ns);
+      charge t cfg.Config.read_latency_ns
+  | Cachesim.Seq_miss ->
+      s.Stats.line_misses <- s.Stats.line_misses + 1;
+      s.Stats.seq_misses <- s.Stats.seq_misses + 1;
+      charge t (cfg.Config.read_latency_ns / cfg.Config.mlp_factor));
   (* A poisoned line surfaces as an uncorrectable media error on the
      charged load path; the cost of the access has already been paid,
      as on real hardware where the MCE follows the stalled load. *)
@@ -211,7 +232,7 @@ let write t addr v =
   maybe_crash_on_store t;
   (match t.sink with None -> () | Some s -> s.ev_store addr);
   t.stores <- t.stores + 1;
-  let ctx = t.ctxs.(t.cur) in
+  let ctx = t.ctx in
   let s = ctx.stats in
   s.Stats.stores <- s.Stats.stores + 1;
   t.volatile.(addr) <- v;
@@ -224,15 +245,12 @@ let write t addr v =
   end;
   (* Write-allocate: the line is resident after the store. *)
   ignore (Cachesim.access ctx.cache line);
-  Storelog.record t.log ~addr ~value:v ~line ~epoch:t.epoch;
-  if Storelog.pending t.log > t.config.Config.pending_high_water then
-    Storelog.evict_to t.log ~persisted:t.persisted
-      ~target:(t.config.Config.pending_high_water / 2);
+  Storelog.record t.log ~persisted:t.persisted ~addr ~value:v ~line ~epoch:t.epoch;
   charge t t.config.Config.store_ns
 
 let fence t =
   (match t.sink with None -> () | Some s -> s.ev_fence ());
-  let s = t.ctxs.(t.cur).stats in
+  let s = t.ctx.stats in
   s.Stats.fences <- s.Stats.fences + 1;
   t.epoch <- t.epoch + 1;
   charge_fence t t.config.Config.fence_ns
@@ -247,7 +265,7 @@ let flush t addr =
   maybe_crash_on_flush t;
   (match t.sink with None -> () | Some s -> s.ev_flush addr);
   t.flushes <- t.flushes + 1;
-  let s = t.ctxs.(t.cur).stats in
+  let s = t.ctx.stats in
   s.Stats.flushes <- s.Stats.flushes + 1;
   (* Fault injection: an elided flush performs all the accounting of a
      real one (events, counters, cost, epoch) but leaves the stores in
@@ -303,8 +321,6 @@ let peek_persisted t addr =
 (* Allocation: line-aligned bump pointer with per-size free lists.
    Allocator metadata is volatile; recovery re-derives reachability
    (see DESIGN.md). *)
-
-let round_to_lines words = (words + words_per_line - 1) / words_per_line * words_per_line
 
 let alloc_raw t words =
   let words = round_to_lines (max words 1) in
@@ -500,7 +516,7 @@ let power_fail t mode =
   (match t.sink with None -> () | Some s -> s.ev_crash ());
   Storelog.apply_crash t.log ~persisted:t.persisted mode;
   Array.blit t.persisted 0 t.volatile 0 (Array.length t.persisted);
-  Array.iter (fun c -> Cachesim.clear c.cache) t.ctxs;
+  iter_ctxs t (fun c -> Cachesim.clear c.cache);
   t.plan <- Never;
   t.group <- false;
   (* Fault injection applies to the pre-crash execution only: recovery
@@ -519,44 +535,21 @@ let power_fail t mode =
   (match t.fplan with None -> () | Some p -> inject_faults t p);
   t.fplan <- None
 
-let drain t =
-  Storelog.evict_to t.log ~persisted:t.persisted ~target:0
+let drain t = Storelog.apply_crash t.log ~persisted:t.persisted Storelog.Keep_all
 
 let clone t =
   drain t;
-  if Storelog.pending t.log > 0 then invalid_arg "Arena.clone: store log not empty";
   {
-    config = t.config;
-    volatile = Array.copy t.volatile;
-    persisted = Array.copy t.persisted;
-    log = Storelog.create ();
-    ctxs =
-      Array.init t.config.Config.max_threads (fun _ ->
-          {
-            cache = Cachesim.create ~capacity:t.config.Config.cache_lines;
-            stats = Stats.create ();
-          });
-    cur = 0;
+    (make t.config ~volatile:(Array.copy t.volatile) ~persisted:(Array.copy t.persisted)) with
     epoch = t.epoch;
     stores = t.stores;
     flushes = t.flushes;
-    plan = Never;
-    yield_hook = None;
-    sink = None;
-    group = false;
-    elide_flush = false;
     bump = t.bump;
     free_lists = Hashtbl.copy t.free_lists;
     live_blocks = Hashtbl.copy t.live_blocks;
     free_set = Hashtbl.copy t.free_set;
     poison = Hashtbl.copy t.poison;
     poison_n = t.poison_n;
-    fplan = None;
-    injected = [];
-    fs_poisoned = 0;
-    fs_flipped = 0;
-    fs_stuck = 0;
-    fs_media_reads = 0;
   }
 
 let dirty_line_count t = List.length (Storelog.dirty_lines t.log)

@@ -59,11 +59,21 @@ val capacity : t -> int
 (** {1 Thread contexts and accounting} *)
 
 val set_tid : t -> int -> unit
-(** Select the accounting context (simulated thread); default 0. *)
+(** Select the accounting context (simulated thread); default 0.  A
+    thread's context (its cache simulator and {!Stats.t}) is built the
+    first time the thread is selected, so an arena holds only the
+    contexts of threads it has run.  The id must be below the config's
+    [max_threads]. *)
 
 val tid : t -> int
+
 val stats : t -> int -> Stats.t
+(** A thread's live statistics.  A thread that was never selected has
+    no context and reads as fresh zeroed stats, which are not kept. *)
+
 val total_stats : t -> Stats.t
+(** Sum over the threads that have a context. *)
+
 val reset_stats : t -> unit
 val set_phase : t -> Stats.phase -> unit
 
@@ -280,7 +290,8 @@ val poisoned_lines : t -> int list
 
 val drain : t -> unit
 (** Quiesce: persist all pending stores (legal under TSO — it is the
-    all-lines-evicted state).  Used before {!clone}. *)
+    all-lines-evicted state, {!Storelog.Keep_all}).  {!clone} drains
+    first. *)
 
 val forget_allocations : t -> unit
 (** Drop the volatile allocator metadata (live-block table and free
@@ -290,10 +301,15 @@ val forget_allocations : t -> unit
     unknown-block path, exactly as after {!power_fail}. *)
 
 val clone : t -> t
-(** Deep copy for crash-point enumeration.  The store log must be
-    empty ({!drain} first).  Statistics are reset in the copy. *)
+(** Deep copy for crash-point enumeration.  Drains [t] first, then
+    builds the copy with the same constructor as {!create} and carries
+    over both images, the store/flush/epoch counters, the allocator
+    state and the poisoned lines.  Everything else starts fresh: an
+    empty store log, tid 0's context only with zeroed statistics, and
+    no crash plan, fault plan, event sink or yield hook. *)
 
 val dirty_line_count : t -> int
+(** Cache lines holding stores that are not yet persisted. *)
 
 (** {1 File-backed durability}
 

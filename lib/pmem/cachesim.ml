@@ -1,29 +1,30 @@
 (* Doubly-linked LRU list over slot indices, with a line -> slot map.
    Slot 0 is a sentinel head (most recent side); the tail side is
-   evicted.  All operations are O(1). *)
+   evicted.  Slots [fresh .. capacity] have held no line since the last
+   [clear]: a miss takes the next of them while any is left and evicts
+   the LRU line after that.  All operations are O(1). *)
 
 type t = {
   capacity : int;
   map : (int, int) Hashtbl.t; (* line -> slot *)
-  line_of : int array;        (* slot -> line, -1 if free *)
+  line_of : int array;        (* slot -> line *)
   prev : int array;
   next : int array;
-  mutable free : int list;
+  mutable fresh : int;
   mutable last_miss_line : int;
 }
 
-type outcome = Hit | Miss of { sequential : bool }
+type outcome = Hit | Miss | Seq_miss
 
 let create ~capacity =
   let capacity = max capacity 1 in
-  let n = capacity + 1 in
   {
     capacity;
     map = Hashtbl.create (2 * capacity);
-    line_of = Array.make n (-1);
-    prev = (let a = Array.init n (fun _ -> 0) in a.(0) <- 0; a);
-    next = (let a = Array.init n (fun _ -> 0) in a.(0) <- 0; a);
-    free = List.init capacity (fun i -> i + 1);
+    line_of = Array.make (capacity + 1) 0;
+    prev = Array.make (capacity + 1) 0;
+    next = Array.make (capacity + 1) 0;
+    fresh = 1;
     last_miss_line = min_int;
   }
 
@@ -44,7 +45,6 @@ let evict_lru t =
   assert (victim <> 0);
   unlink t victim;
   Hashtbl.remove t.map t.line_of.(victim);
-  t.line_of.(victim) <- -1;
   victim
 
 let access t line =
@@ -55,36 +55,24 @@ let access t line =
       Hit
   | None ->
       let slot =
-        match t.free with
-        | s :: rest ->
-            t.free <- rest;
-            s
-        | [] -> evict_lru t
+        if t.fresh <= t.capacity then begin
+          t.fresh <- t.fresh + 1;
+          t.fresh - 1
+        end
+        else evict_lru t
       in
       t.line_of.(slot) <- line;
       Hashtbl.replace t.map line slot;
       push_front t slot;
       let sequential = line = t.last_miss_line + 1 in
       t.last_miss_line <- line;
-      Miss { sequential }
-
-let invalidate t line =
-  match Hashtbl.find_opt t.map line with
-  | None -> ()
-  | Some slot ->
-      unlink t slot;
-      Hashtbl.remove t.map line;
-      t.line_of.(slot) <- -1;
-      t.free <- slot :: t.free
+      if sequential then Seq_miss else Miss
 
 let clear t =
   Hashtbl.reset t.map;
-  t.free <- List.init t.capacity (fun i -> i + 1);
-  Array.fill t.line_of 0 (Array.length t.line_of) (-1);
+  t.fresh <- 1;
   t.next.(0) <- 0;
   t.prev.(0) <- 0;
   t.last_miss_line <- min_int
 
 let resident t line = Hashtbl.mem t.map line
-
-let size t = Hashtbl.length t.map

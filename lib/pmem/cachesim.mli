@@ -10,14 +10,15 @@ type t
 
 val create : capacity:int -> t
 
-type outcome = Hit | Miss of { sequential : bool }
+type outcome =
+  | Hit
+  | Miss      (** PM miss at the full read latency *)
+  | Seq_miss  (** miss on the line after the previous miss: the MLP discount applies *)
 
 val access : t -> int -> outcome
 (** [access t line] records an access to [line] and classifies it. *)
 
-val invalidate : t -> int -> unit
-(** Drop a line (used when a crash discards the volatile image). *)
-
 val clear : t -> unit
+(** Drop every line (a crash discards the volatile image). *)
+
 val resident : t -> int -> bool
-val size : t -> int

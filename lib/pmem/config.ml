@@ -13,7 +13,6 @@ type t = {
   mlp_factor : int;
   cache_lines : int;
   max_threads : int;
-  pending_high_water : int;
 }
 
 let default =
@@ -30,7 +29,6 @@ let default =
     mlp_factor = 4;
     cache_lines = 16384;
     max_threads = 64;
-    pending_high_water = 1 lsl 16;
   }
 
 let pm ?(read_ns = 300) ?(write_ns = 300) () =

@@ -28,11 +28,9 @@ type t = {
       (** Divisor applied to [read_latency_ns] for a line access that is
           sequentially adjacent to the previous miss (prefetch hit). *)
   cache_lines : int;       (** Per-thread LRU line-cache capacity. *)
-  max_threads : int;       (** Number of per-thread accounting contexts. *)
-  pending_high_water : int;
-      (** Background write-back threshold for the store log: when more
-          than this many stores are pending, the oldest half is evicted
-          to PM (a legal crash state, and it bounds memory). *)
+  max_threads : int;
+      (** Bound on simulated thread ids; a thread's accounting context
+          is built on its first use. *)
 }
 
 val default : t

@@ -1,111 +1,93 @@
-module Vec = Ff_util.Vec
 module Prng = Ff_util.Prng
 
-(* Entries live in parallel growable arrays indexed by sequence number.
-   [applied] marks entries already persisted (by a flush or eviction);
-   they are skipped until the next compaction.  Per-line index lists
-   allow O(pending-in-line) flushes. *)
+(* One entry per dirty cache line: the line's pending stores, newest
+   first.  Flushing a line applies its stores and drops the entry, so
+   the log holds the dirty state and nothing else.  [seq] numbers
+   stores in program order across lines; only the high-water write-back
+   reads it. *)
+
+type entry = { seq : int; addr : int; value : int; epoch : int }
 
 type t = {
-  addrs : int Vec.t;
-  values : int Vec.t;
-  lines : int Vec.t;
-  epochs : int Vec.t;
-  applied : bool Vec.t;
-  by_line : (int, int Vec.t) Hashtbl.t;
-  mutable live : int; (* entries not yet applied *)
+  lines : (int, entry list ref) Hashtbl.t;
+  mutable next_seq : int;
+  mutable pending : int;
 }
 
-let create () =
-  {
-    addrs = Vec.create ~dummy:0 ();
-    values = Vec.create ~dummy:0 ();
-    lines = Vec.create ~dummy:0 ();
-    epochs = Vec.create ~dummy:0 ();
-    applied = Vec.create ~dummy:false ();
-    by_line = Hashtbl.create 64;
-    live = 0;
-  }
+let high_water = 1 lsl 16
 
-let compact t =
-  (* Drop applied entries, preserving order, and rebuild line lists. *)
-  let n = Vec.length t.addrs in
-  let keep = ref [] in
-  for i = n - 1 downto 0 do
-    if not (Vec.get t.applied i) then
-      keep := (Vec.get t.addrs i, Vec.get t.values i, Vec.get t.lines i, Vec.get t.epochs i) :: !keep
-  done;
-  Vec.clear t.addrs;
-  Vec.clear t.values;
-  Vec.clear t.lines;
-  Vec.clear t.epochs;
-  Vec.clear t.applied;
-  Hashtbl.reset t.by_line;
-  t.live <- 0;
-  List.iter
-    (fun (addr, value, line, epoch) ->
-      let idx = Vec.length t.addrs in
-      Vec.push t.addrs addr;
-      Vec.push t.values value;
-      Vec.push t.lines line;
-      Vec.push t.epochs epoch;
-      Vec.push t.applied false;
-      t.live <- t.live + 1;
-      let lst =
-        match Hashtbl.find_opt t.by_line line with
-        | Some v -> v
-        | None ->
-            let v = Vec.create ~dummy:(-1) () in
-            Hashtbl.add t.by_line line v;
-            v
-      in
-      Vec.push lst idx)
-    !keep
+let create () = { lines = Hashtbl.create 64; next_seq = 0; pending = 0 }
+let pending t = t.pending
 
-let record t ~addr ~value ~line ~epoch =
-  let idx = Vec.length t.addrs in
-  Vec.push t.addrs addr;
-  Vec.push t.values value;
-  Vec.push t.lines line;
-  Vec.push t.epochs epoch;
-  Vec.push t.applied false;
-  t.live <- t.live + 1;
-  let lst =
-    match Hashtbl.find_opt t.by_line line with
-    | Some v -> v
-    | None ->
-        let v = Vec.create ~dummy:(-1) () in
-        Hashtbl.add t.by_line line v;
-        v
-  in
-  Vec.push lst idx
+let apply t persisted e =
+  persisted.(e.addr) <- e.value;
+  t.pending <- t.pending - 1
 
-let pending t = t.live
-
-let apply_entry t persisted idx =
-  if not (Vec.get t.applied idx) then begin
-    persisted.(Vec.get t.addrs idx) <- Vec.get t.values idx;
-    Vec.set t.applied idx true;
-    t.live <- t.live - 1
-  end
+(* Lines hold disjoint words, so only the order within a line matters:
+   [iter_stores] visits each line's stores in program order. *)
+let iter_stores t f = Hashtbl.iter (fun _ cell -> List.iter f (List.rev !cell)) t.lines
+let fold_stores t f acc = Hashtbl.fold (fun _ cell acc -> List.fold_left f acc !cell) t.lines acc
+let dirty_lines t = Hashtbl.fold (fun line _ acc -> line :: acc) t.lines []
 
 let flush_line t ~persisted line =
-  match Hashtbl.find_opt t.by_line line with
+  match Hashtbl.find_opt t.lines line with
   | None -> ()
-  | Some lst ->
-      Vec.iter (fun idx -> apply_entry t persisted idx) lst;
-      Hashtbl.remove t.by_line line
+  | Some cell ->
+      List.iter (apply t persisted) (List.rev !cell);
+      Hashtbl.remove t.lines line
 
-let evict_to t ~persisted ~target =
-  if t.live > target then begin
-    let n = Vec.length t.addrs in
-    let i = ref 0 in
-    while t.live > target && !i < n do
-      apply_entry t persisted !i;
-      incr i
+(* Wirth's FIND: the [k]-th smallest element of [a] (0-based), in
+   linear expected time; reorders [a]. *)
+let select (a : int array) k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = a.(k) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < x do incr i done;
+      while x < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let y = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- y;
+        incr i;
+        decr j
+      end
     done;
-    compact t
-  end
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done;
+  a.(k)
+
+(* Persist the globally oldest stores until [target] remain.  A line's
+   oldest stores are a prefix of its program order, so each line
+   persists its stores up to one [seq] cutoff.  The cutoff is selected,
+   not sorted for: a bulk load that flushes only at the end crosses the
+   mark every [high_water / 2] stores, and a sort per crossing doubled
+   its host time. *)
+let evict_to t ~persisted ~target =
+  let seqs = Array.make t.pending 0 in
+  ignore (fold_stores t (fun i e -> seqs.(i) <- e.seq; i + 1) 0);
+  let cutoff = select seqs (t.pending - target - 1) in
+  Hashtbl.filter_map_inplace
+    (fun _ cell ->
+      let newer, older = List.partition (fun e -> e.seq > cutoff) !cell in
+      List.iter (apply t persisted) (List.rev older);
+      match newer with
+      | [] -> None
+      | _ ->
+          cell := newer;
+          Some cell)
+    t.lines
+
+let record t ~persisted ~addr ~value ~line ~epoch =
+  let e = { seq = t.next_seq; addr; value; epoch } in
+  t.next_seq <- t.next_seq + 1;
+  t.pending <- t.pending + 1;
+  (match Hashtbl.find_opt t.lines line with
+  | Some cell -> cell := e :: !cell
+  | None -> Hashtbl.add t.lines line (ref [ e ]));
+  if t.pending > high_water then evict_to t ~persisted ~target:(high_water / 2)
 
 type fault_spec = {
   fault_seed : int;
@@ -148,21 +130,7 @@ let apply_faults ~persisted spec =
   end
 
 let pending_epochs t =
-  let seen = Hashtbl.create 16 in
-  let n = Vec.length t.addrs in
-  for i = 0 to n - 1 do
-    if not (Vec.get t.applied i) then Hashtbl.replace seen (Vec.get t.epochs i) ()
-  done;
-  List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) seen [])
-
-let clear t =
-  Vec.clear t.addrs;
-  Vec.clear t.values;
-  Vec.clear t.lines;
-  Vec.clear t.epochs;
-  Vec.clear t.applied;
-  Hashtbl.reset t.by_line;
-  t.live <- 0
+  List.sort_uniq Int.compare (fold_stores t (fun acc e -> e.epoch :: acc) [])
 
 (* All randomized modes iterate lines/words in sorted order, never in
    Hashtbl order: the PRNG draw sequence is then a function of the
@@ -171,80 +139,43 @@ let clear t =
    iteration order depends on Hashtbl.hash internals and is not a
    cross-version contract). *)
 
+(* Persist a random prefix of [stores], given in program order. *)
+let apply_prefix t persisted rng stores =
+  let k = Prng.int rng (List.length stores + 1) in
+  List.iteri (fun i e -> if i < k then apply t persisted e) stores
+
 let apply_non_tso_cutoff t persisted cutoff rng =
-  let n = Vec.length t.addrs in
-  for i = 0 to n - 1 do
-    if (not (Vec.get t.applied i)) && Vec.get t.epochs i < cutoff then
-      apply_entry t persisted i
-  done;
+  iter_stores t (fun e -> if e.epoch < cutoff then apply t persisted e);
   (* Per-word random prefixes at the cutoff epoch. *)
   let by_word = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    if (not (Vec.get t.applied i)) && Vec.get t.epochs i = cutoff then begin
-      let addr = Vec.get t.addrs i in
-      let lst = try Hashtbl.find by_word addr with Not_found -> [] in
-      Hashtbl.replace by_word addr (i :: lst)
-    end
-  done;
-  let words =
-    List.sort compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word [])
-  in
+  iter_stores t (fun e ->
+      if e.epoch = cutoff then
+        Hashtbl.replace by_word e.addr
+          (e :: Option.value ~default:[] (Hashtbl.find_opt by_word e.addr)));
+  let words = List.sort Int.compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word []) in
   List.iter
-    (fun addr ->
-      let idxs = Array.of_list (List.rev (Hashtbl.find by_word addr)) in
-      let k = Prng.int rng (Array.length idxs + 1) in
-      for i = 0 to k - 1 do
-        apply_entry t persisted idxs.(i)
-      done)
+    (fun addr -> apply_prefix t persisted rng (List.rev (Hashtbl.find by_word addr)))
     words
 
 let rec apply_mode t ~persisted mode =
   match mode with
   | Keep_none -> ()
-  | Keep_all ->
-      let n = Vec.length t.addrs in
-      for i = 0 to n - 1 do
-        apply_entry t persisted i
-      done
+  | Keep_all -> iter_stores t (apply t persisted)
   | Random_eviction rng ->
       (* Independent per-line prefix of the line's pending stores. *)
-      let lines =
-        List.sort compare (Hashtbl.fold (fun line _ acc -> line :: acc) t.by_line [])
-      in
       List.iter
-        (fun line ->
-          let lst = Hashtbl.find t.by_line line in
-          let unapplied =
-            Array.of_seq
-              (Seq.filter
-                 (fun idx -> not (Vec.get t.applied idx))
-                 (Array.to_seq (Vec.to_array lst)))
-          in
-          let n = Array.length unapplied in
-          if n > 0 then begin
-            let k = Prng.int rng (n + 1) in
-            for i = 0 to k - 1 do
-              apply_entry t persisted unapplied.(i)
-            done
-          end)
-        lines
+        (fun line -> apply_prefix t persisted rng (List.rev !(Hashtbl.find t.lines line)))
+        (List.sort Int.compare (dirty_lines t))
   | Non_tso_random rng ->
       (* Pick an epoch cutoff e*: all pending stores with epoch < e*
          persist; at epoch = e*, each word independently persists a
          random prefix of its store sequence. *)
-      let n = Vec.length t.addrs in
-      let min_e = ref max_int and max_e = ref min_int in
-      for i = 0 to n - 1 do
-        if not (Vec.get t.applied i) then begin
-          let e = Vec.get t.epochs i in
-          if e < !min_e then min_e := e;
-          if e > !max_e then max_e := e
-        end
-      done;
-      if !min_e <= !max_e then begin
-        let cutoff = Prng.in_range rng !min_e (!max_e + 2) in
-        apply_non_tso_cutoff t persisted cutoff rng
-      end
+      let lo, hi =
+        fold_stores t
+          (fun (lo, hi) e -> (Int.min lo e.epoch, Int.max hi e.epoch))
+          (max_int, min_int)
+      in
+      if lo <= hi then apply_non_tso_cutoff t persisted (Prng.in_range rng lo (hi + 2)) rng
   | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t persisted cutoff rng
   | Media_fault (spec, base) ->
       (* Base crash state first, then the media damage on top: the
@@ -254,12 +185,5 @@ let rec apply_mode t ~persisted mode =
 
 let apply_crash t ~persisted mode =
   apply_mode t ~persisted mode;
-  clear t
-
-let dirty_lines t =
-  Hashtbl.fold
-    (fun line lst acc ->
-      let has_live = ref false in
-      Vec.iter (fun idx -> if not (Vec.get t.applied idx) then has_live := true) lst;
-      if !has_live then line :: acc else acc)
-    t.by_line []
+  Hashtbl.reset t.lines;
+  t.pending <- 0

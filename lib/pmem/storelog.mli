@@ -10,26 +10,33 @@
     - under non-TSO strict persistency, any downward-closed set with
       respect to fence ordering and per-word program order.
 
-    [flush_line] models [clflush]: it applies the line's pending stores
-    to the persisted image and retires them.  A background-eviction
-    high-water mark bounds memory by applying the oldest stores (always
-    a legal persisted state). *)
+    The log maps each dirty cache line to its pending stores in program
+    order; a clean line has no entry.  [flush_line] models [clflush]: it
+    applies the line's stores to the persisted image and drops the line,
+    so the log's size follows the dirty state, not the number of stores
+    ever made.  A background write-back bounds it: past {!high_water}
+    pending stores, the oldest are persisted (always a legal persisted
+    state). *)
 
 type t
 
 val create : unit -> t
 
-val record : t -> addr:int -> value:int -> line:int -> epoch:int -> unit
-(** Log a store that has been applied to the volatile image. *)
+val high_water : int
+(** [2^16]: when a {!record} leaves more stores than this pending, the
+    globally oldest stores are persisted until half remain. *)
+
+val record :
+  t -> persisted:int array -> addr:int -> value:int -> line:int -> epoch:int -> unit
+(** Log a store that has been applied to the volatile image.  May write
+    the oldest pending stores back to [persisted] (see {!high_water}). *)
 
 val pending : t -> int
 (** Number of stores not yet persisted. *)
 
 val flush_line : t -> persisted:int array -> int -> unit
-(** Apply all pending stores of the given line, in order. *)
-
-val evict_to : t -> persisted:int array -> target:int -> unit
-(** Apply oldest pending stores until at most [target] remain. *)
+(** Apply all pending stores of the given line, in order, and drop the
+    line from the log. *)
 
 type fault_spec = {
   fault_seed : int;  (** seeds a private PRNG; faults replay from it alone *)
@@ -81,13 +88,12 @@ val pending_epochs : t -> int list
     the set of meaningful {!Non_tso_cutoff} values for this log. *)
 
 val apply_crash : t -> persisted:int array -> crash_mode -> unit
-(** Apply a crash state to [persisted] and clear the log.
-    Randomized modes iterate lines/words in sorted order (never
-    [Hashtbl] order), so for a fixed log content and PRNG seed the
-    resulting image is identical across OCaml versions — recorded
-    counterexamples replay bit-for-bit. *)
-
-val clear : t -> unit
+(** Apply a crash state to [persisted] and clear the log.  [Keep_all]
+    is the drain: every pending store persisted.  Randomized modes
+    iterate lines/words in sorted order (never [Hashtbl] order), so for
+    a fixed log content and PRNG seed the resulting image is identical
+    across OCaml versions — recorded counterexamples replay
+    bit-for-bit. *)
 
 val dirty_lines : t -> int list
-(** Lines with at least one pending store (deduplicated). *)
+(** Lines with at least one pending store, in no particular order. *)

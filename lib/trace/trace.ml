@@ -22,7 +22,8 @@ let slot_words = 4
    the 64th frame rather than growing. *)
 let max_site_depth = 64
 
-type ring = { buf : int array; cap : int; mutable written : int }
+(* [buf] is allocated on the thread's first event. *)
+type ring = { mutable buf : int array; cap : int; mutable written : int }
 
 type t = {
   enabled : bool;
@@ -95,11 +96,7 @@ let make ~enabled ~capacity ~threads ~clock ~tid =
   let npre = Array.length predefined in
   {
     enabled;
-    rings =
-      Array.init threads (fun _ ->
-          { buf = (if enabled then Array.make (capacity * slot_words) 0 else [||]);
-            cap = capacity;
-            written = 0 });
+    rings = Array.init threads (fun _ -> { buf = [||]; cap = capacity; written = 0 });
     names = Array.copy predefined;
     nnames = npre;
     ids;
@@ -220,6 +217,7 @@ let site_table t =
 let emit_tid t tid kind a b =
   let tid = clamp_tid t tid in
   let r = t.rings.(tid) in
+  if r.written = 0 then r.buf <- Array.make (r.cap * slot_words) 0;
   let i = r.written mod r.cap * slot_words in
   r.buf.(i) <- t.clock ();
   r.buf.(i + 1) <- kind;

@@ -1,14 +1,14 @@
 (** Event tracing on the simulator's deterministic clock.
 
-    A tracer owns one fixed-capacity ring buffer per simulated thread
-    (wraparound overwrites the oldest events) plus a {!Metrics}
-    registry.  Every event carries a timestamp from the tracer's clock:
+    A tracer owns one fixed-capacity ring buffer per simulated thread,
+    allocated on that thread's first event (wraparound overwrites the
+    oldest events), plus a {!Metrics} registry.  Every event carries a timestamp from the tracer's clock:
     inside {!Ff_mcsim.Mcsim.run} that is the global simulated time (so
     multicore traces align on one timeline); outside it falls back to
     the current thread's accumulated simulated nanoseconds.
 
     Tracing must never perturb what it measures: events are recorded
-    with plain integer stores into preallocated rings, no simulated
+    with plain integer stores into the rings, no simulated
     time is charged, and every emitter is a no-op on a disabled tracer
     ({!null}) after a single field test.  Hot paths may therefore call
     these functions unconditionally. *)
@@ -35,8 +35,8 @@ val create :
 val for_arena : ?capacity:int -> Ff_pmem.Arena.t -> t
 (** Tracer wired to an arena: installs the arena's event sink (PM
     stores/flushes/fences/allocs/crashes become events), takes thread
-    ids from {!Ff_pmem.Arena.tid}, sizes the ring array from the
-    arena's [max_threads], and uses the simulated-time clock described
+    ids from {!Ff_pmem.Arena.tid}, has a ring for each of the arena's
+    [max_threads] (only threads that emit allocate one), and uses the simulated-time clock described
     above.  Detach with [Arena.set_event_sink a None]. *)
 
 val enabled : t -> bool

@@ -233,12 +233,21 @@ let test_drain_persists_everything () =
   Alcotest.(check int) "persisted 2" 2 (Arena.peek_persisted a 900)
 
 let test_storelog_eviction_bounded () =
-  let config = { Config.default with pending_high_water = 128 } in
-  let a = Arena.create ~config ~words:65536 () in
-  for i = 0 to 10_000 do
-    Arena.write a (Arena.reserved_words + (i mod 50_000)) i
+  (* Write past the high-water mark without flushing: the store that
+     crosses it writes the oldest stores back until half remain. *)
+  let persisted = Array.make 1024 0 in
+  let log = Storelog.create () in
+  let extra = 1000 in
+  for i = 1 to Storelog.high_water + extra do
+    Storelog.record log ~persisted ~addr:(i mod 1024) ~value:i ~line:(i mod 1024 / 8) ~epoch:0
   done;
-  Alcotest.(check bool) "pending bounded" true (Arena.dirty_line_count a < 4096)
+  Alcotest.(check int) "pending bounded"
+    ((Storelog.high_water / 2) + extra - 1)
+    (Storelog.pending log);
+  let last = (Storelog.high_water / 2) + 1 in
+  Alcotest.(check int) "newest written-back store" last persisted.(last mod 1024);
+  Alcotest.(check int) "its successor's word keeps an older store" (last + 1 - 1024)
+    persisted.((last + 1) mod 1024)
 
 let test_per_thread_stats () =
   let a = mk () in
@@ -263,17 +272,17 @@ let test_cachesim_lru () =
   Alcotest.(check bool) "2 resident" true (Cachesim.resident c 2);
   (match Cachesim.access c 2 with
   | Cachesim.Hit -> ()
-  | Cachesim.Miss _ -> Alcotest.fail "expected hit");
+  | Cachesim.Miss | Cachesim.Seq_miss -> Alcotest.fail "expected hit");
   ignore (Cachesim.access c 4);
   Alcotest.(check bool) "3 evicted after 2 touched" false (Cachesim.resident c 3)
 
 let test_cachesim_sequential_detection () =
   let c = Cachesim.create ~capacity:16 in
   (match Cachesim.access c 10 with
-  | Cachesim.Miss { sequential = false } -> ()
+  | Cachesim.Miss -> ()
   | _ -> Alcotest.fail "first access: non-sequential miss");
   match Cachesim.access c 11 with
-  | Cachesim.Miss { sequential = true } -> ()
+  | Cachesim.Seq_miss -> ()
   | _ -> Alcotest.fail "adjacent line: sequential miss"
 
 let suite =
@@ -348,4 +357,156 @@ let file_tests =
     Alcotest.test_case "save/load tree roundtrip" `Quick test_save_load_roundtrip_tree;
   ]
 
-let suite = suite @ file_tests
+(* The store log holds dirty state only: a flushed line leaves nothing
+   behind, however many stores the arena has seen. *)
+let test_storelog_holds_only_dirty () =
+  let a = mk () in
+  let touch i =
+    let addr = Arena.reserved_words + (i mod 512) in
+    Arena.write a addr i;
+    Arena.flush a addr
+  in
+  for i = 0 to 511 do
+    touch i
+  done;
+  let before = Obj.reachable_words (Obj.repr a) in
+  for i = 0 to 200_000 - 1 do
+    touch i
+  done;
+  let grown = Obj.reachable_words (Obj.repr a) - before in
+  Alcotest.(check bool) (Printf.sprintf "arena grew by %d words" grown) true (grown < 1024)
+
+(* Thread contexts are built on first use: an arena that has only run
+   tid 0 holds one cache simulator, not [max_threads] of them. *)
+let test_contexts_on_demand () =
+  let a = mk () in
+  Arena.write a 100 1;
+  ignore (Arena.read a 200);
+  Arena.flush a 100;
+  let one =
+    Obj.reachable_words
+      (Obj.repr (Cachesim.create ~capacity:Config.default.Config.cache_lines))
+  in
+  let words = Obj.reachable_words (Obj.repr a) in
+  Alcotest.(check bool)
+    (Printf.sprintf "arena holds %d words, one context %d" words one)
+    true (words < 2 * one);
+  Alcotest.(check int) "unused tid has zero stats" 0 (Arena.stats a 5).Stats.loads
+
+let memory_tests =
+  [
+    Alcotest.test_case "store log holds only dirty lines" `Quick test_storelog_holds_only_dirty;
+    Alcotest.test_case "thread contexts on demand" `Quick test_contexts_on_demand;
+  ]
+
+(* Golden crash images.  A fixed seeded FAST+FAIR insert/delete run,
+   interleaved with unflushed stores to a small scratch window and
+   explicit fences, is cut mid-operation by a crash plan and then
+   power-failed under every crash mode: every pending epoch as a
+   [Non_tso_cutoff], media faults, and a run whose unflushed stores
+   cross the store log's high-water mark first.  Each persisted image
+   is digested.  The digests were recorded once; they pin the store
+   log's crash semantics, including the PRNG draw order of every
+   randomized mode, so recorded counterexamples keep replaying to the
+   identical image. *)
+
+let golden_words = 1 lsl 14
+let golden_scratch = golden_words - 64
+
+let golden_run ?(flood = 0) () =
+  let a = Arena.create ~words:golden_words () in
+  for i = 1 to flood do
+    Arena.write a (golden_scratch + (i * 7 mod 64)) i;
+    if i mod 4096 = 0 then Arena.fence a
+  done;
+  let t = Ff_fastfair.Tree.create ~node_bytes:256 a in
+  let r = Prng.create 13 in
+  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 6000));
+  (try
+     for i = 1 to 2000 do
+       let k = 1 + Prng.int r 500 in
+       if Prng.int r 4 = 0 then ignore (Ff_fastfair.Tree.delete t k)
+       else Ff_fastfair.Tree.insert t ~key:k ~value:((2 * k) + 1);
+       if i mod 10 = 0 then begin
+         for _ = 1 to 3 do
+           Arena.write a (golden_scratch + Prng.int r 64) i
+         done;
+         if i mod 20 = 0 then Arena.fence a
+       end
+     done
+   with Arena.Crashed -> ());
+  a
+
+let image_digest a =
+  let b = Buffer.create (8 * Arena.capacity a) in
+  for i = 0 to Arena.capacity a - 1 do
+    Buffer.add_int64_le b (Int64.of_int (Arena.peek_persisted a i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let crash_digest ?flood ?plan mode =
+  let a = golden_run ?flood () in
+  Option.iter (fun p -> Arena.set_fault_plan a (Some p)) plan;
+  Arena.power_fail a mode;
+  image_digest a
+
+let golden_digests () =
+  let epochs = Arena.pending_epochs (golden_run ()) in
+  (* One digest over every cutoff's image, tagged with its epoch. *)
+  let cutoffs =
+    List.map
+      (fun e ->
+        Printf.sprintf "%d:%s" e
+          (crash_digest (Storelog.Non_tso_cutoff (e, Prng.create (5 + e)))))
+      epochs
+  in
+  let media =
+    {
+      Storelog.fault_seed = 99;
+      flip_words = 6;
+      stuck_words = 2;
+      fault_lo = Arena.reserved_words;
+      fault_hi = golden_words;
+    }
+  in
+  [
+    ("pending epochs", string_of_int (List.length epochs));
+    ("keep_none", crash_digest Storelog.Keep_none);
+    ("keep_all", crash_digest Storelog.Keep_all);
+    ("random_eviction", crash_digest (Storelog.Random_eviction (Prng.create 3)));
+    ("non_tso_random", crash_digest (Storelog.Non_tso_random (Prng.create 4)));
+    ("non_tso_cutoff, every epoch", Digest.to_hex (Digest.string (String.concat ";" cutoffs)));
+    ( "media_fault",
+      crash_digest (Storelog.Media_fault (media, Storelog.Random_eviction (Prng.create 6))) );
+    ( "fault_plan",
+      crash_digest
+        ~plan:{ Arena.fault_seed = 11; poison_lines = 2; flip_words = 3; stuck_words = 1 }
+        Storelog.Keep_none );
+    ("flood keep_none", crash_digest ~flood:70_000 Storelog.Keep_none);
+    ("flood keep_all", crash_digest ~flood:70_000 Storelog.Keep_all);
+    ("flood random_eviction", crash_digest ~flood:70_000 (Storelog.Random_eviction (Prng.create 7)));
+    ("flood non_tso_random", crash_digest ~flood:70_000 (Storelog.Non_tso_random (Prng.create 8)));
+  ]
+
+let golden =
+  [
+    ("pending epochs", "110");
+    ("keep_none", "0d26a69306fbc432f56b0fb0ca0a358b");
+    ("keep_all", "f3e5c0754a1b53b629636d94a0659c7d");
+    ("random_eviction", "bc310c7085576ffa6b5b84b0008698b5");
+    ("non_tso_random", "1cce5c7f94290d1b14721d290a43f189");
+    ("non_tso_cutoff, every epoch", "0be2491b6cc933b2f8fd2b874c78691e");
+    ("media_fault", "8f1a7b2559775247a9478a39892c561b");
+    ("fault_plan", "c5e9bc75c638474832f849579cb3d193");
+    ("flood keep_none", "6f9cdbabdc8a1d369077365fb595a926");
+    ("flood keep_all", "0fa947dee8d19f53a08019e24aca1809");
+    ("flood random_eviction", "7efb2169d29ab30909687416277a9e13");
+    ("flood non_tso_random", "a63752f93ccd131cd2d095a19d65098e");
+  ]
+
+let test_golden_crash_images () =
+  Alcotest.(check (list (pair string string))) "crash image digests" golden (golden_digests ())
+
+let suite =
+  suite @ file_tests @ memory_tests
+  @ [ Alcotest.test_case "golden crash images" `Quick test_golden_crash_images ]
