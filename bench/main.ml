@@ -1762,7 +1762,17 @@ let tx_row path =
 let tx_rows () = [ tx_row Tx.Logged; tx_row Tx.Shadow ]
 
 (* TPC-C under real transactions: W1 mix, both paths; the abort count
-   must be nonzero (invalid-item New-Orders roll back by spec). *)
+   must be nonzero (invalid-item New-Orders roll back by spec).  The
+   simulated time and write-backs per transaction are where the commit
+   path's cost shows: fences are cheap, serialized flushes are not. *)
+type tx_tpcc = {
+  tp_commits : int;
+  tp_aborts : int;
+  tp_retries : int;
+  tp_us_per_txn : float;
+  tp_flushes_per_txn : float;
+}
+
 let tx_tpcc_stats path =
   let txns = sc 2_000 in
   let config = Config.pm ~read_ns:300 ~write_ns:300 () in
@@ -1771,8 +1781,17 @@ let tx_tpcc_stats path =
   let a = arena ~config (max (txns * 1600) 400_000) in
   let idx = (fastfair ()).build a in
   let t = Tpcc.load ~path ~arena:a idx Tpcc.default_config in
+  Arena.reset_stats a;
   Tpcc.run t Tpcc.w1 ~txns;
-  (Tpcc.commits t, Tpcc.aborts t, Tpcc.retries t)
+  let s = Arena.total_stats a in
+  let per_txn x = float_of_int x /. float_of_int txns in
+  {
+    tp_commits = Tpcc.commits t;
+    tp_aborts = Tpcc.aborts t;
+    tp_retries = Tpcc.retries t;
+    tp_us_per_txn = per_txn (Stats.total_ns s) /. 1000.;
+    tp_flushes_per_txn = per_txn s.Stats.flushes;
+  }
 
 let tx_target () =
   print_endline
@@ -1795,10 +1814,12 @@ let tx_target () =
     rows;
   List.iter
     (fun path ->
-      let c, ab, re = tx_tpcc_stats path in
-      Printf.printf "  tpcc[%s]: commits=%d aborts=%d retries=%d\n"
+      let r = tx_tpcc_stats path in
+      Printf.printf
+        "  tpcc[%s]: commits=%d aborts=%d retries=%d us/txn=%.2f flushes/txn=%.2f\n"
         (match path with Tx.Logged -> "logged" | Tx.Shadow -> "shadow")
-        c ab re)
+        r.tp_commits r.tp_aborts r.tp_retries r.tp_us_per_txn
+        r.tp_flushes_per_txn)
     [ Tx.Logged; Tx.Shadow ]
 
 (* ------------------------------------------------------------------ *)
@@ -2067,14 +2088,16 @@ let json_report file =
       ]
   in
   let tx_tpcc_json path =
-    let c, ab, re = tx_tpcc_stats path in
+    let r = tx_tpcc_stats path in
     J.Obj
       [
         ( "path",
           J.Str (match path with Tx.Logged -> "logged" | Tx.Shadow -> "shadow") );
-        ("commits", J.Int c);
-        ("aborts", J.Int ab);
-        ("retries", J.Int re);
+        ("commits", J.Int r.tp_commits);
+        ("aborts", J.Int r.tp_aborts);
+        ("retries", J.Int r.tp_retries);
+        ("us_per_txn", J.Float r.tp_us_per_txn);
+        ("flushes_per_txn", J.Float r.tp_flushes_per_txn);
       ]
   in
   let rb_row_json r =

@@ -43,6 +43,8 @@ type t = {
   mutable count : int;    (* volatile mirror of the head word *)
   mutable next_id : int;
   mutable torn : bool;
+  mutable payload : int list;
+      (* deferred appends' payload words, persisted with the records *)
 }
 
 let arena t = t.arena
@@ -53,7 +55,17 @@ let torn_commit t = t.torn
 let record_base t i = t.base + record_words + (i * record_words)
 
 let mk arena base cap =
-  { arena; base; cap; open_tx = false; txid = 0; count = 0; next_id = 1; torn = false }
+  {
+    arena;
+    base;
+    cap;
+    open_tx = false;
+    txid = 0;
+    count = 0;
+    next_id = 1;
+    torn = false;
+    payload = [];
+  }
 
 let attach arena =
   let base = Arena.root_get arena slot_addr in
@@ -95,12 +107,13 @@ let begin_tx t =
   t.txid <- t.next_id;
   t.next_id <- t.next_id + 1;
   t.count <- 0;
+  t.payload <- [];
   (* Pending until the first flush of the header line (every append
      and persist_payload flushes it); ordered before any head store. *)
   Arena.write t.arena (t.base + off_txid) t.txid;
   t.txid
 
-let append ?(persist = true) t r =
+let append ?(persist = true) ?payload t r =
   if not t.open_tx then invalid_arg "Txlog.append: no transaction open";
   if t.count >= t.cap then
     invalid_arg
@@ -118,24 +131,39 @@ let append ?(persist = true) t r =
     (checksum ~tag:t.txid ~seq:i ~key:r.key ~old_v:r.old_v ~new_v:r.new_v);
   Arena.write a (t.base + off_head) (i + 1);
   t.count <- i + 1;
-  (* Undo-logging ordering: the record line, then the head that makes
-     it valid, both durable before the caller's in-place write.  The
+  (* Undo-logging ordering: the payload word the new binding will point
+     to, the record line and the head that makes it valid are written
+     back together, and one fence makes them all durable before the
+     caller's in-place write.  Inside a caller's group scope the lines
+     join that scope but the fence is still issued here.  The
      torn-commit mutant elides exactly this persist. *)
-  if persist && not t.torn then begin
+  if not persist then Option.iter (fun p -> t.payload <- p :: t.payload) payload
+  else if not t.torn then begin
+    let own = not (Arena.in_group a) in
+    if own then Arena.group_begin a;
+    Option.iter (Arena.flush a) payload;
     Arena.flush a rb;
     Arena.flush a t.base;
-    Arena.fence a
+    if own then Arena.group_end a else Arena.fence a
   end
 
+(* The deferred path's one ordering point: staged payload lines (each
+   once, as fresh cells often share a line), record lines and the
+   header go out as one group closed by one fence, all before the
+   commit word or prepared marker is stored. *)
 let persist_payload t =
   let a = t.arena in
   let own = not (Arena.in_group a) in
   if own then Arena.group_begin a;
+  List.iter
+    (fun line -> Arena.flush a (line * Arena.words_per_line))
+    (List.sort_uniq compare
+       (List.map (fun p -> p / Arena.words_per_line) t.payload));
   for i = 0 to t.count - 1 do
     Arena.flush a (record_base t i)
   done;
   Arena.flush a t.base;
-  if own then Arena.group_end a
+  if own then Arena.group_end a else Arena.fence a
 
 let set_commit t =
   let a = t.arena in

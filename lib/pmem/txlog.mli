@@ -35,7 +35,10 @@
     {e last}: recovery treats a nonzero commit word as "all effects are
     (re)applicable from the redo images", a zero commit word with
     [head > 0] as "roll back from the undo images".  {!discard} clears
-    the header, which is the log's only truncation point.
+    the header, which is the log's only truncation point.  An undo-only
+    user whose in-place writes are durable before it truncates (the
+    [Logged] path of [Ff_tx.Tx]) needs no commit word: {!discard} is
+    its commit point.
 
     {b Two-phase commit.}  A participant persists its payload, then a
     [prepared] marker naming the coordinator shard; the coordinator's
@@ -43,9 +46,11 @@
     coordinator (via the closure given to {!resolve}) before choosing
     redo or discard.
 
-    {b Mutant.}  {!set_torn_commit} inverts the protocol — the commit
-    word is persisted {e before} the log payload — reproducing the
-    classic torn-commit bug the model checker must detect. *)
+    {b Mutant.}  {!set_torn_commit} breaks the protocol — appends and
+    the pre-commit payload are never persisted, so the commit word (or,
+    on an undo-only path, the truncation) goes durable ahead of the
+    records it relies on — reproducing the classic torn-commit bug the
+    model checker must detect. *)
 
 type t
 
@@ -89,19 +94,30 @@ val begin_tx : t -> int
     must be idle (discarded).
     @raise Invalid_argument if a transaction is already in flight. *)
 
-val append : ?persist:bool -> t -> record -> unit
-(** Append one record under the open transaction.  With
-    [persist = true] (the default) the record line and the advanced
-    [head] are flushed and fenced before returning — the undo-logging
-    contract: the pre-image is durable before the caller's in-place
-    write.  With [persist = false] the stores are merely issued
-    (shadow path: the caller persists the whole payload at once).
+val append : ?persist:bool -> ?payload:int -> t -> record -> unit
+(** Append one record under the open transaction.  [payload] is the
+    address of a word the caller stored and the record's new value
+    points to (a fresh row cell); it is persisted with the record.
+
+    With [persist = true] (the default) the payload line, the record
+    line and the header line carrying the advanced [head] are written
+    back as one group ([clwb]) and {e one} fence closes it before
+    returning — the undo-logging contract: the pre-image (and the cell
+    the new binding will name) is durable before the caller's in-place
+    write.  When the caller already holds a group-flush scope
+    ({!Arena.group_begin}), the lines join it and the fence is still
+    issued, but the caller's scope stays open.  With [persist = false]
+    the stores are merely issued and [payload] is remembered for
+    {!persist_payload} (shadow path: the caller persists the whole
+    payload at once).
     @raise Invalid_argument when the region is full or no transaction
     is open. *)
 
 val persist_payload : t -> unit
-(** Flush every appended record line plus the header and fence once —
-    the shadow path's single payload ordering point. *)
+(** Write back every remembered payload line (each line once), every
+    appended record line and the header as one group, and fence once —
+    the shadow and prepare paths' single payload ordering point, before
+    the commit word or prepared marker. *)
 
 val set_commit : t -> unit
 (** Persist the commit word (store + flush + fence), {e after} the

@@ -57,7 +57,6 @@ let alloc_cell pool init =
   let cell = pool.line + pool.used in
   pool.used <- pool.used + 1;
   Arena.write pool.arena cell init;
-  Arena.flush pool.arena cell;
   cell
 
 type t = {
@@ -81,7 +80,10 @@ let absorb t v = t.digest <- (t.digest * 31) + (v land 0xffff)
 
 (* Bulk load runs outside transactions: each put is a single
    failure-atomic index insert, exactly as before the tx layer. *)
-let put_row t k init = t.index.Intf.insert k (alloc_cell t.pool init)
+let put_row t k init =
+  let cell = alloc_cell t.pool init in
+  Arena.flush t.arena cell;
+  t.index.Intf.insert k cell
 
 let load ?(path = Tx.Logged) ~arena index cfg =
   let t =
@@ -132,12 +134,12 @@ let load_descriptor ?(path = Tx.Logged) ~arena
 (* Transactional row access                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Rows update by shadow cell: a new payload cell is allocated and
-   persisted, then the index binding swings to it through the
-   transaction.  Cell addresses stay unique (the index value
-   contract), the pre-image cell survives untouched for rollback, and
-   a cell orphaned by an abort is ordinary leaked garbage the scrub
-   pass reclaims. *)
+(* Rows update by shadow cell: a new payload cell is allocated, then
+   the index binding swings to it through the transaction, which
+   persists the cell together with its log record.  Cell addresses
+   stay unique (the index value contract), the pre-image cell survives
+   untouched for rollback, and a cell orphaned by an abort is ordinary
+   leaked garbage the scrub pass reclaims. *)
 
 let read_row t tx k =
   match Tx.get tx k with
@@ -147,7 +149,9 @@ let read_row t tx k =
       Some v
   | None -> None
 
-let write_row t tx k v = Tx.put tx k (alloc_cell t.pool v)
+let write_row t tx k v =
+  let cell = alloc_cell t.pool v in
+  Tx.put ~payload:cell tx k cell
 
 (* ------------------------------------------------------------------ *)
 (* Transaction bodies                                                  *)

@@ -92,29 +92,33 @@ let visible_pre tx k =
     | None -> tx.mgr.ops.Intf.read_for_update k
   else tx.mgr.ops.Intf.read_for_update k
 
-let write tx k post =
+let write ?payload tx k post =
   check_live tx;
   let m = tx.mgr in
   let pre = visible_pre tx k in
   let r = { Txlog.key = k; old_v = enc pre; new_v = enc post } in
   if tx.deferred then begin
     (* Shadow path: stage volatile, persist nothing yet. *)
-    Txlog.append ~persist:false m.log r;
+    Txlog.append ~persist:false ?payload m.log r;
     tx.staged <- r :: tx.staged;
-    Hashtbl.replace tx.overlay k post
+    Hashtbl.replace tx.overlay k post;
+    tx.nops <- tx.nops + 1
   end
   else begin
-    (* Logged path: undo record durable before the in-place write. *)
-    in_span m Trace.id_tx_log tx.nops (fun () -> Txlog.append m.log r);
-    m.ops.Intf.install k post;
-    tx.undos <- m.ops.Intf.undo_of k pre :: tx.undos
+    (* Logged path: undo record (and payload) durable before the
+       in-place write.  The write is counted and its undo pushed before
+       the install runs: an install that applies and then raises must
+       still be rolled back before the log is truncated. *)
+    in_span m Trace.id_tx_log tx.nops (fun () -> Txlog.append ?payload m.log r);
+    tx.nops <- tx.nops + 1;
+    tx.undos <- m.ops.Intf.undo_of k pre :: tx.undos;
+    m.ops.Intf.install k post
   end;
-  tx.nops <- tx.nops + 1;
   pre
 
-let put tx k v =
+let put ?payload tx k v =
   if v = 0 then invalid_arg "Tx.put: values must be nonzero";
-  ignore (write tx k (Some v))
+  ignore (write ?payload tx k (Some v))
 
 let del tx k = write tx k None <> None
 let abort ?(reason = "aborted") _tx = raise (Abort reason)
@@ -152,10 +156,12 @@ let commit tx =
         end;
         apply_staged tx
       end
-      else
-        (* Effects are already in place; the commit word makes the redo
-           images authoritative for any crash before truncation. *)
-        Txlog.set_commit m.log;
+      else if Arena.in_group m.arena then
+        (* Every install is durable when it returns, so truncation is
+           the commit point.  Inside a caller's group scope the
+           installs' write-backs still need a fence before the
+           truncating store. *)
+        Arena.fence m.arena;
       Txlog.discard m.log);
   retire tx;
   m.commits <- m.commits + 1

@@ -5,10 +5,14 @@
     runs multi-key transactions through one of two commit paths, both
     behind the same {!commit}:
 
-    - {b Logged} (undo/redo): every write persists a combined
-      undo/redo record {e before} the eager in-place install — one log
-      fence per op, commit is just the commit word plus log
-      truncation.  Classic persistent-memory transactions.
+    - {b Logged} (undo): every write persists a combined undo/redo
+      record, the header and the optional payload line as one
+      write-back group closed by one fence, {e before} the eager
+      in-place install.  Each install is durable when it returns, so
+      truncating the log ({!Ff_pmem.Txlog.discard}) is the commit
+      point; there is no commit word.  A crash before truncation rolls
+      back from the undo images.  Classic persistent-memory
+      transactions.
     - {b Shadow} (MOD-style minimally ordered): writes stage in a
       volatile write set; commit group-flushes the whole payload with
       a single fence, persists the commit word, then installs under a
@@ -50,10 +54,11 @@ val set_path : t -> path -> unit
 val set_tracer : t -> Ff_trace.Trace.t -> unit
 val txlog : t -> Ff_pmem.Txlog.t
 val set_torn_commit : t -> bool -> unit
-(** Enable the torn-commit mutant on the underlying log: the commit
-    word goes durable with no ordered persist of the payload it covers
-    (per-append persists and pre-commit payload flushes are skipped).
-    Test-only. *)
+(** Enable the torn-commit mutant on the underlying log: per-append
+    persists and pre-commit payload flushes are skipped, so the commit
+    point (Shadow's commit word, Logged's in-place installs and
+    truncation) goes durable with no ordered persist of the records it
+    relies on.  Test-only. *)
 
 (** {1 Transactions} *)
 
@@ -66,9 +71,17 @@ val get : tx -> int -> int option
 (** Read through the transaction: sees the transaction's own
     uncommitted writes. *)
 
-val put : tx -> int -> int -> unit
+val put : ?payload:int -> tx -> int -> int -> unit
 (** Write [key -> value] (insert or overwrite).  Values must be
-    nonzero (index contract). *)
+    nonzero (index contract).
+
+    [payload] is the address of a word the caller stored and [value]
+    points to (a fresh row cell).  The transaction persists it for the
+    caller, so the caller issues no flush of its own: on [Logged] its
+    line joins the log append's write-back group, ordered by the same
+    fence before the in-place install; on [Shadow] (and in {!prepare})
+    it joins the payload group ahead of the commit word (or prepared
+    marker). *)
 
 val del : tx -> int -> bool
 (** Delete; true if the key was visible beforehand. *)
@@ -77,9 +90,10 @@ val abort : ?reason:string -> tx -> 'a
 (** Raise {!Abort}; pair with {!run} or roll back manually. *)
 
 val commit : tx -> unit
-(** Run the full commit-record protocol for the transaction's path.
-    When this returns, the transaction's effects are durable and the
-    log is truncated. *)
+(** Run the commit protocol for the transaction's path.  When this
+    returns, the transaction's effects are durable and the log is
+    truncated.  On [Logged] the truncation itself is the commit point;
+    on [Shadow] the commit word is, and the installs follow it. *)
 
 val rollback : tx -> unit
 (** Undo every effect (logged path: run the undo closures in reverse;

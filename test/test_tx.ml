@@ -149,6 +149,268 @@ let test_logged_crash_sweep_eviction () =
 let test_shadow_crash_sweep_eviction () =
   crash_sweep_path Tx.Shadow (fun o -> Storelog.Random_eviction (Prng.create o))
 
+(* ------------------------------------------------------------------ *)
+(* Payload cells persisted by the transaction                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys bind to one-word cells, as TPC-C rows do.  Each put stores a
+   fresh cell and hands it to the transaction as [~payload] (or, for
+   the negative control, neither flushes nor passes it).  After every
+   crash point and recovery, each bound cell must read its value in the
+   persisted image, and the bindings must be all-or-nothing.  Returns
+   the offsets whose recovered state is wrong. *)
+let payload_sweep ?(pass_payload = true) path mode_of =
+  let d = Registry.find_exn "fastfair" in
+  let keyspace = 6 in
+  let pre = List.init keyspace (fun i -> (i + 1, 11 + i)) in
+  let post = [ (1, 101); (2, 102); (3, 13); (4, 104); (5, 15); (6, 16) ] in
+  let bad = ref [] in
+  for offset = 1 to 60 do
+    let a = fresh_arena () in
+    let ops = Registry.build "fastfair" a in
+    let cells = Arena.alloc_raw a (4 * Arena.words_per_line) in
+    let next = ref cells in
+    let cell v =
+      let c = !next in
+      incr next;
+      Arena.write a c v;
+      c
+    in
+    List.iter
+      (fun (k, v) ->
+        let c = cell v in
+        Arena.flush a c;
+        ops.Intf.insert k c)
+      pre;
+    let mgr = Tx.create ~path a ops in
+    let committed = ref false and commit_started = ref false in
+    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + offset));
+    (try
+       let tx = Tx.begin_tx mgr in
+       List.iter
+         (fun k ->
+           let c = cell (100 + k) in
+           if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
+         [ 1; 2; 4 ];
+       commit_started := true;
+       Tx.commit tx;
+       committed := true
+     with Arena.Crashed -> ());
+    Arena.power_fail a (mode_of offset);
+    let o = d.D.open_existing D.default_config a in
+    o.Intf.recover ();
+    ignore (Tx.recover (Tx.create ~path a o));
+    let got =
+      List.map (fun (k, c) -> (k, Arena.peek_persisted a c)) (dump o keyspace)
+    in
+    let ok =
+      if !committed then got = post
+      else if !commit_started then got = post || got = pre
+      else got = pre
+    in
+    if not ok then bad := offset :: !bad
+  done;
+  List.rev !bad
+
+let check_payload_sweep path mode_of () =
+  match payload_sweep path mode_of with
+  | [] -> ()
+  | offs ->
+      Alcotest.failf "bound cells lost or torn at offsets %s"
+        (String.concat "," (List.map string_of_int offs))
+
+let test_payload_negative_control () =
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) "unpersisted cells are caught" true
+        (payload_sweep ~pass_payload:false path (fun _ -> Storelog.Keep_none)
+        <> []))
+    [ Tx.Logged; Tx.Shadow ]
+
+(* ------------------------------------------------------------------ *)
+(* Write-back ordering guard                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The arena applies a group write-back to the persisted image at once,
+   so no crash sweep can see a missing fence.  This test reads the
+   event stream instead: every grouped ([clwb]) write-back a store
+   depends on must be followed by a fence before that store.  A
+   standalone flush ([clflush] + [mfence]) carries its own fence. *)
+type ev = Store of int | Flush of int * bool (* grouped *) | Fence | Install
+
+let line_of addr = addr / Arena.words_per_line
+
+(* [lines] were each written back somewhere in [evs.(lo .. hi-1)], and
+   the last grouped write-back of any of them is fenced before [hi]. *)
+let fenced_before evs ~lo ~hi lines =
+  let last = ref None and seen = ref [] in
+  for i = lo to hi - 1 do
+    match evs.(i) with
+    | Flush (addr, grouped) when List.mem (line_of addr) lines ->
+        seen := line_of addr :: !seen;
+        if grouped then last := Some i
+    | _ -> ()
+  done;
+  List.for_all (fun l -> List.mem l !seen) lines
+  &&
+  match !last with
+  | None -> true
+  | Some j ->
+      let f = ref false in
+      for i = j + 1 to hi - 1 do
+        if evs.(i) = Fence then f := true
+      done;
+      !f
+
+(* Three payload-carrying puts through an index whose installs leave
+   an [Install] marker in the event stream.  [run ()] executes them in
+   one [Tx.run] and returns the events. *)
+let ordering_fixture path =
+  let a = fresh_arena () in
+  let base = Registry.build "fastfair" a in
+  for k = 1 to 6 do
+    base.Intf.insert k (10 + k)
+  done;
+  let evs = ref [] in
+  let push e = evs := e :: !evs in
+  let ops =
+    {
+      base with
+      Intf.install =
+        (fun k v ->
+          push Install;
+          base.Intf.install k v);
+    }
+  in
+  let mgr = Tx.create ~path a ops in
+  let cells = Arena.alloc_raw a Arena.words_per_line in
+  let log = Arena.root_get a Txlog.slot_addr in
+  let run () =
+    evs := [];
+    Arena.set_event_sink a
+      (Some
+         {
+           Arena.ev_store = (fun addr -> push (Store addr));
+           ev_flush = (fun addr -> push (Flush (addr, Arena.in_group a)));
+           ev_fence = (fun () -> push Fence);
+           ev_alloc = (fun _ _ -> ());
+           ev_free = (fun _ _ -> ());
+           ev_crash = (fun () -> ());
+         });
+    (match
+       Tx.run mgr (fun tx ->
+           List.iteri
+             (fun i k ->
+               let c = cells + i in
+               Arena.write a c (100 + k);
+               Tx.put ~payload:c tx k c)
+             [ 1; 2; 4 ])
+     with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m);
+    Arena.set_event_sink a None;
+    Array.of_list (List.rev !evs)
+  in
+  (a, cells, log, run)
+
+let test_logged_write_back_ordering () =
+  List.iter
+    (fun in_caller_group ->
+      let a, cells, log, run = ordering_fixture Tx.Logged in
+      if in_caller_group then Arena.group_begin a;
+      let evs = run () in
+      if in_caller_group then Arena.group_end a;
+      let installs =
+        List.filter (fun i -> evs.(i) = Install) (List.init (Array.length evs) Fun.id)
+      in
+      Alcotest.(check int) "three installs" 3 (List.length installs);
+      let rec go lo n = function
+        | [] -> ()
+        | hi :: rest ->
+            let record = line_of log + 1 + n in
+            if
+              not
+                (fenced_before evs ~lo ~hi
+                   [ line_of cells; record; line_of log ])
+            then
+              Alcotest.failf
+                "write %d (caller group %b): payload/record/header write-back \
+                 not fenced before the install"
+                n in_caller_group;
+            go hi (n + 1) rest
+      in
+      go 0 0 installs;
+      (* Commit by truncation: whatever the installs wrote back is
+         fenced before the store that clears the head. *)
+      let last_install = List.nth installs 2 in
+      let trunc = ref (-1) in
+      Array.iteri
+        (fun i e ->
+          if !trunc < 0 && i > last_install && e = Store (log + 2) then trunc := i)
+        evs;
+      Alcotest.(check bool) "log truncated" true (!trunc > 0);
+      let written = ref [] in
+      for i = last_install to !trunc - 1 do
+        match evs.(i) with
+        | Flush (addr, _) -> written := line_of addr :: !written
+        | _ -> ()
+      done;
+      Alcotest.(check bool) "installs fenced before truncation" true
+        (fenced_before evs ~lo:last_install ~hi:!trunc !written))
+    [ false; true ]
+
+let test_shadow_write_back_ordering () =
+  List.iter
+    (fun in_caller_group ->
+      let a, cells, log, run = ordering_fixture Tx.Shadow in
+      if in_caller_group then Arena.group_begin a;
+      let evs = run () in
+      if in_caller_group then Arena.group_end a;
+      let commit = ref (-1) in
+      Array.iteri
+        (fun i e -> if !commit < 0 && e = Store (log + 1) then commit := i)
+        evs;
+      Alcotest.(check bool) "commit word stored" true (!commit > 0);
+      if
+        not
+          (fenced_before evs ~lo:0 ~hi:!commit
+             [ line_of cells; line_of log + 1; line_of log + 2; line_of log + 3 ])
+      then
+        Alcotest.failf
+          "caller group %b: payload/record write-back not fenced before the \
+           commit word"
+          in_caller_group)
+    [ false; true ]
+
+(* An install that applies and then raises: [Tx.run] must still roll
+   that key back before it truncates the log. *)
+let test_install_raises_rolls_back () =
+  let a = fresh_arena () in
+  let base = Registry.build "fastfair" a in
+  for k = 1 to 3 do
+    base.Intf.insert k (10 + k)
+  done;
+  let ops =
+    {
+      base with
+      Intf.install =
+        (fun k v ->
+          base.Intf.install k v;
+          if k = 2 then failwith "install failed after applying");
+    }
+  in
+  let mgr = Tx.create a ops in
+  (match
+     Tx.run mgr (fun tx ->
+         Tx.put tx 1 101;
+         Tx.put tx 2 102)
+   with
+  | _ -> Alcotest.fail "install failure was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check (list (pair int int))) "pre-images restored"
+    [ (1, 11); (2, 12); (3, 13) ] (dump base 3);
+  Alcotest.(check bool) "log idle" true (Txlog.state (Tx.txlog mgr) = Txlog.Idle)
+
 let test_run_abort () =
   let a = fresh_arena () in
   let ops = Registry.build "fastfair" a in
@@ -375,6 +637,24 @@ let suite =
       test_logged_crash_sweep_eviction;
     Alcotest.test_case "shadow path crash sweep (eviction)" `Quick
       test_shadow_crash_sweep_eviction;
+    Alcotest.test_case "logged payload crash sweep (keep_none)" `Quick
+      (check_payload_sweep Tx.Logged (fun _ -> Storelog.Keep_none));
+    Alcotest.test_case "shadow payload crash sweep (keep_none)" `Quick
+      (check_payload_sweep Tx.Shadow (fun _ -> Storelog.Keep_none));
+    Alcotest.test_case "logged payload crash sweep (eviction)" `Quick
+      (check_payload_sweep Tx.Logged (fun o ->
+           Storelog.Random_eviction (Prng.create o)));
+    Alcotest.test_case "shadow payload crash sweep (eviction)" `Quick
+      (check_payload_sweep Tx.Shadow (fun o ->
+           Storelog.Random_eviction (Prng.create o)));
+    Alcotest.test_case "payload sweep negative control" `Quick
+      test_payload_negative_control;
+    Alcotest.test_case "logged write-backs fenced before install" `Quick
+      test_logged_write_back_ordering;
+    Alcotest.test_case "shadow write-backs fenced before commit word" `Quick
+      test_shadow_write_back_ordering;
+    Alcotest.test_case "install that raises is rolled back" `Quick
+      test_install_raises_rolls_back;
     Alcotest.test_case "Tx.run commit/abort bookkeeping" `Quick test_run_abort;
     Alcotest.test_case "txcheck: logged path clean" `Quick
       test_txcheck_logged_clean;
