@@ -1522,65 +1522,15 @@ let print_check_report ~out (r : Ff_check.Check.report) =
    per family. *)
 let check_all index_name seed out =
   let module C = Ff_check.Check in
-  let module TC = Ff_check.Txcheck in
-  let module SC = Ff_check.Snapcheck in
-  let module RC = Ff_check.Rebalcheck in
-  let module RepC = Ff_check.Replcheck in
-  let snap_index =
-    let candidate = "snap-" ^ index_name in
-    if Registry.find candidate <> None then candidate else index_name
-  in
-  let families =
-    [
-      ( "linearizability",
-        fun () ->
-          C.run
-            ~config:{ C.default with C.seed; schedules = 6; crash_budget = 64 }
-            index_name );
-      ( "tx",
-        fun () ->
-          TC.run
-            ~config:
-              { TC.default with TC.seed; schedules = 4; crash_budget = 64 }
-            index_name );
-      ( "snapshot",
-        fun () ->
-          (* ops_per_round mirrors the `check --snapshot` CLI default
-             rather than SC.default: the deeper 4-op rounds expose a
-             known prefix-window artifact (see ROADMAP) that the smoke
-             sweep should not trip over. *)
-          SC.run
-            ~config:
-              {
-                SC.default with
-                SC.seed;
-                ops_per_round = 2;
-                schedules = 4;
-                crash_budget = 64;
-              }
-            snap_index );
-      ( "rebalance",
-        fun () ->
-          RC.run
-            ~config:
-              { RC.default with RC.seed; schedules = 2; crash_budget = 24 }
-            index_name );
-      ( "replica",
-        fun () ->
-          RepC.run
-            ~config:{ RepC.default with RepC.seed; schedules = 4 }
-            index_name );
-    ]
-  in
   List.fold_left
-    (fun acc (fam, f) ->
-      let r = f () in
+    (fun acc (fam : C.family) ->
+      let r = fam.C.smoke ~index:index_name ~seed in
       match r.C.skipped with
       | Some reason ->
-          Printf.printf "%-16s skipped: %s\n" fam reason;
+          Printf.printf "%-16s skipped: %s\n" fam.C.name reason;
           acc
       | None ->
-          Printf.printf "%-16s %s\n" fam (C.report_summary r);
+          Printf.printf "%-16s %s\n" fam.C.name (C.report_summary r);
           List.iteri
             (fun i (v : C.violation) ->
               match out with
@@ -1589,65 +1539,60 @@ let check_all index_name seed out =
                   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                   let path =
                     Filename.concat dir
-                      (Printf.sprintf "%s-cx-%d.json" fam (i + 1))
+                      (Printf.sprintf "%s-cx-%d.json" fam.C.name (i + 1))
                   in
                   Ff_check.Counterexample.save v.C.counterexample path;
                   Printf.printf "  counterexample saved to %s\n" path)
             r.C.violations;
           if r.C.violations <> [] then 1 else acc)
-    0 families
+    0 C.families
 
 let check index_name writers readers ops keyspace prefill seed explorer schedules
     no_crashes crash_budget non_tso elide tx txns tx_path torn snapshot rounds
     snap_mutant rebalance rebal_kind rebal_mutant replica repl_mutant all out
     replay =
   let module C = Ff_check.Check in
+  let module Cx = Ff_check.Counterexample in
   let module TC = Ff_check.Txcheck in
   let module SC = Ff_check.Snapcheck in
   let module RC = Ff_check.Rebalcheck in
   let module RepC = Ff_check.Replcheck in
+  (* Gate on the family's own [checkable] so an unsupported index
+     exits 2 with the reason instead of a skipped report. *)
+  let gated flag checkable config
+      (run : ?config:_ -> ?tracer:_ -> string -> C.report) =
+    match checkable (Registry.find_exn index_name) config with
+    | Some msg ->
+        Printf.printf "check --%s: %s\n" flag msg;
+        2
+    | None -> print_check_report ~out (run ~config index_name)
+  in
+  let crash_budget = if no_crashes then 0 else crash_budget in
   match replay with
   | Some path -> (
-      match Ff_check.Counterexample.load path with
+      match Cx.load path with
       | Error msg ->
           Printf.printf "check --replay: %s\n" msg;
           2
-      | Ok cx ->
-          (* A counterexample carrying the tx (resp. snap) extension
-             came from the transaction (resp. snapshot) checker;
-             replay it through the matching engine. *)
-          let is_tx = cx.Ff_check.Counterexample.tx <> None in
-          let is_snap = cx.Ff_check.Counterexample.snap <> None in
-          let is_rebal = cx.Ff_check.Counterexample.rebal <> None in
-          let is_repl = cx.Ff_check.Counterexample.repl <> None in
+      | Ok cx -> (
           Printf.printf "replaying %s%s counterexample for %s (crash: %s)\n"
-            (if is_tx then "transaction "
-             else if is_snap then "snapshot "
-             else if is_rebal then "rebalance "
-             else if is_repl then "replication "
-             else "")
-            cx.Ff_check.Counterexample.kind cx.Ff_check.Counterexample.index
-            (match cx.Ff_check.Counterexample.crash with
+            (C.family_of cx).C.banner cx.Cx.kind cx.Cx.index
+            (match cx.Cx.crash with
             | None -> "none"
-            | Some c ->
-                Printf.sprintf "%s at store %d" c.Ff_check.Counterexample.mode
-                  c.Ff_check.Counterexample.store_count);
-          let r =
-            if is_tx then TC.replay cx
-            else if is_snap then SC.replay cx
-            else if is_rebal then RC.replay cx
-            else if is_repl then RepC.replay cx
-            else C.replay cx
-          in
-          let rc = print_check_report ~out:None r in
-          if rc = 1 then begin
-            print_endline "counterexample REPRODUCED";
-            1
-          end
-          else begin
-            print_endline "counterexample did NOT reproduce";
-            2
-          end)
+            | Some c -> Printf.sprintf "%s at store %d" c.Cx.mode c.Cx.store_count);
+          match C.replay cx with
+          | exception Invalid_argument msg ->
+              Printf.printf "check --replay: %s\n" msg;
+              2
+          | r ->
+              if print_check_report ~out:None r = 1 then begin
+                print_endline "counterexample REPRODUCED";
+                1
+              end
+              else begin
+                print_endline "counterexample did NOT reproduce";
+                2
+              end))
   | None ->
       let explorer =
         match explorer with
@@ -1656,8 +1601,8 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
         | s -> invalid_arg (Printf.sprintf "unknown explorer %S (dfs, pct)" s)
       in
       if all then check_all index_name seed out
-      else if replica then begin
-        let config =
+      else if replica then
+        gated "replica" RepC.checkable
           {
             RepC.default with
             RepC.ops = (if ops > 2 then ops else RepC.default.RepC.ops);
@@ -1666,15 +1611,9 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
             mutant = repl_mutant;
             schedules;
           }
-        in
-        match RepC.checkable (Registry.find_exn index_name) config with
-        | Some msg ->
-            Printf.printf "check --replica: %s\n" msg;
-            2
-        | None -> print_check_report ~out (RepC.run ~config index_name)
-      end
-      else if rebalance then begin
-        let config =
+          RepC.run
+      else if rebalance then
+        gated "rebalance" RC.checkable
           {
             RC.default with
             RC.kind = RC.rkind_of_string rebal_kind;
@@ -1685,17 +1624,11 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
             mutant = rebal_mutant;
             explorer;
             schedules;
-            crash_budget = (if no_crashes then 0 else crash_budget);
+            crash_budget;
           }
-        in
-        match RC.checkable (Registry.find_exn index_name) config with
-        | Some msg ->
-            Printf.printf "check --rebalance: %s\n" msg;
-            2
-        | None -> print_check_report ~out (RC.run ~config index_name)
-      end
-      else if snapshot then begin
-        let config =
+          RC.run
+      else if snapshot then
+        gated "snapshot" SC.checkable
           {
             SC.default with
             SC.rounds;
@@ -1706,17 +1639,11 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
             mutant = snap_mutant;
             explorer;
             schedules;
-            crash_budget = (if no_crashes then 0 else crash_budget);
+            crash_budget;
           }
-        in
-        match SC.checkable (Registry.find_exn index_name) config with
-        | Some msg ->
-            Printf.printf "check --snapshot: %s\n" msg;
-            2
-        | None -> print_check_report ~out (SC.run ~config index_name)
-      end
-      else if tx then begin
-        let config =
+          SC.run
+      else if tx then
+        gated "tx" TC.checkable
           {
             TC.default with
             TC.txns;
@@ -1729,35 +1656,30 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
             torn_commit = torn;
             explorer;
             schedules;
-            crash_budget = (if no_crashes then 0 else crash_budget);
-            non_tso;
-          }
-        in
-        match TC.checkable (Registry.find_exn index_name) config with
-        | Some msg ->
-            Printf.printf "check --tx: %s\n" msg;
-            2
-        | None -> print_check_report ~out (TC.run ~config index_name)
-      end
-      else
-        let config =
-          {
-            C.default with
-            C.writers;
-            readers;
-            ops_per_thread = ops;
-            keyspace;
-            prefill;
-            seed;
-            explorer;
-            schedules;
-            crashes = not no_crashes;
             crash_budget;
             non_tso;
-            elide_flush = elide;
           }
-        in
-        print_check_report ~out (C.run ~config index_name)
+          TC.run
+      else
+        print_check_report ~out
+          (C.run
+             ~config:
+               {
+                 C.default with
+                 C.writers;
+                 readers;
+                 ops_per_thread = ops;
+                 keyspace;
+                 prefill;
+                 seed;
+                 explorer;
+                 schedules;
+                 crashes = not no_crashes;
+                 crash_budget;
+                 non_tso;
+                 elide_flush = elide;
+               }
+             index_name)
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)

@@ -1,16 +1,11 @@
 module Arena = Ff_pmem.Arena
-module Pconfig = Ff_pmem.Config
-module Storelog = Ff_pmem.Storelog
-module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Locks = Ff_index.Locks
-module Trace = Ff_trace.Trace
 module Cx = Counterexample
-
-type explorer = Dfs | Pct
+include Sweep
 
 type config = {
   writers : int;
@@ -47,38 +42,6 @@ let default =
     node_bytes = None;
   }
 
-type kind = Linearizability | Tolerance | Durability
-
-let kind_to_string = function
-  | Linearizability -> "linearizability"
-  | Tolerance -> "tolerance"
-  | Durability -> "durability"
-
-type violation = { kind : kind; detail : string; counterexample : Cx.t }
-
-type report = {
-  index : string;
-  schedules_run : int;
-  exhausted : bool;
-  crash_runs : int;
-  ops_checked : int;
-  violations : violation list;
-  skipped : string option;
-  crash_note : string option;
-}
-
-let empty_report index =
-  {
-    index;
-    schedules_run = 0;
-    exhausted = false;
-    crash_runs = 0;
-    ops_checked = 0;
-    violations = [];
-    skipped = None;
-    crash_note = None;
-  }
-
 (* An index is schedule-checkable when concurrent threads are legal:
    either the structure drives Mcsim locks itself (Sim mode), or its
    readers are lock-free and at most one writer runs. *)
@@ -101,10 +64,8 @@ let crash_checkable d =
   else Some "not crash-checkable: volatile or no recovery"
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic workload generation                                   *)
+(* The linearizability family                                          *)
 (* ------------------------------------------------------------------ *)
-
-let value_of opid = (2 * opid) + 1
 
 type workload = {
   scripts : (int * Model.op) list array;  (* per thread: (opid, op) *)
@@ -112,82 +73,48 @@ type workload = {
   writable : (int * int) list;            (* every (key, value) any insert may write *)
 }
 
+(* Values come from one counter, so every insert (prefill included)
+   writes a distinct value — the registry's uniqueness contract, and
+   what lets the tolerance check recognize a fabricated binding. *)
 let gen_workload cfg =
-  (* Values are salted by a global counter so every insert (prefill
-     included) writes a distinct value — the registry's uniqueness
-     contract, and what lets the tolerance check recognize a
-     fabricated binding. *)
-  let vcount = ref 0 in
-  let fresh_value () =
-    let v = value_of !vcount in
-    incr vcount;
-    v
-  in
-  let initial =
-    List.init (min cfg.prefill cfg.keyspace) (fun i -> (i + 1, fresh_value ()))
-  in
+  let values = Script.values () in
+  let initial = Script.prefill values ~prefill:cfg.prefill ~keyspace:cfg.keyspace in
   let master = Prng.create cfg.seed in
   let opid = ref 0 in
   let scripts =
     Array.init (cfg.writers + cfg.readers) (fun tid ->
         let rng = Prng.split master in
         List.init cfg.ops_per_thread (fun _ ->
-            let key = 1 + Prng.int rng cfg.keyspace in
             let op =
               if tid < cfg.writers then
-                if Prng.int rng 4 = 0 then Model.Delete key
-                else Model.Insert (key, fresh_value ())
-              else Model.Search key
+                match Script.draw values rng ~keyspace:cfg.keyspace with
+                | Script.Put (k, v) -> Model.Insert (k, v)
+                | Script.Del k -> Model.Delete k
+              else Model.Search (1 + Prng.int rng cfg.keyspace)
             in
             let id = !opid in
             incr opid;
             (id, op)))
   in
+  let inserted = function _, Model.Insert (k, v) -> Some (k, v) | _ -> None in
   let writable =
-    initial
-    @ Array.fold_left
-        (fun acc script ->
-          List.fold_left
-            (fun acc (_, op) ->
-              match op with Model.Insert (k, v) -> (k, v) :: acc | _ -> acc)
-            acc script)
-        [] scripts
+    initial @ List.filter_map inserted (List.concat (Array.to_list scripts))
   in
   { scripts; initial; writable }
-
-(* ------------------------------------------------------------------ *)
-(* One controlled execution                                            *)
-(* ------------------------------------------------------------------ *)
 
 type exec = {
   arena : Arena.t;
   ops : Intf.ops;
-  dcfg : D.config;
   calls : Linearize.call array;  (* only ops that were invoked *)
-  fence_points : int list;       (* absolute store counts at concurrent-phase fences *)
-  crashed : bool;
 }
 
-(* Build + prefill on a fresh arena, then run the concurrent scripts
-   under the given policy at quantum 1 on one simulated core, so the
-   policy's decision sequence is a total order over every PM access.
-   [crash_at] arms [After_stores] before the concurrent phase; the
-   resulting [Arena.Crashed] (propagated out of [Mcsim.run]) leaves
-   in-flight calls pending. *)
-let execute cfg d w ~policy ~crash_at =
-  let pconf =
-    if cfg.non_tso then { Pconfig.default with Pconfig.memory_order = Pconfig.Non_tso }
-    else Pconfig.default
-  in
-  let arena = Arena.create ~config:pconf ~words:(1 lsl 20) () in
-  let lock_mode =
-    if D.supports_lock_mode d Locks.Sim then Locks.Sim else Locks.Single
-  in
-  let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes; lock_mode } in
+(* Every thread stamps invocation and response of each op into a
+   shared history. *)
+let setup cfg d w () =
+  let arena = Sweep.arena ~non_tso:cfg.non_tso () in
+  let dcfg = index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
-  ignore
-    (Mcsim.run ~cores:1 ~arena
-       [| (fun _ -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial) |]);
+  Sweep.in_sim arena (fun () -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial);
   if cfg.elide_flush then Arena.set_flush_elision arena true;
   let total = Array.fold_left (fun a s -> a + List.length s) 0 w.scripts in
   let calls = Array.make total (Linearize.make_call ~opid:0 ~tid:0 (Model.Search 0)) in
@@ -197,25 +124,6 @@ let execute cfg d w ~policy ~crash_at =
         (fun (opid, op) -> calls.(opid) <- Linearize.make_call ~opid ~tid op)
         script)
     w.scripts;
-  let fences = ref [] in
-  (* Durability points: explicit fences AND non-group flushes (a flush
-     is clflush_with_mfence here — under TSO the tree never issues a
-     bare fence, so flushes are where epochs advance). *)
-  let mark _ = fences := Arena.store_count arena :: !fences in
-  let nop = fun (_ : int) -> () and nop2 = fun (_ : int) (_ : int) -> () in
-  Arena.set_event_sink arena
-    (Some
-       {
-         Arena.ev_store = nop;
-         ev_flush = mark;
-         ev_fence = (fun () -> mark 0);
-         ev_alloc = nop2;
-         ev_free = nop2;
-         ev_crash = (fun () -> ());
-       });
-  (match crash_at with
-  | Some k -> Arena.set_crash_plan arena (Arena.After_stores k)
-  | None -> ());
   let stamp = ref 0 in
   let tick () =
     incr stamp;
@@ -238,291 +146,95 @@ let execute cfg d w ~policy ~crash_at =
         c.Linearize.ret <- tick ())
       w.scripts.(tid)
   in
-  let bodies = Array.init (Array.length w.scripts) (fun tid -> body tid) in
-  let crashed =
-    try
-      ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena bodies);
-      false
-    with Arena.Crashed -> true
-  in
-  Arena.set_event_sink arena None;
-  Arena.set_flush_elision arena false;
-  let invoked =
-    Array.of_list
-      (List.filter (fun c -> c.Linearize.inv >= 0) (Array.to_list calls))
-  in
   {
-    arena;
-    ops;
-    dcfg;
-    calls = invoked;
-    fence_points = List.sort_uniq compare !fences;
-    crashed;
+    Sweep.arenas = [| arena |];
+    threads = Array.init (Array.length w.scripts) body;
+    finish =
+      (fun () ->
+        Arena.set_flush_elision arena false;
+        {
+          arena;
+          ops;
+          calls =
+            Array.of_list
+              (List.filter (fun c -> c.Linearize.inv >= 0) (Array.to_list calls));
+        });
   }
 
-(* Observed final bindings, via charged searches inside the simulator
-   (the live handle may hold Sim locks). *)
-let dump_live cfg exec =
-  let acc = ref [] in
-  ignore
-    (Mcsim.run ~cores:1 ~arena:exec.arena
-       [|
-         (fun _ ->
-           for k = cfg.keyspace downto 1 do
-             match exec.ops.Intf.search k with
-             | Some v -> acc := (k, v) :: !acc
-             | None -> ()
-           done);
-       |]);
-  !acc
+(* Linearizability of the history against the final bindings, read
+   through the live handle inside the simulator (it may hold Sim
+   locks). *)
+let validate_live cfg w (r : exec Sweep.run) =
+  let x = r.result in
+  let final = ref [] in
+  Sweep.in_sim x.arena (fun () ->
+      final := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
+  match Linearize.check ~initial:w.initial ~final:!final x.calls with
+  | Ok () -> []
+  | Error detail -> [ (Linearizability, detail) ]
 
-let dump_single cfg ops =
-  let acc = ref [] in
-  for k = cfg.keyspace downto 1 do
-    match ops.Intf.search k with Some v -> acc := (k, v) :: !acc | None -> ()
-  done;
-  !acc
-
-(* ------------------------------------------------------------------ *)
-(* Crash validation                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let mode_of_crash (c : Cx.crash) =
-  match c.Cx.mode with
-  | "keep_none" -> Storelog.Keep_none
-  | "keep_all" -> Storelog.Keep_all
-  | "random_eviction" -> Storelog.Random_eviction (Prng.create c.Cx.crash_seed)
-  | "non_tso_cutoff" ->
-      let cutoff =
-        match c.Cx.cutoff with
-        | Some e -> e
-        | None -> invalid_arg "counterexample: non_tso_cutoff without cutoff"
-      in
-      Storelog.Non_tso_cutoff (cutoff, Prng.create c.Cx.crash_seed)
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown crash mode %S" s)
-
-(* Apply the crash to a finished/crashed execution and validate:
-   pre-recovery reader tolerance (lock-free readers only), then
-   recovery and durable linearizability of the invoked history against
-   the post-recovery dump. *)
-let validate_crash cfg d w exec (crash : Cx.crash) =
-  let failures = ref [] in
-  Arena.power_fail exec.arena (mode_of_crash crash);
-  let sdcfg = { exec.dcfg with D.lock_mode = Locks.Single } in
-  (if d.D.caps.D.lock_free_reads then
-     match
-       let o = d.D.open_existing sdcfg exec.arena in
-       let bad = ref None in
-       for k = 1 to cfg.keyspace do
-         match o.Intf.search k with
-         | Some v when not (List.mem (k, v) w.writable) ->
-             if !bad = None then bad := Some (k, v)
-         | _ -> ()
-       done;
-       !bad
-     with
-     | None -> ()
-     | Some (k, v) ->
-         failures :=
-           ( Tolerance,
-             Printf.sprintf
-               "pre-recovery reader returned fabricated binding %d -> %d" k v )
-           :: !failures
-     | exception e ->
-         failures :=
-           ( Tolerance,
-             "pre-recovery reader raised: " ^ Printexc.to_string e )
-           :: !failures);
-  (match
-     let o = d.D.open_existing sdcfg exec.arena in
-     o.Intf.recover ();
-     dump_single cfg o
-   with
+(* Apply the crash and validate: pre-recovery reader tolerance
+   (lock-free readers only), then recovery and durable
+   linearizability of the invoked history against the post-recovery
+   dump. *)
+let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
+  let x = r.result in
+  Arena.power_fail x.arena (mode_of_crash crash);
+  let sdcfg =
+    { (index_config d ~node_bytes:cfg.node_bytes) with D.lock_mode = Locks.Single }
+  in
+  let tolerance =
+    if d.D.caps.D.lock_free_reads then
+      pre_recovery_tolerance ~keyspace:cfg.keyspace ~writable:w.writable (fun () ->
+          d.D.open_existing sdcfg x.arena)
+    else []
+  in
+  tolerance
+  @
+  match
+    let o = d.D.open_existing sdcfg x.arena in
+    o.Intf.recover ();
+    Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
+  with
   | dump -> (
-      match Linearize.check ~initial:w.initial ~final:dump exec.calls with
-      | Ok () -> ()
-      | Error msg -> failures := (Durability, msg) :: !failures)
-  | exception e ->
-      failures :=
-        (Durability, "recovery raised: " ^ Printexc.to_string e) :: !failures);
-  List.rev !failures
+      match Linearize.check ~initial:w.initial ~final:dump x.calls with
+      | Ok () -> []
+      | Error msg -> [ (Durability, msg) ])
+  | exception e -> [ (Durability, "recovery raised: " ^ Printexc.to_string e) ]
 
-(* ------------------------------------------------------------------ *)
-(* Top-level engines                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample_evenly max_n lst =
-  let n = List.length lst in
-  if n <= max_n then lst
-  else
-    let arr = Array.of_list lst in
-    List.init max_n (fun i -> arr.(i * n / max_n))
-
-let mk_cx cfg index kind ~decisions ~crash ~detail =
+let family cfg name =
+  let d = Registry.find_exn name in
+  let w = lazy (gen_workload cfg) in
   {
-    Cx.index;
-    node_bytes = cfg.node_bytes;
-    kind = kind_to_string kind;
-    workload =
+    Sweep.index = name;
+    gate = checkable d cfg;
+    crash_gate =
+      (if not cfg.crashes then Some "crash engine disabled" else crash_checkable d);
+    budget =
       {
-        Cx.writers = cfg.writers;
-        readers = cfg.readers;
-        ops_per_thread = cfg.ops_per_thread;
-        keyspace = cfg.keyspace;
-        prefill = cfg.prefill;
+        explorer = cfg.explorer;
+        schedules = cfg.schedules;
         seed = cfg.seed;
-        non_tso = cfg.non_tso;
-        elide_flush = cfg.elide_flush;
+        max_crash_points = cfg.max_crash_points;
+        crash_budget = cfg.crash_budget;
       };
-    tx = None;
-    snap = None;
-    rebal = None;
-    repl = None;
-    decisions;
-    crash;
-    detail;
+    probe_cutoffs = cfg.non_tso;
+    canonical_fifo = false;
+    crashed_only = false;
+    mutant = None;
+    setup = (fun () -> setup cfg d (Lazy.force w) ());
+    ops = (fun x -> Array.length x.calls);
+    live = (fun r -> validate_live cfg (Lazy.force w) r);
+    crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
+    counterexample =
+      (fun ~arena:_ ->
+        Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
+          ~writers:cfg.writers ~readers:cfg.readers ~non_tso:cfg.non_tso
+          ~elide_flush:cfg.elide_flush ~ops_per_thread:cfg.ops_per_thread
+          ~keyspace:cfg.keyspace ~prefill:cfg.prefill ~seed:cfg.seed ());
   }
 
-let run ?(config = default) ?(tracer = Trace.null) name =
-  let cfg = config in
-  let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with skipped = Some reason }
-  | None ->
-      let w = gen_workload cfg in
-      let sched_span = Trace.intern tracer "check.schedule" in
-      let crash_inst = Trace.intern tracer "check.crash_point" in
-      let crash_note =
-        ref
-          (if not cfg.crashes then Some "crash engine disabled"
-           else crash_checkable d)
-      in
-      let crash_budget = ref cfg.crash_budget in
-      let crash_runs = ref 0 in
-      let ops_checked = ref 0 in
-      let violations = ref [] in
-      let crash_enabled = cfg.crashes && crash_checkable d = None in
-      (* Replays the recorded schedule up to [crash_at] and validates
-         the given crash semantics on the result. *)
-      let crash_run choices crash =
-        incr crash_runs;
-        decr crash_budget;
-        Trace.instant tracer crash_inst crash.Cx.store_count;
-        let rc = Schedule.recorder () in
-        let policy = Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc in
-        let exec = execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count) in
-        List.iter
-          (fun (kind, detail) ->
-            violations :=
-              {
-                kind;
-                detail;
-                counterexample =
-                  mk_cx cfg name kind ~decisions:choices ~crash:(Some crash) ~detail;
-              }
-              :: !violations)
-          (validate_crash cfg d w exec crash)
-      in
-      (* Full product for one explored schedule: every (sampled) fence
-         point x every legal crash mode, within the global budget. *)
-      let crash_sweep choices fence_points =
-        let points = sample_evenly cfg.max_crash_points fence_points in
-        List.iter
-          (fun k ->
-            if !crash_budget > 0 then begin
-              let base =
-                [
-                  { Cx.store_count = k; mode = "keep_none"; crash_seed = k; cutoff = None };
-                  { Cx.store_count = k; mode = "keep_all"; crash_seed = k; cutoff = None };
-                  {
-                    Cx.store_count = k;
-                    mode = "random_eviction";
-                    crash_seed = k;
-                    cutoff = None;
-                  };
-                ]
-              in
-              let non_tso_modes =
-                if not cfg.non_tso then []
-                else begin
-                  (* probe: replay to the crash point to learn which
-                     epochs still have pending stores, then sweep every
-                     cutoff exhaustively *)
-                  let rc = Schedule.recorder () in
-                  let policy =
-                    Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc
-                  in
-                  let exec = execute cfg d w ~policy ~crash_at:(Some k) in
-                  List.map
-                    (fun e ->
-                      {
-                        Cx.store_count = k;
-                        mode = "non_tso_cutoff";
-                        crash_seed = k;
-                        cutoff = Some e;
-                      })
-                    (Arena.pending_epochs exec.arena)
-                end
-              in
-              List.iter
-                (fun crash -> if !crash_budget > 0 then crash_run choices crash)
-                (base @ non_tso_modes)
-            end)
-          points
-      in
-      (* One explored schedule: execute, check linearizability against
-         the live final state, then run the crash product. *)
-      let check_schedule policy rc =
-        let exec = execute cfg d w ~policy ~crash_at:None in
-        let choices = Schedule.choices rc in
-        Trace.span_begin tracer sched_span (Array.length choices);
-        ops_checked := !ops_checked + Array.length exec.calls;
-        (match
-           Linearize.check ~initial:w.initial ~final:(dump_live cfg exec) exec.calls
-         with
-        | Ok () -> ()
-        | Error detail ->
-            violations :=
-              {
-                kind = Linearizability;
-                detail;
-                counterexample =
-                  mk_cx cfg name Linearizability ~decisions:choices ~crash:None
-                    ~detail;
-              }
-              :: !violations);
-        if crash_enabled then crash_sweep choices exec.fence_points;
-        Trace.span_end tracer sched_span
-      in
-      let exploration =
-        match cfg.explorer with
-        | Dfs ->
-            Schedule.dfs ~max_schedules:cfg.schedules (fun ~prefix ->
-                let rc = Schedule.recorder () in
-                let policy = Schedule.record_policy ~prefix ~fallback:Mcsim.Fifo rc in
-                check_schedule policy rc;
-                (Schedule.decisions rc, ()))
-        | Pct ->
-            Schedule.pct ~schedules:cfg.schedules ~seed:cfg.seed (fun ~policy ->
-                let rc = Schedule.recorder () in
-                let policy = Schedule.record_policy ~fallback:policy rc in
-                check_schedule policy rc)
-      in
-      if crash_enabled && !crash_budget <= 0 then
-        crash_note :=
-          Some
-            (Printf.sprintf "crash budget (%d executions) exhausted; sweep truncated"
-               cfg.crash_budget);
-      {
-        index = name;
-        schedules_run = exploration.Schedule.schedules;
-        exhausted = exploration.Schedule.exhausted;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = !crash_note;
-      }
+let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
 let config_of_counterexample (cx : Cx.t) =
   let w = cx.Cx.workload in
@@ -539,84 +251,95 @@ let config_of_counterexample (cx : Cx.t) =
     node_bytes = cx.Cx.node_bytes;
   }
 
-(* Deterministic re-execution of one recorded counterexample: replay
-   the decision sequence and re-run exactly the recorded check. *)
-let replay ?(tracer = Trace.null) (cx : Cx.t) =
-  ignore tracer;
-  let cfg = config_of_counterexample cx in
-  let name = cx.Cx.index in
-  let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with skipped = Some reason }
-  | None ->
-      let w = gen_workload cfg in
-      let violations = ref [] in
-      let ops_checked = ref 0 in
-      let crash_runs = ref 0 in
-      (match cx.Cx.crash with
-      | None ->
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo rc
-          in
-          let exec = execute cfg d w ~policy ~crash_at:None in
-          ops_checked := Array.length exec.calls;
-          (match
-             Linearize.check ~initial:w.initial ~final:(dump_live cfg exec)
-               exec.calls
-           with
-          | Ok () -> ()
-          | Error detail ->
-              violations :=
-                [
-                  {
-                    kind = Linearizability;
-                    detail;
-                    counterexample = { cx with Cx.detail = detail };
-                  };
-                ])
-      | Some crash ->
-          incr crash_runs;
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo rc
-          in
-          let exec = execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count) in
-          ops_checked := Array.length exec.calls;
-          List.iter
-            (fun (kind, detail) ->
-              violations :=
-                { kind; detail; counterexample = { cx with Cx.detail = detail } }
-                :: !violations)
-            (validate_crash cfg d w exec crash));
-      {
-        index = name;
-        schedules_run = 1;
-        exhausted = false;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = None;
-      }
+(* ------------------------------------------------------------------ *)
+(* Every family: the smoke sweep and replay dispatch                   *)
+(* ------------------------------------------------------------------ *)
 
-let report_summary r =
-  match r.skipped with
-  | Some reason -> Printf.sprintf "%s: skipped (%s)" r.index reason
-  | None ->
-      let lin, tol, dur =
-        List.fold_left
-          (fun (l, t, u) v ->
-            match v.kind with
-            | Linearizability -> (l + 1, t, u)
-            | Tolerance -> (l, t + 1, u)
-            | Durability -> (l, t, u + 1))
-          (0, 0, 0) r.violations
-      in
-      Printf.sprintf
-        "%s: %d schedules%s, %d ops checked, %d crash executions -> %d \
-         linearizability, %d tolerance, %d durability violations%s"
-        r.index r.schedules_run
-        (if r.exhausted then " (exhaustive)" else "")
-        r.ops_checked r.crash_runs lin tol dur
-        (match r.crash_note with None -> "" | Some n -> " [" ^ n ^ "]")
+type family = {
+  name : string;
+  banner : string;
+  owns : Cx.t -> bool;
+  smoke : index:string -> seed:int -> report;
+  replay : Cx.t -> report;
+}
+
+module TC = Txcheck
+module SC = Snapcheck
+module RC = Rebalcheck
+module RepC = Replcheck
+
+(* Smoke budgets size a quick sweep, not a deep audit; the deep sweeps
+   run per family.  A counterexample belongs to the family whose
+   extension it carries; one with none is a linearizability artifact. *)
+let families =
+  [
+    {
+      name = "linearizability";
+      banner = "";
+      owns =
+        (fun cx ->
+          cx.Cx.tx = None && cx.Cx.snap = None && cx.Cx.rebal = None
+          && cx.Cx.repl = None);
+      smoke =
+        (fun ~index ~seed ->
+          run ~config:{ default with seed; schedules = 6; crash_budget = 64 } index);
+      replay =
+        (fun cx -> Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx);
+    };
+    {
+      name = "tx";
+      banner = "transaction ";
+      owns = (fun cx -> cx.Cx.tx <> None);
+      smoke =
+        (fun ~index ~seed ->
+          TC.run
+            ~config:{ TC.default with TC.seed; schedules = 4; crash_budget = 64 }
+            index);
+      replay = TC.replay;
+    };
+    {
+      name = "snapshot";
+      banner = "snapshot ";
+      owns = (fun cx -> cx.Cx.snap <> None);
+      smoke =
+        (fun ~index ~seed ->
+          (* The snapshot family needs a snapshottable wrapper. *)
+          let snap = "snap-" ^ index in
+          let index = if Registry.find snap <> None then snap else index in
+          SC.run
+            ~config:
+              {
+                SC.default with
+                SC.seed;
+                ops_per_round = 2;
+                schedules = 4;
+                crash_budget = 64;
+              }
+            index);
+      replay = SC.replay;
+    };
+    {
+      name = "rebalance";
+      banner = "rebalance ";
+      owns = (fun cx -> cx.Cx.rebal <> None);
+      smoke =
+        (fun ~index ~seed ->
+          RC.run
+            ~config:{ RC.default with RC.seed; schedules = 2; crash_budget = 24 }
+            index);
+      replay = RC.replay;
+    };
+    {
+      name = "replica";
+      banner = "replication ";
+      owns = (fun cx -> cx.Cx.repl <> None);
+      smoke =
+        (fun ~index ~seed ->
+          RepC.run ~config:{ RepC.default with RepC.seed; schedules = 4 } index);
+      replay = RepC.replay;
+    };
+  ]
+
+let family_of cx = List.find (fun f -> f.owns cx) families
+
+let replay cx = (family_of cx).replay cx

@@ -1,8 +1,20 @@
 (** The model checker: systematic schedule exploration, WGL
     linearizability checking, and a crash x schedule product engine
-    with replayable counterexamples.
+    with replayable counterexamples — plus the entry points that run
+    and replay every checker family.
 
-    Three engines compose over the pieces the repo already has:
+    {b Families.}  Five checker families back the paper's claims:
+    linearizability (this module), {!Txcheck}, {!Snapcheck},
+    {!Rebalcheck} and {!Replcheck}.  The first four are small
+    descriptions ({!Sweep.t}: a [checkable] gate, a setup that builds
+    one run, a live oracle, a crash oracle and a counterexample
+    extension) run by the one {!Sweep} driver.  Replcheck keeps its
+    own scenario product (it has no Mcsim schedules) and shares the
+    report, crash-mode parsing and replay dispatch.  {!families}
+    lists all five; {!replay} picks the family from a
+    counterexample's extension.
+
+    {b The linearizability family}:
 
     - {b Schedule explorer}: runs a deterministic workload (generated
       from a seed) on {!Ff_mcsim.Mcsim} with [cores = 1] and
@@ -35,7 +47,7 @@
     on the arena's memory-order model; histories are capped at
     {!Linearize.max_ops} operations. *)
 
-type explorer = Dfs | Pct
+type explorer = Sweep.explorer = Dfs | Pct
 
 type config = {
   writers : int;          (** concurrent writer threads (default 2) *)
@@ -58,17 +70,17 @@ type config = {
 
 val default : config
 
-type kind = Linearizability | Tolerance | Durability
+type kind = Sweep.kind = Linearizability | Tolerance | Durability
 
 val kind_to_string : kind -> string
 
-type violation = {
+type violation = Sweep.violation = {
   kind : kind;
   detail : string;
   counterexample : Counterexample.t;
 }
 
-type report = {
+type report = Sweep.report = {
   index : string;
   schedules_run : int;
   exhausted : bool;       (** DFS covered the entire decision tree *)
@@ -86,18 +98,42 @@ val checkable : Ff_index.Descriptor.t -> config -> string option
     writer); [Some reason] otherwise. *)
 
 val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report
-(** [run name] checks the registry index [name].  Never raises on an
-    uncheckable index — returns a [skipped] report.  The optional
-    tracer receives one ["check.schedule"] span per explored schedule
-    and a ["check.crash_point"] instant per crash execution.
+(** [run name] checks the registry index [name] for linearizability
+    and durable linearizability.  Never raises on an uncheckable index
+    — returns a [skipped] report.  The optional tracer receives one
+    ["check.schedule"] span per explored schedule and a
+    ["check.crash_point"] instant per crash execution.
     @raise Invalid_argument on an unknown registry name. *)
-
-val replay : ?tracer:Ff_trace.Trace.t -> Counterexample.t -> report
-(** Re-execute exactly one recorded schedule (and crash, if any).  A
-    faithful counterexample yields the same violation(s); an empty
-    [violations] list means the artifact did not reproduce. *)
 
 val config_of_counterexample : Counterexample.t -> config
 
 val report_summary : report -> string
 (** One-line human-readable summary. *)
+
+(** {1 Every family} *)
+
+type family = {
+  name : string;  (** ["linearizability"], ["tx"], ["snapshot"], ... *)
+  banner : string;  (** replay banner prefix, e.g. ["transaction "] *)
+  owns : Counterexample.t -> bool;
+      (** the counterexample carries this family's extension (none,
+          for linearizability) *)
+  smoke : index:string -> seed:int -> report;
+      (** a bounded smoke sweep of [index] ([ffcli check --all]) *)
+  replay : Counterexample.t -> report;
+}
+
+val families : family list
+(** linearizability, tx, snapshot, rebalance, replica — in that
+    order. *)
+
+val family_of : Counterexample.t -> family
+(** The family that produced a counterexample, from its extension. *)
+
+val replay : Counterexample.t -> report
+(** Re-execute one recorded counterexample through the family that
+    produced it: exactly one schedule (and crash, if any).  A faithful
+    counterexample yields the same violation(s); an empty
+    [violations] list means the artifact did not reproduce.
+    @raise Invalid_argument if the artifact names an unknown index,
+    crash mode, tx path, rebalance kind or replica recovery. *)

@@ -62,6 +62,8 @@ type t = {
 
 let version = 1
 
+let opt f = function None -> Json.Null | Some x -> f x
+
 let to_json t =
   let w = t.workload in
   Json.to_string
@@ -69,8 +71,7 @@ let to_json t =
        [
          ("version", Json.Int version);
          ("index", Json.Str t.index);
-         ( "node_bytes",
-           match t.node_bytes with None -> Json.Null | Some n -> Json.Int n );
+         ("node_bytes", opt (fun n -> Json.Int n) t.node_bytes);
          ("kind", Json.Str t.kind);
          ( "workload",
            Json.Obj
@@ -85,39 +86,35 @@ let to_json t =
                ("elide_flush", Json.Bool w.elide_flush);
              ] );
          ( "tx",
-           match t.tx with
-           | None -> Json.Null
-           | Some x ->
+           opt
+             (fun x ->
                Json.Obj
                  [
                    ("path", Json.Str x.path);
                    ("torn", Json.Bool x.torn);
                    ("txns", Json.Int x.txns);
-                 ] );
+                 ])
+             t.tx );
          ( "snap",
-           match t.snap with
-           | None -> Json.Null
-           | Some s ->
+           opt
+             (fun s ->
                Json.Obj
-                 [
-                   ("mutant", Json.Bool s.mutant);
-                   ("rounds", Json.Int s.rounds);
-                 ] );
+                 [ ("mutant", Json.Bool s.mutant); ("rounds", Json.Int s.rounds) ])
+             t.snap );
          ( "rebal",
-           match t.rebal with
-           | None -> Json.Null
-           | Some r ->
+           opt
+             (fun r ->
                Json.Obj
                  [
                    ("rb_kind", Json.Str r.rb_kind);
                    ("rb_mutant", Json.Bool r.rb_mutant);
                    ("rb_shards", Json.Int r.rb_shards);
                    ("rb_arena", Json.Int r.rb_arena);
-                 ] );
+                 ])
+             t.rebal );
          ( "repl",
-           match t.repl with
-           | None -> Json.Null
-           | Some r ->
+           opt
+             (fun r ->
                Json.Obj
                  [
                    ("rp_mutant", Json.Bool r.rp_mutant);
@@ -127,21 +124,21 @@ let to_json t =
                    ("rp_kill_at", Json.Int r.rp_kill_at);
                    ("rp_partition", Json.Bool r.rp_partition);
                    ("rp_recovery", Json.Str r.rp_recovery);
-                 ] );
+                 ])
+             t.repl );
          ( "decisions",
            Json.Arr (Array.to_list (Array.map (fun d -> Json.Int d) t.decisions)) );
          ( "crash",
-           match t.crash with
-           | None -> Json.Null
-           | Some c ->
+           opt
+             (fun c ->
                Json.Obj
                  [
                    ("store_count", Json.Int c.store_count);
                    ("mode", Json.Str c.mode);
                    ("seed", Json.Int c.crash_seed);
-                   ( "cutoff",
-                     match c.cutoff with None -> Json.Null | Some e -> Json.Int e );
-                 ] );
+                   ("cutoff", opt (fun e -> Json.Int e) c.cutoff);
+                 ])
+             t.crash );
          ("detail", Json.Str t.detail);
        ])
 
@@ -153,7 +150,22 @@ let field name conv j =
       | None -> Error (Printf.sprintf "counterexample: bad field %S" name))
   | None -> Error (Printf.sprintf "counterexample: missing field %S" name)
 
+(* Tolerant optional members: absent or of the wrong type reads as the
+   default. *)
+let bool_or default name j =
+  match Json.member name j with Some (Json.Bool b) -> b | _ -> default
+
+let int_or default name j =
+  match Json.member name j with Some (Json.Int n) -> n | _ -> default
+
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+(* Optional extension members (absent or [null] in artifacts of other
+   families and in older ones, so the version stays 1). *)
+let extension name parse j =
+  match Json.member name j with
+  | None | Some Json.Null -> Ok None
+  | Some x -> Result.map Option.some (parse x)
 
 let of_json s =
   match Json.of_string s with
@@ -177,100 +189,57 @@ let of_json s =
         let* keyspace = field "keyspace" Json.to_int wj in
         let* prefill = field "prefill" Json.to_int wj in
         let* seed = field "seed" Json.to_int wj in
-        let bool_field name =
-          match Json.member name wj with Some (Json.Bool b) -> b | _ -> false
-        in
-        let non_tso = bool_field "non_tso" in
-        let elide_flush = bool_field "elide_flush" in
-        (* Optional transaction extension (absent in pre-tx artifacts;
-           tolerant parse keeps the version at 1). *)
+        let non_tso = bool_or false "non_tso" wj in
+        let elide_flush = bool_or false "elide_flush" wj in
         let* tx =
-          match Json.member "tx" j with
-          | None | Some Json.Null -> Ok None
-          | Some xj ->
+          extension "tx"
+            (fun xj ->
               let* path = field "path" Json.to_str xj in
               let* txns = field "txns" Json.to_int xj in
-              let torn =
-                match Json.member "torn" xj with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              Ok (Some { path; torn; txns })
+              Ok { path; torn = bool_or false "torn" xj; txns })
+            j
         in
-        (* Optional snapshot extension (same tolerant-parse convention
-           as [tx]; version stays 1). *)
         let* snap =
-          match Json.member "snap" j with
-          | None | Some Json.Null -> Ok None
-          | Some sj ->
+          extension "snap"
+            (fun sj ->
               let* rounds = field "rounds" Json.to_int sj in
-              let mutant =
-                match Json.member "mutant" sj with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              Ok (Some { mutant; rounds })
+              Ok { mutant = bool_or false "mutant" sj; rounds })
+            j
         in
-        (* Optional rebalance extension (same tolerant-parse
-           convention; version stays 1). *)
         let* rebal =
-          match Json.member "rebal" j with
-          | None | Some Json.Null -> Ok None
-          | Some rj ->
+          extension "rebal"
+            (fun rj ->
               let* rb_kind = field "rb_kind" Json.to_str rj in
               let* rb_shards = field "rb_shards" Json.to_int rj in
-              let rb_mutant =
-                match Json.member "rb_mutant" rj with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              let rb_arena =
-                match Json.member "rb_arena" rj with
-                | Some (Json.Int a) -> a
-                | _ -> 0
-              in
-              Ok (Some { rb_kind; rb_mutant; rb_shards; rb_arena })
+              Ok
+                {
+                  rb_kind;
+                  rb_mutant = bool_or false "rb_mutant" rj;
+                  rb_shards;
+                  rb_arena = int_or 0 "rb_arena" rj;
+                })
+            j
         in
-        (* Optional replication extension (same tolerant-parse
-           convention; version stays 1). *)
         let* repl =
-          match Json.member "repl" j with
-          | None | Some Json.Null -> Ok None
-          | Some rj ->
+          extension "repl"
+            (fun rj ->
               let* rp_nodes = field "rp_nodes" Json.to_int rj in
               let* rp_shards = field "rp_shards" Json.to_int rj in
               let* rp_fault_seed = field "rp_fault_seed" Json.to_int rj in
-              let rp_mutant =
-                match Json.member "rp_mutant" rj with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              let rp_kill_at =
-                match Json.member "rp_kill_at" rj with
-                | Some (Json.Int k) -> k
-                | _ -> -1
-              in
-              let rp_partition =
-                match Json.member "rp_partition" rj with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              let rp_recovery =
-                match Json.member "rp_recovery" rj with
-                | Some (Json.Str s) -> s
-                | _ -> "failover"
-              in
               Ok
-                (Some
-                   {
-                     rp_mutant;
-                     rp_nodes;
-                     rp_shards;
-                     rp_fault_seed;
-                     rp_kill_at;
-                     rp_partition;
-                     rp_recovery;
-                   })
+                {
+                  rp_mutant = bool_or false "rp_mutant" rj;
+                  rp_nodes;
+                  rp_shards;
+                  rp_fault_seed;
+                  rp_kill_at = int_or (-1) "rp_kill_at" rj;
+                  rp_partition = bool_or false "rp_partition" rj;
+                  rp_recovery =
+                    (match Json.member "rp_recovery" rj with
+                    | Some (Json.Str s) -> s
+                    | _ -> "failover");
+                })
+            j
         in
         let* decisions = field "decisions" Json.to_list j in
         let* decisions =
@@ -286,9 +255,8 @@ let of_json s =
           with Failure m -> Error ("counterexample: " ^ m)
         in
         let* crash =
-          match Json.member "crash" j with
-          | None | Some Json.Null -> Ok None
-          | Some cj ->
+          extension "crash"
+            (fun cj ->
               let* store_count = field "store_count" Json.to_int cj in
               let* mode = field "mode" Json.to_str cj in
               let* crash_seed = field "seed" Json.to_int cj in
@@ -297,7 +265,8 @@ let of_json s =
                 | Some (Json.Int e) -> Some e
                 | _ -> None
               in
-              Ok (Some { store_count; mode; crash_seed; cutoff })
+              Ok { store_count; mode; crash_seed; cutoff })
+            j
         in
         let* detail = field "detail" Json.to_str j in
         Ok

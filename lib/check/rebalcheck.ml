@@ -1,29 +1,8 @@
-(* Model checking for elastic resharding: crash points swept through
-   the background copy, the dual-write window and the cutover commit
-   of a live split / merge / migrate, under scheduler-controlled
-   interleavings with a concurrent writer.
-
-   The oracle is the rebalancer's contract: ZERO LOST ACKNOWLEDGED
-   WRITES.  The writer applies a deterministic commit log through the
-   routed serving layer and counts fully-applied ops (no yield point
-   separates an op's return from the increment, so the count is
-   exact).  After a crash anywhere in the protocol, the surviving
-   authority — resolved from the decision word alone — must read back
-   the model state at that prefix, give or take the one op that was
-   in flight.
-
-   The drop-delta mutant ([Rebalance.mutant_drop_delta]) discards the
-   dual-written records at replay; the sweep must catch it as a lost
-   acknowledged write, proving the oracle has teeth. *)
-
 module Arena = Ff_pmem.Arena
-module Storelog = Ff_pmem.Storelog
-module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
-module Trace = Ff_trace.Trace
 module Shard = Ff_shard.Shard
 module Rebalance = Ff_rebalance.Rebalance
 module Cx = Counterexample
@@ -48,7 +27,7 @@ type config = {
   prefill : int;
   seed : int;
   mutant : bool;  (* arm the drop-delta mutant *)
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -63,7 +42,7 @@ let default =
     prefill = 4;
     seed = 1;
     mutant = false;
-    explorer = Check.Pct;
+    explorer = Sweep.Pct;
     schedules = 4;
     max_crash_points = 8;
     crash_budget = 64;
@@ -82,52 +61,6 @@ let checkable d cfg =
     Some "need at least 1 op and keyspace >= 4"
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic workload                                              *)
-(* ------------------------------------------------------------------ *)
-
-type wop = Put of int * int | Del of int
-
-type workload = {
-  wops : wop array;
-  initial : (int * int) list;
-  states : (int * int) list array; (* model state after i log entries *)
-  pivot : int;
-}
-
-let value_of n = (2 * n) + 1
-
-let apply_op state = function
-  | Put (k, v) -> (k, v) :: List.remove_assoc k state
-  | Del k -> List.remove_assoc k state
-
-let gen_workload cfg =
-  let vcount = ref 0 in
-  let fresh_value () =
-    let v = value_of !vcount in
-    incr vcount;
-    v
-  in
-  let initial =
-    List.init (min cfg.prefill cfg.keyspace) (fun i -> (i + 1, fresh_value ()))
-  in
-  let rng = Prng.create cfg.seed in
-  let wops =
-    Array.init cfg.ops (fun _ ->
-        let key = 1 + Prng.int rng cfg.keyspace in
-        if Prng.int rng 4 = 0 then Del key else Put (key, fresh_value ()))
-  in
-  let states = Array.make (Array.length wops + 1) [] in
-  states.(0) <- List.sort compare initial;
-  Array.iteri
-    (fun i op -> states.(i + 1) <- List.sort compare (apply_op states.(i) op))
-    wops;
-  { wops; initial; states; pivot = (cfg.keyspace / 2) + 1 }
-
-(* ------------------------------------------------------------------ *)
-(* One controlled execution                                            *)
-(* ------------------------------------------------------------------ *)
-
 type exec = {
   arenas : Arena.t array; (* [src] or [src; dst] (migrate) *)
   dcfg : D.config;
@@ -135,83 +68,46 @@ type exec = {
   rebalanced : bool;      (* the rebalancer thread ran to completion *)
   shards_after : int;
   dst_live : bool;        (* migrate: shard 0 now serves from dst *)
-  fence_points : (int * int) list; (* (arena, store_count) at fences *)
-  crashed : bool;
   read_live : int -> int option; (* routed search on the live ensemble *)
 }
+
+let pivot cfg = (cfg.keyspace / 2) + 1
 
 (* Writer applies the commit log through the routed serving layer
    while the rebalancer thread splits / merges / migrates underneath
    it.  Fence marks on every involved arena are the crash-sweep
    candidates, so the sweep covers plan publication, the background
    copy, dual-write application, cutover and the finish phase. *)
-let execute cfg name w ~policy ~crash_at =
+let setup cfg name (w : Script.t) () =
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
-  let src = Arena.create ~words:(1 lsl 20) () in
-  let dst =
+  let t, arenas =
     match cfg.kind with
-    | Rb_migrate -> Some (Arena.create ~words:(1 lsl 20) ())
-    | Rb_split | Rb_merge -> None
-  in
-  let t =
-    match cfg.kind with
-    | Rb_split ->
-        Shard.create_composite ~config:dcfg ~inner:name
-          ~partition:(Shard.Partition.range ~bounds:[||])
-          src
-    | Rb_merge ->
-        Shard.create_composite ~config:dcfg ~inner:name
-          ~partition:(Shard.Partition.range ~bounds:[| w.pivot |])
-          src
+    | Rb_split | Rb_merge ->
+        let src = Arena.create ~words:(1 lsl 20) () in
+        let bounds = if cfg.kind = Rb_merge then [| pivot cfg |] else [||] in
+        ( Shard.create_composite ~config:dcfg ~inner:name
+            ~partition:(Shard.Partition.range ~bounds) src,
+          [| src |] )
     | Rb_migrate ->
         (* Serving mode builds its own arena; we adopt it as [src]. *)
+        let dst = Arena.create ~words:(1 lsl 20) () in
         let t =
           Shard.create ~inner_config:dcfg ~group:false ~inner:name ~shards:1 ()
         in
-        t
+        (t, [| (Shard.arenas t).(0); dst |])
   in
-  let src =
-    match cfg.kind with Rb_migrate -> (Shard.arenas t).(0) | _ -> src
-  in
-  let arenas =
-    match dst with Some d -> [| src; d |] | None -> [| src |]
-  in
-  ignore
-    (Mcsim.run ~cores:1 ~arena:src
-       [|
-         (fun _ ->
-           List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) w.initial);
-       |]);
-  let fences = ref [] in
-  let sink aid a =
-    let mark _ = fences := (aid, Arena.store_count a) :: !fences in
-    let nop = fun (_ : int) -> () and nop2 = fun (_ : int) (_ : int) -> () in
-    Arena.set_event_sink a
-      (Some
-         {
-           Arena.ev_store = nop;
-           ev_flush = mark;
-           ev_fence = (fun () -> mark 0);
-           ev_alloc = nop2;
-           ev_free = nop2;
-           ev_crash = (fun () -> ());
-         })
-  in
-  Array.iteri (fun i a -> sink i a) arenas;
-  (match crash_at with
-  | Some (aid, k) when aid < Array.length arenas ->
-      Arena.set_crash_plan arenas.(aid) (Arena.After_stores k)
-  | Some _ | None -> ());
+  Sweep.in_sim arenas.(0) (fun () ->
+      List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) w.Script.initial);
   let applied = ref 0 in
   let rebalanced = ref false in
   let writer _ =
     Array.iter
       (fun op ->
         (match op with
-        | Put (k, v) -> Shard.insert t ~key:k ~value:v
-        | Del k -> ignore (Shard.delete t k));
+        | Script.Put (k, v) -> Shard.insert t ~key:k ~value:v
+        | Script.Del k -> ignore (Shard.delete t k));
         incr applied)
-      w.wops
+      w.Script.log
   in
   let rebalancer _ =
     (* A tight throttle (one pair per chunk) stretches the background
@@ -219,36 +115,27 @@ let execute cfg name w ~policy ~crash_at =
        the checker must protect. *)
     let throttle = { Rebalance.bytes_per_ms = 16; chunk_ops = 1 } in
     (match cfg.kind with
-    | Rb_split -> ignore (Rebalance.split ~throttle t ~shard:0 ~pivot:w.pivot)
+    | Rb_split -> ignore (Rebalance.split ~throttle t ~shard:0 ~pivot:(pivot cfg))
     | Rb_merge -> ignore (Rebalance.merge ~throttle t ~left:0)
-    | Rb_migrate ->
-        ignore (Rebalance.migrate ~throttle t ~shard:0 ~dst:(Option.get dst)));
+    | Rb_migrate -> ignore (Rebalance.migrate ~throttle t ~shard:0 ~dst:arenas.(1)));
     rebalanced := true
   in
-  let crashed =
-    try
-      ignore
-        (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:src
-           [| writer; rebalancer |]);
-      false
-    with Arena.Crashed -> true
-  in
-  Array.iter (fun a -> Arena.set_event_sink a None) arenas;
-  let dst_live =
-    match dst with
-    | Some d -> (try Shard.instance_arena t 0 == d with _ -> false)
-    | None -> false
-  in
   {
-    arenas;
-    dcfg;
-    applied = !applied;
-    rebalanced = !rebalanced;
-    shards_after = (try Shard.shards t with _ -> 0);
-    dst_live;
-    fence_points = List.sort_uniq compare !fences;
-    crashed;
-    read_live = (fun k -> Shard.search t k);
+    Sweep.arenas;
+    threads = [| writer; rebalancer |];
+    finish =
+      (fun () ->
+        {
+          arenas;
+          dcfg;
+          applied = !applied;
+          rebalanced = !rebalanced;
+          shards_after = (try Shard.shards t with _ -> 0);
+          dst_live =
+            cfg.kind = Rb_migrate
+            && (try Shard.instance_arena t 0 == arenas.(1) with _ -> false);
+          read_live = (fun k -> Shard.search t k);
+        });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -263,14 +150,11 @@ let show_binding = function
    model state after [applied] ops; the single in-flight op (index
    [applied]) may or may not have landed, so the key it touches also
    accepts the next prefix's binding. *)
-let check_prefix cfg w ~applied ~ctx read =
-  let expect0 = w.states.(applied) in
-  let expect1 =
-    if applied < Array.length w.wops then Some w.states.(applied + 1) else None
-  in
-  let inflight_key =
-    if applied < Array.length w.wops then
-      match w.wops.(applied) with Put (k, _) -> Some k | Del k -> Some k
+let check_prefix cfg (w : Script.t) ~applied ~ctx read =
+  let expect0 = w.Script.states.(applied) in
+  let inflight =
+    if applied < Array.length w.Script.log then
+      Some (Script.key w.Script.log.(applied), w.Script.states.(applied + 1))
     else None
   in
   let failures = ref [] in
@@ -279,14 +163,13 @@ let check_prefix cfg w ~applied ~ctx read =
     let want0 = List.assoc_opt k expect0 in
     let ok =
       got = want0
-      || (Some k = inflight_key
-         && match expect1 with
-            | Some st -> got = List.assoc_opt k st
-            | None -> false)
+      || match inflight with
+         | Some (ik, st) -> ik = k && got = List.assoc_opt k st
+         | None -> false
     in
     if not ok && List.length !failures < 8 then
       failures :=
-        ( Check.Durability,
+        ( Sweep.Durability,
           Printf.sprintf
             "lost acknowledged write (%s): key %d reads %s but the %d \
              acknowledged ops left %s"
@@ -297,248 +180,118 @@ let check_prefix cfg w ~applied ~ctx read =
 
 (* Live run to completion: the rebalance finished, the topology
    changed shape, and the full commit log is visible. *)
-let validate_live cfg w exec read =
-  let failures = ref [] in
-  if not exec.rebalanced then
-    failures :=
-      [ (Check.Tolerance, "rebalance did not complete in a crash-free run") ]
-  else begin
-    let expected_shards =
-      match cfg.kind with Rb_split -> 2 | Rb_merge -> 1 | Rb_migrate -> 1
-    in
-    if exec.shards_after <> expected_shards then
-      failures :=
-        ( Check.Tolerance,
-          Printf.sprintf "topology after %s: %d shards, expected %d"
-            (rkind_to_string cfg.kind) exec.shards_after expected_shards )
-        :: !failures;
-    if cfg.kind = Rb_migrate && not exec.dst_live then
-      failures :=
-        (Check.Tolerance, "migrate completed but shard 0 still serves the old arena")
-        :: !failures
-  end;
-  List.rev !failures @ check_prefix cfg w ~applied:exec.applied ~ctx:"live" read
-
-let mode_of_crash (c : Cx.crash) =
-  match c.Cx.mode with
-  | "keep_none" -> Storelog.Keep_none
-  | "keep_all" -> Storelog.Keep_all
-  | "random_eviction" -> Storelog.Random_eviction (Prng.create c.Cx.crash_seed)
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown crash mode %S" s)
+let validate_live cfg w (r : exec Sweep.run) =
+  let x = r.Sweep.result in
+  let shape =
+    if not x.rebalanced then
+      [ (Sweep.Tolerance, "rebalance did not complete in a crash-free run") ]
+    else
+      let expected_shards = match cfg.kind with Rb_split -> 2 | _ -> 1 in
+      (if x.shards_after <> expected_shards then
+         [
+           ( Sweep.Tolerance,
+             Printf.sprintf "topology after %s: %d shards, expected %d"
+               (rkind_to_string cfg.kind) x.shards_after expected_shards );
+         ]
+       else [])
+      @
+      if cfg.kind = Rb_migrate && not x.dst_live then
+        [ (Sweep.Tolerance, "migrate completed but shard 0 still serves the old arena") ]
+      else []
+  in
+  shape @ check_prefix cfg w ~applied:x.applied ~ctx:"live" x.read_live
 
 (* Crash run: power-fail every involved arena, resolve the half-done
    rebalance from the decision word alone, reattach whatever authority
    survives, recover it, and hold it to the acknowledged prefix. *)
-let validate_crash cfg name w exec (crash : Cx.crash) =
-  let mode () = mode_of_crash crash in
-  Array.iter (fun a -> Arena.power_fail a (mode ())) exec.arenas;
-  match cfg.kind with
-  | Rb_split | Rb_merge -> (
-      let arena = exec.arenas.(0) in
-      match
-        ignore (Rebalance.resolve arena);
-        let t2 = Shard.attach ~config:exec.dcfg ~inner:name arena in
-        Shard.recover t2;
-        t2
-      with
-      | t2 ->
-          check_prefix cfg w ~applied:exec.applied ~ctx:"post-crash"
-            (fun k -> Shard.search t2 k)
-      | exception ex ->
-          [
-            ( Check.Durability,
-              "post-crash reattach raised: " ^ Printexc.to_string ex );
-          ])
-  | Rb_migrate -> (
-      let src = exec.arenas.(0) in
-      let authority =
-        match Rebalance.resolve src with
-        | Rebalance.Resolved_migrated -> exec.arenas.(1)
-        | _ -> src
-      in
-      match
-        let o = Registry.open_existing authority in
-        o.Intf.recover ();
-        o
-      with
-      | o ->
-          check_prefix cfg w ~applied:exec.applied ~ctx:"post-crash"
-            (fun k -> o.Intf.search k)
-      | exception ex ->
-          [
-            ( Check.Durability,
-              "post-crash authority reopen raised: " ^ Printexc.to_string ex );
-          ])
+let validate_crash cfg name w (r : exec Sweep.run) (crash : Cx.crash) =
+  let x = r.Sweep.result in
+  Array.iter (fun a -> Arena.power_fail a (Sweep.mode_of_crash crash)) x.arenas;
+  let src = x.arenas.(0) in
+  let reopened =
+    match cfg.kind with
+    | Rb_split | Rb_merge -> (
+        match
+          ignore (Rebalance.resolve src);
+          let t2 = Shard.attach ~config:x.dcfg ~inner:name src in
+          Shard.recover t2;
+          t2
+        with
+        | t2 -> Ok (fun k -> Shard.search t2 k)
+        | exception ex -> Error ("post-crash reattach raised: " ^ Printexc.to_string ex))
+    | Rb_migrate -> (
+        let authority =
+          match Rebalance.resolve src with
+          | Rebalance.Resolved_migrated -> x.arenas.(1)
+          | _ -> src
+        in
+        match
+          let o = Registry.open_existing authority in
+          o.Intf.recover ();
+          o
+        with
+        | o -> Ok o.Intf.search
+        | exception ex ->
+            Error ("post-crash authority reopen raised: " ^ Printexc.to_string ex))
+  in
+  match reopened with
+  | Ok read -> check_prefix cfg w ~applied:x.applied ~ctx:"post-crash" read
+  | Error detail -> [ (Sweep.Durability, detail) ]
 
-(* ------------------------------------------------------------------ *)
-(* Top-level engines                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample_evenly max_n lst =
-  let n = List.length lst in
-  if n <= max_n then lst
-  else
-    let arr = Array.of_list lst in
-    List.init max_n (fun i -> arr.(i * n / max_n))
-
-let mk_cx cfg index kind ~arena ~decisions ~crash ~detail =
-  {
-    Cx.index;
-    node_bytes = cfg.node_bytes;
-    kind = Check.kind_to_string kind;
-    workload =
-      {
-        Cx.writers = 1;
-        readers = 0;
-        ops_per_thread = cfg.ops;
-        keyspace = cfg.keyspace;
-        prefill = cfg.prefill;
-        seed = cfg.seed;
-        non_tso = false;
-        elide_flush = false;
-      };
-    tx = None;
-    snap = None;
-    rebal =
-      Some
-        {
-          Cx.rb_kind = rkind_to_string cfg.kind;
-          rb_mutant = cfg.mutant;
-          rb_shards = (match cfg.kind with Rb_merge -> 2 | _ -> 1);
-          rb_arena = arena;
-        };
-    repl = None;
-    decisions;
-    crash;
-    detail;
-  }
-
-let empty_report index =
-  {
-    Check.index;
-    schedules_run = 0;
-    exhausted = false;
-    crash_runs = 0;
-    ops_checked = 0;
-    violations = [];
-    skipped = None;
-    crash_note = None;
-  }
-
-let with_mutant armed f =
-  let prev = !Rebalance.mutant_drop_delta in
-  Rebalance.mutant_drop_delta := armed;
-  Fun.protect ~finally:(fun () -> Rebalance.mutant_drop_delta := prev) f
-
-let run ?(config = default) ?(tracer = Trace.null) name =
-  let cfg = config in
+let family cfg name =
   let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      with_mutant cfg.mutant @@ fun () ->
-      let w = gen_workload cfg in
-      let sched_span = Trace.intern tracer "rebalcheck.schedule" in
-      let crash_inst = Trace.intern tracer "rebalcheck.crash_point" in
-      let crash_budget = ref cfg.crash_budget in
-      let crash_runs = ref 0 in
-      let ops_checked = ref 0 in
-      let violations = ref [] in
-      let crash_note = ref None in
-      let add kind detail ~arena ~decisions ~crash =
-        violations :=
-          {
-            Check.kind;
-            detail;
-            counterexample =
-              mk_cx cfg name kind ~arena ~decisions ~crash ~detail;
-          }
-          :: !violations
-      in
-      let crash_run choices (aid, crash) =
-        incr crash_runs;
-        decr crash_budget;
-        Trace.instant tracer crash_inst crash.Cx.store_count;
-        let rc = Schedule.recorder () in
-        let policy =
-          Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc
-        in
-        let exec =
-          execute cfg name w ~policy ~crash_at:(Some (aid, crash.Cx.store_count))
-        in
-        if exec.crashed then
-          List.iter
-            (fun (kind, detail) ->
-              add kind detail ~arena:aid ~decisions:choices ~crash:(Some crash))
-            (validate_crash cfg name w exec crash)
-      in
-      let crash_sweep choices fence_points =
-        let points = sample_evenly cfg.max_crash_points fence_points in
-        List.iter
-          (fun (aid, k) ->
-            List.iter
-              (fun mode ->
-                if !crash_budget > 0 then
-                  crash_run choices
-                    ( aid,
-                      { Cx.store_count = k; mode; crash_seed = k; cutoff = None }
-                    ))
-              [ "keep_none"; "keep_all"; "random_eviction" ])
-          points
-      in
-      let check_schedule policy rc =
-        let exec = execute cfg name w ~policy ~crash_at:None in
-        let choices = Schedule.choices rc in
-        Trace.span_begin tracer sched_span (Array.length choices);
-        ops_checked := !ops_checked + exec.applied;
-        List.iter
-          (fun (kind, detail) ->
-            add kind detail ~arena:0 ~decisions:choices ~crash:None)
-          (validate_live cfg w exec exec.read_live);
-        crash_sweep choices exec.fence_points;
-        Trace.span_end tracer sched_span
-      in
-      (* Schedule 0 is always the canonical round-robin interleaving:
-         Fifo at quantum 1 drives the writer through the whole copy /
-         dual-write window, the regime the dual-write protocol exists
-         for.  PCT/DFS exploration then supplements it with biased and
-         systematic orders (two-thread PCT often runs one thread to
-         completion first, which never populates the delta). *)
-      (let rc = Schedule.recorder () in
-       let policy = Schedule.record_policy ~fallback:Mcsim.Fifo rc in
-       check_schedule policy rc);
-      let exploration =
-        match cfg.explorer with
-        | Check.Dfs ->
-            Schedule.dfs ~max_schedules:cfg.schedules (fun ~prefix ->
-                let rc = Schedule.recorder () in
-                let policy =
-                  Schedule.record_policy ~prefix ~fallback:Mcsim.Fifo rc
-                in
-                check_schedule policy rc;
-                (Schedule.decisions rc, ()))
-        | Check.Pct ->
-            Schedule.pct ~schedules:cfg.schedules ~seed:cfg.seed (fun ~policy ->
-                let rc = Schedule.recorder () in
-                let policy = Schedule.record_policy ~fallback:policy rc in
-                check_schedule policy rc)
-      in
-      if !crash_budget <= 0 then
-        crash_note :=
-          Some
-            (Printf.sprintf
-               "crash budget (%d executions) exhausted; sweep truncated"
-               cfg.crash_budget);
+  let w =
+    lazy
+      (Script.create (Prng.create cfg.seed) ~prefill:cfg.prefill
+         ~keyspace:cfg.keyspace cfg.ops)
+  in
+  {
+    Sweep.index = name;
+    gate = checkable d cfg;
+    crash_gate = None;
+    budget =
       {
-        Check.index = name;
-        schedules_run = exploration.Schedule.schedules;
-        exhausted = exploration.Schedule.exhausted;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = !crash_note;
-      }
+        Sweep.explorer = cfg.explorer;
+        schedules = cfg.schedules;
+        seed = cfg.seed;
+        max_crash_points = cfg.max_crash_points;
+        crash_budget = cfg.crash_budget;
+      };
+    probe_cutoffs = false;
+    (* Schedule 0 is always the canonical round-robin interleaving:
+       Fifo at quantum 1 drives the writer through the whole copy /
+       dual-write window, the regime the dual-write protocol exists
+       for.  PCT/DFS exploration then supplements it with biased and
+       systematic orders (two-thread PCT often runs one thread to
+       completion first, which never populates the delta). *)
+    canonical_fifo = true;
+    (* A crash point past the end of a shorter replay never fires;
+       there is no wreck to validate. *)
+    crashed_only = true;
+    mutant = Some (Rebalance.mutant_drop_delta, cfg.mutant);
+    setup = (fun () -> setup cfg name (Lazy.force w) ());
+    ops = (fun x -> x.applied);
+    live = (fun r -> validate_live cfg (Lazy.force w) r);
+    crash = (fun r c -> validate_crash cfg name (Lazy.force w) r c);
+    counterexample =
+      (fun ~arena ->
+        {
+          (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
+             ~ops_per_thread:cfg.ops ~keyspace:cfg.keyspace ~prefill:cfg.prefill
+             ~seed:cfg.seed ())
+          with
+          Cx.rebal =
+            Some
+              {
+                Cx.rb_kind = rkind_to_string cfg.kind;
+                rb_mutant = cfg.mutant;
+                rb_shards = (match cfg.kind with Rb_merge -> 2 | _ -> 1);
+                rb_arena = arena;
+              };
+        });
+  }
+
+let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
 let config_of_counterexample (cx : Cx.t) =
   match cx.Cx.rebal with
@@ -556,55 +309,6 @@ let config_of_counterexample (cx : Cx.t) =
         node_bytes = cx.Cx.node_bytes;
       }
 
-let replay ?(tracer = Trace.null) (cx : Cx.t) =
-  ignore tracer;
-  let cfg = config_of_counterexample cx in
-  let name = cx.Cx.index in
-  let d = Registry.find_exn name in
-  let arena =
-    match cx.Cx.rebal with Some r -> r.Cx.rb_arena | None -> 0
-  in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      with_mutant cfg.mutant @@ fun () ->
-      let w = gen_workload cfg in
-      let violations = ref [] in
-      let ops_checked = ref 0 in
-      let crash_runs = ref 0 in
-      let record kind detail =
-        violations :=
-          { Check.kind; detail; counterexample = { cx with Cx.detail = detail } }
-          :: !violations
-      in
-      let rc = Schedule.recorder () in
-      let policy =
-        Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo rc
-      in
-      (match cx.Cx.crash with
-      | None ->
-          let exec = execute cfg name w ~policy ~crash_at:None in
-          ops_checked := exec.applied;
-          List.iter
-            (fun (kind, detail) -> record kind detail)
-            (validate_live cfg w exec exec.read_live)
-      | Some crash ->
-          incr crash_runs;
-          let exec =
-            execute cfg name w ~policy
-              ~crash_at:(Some (arena, crash.Cx.store_count))
-          in
-          ops_checked := exec.applied;
-          List.iter
-            (fun (kind, detail) -> record kind detail)
-            (validate_crash cfg name w exec crash));
-      {
-        Check.index = name;
-        schedules_run = 1;
-        exhausted = false;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = None;
-      }
+let replay cx =
+  let arena = match cx.Cx.rebal with Some r -> r.Cx.rb_arena | None -> 0 in
+  Sweep.replay ~arena (family (config_of_counterexample cx) cx.Cx.index) cx

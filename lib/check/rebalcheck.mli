@@ -1,14 +1,14 @@
 (** Crash x schedule model checker for elastic resharding
     ({!Ff_rebalance.Rebalance}).
 
-    One writer thread applies a deterministic commit log of puts and
-    deletes through the routed serving layer while a rebalancer
-    thread splits, merges or migrates a shard underneath it.  The
-    schedule x crash product is explored exactly as in {!Check}:
-    scheduler decisions come from the exploration policy, and every
-    fence point of every involved arena is a crash candidate —
-    covering plan publication, the throttled background copy, the
-    dual-write window, the cutover commit and the finish phase.
+    One writer thread applies a deterministic commit log ({!Script})
+    through the routed serving layer while a rebalancer thread splits,
+    merges or migrates a shard underneath it.  The {!Sweep} driver
+    explores the schedule x crash product, starting from the canonical
+    Fifo schedule, and every fence point of every involved arena is a
+    crash candidate — covering plan publication, the throttled
+    background copy, the dual-write window, the cutover commit and the
+    finish phase.
 
     The single oracle is the rebalancer's contract: {e zero lost
     acknowledged writes}.  The writer counts fully-applied ops (no
@@ -44,7 +44,7 @@ type config = {
   prefill : int;
   seed : int;
   mutant : bool;         (** arm the drop-delta mutant (default false) *)
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -58,12 +58,12 @@ val checkable : Ff_index.Descriptor.t -> config -> string option
     recoverable, range-scannable, and (for split/merge) with a
     relocatable root. *)
 
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Check.report
+val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] (e.g. ["fastfair"])
-    and returns a {!Check.report}.  Counterexamples carry
+    and returns a {!Sweep.report}.  Counterexamples carry
     [Counterexample.rebal = Some _]. *)
 
-val replay : ?tracer:Ff_trace.Trace.t -> Counterexample.t -> Check.report
+val replay : Counterexample.t -> Sweep.report
 (** Re-execute one recorded rebalance counterexample (the artifact
     must carry the [rebal] extension).
     @raise Invalid_argument if [cx.rebal = None]. *)

@@ -2,7 +2,6 @@ module Trace = Ff_trace.Trace
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Prng = Ff_util.Prng
-module Storelog = Ff_pmem.Storelog
 module Cluster = Ff_cluster.Cluster
 module Fabric = Ff_net.Fabric
 module Cx = Counterexample
@@ -98,17 +97,8 @@ let expectation o k =
   | None, None -> "never written"
 
 (* ------------------------------------------------------------------ *)
-(* Counterexamples and reports                                         *)
+(* Counterexamples                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let mode_to_string = function
-  | Storelog.Keep_none -> "keep_none"
-  | Storelog.Keep_all -> "keep_all"
-  | _ -> "keep_all"
-
-let mode_of_string = function
-  | "keep_none" -> Storelog.Keep_none
-  | _ -> Storelog.Keep_all
 
 (* What follows the kill.  [Failover] promotes the backup and the
    victim rejoins as a backup at settle; [Restart] brings the victim
@@ -124,30 +114,21 @@ let recovery_to_string = function
   | Restart_refail -> "restart_refail"
 
 let recovery_of_string = function
+  | "failover" -> Failover
   | "restart" -> Restart
   | "restart_refail" -> Restart_refail
-  | _ -> Failover
+  | s -> invalid_arg (Printf.sprintf "counterexample: unknown recovery %S" s)
 
+(* The kill is recorded as the crash: [store_count] is the ack count
+   it fired after, and [mode] the crash mode the victim lost its
+   pending stores under. *)
 let mk_cx cfg ~name ~kind ~fault_seed ~kill_at ~recovery ~partition ~mode
     ~detail =
   {
-    Cx.index = name;
-    node_bytes = cfg.node_bytes;
-    kind = Check.kind_to_string kind;
-    workload =
-      {
-        writers = 1;
-        readers = 0;
-        ops_per_thread = cfg.ops;
-        keyspace = cfg.keyspace;
-        prefill = 0;
-        seed = cfg.seed;
-        non_tso = false;
-        elide_flush = false;
-      };
-    tx = None;
-    snap = None;
-    rebal = None;
+    (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
+       ~ops_per_thread:cfg.ops ~keyspace:cfg.keyspace ~prefill:0 ~seed:cfg.seed ())
+    with
+    Cx.kind = Sweep.kind_to_string kind;
     repl =
       Some
         {
@@ -159,38 +140,13 @@ let mk_cx cfg ~name ~kind ~fault_seed ~kill_at ~recovery ~partition ~mode
           rp_partition = partition;
           rp_recovery = recovery_to_string recovery;
         };
-    decisions = [||];
     crash =
       (if kill_at < 0 then None
        else
          Some
-           {
-             Cx.store_count = kill_at;
-             mode = mode_to_string mode;
-             crash_seed = fault_seed;
-             cutoff = None;
-           });
+           { Cx.store_count = kill_at; mode; crash_seed = fault_seed; cutoff = None });
     detail;
   }
-
-let empty_report index =
-  {
-    Check.index;
-    schedules_run = 0;
-    exhausted = false;
-    crash_runs = 0;
-    ops_checked = 0;
-    violations = [];
-    skipped = None;
-    crash_note = None;
-  }
-
-let with_mutant armed f =
-  let prev = !Cluster.mutant_ack_before_replicate in
-  Cluster.mutant_ack_before_replicate := armed;
-  Fun.protect
-    ~finally:(fun () -> Cluster.mutant_ack_before_replicate := prev)
-    f
 
 (* ------------------------------------------------------------------ *)
 (* One scenario                                                        *)
@@ -204,6 +160,10 @@ let with_mutant armed f =
    restart any dead node and audit every key. *)
 let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
     ~mode =
+  let crash_mode =
+    Sweep.mode_of_crash
+      { Cx.store_count = kill_at; mode; crash_seed = fault_seed; cutoff = None }
+  in
   let script = gen_script cfg in
   let ccfg =
     {
@@ -226,7 +186,7 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
   let add kind detail =
     violations :=
       {
-        Check.kind;
+        Sweep.kind;
         detail;
         counterexample =
           mk_cx cfg ~name ~kind ~fault_seed ~kill_at ~recovery ~partition
@@ -239,13 +199,13 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       "[fault_seed=%d kill_at=%d recovery=%s partition=%b mode=%s]" fault_seed
       kill_at
       (recovery_to_string recovery)
-      partition (mode_to_string mode)
+      partition mode
   in
   let check_read ~where k = function
     | Error _ -> ()
     | Ok v ->
         if not (oracle_allowed o k v) then
-          add Check.Linearizability
+          add Sweep.Linearizability
             (Printf.sprintf "stale read (%s): key %d returned %s, expected %s %s"
                where k (describe_binding v) (expectation o k) scen_tag)
   in
@@ -276,7 +236,7 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
   let maybe_kill () =
     if !killed < 0 && kill_at >= 0 && !acks >= kill_at then begin
       let victim = Cluster.primary_of cl ~shard:hot in
-      Cluster.kill_node ~mode cl victim;
+      Cluster.kill_node ~mode:crash_mode cl victim;
       incr crash_runs;
       killed := victim;
       match recovery with
@@ -305,7 +265,7 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       && !acks >= rekill_at
     then begin
       let victim = Cluster.primary_of cl ~shard:hot in
-      Cluster.kill_node ~mode cl victim;
+      Cluster.kill_node ~mode:crash_mode cl victim;
       incr crash_runs;
       dead := victim;
       promote_away victim
@@ -353,14 +313,14 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
     in
     match read 10 with
     | None ->
-        add Check.Tolerance
+        add Sweep.Tolerance
           (Printf.sprintf "audit read unavailable after recovery: key %d %s" k
              scen_tag)
     | Some v ->
         if not (oracle_allowed o k v) then
           add
-            (if Hashtbl.mem o.acked k then Check.Durability
-             else Check.Linearizability)
+            (if Hashtbl.mem o.acked k then Sweep.Durability
+             else Sweep.Linearizability)
             (Printf.sprintf
                "lost acknowledged write: key %d read back %s after recovery, \
                 expected %s %s"
@@ -382,16 +342,17 @@ let scenario cfg i =
     recoveries.(i / Array.length kill_points mod Array.length recoveries)
   in
   let partition = i / 2 mod 2 = 1 in
-  let mode = if i mod 2 = 0 then Storelog.Keep_all else Storelog.Keep_none in
+  let mode = if i mod 2 = 0 then "keep_all" else "keep_none" in
   (fault_seed, kill_at, recovery, partition, mode)
 
 let run ?(config = default) ?(tracer = Trace.null) name =
   let cfg = config in
   let d = Registry.find_exn name in
   match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
+  | Some reason -> { (Sweep.empty_report name) with skipped = Some reason }
   | None ->
-      with_mutant cfg.mutant @@ fun () ->
+      Sweep.with_mutant (Some (Cluster.mutant_ack_before_replicate, cfg.mutant))
+      @@ fun () ->
       let scen_span = Trace.intern tracer "replcheck.scenario" in
       let crash_runs = ref 0 in
       let ops_checked = ref 0 in
@@ -409,14 +370,11 @@ let run ?(config = default) ?(tracer = Trace.null) name =
         ops_checked := !ops_checked + ops
       done;
       {
-        Check.index = name;
+        (Sweep.empty_report name) with
         schedules_run = cfg.schedules;
-        exhausted = false;
         crash_runs = !crash_runs;
         ops_checked = !ops_checked;
         violations = !violations;
-        skipped = None;
-        crash_note = None;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -442,28 +400,22 @@ let config_of_counterexample (cx : Cx.t) =
     node_bytes = cx.node_bytes;
   }
 
-let replay ?(tracer = Trace.null) (cx : Cx.t) =
+let replay (cx : Cx.t) =
   let r = repl_of_cx cx in
   let cfg = config_of_counterexample cx in
-  let mode =
-    match cx.crash with
-    | Some c -> mode_of_string c.mode
-    | None -> Storelog.Keep_all
-  in
-  with_mutant cfg.mutant @@ fun () ->
+  let recovery = recovery_of_string r.rp_recovery in
+  let mode = match cx.crash with Some c -> c.mode | None -> "keep_all" in
+  Sweep.with_mutant (Some (Cluster.mutant_ack_before_replicate, cfg.mutant))
+  @@ fun () ->
   let vs, cr, ops =
-    run_scenario cfg ~tracer ~name:cx.index ~fault_seed:r.rp_fault_seed
-      ~kill_at:r.rp_kill_at
-      ~recovery:(recovery_of_string r.rp_recovery)
+    run_scenario cfg ~tracer:Trace.null ~name:cx.index
+      ~fault_seed:r.rp_fault_seed ~kill_at:r.rp_kill_at ~recovery
       ~partition:r.rp_partition ~mode
   in
   {
-    Check.index = cx.index;
+    (Sweep.empty_report cx.index) with
     schedules_run = 1;
-    exhausted = false;
     crash_runs = cr;
     ops_checked = ops;
     violations = vs;
-    skipped = None;
-    crash_note = None;
   }

@@ -48,15 +48,16 @@ val checkable : Ff_index.Descriptor.t -> config -> string option
 (** [None] when the descriptor can host a replicated ensemble:
     persistent with recovery (replicas crash and resync). *)
 
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Check.report
+val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks a cluster over the registry index [name] and
-    returns a {!Check.report}.  Counterexamples carry
+    returns a {!Sweep.report}.  Counterexamples carry
     [Counterexample.repl = Some _]. *)
 
-val replay : ?tracer:Ff_trace.Trace.t -> Counterexample.t -> Check.report
+val replay : Counterexample.t -> Sweep.report
 (** Re-execute one recorded replication counterexample (the artifact
     must carry the [repl] extension).
-    @raise Invalid_argument if [cx.repl = None]. *)
+    @raise Invalid_argument if [cx.repl = None], or the recorded crash
+    mode or recovery name is unknown. *)
 
 val config_of_counterexample : Counterexample.t -> config
 (** @raise Invalid_argument if [cx.repl = None]. *)

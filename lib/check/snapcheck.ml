@@ -1,12 +1,9 @@
 module Arena = Ff_pmem.Arena
-module Storelog = Ff_pmem.Storelog
 module Epoch = Ff_pmem.Epoch
-module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
-module Trace = Ff_trace.Trace
 module Snapshot = Ff_snapshot.Snapshot
 module Cx = Counterexample
 
@@ -17,7 +14,7 @@ type config = {
   prefill : int;
   seed : int;
   mutant : bool;
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -32,7 +29,7 @@ let default =
     prefill = 4;
     seed = 1;
     mutant = false;
-    explorer = Check.Pct;
+    explorer = Sweep.Pct;
     schedules = 8;
     max_crash_points = 10;
     crash_budget = 128;
@@ -47,52 +44,6 @@ let checkable d cfg =
     Some "need at least 1 write round"
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic workload generation                                   *)
-(* ------------------------------------------------------------------ *)
-
-type wop = Put of int * int | Del of int
-
-type workload = {
-  ops : wop array;               (* flat writer script: the commit log *)
-  initial : (int * int) list;
-  states : (int * int) list array;  (* states.(i) = sorted state after
-                                       the first i log entries *)
-}
-
-let value_of n = (2 * n) + 1
-
-let apply_op state = function
-  | Put (k, v) -> (k, v) :: List.remove_assoc k state
-  | Del k -> List.remove_assoc k state
-
-let gen_workload cfg =
-  let vcount = ref 0 in
-  let fresh_value () =
-    let v = value_of !vcount in
-    incr vcount;
-    v
-  in
-  let initial =
-    List.init (min cfg.prefill cfg.keyspace) (fun i -> (i + 1, fresh_value ()))
-  in
-  let rng = Prng.create cfg.seed in
-  let ops =
-    Array.init (cfg.rounds * cfg.ops_per_round) (fun _ ->
-        let key = 1 + Prng.int rng cfg.keyspace in
-        if Prng.int rng 4 = 0 then Del key else Put (key, fresh_value ()))
-  in
-  let states = Array.make (Array.length ops + 1) [] in
-  states.(0) <- List.sort compare initial;
-  Array.iteri
-    (fun i op -> states.(i + 1) <- List.sort compare (apply_op states.(i) op))
-    ops;
-  { ops; initial; states }
-
-(* ------------------------------------------------------------------ *)
-(* One controlled execution                                            *)
-(* ------------------------------------------------------------------ *)
-
 type exec = {
   arena : Arena.t;
   dcfg : D.config;
@@ -100,8 +51,6 @@ type exec = {
   pinned : (int * int * int) option; (* (epoch, window lo, window hi) *)
   vec1 : (int * int option) list;    (* first pinned read pass, reversed *)
   vec2 : (int * int option) list;    (* second pass (stability probe) *)
-  fence_points : int list;
-  crashed : bool;
 }
 
 (* Writer applies the commit log through the wrapped ops while a
@@ -111,29 +60,12 @@ type exec = {
    [applied] counter moves only between wrapped ops (no yield point
    separates an op's return from the increment), so the window is
    exact. *)
-let execute cfg d w ~policy ~crash_at =
-  let arena = Arena.create ~words:(1 lsl 20) () in
+let setup cfg d (w : Script.t) () =
+  let arena = Sweep.arena () in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
-  ignore
-    (Mcsim.run ~cores:1 ~arena
-       [| (fun _ -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial) |]);
-  let fences = ref [] in
-  let mark _ = fences := Arena.store_count arena :: !fences in
-  let nop = fun (_ : int) -> () and nop2 = fun (_ : int) (_ : int) -> () in
-  Arena.set_event_sink arena
-    (Some
-       {
-         Arena.ev_store = nop;
-         ev_flush = mark;
-         ev_fence = (fun () -> mark 0);
-         ev_alloc = nop2;
-         ev_free = nop2;
-         ev_crash = (fun () -> ());
-       });
-  (match crash_at with
-  | Some k -> Arena.set_crash_plan arena (Arena.After_stores k)
-  | None -> ());
+  Sweep.in_sim arena (fun () ->
+      List.iter (fun (k, v) -> ops.Intf.insert k v) w.Script.initial);
   let applied = ref 0 in
   let pinned = ref None in
   let vec1 = ref [] in
@@ -142,10 +74,10 @@ let execute cfg d w ~policy ~crash_at =
     Array.iter
       (fun op ->
         (match op with
-        | Put (k, v) -> ops.Intf.insert k v
-        | Del k -> ignore (ops.Intf.delete k));
+        | Script.Put (k, v) -> ops.Intf.insert k v
+        | Script.Del k -> ignore (ops.Intf.delete k));
         incr applied)
-      w.ops
+      w.Script.log
   in
   let reader _ =
     let lo = !applied in
@@ -159,291 +91,160 @@ let execute cfg d w ~policy ~crash_at =
       vec2 := (k, ops.Intf.read_at e k) :: !vec2
     done
   in
-  let crashed =
-    try
-      ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena [| writer; reader |]);
-      false
-    with Arena.Crashed -> true
-  in
-  Arena.set_event_sink arena None;
   {
-    arena;
-    dcfg;
-    applied = !applied;
-    pinned = !pinned;
-    vec1 = !vec1;
-    vec2 = !vec2;
-    fence_points = List.sort_uniq compare !fences;
-    crashed;
+    Sweep.arenas = [| arena |];
+    threads = [| writer; reader |];
+    finish =
+      (fun () ->
+        {
+          arena;
+          dcfg;
+          applied = !applied;
+          pinned = !pinned;
+          vec1 = !vec1;
+          vec2 = !vec2;
+        });
   }
-
-let show_state st =
-  "{"
-  ^ String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) st)
-  ^ "}"
 
 let observed_assoc vec =
   List.sort compare
     (List.filter_map (fun (k, o) -> Option.map (fun v -> (k, v)) o) vec)
 
-(* ------------------------------------------------------------------ *)
-(* Oracles                                                             *)
-(* ------------------------------------------------------------------ *)
-
 (* Live run: the pinned read vector must equal the model state at some
    commit-log prefix within the pin window, and a second pass over the
    same epoch must be identical even though the writer kept going. *)
-let validate_live cfg w exec =
-  let failures = ref [] in
-  (match exec.pinned with
-  | None -> ()
+let validate_live cfg (w : Script.t) (r : exec Sweep.run) =
+  let x = r.Sweep.result in
+  match x.pinned with
+  | None -> []
   | Some (e, lo, hi) ->
-      if List.length exec.vec1 = cfg.keyspace then begin
-        let obs = observed_assoc exec.vec1 in
-        let matched = ref None in
-        Array.iteri
-          (fun p st -> if !matched = None && st = obs then matched := Some p)
-          w.states;
-        (match !matched with
-        | Some p when p >= lo && p <= hi -> ()
-        | Some p ->
-            failures :=
-              ( Check.Tolerance,
-                Printf.sprintf
-                  "snapshot isolation: epoch %d pinned in commit window \
-                   [%d, %d] but the read vector matches prefix %d"
-                  e lo hi p )
-              :: !failures
-        | None ->
-            failures :=
-              ( Check.Tolerance,
-                Printf.sprintf
-                  "snapshot isolation: read vector %s at epoch %d matches no \
-                   commit-log prefix (window [%d, %d])"
-                  (show_state obs) e lo hi )
-              :: !failures)
-      end;
-      if
-        List.length exec.vec2 = cfg.keyspace
-        && observed_assoc exec.vec2 <> observed_assoc exec.vec1
-      then
-        failures :=
-          ( Check.Tolerance,
-            Printf.sprintf
-              "snapshot stability: re-reading pinned epoch %d diverged from \
-               the first pass (%s vs %s)"
-              e
-              (show_state (observed_assoc exec.vec2))
-              (show_state (observed_assoc exec.vec1)) )
-          :: !failures);
-  List.rev !failures
+      let isolation =
+        if List.length x.vec1 <> cfg.keyspace then []
+        else
+          let obs = observed_assoc x.vec1 in
+          let rec matched p =
+            if p >= Array.length w.Script.states then None
+            else if w.Script.states.(p) = obs then Some p
+            else matched (p + 1)
+          in
+          match matched 0 with
+          | Some p when p >= lo && p <= hi -> []
+          | Some p ->
+              [
+                ( Sweep.Tolerance,
+                  Printf.sprintf
+                    "snapshot isolation: epoch %d pinned in commit window \
+                     [%d, %d] but the read vector matches prefix %d"
+                    e lo hi p );
+              ]
+          | None ->
+              [
+                ( Sweep.Tolerance,
+                  Printf.sprintf
+                    "snapshot isolation: read vector %s at epoch %d matches no \
+                     commit-log prefix (window [%d, %d])"
+                    (Script.show_state obs) e lo hi );
+              ]
+      in
+      let stability =
+        if
+          List.length x.vec2 = cfg.keyspace
+          && observed_assoc x.vec2 <> observed_assoc x.vec1
+        then
+          [
+            ( Sweep.Tolerance,
+              Printf.sprintf
+                "snapshot stability: re-reading pinned epoch %d diverged from \
+                 the first pass (%s vs %s)"
+                e
+                (Script.show_state (observed_assoc x.vec2))
+                (Script.show_state (observed_assoc x.vec1)) );
+          ]
+        else []
+      in
+      isolation @ stability
 
-let mode_of_crash (c : Cx.crash) =
-  match c.Cx.mode with
-  | "keep_none" -> Storelog.Keep_none
-  | "keep_all" -> Storelog.Keep_all
-  | "random_eviction" -> Storelog.Random_eviction (Prng.create c.Cx.crash_seed)
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown crash mode %S" s)
+let show_binding = function Some v -> string_of_int v | None -> "absent"
 
 (* Crash run: power-fail, recover, and re-pin the pre-crash epoch.
    Every key the reader observed before the crash must read back
    identically — a published epoch is durable, so the crash cannot
    move it. *)
-let validate_crash cfg d exec (crash : Cx.crash) =
-  match exec.pinned with
+let validate_crash d (r : exec Sweep.run) (crash : Cx.crash) =
+  let x = r.Sweep.result in
+  match x.pinned with
   | None -> []
-  | Some (e, _, _) ->
-      let failures = ref [] in
-      Arena.power_fail exec.arena (mode_of_crash crash);
-      (match
-         let o = d.D.open_existing exec.dcfg exec.arena in
-         o.Intf.recover ();
-         o
-       with
+  | Some (e, _, _) -> (
+      Arena.power_fail x.arena (Sweep.mode_of_crash crash);
+      match
+        let o = d.D.open_existing x.dcfg x.arena in
+        o.Intf.recover ();
+        o
+      with
       | o ->
-          if Epoch.current exec.arena < e then
-            failures :=
-              ( Check.Durability,
+          if Epoch.current x.arena < e then
+            [
+              ( Sweep.Durability,
                 Printf.sprintf
-                  "published epoch lost: reader pinned %d but recovery reads \
-                   %d"
-                  e
-                  (Epoch.current exec.arena) )
-              :: !failures
+                  "published epoch lost: reader pinned %d but recovery reads %d"
+                  e (Epoch.current x.arena) );
+            ]
           else
-            List.iter
+            List.filter_map
               (fun (k, seen) ->
-                match o.Intf.read_at e k with
-                | got when got <> seen ->
-                    if List.length !failures < cfg.keyspace then
-                      failures :=
-                        ( Check.Durability,
-                          Printf.sprintf
-                            "post-crash re-pin diverged: epoch %d key %d was \
-                             %s before the crash, %s after recovery"
-                            e k
-                            (match seen with
-                            | Some v -> string_of_int v
-                            | None -> "absent")
-                            (match got with
-                            | Some v -> string_of_int v
-                            | None -> "absent") )
-                        :: !failures
-                | _ -> ())
-              exec.vec1
+                let got = o.Intf.read_at e k in
+                if got = seen then None
+                else
+                  Some
+                    ( Sweep.Durability,
+                      Printf.sprintf
+                        "post-crash re-pin diverged: epoch %d key %d was %s \
+                         before the crash, %s after recovery"
+                        e k (show_binding seen) (show_binding got) ))
+              x.vec1
       | exception ex ->
-          failures :=
-            ( Check.Durability,
-              "snapshot recovery raised: " ^ Printexc.to_string ex )
-            :: !failures);
-      List.rev !failures
+          [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
 
-(* ------------------------------------------------------------------ *)
-(* Top-level engines                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample_evenly max_n lst =
-  let n = List.length lst in
-  if n <= max_n then lst
-  else
-    let arr = Array.of_list lst in
-    List.init max_n (fun i -> arr.(i * n / max_n))
-
-let mk_cx cfg index kind ~decisions ~crash ~detail =
-  {
-    Cx.index;
-    node_bytes = cfg.node_bytes;
-    kind = Check.kind_to_string kind;
-    workload =
-      {
-        Cx.writers = 1;
-        readers = 1;
-        ops_per_thread = cfg.ops_per_round;
-        keyspace = cfg.keyspace;
-        prefill = cfg.prefill;
-        seed = cfg.seed;
-        non_tso = false;
-        elide_flush = false;
-      };
-    tx = None;
-    snap = Some { Cx.mutant = cfg.mutant; rounds = cfg.rounds };
-    rebal = None;
-    repl = None;
-    decisions;
-    crash;
-    detail;
-  }
-
-let empty_report index =
-  {
-    Check.index;
-    schedules_run = 0;
-    exhausted = false;
-    crash_runs = 0;
-    ops_checked = 0;
-    violations = [];
-    skipped = None;
-    crash_note = None;
-  }
-
-let with_mutant armed f =
-  let prev = !Snapshot.mutant_read_latest in
-  Snapshot.mutant_read_latest := armed;
-  Fun.protect ~finally:(fun () -> Snapshot.mutant_read_latest := prev) f
-
-let run ?(config = default) ?(tracer = Trace.null) name =
-  let cfg = config in
+let family cfg name =
   let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      with_mutant cfg.mutant @@ fun () ->
-      let w = gen_workload cfg in
-      let sched_span = Trace.intern tracer "snapcheck.schedule" in
-      let crash_inst = Trace.intern tracer "snapcheck.crash_point" in
-      let crash_budget = ref cfg.crash_budget in
-      let crash_runs = ref 0 in
-      let ops_checked = ref 0 in
-      let violations = ref [] in
-      let crash_note = ref None in
-      let add kind detail ~decisions ~crash =
-        violations :=
-          {
-            Check.kind;
-            detail;
-            counterexample = mk_cx cfg name kind ~decisions ~crash ~detail;
-          }
-          :: !violations
-      in
-      let crash_run choices crash =
-        incr crash_runs;
-        decr crash_budget;
-        Trace.instant tracer crash_inst crash.Cx.store_count;
-        let rc = Schedule.recorder () in
-        let policy =
-          Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc
-        in
-        let exec = execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count) in
-        List.iter
-          (fun (kind, detail) ->
-            add kind detail ~decisions:choices ~crash:(Some crash))
-          (validate_crash cfg d exec crash)
-      in
-      let crash_sweep choices fence_points =
-        let points = sample_evenly cfg.max_crash_points fence_points in
-        List.iter
-          (fun k ->
-            List.iter
-              (fun mode ->
-                if !crash_budget > 0 then
-                  crash_run choices
-                    { Cx.store_count = k; mode; crash_seed = k; cutoff = None })
-              [ "keep_none"; "keep_all"; "random_eviction" ])
-          points
-      in
-      let check_schedule policy rc =
-        let exec = execute cfg d w ~policy ~crash_at:None in
-        let choices = Schedule.choices rc in
-        Trace.span_begin tracer sched_span (Array.length choices);
-        ops_checked := !ops_checked + exec.applied;
-        List.iter
-          (fun (kind, detail) -> add kind detail ~decisions:choices ~crash:None)
-          (validate_live cfg w exec);
-        crash_sweep choices exec.fence_points;
-        Trace.span_end tracer sched_span
-      in
-      let exploration =
-        match cfg.explorer with
-        | Check.Dfs ->
-            Schedule.dfs ~max_schedules:cfg.schedules (fun ~prefix ->
-                let rc = Schedule.recorder () in
-                let policy =
-                  Schedule.record_policy ~prefix ~fallback:Mcsim.Fifo rc
-                in
-                check_schedule policy rc;
-                (Schedule.decisions rc, ()))
-        | Check.Pct ->
-            Schedule.pct ~schedules:cfg.schedules ~seed:cfg.seed (fun ~policy ->
-                let rc = Schedule.recorder () in
-                let policy = Schedule.record_policy ~fallback:policy rc in
-                check_schedule policy rc)
-      in
-      if !crash_budget <= 0 then
-        crash_note :=
-          Some
-            (Printf.sprintf
-               "crash budget (%d executions) exhausted; sweep truncated"
-               cfg.crash_budget);
+  let w =
+    lazy
+      (Script.create (Prng.create cfg.seed) ~prefill:cfg.prefill
+         ~keyspace:cfg.keyspace
+         (cfg.rounds * cfg.ops_per_round))
+  in
+  {
+    Sweep.index = name;
+    gate = checkable d cfg;
+    crash_gate = None;
+    budget =
       {
-        Check.index = name;
-        schedules_run = exploration.Schedule.schedules;
-        exhausted = exploration.Schedule.exhausted;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = !crash_note;
-      }
+        Sweep.explorer = cfg.explorer;
+        schedules = cfg.schedules;
+        seed = cfg.seed;
+        max_crash_points = cfg.max_crash_points;
+        crash_budget = cfg.crash_budget;
+      };
+    probe_cutoffs = false;
+    canonical_fifo = false;
+    crashed_only = false;
+    mutant = Some (Snapshot.mutant_read_latest, cfg.mutant);
+    setup = (fun () -> setup cfg d (Lazy.force w) ());
+    ops = (fun x -> x.applied);
+    live = (fun r -> validate_live cfg (Lazy.force w) r);
+    crash = validate_crash d;
+    counterexample =
+      (fun ~arena:_ ->
+        {
+          (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
+             ~readers:1 ~ops_per_thread:cfg.ops_per_round ~keyspace:cfg.keyspace
+             ~prefill:cfg.prefill ~seed:cfg.seed ())
+          with
+          Cx.snap = Some { Cx.mutant = cfg.mutant; rounds = cfg.rounds };
+        });
+  }
+
+let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
 let config_of_counterexample (cx : Cx.t) =
   match cx.Cx.snap with
@@ -461,57 +262,4 @@ let config_of_counterexample (cx : Cx.t) =
         node_bytes = cx.Cx.node_bytes;
       }
 
-let replay ?(tracer = Trace.null) (cx : Cx.t) =
-  ignore tracer;
-  let cfg = config_of_counterexample cx in
-  let name = cx.Cx.index in
-  let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      with_mutant cfg.mutant @@ fun () ->
-      let w = gen_workload cfg in
-      let violations = ref [] in
-      let ops_checked = ref 0 in
-      let crash_runs = ref 0 in
-      let record kind detail =
-        violations :=
-          { Check.kind; detail; counterexample = { cx with Cx.detail = detail } }
-          :: !violations
-      in
-      (match cx.Cx.crash with
-      | None ->
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo
-              rc
-          in
-          let exec = execute cfg d w ~policy ~crash_at:None in
-          ops_checked := exec.applied;
-          List.iter
-            (fun (kind, detail) -> record kind detail)
-            (validate_live cfg w exec)
-      | Some crash ->
-          incr crash_runs;
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo
-              rc
-          in
-          let exec =
-            execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count)
-          in
-          ops_checked := exec.applied;
-          List.iter
-            (fun (kind, detail) -> record kind detail)
-            (validate_crash cfg d exec crash));
-      {
-        Check.index = name;
-        schedules_run = 1;
-        exhausted = false;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = None;
-      }
+let replay cx = Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx

@@ -1,11 +1,10 @@
 (** Snapshot-serializability checker for the MVCC snapshot layer.
 
-    One writer thread applies a deterministic commit log of puts and
-    deletes through a snapshot-wrapped index
-    ({!Ff_snapshot.Snapshot}), while a reader thread pins an epoch at
-    a scheduler-chosen point and reads the whole keyspace at that
-    epoch — twice.  The schedule x crash product is explored exactly
-    as in {!Check}.
+    One writer thread applies a deterministic commit log ({!Script})
+    through a snapshot-wrapped index ({!Ff_snapshot.Snapshot}), while a
+    reader thread pins an epoch at a scheduler-chosen point and reads
+    the whole keyspace at that epoch — twice.  The {!Sweep} driver
+    explores the schedule x crash product.
 
     Three oracles:
 
@@ -37,7 +36,7 @@ type config = {
   prefill : int;
   seed : int;
   mutant : bool;         (** arm the read-latest mutant (default false) *)
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -50,12 +49,12 @@ val checkable : Ff_index.Descriptor.t -> config -> string option
 (** [None] when the descriptor is snapshot-checkable: [snapshottable]
     and persistent with recovery. *)
 
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Check.report
+val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] (e.g.
-    ["snap-fastfair"]) and returns a {!Check.report}.  Counterexamples
+    ["snap-fastfair"]) and returns a {!Sweep.report}.  Counterexamples
     carry [Counterexample.snap = Some _]. *)
 
-val replay : ?tracer:Ff_trace.Trace.t -> Counterexample.t -> Check.report
+val replay : Counterexample.t -> Sweep.report
 (** Re-execute one recorded snapshot counterexample (the artifact must
     carry the [snap] extension).
     @raise Invalid_argument if [cx.snap = None]. *)

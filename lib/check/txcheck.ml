@@ -1,13 +1,9 @@
 module Arena = Ff_pmem.Arena
-module Pconfig = Ff_pmem.Config
-module Storelog = Ff_pmem.Storelog
-module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Locks = Ff_index.Locks
-module Trace = Ff_trace.Trace
 module Tx = Ff_tx.Tx
 module Cx = Counterexample
 
@@ -20,7 +16,7 @@ type config = {
   seed : int;
   path : Tx.path;
   torn_commit : bool;
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -38,7 +34,7 @@ let default =
     seed = 1;
     path = Tx.Logged;
     torn_commit = false;
-    explorer = Check.Pct;
+    explorer = Sweep.Pct;
     schedules = 8;
     max_crash_points = 12;
     crash_budget = 192;
@@ -65,48 +61,20 @@ let checkable d cfg =
   then Some "readers need Sim locks or lock-free reads"
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic workload generation                                   *)
-(* ------------------------------------------------------------------ *)
-
-type txop = Put of int * int | Del of int
-
+(* The writer's script is one commit log cut into [txns] transactions
+   of [ops_per_txn] ops; [states.(i)] is the state after i commits. *)
 type workload = {
-  txs : txop list array;          (* writer script, one entry per transaction *)
+  script : Script.t;
   reader_scripts : int list array;
-  initial : (int * int) list;
-  writable : (int * int) list;    (* every binding any put (or prefill) may write *)
-  states : (int * int) list array; (* states.(i) = sorted state after i commits *)
+  writable : (int * int) list;
+  states : (int * int) list array;
 }
 
-let value_of n = (2 * n) + 1
-
-let apply_tx state ops =
-  List.fold_left
-    (fun st op ->
-      match op with
-      | Put (k, v) -> (k, v) :: List.remove_assoc k st
-      | Del k -> List.remove_assoc k st)
-    state ops
-
 let gen_workload cfg =
-  let vcount = ref 0 in
-  let fresh_value () =
-    let v = value_of !vcount in
-    incr vcount;
-    v
-  in
-  let initial =
-    List.init (min cfg.prefill cfg.keyspace) (fun i -> (i + 1, fresh_value ()))
-  in
   let master = Prng.create cfg.seed in
-  let wrng = Prng.split master in
-  let txs =
-    Array.init cfg.txns (fun _ ->
-        List.init cfg.ops_per_txn (fun _ ->
-            let key = 1 + Prng.int wrng cfg.keyspace in
-            if Prng.int wrng 4 = 0 then Del key
-            else Put (key, fresh_value ())))
+  let script =
+    Script.create (Prng.split master) ~prefill:cfg.prefill ~keyspace:cfg.keyspace
+      (cfg.txns * cfg.ops_per_txn)
   in
   let reader_scripts =
     Array.init cfg.readers (fun _ ->
@@ -115,96 +83,54 @@ let gen_workload cfg =
           (cfg.txns * cfg.ops_per_txn)
           (fun _ -> 1 + Prng.int rng cfg.keyspace))
   in
-  let writable =
-    initial
-    @ Array.fold_left
-        (fun acc ops ->
-          List.fold_left
-            (fun acc op ->
-              match op with Put (k, v) -> (k, v) :: acc | Del _ -> acc)
-            acc ops)
-        [] txs
-  in
-  let states = Array.make (cfg.txns + 1) [] in
-  states.(0) <- List.sort compare initial;
-  for i = 1 to cfg.txns do
-    states.(i) <- List.sort compare (apply_tx states.(i - 1) txs.(i - 1))
-  done;
-  { txs; reader_scripts; initial; writable; states }
-
-(* ------------------------------------------------------------------ *)
-(* One controlled execution                                            *)
-(* ------------------------------------------------------------------ *)
+  {
+    script;
+    reader_scripts;
+    writable = Script.writable script;
+    states =
+      Array.init (cfg.txns + 1) (fun i ->
+          script.Script.states.(i * cfg.ops_per_txn));
+  }
 
 type exec = {
   arena : Arena.t;
-  ops : Intf.ops;
   dcfg : D.config;
+  ops : Intf.ops;
   committed : int;       (* commits that returned before the crash *)
   commit_started : int;  (* transactions whose commit call began *)
   tx_ops : int;          (* transactional ops executed *)
-  fabricated : (int * int) option;  (* concurrent reader saw an
-                                       out-of-universe binding *)
-  fence_points : int list;
-  crashed : bool;
+  fabricated : (int * int) option;
+      (* a concurrent reader saw an out-of-universe binding *)
 }
 
-(* Mirror of [Check.execute] with a transactional writer: build +
-   prefill + transaction-manager creation happen before the event sink
-   and crash plan are armed, then the writer's transaction script and
-   the reader scripts run under the policy at quantum 1. *)
-let execute cfg d w ~policy ~crash_at =
-  let pconf =
-    if cfg.non_tso then
-      { Pconfig.default with Pconfig.memory_order = Pconfig.Non_tso }
-    else Pconfig.default
-  in
-  let arena = Arena.create ~config:pconf ~words:(1 lsl 20) () in
-  let lock_mode =
-    if D.supports_lock_mode d Locks.Sim then Locks.Sim else Locks.Single
-  in
-  let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes; lock_mode } in
+(* Build + prefill + transaction-manager creation happen in the setup;
+   the writer's transaction script and the reader scripts are the
+   concurrent phase. *)
+let setup cfg d w () =
+  let arena = Sweep.arena ~non_tso:cfg.non_tso () in
+  let dcfg = Sweep.index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
-  ignore
-    (Mcsim.run ~cores:1 ~arena
-       [| (fun _ -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial) |]);
+  Sweep.in_sim arena (fun () ->
+      List.iter (fun (k, v) -> ops.Intf.insert k v) w.script.Script.initial);
   let mgr = Tx.create ~path:cfg.path arena ops in
   if cfg.torn_commit then Tx.set_torn_commit mgr true;
-  let fences = ref [] in
-  let mark _ = fences := Arena.store_count arena :: !fences in
-  let nop = fun (_ : int) -> () and nop2 = fun (_ : int) (_ : int) -> () in
-  Arena.set_event_sink arena
-    (Some
-       {
-         Arena.ev_store = nop;
-         ev_flush = mark;
-         ev_fence = (fun () -> mark 0);
-         ev_alloc = nop2;
-         ev_free = nop2;
-         ev_crash = (fun () -> ());
-       });
-  (match crash_at with
-  | Some k -> Arena.set_crash_plan arena (Arena.After_stores k)
-  | None -> ());
   let committed = ref 0 in
   let commit_started = ref 0 in
   let tx_ops = ref 0 in
   let fabricated = ref None in
   let writer _ =
-    Array.iteri
-      (fun i txops ->
-        let tx = Tx.begin_tx mgr in
-        List.iter
-          (fun op ->
-            incr tx_ops;
-            match op with
-            | Put (k, v) -> Tx.put tx k v
-            | Del k -> ignore (Tx.del tx k))
-          txops;
-        commit_started := i + 1;
-        Tx.commit tx;
-        committed := i + 1)
-      w.txs
+    for i = 0 to cfg.txns - 1 do
+      let tx = Tx.begin_tx mgr in
+      for j = i * cfg.ops_per_txn to ((i + 1) * cfg.ops_per_txn) - 1 do
+        incr tx_ops;
+        match w.script.Script.log.(j) with
+        | Script.Put (k, v) -> Tx.put tx k v
+        | Script.Del k -> ignore (Tx.del tx k)
+      done;
+      commit_started := i + 1;
+      Tx.commit tx;
+      committed := i + 1
+    done
   in
   let reader rid _ =
     List.iter
@@ -215,343 +141,150 @@ let execute cfg d w ~policy ~crash_at =
         | _ -> ())
       w.reader_scripts.(rid)
   in
-  let bodies =
-    Array.append [| writer |] (Array.init cfg.readers (fun rid -> reader rid))
-  in
-  let crashed =
-    try
-      ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena bodies);
-      false
-    with Arena.Crashed -> true
-  in
-  Arena.set_event_sink arena None;
   {
-    arena;
-    ops;
-    dcfg;
-    committed = !committed;
-    commit_started = !commit_started;
-    tx_ops = !tx_ops;
-    fabricated = !fabricated;
-    fence_points = List.sort_uniq compare !fences;
-    crashed;
+    Sweep.arenas = [| arena |];
+    threads = Array.append [| writer |] (Array.init cfg.readers reader);
+    finish =
+      (fun () ->
+        {
+          arena;
+          dcfg;
+          ops;
+          committed = !committed;
+          commit_started = !commit_started;
+          tx_ops = !tx_ops;
+          fabricated = !fabricated;
+        });
   }
 
-let dump_live cfg exec =
-  let acc = ref [] in
-  ignore
-    (Mcsim.run ~cores:1 ~arena:exec.arena
-       [|
-         (fun _ ->
-           for k = cfg.keyspace downto 1 do
-             match exec.ops.Intf.search k with
-             | Some v -> acc := (k, v) :: !acc
-             | None -> ()
-           done);
-       |]);
-  List.sort compare !acc
-
-let dump_single cfg ops =
-  let acc = ref [] in
-  for k = cfg.keyspace downto 1 do
-    match ops.Intf.search k with Some v -> acc := (k, v) :: !acc | None -> ()
-  done;
-  List.sort compare !acc
-
-(* ------------------------------------------------------------------ *)
-(* Crash validation                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let mode_of_crash (c : Cx.crash) =
-  match c.Cx.mode with
-  | "keep_none" -> Storelog.Keep_none
-  | "keep_all" -> Storelog.Keep_all
-  | "random_eviction" -> Storelog.Random_eviction (Prng.create c.Cx.crash_seed)
-  | "non_tso_cutoff" ->
-      let cutoff =
-        match c.Cx.cutoff with
-        | Some e -> e
-        | None -> invalid_arg "counterexample: non_tso_cutoff without cutoff"
-      in
-      Storelog.Non_tso_cutoff (cutoff, Prng.create c.Cx.crash_seed)
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown crash mode %S" s)
-
-let show_state st =
-  "{"
-  ^ String.concat "; "
-      (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) st)
-  ^ "}"
+(* Live run: no concurrent reader fabricated a binding, and the final
+   state is the whole committed schedule. *)
+let validate_live cfg w (r : exec Sweep.run) =
+  let x = r.Sweep.result in
+  (match x.fabricated with
+  | Some (k, v) ->
+      [
+        ( Sweep.Tolerance,
+          Printf.sprintf "concurrent reader saw fabricated binding %d -> %d" k v );
+      ]
+  | None -> [])
+  @
+  let dump = ref [] in
+  Sweep.in_sim x.arena (fun () ->
+      dump := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
+  if !dump = w.states.(cfg.txns) then []
+  else
+    [
+      ( Sweep.Durability,
+        Printf.sprintf
+          "serializability: final state %s diverges from the committed \
+           schedule %s"
+          (Script.show_state !dump)
+          (Script.show_state w.states.(cfg.txns)) );
+    ]
 
 (* Crash the execution, recover (index recovery then transaction
    recovery over the persisted log), and compare the observed state
    against the durable-serializability oracle. *)
-let validate_crash cfg d w exec (crash : Cx.crash) =
-  let failures = ref [] in
-  Arena.power_fail exec.arena (mode_of_crash crash);
-  let sdcfg = { exec.dcfg with D.lock_mode = Locks.Single } in
-  (if d.D.caps.D.lock_free_reads then
-     match
-       let o = d.D.open_existing sdcfg exec.arena in
-       let bad = ref None in
-       for k = 1 to cfg.keyspace do
-         match o.Intf.search k with
-         | Some v when not (List.mem (k, v) w.writable) ->
-             if !bad = None then bad := Some (k, v)
-         | _ -> ()
-       done;
-       !bad
-     with
-     | None -> ()
-     | Some (k, v) ->
-         failures :=
-           ( Check.Tolerance,
-             Printf.sprintf
-               "pre-recovery reader returned fabricated binding %d -> %d" k v )
-           :: !failures
-     | exception e ->
-         failures :=
-           (Check.Tolerance, "pre-recovery reader raised: " ^ Printexc.to_string e)
-           :: !failures);
+let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
+  let x = r.Sweep.result in
+  Arena.power_fail x.arena (Sweep.mode_of_crash crash);
+  let sdcfg = { x.dcfg with D.lock_mode = Locks.Single } in
+  let tolerance =
+    if d.D.caps.D.lock_free_reads then
+      Sweep.pre_recovery_tolerance ~keyspace:cfg.keyspace ~writable:w.writable
+        (fun () -> d.D.open_existing sdcfg x.arena)
+    else []
+  in
   (* A durable commit word covering an untrusted payload is direct
      evidence of inverted commit ordering — flag it before recovery
      truncates the log. *)
-  (match Ff_pmem.Txlog.attach exec.arena with
-  | Some l when Ff_pmem.Txlog.commit_torn l ->
-      failures :=
-        ( Check.Durability,
-          "torn commit: commit record durable without its payload" )
-        :: !failures
-  | _ -> ());
-  (match
-     let o = d.D.open_existing sdcfg exec.arena in
-     o.Intf.recover ();
-     let mgr = Tx.create ~path:cfg.path exec.arena o in
-     ignore (Tx.recover mgr);
-     dump_single cfg o
-   with
-  | dump ->
-      let c = exec.committed in
-      let ok_committed = dump = w.states.(c) in
-      let ok_inflight =
-        exec.commit_started > c
-        && exec.commit_started <= cfg.txns
-        && dump = w.states.(exec.commit_started)
-      in
-      if not (ok_committed || ok_inflight) then begin
-        let boundary = ref None in
-        Array.iteri
-          (fun i st -> if !boundary = None && dump = st then boundary := Some i)
-          w.states;
-        let detail =
-          match !boundary with
-          | Some i ->
-              Printf.sprintf
-                "durable serializability: %d transactions committed (commit \
-                 started on %d) but recovered state matches boundary %d"
-                c exec.commit_started i
-          | None ->
-              Printf.sprintf
-                "atomicity: recovered state %s matches no transaction boundary \
-                 (%d committed, expected %s)"
-                (show_state dump) c
-                (show_state w.states.(c))
+  let torn =
+    match Ff_pmem.Txlog.attach x.arena with
+    | Some l when Ff_pmem.Txlog.commit_torn l ->
+        [ (Sweep.Durability, "torn commit: commit record durable without its payload") ]
+    | _ -> []
+  in
+  let recovered =
+    match
+      let o = d.D.open_existing sdcfg x.arena in
+      o.Intf.recover ();
+      ignore (Tx.recover (Tx.create ~path:cfg.path x.arena o));
+      Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
+    with
+    | dump ->
+        let c = x.committed in
+        let ok_committed = dump = w.states.(c) in
+        let ok_inflight =
+          x.commit_started > c
+          && x.commit_started <= cfg.txns
+          && dump = w.states.(x.commit_started)
         in
-        failures := (Check.Durability, detail) :: !failures
-      end
-  | exception e ->
-      failures :=
-        (Check.Durability, "tx recovery raised: " ^ Printexc.to_string e)
-        :: !failures);
-  List.rev !failures
-
-(* ------------------------------------------------------------------ *)
-(* Top-level engines                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sample_evenly max_n lst =
-  let n = List.length lst in
-  if n <= max_n then lst
-  else
-    let arr = Array.of_list lst in
-    List.init max_n (fun i -> arr.(i * n / max_n))
-
-let mk_cx cfg index kind ~decisions ~crash ~detail =
-  {
-    Cx.index;
-    node_bytes = cfg.node_bytes;
-    kind = Check.kind_to_string kind;
-    workload =
-      {
-        Cx.writers = 1;
-        readers = cfg.readers;
-        ops_per_thread = cfg.ops_per_txn;
-        keyspace = cfg.keyspace;
-        prefill = cfg.prefill;
-        seed = cfg.seed;
-        non_tso = cfg.non_tso;
-        elide_flush = false;
-      };
-    tx =
-      Some
-        { Cx.path = path_name cfg.path; torn = cfg.torn_commit; txns = cfg.txns };
-    snap = None;
-    rebal = None;
-    repl = None;
-    decisions;
-    crash;
-    detail;
-  }
-
-let empty_report index =
-  {
-    Check.index;
-    schedules_run = 0;
-    exhausted = false;
-    crash_runs = 0;
-    ops_checked = 0;
-    violations = [];
-    skipped = None;
-    crash_note = None;
-  }
-
-let run ?(config = default) ?(tracer = Trace.null) name =
-  let cfg = config in
-  let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      let w = gen_workload cfg in
-      let sched_span = Trace.intern tracer "txcheck.schedule" in
-      let crash_inst = Trace.intern tracer "txcheck.crash_point" in
-      let crash_budget = ref cfg.crash_budget in
-      let crash_runs = ref 0 in
-      let ops_checked = ref 0 in
-      let violations = ref [] in
-      let crash_note = ref None in
-      let add kind detail ~decisions ~crash =
-        violations :=
-          {
-            Check.kind;
-            detail;
-            counterexample = mk_cx cfg name kind ~decisions ~crash ~detail;
-          }
-          :: !violations
-      in
-      let crash_run choices crash =
-        incr crash_runs;
-        decr crash_budget;
-        Trace.instant tracer crash_inst crash.Cx.store_count;
-        let rc = Schedule.recorder () in
-        let policy =
-          Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc
-        in
-        let exec = execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count) in
-        List.iter
-          (fun (kind, detail) ->
-            add kind detail ~decisions:choices ~crash:(Some crash))
-          (validate_crash cfg d w exec crash)
-      in
-      let crash_sweep choices fence_points =
-        let points = sample_evenly cfg.max_crash_points fence_points in
-        List.iter
-          (fun k ->
-            if !crash_budget > 0 then begin
-              let base =
-                [
-                  { Cx.store_count = k; mode = "keep_none"; crash_seed = k; cutoff = None };
-                  { Cx.store_count = k; mode = "keep_all"; crash_seed = k; cutoff = None };
-                  {
-                    Cx.store_count = k;
-                    mode = "random_eviction";
-                    crash_seed = k;
-                    cutoff = None;
-                  };
-                ]
-              in
-              let non_tso_modes =
-                if not cfg.non_tso then []
-                else begin
-                  let rc = Schedule.recorder () in
-                  let policy =
-                    Schedule.record_policy ~prefix:choices ~fallback:Mcsim.Fifo rc
-                  in
-                  let exec = execute cfg d w ~policy ~crash_at:(Some k) in
-                  List.map
-                    (fun e ->
-                      {
-                        Cx.store_count = k;
-                        mode = "non_tso_cutoff";
-                        crash_seed = k;
-                        cutoff = Some e;
-                      })
-                    (Arena.pending_epochs exec.arena)
-                end
-              in
-              List.iter
-                (fun crash -> if !crash_budget > 0 then crash_run choices crash)
-                (base @ non_tso_modes)
-            end)
-          points
-      in
-      let check_schedule policy rc =
-        let exec = execute cfg d w ~policy ~crash_at:None in
-        let choices = Schedule.choices rc in
-        Trace.span_begin tracer sched_span (Array.length choices);
-        ops_checked := !ops_checked + exec.tx_ops;
-        (match exec.fabricated with
-        | Some (k, v) ->
-            let detail =
-              Printf.sprintf "concurrent reader saw fabricated binding %d -> %d"
-                k v
+        if ok_committed || ok_inflight then []
+        else
+          let detail =
+            let rec boundary i =
+              if i >= Array.length w.states then None
+              else if dump = w.states.(i) then Some i
+              else boundary (i + 1)
             in
-            add Check.Tolerance detail ~decisions:choices ~crash:None
-        | None -> ());
-        (if not exec.crashed then
-           let dump = dump_live cfg exec in
-           if dump <> w.states.(cfg.txns) then
-             let detail =
-               Printf.sprintf
-                 "serializability: final state %s diverges from the committed \
-                  schedule %s"
-                 (show_state dump)
-                 (show_state w.states.(cfg.txns))
-             in
-             add Check.Durability detail ~decisions:choices ~crash:None);
-        crash_sweep choices exec.fence_points;
-        Trace.span_end tracer sched_span
-      in
-      let exploration =
-        match cfg.explorer with
-        | Check.Dfs ->
-            Schedule.dfs ~max_schedules:cfg.schedules (fun ~prefix ->
-                let rc = Schedule.recorder () in
-                let policy =
-                  Schedule.record_policy ~prefix ~fallback:Mcsim.Fifo rc
-                in
-                check_schedule policy rc;
-                (Schedule.decisions rc, ()))
-        | Check.Pct ->
-            Schedule.pct ~schedules:cfg.schedules ~seed:cfg.seed (fun ~policy ->
-                let rc = Schedule.recorder () in
-                let policy = Schedule.record_policy ~fallback:policy rc in
-                check_schedule policy rc)
-      in
-      if !crash_budget <= 0 then
-        crash_note :=
-          Some
-            (Printf.sprintf
-               "crash budget (%d executions) exhausted; sweep truncated"
-               cfg.crash_budget);
+            match boundary 0 with
+            | Some i ->
+                Printf.sprintf
+                  "durable serializability: %d transactions committed (commit \
+                   started on %d) but recovered state matches boundary %d"
+                  c x.commit_started i
+            | None ->
+                Printf.sprintf
+                  "atomicity: recovered state %s matches no transaction \
+                   boundary (%d committed, expected %s)"
+                  (Script.show_state dump) c
+                  (Script.show_state w.states.(c))
+          in
+          [ (Sweep.Durability, detail) ]
+    | exception e ->
+        [ (Sweep.Durability, "tx recovery raised: " ^ Printexc.to_string e) ]
+  in
+  tolerance @ torn @ recovered
+
+let family cfg name =
+  let d = Registry.find_exn name in
+  let w = lazy (gen_workload cfg) in
+  {
+    Sweep.index = name;
+    gate = checkable d cfg;
+    crash_gate = None;
+    budget =
       {
-        Check.index = name;
-        schedules_run = exploration.Schedule.schedules;
-        exhausted = exploration.Schedule.exhausted;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = !crash_note;
-      }
+        Sweep.explorer = cfg.explorer;
+        schedules = cfg.schedules;
+        seed = cfg.seed;
+        max_crash_points = cfg.max_crash_points;
+        crash_budget = cfg.crash_budget;
+      };
+    probe_cutoffs = cfg.non_tso;
+    canonical_fifo = false;
+    crashed_only = false;
+    mutant = None;
+    setup = (fun () -> setup cfg d (Lazy.force w) ());
+    ops = (fun x -> x.tx_ops);
+    live = (fun r -> validate_live cfg (Lazy.force w) r);
+    crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
+    counterexample =
+      (fun ~arena:_ ->
+        {
+          (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
+             ~readers:cfg.readers ~non_tso:cfg.non_tso
+             ~ops_per_thread:cfg.ops_per_txn ~keyspace:cfg.keyspace
+             ~prefill:cfg.prefill ~seed:cfg.seed ())
+          with
+          Cx.tx =
+            Some
+              { Cx.path = path_name cfg.path; torn = cfg.torn_commit; txns = cfg.txns };
+        });
+  }
+
+let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
 let config_of_counterexample (cx : Cx.t) =
   match cx.Cx.tx with
@@ -572,67 +305,4 @@ let config_of_counterexample (cx : Cx.t) =
         node_bytes = cx.Cx.node_bytes;
       }
 
-let replay ?(tracer = Trace.null) (cx : Cx.t) =
-  ignore tracer;
-  let cfg = config_of_counterexample cx in
-  let name = cx.Cx.index in
-  let d = Registry.find_exn name in
-  match checkable d cfg with
-  | Some reason -> { (empty_report name) with Check.skipped = Some reason }
-  | None ->
-      let w = gen_workload cfg in
-      let violations = ref [] in
-      let ops_checked = ref 0 in
-      let crash_runs = ref 0 in
-      let record kind detail =
-        violations :=
-          { Check.kind; detail; counterexample = { cx with Cx.detail = detail } }
-          :: !violations
-      in
-      (match cx.Cx.crash with
-      | None ->
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo rc
-          in
-          let exec = execute cfg d w ~policy ~crash_at:None in
-          ops_checked := exec.tx_ops;
-          (match exec.fabricated with
-          | Some (k, v) ->
-              record Check.Tolerance
-                (Printf.sprintf
-                   "concurrent reader saw fabricated binding %d -> %d" k v)
-          | None -> ());
-          if not exec.crashed then begin
-            let dump = dump_live cfg exec in
-            if dump <> w.states.(cfg.txns) then
-              record Check.Durability
-                (Printf.sprintf
-                   "serializability: final state %s diverges from the \
-                    committed schedule %s"
-                   (show_state dump)
-                   (show_state w.states.(cfg.txns)))
-          end
-      | Some crash ->
-          incr crash_runs;
-          let rc = Schedule.recorder () in
-          let policy =
-            Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo rc
-          in
-          let exec =
-            execute cfg d w ~policy ~crash_at:(Some crash.Cx.store_count)
-          in
-          ops_checked := exec.tx_ops;
-          List.iter
-            (fun (kind, detail) -> record kind detail)
-            (validate_crash cfg d w exec crash));
-      {
-        Check.index = name;
-        schedules_run = 1;
-        exhausted = false;
-        crash_runs = !crash_runs;
-        ops_checked = !ops_checked;
-        violations = List.rev !violations;
-        skipped = None;
-        crash_note = None;
-      }
+let replay cx = Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx

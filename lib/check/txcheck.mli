@@ -2,9 +2,9 @@
 
     Where {!Check} validates individual index operations, this engine
     validates whole {!Ff_tx.Tx} transactions: one writer thread runs a
-    deterministic script of multi-key transactions while lock-free
-    reader threads observe, the schedule x crash product is explored
-    exactly as in {!Check}, and every crash point is replayed {e
+    deterministic script of multi-key transactions ({!Script}) while
+    lock-free reader threads observe.  The {!Sweep} driver explores
+    the schedule x crash product; every crash point is replayed {e
     through transaction recovery} (index [recover] first, then
     {!Ff_tx.Tx.recover} over the persisted log).
 
@@ -40,7 +40,7 @@ type config = {
   seed : int;
   path : Ff_tx.Tx.path;   (** commit path under test (default [Logged]) *)
   torn_commit : bool;     (** arm the torn-commit mutant (default false) *)
-  explorer : Check.explorer;
+  explorer : Sweep.explorer;
   schedules : int;
   max_crash_points : int;
   crash_budget : int;
@@ -55,13 +55,13 @@ val checkable : Ff_index.Descriptor.t -> config -> string option
     persistent with recovery, and — when [readers > 0] — safe for
     concurrent lock-free reads (or Sim locks). *)
 
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Check.report
+val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] and returns a report
-    in {!Check.report} form ([Durability] counts cover both atomicity
+    in {!Sweep.report} form ([Durability] counts cover both atomicity
     and durability failures; see module docs).  Counterexamples carry
     [Counterexample.tx = Some _]. *)
 
-val replay : ?tracer:Ff_trace.Trace.t -> Counterexample.t -> Check.report
+val replay : Counterexample.t -> Sweep.report
 (** Re-execute one recorded transaction counterexample (the artifact
     must carry the [tx] extension).
     @raise Invalid_argument if [cx.tx = None]. *)

@@ -75,6 +75,58 @@ let test_elide_flush_mutant_and_replay () =
   Alcotest.(check bool) "replay reproduces" true (a <> []);
   Alcotest.(check bool) "replay is deterministic" true (a = replay ())
 
+(* One replay entry for every family: a counterexample from each
+   family's mutant sweep survives JSON and reproduces through
+   [Check.replay], which routes it by its extension; an artifact with
+   no extension is a linearizability one. *)
+let test_replay_dispatch () =
+  let first (r : C.report) =
+    match r.C.violations with
+    | v :: _ -> v.C.counterexample
+    | [] -> Alcotest.failf "%s: mutant sweep found nothing" r.C.index
+  in
+  let module TC = Ff_check.Txcheck in
+  let module SC = Ff_check.Snapcheck in
+  let module RC = Ff_check.Rebalcheck in
+  let module RepC = Ff_check.Replcheck in
+  let cases =
+    [
+      ( "linearizability",
+        C.run
+          ~config:{ small_config with C.elide_flush = true; schedules = 4 }
+          "fastfair" );
+      ( "tx",
+        TC.run
+          ~config:{ TC.default with TC.torn_commit = true; schedules = 2; crash_budget = 32 }
+          "fastfair" );
+      ( "snapshot",
+        SC.run
+          ~config:{ SC.default with SC.mutant = true; schedules = 2; crash_budget = 32 }
+          "snap-fastfair" );
+      ( "rebalance",
+        RC.run
+          ~config:
+            { RC.default with RC.mutant = true; ops = 12; schedules = 2; crash_budget = 80 }
+          "fastfair" );
+      ( "replica",
+        RepC.run
+          ~config:{ RepC.default with RepC.mutant = true; schedules = 8; seed = 42 }
+          "fastfair" );
+    ]
+  in
+  List.iter
+    (fun (name, r) ->
+      match Cx.of_json (Cx.to_json (first r)) with
+      | Error e -> Alcotest.failf "%s: counterexample does not parse: %s" name e
+      | Ok cx ->
+          Alcotest.(check string) (name ^ " routed") name (C.family_of cx).C.name;
+          Alcotest.(check bool) (name ^ " reproduces") true
+            ((C.replay cx).C.violations <> []))
+    cases;
+  let bare = { (first (List.assoc "tx" cases)) with Cx.tx = None } in
+  Alcotest.(check string) "no extension routes to linearizability" "linearizability"
+    (C.family_of bare).C.name
+
 (* DFS explorer: bounded-exhaustive mode runs clean on the real tree
    (tiny budget — the decision tree is far larger than any test
    budget, so we assert the budget was consumed, not exhaustion). *)
@@ -255,6 +307,7 @@ let suite =
     Alcotest.test_case "fastfair clean non-TSO" `Quick test_fastfair_clean_non_tso;
     Alcotest.test_case "elide-flush mutant + replay" `Quick
       test_elide_flush_mutant_and_replay;
+    Alcotest.test_case "replay dispatch: every family" `Quick test_replay_dispatch;
     Alcotest.test_case "dfs explorer" `Quick test_dfs_explorer;
     Alcotest.test_case "capability gating" `Quick test_gating;
     Alcotest.test_case "harness exhaustive mode" `Quick test_harness_exhaustive;

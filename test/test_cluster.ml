@@ -357,7 +357,8 @@ let test_replcheck_clean () =
 let test_replcheck_mutant_fails () =
   (* The ack-before-replicate mutant must lose acks somewhere in the
      partition x kill scenarios and every counterexample must carry a
-     replayable repl extension. *)
+     repl extension that survives JSON; the replay-dispatch test in
+     test_check replays one. *)
   let cfg = { repc_config with RepC.mutant = true; schedules = 8 } in
   let r = RepC.run ~config:cfg "fastfair" in
   if r.C.violations = [] then
@@ -377,10 +378,63 @@ let test_replcheck_mutant_fails () =
   | Error e -> Alcotest.failf "counterexample does not round-trip: %s" e
   | Ok cx' ->
       Alcotest.(check bool) "repl survives the round-trip" true
-        (cx'.Cx.repl = cx.Cx.repl);
-      let r2 = RepC.replay cx' in
-      if r2.C.violations = [] then
-        Alcotest.fail "replay did not reproduce the lost ack"
+        (cx'.Cx.repl = cx.Cx.repl)
+
+(* A replica artifact naming an unknown crash mode or recovery is
+   rejected, not silently replayed as something else; an artifact
+   without [rp_recovery] still parses as a failover. *)
+let test_replcheck_rejects_unknown_names () =
+  let cx =
+    {
+      (Ff_check.Sweep.counterexample ~index:"fastfair" ~node_bytes:None
+         ~ops_per_thread:40 ~keyspace:8 ~prefill:0 ~seed:42 ())
+      with
+      Cx.kind = "durability";
+      repl =
+        Some
+          {
+            Cx.rp_mutant = false;
+            rp_nodes = 3;
+            rp_shards = 2;
+            rp_fault_seed = 1;
+            rp_kill_at = 10;
+            rp_partition = false;
+            rp_recovery = "failover";
+          };
+      crash =
+        Some { Cx.store_count = 10; mode = "bogus"; crash_seed = 1; cutoff = None };
+    }
+  in
+  Alcotest.check_raises "unknown crash mode"
+    (Invalid_argument "counterexample: unknown crash mode \"bogus\"")
+    (fun () -> ignore (C.replay cx));
+  let bad_recovery =
+    {
+      cx with
+      Cx.crash = None;
+      repl = Option.map (fun r -> { r with Cx.rp_recovery = "bogus" }) cx.Cx.repl;
+    }
+  in
+  Alcotest.check_raises "unknown recovery"
+    (Invalid_argument "counterexample: unknown recovery \"bogus\"")
+    (fun () -> ignore (C.replay bad_recovery));
+  let module Json = Ff_trace.Json in
+  let without =
+    match Json.of_string (Cx.to_json { cx with Cx.crash = None }) with
+    | Json.Obj members ->
+        Json.Obj
+          (List.map
+             (function
+               | "repl", Json.Obj r -> ("repl", Json.Obj (List.remove_assoc "rp_recovery" r))
+               | m -> m)
+             members)
+    | j -> j
+  in
+  match Cx.of_json (Json.to_string without) with
+  | Error e -> Alcotest.failf "artifact without rp_recovery: %s" e
+  | Ok cx' ->
+      Alcotest.(check (option string)) "defaults to failover" (Some "failover")
+        (Option.map (fun r -> r.Cx.rp_recovery) cx'.Cx.repl)
 
 let suite =
   [
@@ -405,4 +459,6 @@ let suite =
       test_cluster_mutant_loses_acks;
     Alcotest.test_case "replcheck clean" `Slow test_replcheck_clean;
     Alcotest.test_case "replcheck mutant" `Slow test_replcheck_mutant_fails;
+    Alcotest.test_case "replcheck rejects unknown names" `Quick
+      test_replcheck_rejects_unknown_names;
   ]

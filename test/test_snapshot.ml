@@ -487,7 +487,9 @@ let test_snapcheck_clean () =
   Alcotest.(check bool) "explored schedules" true (r.C.schedules_run > 0);
   Alcotest.(check bool) "explored crashes" true (r.C.crash_runs > 0)
 
-let test_snapcheck_mutant_caught_and_replay () =
+(* The artifact must survive serialization; the replay-dispatch test
+   in test_check replays one. *)
+let test_snapcheck_mutant_caught () =
   let r = SC.run ~config:{ small with SC.mutant = true } "snap-fastfair" in
   match r.C.violations with
   | [] -> Alcotest.fail "read-latest mutant produced no violations"
@@ -496,16 +498,11 @@ let test_snapcheck_mutant_caught_and_replay () =
       (match cx.Cx.snap with
       | Some s -> Alcotest.(check bool) "artifact records mutant" true s.Cx.mutant
       | None -> Alcotest.fail "counterexample lacks the snap extension");
-      (* The artifact must survive serialization and replay to the
-         same verdict. *)
       match Cx.of_json (Cx.to_json cx) with
       | Error m -> Alcotest.failf "snap artifact does not parse: %s" m
       | Ok cx' ->
           Alcotest.(check bool) "snap extension round-trips" true
-            (cx'.Cx.snap = cx.Cx.snap);
-          let rr = SC.replay cx' in
-          Alcotest.(check bool) "replay reproduces the violation" true
-            (rr.C.violations <> []))
+            (cx'.Cx.snap = cx.Cx.snap))
 
 let suite =
   [
@@ -536,7 +533,7 @@ let suite =
       test_shard_snapshot_requires_cap;
     Alcotest.test_case "snapcheck: honest wrapper clean" `Quick
       test_snapcheck_clean;
-    Alcotest.test_case "snapcheck: read-latest mutant caught + replay" `Quick
-      test_snapcheck_mutant_caught_and_replay;
+    Alcotest.test_case "snapcheck: read-latest mutant caught" `Quick
+      test_snapcheck_mutant_caught;
     QCheck_alcotest.to_alcotest prop_pinned_range_equals_model;
   ]
