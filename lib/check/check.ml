@@ -307,14 +307,7 @@ let families =
           let snap = "snap-" ^ index in
           let index = if Registry.find snap <> None then snap else index in
           SC.run
-            ~config:
-              {
-                SC.default with
-                SC.seed;
-                ops_per_round = 2;
-                schedules = 4;
-                crash_budget = 64;
-              }
+            ~config:{ SC.default with SC.seed; schedules = 4; crash_budget = 64 }
             index);
       replay = SC.replay;
     };

@@ -304,12 +304,19 @@ let check_floor t s which =
    live path.  Every such write advances [begin_epoch] *before* the
    inner mutation, so re-reading it detects the race and the retry
    finds the preserved record.  The caller holds a reader slot. *)
-let resolve_at t s k =
+let rec resolve_at t s k =
   match Hashtbl.find_opt t.cache k with
-  | None ->
+  | None -> (
       (* Never written through the wrapper: content that predates the
-         version store is visible at every epoch. *)
-      t.inner.Intf.search k
+         version store is visible at every epoch.  The inner search
+         yields, and a writer may create the key's entry and mutate
+         the inner meanwhile (the entry is cached before the inner
+         changes), so an entry that appeared during the search means
+         the live answer may postdate [s]: resolve through it. *)
+      let r = t.inner.Intf.search k in
+      match Hashtbl.find_opt t.cache k with
+      | None -> r
+      | Some _ -> resolve_at t s k)
   | Some e ->
       let rec resolve () =
         match chain_find t e s with

@@ -278,6 +278,43 @@ let test_reader_vs_gc () =
   Alcotest.(check (list (pair int (option int)))) "no stale or garbage reads"
     [] !anomalies
 
+(* Regression: a pinned read of a key the version store has never seen
+   falls through to the live tree, and that search yields.  A writer
+   creating the key's entry and inserting it meanwhile must not leak
+   into the pin: a key first written after the pin reads as absent at
+   the pinned epoch, under every explored interleaving. *)
+let test_pin_vs_first_write () =
+  let fresh = [ 5; 6; 7; 8 ] in
+  let leaks = ref [] in
+  List.iter
+    (fun (name, policy) ->
+      let a, _st, t = wrapped ~n:4 () in
+      let applied = ref 0 in
+      let writer _ =
+        List.iter
+          (fun k ->
+            t.Intf.insert k (W.value_of k);
+            incr applied)
+          fresh
+      in
+      let reader _ =
+        let e = t.Intf.snapshot_begin 0 in
+        let pinned_after = !applied in
+        List.iteri
+          (fun i k ->
+            match t.Intf.read_at e k with
+            | Some v when i >= pinned_after ->
+                leaks := Printf.sprintf "%s: key %d read %d" name k v :: !leaks
+            | _ -> ())
+          fresh
+      in
+      ignore
+        (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:a [| writer; reader |]))
+    (("fifo", Mcsim.Fifo)
+    :: List.init 16 (fun s ->
+           (Printf.sprintf "pct %d" s, Mcsim.pct_policy ~seed:s ())));
+  Alcotest.(check (list string)) "no post-pin write visible" [] (List.rev !leaks)
+
 (* ------------------------------------------------------------------ *)
 (* Online backup                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -524,6 +561,8 @@ let suite =
       test_repin_idempotent;
     Alcotest.test_case "readers quiesced against the collector" `Quick
       test_reader_vs_gc;
+    Alcotest.test_case "pin races the first write of a key" `Quick
+      test_pin_vs_first_write;
     Alcotest.test_case "global pin cuts on a txn boundary" `Quick
       test_txn_commit_vs_pin;
     Alcotest.test_case "online backup round-trip" `Quick test_backup_roundtrip;
