@@ -142,10 +142,6 @@ let setup cfg name (w : Script.t) () =
 (* Oracles                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let show_binding = function
-  | Some v -> string_of_int v
-  | None -> "absent"
-
 (* Zero lost acknowledged writes: every key must read back as the
    model state after [applied] ops; the single in-flight op (index
    [applied]) may or may not have landed, so the key it touches also
@@ -173,7 +169,8 @@ let check_prefix cfg (w : Script.t) ~applied ~ctx read =
           Printf.sprintf
             "lost acknowledged write (%s): key %d reads %s but the %d \
              acknowledged ops left %s"
-            ctx k (show_binding got) applied (show_binding want0) )
+            ctx k (Script.show_binding got) applied
+            (Script.show_binding want0) )
         :: !failures
   done;
   List.rev !failures

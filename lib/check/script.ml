@@ -50,3 +50,5 @@ let show_state st =
   "{"
   ^ String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) st)
   ^ "}"
+
+let show_binding = function Some v -> string_of_int v | None -> "absent"

@@ -21,7 +21,6 @@ val draw : values -> Ff_util.Prng.t -> keyspace:int -> op
     probability 1/4, else a put of a fresh value. *)
 
 val key : op -> int
-val apply : (int * int) list -> op -> (int * int) list
 
 type t = {
   initial : (int * int) list;  (** prefill bindings *)
@@ -38,3 +37,4 @@ val writable : t -> (int * int) list
 (** Every binding the prefill or any put may write. *)
 
 val show_state : (int * int) list -> string
+val show_binding : int option -> string

@@ -164,8 +164,6 @@ let validate_live cfg (w : Script.t) (r : exec Sweep.run) =
       in
       isolation @ stability
 
-let show_binding = function Some v -> string_of_int v | None -> "absent"
-
 (* Crash run: power-fail, recover, and re-pin the pre-crash epoch.
    Every key the reader observed before the crash must read back
    identically — a published epoch is durable, so the crash cannot
@@ -200,7 +198,7 @@ let validate_crash d (r : exec Sweep.run) (crash : Cx.crash) =
                       Printf.sprintf
                         "post-crash re-pin diverged: epoch %d key %d was %s \
                          before the crash, %s after recovery"
-                        e k (show_binding seen) (show_binding got) ))
+                        e k (Script.show_binding seen) (Script.show_binding got) ))
               x.vec1
       | exception ex ->
           [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
