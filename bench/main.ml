@@ -35,10 +35,8 @@ let scale = ref 1.0
 
 let sc n = max 16 (int_of_float (float_of_int n *. !scale))
 
-(* Scheduling policy for the concurrent (multi-thread) Mcsim runs.
-   Recorded in the --json report so concurrency numbers are
-   reproducible: rerunning with the same policy+seed replays the same
-   interleavings. *)
+(* Scheduling policy for the concurrent (multi-thread) Mcsim runs:
+   rerunning with the same policy+seed replays the same interleavings. *)
 let sched_policy = ref "fifo"
 let sched_seed = ref 0
 let sched () = Mcsim.policy_of_spec ~seed:!sched_seed !sched_policy
@@ -871,7 +869,6 @@ let base_seed = ref 42
 type sharded_row = {
   sh_shards : int;
   sh_group : bool;
-  sh_ops : int;
   sh_kops : float; (* ops over the slowest shard's simulated time *)
   sh_fences_per_op : float;
   sh_flushes_per_op : float;
@@ -929,7 +926,6 @@ let sharded_run ~shards ~group =
   {
     sh_shards = shards;
     sh_group = group;
-    sh_ops = nops;
     sh_kops =
       (if wall = 0 then 0.
        else float_of_int nops /. (float_of_int wall /. 1e9) /. 1000.);
@@ -1011,10 +1007,6 @@ let scrub_run_one name =
       }
   end
 
-let scrub_rows () =
-  List.filter_map scrub_run_one
-    [ "fastfair"; "fastfair-logged"; "fastfair-leaflock"; "sharded-fastfair" ]
-
 let scrub_target () =
   print_endline
     "== scrub cost: post-crash leak scan, media repair and reclamation ==";
@@ -1028,7 +1020,8 @@ let scrub_target () =
         r.sc_keys
         (float_of_int r.sc_scrub_ns /. 1000.)
         r.sc_ns_per_key r.sc_leaked r.sc_reclaimed r.sc_repaired r.sc_quarantined)
-    (scrub_rows ())
+    (List.filter_map scrub_run_one
+       [ "fastfair"; "fastfair-logged"; "fastfair-leaflock"; "sharded-fastfair" ])
 
 let sharded_target () =
   print_endline "== sharded serving layer: scaling and group-flush amortization ==";
@@ -1055,7 +1048,6 @@ module Slo = Ff_obs.Slo
 module Profile = Ff_obs.Profile
 module Snapshot = Ff_obs.Snapshot
 module Cluster = Ff_cluster.Cluster
-module Fabric = Ff_net.Fabric
 
 let slo_flag = ref false
 let slo_p99_ns = ref 20_000_000
@@ -1394,10 +1386,8 @@ let soak_target () =
 
 type rb_row = {
   rb_kind : string;
-  rb_prefill : int;
   rb_moved_keys : int;
   rb_moved_bytes : int;
-  rb_copy_ns : int;
   rb_cutover_ns : int;
   rb_copy_mb_s : float;
   rb_p99_before : int;
@@ -1503,10 +1493,8 @@ let rb_row kind =
   in
   {
     rb_kind = kind;
-    rb_prefill = n;
     rb_moved_keys = r.Rebalance.r_moved_keys;
     rb_moved_bytes = moved_bytes;
-    rb_copy_ns = r.Rebalance.r_copy_ns;
     rb_cutover_ns = r.Rebalance.r_cutover_ns;
     rb_copy_mb_s =
       (if r.Rebalance.r_copy_ns = 0 then 0.
@@ -1515,18 +1503,6 @@ let rb_row kind =
     rb_p99_during = p99_of !during;
     rb_p99_after = p99_of !after;
   }
-
-(* The three kinds run once each; cached so a `rebalance` target and a
-   --json report in the same invocation measure a single run. *)
-let rb_rows_cache = ref None
-
-let rebalance_rows () =
-  match !rb_rows_cache with
-  | Some rows -> rows
-  | None ->
-      let rows = List.map rb_row [ "split"; "merge"; "migrate" ] in
-      rb_rows_cache := Some rows;
-      rows
 
 let rebalance_target () =
   print_endline
@@ -1539,158 +1515,10 @@ let rebalance_target () =
       Printf.printf "%-8s %10d %10d %11.2f %12d %15d %15d %14d\n" r.rb_kind
         r.rb_moved_keys (r.rb_moved_bytes / 1024) r.rb_copy_mb_s r.rb_cutover_ns
         r.rb_p99_before r.rb_p99_during r.rb_p99_after)
-    (rebalance_rows ());
+    (List.map rb_row [ "split"; "merge"; "migrate" ]);
   print_endline
     "   (simulated ns; p99 over foreground point ops before / during / after \
      the rebalance)"
-
-(* ------------------------------------------------------------------ *)
-(* Cluster: failover blackout, replication overhead, partition p99     *)
-(* ------------------------------------------------------------------ *)
-
-type cl_row = {
-  cl_label : string;
-  cl_ops : int;
-  cl_acks : int;
-  cl_refused : int;
-  cl_failovers : int;
-  cl_resyncs : int;
-  cl_blackout_ns : int;
-  cl_repl_records : int;
-  cl_repl_resent : int;
-  cl_fences_per_ack : float;
-  cl_p99_before : int;
-  cl_p99_during : int;
-  cl_p99_after : int;
-}
-
-(* One 3-node/2-shard run per fabric profile: steady state, then a
-   partition isolates shard 0's replica pair (read-only degradation),
-   then heal + primary kill + promote + restart.  Client latency is
-   the fabric-clock delta around each op, bucketed by phase, so the
-   three p99s isolate the partition window and the post-failover
-   recovery from steady state. *)
-let cl_row label faults =
-  let ops = max 240 (sc 4_000) in
-  let cc =
-    {
-      Cluster.default with
-      Cluster.nodes = 3;
-      shards = 2;
-      words = 1 lsl 15;
-      seed = !base_seed;
-      faults;
-    }
-  in
-  let c = Cluster.create cc in
-  let rng = Prng.create (W.shard_seed ~base:!base_seed ~shard:17) in
-  let before = ref [] and during = ref [] and after = ref [] in
-  let bucket = ref before in
-  for j = 1 to ops do
-    if j = ops / 3 then begin
-      Cluster.partition c ~a:(Cluster.primary_of c ~shard:0)
-        ~b:(Cluster.backup_of c ~shard:0);
-      bucket := during
-    end;
-    if j = ops / 2 then begin
-      Cluster.heal c;
-      let p = Cluster.primary_of c ~shard:0 in
-      Cluster.kill_node c p;
-      for s = 0 to cc.Cluster.shards - 1 do
-        if Cluster.primary_of c ~shard:s = p then
-          ignore (Cluster.failover c ~shard:s)
-      done;
-      Cluster.restart_node c p;
-      bucket := after
-    end;
-    let k = 1 + Prng.int rng 128 in
-    let t0 = Cluster.now_ns c in
-    (match Prng.int rng 4 with
-    | 0 -> ignore (Cluster.get c k)
-    | _ -> ignore (Cluster.put c k j));
-    !bucket := (Cluster.now_ns c - t0) :: !(!bucket)
-  done;
-  let cs = Cluster.stats c in
-  let fences = Cluster.fences c in
-  let row =
-    {
-      cl_label = label;
-      cl_ops = ops;
-      cl_acks = cs.Cluster.s_acks;
-      cl_refused = cs.Cluster.s_read_only + cs.Cluster.s_unavailable;
-      cl_failovers = cs.Cluster.s_failovers;
-      cl_resyncs = cs.Cluster.s_resyncs;
-      cl_blackout_ns = cs.Cluster.s_last_blackout_ns;
-      cl_repl_records = cs.Cluster.s_repl_records;
-      cl_repl_resent = cs.Cluster.s_repl_resent;
-      cl_fences_per_ack =
-        float_of_int fences /. float_of_int (max 1 cs.Cluster.s_acks);
-      cl_p99_before = p99_of !before;
-      cl_p99_during = p99_of !during;
-      cl_p99_after = p99_of !after;
-    }
-  in
-  Cluster.close c;
-  row
-
-(* Unreplicated baseline for the overhead column: the same op mix on a
-   plain 2-shard ensemble; cluster fences/ack minus this is the price
-   of durable-on-backup-before-ack. *)
-let cl_solo_fences_per_op () =
-  let ops = max 240 (sc 4_000) in
-  let t =
-    Shard.create
-      ~pm_config:(Config.pm ~read_ns:300 ~write_ns:300 ())
-      ~words:(1 lsl 15) ~inner:"fastfair" ~shards:2 ()
-  in
-  let rng = Prng.create (W.shard_seed ~base:!base_seed ~shard:17) in
-  for j = 1 to ops do
-    let k = 1 + Prng.int rng 128 in
-    match Prng.int rng 4 with
-    | 0 -> ignore (Shard.search t k)
-    | _ -> Shard.insert t ~key:k ~value:j
-  done;
-  let fences =
-    Array.fold_left
-      (fun acc a -> acc + (Arena.total_stats a).Stats.fences)
-      0 (Shard.arenas t)
-  in
-  float_of_int fences /. float_of_int ops
-
-(* Both fabric profiles run once each; cached so a `cluster` target
-   and a --json report in the same invocation measure a single run. *)
-let cl_rows_cache = ref None
-
-let cluster_rows () =
-  match !cl_rows_cache with
-  | Some r -> r
-  | None ->
-      let r =
-        ( cl_solo_fences_per_op (),
-          [ cl_row "lossy" Fabric.default_faults; cl_row "calm" Fabric.calm ] )
-      in
-      cl_rows_cache := Some r;
-      r
-
-let cluster_target () =
-  print_endline
-    "== cluster: primary/backup replication under partition + failover (3 \
-     nodes, 2 shards) ==";
-  let solo, rows = cluster_rows () in
-  Printf.printf "%-6s %6s %6s %8s %5s %11s %10s %11s %12s %11s %12s\n" "fabric"
-    "acks" "refuse" "failover" "rsync" "blackout_ns" "fences/ack" "repl_recs"
-    "p99_before" "p99_part" "p99_after";
-  List.iter
-    (fun r ->
-      Printf.printf "%-6s %6d %6d %8d %5d %11d %10.1f %5d+%-5d %12d %11d %12d\n"
-        r.cl_label r.cl_acks r.cl_refused r.cl_failovers r.cl_resyncs
-        r.cl_blackout_ns r.cl_fences_per_ack r.cl_repl_records r.cl_repl_resent
-        r.cl_p99_before r.cl_p99_during r.cl_p99_after)
-    rows;
-  Printf.printf
-    "   (fabric-clock ns; unreplicated 2-shard baseline %.1f fences/op — the \
-     delta is the durable-on-backup-before-ack price)\n"
-    solo
 
 (* ------------------------------------------------------------------ *)
 (* Transactions: logged vs shadow commit-path cost, TPC-C aborts       *)
@@ -1700,8 +1528,6 @@ module Tx = Ff_tx.Tx
 
 type tx_row = {
   tx_path : string;
-  tx_txns : int;
-  tx_ops_per_txn : int;
   tx_fences_per_txn : float;
   tx_fences_per_op : float;
   tx_flushes_per_op : float;
@@ -1749,8 +1575,6 @@ let tx_row path =
   in
   {
     tx_path = (match path with Tx.Logged -> "logged" | Tx.Shadow -> "shadow");
-    tx_txns = txns;
-    tx_ops_per_txn = ops_per_txn;
     tx_fences_per_txn = float_of_int s.Stats.fences /. float_of_int txns;
     tx_fences_per_op = float_of_int s.Stats.fences /. float_of_int ops;
     tx_flushes_per_op = float_of_int s.Stats.flushes /. float_of_int ops;
@@ -1758,8 +1582,6 @@ let tx_row path =
       float_of_int (Stats.total_ns s) /. float_of_int txns /. 1000.;
     tx_site_fences = site_fences;
   }
-
-let tx_rows () = [ tx_row Tx.Logged; tx_row Tx.Shadow ]
 
 (* TPC-C under real transactions: W1 mix, both paths; the abort count
    must be nonzero (invalid-item New-Orders roll back by spec).  The
@@ -1796,7 +1618,7 @@ let tx_tpcc_stats path =
 let tx_target () =
   print_endline
     "== tx: commit-path cost (4-op update txns, fast+fair), latency 300/300 ==";
-  let rows = tx_rows () in
+  let rows = [ tx_row Tx.Logged; tx_row Tx.Shadow ] in
   let tbl =
     Table.create [ "path"; "fences/txn"; "fences/op"; "flushes/op"; "us/txn" ]
   in
@@ -1993,213 +1815,6 @@ let ycsb_mix_target spec =
   Table.print tbl
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results (--json FILE)                              *)
-(* ------------------------------------------------------------------ *)
-
-module J = Ff_trace.Json
-
-let json_report file =
-  let n = sc 50_000 in
-  let space = 8 * n in
-  let config = Config.pm ~read_ns:300 ~write_ns:300 () in
-  let measure m phase =
-    let a = arena ~config (n * 56) in
-    let t = m.build a in
-    let rng = Prng.create 61 in
-    let keys = W.distinct_uniform rng ~n ~space in
-    let ops =
-      match phase with
-      | `Insert ->
-          let half = n / 2 in
-          Array.iteri (fun i k -> if i < half then t.Intf.insert k (W.value_of k)) keys;
-          Arena.reset_stats a;
-          Array.iteri (fun i k -> if i >= half then t.Intf.insert k (W.value_of k)) keys;
-          n - half
-      | `Search ->
-          W.load_keys t keys;
-          Arena.reset_stats a;
-          Array.iter (fun k -> ignore (t.Intf.search k)) keys;
-          n
-      | `Range ->
-          W.load_keys t keys;
-          Arena.reset_stats a;
-          let queries = 50 in
-          let qrng = Prng.create 62 in
-          let width = space / 100 in
-          for _ = 1 to queries do
-            let lo = 1 + Prng.int qrng (space - width) in
-            t.Intf.range lo (lo + width) (fun _ _ -> ())
-          done;
-          queries
-    in
-    let s = Arena.total_stats a in
-    let fops = float_of_int ops in
-    J.Obj
-      [
-        ("index", J.Str m.label);
-        ("ops", J.Int ops);
-        ("ns_per_op", J.Float (float_of_int (Stats.total_ns s) /. fops));
-        ("flushes_per_op", J.Float (float_of_int s.Stats.flushes /. fops));
-        ("fences_per_op", J.Float (float_of_int s.Stats.fences /. fops));
-      ]
-  in
-  let workload name phase makers =
-    J.Obj
-      [
-        ("workload", J.Str name);
-        ("results", J.Arr (List.map (fun m -> measure m phase) makers));
-      ]
-  in
-  let scrub_row_json r =
-    J.Obj
-      [
-        ("index", J.Str r.sc_index);
-        ("keys", J.Int r.sc_keys);
-        ("scrub_ns", J.Int r.sc_scrub_ns);
-        ("ns_per_key", J.Float r.sc_ns_per_key);
-        ("leaked_words", J.Int r.sc_leaked);
-        ("reclaimed_words", J.Int r.sc_reclaimed);
-        ("repaired_lines", J.Int r.sc_repaired);
-        ("quarantined_lines", J.Int r.sc_quarantined);
-      ]
-  in
-  let tx_row_json r =
-    J.Obj
-      [
-        ("path", J.Str r.tx_path);
-        ("txns", J.Int r.tx_txns);
-        ("ops_per_txn", J.Int r.tx_ops_per_txn);
-        ("fences_per_txn", J.Float r.tx_fences_per_txn);
-        ("fences_per_op", J.Float r.tx_fences_per_op);
-        ("flushes_per_op", J.Float r.tx_flushes_per_op);
-        ("us_per_txn", J.Float r.tx_us_per_txn);
-        ( "site_fences",
-          J.Obj (List.map (fun (s, f) -> (s, J.Int f)) r.tx_site_fences) );
-      ]
-  in
-  let snap_row_json r =
-    J.Obj
-      [
-        ("phase", J.Str r.sn_phase);
-        ("ops", J.Int r.sn_ops);
-        ("kops", J.Float r.sn_kops);
-        ("fences_per_op", J.Float r.sn_fences_per_op);
-        ("flushes_per_op", J.Float r.sn_flushes_per_op);
-      ]
-  in
-  let tx_tpcc_json path =
-    let r = tx_tpcc_stats path in
-    J.Obj
-      [
-        ( "path",
-          J.Str (match path with Tx.Logged -> "logged" | Tx.Shadow -> "shadow") );
-        ("commits", J.Int r.tp_commits);
-        ("aborts", J.Int r.tp_aborts);
-        ("retries", J.Int r.tp_retries);
-        ("us_per_txn", J.Float r.tp_us_per_txn);
-        ("flushes_per_txn", J.Float r.tp_flushes_per_txn);
-      ]
-  in
-  let rb_row_json r =
-    J.Obj
-      [
-        ("kind", J.Str r.rb_kind);
-        ("prefill", J.Int r.rb_prefill);
-        ("moved_keys", J.Int r.rb_moved_keys);
-        ("moved_bytes", J.Int r.rb_moved_bytes);
-        ("copy_ns", J.Int r.rb_copy_ns);
-        ("cutover_ns", J.Int r.rb_cutover_ns);
-        ("copy_mb_per_s", J.Float r.rb_copy_mb_s);
-        ("p99_before_ns", J.Int r.rb_p99_before);
-        ("p99_during_ns", J.Int r.rb_p99_during);
-        ("p99_after_ns", J.Int r.rb_p99_after);
-      ]
-  in
-  let cl_row_json r =
-    J.Obj
-      [
-        ("fabric", J.Str r.cl_label);
-        ("ops", J.Int r.cl_ops);
-        ("acks", J.Int r.cl_acks);
-        ("refused", J.Int r.cl_refused);
-        ("failovers", J.Int r.cl_failovers);
-        ("resyncs", J.Int r.cl_resyncs);
-        ("blackout_ns", J.Int r.cl_blackout_ns);
-        ("repl_records", J.Int r.cl_repl_records);
-        ("repl_resent", J.Int r.cl_repl_resent);
-        ("fences_per_ack", J.Float r.cl_fences_per_ack);
-        ("p99_before_ns", J.Int r.cl_p99_before);
-        ("p99_partition_ns", J.Int r.cl_p99_during);
-        ("p99_after_ns", J.Int r.cl_p99_after);
-      ]
-  in
-  let sharded_row_json r =
-    J.Obj
-      [
-        ("shards", J.Int r.sh_shards);
-        ("group_flush", J.Bool r.sh_group);
-        ("ops", J.Int r.sh_ops);
-        ("kops", J.Float r.sh_kops);
-        ("fences_per_op", J.Float r.sh_fences_per_op);
-        ("flushes_per_op", J.Float r.sh_flushes_per_op);
-        ("imbalance_max", J.Int r.sh_imb_max);
-        ("imbalance_mean", J.Float r.sh_imb_mean);
-        ("latency_p50_ns", J.Int r.sh_p50);
-        ("latency_p99_ns", J.Int r.sh_p99);
-      ]
-  in
-  let doc =
-    J.Obj
-      ([
-         ("bench", J.Str "fastfair");
-         ("scale", J.Float !scale);
-         ("pm", J.Obj [ ("read_ns", J.Int 300); ("write_ns", J.Int 300) ]);
-         ( "sched",
-           J.Obj [ ("policy", J.Str !sched_policy); ("seed", J.Int !sched_seed) ] );
-         ( "workloads",
-           J.Arr
-             [
-               workload "insert" `Insert (insert_makers ());
-               workload "search" `Search (search_makers ());
-               workload "range" `Range [ fastfair (); skiplist () ];
-             ] );
-         ("scrub", J.Arr (List.map scrub_row_json (scrub_rows ())));
-         ( "tx",
-           J.Obj
-             [
-               ("paths", J.Arr (List.map tx_row_json (tx_rows ())));
-               ( "tpcc",
-                 J.Arr (List.map tx_tpcc_json [ Tx.Logged; Tx.Shadow ]) );
-             ] );
-         ("snapshot", J.Arr (List.map snap_row_json (snap_rows ())));
-         ("rebalance", J.Arr (List.map rb_row_json (rebalance_rows ())));
-         ( "cluster",
-           let solo, rows = cluster_rows () in
-           J.Obj
-             [
-               ("solo_fences_per_op", J.Float solo);
-               ("rows", J.Arr (List.map cl_row_json rows));
-             ] );
-       ]
-      @ (if !shard_counts = [] then []
-         else [ ("sharded", J.Arr (List.map sharded_row_json (sharded_rows ()))) ])
-      @
-      (* --slo: run the soak scenario and embed its snapshot — the
-         headline + per-site fence table the CI perf gate diffs. *)
-      if not !slo_flag then []
-      else begin
-        let _t, _tr, _ts, snap, report = soak_scenario () in
-        if not (Slo.ok report) then slo_failed := true;
-        [ ("obs", Snapshot.to_json snap) ]
-      end)
-  in
-  let oc = open_out file in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[json results -> %s]\n%!" file
-
-(* ------------------------------------------------------------------ *)
 (* Perfetto trace of a multithreaded mixed run (--trace FILE)          *)
 (* ------------------------------------------------------------------ *)
 
@@ -2282,14 +1897,12 @@ let targets =
     ("scrub", scrub_target);
     ("soak", soak_target);
     ("rebalance", rebalance_target);
-    ("cluster", cluster_target);
     ("tx", tx_target);
     ("snapshot", snapshot_target);
   ]
 
 let () =
   let selected = ref [] in
-  let json_file = ref "" in
   let trace_file = ref "" in
   let mix_spec = ref "" in
   let spec =
@@ -2297,9 +1910,6 @@ let () =
       ( "--scale",
         Arg.Float (fun s -> scale := s),
         "S  scale workload sizes by S (default 1.0)" );
-      ( "--json",
-        Arg.Set_string json_file,
-        "FILE  write machine-readable results (ns/op, flushes/op, fences/op per workload)" );
       ( "--trace",
         Arg.Set_string trace_file,
         "FILE  record a multithreaded mixed run as a Perfetto/chrome://tracing JSON file" );
@@ -2338,7 +1948,7 @@ let () =
       );
       ( "--sched-seed",
         Arg.Set_int sched_seed,
-        "S  seed for --sched-policy random/pct (default 0); recorded in --json" );
+        "S  seed for --sched-policy random/pct (default 0)" );
       ( "--zipf",
         Arg.Float
           (fun t ->
@@ -2349,8 +1959,7 @@ let () =
          smaller is flatter)" );
       ( "--slo",
         Arg.Set slo_flag,
-        "  evaluate SLO rules on the soak scenario (exit 1 on violation); with \
-         --json, embeds the obs snapshot" );
+        "  evaluate SLO rules on the soak scenario (exit 1 on violation)" );
       ( "--slo-p99-ns",
         Arg.Set_int slo_p99_ns,
         "N  p99 end-to-end latency bound in simulated ns for the SLO rules \
@@ -2371,20 +1980,20 @@ let () =
     ]
   in
   let usage =
-    "main.exe [targets] [--scale S] [--json FILE] [--trace FILE] [--shards N,M,...]\n\
+    "main.exe [targets] [--scale S] [--trace FILE] [--mix M] [--shards N,M,...]\n\
      targets: "
     ^ String.concat " " (List.map fst targets)
-    ^ " (default: all; --json/--trace/--shards alone run only their own workloads)"
+    ^ " (default: all; --trace/--mix alone run only their own workload, \
+       --shards alone runs sharded)"
   in
   Arg.parse spec (fun t -> selected := t :: !selected) usage;
   let selected =
     if !selected = [] then
-      if !json_file <> "" || !trace_file <> "" || !mix_spec <> "" then []
+      if !trace_file <> "" || !mix_spec <> "" then []
       else if !shard_counts <> [] then [ "sharded" ]
       else List.map fst targets
     else List.rev !selected
   in
-  if !json_file <> "" then json_report !json_file;
   if !trace_file <> "" then trace_target !trace_file;
   if !mix_spec <> "" then ycsb_mix_target !mix_spec;
   let t0 = Unix.gettimeofday () in

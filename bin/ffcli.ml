@@ -13,7 +13,7 @@
      dump        print the structure of a small FAST+FAIR tree
      persist     save a persisted PM image to a file and reload it
      trace       record a multithreaded run as a Perfetto JSON trace
-     top         SLO/profiler dashboard from a live run or a snapshot
+     top         SLO/profiler dashboard from a live mini-run
      check       model-check schedules and crash states (--tx switches
                  to whole-transaction durable serializability,
                  --snapshot to snapshot serializability, --rebalance
@@ -750,7 +750,7 @@ let trace keys ops threads seed out =
   0
 
 (* ------------------------------------------------------------------ *)
-(* top: text dashboard from a saved snapshot or a live mini-run        *)
+(* top: text dashboard from a live mini-run                            *)
 (* ------------------------------------------------------------------ *)
 
 module FTrace = Ff_trace.Trace
@@ -758,81 +758,7 @@ module Obs_snapshot = Ff_obs.Snapshot
 module Obs_slo = Ff_obs.Slo
 module Obs_profile = Ff_obs.Profile
 
-(* Exit code mirrors the SLO verdict so `ffcli top` doubles as a gate:
-   0 when every evaluated rule held, 1 on any violation. *)
-let render_top ?(health = [||]) (snap : Obs_snapshot.t) =
-  Printf.printf "== ffcli top: %s (scale %g, seed %d) ==\n"
-    snap.Obs_snapshot.label snap.Obs_snapshot.scale snap.Obs_snapshot.seed;
-  Printf.printf "throughput  %10.1f kops      (%d ops in %.3f simulated ms)\n"
-    snap.Obs_snapshot.kops snap.Obs_snapshot.ops
-    (float_of_int snap.Obs_snapshot.elapsed_ns /. 1e6);
-  Printf.printf "fence cost  %10.3f fences/op %.3f flushes/op\n"
-    snap.Obs_snapshot.fences_per_op snap.Obs_snapshot.flushes_per_op;
-  Printf.printf "latency     p50=%dns p99=%dns p999=%dns\n"
-    snap.Obs_snapshot.p50_ns snap.Obs_snapshot.p99_ns snap.Obs_snapshot.p999_ns;
-  let violated =
-    match snap.Obs_snapshot.slo with
-    | None ->
-        print_endline "SLO         (not evaluated)";
-        false
-    | Some r ->
-        if Obs_slo.ok r then begin
-          Printf.printf "SLO         ok (%d rules)\n" r.Obs_slo.evaluated;
-          false
-        end
-        else begin
-          Printf.printf "SLO         %d of %d rules VIOLATED\n"
-            (List.length r.Obs_slo.violations)
-            r.Obs_slo.evaluated;
-          List.iter
-            (fun (v : Obs_slo.violation) ->
-              Printf.printf "  breach %s: %s\n" v.Obs_slo.rule v.Obs_slo.detail)
-            r.Obs_slo.violations;
-          true
-        end
-  in
-  if Array.length health > 0 then
-    Printf.printf "shards      %s\n"
-      (String.concat " "
-         (Array.to_list
-            (Array.mapi
-               (fun i h -> Printf.sprintf "%d:%s" i (if h then "ok" else "DEGRADED"))
-               health)));
-  Format.printf "%a@." Obs_profile.pp snap.Obs_snapshot.profile;
-  if violated then 1 else 0
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* A saved file is either a bare snapshot (Snapshot.save, `bench soak`)
-   or a full bench report whose "obs" member holds one (BENCH_n.json
-   from `bench --json --slo`). *)
-let top_from path =
-  match J.of_string (read_file path) with
-  | exception J.Parse_error msg ->
-      Printf.printf "top: %s is not valid JSON (%s)\n" path msg;
-      2
-  | doc ->
-      let snap_json = match J.member "obs" doc with Some o -> o | None -> doc in
-      let looks_like_snapshot =
-        List.for_all
-          (fun k -> J.member k snap_json <> None)
-          [ "label"; "kops"; "profile" ]
-      in
-      (match if looks_like_snapshot then Some (Obs_snapshot.of_json snap_json) else None with
-      | exception _ ->
-          Printf.printf "top: %s carries no benchmark snapshot\n" path;
-          2
-      | None ->
-          Printf.printf "top: %s carries no benchmark snapshot\n" path;
-          2
-      | Some snap -> render_top snap)
-
-let top_live index_name ops shards seed p99_bound =
+let top index_name ops shards seed p99_bound =
   let clock_ref = ref (fun () -> 0) in
   let tr = FTrace.create ~capacity:(1 lsl 15) ~clock:(fun () -> !clock_ref ()) () in
   match
@@ -909,12 +835,16 @@ let top_live index_name ops shards seed p99_bound =
           ~profile:(Obs_profile.of_trace ~ops:(Array.length trace_ops) tr)
           ()
       in
-      render_top ~health:(Shard.healthy t) snap
-
-let top from index_name ops shards seed p99_bound =
-  match from with
-  | Some path -> top_from path
-  | None -> top_live index_name ops shards seed p99_bound
+      Format.printf "%a" Obs_snapshot.pp snap;
+      Format.printf "shard health: %s@."
+        (String.concat " "
+           (Array.to_list
+              (Array.mapi
+                 (fun i h -> Printf.sprintf "%d:%s" i (if h then "ok" else "DEGRADED"))
+                 (Shard.healthy t))));
+      (* The exit code mirrors the SLO verdict so `ffcli top` doubles as
+         a gate: 0 when every evaluated rule held, 1 on any violation. *)
+      if Obs_slo.ok report then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* tx: failure-atomic multi-key transfers with a mid-commit crash      *)
@@ -1853,28 +1783,23 @@ let trace_cmd =
     Term.(const trace $ keys $ ops $ threads $ seed_arg $ out)
 
 let top_cmd =
-  let from =
-    Arg.(value & opt (some string) None & info [ "from"; "f" ] ~docv:"FILE"
-         ~doc:"Render a saved snapshot (BENCH_n.json from $(b,bench --json \
-               --slo), or a bare snapshot file) instead of running live.")
-  in
   let ops =
     Arg.(value & opt int 4_000 & info [ "ops"; "n" ] ~docv:"N"
-         ~doc:"Live mode: operations in the zipfian mixed load.")
+         ~doc:"Operations in the zipfian mixed load.")
   in
   let shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
-         ~doc:"Live mode: shard count of the serving layer.")
+         ~doc:"Shard count of the serving layer.")
   in
   let p99 =
     Arg.(value & opt int 20_000_000 & info [ "p99-ns" ] ~docv:"NS"
-         ~doc:"Live mode: p99 latency bound for the insert/search SLO rules.")
+         ~doc:"P99 latency bound for the insert/search SLO rules.")
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:"Text dashboard: throughput, latency tail, fence attribution and \
-             SLO verdict, from a live mini-run or a saved snapshot")
-    Term.(const top $ from $ index_arg $ ops $ shards $ seed_arg $ p99)
+             SLO verdict, from a live mini-run")
+    Term.(const top $ index_arg $ ops $ shards $ seed_arg $ p99)
 
 let check_cmd =
   let writers =

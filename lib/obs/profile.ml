@@ -1,5 +1,4 @@
 module Trace = Ff_trace.Trace
-module Json = Ff_trace.Json
 
 (* The fence-attribution table: per code site (insert, split, scrub,
    batch, ...), how many ordered stores / flushes / fences ran under
@@ -52,65 +51,6 @@ let fences_per_op t =
 
 let flushes_per_op t =
   if t.ops <= 0 then 0. else float_of_int t.total_flushes /. float_of_int t.ops
-
-let row_json r =
-  Json.Obj
-    [
-      ("site", Json.Str r.site);
-      ("spans", Json.Int r.spans);
-      ("stores", Json.Int r.stores);
-      ("flushes", Json.Int r.flushes);
-      ("fences", Json.Int r.fences);
-      ("fences_per_op", Json.Float r.fences_per_op);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("ops", Json.Int t.ops);
-      ("stores", Json.Int t.total_stores);
-      ("flushes", Json.Int t.total_flushes);
-      ("fences", Json.Int t.total_fences);
-      ("sites", Json.Arr (List.map row_json t.rows));
-    ]
-
-let row_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  let fl k =
-    Option.value ~default:0. (Option.bind (Json.member k j) Json.to_float)
-  in
-  match str "site" with
-  | None -> None
-  | Some site ->
-      Some
-        {
-          site;
-          spans = num "spans";
-          stores = num "stores";
-          flushes = num "flushes";
-          fences = num "fences";
-          fences_per_op = fl "fences_per_op";
-        }
-
-let of_json j =
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  let rows =
-    match Option.bind (Json.member "sites" j) Json.to_list with
-    | None -> []
-    | Some l -> List.filter_map row_of_json l
-  in
-  {
-    ops = num "ops";
-    total_stores = num "stores";
-    total_flushes = num "flushes";
-    total_fences = num "fences";
-    rows;
-  }
 
 let pp ppf t =
   Format.fprintf ppf "%-14s %8s %9s %9s %8s %10s@." "site" "spans" "stores"

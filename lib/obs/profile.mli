@@ -30,7 +30,5 @@ val of_trace : ops:int -> Ff_trace.Trace.t -> t
 val fences_per_op : t -> float
 val flushes_per_op : t -> float
 
-val to_json : t -> Ff_trace.Json.t
-val of_json : Ff_trace.Json.t -> t
 val pp : Format.formatter -> t -> unit
 (** Fixed-width text table with a totals line. *)

@@ -144,39 +144,6 @@ let report_to_json r =
       ("violations", Json.Arr (List.map violation_json r.violations));
     ]
 
-let violation_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let fl k =
-    Option.value ~default:0. (Option.bind (Json.member k j) Json.to_float)
-  in
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  match str "rule" with
-  | None -> None
-  | Some rule ->
-      Some
-        {
-          rule;
-          detail = Option.value ~default:"" (str "detail");
-          observed = fl "observed";
-          bound = fl "bound";
-          at_ns = num "at_ns";
-        }
-
-let report_of_json j =
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  {
-    evaluated = num "evaluated";
-    at_ns = num "at_ns";
-    violations =
-      (match Option.bind (Json.member "violations" j) Json.to_list with
-      | None -> []
-      | Some l -> List.filter_map violation_of_json l);
-  }
-
 let pp_report ppf r =
   if ok r then
     Format.fprintf ppf "SLO: ok (%d rules, checked at %dns)@." r.evaluated

@@ -55,7 +55,6 @@ val evaluate : tracer:Ff_trace.Trace.t -> now:int -> rule list -> report
     metric has no samples yet pass vacuously. *)
 
 val report_to_json : report -> Ff_trace.Json.t
-val report_of_json : Ff_trace.Json.t -> report
 val pp_report : Format.formatter -> report -> unit
 
 (** Windowed continuous evaluation on the simulated clock.  Each

@@ -1,12 +1,8 @@
 module Histogram = Ff_util.Histogram
-module Json = Ff_trace.Json
 
-(* The checked-in perf trajectory: one BENCH_<n>.json per PR holds this
-   headline (throughput, fence economy, latency tail) plus the
-   attribution table, so a regression in any later PR is a diff
-   against a file, not an anecdote.  Everything is simulated-time
-   derived — no wall-clock fields — so snapshots are reproducible from
-   a seed and comparable across machines. *)
+(* The headline of one run (throughput, fence economy, latency tail)
+   next to its attribution table and SLO verdict.  Everything derives
+   from simulated time, so a snapshot is reproducible from its seed. *)
 
 type t = {
   label : string;
@@ -44,97 +40,6 @@ let make ~label ~scale ~seed ~ops ~elapsed_ns ~latency ?slo ~profile () =
     profile;
     slo;
   }
-
-let to_json s =
-  Json.Obj
-    ([
-       ("label", Json.Str s.label);
-       ("scale", Json.Float s.scale);
-       ("seed", Json.Int s.seed);
-       ("ops", Json.Int s.ops);
-       ("elapsed_ns", Json.Int s.elapsed_ns);
-       ("kops", Json.Float s.kops);
-       ("fences_per_op", Json.Float s.fences_per_op);
-       ("flushes_per_op", Json.Float s.flushes_per_op);
-       ("p50_ns", Json.Int s.p50_ns);
-       ("p99_ns", Json.Int s.p99_ns);
-       ("p999_ns", Json.Int s.p999_ns);
-       ("profile", Profile.to_json s.profile);
-     ]
-    @ match s.slo with
-      | None -> []
-      | Some r -> [ ("slo", Slo.report_to_json r) ])
-
-let of_json j =
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int)
-  in
-  let fl k =
-    Option.value ~default:0. (Option.bind (Json.member k j) Json.to_float)
-  in
-  let str k =
-    Option.value ~default:"" (Option.bind (Json.member k j) Json.to_str)
-  in
-  {
-    label = str "label";
-    scale = fl "scale";
-    seed = num "seed";
-    ops = num "ops";
-    elapsed_ns = num "elapsed_ns";
-    kops = fl "kops";
-    fences_per_op = fl "fences_per_op";
-    flushes_per_op = fl "flushes_per_op";
-    p50_ns = num "p50_ns";
-    p99_ns = num "p99_ns";
-    p999_ns = num "p999_ns";
-    profile =
-      (match Json.member "profile" j with
-      | Some p -> Profile.of_json p
-      | None ->
-          {
-            Profile.ops = 0;
-            total_stores = 0;
-            total_flushes = 0;
-            total_fences = 0;
-            rows = [];
-          });
-    slo = Option.map Slo.report_of_json (Json.member "slo" j);
-  }
-
-let save s file =
-  let oc = open_out file in
-  output_string oc (Json.to_string (to_json s));
-  output_char oc '\n';
-  close_out oc
-
-let load file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let b = really_input_string ic n in
-  close_in ic;
-  of_json (Json.of_string b)
-
-(* Gate: simulated time makes runs at matching scale exactly
-   reproducible, so the tolerance only absorbs intended algorithmic
-   drift between PRs, not measurement noise. *)
-let compare_headline ~prev ~fresh ~tolerance =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  if prev.scale <> fresh.scale then
-    fail "scale mismatch: prev %g vs fresh %g (gate compares equals only)"
-      prev.scale fresh.scale
-  else begin
-    if prev.kops > 0. && fresh.kops < prev.kops *. (1. -. tolerance) then
-      fail "throughput regression: %.1f kops -> %.1f kops (> %.0f%% drop)"
-        prev.kops fresh.kops (tolerance *. 100.);
-    if
-      prev.fences_per_op > 0.
-      && fresh.fences_per_op > prev.fences_per_op *. (1. +. tolerance)
-    then
-      fail "fence regression: %.3f fences/op -> %.3f fences/op (> %.0f%% rise)"
-        prev.fences_per_op fresh.fences_per_op (tolerance *. 100.)
-  end;
-  List.rev !fails
 
 let pp ppf s =
   Format.fprintf ppf

@@ -1,11 +1,10 @@
-(** Benchmark snapshot: the headline numbers one [BENCH_<n>.json]
-    carries (throughput, fence economy, latency tail), the per-site
-    fence attribution table, and the SLO report if one was evaluated.
+(** Run snapshot: the headline numbers of one run (throughput, fence
+    economy, latency tail), the per-site fence attribution table, and
+    the SLO report if one was evaluated.  [bench soak] and
+    [ffcli top] print it.
 
     Everything derives from simulated time, so a snapshot is exactly
-    reproducible from its scale and seed — the CI perf gate compares
-    snapshots at equal scale and flags drift beyond a tolerance as a
-    code regression, not noise. *)
+    reproducible from its scale and seed. *)
 
 type t = {
   label : string;
@@ -34,16 +33,5 @@ val make :
   profile:Profile.t ->
   unit ->
   t
-
-val to_json : t -> Ff_trace.Json.t
-val of_json : Ff_trace.Json.t -> t
-val save : t -> string -> unit
-val load : string -> t
-(** @raise Ff_trace.Json.Parse_error on malformed files. *)
-
-val compare_headline : prev:t -> fresh:t -> tolerance:float -> string list
-(** Gate check: empty means pass.  Fails on a kops drop or a
-    fences/op rise beyond [tolerance] (fractional, e.g. 0.1), or on a
-    scale mismatch (snapshots at different scales are incomparable). *)
 
 val pp : Format.formatter -> t -> unit
