@@ -213,18 +213,16 @@ let payment_body t tx =
   t.history_seq <- h + 1;
   write_row t tx (history_key h) amount
 
-let last_orders t w d n =
-  let idx = wd_index t w d in
-  let hi_o = t.next_oid.(idx) - 1 in
-  let lo_o = max 1 (hi_o - n + 1) in
-  if hi_o < 1 then []
+(* The district's newest order id and its row cell, read by a range
+   scan. *)
+let last_order t w d =
+  let o = t.next_oid.(wd_index t w d) - 1 in
+  if o < 1 then None
   else begin
-    let acc = ref [] in
-    t.index.Intf.range (order_key w d lo_o) (order_key w d hi_o + 0xff)
-      (fun k cell ->
-        let o = (k lsr 8) land 0xffffffff in
-        acc := (o, cell) :: !acc);
-    List.rev !acc
+    let found = ref None in
+    t.index.Intf.range (order_key w d o) (order_key w d o + 0xff) (fun _ cell ->
+        found := Some (o, cell));
+    !found
   end
 
 let read_order_lines t w d o =
@@ -235,11 +233,11 @@ let order_status_body t tx =
   let w = rand_w t and d = rand_d t in
   let c = rand_c t in
   ignore (read_row t tx (customer_key w d c));
-  match List.rev (last_orders t w d 1) with
-  | (o, cell) :: _ ->
+  match last_order t w d with
+  | Some (o, cell) ->
       absorb t (Arena.read t.arena cell);
       read_order_lines t w d o
-  | [] -> ()
+  | None -> ()
 
 let delivery_body t tx =
   let w = rand_w t in
@@ -263,21 +261,43 @@ let delivery_body t tx =
     end
   done
 
-let stock_level_body t tx =
+(* Two range scans merge-joined on the item id: both walk sorted
+   leaves instead of re-descending from the root per order or per
+   line, and an item that recurs in the order lines has its stock cell
+   read once. *)
+let low_stock t ~w ~d ~threshold =
+  let hi_o = t.next_oid.(wd_index t w d) - 1 in
+  if hi_o < 1 then 0
+  else begin
+    let lo_o = max 1 (hi_o - 19) in
+    let items = ref [] in
+    t.index.Intf.range (orderline_key w d lo_o 0) (orderline_key w d hi_o 255)
+      (fun _ cell ->
+        let line = Arena.read t.arena cell in
+        items := ((line lsr 8) land 0xffffff) :: !items);
+    let ids = Array.of_list !items in
+    let n = Array.length ids in
+    if n = 0 then 0
+    else begin
+      Array.sort compare ids;
+      let p = ref 0 and low = ref 0 in
+      t.index.Intf.range (stock_key w ids.(0)) (stock_key w ids.(n - 1))
+        (fun k cell ->
+          let i = (k lsr 8) land 0xffffffff in
+          while !p < n && ids.(!p) < i do incr p done;
+          if !p < n && ids.(!p) = i then
+            if Arena.read t.arena cell < threshold then incr low);
+      !low
+    end
+  end
+
+(* Stock-Level writes nothing, so a deferred (Shadow) transaction's
+   overlay is empty and scanning the index directly sees exactly what
+   [Tx.get] would: the query needs no transactional range scan. *)
+let stock_level_body t _tx =
   let w = rand_w t and d = rand_d t in
   let threshold = 10 + Prng.int t.rng 11 in
-  let low = ref 0 in
-  List.iter
-    (fun (o, _) ->
-      t.index.Intf.range (orderline_key w d o 0) (orderline_key w d o 255)
-        (fun _ cell ->
-          let line = Arena.read t.arena cell in
-          let i = (line lsr 8) land 0xffffff in
-          match read_row t tx (stock_key w i) with
-          | Some s -> if s < threshold then incr low
-          | None -> ()))
-    (last_orders t w d 20);
-  absorb t !low
+  absorb t (low_stock t ~w ~d ~threshold)
 
 (* ------------------------------------------------------------------ *)
 (* ACID execution: commit, abort, retry                                *)

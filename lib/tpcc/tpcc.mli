@@ -20,9 +20,10 @@
 
     Scales are reduced from full TPC-C (configurable); the transaction
     logic preserves each type's index-operation profile: New-Order is
-    insert-heavy, Payment is update-heavy, Order-Status and
-    Stock-Level are search/range-heavy, Delivery mixes deletes with
-    updates. *)
+    insert-heavy, Payment is update-heavy, Order-Status is
+    search/range-heavy, Delivery mixes deletes with updates, and
+    Stock-Level is two range scans merge-joined on the item id (see
+    {!low_stock}). *)
 
 type config = {
   warehouses : int;
@@ -67,6 +68,15 @@ val payment : t -> unit
 val order_status : t -> unit
 val delivery : t -> unit
 val stock_level : t -> unit
+
+val low_stock : t -> w:int -> d:int -> threshold:int -> int
+(** The Stock-Level query (TPC-C 2.8.2.2): the number of distinct
+    items in the order lines of district [(w, d)]'s last 20 orders
+    whose stock in warehouse [w] is below [threshold].  Read-only and
+    outside any transaction: one range scan over those order lines,
+    then one over the stock rows spanning the smallest to the largest
+    item id, merge-joined so each matching stock row is read once.
+    {!stock_level} runs it on a random district and threshold. *)
 
 type mix = {
   new_order_pct : int;

@@ -102,9 +102,19 @@ let test_tpcc_mix_runs () =
   Tpcc.run t Tpcc.w1 ~txns:300;
   Alcotest.(check bool) "orders created" true (Tpcc.orders_created t > 50)
 
+(* The five structures Figure 6 runs TPC-C on. *)
+let tpcc_indexes =
+  [
+    ("fastfair", fun a -> Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:256 a));
+    ("wbtree", fun a -> Ff_wbtree.Wbtree.ops (Ff_wbtree.Wbtree.create ~node_bytes:1024 a));
+    ("fptree", fun a -> Ff_fptree.Fptree.ops (Ff_fptree.Fptree.create ~leaf_bytes:256 a));
+    ("skiplist", fun a -> Ff_skiplist.Skiplist.ops (Ff_skiplist.Skiplist.create a));
+    ("wort", fun a -> Ff_wort.Wort.ops (Ff_wort.Wort.create a));
+  ]
+
 let test_tpcc_deterministic_across_indexes () =
-  (* Same seed + mix on two different index structures must read the
-     same logical data. *)
+  (* Same seed + mix on different index structures must read the same
+     logical data. *)
   let run_with mk =
     let a = Arena.create ~words:(1 lsl 22) () in
     let idx = mk a in
@@ -112,11 +122,83 @@ let test_tpcc_deterministic_across_indexes () =
     Tpcc.run t Tpcc.w2 ~txns:400;
     (Tpcc.orders_created t, Tpcc.checksum t)
   in
-  let r1 = run_with (fun a -> Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:256 a)) in
-  let r2 = run_with (fun a -> Ff_wbtree.Wbtree.ops (Ff_wbtree.Wbtree.create ~node_bytes:1024 a)) in
-  let r3 = run_with (fun a -> Ff_skiplist.Skiplist.ops (Ff_skiplist.Skiplist.create a)) in
-  Alcotest.(check (pair int int)) "fastfair = wbtree" r1 r2;
-  Alcotest.(check (pair int int)) "fastfair = skiplist" r1 r3
+  match List.map (fun (name, mk) -> (name, run_with mk)) tpcc_indexes with
+  | (base, r0) :: rest ->
+      List.iter
+        (fun (name, r) -> Alcotest.(check (pair int int)) (base ^ " = " ^ name) r0 r)
+        rest
+  | [] -> ()
+
+(* Stock-Level's plan: one order-line scan and one stock scan, no
+   per-line point lookups. *)
+let test_stock_level_plan () =
+  let searches = ref 0 and ranges = ref 0 in
+  let a = Arena.create ~words:(1 lsl 21) () in
+  let idx = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:256 a) in
+  let counted =
+    {
+      idx with
+      Intf.search =
+        (fun k ->
+          incr searches;
+          idx.Intf.search k);
+      range =
+        (fun lo hi f ->
+          incr ranges;
+          idx.Intf.range lo hi f);
+    }
+  in
+  let t = Tpcc.load ~arena:a counted small_cfg in
+  Tpcc.run t Tpcc.w1 ~txns:300;
+  searches := 0;
+  ranges := 0;
+  Tpcc.stock_level t;
+  Alcotest.(check int) "range calls" 2 !ranges;
+  Alcotest.(check int) "search calls" 0 !searches
+
+(* Nested-loop Stock-Level reference: the district's last 20 orders
+   from an order-key scan, one order-line scan per order, and one
+   point search of the stock row per line, counting distinct items.
+   Keys follow the driver's layout: table tag in bits 56..59,
+   warehouse 48..55, district 40..47, then [x lsl 8 lor y]. *)
+let row_key tag w d x y = (tag lsl 56) lor (w lsl 48) lor (d lsl 40) lor (x lsl 8) lor y
+
+let ref_low_stock a (idx : Intf.ops) ~w ~d ~threshold =
+  let last = ref 0 in
+  idx.Intf.range (row_key 4 w d 0 0) (row_key 4 w d 0xffffffff 0xff) (fun k _ ->
+      last := max !last ((k lsr 8) land 0xffffffff));
+  let low = Hashtbl.create 64 in
+  for o = max 1 (!last - 19) to !last do
+    idx.Intf.range (row_key 5 w d o 0) (row_key 5 w d o 0xff) (fun _ cell ->
+        let i = (Arena.read a cell lsr 8) land 0xffffff in
+        match idx.Intf.search (row_key 6 w 0 i 0) with
+        | Some s when Arena.read a s < threshold -> Hashtbl.replace low i ()
+        | _ -> ())
+  done;
+  Hashtbl.length low
+
+let test_low_stock_reference () =
+  List.iter
+    (fun (name, mk) ->
+      let a = Arena.create ~words:(1 lsl 22) () in
+      let idx = mk a in
+      let t = Tpcc.load ~arena:a idx small_cfg in
+      Tpcc.run t Tpcc.w1 ~txns:300;
+      let total = ref 0 in
+      for w = 1 to small_cfg.Tpcc.warehouses do
+        for d = 1 to small_cfg.Tpcc.districts do
+          for threshold = 10 to 20 do
+            let got = Tpcc.low_stock t ~w ~d ~threshold in
+            Alcotest.(check int)
+              (Printf.sprintf "%s w%d d%d threshold %d" name w d threshold)
+              (ref_low_stock a idx ~w ~d ~threshold)
+              got;
+            total := !total + got
+          done
+        done
+      done;
+      Alcotest.(check bool) (name ^ ": some stock is low") true (!total > 0))
+    tpcc_indexes
 
 let test_tpcc_mixes_sum () =
   List.iter
@@ -139,6 +221,8 @@ let suite =
     Alcotest.test_case "tpcc all txns" `Quick test_tpcc_all_transactions;
     Alcotest.test_case "tpcc mix" `Quick test_tpcc_mix_runs;
     Alcotest.test_case "tpcc cross-index determinism" `Quick test_tpcc_deterministic_across_indexes;
+    Alcotest.test_case "tpcc stock-level plan" `Quick test_stock_level_plan;
+    Alcotest.test_case "tpcc low_stock vs nested loop" `Quick test_low_stock_reference;
     Alcotest.test_case "tpcc mixes sum" `Quick test_tpcc_mixes_sum;
   ]
 
