@@ -132,7 +132,6 @@ type t = {
   routes : route array;
   last_heard : int array;
   mutable next_hb : int;
-  mutable next_token : int;
   mutable acks : int;
   mutable read_only_rejections : int;
   mutable unavailable : int;
@@ -151,10 +150,6 @@ let now_ns t = Fabric.now t.fab
 let control_id t = t.cfg.nodes
 let client_id t = t.cfg.nodes + 1
 
-let fresh_token t =
-  t.next_token <- t.next_token + 1;
-  t.next_token
-
 let metric t name = Metrics.incr (Trace.metrics t.tracer) name
 let metric_add t name v = Metrics.add (Trace.metrics t.tracer) name v
 
@@ -171,10 +166,22 @@ let set_role t nd s role term =
     ((term lsl 2) lor role_code role);
   ignore t
 
-let apply_op nd op =
-  match op with
-  | Put (k, v) -> Shard.insert nd.ens ~key:k ~value:v
-  | Del k -> ignore (Shard.delete nd.ens k : bool)
+(* Apply [op] to shard [s] under one group-flush scope on its arena:
+   the op's flushes become clwbs and the closing fence makes it
+   durable.  Exceptions follow [Shard.exec_batch]: [Arena.Crashed]
+   escapes with the scope open ([power_fail] clears it), while a
+   [Shard.Degraded] op still fences what it wrote before re-raising. *)
+let apply_op nd s op =
+  let a = Shard.instance_arena nd.ens s in
+  Arena.group_begin a;
+  (try
+     match op with
+     | Put (k, v) -> Shard.insert nd.ens ~key:k ~value:v
+     | Del k -> ignore (Shard.delete nd.ens k : bool)
+   with Shard.Degraded _ as e ->
+     Arena.group_end a;
+     raise e);
+  Arena.group_end a
 
 let log_add t rep seq op =
   Hashtbl.replace rep.rlog seq op;
@@ -191,8 +198,7 @@ let log_add t rep seq op =
 let rpc t ~src ep msg =
   let c = t.cfg in
   Rpc.call ~timeout_ns:c.rpc_timeout_ns ~retries:c.rpc_retries
-    ~backoff_ns:c.rpc_backoff_ns ~fabric:t.fab ~rng:t.rng ~src
-    ~token:(fresh_token t) ep msg
+    ~backoff_ns:c.rpc_backoff_ns ~fabric:t.fab ~rng:t.rng ~src ep msg
 
 (* Control-plane liveness probe: a few raw transmits, uncharged (the
    orchestrator rides a management channel); deterministic given the
@@ -278,9 +284,10 @@ let handle t nd msg =
       let rep = nd.reps.(ms) in
       if rep.role <> Primary || mterm <> rep.rterm then R_not_primary rep.rterm
       else begin
-        (* Local apply first (durable per op); the client ack is
-           withheld until the backup is durable too. *)
-        apply_op nd mop;
+        (* Local apply first, durable at its group fence before the
+           record ships; the client ack is withheld until the backup
+           is durable too. *)
+        apply_op nd ms mop;
         rep.issued <- rep.issued + 1;
         log_add t rep rep.issued mop;
         if !mutant_ack_before_replicate then begin
@@ -308,10 +315,14 @@ let handle t nd msg =
           set_role t nd ms Backup mterm;
         if mseq <= rep.applied then R_ack rep.applied
         else if mseq = rep.applied + 1 then begin
-          apply_op nd mop;
+          apply_op nd ms mop;
           rep.applied <- mseq;
-          (* Durable high-water after the durable op: a crash between
-             the two replays this record, and applies are idempotent. *)
+          (* Durable high-water after the op's group fence, never
+             inside the scope: a clwb there would not order this word
+             after the op's lines, so a crash could persist [applied]
+             without the op and the retry would be acked unapplied.  A
+             crash between the two replays this record, and applies
+             are idempotent. *)
           Arena.root_set (Shard.instance_arena nd.ens ms) slot_applied mseq;
           R_ack mseq
         end
@@ -392,7 +403,6 @@ let create ?(tracer = Trace.null) (cfg : config) =
       routes;
       last_heard = Array.make cfg.nodes 0;
       next_hb = 0;
-      next_token = 0;
       acks = 0;
       read_only_rejections = 0;
       unavailable = 0;
@@ -746,6 +756,8 @@ let read_only t ~shard = t.routes.(shard).ro
 let term_of t ~shard = t.routes.(shard).term
 let primary_of t ~shard = t.routes.(shard).primary
 let backup_of t ~shard = t.routes.(shard).backup
+
+let shard_arena t ~node ~shard = Shard.instance_arena t.nodes.(node).ens shard
 
 let repl_lag t ~shard =
   let r = t.routes.(shard) in

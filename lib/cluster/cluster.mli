@@ -7,8 +7,9 @@
     Each logical shard has a {e primary} and a {e backup} replica;
     the client write path is
 
-    {v client --RPC--> primary: apply locally (durable)
-                       primary --RPC--> backup: apply + persist seq
+    {v client --RPC--> primary: apply, group fence (durable)
+                       primary --RPC--> backup: apply, group fence,
+                                                then persist seq
                        backup durable ack --> primary --> client ack v}
 
     so an acknowledged write is durable on {e both} replicas — the
@@ -163,6 +164,10 @@ val backup_of : t -> shard:int -> int
 
 val repl_lag : t -> shard:int -> int
 (** Primary's issued seqno minus the backup's acked seqno. *)
+
+val shard_arena : t -> node:int -> shard:int -> Ff_pmem.Arena.t
+(** The arena currently holding [node]'s replica of [shard] (a resync
+    replaces it). *)
 
 val stats : t -> stats
 val fences : t -> int

@@ -47,7 +47,6 @@ type t = {
   rng : Prng.t;
   mutable seq : int;
   mutable cuts : cut list;
-  mutable rlog : verdict list; (* newest first *)
   mutable sent : int;
   mutable dropped : int;
   mutable dupped : int;
@@ -62,7 +61,6 @@ let create ?(faults = default_faults) ~seed ~endpoints () =
     rng = Prng.create seed;
     seq = 0;
     cuts = [];
-    rlog = [];
     sent = 0;
     dropped = 0;
     dupped = 0;
@@ -133,12 +131,9 @@ let transmit t ~src ~dst =
   in
   if deliveries = [] then t.dropped <- t.dropped + 1;
   if List.length deliveries > 1 then t.dupped <- t.dupped + 1;
-  let v = { v_seq = seq; v_src = src; v_dst = dst; v_deliveries = deliveries;
-            v_cut = cut } in
-  t.rlog <- v :: t.rlog;
-  v
+  { v_seq = seq; v_src = src; v_dst = dst; v_deliveries = deliveries;
+    v_cut = cut }
 
-let log t = List.rev t.rlog
 let sends t = t.sent
 let drops t = t.dropped
 let dups t = t.dupped

@@ -12,7 +12,7 @@
 
     Determinism: the PRNG draws per {!transmit} are fixed in number
     and order regardless of the outcome, so the same seed and the
-    same call sequence replay to an identical verdict log — the
+    same call sequence replay to an identical verdict sequence — the
     property QCheck pins down in [test/test_cluster.ml], and what
     makes `repl` counterexamples replayable. *)
 
@@ -68,11 +68,8 @@ val partitioned : t -> a:int -> b:int -> bool
 (** Whether the [a]<->[b] link is currently cut. *)
 
 val transmit : t -> src:int -> dst:int -> verdict
-(** Ask the fault model about one message send.  Records the verdict
-    in the log and bumps the counters; charges nothing. *)
-
-val log : t -> verdict list
-(** Every verdict since creation, in transmit order. *)
+(** Ask the fault model about one message send.  Bumps the counters;
+    keeps nothing else and charges nothing. *)
 
 val sends : t -> int
 

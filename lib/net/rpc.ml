@@ -4,7 +4,6 @@ type ('req, 'resp) endpoint = {
   ep_node : int;
   mutable ep_up : bool;
   mutable ep_handler : 'req -> 'resp;
-  ep_dedup : (int * int, 'resp) Hashtbl.t;
   mutable ep_served : int;
   mutable ep_deduped : int;
 }
@@ -14,7 +13,6 @@ let endpoint ~node handler =
     ep_node = node;
     ep_up = true;
     ep_handler = handler;
-    ep_dedup = Hashtbl.create 64;
     ep_served = 0;
     ep_deduped = 0;
   }
@@ -22,29 +20,29 @@ let endpoint ~node handler =
 let set_handler ep h = ep.ep_handler <- h
 let node ep = ep.ep_node
 let up ep = ep.ep_up
-
-let set_up ep b =
-  if b && not ep.ep_up then Hashtbl.reset ep.ep_dedup;
-  ep.ep_up <- b
-
+let set_up ep b = ep.ep_up <- b
 let served ep = ep.ep_served
 let deduped ep = ep.ep_deduped
 
 type error = Timeout
 
-let serve ep ~src ~token req =
-  match Hashtbl.find_opt ep.ep_dedup (src, token) with
-  | Some r ->
-      ep.ep_deduped <- ep.ep_deduped + 1;
-      r
-  | None ->
-      let r = ep.ep_handler req in
-      ep.ep_served <- ep.ep_served + 1;
-      Hashtbl.replace ep.ep_dedup (src, token) r;
-      r
-
 let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
-    ~rng ~src ~token ep req =
+    ~rng ~src ep req =
+  (* The idempotency cache of this call: every duplicate delivery and
+     every retry of the request belongs to this call, so none can
+     arrive after it returns. *)
+  let cached = ref None in
+  let serve () =
+    match !cached with
+    | Some r ->
+        ep.ep_deduped <- ep.ep_deduped + 1;
+        r
+    | None ->
+        let r = ep.ep_handler req in
+        ep.ep_served <- ep.ep_served + 1;
+        cached := Some r;
+        r
+  in
   let rec attempt n =
     if n > retries then Error Timeout
     else begin
@@ -59,36 +57,29 @@ let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
       | [] ->
           Fabric.charge fabric timeout_ns;
           attempt (n + 1)
-      | ds when not ep.ep_up ->
-          (* The request reaches a dead host: same as a loss, but the
-             delivery delay is still charged before the timeout. *)
-          List.iter (fun _ -> ()) ds;
+      | _ when not ep.ep_up ->
+          (* The request reaches a dead host: same as a loss. *)
           Fabric.charge fabric timeout_ns;
           attempt (n + 1)
-      | ds -> begin
+      | d0 :: ds -> begin
           (* Deliver every copy: duplicates re-enter the endpoint and
-             are answered from the idempotency cache. *)
-          let resp =
-            List.fold_left
-              (fun _ d ->
-                Fabric.charge fabric d;
-                Some (serve ep ~src ~token req))
-              None ds
+             are answered from the call's cache. *)
+          let deliver d =
+            Fabric.charge fabric d;
+            serve ()
           in
-          match resp with
-          | None -> assert false
-          | Some r -> begin
-              let rv = Fabric.transmit fabric ~src:ep.ep_node ~dst:src in
-              match rv.Fabric.v_deliveries with
-              | [] ->
-                  (* Reply lost: the handler ran; the retry is served
-                     from the cache without re-executing it. *)
-                  Fabric.charge fabric timeout_ns;
-                  attempt (n + 1)
-              | d :: _ ->
-                  Fabric.charge fabric d;
-                  Ok r
-            end
+          let r = deliver d0 in
+          List.iter (fun d -> ignore (deliver d)) ds;
+          let rv = Fabric.transmit fabric ~src:ep.ep_node ~dst:src in
+          match rv.Fabric.v_deliveries with
+          | [] ->
+              (* Reply lost: the handler ran; the retry is served from
+                 the cache without re-executing it. *)
+              Fabric.charge fabric timeout_ns;
+              attempt (n + 1)
+          | d :: _ ->
+              Fabric.charge fabric d;
+              Ok r
         end
     end
   in

@@ -1,15 +1,18 @@
-(** Request/response RPC over the {!Fabric} with timeouts, idempotency
-    tokens and jittered exponential backoff.
+(** Request/response RPC over the {!Fabric} with timeouts, per-call
+    idempotency and jittered exponential backoff.
 
     Calls are executed inline on the caller's simulated thread: the
     fabric decides delivery, the caller charges the delays, and the
     endpoint's handler runs synchronously.  A lost request or reply
     costs the caller [timeout_ns] and triggers a retry after a
-    jittered exponential backoff.  Every call carries an idempotency
-    token; the endpoint caches the response per [(caller, token)], so
-    duplicate deliveries and retries of a request whose {e reply} was
-    lost return the cached response instead of re-executing the
-    handler — exactly-once effects over an at-least-once fabric. *)
+    jittered exponential backoff.  Each call keeps its own idempotency
+    cache: the handler runs on the first delivered copy, and duplicate
+    deliveries and retries of a request whose {e reply} was lost return
+    the cached response instead of re-executing the handler —
+    exactly-once effects over an at-least-once fabric.  Every copy and
+    retry of a request is delivered before {!call} returns, so the
+    cache dies with the call and an endpoint holds no per-request
+    state. *)
 
 type ('req, 'resp) endpoint
 
@@ -21,15 +24,14 @@ val node : ('req, 'resp) endpoint -> int
 
 val up : ('req, 'resp) endpoint -> bool
 val set_up : ('req, 'resp) endpoint -> bool -> unit
-(** A down endpoint swallows requests (the caller sees timeouts).
-    Bringing it back up clears the volatile dedup cache, as a restart
-    would. *)
+(** A down endpoint swallows requests (the caller sees timeouts). *)
 
 val served : ('req, 'resp) endpoint -> int
 (** Handler executions (cache misses). *)
 
 val deduped : ('req, 'resp) endpoint -> int
-(** Duplicate deliveries answered from the idempotency cache. *)
+(** Duplicate deliveries and retries answered from their call's
+    idempotency cache. *)
 
 type error = Timeout
 
@@ -40,7 +42,6 @@ val call :
   fabric:Fabric.t ->
   rng:Ff_util.Prng.t ->
   src:int ->
-  token:int ->
   ('req, 'resp) endpoint ->
   'req ->
   ('resp, error) result

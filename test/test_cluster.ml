@@ -26,11 +26,12 @@ let drive_fabric fab calls =
 let test_fabric_faults () =
   let fab = Fabric.create ~seed:11 ~endpoints:4 () in
   let calls = List.init 500 (fun i -> (i mod 4, (i + 1) mod 4)) in
-  let _ = drive_fabric fab calls in
-  Alcotest.(check int) "every send logged" 500 (Fabric.sends fab);
+  let vs = drive_fabric fab calls in
+  Alcotest.(check int) "every send counted" 500 (Fabric.sends fab);
   Alcotest.(check bool) "some drops" true (Fabric.drops fab > 0);
   Alcotest.(check bool) "some dups" true (Fabric.dups fab > 0);
-  Alcotest.(check int) "log length" 500 (List.length (Fabric.log fab))
+  Alcotest.(check (list int)) "consecutive verdict seqnos" (List.init 500 Fun.id)
+    (List.map (fun v -> v.Fabric.v_seq) vs)
 
 let test_fabric_partition () =
   let fab = Fabric.create ~faults:Fabric.calm ~seed:3 ~endpoints:3 () in
@@ -80,7 +81,7 @@ let test_rpc_dedup () =
         x * 2)
   in
   let rng = Prng.create 9 in
-  (match Rpc.call ~fabric:fab ~rng ~src:0 ~token:1 ep 21 with
+  (match Rpc.call ~fabric:fab ~rng ~src:0 ep 21 with
   | Ok v -> Alcotest.(check int) "response" 42 v
   | Error _ -> Alcotest.fail "rpc failed on a calm fabric");
   Alcotest.(check int) "handler ran once" 1 !hits;
@@ -92,7 +93,7 @@ let test_rpc_retry_after_drop () =
   let fab = Fabric.create ~faults ~seed:5 ~endpoints:2 () in
   let ep = Rpc.endpoint ~node:1 (fun x -> x) in
   let rng = Prng.create 9 in
-  (match Rpc.call ~retries:2 ~fabric:fab ~rng ~src:0 ~token:1 ep 1 with
+  (match Rpc.call ~retries:2 ~fabric:fab ~rng ~src:0 ep 1 with
   | Ok _ -> Alcotest.fail "should time out"
   | Error Rpc.Timeout -> ());
   Alcotest.(check int) "three transmits" 3 (Fabric.sends fab)
@@ -102,9 +103,31 @@ let test_rpc_down_endpoint () =
   let ep = Rpc.endpoint ~node:1 (fun x -> x) in
   Rpc.set_up ep false;
   let rng = Prng.create 9 in
-  match Rpc.call ~retries:1 ~fabric:fab ~rng ~src:0 ~token:1 ep 1 with
+  match Rpc.call ~retries:1 ~fabric:fab ~rng ~src:0 ep 1 with
   | Ok _ -> Alcotest.fail "down endpoint must not answer"
   | Error Rpc.Timeout -> ()
+
+(* The idempotency cache lives and dies with its call: neither the
+   endpoint nor the fabric keeps per-request state, so both weigh the
+   same after 10 calls as after 2000 on a fabric that drops and
+   duplicates. *)
+let test_rpc_bounded_state () =
+  let fab = Fabric.create ~seed:5 ~endpoints:2 () in
+  let ep = Rpc.endpoint ~node:1 (fun x -> x + 1) in
+  let rng = Prng.create 9 in
+  let calls lo hi =
+    for i = lo to hi do
+      ignore (Rpc.call ~fabric:fab ~rng ~src:0 ep i : (int, Rpc.error) result)
+    done
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  calls 1 10;
+  let ep_words = words ep and fab_words = words fab in
+  calls 11 2000;
+  Alcotest.(check int) "endpoint words" ep_words (words ep);
+  Alcotest.(check int) "fabric words" fab_words (words fab);
+  Alcotest.(check bool) "duplicates and retries deduped" true
+    (Rpc.deduped ep > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster replication and failover                                    *)
@@ -135,6 +158,80 @@ let test_cluster_basic () =
   Alcotest.(check int) "all acked" 200 s.Cluster.s_acks;
   Alcotest.(check bool) "replicated" true (s.Cluster.s_repl_records >= 200);
   Cluster.close c
+
+(* Apply ordering on both replicas, seen through the arenas' event
+   sinks.  A flush inside a group-flush scope is a clwb, durable only
+   at the arena's next fence.  The backup must not store its applied
+   seqno (slot 72) while a clwb of the op is unfenced, and an acked
+   write must leave no unfenced clwb on either replica.  Crash sweeps
+   cannot see a missing fence after a clwb (the simulator persists the
+   line at once), so this is the check that catches one. *)
+type apply_watch = {
+  mutable unfenced : bool;
+  mutable clwbs : int;
+  mutable allocs : int;
+  mutable applied_stores : int;
+  mutable early_applied_stores : int;
+}
+
+let test_cluster_apply_fences () =
+  let cfg = { calm_config with Cluster.nodes = 2 } in
+  let c = Cluster.create cfg in
+  let watch a =
+    let w =
+      { unfenced = false; clwbs = 0; allocs = 0; applied_stores = 0;
+        early_applied_stores = 0 }
+    in
+    Ff_pmem.Arena.set_event_sink a
+      (Some
+         {
+           Ff_pmem.Arena.ev_store =
+             (fun addr ->
+               if addr = Cluster.slot_applied then begin
+                 w.applied_stores <- w.applied_stores + 1;
+                 if w.unfenced then
+                   w.early_applied_stores <- w.early_applied_stores + 1
+               end);
+           ev_flush =
+             (fun _ ->
+               if Ff_pmem.Arena.in_group a then begin
+                 w.unfenced <- true;
+                 w.clwbs <- w.clwbs + 1
+               end);
+           ev_fence = (fun () -> w.unfenced <- false);
+           ev_alloc = (fun _ _ -> w.allocs <- w.allocs + 1);
+           ev_free = (fun _ _ -> ());
+           ev_crash = ignore;
+         });
+    w
+  in
+  let ws =
+    List.concat_map
+      (fun node ->
+        List.init cfg.Cluster.shards (fun shard ->
+            watch (Cluster.shard_arena c ~node ~shard)))
+      [ 0; 1 ]
+  in
+  let acked what = function
+    | Error _ -> Alcotest.failf "%s rejected" what
+    | Ok () ->
+        if List.exists (fun w -> w.unfenced) ws then
+          Alcotest.failf "%s acked with an unfenced clwb on a replica" what
+  in
+  for k = 1 to 400 do
+    acked (Printf.sprintf "put %d" k) (Cluster.put c k (k * 10))
+  done;
+  acked "del 7" (Cluster.del c 7);
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 ws in
+  Alcotest.(check bool) "puts split leaves" true (sum (fun w -> w.allocs) > 0);
+  Alcotest.(check bool) "applies flush as clwbs" true
+    (sum (fun w -> w.clwbs) > 0);
+  Alcotest.(check int) "one applied-seqno store per record" 401
+    (sum (fun w -> w.applied_stores));
+  Alcotest.(check int) "applied seqno stored after the op's fence" 0
+    (sum (fun w -> w.early_applied_stores));
+  Alcotest.(check (option int)) "deleted" None (get_exn c 7);
+  Alcotest.(check (option int)) "kept" (Some 80) (get_exn c 8)
 
 let test_cluster_faulty_fabric () =
   let c = Cluster.create faulty_config in
@@ -446,7 +543,10 @@ let suite =
     Alcotest.test_case "rpc dedup" `Quick test_rpc_dedup;
     Alcotest.test_case "rpc retry" `Quick test_rpc_retry_after_drop;
     Alcotest.test_case "rpc down endpoint" `Quick test_rpc_down_endpoint;
+    Alcotest.test_case "rpc state stays bounded" `Quick test_rpc_bounded_state;
     Alcotest.test_case "replicated puts" `Quick test_cluster_basic;
+    Alcotest.test_case "apply fences before ack and applied seqno" `Quick
+      test_cluster_apply_fences;
     Alcotest.test_case "faulty fabric" `Quick test_cluster_faulty_fabric;
     Alcotest.test_case "failover keeps acks" `Quick test_cluster_failover;
     Alcotest.test_case "rejoin catch-up" `Quick test_cluster_rejoin_catchup;
