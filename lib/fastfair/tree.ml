@@ -19,7 +19,6 @@ type t = {
   mutable lazy_pending : bool;
   clean : (int, unit) Hashtbl.t;
   mutable log_area : int;
-  mutable trace : string -> unit;
   mutable tracer : Trace.t;
 }
 
@@ -42,7 +41,6 @@ let make_t ?(node_bytes = 512) ?(mode = Node.Linear) ?(split_policy = Fair)
     lazy_pending = false;
     clean = Hashtbl.create 256;
     log_area = 0;
-    trace = (fun _ -> ());
     tracer = Trace.null;
   }
 
@@ -70,7 +68,6 @@ let open_existing ?node_bytes ?mode ?split_policy ?lock_mode ?leaf_read_locks
 
 let root t = Arena.root_get t.arena t.root_slot
 
-let set_trace t f = t.trace <- f
 let set_tracer t tr = t.tracer <- tr
 let tracer t = t.tracer
 
@@ -290,10 +287,6 @@ let rec split_and_insert t node key value =
     Trace.incr t.tracer (Printf.sprintf "fastfair.splits.level%d" level);
   if t.split_policy = Logged then write_split_log t node;
   let sib = Arena.alloc a l.L.node_words in
-  if level > 0 then
-    t.trace (Printf.sprintf "split lvl%d node=%d sep=%d sib=%d entries=[%s] pending=%d"
-      level node sep sib
-      (String.concat ";" (List.map (fun (k,_) -> string_of_int k) (Node.entries_debug a l node))) key);
   let leftmost = if level = 0 then 0 else L.ptr a node median in
   Node.init a l sib ~level ~leftmost ~low:sep;
   let start = if level = 0 then median else median + 1 in
@@ -343,10 +336,6 @@ and insert_into_node t node key value ~internal =
         wunlock t node
     | None ->
         if Node.count a l node < l.L.capacity then begin
-          if internal then
-            t.trace (Printf.sprintf "ins lvl%d key=%d node=%d entries=[%s]"
-              (L.level a node) key node
-              (String.concat ";" (List.map (fun (k,_) -> string_of_int k) (Node.entries_debug a l node))));
           (* The level argument is a charged read: only pay it when
              tracing is on, so the disabled path is cost-free. *)
           if Trace.enabled t.tracer then

@@ -92,9 +92,6 @@ val reachable_nodes : t -> Layout.node list
 
 (**/**)
 
-val set_trace : t -> (string -> unit) -> unit
-(** Debug hook: called with a line per structural event. *)
-
 val min_entry : t -> (int * int) option
 (** Smallest (key, value), or [None] when empty. *)
 
