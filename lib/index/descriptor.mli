@@ -35,10 +35,11 @@ type caps = {
           reclamation and media-fault recovery *)
   txnable : bool;
       (** the structure's {!Intf.ops} transaction hooks
-          ([read_for_update] / [install] / [undo_of]) are sound under
-          the tx layer's protocols: [install] is idempotent and legal
-          at recovery time (after [recover]), so [Ff_tx.Tx] can log,
-          commit, roll back, and replay multi-key updates against it *)
+          ([read_for_update] / [install]) are sound under the tx
+          layer's protocols: [install] is idempotent and legal at
+          recovery time (after [recover]), so [Ff_tx.Tx] can log,
+          commit, roll back (re-installing each pre-image) and replay
+          multi-key updates against it *)
   snapshottable : bool;
       (** the structure's {!Intf.ops} snapshot hooks ([snapshot_begin]
           / [read_at] / [range_at] / [gc_before]) implement MVCC epoch

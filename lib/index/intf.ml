@@ -11,7 +11,6 @@ type ops = {
   set_tracer : Ff_trace.Trace.t -> unit;
   read_for_update : int -> int option;
   install : int -> int option -> unit;
-  undo_of : int -> int option -> unit -> unit;
   snapshot_begin : int -> int;
   read_at : int -> int -> int option;
   range_at : int -> int -> int -> (int -> int -> unit) -> unit;
@@ -20,7 +19,7 @@ type ops = {
 
 let make ~name ~insert ~search ~delete ~range ~recover ?update ?bulk_insert
     ?(close = fun () -> ()) ?(set_tracer = fun _ -> ()) ?read_for_update
-    ?install ?undo_of ?snapshot_begin ?read_at ?range_at ?gc_before () =
+    ?install ?snapshot_begin ?read_at ?range_at ?gc_before () =
   let update =
     match update with
     | Some u -> u
@@ -47,11 +46,6 @@ let make ~name ~insert ~search ~delete ~range ~recover ?update ?bulk_insert
         fun k -> function
           | Some v -> insert k v
           | None -> ignore (delete k))
-  in
-  let undo_of =
-    match undo_of with
-    | Some u -> u
-    | None -> fun k pre () -> install k pre
   in
   let unsupported hook _ =
     invalid_arg (Printf.sprintf "%s: %s unsupported (not snapshottable)" name hook)
@@ -83,7 +77,6 @@ let make ~name ~insert ~search ~delete ~range ~recover ?update ?bulk_insert
     set_tracer;
     read_for_update;
     install;
-    undo_of;
     snapshot_begin;
     read_at;
     range_at;

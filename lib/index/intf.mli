@@ -42,10 +42,6 @@ type ops = {
           (tolerating an already-absent key).  This is the primitive
           transactions commit, roll back, and {e replay} through, so it
           must be idempotent.  Derived from [insert]/[delete]. *)
-  undo_of : int -> int option -> unit -> unit;
-      (** [undo_of k pre] captures a closure restoring [k] to its
-          pre-image [pre]; the logged commit path stacks one per op.
-          Defaults to [fun () -> install k pre]. *)
   snapshot_begin : int -> int;
       (** [snapshot_begin at] quiesces in-flight writers and publishes
           a fresh epoch [e >= max at (current + 1)] crash-atomically
@@ -83,7 +79,6 @@ val make :
   ?set_tracer:(Ff_trace.Trace.t -> unit) ->
   ?read_for_update:(int -> int option) ->
   ?install:(int -> int option -> unit) ->
-  ?undo_of:(int -> int option -> unit -> unit) ->
   ?snapshot_begin:(int -> int) ->
   ?read_at:(int -> int -> int option) ->
   ?range_at:(int -> int -> int -> (int -> int -> unit) -> unit) ->
@@ -92,8 +87,8 @@ val make :
   ops
 (** Smart constructor.  [update] defaults to search-then-insert,
     [bulk_insert] to an insert loop, [close] and [set_tracer] to
-    no-ops, and the transaction hooks ([read_for_update], [install],
-    [undo_of]) to derivations from [search]/[insert]/[delete].  The
+    no-ops, and the transaction hooks ([read_for_update], [install])
+    to derivations from [search]/[insert]/[delete].  The
     snapshot hooks default to raising [Invalid_argument] — only
     structures claiming [Descriptor.caps.snapshottable] provide
     them. *)

@@ -11,7 +11,7 @@ type t = {
   arena : Arena.t;
   log : Txlog.t;
   ops : Intf.ops;
-  mutable path : path;
+  path : path;
   mutable tracer : Trace.t option;
   mutable commits : int;
   mutable aborts : int;
@@ -24,7 +24,7 @@ type tx = {
   deferred : bool;
   mutable live : bool;
   mutable nops : int;
-  mutable undos : (unit -> unit) list; (* eager path, newest first *)
+  mutable undos : (int * int option) list; (* eager path: (key, pre), newest first *)
   mutable staged : Txlog.record list; (* deferred path, newest first *)
   overlay : (int, int option) Hashtbl.t; (* deferred read-your-writes *)
 }
@@ -34,7 +34,6 @@ let create ?(path = Logged) ?capacity arena ops =
   { arena; log; ops; path; tracer = None; commits = 0; aborts = 0; replays = 0 }
 
 let path t = t.path
-let set_path t p = t.path <- p
 let set_tracer t tr = t.tracer <- Some tr
 let txlog t = t.log
 let set_torn_commit t b = Txlog.set_torn_commit t.log b
@@ -111,7 +110,7 @@ let write ?payload tx k post =
        still be rolled back before the log is truncated. *)
     in_span m Trace.id_tx_log tx.nops (fun () -> Txlog.append ?payload m.log r);
     tx.nops <- tx.nops + 1;
-    tx.undos <- m.ops.Intf.undo_of k pre :: tx.undos;
+    tx.undos <- (k, pre) :: tx.undos;
     m.ops.Intf.install k post
   end;
   pre
@@ -173,7 +172,8 @@ let rollback tx =
   if tx.nops = 0 then Txlog.abandon m.log
   else
     in_span m Trace.id_tx_abort tx.nops (fun () ->
-        if not tx.deferred then List.iter (fun u -> u ()) tx.undos;
+        if not tx.deferred then
+          List.iter (fun (k, pre) -> m.ops.Intf.install k pre) tx.undos;
         Txlog.discard m.log);
   retire tx;
   m.aborts <- m.aborts + 1

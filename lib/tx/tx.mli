@@ -50,7 +50,6 @@ val create :
     {!recover} then resolves whatever it holds. *)
 
 val path : t -> path
-val set_path : t -> path -> unit
 val set_tracer : t -> Ff_trace.Trace.t -> unit
 val txlog : t -> Ff_pmem.Txlog.t
 val set_torn_commit : t -> bool -> unit
@@ -96,8 +95,9 @@ val commit : tx -> unit
     on [Shadow] the commit word is, and the installs follow it. *)
 
 val rollback : tx -> unit
-(** Undo every effect (logged path: run the undo closures in reverse;
-    shadow path: drop the write set) and truncate the log. *)
+(** Undo every effect (logged path: re-install each pre-image through
+    the index's [install], newest first; shadow path: drop the write
+    set) and truncate the log. *)
 
 val run : t -> (tx -> 'a) -> ('a, string) result
 (** [run t f] opens a transaction, applies [f], and commits.  {!Abort}

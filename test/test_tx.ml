@@ -390,13 +390,19 @@ let test_install_raises_rolls_back () =
   for k = 1 to 3 do
     base.Intf.insert k (10 + k)
   done;
+  (* Rollback re-installs through the same hook, so the fault fires
+     once: the forward install of key 2. *)
+  let failed = ref false in
   let ops =
     {
       base with
       Intf.install =
         (fun k v ->
           base.Intf.install k v;
-          if k = 2 then failwith "install failed after applying");
+          if k = 2 && not !failed then begin
+            failed := true;
+            failwith "install failed after applying"
+          end);
     }
   in
   let mgr = Tx.create a ops in
@@ -410,6 +416,29 @@ let test_install_raises_rolls_back () =
   Alcotest.(check (list (pair int int))) "pre-images restored"
     [ (1, 11); (2, 12); (3, 13) ] (dump base 3);
   Alcotest.(check bool) "log idle" true (Txlog.state (Tx.txlog mgr) = Txlog.Idle)
+
+(* Rollback goes through the manager's own ops handle, so a wrapper
+   around [install] (a rebalance write tap, a timing shim) sees the
+   undo as well as the forward write. *)
+let test_rollback_uses_wrapped_install () =
+  let a = fresh_arena () in
+  let base = Registry.build "fastfair" a in
+  let installs = ref 0 in
+  let ops =
+    {
+      base with
+      Intf.install =
+        (fun k v ->
+          incr installs;
+          base.Intf.install k v);
+    }
+  in
+  let mgr = Tx.create ~path:Tx.Logged a ops in
+  (match Tx.run mgr (fun tx -> Tx.put tx 1 11; Tx.abort tx) with
+  | Ok () -> Alcotest.fail "abort did not propagate"
+  | Error _ -> ());
+  Alcotest.(check int) "forward + rollback installs" 2 !installs;
+  Alcotest.(check (option int)) "rolled back" None (base.Intf.search 1)
 
 let test_run_abort () =
   let a = fresh_arena () in
@@ -653,6 +682,8 @@ let suite =
       test_shadow_write_back_ordering;
     Alcotest.test_case "install that raises is rolled back" `Quick
       test_install_raises_rolls_back;
+    Alcotest.test_case "rollback goes through the wrapped install" `Quick
+      test_rollback_uses_wrapped_install;
     Alcotest.test_case "Tx.run commit/abort bookkeeping" `Quick test_run_abort;
     Alcotest.test_case "txcheck: logged path clean" `Quick
       test_txcheck_logged_clean;
