@@ -1,9 +1,6 @@
 module Arena = Ff_pmem.Arena
 module Storelog = Ff_pmem.Storelog
-module Segment = Ff_pmem.Segment
 module Prng = Ff_util.Prng
-module Registry = Ff_index.Registry
-module Intf = Ff_index.Intf
 module Trace = Ff_trace.Trace
 module Metrics = Ff_trace.Metrics
 module Shard = Ff_shard.Shard
@@ -605,9 +602,10 @@ let demote t ~shard =
          (M_demote { ms = shard; mterm = r.term })
         : (reply, Rpc.error) result)
 
-(* Segment-ship the primary's quiesced shard image into a fresh arena
-   on the joiner, then stream the records issued during the copy from
-   the primary's retained log. *)
+(* Ship the primary's quiesced shard image into a fresh arena on the
+   joiner ({!Shard.ship_image}, freezing at the primary's issued
+   seqno), then stream the records issued during the copy from the
+   primary's retained log. *)
 let resync t ~shard =
   let s = shard in
   let r = t.routes.(s) in
@@ -622,24 +620,20 @@ let resync t ~shard =
         if Trace.enabled t.tracer then
           Trace.span_begin t.tracer Trace.id_catchup s;
         let src = Shard.instance_arena p.ens s in
-        let frozen, fseq =
-          Shard.quiesce p.ens (fun () ->
-              Arena.drain src;
-              (Arena.clone src, prep.issued))
-        in
-        let seg = Segment.capture frozen in
         let dst =
           Arena.create ~config:(Arena.config src) ~words:(Arena.capacity src)
             ()
         in
         let last = ref 0 in
-        Segment.copy ~src:frozen ~dst seg ~between:(fun copied ->
-            (* the ship crosses the network: charge transfer time *)
-            Fabric.charge t.fab ((copied - !last) * t.cfg.ship_ns_per_word);
-            last := copied);
-        Segment.attach ~dst seg;
-        let ops = Registry.open_existing dst in
-        ops.Intf.recover ();
+        let fseq, ops, words =
+          Shard.ship_image p.ens ~shard:s
+            ~freeze:(fun () -> prep.issued)
+            ~dst
+            ~between:(fun copied ->
+              (* the ship crosses the network: charge transfer time *)
+              Fabric.charge t.fab ((copied - !last) * t.cfg.ship_ns_per_word);
+              last := copied)
+        in
         (* The image carries the primary's term word; rewrite it as
            Backup before the replica goes live, and seed the applied
            high-water at the freeze point. *)
@@ -656,7 +650,7 @@ let resync t ~shard =
         t.resyncs <- t.resyncs + 1;
         if Trace.enabled t.tracer then begin
           metric t "cluster.resyncs";
-          metric_add t "cluster.catchup.words" (Segment.words seg);
+          metric_add t "cluster.catchup.words" words;
           Trace.span_end t.tracer Trace.id_catchup
         end;
         (* Stream the tail issued since the freeze. *)

@@ -1,27 +1,33 @@
 (* Elastic resharding: live split / merge / migrate over a serving
    Shard ensemble.
 
-   The shape of every rebalance is the same three-act protocol:
+   Every rebalance is the same three-act protocol, run by one driver
+   ([run]); a kind contributes only a [recipe]:
 
      1. PREPARE   persist a plan block, bump the generation, set the
-                  decision word to Preparing(g); install the
-                  dual-write tap inside a brief quiesce so no applied
-                  write can slip between "scanned" and "tapped".
-     2. COPY      ship the moved span in throttled chunks while the
-                  source keeps serving; writes to the moved span are
+                  decision word to Preparing(g); run the kind's
+                  pre-copy step; install the dual-write tap inside a
+                  brief quiesce so no applied write can slip between
+                  "scanned" and "tapped".
+     2. COPY      ship the moved data while the source keeps serving —
+                  key chunks (split, merge) or the whole image
+                  (migrate) — throttled; writes to the moved span are
                   dual-applied (source now + delta buffer for later).
      3. CUTOVER   inside Shard.quiesce: replay the delta, fence the
                   target, flip the decision word to Committed(g) — a
                   single failure-atomic root store is the whole
-                  commit — then splice the volatile topology and
-                  persist the new shard manifest.
+                  commit — then splice the volatile topology (and
+                  persist the new shard manifest).
+   and finally the kind's post-cutover step, then retire the decision
+   word (migrate keeps it as a tombstone).
 
    Crash resolution ([resolve]) needs nothing but the decision word
    and the plan block: Preparing rolls back (the source never stopped
    being authoritative), Committed rolls forward (promote the
-   manifest the live finish would have persisted).  The Rebalcheck
-   family sweeps crash points through all three acts and asserts no
-   acknowledged write is ever lost. *)
+   manifest the live finish would have persisted, through the same
+   topology edit the live splice uses).  The Rebalcheck family sweeps
+   crash points through all three acts and asserts no acknowledged
+   write is ever lost. *)
 
 module Arena = Ff_pmem.Arena
 module Segment = Ff_pmem.Segment
@@ -202,31 +208,14 @@ let resolve arena =
               (* Old manifest intact: promote it from the plan. *)
               match composite_manifest arena with
               | None -> ()
-              | Some (partition, map) -> (
-                  match k with
-                  | Split ->
-                      let partition' =
-                        Shard.Partition.split partition ~shard:p.p_shard
-                          ~pivot:p.p_pivot
-                      in
-                      let nm = Array.length map in
-                      let map' =
-                        Array.init (nm + 1) (fun i ->
-                            if i <= p.p_shard then map.(i)
-                            else if i = p.p_shard + 1 then p.p_slot
-                            else map.(i - 1))
-                      in
-                      Shard.write_manifest arena partition' map'
-                  | Merge | Migrate ->
-                      let partition' =
-                        Shard.Partition.merge partition ~left:p.p_shard
-                      in
-                      let nm = Array.length map in
-                      let map' =
-                        Array.init (nm - 1) (fun i ->
-                            if i <= p.p_shard then map.(i) else map.(i + 1))
-                      in
-                      Shard.write_manifest arena partition' map')
+              | Some (partition, map) ->
+                  let partition', map' =
+                    if k = Split then
+                      Shard.split_topology partition map ~shard:p.p_shard
+                        ~pivot:p.p_pivot p.p_slot
+                    else Shard.merge_topology partition map ~left:p.p_shard
+                  in
+                  Shard.write_manifest arena partition' map'
             end;
             if k = Merge then clear_inner_roots arena p.p_slot
           end;
@@ -278,7 +267,10 @@ let mutant_drop_delta = ref false
 (* Shared machinery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let metric t name = if Trace.enabled t then Trace.incr t name
+let kind_name = function
+  | Split -> "split"
+  | Merge -> "merge"
+  | Migrate -> "migrate"
 
 (* Begin the protocol: plan published, generation bumped, decision to
    Preparing.  Returns the generation. *)
@@ -288,15 +280,6 @@ let begin_rebalance coord p =
   Arena.root_set coord slot_generation g;
   publish_decision coord ((g lsl 2) lor 1);
   g
-
-(* Install the dual-write tap inside a brief quiesce, so a mutation
-   already past the write gate is fully applied (and thus visible to
-   the subsequent scan) before the tap takes over.  [accept] filters
-   which keys the delta buffer records. *)
-let install_tap t ~shard ~accept delta =
-  Shard.quiesce t (fun () ->
-      Shard.tap_writes t ~shard (fun k vo ->
-          if accept k then delta := (k, vo) :: !delta))
 
 (* Replay the delta buffer (chronological order) onto [ops] through
    the idempotent transactional install hook.  The drop-delta mutant
@@ -310,69 +293,42 @@ let replay_delta tr ops delta =
   if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_replay;
   n
 
-(* Copy [pairs] into [ops] in throttled chunks, charging the copy
-   budget against [coord].  Returns keys moved.
+(* The one throttled chunk loop: apply [step] to [items], [chunk_ops]
+   at a time, charging each chunk's pairs to the copy budget on
+   [coord].  Returns how many steps reported [true].  With an enabled
+   [tr] every chunk is one [id_rebal_copy] span.
 
    [serialize] wraps each chunk's mutations.  Inner trees run at
    [Locks.Single] (one writer; lock-free readers endure transient
    states), so a background mutation of a tree that is concurrently
    {e served for writes} must be serialized against the foreground —
-   callers pass a brief [Shard.quiesce] per chunk, which stalls the
-   write gate for one chunk while leaving reads untouched.  Mutating
-   an unserved tree (a split target before its splice) needs no
-   wrapper. *)
-let copy_pairs ?(serialize = fun f -> f ()) tr coord th ops pairs =
-  let moved = ref 0 in
+   callers pass [Shard.quiesce], which stalls the write gate for one
+   chunk while leaving reads untouched.  Mutating an unserved tree (a
+   split target before its splice) needs no wrapper. *)
+let chunked tr ~serialize coord th step items =
   let chunk = max 1 th.chunk_ops in
-  let rec go = function
-    | [] -> ()
-    | rest ->
-        if Trace.enabled tr then
-          Trace.span_begin tr Trace.id_rebal_copy !moved;
-        let n = ref 0 in
-        let rest = ref rest in
-        serialize (fun () ->
-            while !n < chunk && !rest <> [] do
-              (match !rest with
-              | (k, v) :: tl ->
-                  ops.Intf.install k (Some v);
-                  rest := tl
-              | [] -> ());
-              incr n
-            done);
-        moved := !moved + !n;
+  let rec take hits n = function
+    | x :: tl when n < chunk ->
+        take (if step x then hits + 1 else hits) (n + 1) tl
+    | rest -> (hits, n, rest)
+  in
+  let rec go hits = function
+    | [] -> hits
+    | items ->
+        if Trace.enabled tr then Trace.span_begin tr Trace.id_rebal_copy hits;
+        let hits, n, rest = serialize (fun () -> take hits 0 items) in
         if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_copy;
-        charge_throttle coord th (!n * pair_bytes);
-        go !rest
+        charge_throttle coord th (n * pair_bytes);
+        go hits rest
   in
-  go pairs;
-  !moved
+  go 0 items
 
-(* Delete every key of [keys] from [ops], throttled like a copy.
-   Same single-writer discipline as {!copy_pairs}: deletes against a
-   live tree go chunk-by-chunk under [serialize]. *)
-let delete_keys ?(serialize = fun f -> f ()) coord th (ops : Intf.ops) keys =
-  let cleaned = ref 0 in
-  let chunk = max 1 th.chunk_ops in
-  let rec go = function
-    | [] -> ()
-    | rest ->
-        let n = ref 0 in
-        let rest = ref rest in
-        serialize (fun () ->
-            while !n < chunk && !rest <> [] do
-              (match !rest with
-              | k :: tl ->
-                  if ops.Intf.delete k then incr cleaned;
-                  rest := tl
-              | [] -> ());
-              incr n
-            done);
-        charge_throttle coord th (!n * pair_bytes);
-        go !rest
-  in
-  go keys;
-  !cleaned
+(* Delete whatever the served tree [ops] holds in [lo, hi], a brief
+   quiesce per chunk.  Returns keys deleted. *)
+let clean_span t coord th (ops : Intf.ops) lo hi =
+  let stale = List.map fst (Intf.range_list ops lo hi) in
+  chunked Trace.null ~serialize:(Shard.quiesce t) coord th ops.Intf.delete
+    stale
 
 let require_range t =
   if Shard.Partition.tag (Shard.partition t) <> 1 then
@@ -384,7 +340,123 @@ let check_position t i what =
     invalid_arg (Printf.sprintf "Rebalance.%s: no shard at position %d" what i)
 
 (* ------------------------------------------------------------------ *)
-(* Split                                                               *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* How the moved data reaches the target before cutover. *)
+type copy =
+  | Keys of { target : unit -> Intf.ops * Arena.t; served : bool }
+      (** install the tap shard's [p_span_lo, p_span_hi] pairs into
+          [target ()], key by key; [served]: the target takes
+          foreground writes meanwhile, so chunks are serialized *)
+  | Image of Arena.t
+      (** ship the tap shard's whole image to this fresh arena *)
+
+(* What one rebalance kind contributes to {!run}. *)
+type recipe = {
+  block : plan;  (* persisted plan block; [p_shard]'s arena coordinates *)
+  tap : int;  (* shard whose writes are dual-applied *)
+  accept : int -> bool;  (* which tapped keys the delta buffer keeps *)
+  before : unit -> int;  (* pre-copy step; returns keys cleaned *)
+  copy : copy;
+  splice : Intf.ops -> Arena.t -> unit;  (* topology change at cutover *)
+  after : unit -> int;  (* post-cutover step; returns keys cleaned *)
+  retire : bool;  (* clear the decision word (migrate keeps its tombstone) *)
+}
+
+let no_step () = 0
+
+let run th t r =
+  let p = r.block in
+  let coord = Shard.instance_arena t p.p_shard in
+  let tr = Shard.tracer t in
+  (* PREPARE *)
+  let g = begin_rebalance coord p in
+  if Trace.enabled tr then Trace.incr tr ("rebalance." ^ kind_name p.p_kind);
+  let cleaned = r.before () in
+  let delta = ref [] in
+  let record k vo = if r.accept k then delta := (k, vo) :: !delta in
+  (* COPY *)
+  let t0, moved, words, target_ops, target_arena =
+    match r.copy with
+    | Keys { target; served } ->
+        let ops, arena = target () in
+        (* A mutation already past the write gate is fully applied
+           (and thus visible to the scan below) before the tap takes
+           over; every later change is in the delta buffer. *)
+        Shard.quiesce t (fun () -> Shard.tap_writes t ~shard:r.tap record);
+        let t0 = now_ns coord in
+        let pairs =
+          Intf.range_list (Shard.instance_ops t r.tap) p.p_span_lo p.p_span_hi
+        in
+        let serialize = if served then Shard.quiesce t else fun f -> f () in
+        let moved =
+          chunked tr ~serialize coord th
+            (fun (k, v) ->
+              ops.Intf.install k (Some v);
+              true)
+            pairs
+        in
+        (t0, moved, 0, ops, arena)
+    | Image dst ->
+        (* Tap, then freeze, in one quiesce: every write after the tap
+           is in the delta buffer, and the image holds everything
+           before it.  The copy clock starts at the freeze. *)
+        let last = ref 0 in
+        let t0, ops, words =
+          Shard.ship_image t ~shard:r.tap ~dst
+            ~freeze:(fun () ->
+              Shard.tap_writes t ~shard:r.tap record;
+              now_ns coord)
+            ~between:(fun copied ->
+              if Trace.enabled tr then
+                Trace.instant tr Trace.id_rebal_copy copied;
+              charge_throttle coord th ((copied - !last) * 8);
+              last := copied)
+        in
+        (t0, 0, words, ops, dst)
+  in
+  let copy_ns = now_ns coord - t0 in
+  (* CUTOVER *)
+  let t1 = now_ns coord in
+  let replayed =
+    Shard.quiesce t (fun () ->
+        if Trace.enabled tr then Trace.span_begin tr Trace.id_rebal_cutover 0;
+        let n = replay_delta tr target_ops delta in
+        Shard.untap_writes t ~shard:r.tap;
+        Arena.fence target_arena;
+        publish_decision coord ((g lsl 2) lor 2);
+        r.splice target_ops target_arena;
+        if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_cutover;
+        n)
+  in
+  let cutover_ns = now_ns coord - t1 in
+  let cleaned = cleaned + r.after () in
+  (* Retire the decision first: a crash after this line resolves to
+     Idle (plan residue swept there); a crash before it still finds
+     the plan and rolls the commit forward. *)
+  if r.retire then begin
+    publish_decision coord 0;
+    drop_plan coord
+  end;
+  if Trace.enabled tr then begin
+    Trace.observe tr "rebalance.copy_ns" copy_ns;
+    Trace.observe tr "rebalance.cutover_ns" cutover_ns
+  end;
+  {
+    r_kind = p.p_kind;
+    r_generation = g;
+    r_shard = p.p_shard;
+    r_moved_keys = moved;
+    r_moved_words = words;
+    r_delta_replayed = replayed;
+    r_cleaned_keys = cleaned;
+    r_copy_ns = copy_ns;
+    r_cutover_ns = cutover_ns;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The three plans                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let split ?(throttle = default_throttle) ?dst t ~shard ~pivot =
@@ -396,96 +468,51 @@ let split ?(throttle = default_throttle) ?dst t ~shard ~pivot =
       (Printf.sprintf
          "Rebalance.split: pivot %d outside shard %d's span [%d, %d]" pivot
          shard lo hi);
-  let multi = Shard.multi t in
-  (match (multi, dst) with
+  (match (Shard.multi t, dst) with
   | true, None ->
       invalid_arg "Rebalance.split: serving mode needs a fresh ~dst arena"
   | false, Some _ ->
       invalid_arg "Rebalance.split: composite mode splits in-arena (no ~dst)"
   | _ -> ());
   let coord = Shard.instance_arena t shard in
-  let tr = Shard.tracer t in
   let d = Shard.inner_descriptor t in
   let cfg = Shard.inner_config t in
   let slot = Shard.free_slot t in
-  let g =
-    begin_rebalance coord
-      {
-        p_kind = Split;
-        p_shard = shard;
-        p_pivot = pivot;
-        p_slot = slot;
-        p_span_lo = pivot;
-        p_span_hi = hi;
-        p_new_count = Shard.shards t + 1;
-      }
-  in
-  metric tr "rebalance.split";
-  (* Build the target inner: same arena at the free root-slot pair
+  (* The target inner: same arena at the free root-slot pair
      (composite), or a registry-stamped image on the fresh arena
      (serving). *)
-  let target_arena, target_ops =
+  let target () =
     match dst with
-    | None ->
-        (coord, d.D.build { cfg with D.root_slot = 2 * slot } coord)
-    | Some a -> (a, Registry.build ~config:cfg d.D.name a)
+    | None -> (d.D.build { cfg with D.root_slot = 2 * slot } coord, coord)
+    | Some a -> (Registry.build ~config:cfg d.D.name a, a)
   in
-  let delta = ref [] in
-  install_tap t ~shard ~accept:(fun k -> k >= pivot) delta;
-  let t0 = now_ns coord in
-  (* The moved span, as of some instant after the tap went live; every
-     later change is in the delta buffer. *)
-  let pairs = Intf.range_list (Shard.instance_ops t shard) pivot hi in
-  let moved = copy_pairs tr coord throttle target_ops pairs in
-  let copy_ns = now_ns coord - t0 in
-  let t1 = now_ns coord in
-  let replayed =
-    Shard.quiesce t (fun () ->
-        if Trace.enabled tr then Trace.span_begin tr Trace.id_rebal_cutover 0;
-        let n = replay_delta tr target_ops delta in
-        Shard.untap_writes t ~shard;
-        Arena.fence target_arena;
-        publish_decision coord ((g lsl 2) lor 2);
-        Shard.splice_split t ~shard ~slot ~pivot ~ops:target_ops
-          ~arena:target_arena;
-        Shard.persist_topology t;
-        if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_cutover;
-        n)
-  in
-  let cutover_ns = now_ns coord - t1 in
-  (* The source tree still holds the moved span; the span clamp hides
-     it, this reclaims it.  Deletes go through the untapped base ops
-     of the (still live) source instance. *)
-  let stale = List.map fst (Intf.range_list (Shard.instance_ops t shard) pivot hi) in
-  let cleaned =
-    delete_keys
-      ~serialize:(fun f -> Shard.quiesce t f)
-      coord throttle (Shard.instance_ops t shard) stale
-  in
-  (* Retire the decision first: a crash after this line resolves to
-     Idle (plan residue swept there); a crash before it still finds
-     the plan and rolls the commit forward. *)
-  publish_decision coord 0;
-  drop_plan coord;
-  if Trace.enabled tr then begin
-    Trace.observe tr "rebalance.copy_ns" copy_ns;
-    Trace.observe tr "rebalance.cutover_ns" cutover_ns
-  end;
-  {
-    r_kind = Split;
-    r_generation = g;
-    r_shard = shard;
-    r_moved_keys = moved;
-    r_moved_words = 0;
-    r_delta_replayed = replayed;
-    r_cleaned_keys = cleaned;
-    r_copy_ns = copy_ns;
-    r_cutover_ns = cutover_ns;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Merge                                                               *)
-(* ------------------------------------------------------------------ *)
+  run throttle t
+    {
+      block =
+        {
+          p_kind = Split;
+          p_shard = shard;
+          p_pivot = pivot;
+          p_slot = slot;
+          p_span_lo = pivot;
+          p_span_hi = hi;
+          p_new_count = Shard.shards t + 1;
+        };
+      tap = shard;
+      accept = (fun k -> k >= pivot);
+      before = no_step;
+      copy = Keys { target; served = false };
+      splice =
+        (fun ops arena ->
+          Shard.splice_split t ~shard ~slot ~pivot ~ops ~arena;
+          Shard.persist_topology t);
+      (* The source tree still holds the moved span; the span clamp
+         hides it, this reclaims it through the untapped source ops. *)
+      after =
+        (fun () ->
+          clean_span t coord throttle (Shard.instance_ops t shard) pivot hi);
+      retire = true;
+    }
 
 let merge ?(throttle = default_throttle) t ~left =
   require_range t;
@@ -494,85 +521,43 @@ let merge ?(throttle = default_throttle) t ~left =
   let right = left + 1 in
   let rlo, rhi = Shard.shard_span t right in
   let coord = Shard.instance_arena t left in
-  let tr = Shard.tracer t in
-  let rslot = Shard.instance_slot t right in
-  let g =
-    begin_rebalance coord
-      {
-        p_kind = Merge;
-        p_shard = left;
-        p_pivot = 0;
-        p_slot = rslot;
-        p_span_lo = rlo;
-        p_span_hi = rhi;
-        p_new_count = Shard.shards t - 1;
-      }
-  in
-  metric tr "rebalance.merge";
   let left_ops = Shard.instance_ops t left in
-  (* Clean the landing span first: an aborted earlier merge may have
-     left a partial copy in the left tree (invisible under the span
-     clamp, but a commit would expose whatever subset it left). *)
-  let stale = List.map fst (Intf.range_list left_ops rlo rhi) in
-  let precleaned =
-    delete_keys
-      ~serialize:(fun f -> Shard.quiesce t f)
-      coord throttle left_ops stale
-  in
-  let delta = ref [] in
-  install_tap t ~shard:right ~accept:(fun _ -> true) delta;
-  let t0 = now_ns coord in
-  let pairs = Intf.range_list (Shard.instance_ops t right) rlo rhi in
-  (* The left tree is still served for writes while the right span
-     lands in it — every chunk runs under a brief quiesce. *)
-  let moved =
-    copy_pairs
-      ~serialize:(fun f -> Shard.quiesce t f)
-      tr coord throttle left_ops pairs
-  in
-  let copy_ns = now_ns coord - t0 in
-  let t1 = now_ns coord in
-  let replayed =
-    Shard.quiesce t (fun () ->
-        if Trace.enabled tr then Trace.span_begin tr Trace.id_rebal_cutover 0;
-        let n = replay_delta tr left_ops delta in
-        Shard.untap_writes t ~shard:right;
-        Arena.fence coord;
-        publish_decision coord ((g lsl 2) lor 2);
-        Shard.splice_merge t ~left;
-        Shard.persist_topology t;
-        if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_cutover;
-        n)
-  in
-  let cutover_ns = now_ns coord - t1 in
-  (* Retire the right inner: composite mode clears its root-slot pair
-     so the orphaned tree is an unambiguous leak for the scrubber;
-     serving mode abandons the whole arena. *)
-  if not (Shard.multi t) then clear_inner_roots coord rslot;
-  (* Retire the decision first: a crash after this line resolves to
-     Idle (plan residue swept there); a crash before it still finds
-     the plan and rolls the commit forward. *)
-  publish_decision coord 0;
-  drop_plan coord;
-  if Trace.enabled tr then begin
-    Trace.observe tr "rebalance.copy_ns" copy_ns;
-    Trace.observe tr "rebalance.cutover_ns" cutover_ns
-  end;
-  {
-    r_kind = Merge;
-    r_generation = g;
-    r_shard = left;
-    r_moved_keys = moved;
-    r_moved_words = 0;
-    r_delta_replayed = replayed;
-    r_cleaned_keys = precleaned;
-    r_copy_ns = copy_ns;
-    r_cutover_ns = cutover_ns;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Migrate                                                             *)
-(* ------------------------------------------------------------------ *)
+  let rslot = Shard.instance_slot t right in
+  run throttle t
+    {
+      block =
+        {
+          p_kind = Merge;
+          p_shard = left;
+          p_pivot = 0;
+          p_slot = rslot;
+          p_span_lo = rlo;
+          p_span_hi = rhi;
+          p_new_count = Shard.shards t - 1;
+        };
+      tap = right;
+      accept = (fun _ -> true);
+      (* Clean the landing span first: an aborted earlier merge may
+         have left a partial copy in the left tree (invisible under the
+         span clamp, but a commit would expose whatever subset it
+         left). *)
+      before = (fun () -> clean_span t coord throttle left_ops rlo rhi);
+      (* The left tree is still served for writes while the right span
+         lands in it. *)
+      copy = Keys { target = (fun () -> (left_ops, coord)); served = true };
+      splice =
+        (fun _ _ ->
+          Shard.splice_merge t ~left;
+          Shard.persist_topology t);
+      (* Retire the right inner: composite mode clears its root-slot
+         pair so the orphaned tree is an unambiguous leak for the
+         scrubber; serving mode abandons the whole arena. *)
+      after =
+        (fun () ->
+          if not (Shard.multi t) then clear_inner_roots coord rslot;
+          0);
+      retire = true;
+    }
 
 let migrate ?(throttle = default_throttle) t ~shard ~dst =
   if not (Shard.multi t) then
@@ -580,73 +565,26 @@ let migrate ?(throttle = default_throttle) t ~shard ~dst =
       "Rebalance.migrate: composite shards share one arena (serving mode \
        only)";
   check_position t shard "migrate";
-  let src = Shard.instance_arena t shard in
-  let tr = Shard.tracer t in
   let lo, hi = Shard.shard_span t shard in
-  let g =
-    begin_rebalance src
-      {
-        p_kind = Migrate;
-        p_shard = shard;
-        p_pivot = 0;
-        p_slot = 0;
-        p_span_lo = lo;
-        p_span_hi = hi;
-        p_new_count = Shard.shards t;
-      }
-  in
-  metric tr "rebalance.migrate";
-  let delta = ref [] in
-  (* Tap, then freeze: every write after the tap is in the delta
-     buffer, and the frozen clone holds everything before it (the
-     quiesce drains in-flight mutations and the store log, so the
-     clone is a clean, legal TSO state). *)
-  let frozen =
-    Shard.quiesce t (fun () ->
-        Shard.tap_writes t ~shard (fun k vo -> delta := (k, vo) :: !delta);
-        Arena.drain src;
-        Arena.clone src)
-  in
-  let t0 = now_ns src in
-  let seg = Segment.capture frozen in
-  let last = ref 0 in
-  Segment.copy ~src:frozen ~dst seg ~between:(fun copied ->
-      if Trace.enabled tr then Trace.instant tr Trace.id_rebal_copy copied;
-      charge_throttle src throttle ((copied - !last) * 8);
-      last := copied);
-  Segment.attach ~dst seg;
-  (* The segment shipped the registry manifest with everything else,
-     so the destination names its own index. *)
-  let dst_ops = Registry.open_existing dst in
-  dst_ops.Intf.recover ();
-  let copy_ns = now_ns src - t0 in
-  let t1 = now_ns src in
-  let replayed =
-    Shard.quiesce t (fun () ->
-        if Trace.enabled tr then Trace.span_begin tr Trace.id_rebal_cutover 0;
-        let n = replay_delta tr dst_ops delta in
-        Shard.untap_writes t ~shard;
-        Arena.fence dst;
-        publish_decision src ((g lsl 2) lor 2);
-        Shard.splice_replace t ~shard ~ops:dst_ops ~arena:dst;
-        if Trace.enabled tr then Trace.span_end tr Trace.id_rebal_cutover;
-        n)
-  in
-  let cutover_ns = now_ns src - t1 in
-  (* No finish on the source: the committed decision word stays as the
-     tombstone that names this image superseded. *)
-  if Trace.enabled tr then begin
-    Trace.observe tr "rebalance.copy_ns" copy_ns;
-    Trace.observe tr "rebalance.cutover_ns" cutover_ns
-  end;
-  {
-    r_kind = Migrate;
-    r_generation = g;
-    r_shard = shard;
-    r_moved_keys = 0;
-    r_moved_words = Segment.words seg;
-    r_delta_replayed = replayed;
-    r_cleaned_keys = 0;
-    r_copy_ns = copy_ns;
-    r_cutover_ns = cutover_ns;
-  }
+  run throttle t
+    {
+      block =
+        {
+          p_kind = Migrate;
+          p_shard = shard;
+          p_pivot = 0;
+          p_slot = 0;
+          p_span_lo = lo;
+          p_span_hi = hi;
+          p_new_count = Shard.shards t;
+        };
+      tap = shard;
+      accept = (fun _ -> true);
+      before = no_step;
+      copy = Image dst;
+      splice = (fun ops arena -> Shard.splice_replace t ~shard ~ops ~arena);
+      after = no_step;
+      (* No finish on the source: the committed decision word stays as
+         the tombstone that names this image superseded. *)
+      retire = false;
+    }

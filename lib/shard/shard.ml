@@ -1,6 +1,7 @@
 module Arena = Ff_pmem.Arena
 module Config = Ff_pmem.Config
 module Stats = Ff_pmem.Stats
+module Segment = Ff_pmem.Segment
 module Histogram = Ff_util.Histogram
 module Heap = Ff_util.Heap
 module Intf = Ff_index.Intf
@@ -508,30 +509,30 @@ let bulk_insert t pairs =
           end)
         buckets)
 
-(* Scans are clamped to the queried shard's owned span: after a split
-   or merge the source tree may still hold moved keys outside its span
-   (until the background cleanup deletes them), and clamping keeps
-   those stale copies invisible. *)
-let clamped_range t j lo hi f =
-  let sl, sh = Partition.span t.partition j in
-  let qlo = max lo sl and qhi = min hi sh in
-  if qlo <= qhi then t.instances.(j).ops.Intf.range qlo qhi f
-
-(* Cross-shard ordered scan: materialize each overlapping shard's
-   slice (already ascending) and k-way merge on a stable min-heap.
-   Keys are globally unique across shards, so ties cannot occur. *)
-let range t ~lo ~hi f =
+(* Cross-shard ordered scan, shared by [range] and [range_at]: [scan
+   ops qlo qhi f] reads one shard's slice, clamped to the span the
+   shard owns — after a split or merge the source tree may still hold
+   moved keys outside its span (until the background cleanup deletes
+   them), and clamping keeps those stale copies invisible.  Each
+   overlapping slice is materialized (already ascending) and k-way
+   merged on a stable min-heap.  Keys are globally unique across
+   shards, so ties cannot occur. *)
+let merged_range t ~lo ~hi scan f =
+  let clamped j f =
+    let sl, sh = Partition.span t.partition j in
+    let qlo = max lo sl and qhi = min hi sh in
+    if qlo <= qhi then scan t.instances.(j).ops qlo qhi f
+  in
   let slo, shi = Partition.overlapping t.partition ~lo ~hi in
   let nsh = shi - slo + 1 in
   if Trace.enabled t.tracer then Trace.instant t.tracer Trace.id_merge nsh;
-  if nsh = 1 then guarded t slo (fun () -> clamped_range t slo lo hi f)
+  if nsh = 1 then guarded t slo (fun () -> clamped slo f)
   else begin
     let slices =
       Array.init nsh (fun j ->
           guarded t (slo + j) (fun () ->
               let buf = ref [] in
-              clamped_range t (slo + j) lo hi (fun k v ->
-                  buf := (k, v) :: !buf);
+              clamped (slo + j) (fun k v -> buf := (k, v) :: !buf);
               Array.of_list (List.rev !buf)))
     in
     let cursor = Array.make nsh 0 in
@@ -553,6 +554,8 @@ let range t ~lo ~hi f =
     in
     drain ()
   end
+
+let range t ~lo ~hi f = merged_range t ~lo ~hi (fun ops -> ops.Intf.range) f
 
 (* ------------------------------------------------------------------ *)
 (* Batched scheduler with group flush                                  *)
@@ -721,49 +724,12 @@ let read_at t ~epoch k =
   let i = shard_of_key t k in
   guarded t i (fun () -> t.instances.(i).ops.Intf.read_at epoch k)
 
-(* As-of variant of the merged range cursor: each overlapping shard's
-   pinned slice is already ascending, so the same stable k-way heap
-   merge yields a globally ordered cut. *)
-let clamped_range_at t j epoch lo hi f =
-  let sl, sh = Partition.span t.partition j in
-  let qlo = max lo sl and qhi = min hi sh in
-  if qlo <= qhi then t.instances.(j).ops.Intf.range_at epoch qlo qhi f
-
+(* As-of variant of the merged range cursor: each shard's pinned
+   slice is already ascending, so the same merge yields a globally
+   ordered cut. *)
 let range_at t ~epoch ~lo ~hi f =
   require_snapshottable t;
-  let slo, shi = Partition.overlapping t.partition ~lo ~hi in
-  let nsh = shi - slo + 1 in
-  if Trace.enabled t.tracer then Trace.instant t.tracer Trace.id_merge nsh;
-  if nsh = 1 then
-    guarded t slo (fun () -> clamped_range_at t slo epoch lo hi f)
-  else begin
-    let slices =
-      Array.init nsh (fun j ->
-          guarded t (slo + j) (fun () ->
-              let buf = ref [] in
-              clamped_range_at t (slo + j) epoch lo hi (fun k v ->
-                  buf := (k, v) :: !buf);
-              Array.of_list (List.rev !buf)))
-    in
-    let cursor = Array.make nsh 0 in
-    let heap = Heap.create () in
-    Array.iteri
-      (fun j s -> if Array.length s > 0 then Heap.push heap (fst s.(0)) j)
-      slices;
-    let rec drain () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (_, j) ->
-          let s = slices.(j) in
-          let k, v = s.(cursor.(j)) in
-          f k v;
-          cursor.(j) <- cursor.(j) + 1;
-          if cursor.(j) < Array.length s then
-            Heap.push heap (fst s.(cursor.(j))) j;
-          drain ()
-    in
-    drain ()
-  end
+  merged_range t ~lo ~hi (fun ops -> ops.Intf.range_at epoch) f
 
 let gc_before t epoch =
   require_snapshottable t;
@@ -844,28 +810,38 @@ let rebuild_sched t =
   t.qlen <- Array.make n 0;
   t.txs <- None
 
+(* The split and merge topology edits, computed once for the live
+   splices (over the instance array) and for crash resolution (over a
+   persisted slot map): the new partition, and the per-position array
+   with [nu] inserted at [shard + 1] or position [left + 1] dropped. *)
+let split_topology partition arr ~shard ~pivot nu =
+  let p = Partition.split partition ~shard ~pivot in
+  ( p,
+    Array.init (Array.length arr + 1) (fun i ->
+        if i <= shard then arr.(i)
+        else if i = shard + 1 then nu
+        else arr.(i - 1)) )
+
+let merge_topology partition arr ~left =
+  let p = Partition.merge partition ~left in
+  ( p,
+    Array.init (Array.length arr - 1) (fun i ->
+        if i <= left then arr.(i) else arr.(i + 1)) )
+
 let splice_split t ~shard ~slot ~pivot ~ops ~arena =
   check_spliceable t;
-  let p = Partition.split t.partition ~shard ~pivot in
-  check_shards (Partition.shards p);
-  let n = Array.length t.instances in
   let nu = mk_instance ~slot ops arena in
+  let p, instances = split_topology t.partition t.instances ~shard ~pivot nu in
+  check_shards (Partition.shards p);
   if Trace.enabled t.tracer then nu.ops.Intf.set_tracer t.tracer;
-  t.instances <-
-    Array.init (n + 1) (fun i ->
-        if i <= shard then t.instances.(i)
-        else if i = shard + 1 then nu
-        else t.instances.(i - 1));
+  t.instances <- instances;
   t.partition <- p;
   rebuild_sched t
 
 let splice_merge t ~left =
   check_spliceable t;
-  let p = Partition.merge t.partition ~left in
-  let n = Array.length t.instances in
-  t.instances <-
-    Array.init (n - 1) (fun i ->
-        if i <= left then t.instances.(i) else t.instances.(i + 1));
+  let p, instances = merge_topology t.partition t.instances ~left in
+  t.instances <- instances;
   t.partition <- p;
   rebuild_sched t
 
@@ -878,6 +854,29 @@ let splice_replace t ~shard ~ops ~arena =
   if Trace.enabled t.tracer then nu.ops.Intf.set_tracer t.tracer;
   t.instances <- Array.mapi (fun i it -> if i = shard then nu else it) t.instances;
   rebuild_sched t
+
+(* Ship shard [shard]'s image into the fresh arena [dst].  Inside one
+   quiesce: run [freeze] (a rebalance installs its write tap there),
+   then drain and clone the source, so the clone is a clean, legal TSO
+   state holding every write applied before the freeze.  Outside it:
+   capture the clone's segment, copy it chunk by chunk ([between] sees
+   the cumulative words after each chunk), attach, reopen through the
+   registry manifest the image carried, and recover.  Returns
+   [freeze]'s result, the reopened ops and the words shipped. *)
+let ship_image t ~shard ~freeze ~dst ~between =
+  let src = t.instances.(shard).arena in
+  let frozen, x =
+    quiesce t (fun () ->
+        let x = freeze () in
+        Arena.drain src;
+        (Arena.clone src, x))
+  in
+  let seg = Segment.capture frozen in
+  Segment.copy ~src:frozen ~dst seg ~between;
+  Segment.attach ~dst seg;
+  let ops = Registry.open_existing dst in
+  ops.Intf.recover ();
+  (x, ops, Segment.words seg)
 
 let persist_topology t =
   if not t.multi then

@@ -211,6 +211,31 @@ val splice_replace :
   t -> shard:int -> ops:Ff_index.Intf.ops -> arena:Ff_pmem.Arena.t -> unit
 (** Swap shard [shard]'s instance for a migrated replica. *)
 
+val split_topology :
+  Partition.t -> 'a array -> shard:int -> pivot:int -> 'a ->
+  Partition.t * 'a array
+(** The split edit, shared by {!splice_split} (over instances) and
+    rebalance crash resolution (over a persisted slot map): the
+    partition with [shard] split at [pivot], and the per-position
+    array with the new element inserted at [shard + 1]. *)
+
+val merge_topology :
+  Partition.t -> 'a array -> left:int -> Partition.t * 'a array
+(** The merge edit: [left] absorbs [left + 1]'s span, whose array
+    element is dropped. *)
+
+val ship_image :
+  t -> shard:int -> freeze:(unit -> 'a) -> dst:Ff_pmem.Arena.t ->
+  between:(int -> unit) -> 'a * Ff_index.Intf.ops * int
+(** Ship shard [shard]'s whole arena image into the fresh [dst]
+    through a relocatable {!Ff_pmem.Segment}.  Inside one {!quiesce},
+    run [freeze] and then drain and clone the source; outside it,
+    copy the clone chunk by chunk ([between] gets the cumulative words
+    copied after each chunk, for throttling or transfer charges),
+    attach, reopen through the copied registry manifest and recover.
+    Returns [freeze]'s result, the reopened ops and the words shipped.
+    Migration and replica resync both ship through here. *)
+
 val persist_topology : t -> unit
 (** Composite mode: rewrite the shard manifest (bounds, slot map,
     count) from the live topology.  No-op in serving mode, where
