@@ -340,6 +340,71 @@ let test_split_crash_sweep () =
      plus one far beyond (no crash at all). *)
   List.iter split_crash_at [ 5; 60; 200; 400; 100000 ]
 
+(* Crash a composite rebalance at every store from the decision
+   word's flip to Committed through the end, under [Keep_all], and
+   hold resolution to the topology a crash-free run persists: the same
+   shard manifest, the same shard count on reattach, and every key.
+   The stores before the flip roll back and are the split sweep's
+   business; everything from the flip on must roll forward. *)
+let committed_crash_sweep ~bounds ~rebalance ~shards_after =
+  let keys = List.init 30 (fun i -> i + 1) in
+  let setup () =
+    let a = Arena.create ~words:(1 lsl 16) () in
+    let t =
+      Shard.create_composite ~inner:"fastfair"
+        ~partition:(Shard.Partition.range ~bounds)
+        a
+    in
+    List.iter (fun k -> Shard.insert t ~key:k ~value:(value_of k)) keys;
+    (a, t)
+  in
+  let go a t =
+    Mcsim.run ~cores:1 ~quantum_ns:1 ~arena:a [| (fun _ -> rebalance t) |]
+  in
+  let a, t = setup () in
+  let base = Arena.store_count a in
+  ignore (go a t);
+  let total = Arena.store_count a - base in
+  let expected = Shard.read_manifest a in
+  let committed_seen = ref false and rolled_forward = ref 0 in
+  for n = 0 to total - 1 do
+    let a, t = setup () in
+    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + n));
+    (match go a t with
+    | _ -> Alcotest.failf "crash at store %d of %d did not fire" n total
+    | exception Arena.Crashed -> ());
+    Arena.power_fail a Storelog.Keep_all;
+    (match Rebalance.phase a with
+    | Rebalance.Committed _ -> committed_seen := true
+    | Rebalance.Idle | Rebalance.Preparing _ -> ());
+    ignore (Rebalance.resolve a);
+    if !committed_seen then begin
+      incr rolled_forward;
+      if Shard.read_manifest a <> expected then
+        Alcotest.failf "crash at store %d of %d: resolved manifest differs" n
+          total;
+      let t2 = Shard.attach ~inner:"fastfair" a in
+      Shard.recover t2;
+      Alcotest.(check int)
+        (Printf.sprintf "shards after crash at store %d" n)
+        shards_after (Shard.shards t2);
+      check_pairs
+        (Printf.sprintf "contents after crash at store %d" n)
+        (List.map (fun k -> (k, value_of k)) keys)
+        (dump_search (Shard.search t2) 30)
+    end
+  done;
+  Alcotest.(check bool) "some crash points rolled forward" true
+    (!rolled_forward > 1)
+
+let test_split_resolves_live_topology () =
+  committed_crash_sweep ~bounds:[||] ~shards_after:2 ~rebalance:(fun t ->
+      ignore (Rebalance.split t ~shard:0 ~pivot:16))
+
+let test_merge_resolves_live_topology () =
+  committed_crash_sweep ~bounds:[| 16 |] ~shards_after:1 ~rebalance:(fun t ->
+      ignore (Rebalance.merge t ~left:0))
+
 (* ------------------------------------------------------------------ *)
 (* The Rebalcheck family                                               *)
 (* ------------------------------------------------------------------ *)
@@ -406,6 +471,10 @@ let suite =
     Alcotest.test_case "merge landing clean" `Quick test_merge_landing_clean;
     Alcotest.test_case "throttle" `Quick test_throttle_charges_time;
     Alcotest.test_case "split crash sweep" `Quick test_split_crash_sweep;
+    Alcotest.test_case "split resolves to the live topology" `Quick
+      test_split_resolves_live_topology;
+    Alcotest.test_case "merge resolves to the live topology" `Quick
+      test_merge_resolves_live_topology;
     Alcotest.test_case "rebalcheck clean" `Slow test_rebalcheck_clean;
     Alcotest.test_case "rebalcheck mutant" `Slow test_rebalcheck_mutant_fails;
   ]
