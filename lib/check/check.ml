@@ -68,17 +68,17 @@ let crash_checkable d =
 (* ------------------------------------------------------------------ *)
 
 type workload = {
-  scripts : (int * Model.op) list array;  (* per thread: (opid, op) *)
-  initial : (int * int) list;             (* prefill bindings *)
-  writable : (int * int) list;            (* every (key, value) any insert may write *)
+  scripts : (int * Spec.op) list array;  (* per thread: (opid, op) *)
+  initial : (int * int) list;            (* prefill bindings *)
+  spec : Spec.t;  (* every write, in opid order: what [written] admits *)
 }
 
 (* Values come from one counter, so every insert (prefill included)
    writes a distinct value — the registry's uniqueness contract, and
    what lets the tolerance check recognize a fabricated binding. *)
 let gen_workload cfg =
-  let values = Script.values () in
-  let initial = Script.prefill values ~prefill:cfg.prefill ~keyspace:cfg.keyspace in
+  let values = Spec.values () in
+  let initial = Spec.prefill values ~prefill:cfg.prefill ~keyspace:cfg.keyspace in
   let master = Prng.create cfg.seed in
   let opid = ref 0 in
   let scripts =
@@ -86,21 +86,15 @@ let gen_workload cfg =
         let rng = Prng.split master in
         List.init cfg.ops_per_thread (fun _ ->
             let op =
-              if tid < cfg.writers then
-                match Script.draw values rng ~keyspace:cfg.keyspace with
-                | Script.Put (k, v) -> Model.Insert (k, v)
-                | Script.Del k -> Model.Delete k
-              else Model.Search (1 + Prng.int rng cfg.keyspace)
+              if tid < cfg.writers then Spec.draw values rng ~keyspace:cfg.keyspace
+              else Spec.Search (1 + Prng.int rng cfg.keyspace)
             in
             let id = !opid in
             incr opid;
             (id, op)))
   in
-  let inserted = function _, Model.Insert (k, v) -> Some (k, v) | _ -> None in
-  let writable =
-    initial @ List.filter_map inserted (List.concat (Array.to_list scripts))
-  in
-  { scripts; initial; writable }
+  let log = List.map (fun (_, op) -> [ op ]) (List.concat (Array.to_list scripts)) in
+  { scripts; initial; spec = Spec.make ~initial (Array.of_list log) }
 
 type exec = {
   arena : Arena.t;
@@ -117,7 +111,7 @@ let setup cfg d w () =
   Sweep.in_sim arena (fun () -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial);
   if cfg.elide_flush then Arena.set_flush_elision arena true;
   let total = Array.fold_left (fun a s -> a + List.length s) 0 w.scripts in
-  let calls = Array.make total (Linearize.make_call ~opid:0 ~tid:0 (Model.Search 0)) in
+  let calls = Array.make total (Linearize.make_call ~opid:0 ~tid:0 (Spec.Search 0)) in
   Array.iteri
     (fun tid script ->
       List.iter
@@ -136,11 +130,11 @@ let setup cfg d w () =
         c.Linearize.inv <- tick ();
         let resp =
           match op with
-          | Model.Insert (k, v) ->
+          | Spec.Insert (k, v) ->
               ops.Intf.insert k v;
-              Model.Done
-          | Model.Delete k -> Model.Deleted (ops.Intf.delete k)
-          | Model.Search k -> Model.Found (ops.Intf.search k)
+              Spec.Done
+          | Spec.Delete k -> Spec.Deleted (ops.Intf.delete k)
+          | Spec.Search k -> Spec.Found (ops.Intf.search k)
         in
         c.Linearize.resp <- Some resp;
         c.Linearize.ret <- tick ())
@@ -185,7 +179,7 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
   in
   let tolerance =
     if d.D.caps.D.lock_free_reads then
-      pre_recovery_tolerance ~keyspace:cfg.keyspace ~writable:w.writable (fun () ->
+      pre_recovery_tolerance ~keyspace:cfg.keyspace ~written:(Spec.written w.spec) (fun () ->
           d.D.open_existing sdcfg x.arena)
     else []
   in

@@ -26,7 +26,7 @@
 
     - {b Linearizability}: every explored schedule records per-thread
       invocation/response histories, checked WGL-style against the
-      sequential {!Model} oracle and the observed final state
+      sequential {!Spec} model and the observed final state
       ({!Linearize}).
 
     - {b Crash product}: for every fence of an explored schedule, the

@@ -1,17 +1,17 @@
 type call = {
   opid : int;
   tid : int;
-  op : Model.op;
+  op : Spec.op;
   mutable inv : int;
-  mutable resp : Model.resp option;
+  mutable resp : Spec.resp option;
   mutable ret : int;
 }
 
 let make_call ~opid ~tid op = { opid; tid; op; inv = -1; resp = None; ret = max_int }
 
 let pp_call c =
-  Printf.sprintf "  t%d #%d %s -> %s [%d,%s]" c.tid c.opid (Model.op_to_string c.op)
-    (match c.resp with None -> "pending" | Some r -> Model.resp_to_string r)
+  Printf.sprintf "  t%d #%d %s -> %s [%d,%s]" c.tid c.opid (Spec.op_to_string c.op)
+    (match c.resp with None -> "pending" | Some r -> Spec.resp_to_string r)
     c.inv
     (if c.ret = max_int then "crash" else string_of_int c.ret)
 
@@ -46,14 +46,13 @@ let check ?(initial = []) ?final calls =
   Array.iteri (fun i c -> if c.resp <> None then completed_mask := !completed_mask lor (1 lsl i)) calls;
   let completed_mask = !completed_mask in
   let memo = Hashtbl.create 1024 in
-  let rec go mask model =
-    let bindings = Model.bindings model in
-    let key = (mask, bindings) in
+  let rec go mask state =
+    let key = (mask, state) in
     if not (Hashtbl.mem memo key) then begin
       Hashtbl.add memo key ();
       if
         mask land completed_mask = 0
-        && (match final with None -> true | Some f -> bindings = f)
+        && (match final with None -> true | Some f -> state = f)
       then raise Linearized;
       (* earliest response among ops not yet linearized *)
       let min_ret = ref max_int in
@@ -64,26 +63,24 @@ let check ?(initial = []) ?final calls =
       for i = 0 to n - 1 do
         if mask land (1 lsl i) <> 0 && calls.(i).inv < !min_ret then begin
           let c = calls.(i) in
-          let m' = Model.copy model in
-          let r = Model.apply m' c.op in
+          let state', r = Spec.apply state c.op in
           match c.resp with
           | Some observed when observed <> r -> () (* spec contradicts observation *)
-          | _ -> go (mask land lnot (1 lsl i)) m'
+          | _ -> go (mask land lnot (1 lsl i)) state'
         end
       done
     end
   in
   try
-    go ((1 lsl n) - 1) (Model.create ~initial ());
+    go ((1 lsl n) - 1) (List.sort compare initial);
     let reason =
       match final with
       | None -> "no linearization of the history exists"
       | Some f ->
           Printf.sprintf
             "no linearization of the completed ops (plus any subset of in-flight \
-             ops) reproduces the observed final state [%s]"
-            (String.concat "; "
-               (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) f))
+             ops) reproduces the observed final state %s"
+            (Spec.show_state f)
     in
     Error (Printf.sprintf "%s\nhistory (by invocation):\n%s" reason (pp_history calls))
   with Linearized -> Ok ()

@@ -7,20 +7,20 @@
     cut the schedule short).  The checker searches for a total order
     that (1) respects real time — an op can only linearize before
     another if it was invoked before that other's response — and (2)
-    agrees with the sequential {!Model} on every observed response.
-    Memoization on (remaining-set, model-state) keeps the search
+    agrees with the sequential {!Spec} on every observed response.
+    Memoization on (remaining-set, model state) keeps the search
     polynomial on commuting histories. *)
 
 type call = {
   opid : int;
   tid : int;
-  op : Model.op;
+  op : Spec.op;
   mutable inv : int;   (** global stamp at invocation; -1 = never ran *)
-  mutable resp : Model.resp option;  (** [None] = pending at crash *)
+  mutable resp : Spec.resp option;  (** [None] = pending at crash *)
   mutable ret : int;   (** global stamp at response; [max_int] = pending *)
 }
 
-val make_call : opid:int -> tid:int -> Model.op -> call
+val make_call : opid:int -> tid:int -> Spec.op -> call
 
 val max_ops : int
 (** History length limit (62: remaining ops are a bitmask in one
@@ -32,7 +32,7 @@ val check :
   call array ->
   (unit, string) result
 (** [check ~initial history] — [Ok ()] iff the history is
-    linearizable against {!Model} started from [initial].
+    linearizable against {!Spec} started from [initial].
 
     With [~final] this is the {e durable} variant: completed ops must
     linearize, pending ops may linearize or vanish, and the resulting

@@ -78,7 +78,7 @@ let pivot cfg = (cfg.keyspace / 2) + 1
    it.  Fence marks on every involved arena are the crash-sweep
    candidates, so the sweep covers plan publication, the background
    copy, dual-write application, cutover and the finish phase. *)
-let setup cfg name (w : Script.t) () =
+let setup cfg name w () =
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let t, arenas =
     match cfg.kind with
@@ -97,17 +97,18 @@ let setup cfg name (w : Script.t) () =
         (t, [| (Shard.arenas t).(0); dst |])
   in
   Sweep.in_sim arenas.(0) (fun () ->
-      List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) w.Script.initial);
+      List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) (Spec.initial w));
   let applied = ref 0 in
   let rebalanced = ref false in
   let writer _ =
     Array.iter
-      (fun op ->
-        (match op with
-        | Script.Put (k, v) -> Shard.insert t ~key:k ~value:v
-        | Script.Del k -> ignore (Shard.delete t k));
-        incr applied)
-      w.Script.log
+      (List.iter (fun op ->
+           (match op with
+           | Spec.Insert (k, v) -> Shard.insert t ~key:k ~value:v
+           | Spec.Delete k -> ignore (Shard.delete t k)
+           | Spec.Search _ -> ());
+           incr applied))
+      (Spec.log w)
   in
   let rebalancer _ =
     (* A tight throttle (one pair per chunk) stretches the background
@@ -143,35 +144,19 @@ let setup cfg name (w : Script.t) () =
 (* ------------------------------------------------------------------ *)
 
 (* Zero lost acknowledged writes: every key must read back as the
-   model state after [applied] ops; the single in-flight op (index
-   [applied]) may or may not have landed, so the key it touches also
-   accepts the next prefix's binding. *)
-let check_prefix cfg (w : Script.t) ~applied ~ctx read =
-  let expect0 = w.Script.states.(applied) in
-  let inflight =
-    if applied < Array.length w.Script.log then
-      Some (Script.key w.Script.log.(applied), w.Script.states.(applied + 1))
-    else None
-  in
+   model state after [applied] ops, or after the single in-flight op
+   (index [applied]) landed. *)
+let check_prefix cfg w ~applied ~ctx read =
+  let hi = min (applied + 1) (Spec.length w) in
   let failures = ref [] in
   for k = 1 to cfg.keyspace do
-    let got = read k in
-    let want0 = List.assoc_opt k expect0 in
-    let ok =
-      got = want0
-      || match inflight with
-         | Some (ik, st) -> ik = k && got = List.assoc_opt k st
-         | None -> false
-    in
-    if not ok && List.length !failures < 8 then
-      failures :=
-        ( Sweep.Durability,
-          Printf.sprintf
-            "lost acknowledged write (%s): key %d reads %s but the %d \
-             acknowledged ops left %s"
-            ctx k (Script.show_binding got) applied
-            (Script.show_binding want0) )
-        :: !failures
+    match Spec.window w ~lo:applied ~hi (Spec.Key (k, read k)) with
+    | Ok _ -> ()
+    | Error why ->
+        if List.length !failures < 8 then
+          failures :=
+            (Sweep.Durability, Printf.sprintf "lost acknowledged write (%s): %s" ctx why)
+            :: !failures
   done;
   List.rev !failures
 
@@ -239,8 +224,8 @@ let family cfg name =
   let d = Registry.find_exn name in
   let w =
     lazy
-      (Script.create (Prng.create cfg.seed) ~prefill:cfg.prefill
-         ~keyspace:cfg.keyspace cfg.ops)
+      (Spec.create (Prng.create cfg.seed) ~prefill:cfg.prefill
+         ~keyspace:cfg.keyspace ~per_entry:1 cfg.ops)
   in
   {
     Sweep.index = name;

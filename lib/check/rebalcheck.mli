@@ -1,7 +1,7 @@
 (** Crash x schedule model checker for elastic resharding
     ({!Ff_rebalance.Rebalance}).
 
-    One writer thread applies a deterministic commit log ({!Script})
+    One writer thread applies a deterministic commit log ({!Spec})
     through the routed serving layer while a rebalancer thread splits,
     merges or migrates a shard underneath it.  The {!Sweep} driver
     explores the schedule x crash product, starting from the canonical

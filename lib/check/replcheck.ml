@@ -44,57 +44,19 @@ let checkable d cfg =
 (* Deterministic client script                                         *)
 (* ------------------------------------------------------------------ *)
 
-type sop = S_put of int * int | S_del of int | S_get of int
-
 (* Values are the script position + 1, so per-key values are strictly
-   increasing and a stale read is detectable by inequality alone. *)
+   increasing and a stale read is detectable by inequality alone.  The
+   script is the commit log: entry [j] is the op at position [j], so
+   prefix [j] is every write issued before it. *)
 let gen_script cfg =
   let rng = Prng.create (cfg.seed * 31 + 17) in
-  Array.init cfg.ops (fun j ->
-      let k = 1 + Prng.int rng cfg.keyspace in
-      match Prng.int rng 10 with
-      | 0 | 1 -> S_get k
-      | 2 -> S_del k
-      | _ -> S_put (k, j + 1))
-
-(* ------------------------------------------------------------------ *)
-(* Oracle state                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [acked] is the last acknowledged binding per key.  [pending] holds
-   the bindings attempted since that ack whose outcome is
-   indeterminate (the op errored or timed out, but the mutation — or
-   just its ack — may have been lost in flight). *)
-type oracle = {
-  acked : (int, int option) Hashtbl.t;
-  pending : (int, int option list) Hashtbl.t;
-}
-
-let oracle_create () = { acked = Hashtbl.create 64; pending = Hashtbl.create 64 }
-
-let oracle_ack o k v =
-  Hashtbl.replace o.acked k v;
-  Hashtbl.remove o.pending k
-
-let oracle_attempt o k v =
-  let prev = Option.value ~default:[] (Hashtbl.find_opt o.pending k) in
-  Hashtbl.replace o.pending k (v :: prev)
-
-let oracle_allowed o k v =
-  let pend = Option.value ~default:[] (Hashtbl.find_opt o.pending k) in
-  match Hashtbl.find_opt o.acked k with
-  | Some a -> v = a || List.mem v pend
-  | None -> v = None || List.mem v pend
-
-let describe_binding = function
-  | None -> "absent"
-  | Some v -> string_of_int v
-
-let expectation o k =
-  match (Hashtbl.find_opt o.acked k, Hashtbl.find_opt o.pending k) with
-  | Some a, _ -> Printf.sprintf "last ack %s" (describe_binding a)
-  | None, Some _ -> "never acked (attempts pending)"
-  | None, None -> "never written"
+  Spec.make ~initial:[]
+    (Array.init cfg.ops (fun j ->
+         let k = 1 + Prng.int rng cfg.keyspace in
+         match Prng.int rng 10 with
+         | 0 | 1 -> [ Spec.Search k ]
+         | 2 -> [ Spec.Delete k ]
+         | _ -> [ Spec.Insert (k, j + 1) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Counterexamples                                                     *)
@@ -177,7 +139,10 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
     }
   in
   let cl = Cluster.create ~tracer ccfg in
-  let o = oracle_create () in
+  (* [acked.(k)]: the prefix just after the last acknowledged write on
+     [k] (0: never acked).  A read of [k] may see that state or any
+     later attempt on [k]: the window [acked.(k), issued]. *)
+  let acked = Array.make (cfg.keyspace + 1) 0 in
   let violations = ref [] in
   let crash_runs = ref 0 in
   let killed = ref (-1) in
@@ -201,13 +166,10 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       (recovery_to_string recovery)
       partition mode
   in
-  let check_read ~where k = function
-    | Error _ -> ()
-    | Ok v ->
-        if not (oracle_allowed o k v) then
-          add Sweep.Linearizability
-            (Printf.sprintf "stale read (%s): key %d returned %s, expected %s %s"
-               where k (describe_binding v) (expectation o k) scen_tag)
+  let explain ~issued k v =
+    match Spec.window script ~lo:acked.(k) ~hi:issued (Spec.Key (k, v)) with
+    | Ok _ -> None
+    | Error why -> Some why
   in
   (* The partition opens a few acks before the kill, so a primary
      that acks unreplicated writes (the mutant) has a window to do
@@ -271,26 +233,32 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       promote_away victim
     end
   in
-  Array.iter
-    (fun op ->
-      maybe_partition ();
-      maybe_kill ();
-      maybe_rekill ();
-      match op with
-      | S_put (k, v) -> (
-          match Cluster.put cl k v with
-          | Ok () ->
-              oracle_ack o k (Some v);
-              incr acks
-          | Error _ -> oracle_attempt o k (Some v))
-      | S_del k -> (
-          match Cluster.del cl k with
-          | Ok () ->
-              oracle_ack o k None;
-              incr acks
-          | Error _ -> oracle_attempt o k None)
-      | S_get k -> check_read ~where:"during run" k (Cluster.get cl k))
-    script;
+  let ack j k = function
+    | Ok () ->
+        acked.(k) <- j + 1;
+        incr acks
+    | Error _ -> ()
+  in
+  Array.iteri
+    (fun j ->
+      List.iter (fun op ->
+          maybe_partition ();
+          maybe_kill ();
+          maybe_rekill ();
+          match op with
+          | Spec.Insert (k, v) -> ack j k (Cluster.put cl k v)
+          | Spec.Delete k -> ack j k (Cluster.del cl k)
+          | Spec.Search k -> (
+              match Cluster.get cl k with
+              | Error _ -> ()
+              | Ok v -> (
+                  match explain ~issued:j k v with
+                  | None -> ()
+                  | Some why ->
+                      add Sweep.Linearizability
+                        (Printf.sprintf "stale read (during run): %s %s" why
+                           scen_tag)))))
+    (Spec.log script);
   maybe_kill ();
   maybe_rekill ();
   (* Settle: heal the fabric, bring any dead node back (segment
@@ -316,18 +284,17 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
         add Sweep.Tolerance
           (Printf.sprintf "audit read unavailable after recovery: key %d %s" k
              scen_tag)
-    | Some v ->
-        if not (oracle_allowed o k v) then
-          add
-            (if Hashtbl.mem o.acked k then Sweep.Durability
-             else Sweep.Linearizability)
-            (Printf.sprintf
-               "lost acknowledged write: key %d read back %s after recovery, \
-                expected %s %s"
-               k (describe_binding v) (expectation o k) scen_tag)
+    | Some v -> (
+        match explain ~issued:(Spec.length script) k v with
+        | None -> ()
+        | Some why ->
+            add
+              (if acked.(k) > 0 then Sweep.Durability else Sweep.Linearizability)
+              (Printf.sprintf "lost acknowledged write after recovery: %s %s" why
+                 scen_tag))
   done;
   Cluster.close cl;
-  (List.rev !violations, !crash_runs, Array.length script + cfg.keyspace)
+  (List.rev !violations, !crash_runs, Spec.length script + cfg.keyspace)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario product                                                    *)

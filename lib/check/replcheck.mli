@@ -13,7 +13,10 @@
     failover; the run then heals, restarts the dead node (segment
     resync) and audits.
 
-    Two oracles:
+    The client script is a {!Spec} commit log (entry [j] is the op at
+    script position [j]); both oracles are its per-key query over the
+    window from the key's last acknowledged write to the op being
+    issued.  Two oracles:
 
     - {b no lost acks} (durability): every key's last {e acknowledged}
       value must read back after the dust settles.  Writes that

@@ -60,24 +60,25 @@ type exec = {
    [applied] counter moves only between wrapped ops (no yield point
    separates an op's return from the increment), so the window is
    exact. *)
-let setup cfg d (w : Script.t) () =
+let setup cfg d w () =
   let arena = Sweep.arena () in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->
-      List.iter (fun (k, v) -> ops.Intf.insert k v) w.Script.initial);
+      List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w));
   let applied = ref 0 in
   let pinned = ref None in
   let vec1 = ref [] in
   let vec2 = ref [] in
   let writer _ =
     Array.iter
-      (fun op ->
-        (match op with
-        | Script.Put (k, v) -> ops.Intf.insert k v
-        | Script.Del k -> ignore (ops.Intf.delete k));
-        incr applied)
-      w.Script.log
+      (List.iter (fun op ->
+           (match op with
+           | Spec.Insert (k, v) -> ops.Intf.insert k v
+           | Spec.Delete k -> ignore (ops.Intf.delete k)
+           | Spec.Search _ -> ());
+           incr applied))
+      (Spec.log w)
   in
   let reader _ =
     let lo = !applied in
@@ -113,7 +114,7 @@ let observed_assoc vec =
 (* Live run: the pinned read vector must equal the model state at some
    commit-log prefix within the pin window, and a second pass over the
    same epoch must be identical even though the writer kept going. *)
-let validate_live cfg (w : Script.t) (r : exec Sweep.run) =
+let validate_live cfg w (r : exec Sweep.run) =
   let x = r.Sweep.result in
   match x.pinned with
   | None -> []
@@ -121,29 +122,12 @@ let validate_live cfg (w : Script.t) (r : exec Sweep.run) =
       let isolation =
         if List.length x.vec1 <> cfg.keyspace then []
         else
-          let obs = observed_assoc x.vec1 in
-          let rec matched p =
-            if p >= Array.length w.Script.states then None
-            else if w.Script.states.(p) = obs then Some p
-            else matched (p + 1)
-          in
-          match matched 0 with
-          | Some p when p >= lo && p <= hi -> []
-          | Some p ->
+          match Spec.window w ~lo ~hi (Spec.Map (observed_assoc x.vec1)) with
+          | Ok _ -> []
+          | Error why ->
               [
                 ( Sweep.Tolerance,
-                  Printf.sprintf
-                    "snapshot isolation: epoch %d pinned in commit window \
-                     [%d, %d] but the read vector matches prefix %d"
-                    e lo hi p );
-              ]
-          | None ->
-              [
-                ( Sweep.Tolerance,
-                  Printf.sprintf
-                    "snapshot isolation: read vector %s at epoch %d matches no \
-                     commit-log prefix (window [%d, %d])"
-                    (Script.show_state obs) e lo hi );
+                  Printf.sprintf "snapshot isolation: epoch %d read vector %s" e why );
               ]
       in
       let stability =
@@ -157,8 +141,8 @@ let validate_live cfg (w : Script.t) (r : exec Sweep.run) =
                 "snapshot stability: re-reading pinned epoch %d diverged from \
                  the first pass (%s vs %s)"
                 e
-                (Script.show_state (observed_assoc x.vec2))
-                (Script.show_state (observed_assoc x.vec1)) );
+                (Spec.show_state (observed_assoc x.vec2))
+                (Spec.show_state (observed_assoc x.vec1)) );
           ]
         else []
       in
@@ -198,7 +182,7 @@ let validate_crash d (r : exec Sweep.run) (crash : Cx.crash) =
                       Printf.sprintf
                         "post-crash re-pin diverged: epoch %d key %d was %s \
                          before the crash, %s after recovery"
-                        e k (Script.show_binding seen) (Script.show_binding got) ))
+                        e k (Spec.show_binding seen) (Spec.show_binding got) ))
               x.vec1
       | exception ex ->
           [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
@@ -207,8 +191,8 @@ let family cfg name =
   let d = Registry.find_exn name in
   let w =
     lazy
-      (Script.create (Prng.create cfg.seed) ~prefill:cfg.prefill
-         ~keyspace:cfg.keyspace
+      (Spec.create (Prng.create cfg.seed) ~prefill:cfg.prefill
+         ~keyspace:cfg.keyspace ~per_entry:1
          (cfg.rounds * cfg.ops_per_round))
   in
   {

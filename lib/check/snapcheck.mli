@@ -1,6 +1,6 @@
 (** Snapshot-serializability checker for the MVCC snapshot layer.
 
-    One writer thread applies a deterministic commit log ({!Script})
+    One writer thread applies a deterministic commit log ({!Spec})
     through a snapshot-wrapped index ({!Ff_snapshot.Snapshot}), while a
     reader thread pins an epoch at a scheduler-chosen point and reads
     the whole keyspace at that epoch — twice.  The {!Sweep} driver
@@ -11,9 +11,10 @@
     - {e Prefix-window isolation}: the reader records how many log
       entries were fully applied immediately before and after its
       [snapshot_begin] call.  The pinned read vector must equal the
-      model state at some commit-log prefix inside that window — a
-      vector matching a later prefix read the future; one matching no
-      prefix is torn.  Reported as [Tolerance].
+      model state at some commit-log prefix inside that window
+      ({!Spec.window}) — a vector matching only a later prefix read
+      the future; one matching no prefix is torn.  Reported as
+      [Tolerance].
     - {e Stability}: a second full pass over the same pinned epoch,
       taken while the writer keeps committing, must be identical to
       the first.  Reported as [Tolerance].

@@ -123,10 +123,10 @@ let dump ~keyspace search =
   done;
   !acc
 
-let pre_recovery_tolerance ~keyspace ~writable open_ =
+let pre_recovery_tolerance ~keyspace ~written open_ =
   let fabricated search =
     List.find_opt
-      (fun (k, v) -> not (List.mem (k, v) writable))
+      (fun (k, v) -> not (written k v))
       (List.filter_map
          (fun k -> Option.map (fun v -> (k, v)) (search k))
          (List.init keyspace succ))

@@ -101,12 +101,12 @@ val dump : keyspace:int -> (int -> int option) -> (int * int) list
 
 val pre_recovery_tolerance :
   keyspace:int ->
-  writable:(int * int) list ->
+  written:(int -> int -> bool) ->
   (unit -> Ff_index.Intf.ops) ->
   (kind * string) list
 (** Open a crashed image (before recovery) and search every key: a
-    binding outside [writable], or an exception, is a [Tolerance]
-    finding. *)
+    binding [k -> v] that was never [written] ({!Spec.written}), or an
+    exception, is a [Tolerance] finding. *)
 
 (** {1 Family descriptions} *)
 

@@ -61,20 +61,15 @@ let checkable d cfg =
   then Some "readers need Sim locks or lock-free reads"
   else None
 
-(* The writer's script is one commit log cut into [txns] transactions
-   of [ops_per_txn] ops; [states.(i)] is the state after i commits. *)
-type workload = {
-  script : Script.t;
-  reader_scripts : int list array;
-  writable : (int * int) list;
-  states : (int * int) list array;
-}
+(* The writer's script is one commit log with one entry per
+   transaction, so prefix i is the state after i commits. *)
+type workload = { spec : Spec.t; reader_scripts : int list array }
 
 let gen_workload cfg =
   let master = Prng.create cfg.seed in
-  let script =
-    Script.create (Prng.split master) ~prefill:cfg.prefill ~keyspace:cfg.keyspace
-      (cfg.txns * cfg.ops_per_txn)
+  let spec =
+    Spec.create (Prng.split master) ~prefill:cfg.prefill ~keyspace:cfg.keyspace
+      ~per_entry:cfg.ops_per_txn cfg.txns
   in
   let reader_scripts =
     Array.init cfg.readers (fun _ ->
@@ -83,14 +78,7 @@ let gen_workload cfg =
           (cfg.txns * cfg.ops_per_txn)
           (fun _ -> 1 + Prng.int rng cfg.keyspace))
   in
-  {
-    script;
-    reader_scripts;
-    writable = Script.writable script;
-    states =
-      Array.init (cfg.txns + 1) (fun i ->
-          script.Script.states.(i * cfg.ops_per_txn));
-  }
+  { spec; reader_scripts }
 
 type exec = {
   arena : Arena.t;
@@ -111,7 +99,7 @@ let setup cfg d w () =
   let dcfg = Sweep.index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->
-      List.iter (fun (k, v) -> ops.Intf.insert k v) w.script.Script.initial);
+      List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w.spec));
   let mgr = Tx.create ~path:cfg.path arena ops in
   if cfg.torn_commit then Tx.set_torn_commit mgr true;
   let committed = ref 0 in
@@ -119,24 +107,27 @@ let setup cfg d w () =
   let tx_ops = ref 0 in
   let fabricated = ref None in
   let writer _ =
-    for i = 0 to cfg.txns - 1 do
-      let tx = Tx.begin_tx mgr in
-      for j = i * cfg.ops_per_txn to ((i + 1) * cfg.ops_per_txn) - 1 do
-        incr tx_ops;
-        match w.script.Script.log.(j) with
-        | Script.Put (k, v) -> Tx.put tx k v
-        | Script.Del k -> ignore (Tx.del tx k)
-      done;
-      commit_started := i + 1;
-      Tx.commit tx;
-      committed := i + 1
-    done
+    Array.iteri
+      (fun i entry ->
+        let tx = Tx.begin_tx mgr in
+        List.iter
+          (fun op ->
+            incr tx_ops;
+            match op with
+            | Spec.Insert (k, v) -> Tx.put tx k v
+            | Spec.Delete k -> ignore (Tx.del tx k)
+            | Spec.Search _ -> ())
+          entry;
+        commit_started := i + 1;
+        Tx.commit tx;
+        committed := i + 1)
+      (Spec.log w.spec)
   in
   let reader rid _ =
     List.iter
       (fun k ->
         match ops.Intf.search k with
-        | Some v when not (List.mem (k, v) w.writable) ->
+        | Some v when not (Spec.written w.spec k v) ->
             if !fabricated = None then fabricated := Some (k, v)
         | _ -> ())
       w.reader_scripts.(rid)
@@ -172,16 +163,9 @@ let validate_live cfg w (r : exec Sweep.run) =
   let dump = ref [] in
   Sweep.in_sim x.arena (fun () ->
       dump := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
-  if !dump = w.states.(cfg.txns) then []
-  else
-    [
-      ( Sweep.Durability,
-        Printf.sprintf
-          "serializability: final state %s diverges from the committed \
-           schedule %s"
-          (Script.show_state !dump)
-          (Script.show_state w.states.(cfg.txns)) );
-    ]
+  match Spec.window w.spec ~lo:cfg.txns ~hi:cfg.txns (Spec.Map !dump) with
+  | Ok _ -> []
+  | Error why -> [ (Sweep.Durability, "serializability: final state " ^ why) ]
 
 (* Crash the execution, recover (index recovery then transaction
    recovery over the persisted log), and compare the observed state
@@ -192,7 +176,8 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
   let sdcfg = { x.dcfg with D.lock_mode = Locks.Single } in
   let tolerance =
     if d.D.caps.D.lock_free_reads then
-      Sweep.pre_recovery_tolerance ~keyspace:cfg.keyspace ~writable:w.writable
+      Sweep.pre_recovery_tolerance ~keyspace:cfg.keyspace
+        ~written:(Spec.written w.spec)
         (fun () -> d.D.open_existing sdcfg x.arena)
     else []
   in
@@ -212,36 +197,21 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
       ignore (Tx.recover (Tx.create ~path:cfg.path x.arena o));
       Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
     with
-    | dump ->
-        let c = x.committed in
-        let ok_committed = dump = w.states.(c) in
-        let ok_inflight =
-          x.commit_started > c
-          && x.commit_started <= cfg.txns
-          && dump = w.states.(x.commit_started)
-        in
-        if ok_committed || ok_inflight then []
-        else
-          let detail =
-            let rec boundary i =
-              if i >= Array.length w.states then None
-              else if dump = w.states.(i) then Some i
-              else boundary (i + 1)
-            in
-            match boundary 0 with
-            | Some i ->
+    | dump -> (
+        (* A commit in flight at the crash may land atomically or not
+           at all: the window is [committed, commit_started]. *)
+        match
+          Spec.window w.spec ~lo:x.committed ~hi:x.commit_started (Spec.Map dump)
+        with
+        | Ok _ -> []
+        | Error why ->
+            [
+              ( Sweep.Durability,
                 Printf.sprintf
                   "durable serializability: %d transactions committed (commit \
-                   started on %d) but recovered state matches boundary %d"
-                  c x.commit_started i
-            | None ->
-                Printf.sprintf
-                  "atomicity: recovered state %s matches no transaction \
-                   boundary (%d committed, expected %s)"
-                  (Script.show_state dump) c
-                  (Script.show_state w.states.(c))
-          in
-          [ (Sweep.Durability, detail) ]
+                   started on %d) but the recovered state %s"
+                  x.committed x.commit_started why );
+            ])
     | exception e ->
         [ (Sweep.Durability, "tx recovery raised: " ^ Printexc.to_string e) ]
   in

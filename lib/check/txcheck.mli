@@ -2,21 +2,21 @@
 
     Where {!Check} validates individual index operations, this engine
     validates whole {!Ff_tx.Tx} transactions: one writer thread runs a
-    deterministic script of multi-key transactions ({!Script}) while
+    deterministic script of multi-key transactions while
     lock-free reader threads observe.  The {!Sweep} driver explores
     the schedule x crash product; every crash point is replayed {e
     through transaction recovery} (index [recover] first, then
     {!Ff_tx.Tx.recover} over the persisted log).
 
-    The durable-serializability oracle: with [C] = transactions whose
+    The durable-serializability oracle: the script is a {!Spec} commit
+    log with one entry per transaction.  With [C] = transactions whose
     commit call returned before the crash, the post-recovery state
-    must equal the state after exactly [C] committed transactions — or
-    after [C + 1] iff transaction [C + 1] had entered its commit call
-    (an in-flight commit may land atomically or not at all, never
-    partially).  A state matching no transaction boundary is an
-    atomicity violation; a state matching the wrong boundary lost or
-    fabricated a whole commit.  Both are reported as [Durability]
-    violations with distinguishing detail strings.
+    must equal a prefix in the window [[C, S]], where [S] counts the
+    transactions whose commit call began (an in-flight commit may land
+    atomically or not at all, never partially).  A violation is
+    reported as [Durability]; its detail names the nearest prefix —
+    one outside the window lost or fabricated a whole commit, a state
+    differing from every prefix is torn.
 
     Reader threads are additionally checked for tolerance: no
     fabricated bindings before or after the crash.  (Isolation of

@@ -12,6 +12,8 @@ module Registry = Ff_index.Registry
 module Harness = Ff_workload.Crash_harness
 module C = Ff_check.Check
 module Cx = Ff_check.Counterexample
+module Spec = Ff_check.Spec
+module Lin = Ff_check.Linearize
 
 let value_of k = (2 * k) + 1
 
@@ -301,6 +303,97 @@ let test_default_mode_stable () =
         (image k = image k))
     [ 3; 17; 41 ]
 
+(* ------------------------------------------------------------------ *)
+(* The one model: windows over the commit log, per-key queries, WGL    *)
+(* ------------------------------------------------------------------ *)
+
+(* prefix 0 {1->1}; 1 {1->1; 2->3}; 2 = 1 (delete of an absent key);
+   3 {2->3}; 4 {2->5} *)
+let spec_log =
+  Spec.make ~initial:[ (1, 1) ]
+    [|
+      [ Spec.Insert (2, 3) ];
+      [ Spec.Delete 9 ];
+      [ Spec.Delete 1 ];
+      [ Spec.Insert (2, 5) ];
+    |]
+
+let admitted t ~lo ~hi obs = Result.is_ok (Spec.window t ~lo ~hi obs)
+
+let test_spec_window () =
+  let t = spec_log in
+  for p = 1 to 3 do
+    Alcotest.(check (result int string))
+      (Printf.sprintf "prefix %d admitted" p)
+      (Ok (if p = 2 then 1 else p))
+      (Spec.window t ~lo:1 ~hi:3 (Spec.Map (Spec.state t p)))
+  done;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "prefix %d just outside rejected" p)
+        false
+        (admitted t ~lo:1 ~hi:3 (Spec.Map (Spec.state t p))))
+    [ 0; 4 ];
+  Alcotest.(check (result int string))
+    "no prefix matches: the explanation names the nearest and key 2"
+    (Error
+       "{1->1; 2->7}: no prefix in [1, 3] matches; nearest is prefix 1, where \
+        key 2 is 3, not 7")
+    (Spec.window t ~lo:1 ~hi:3 (Spec.Map [ (1, 1); (2, 7) ]));
+  Alcotest.(check bool) "written: prefill" true (Spec.written t 1 1);
+  Alcotest.(check bool) "written: insert" true (Spec.written t 2 5);
+  Alcotest.(check bool) "written: value on the wrong key" false (Spec.written t 1 3)
+
+(* The read vector at the pin equals prefix 2, which repeats prefix 1
+   (and prefix 1 exists before the window [2, 2]): the window must
+   admit it.  The first-match matcher reported this as an isolation
+   violation. *)
+let test_spec_repeated_prefix () =
+  let t = spec_log in
+  Alcotest.(check bool) "prefixes 1 and 2 are equal" true
+    (Spec.state t 1 = Spec.state t 2);
+  Alcotest.(check (result int string)) "pin window [2, 2] admits it" (Ok 2)
+    (Spec.window t ~lo:2 ~hi:2 (Spec.Map (Spec.state t 2)))
+
+(* Replica-style per-key query: key 2 was acked by entry 0 (window
+   starts at prefix 1), then entry 3 was attempted. *)
+let test_spec_per_key () =
+  let t = spec_log in
+  let ok v = admitted t ~lo:1 ~hi:4 (Spec.Key (2, v)) in
+  Alcotest.(check bool) "last-ack value" true (ok (Some 3));
+  Alcotest.(check bool) "later attempt" true (ok (Some 5));
+  Alcotest.(check bool) "older state (absent)" false (ok None);
+  Alcotest.(check bool) "never written" false (ok (Some 9));
+  Alcotest.(check bool) "attempt not yet issued" false
+    (admitted t ~lo:1 ~hi:3 (Spec.Key (2, Some 5)))
+
+(* Hand-written 3-op histories: t0 insert(1,1) [1,4] overlaps t1
+   search(1) [2,3]; t2 delete(1) [5,6] follows both. *)
+let test_wgl_histories () =
+  let call opid tid op resp inv ret =
+    let c = Lin.make_call ~opid ~tid op in
+    c.Lin.inv <- inv;
+    c.Lin.resp <- Some resp;
+    c.Lin.ret <- ret;
+    c
+  in
+  let history found =
+    [|
+      call 0 0 (Spec.Insert (1, 1)) Spec.Done 1 4;
+      call 1 1 (Spec.Search 1) (Spec.Found found) 2 3;
+      call 2 2 (Spec.Delete 1) (Spec.Deleted true) 5 6;
+    |]
+  in
+  Alcotest.(check bool) "search may see the overlapping insert" true
+    (Lin.check ~final:[] (history (Some 1)) = Ok ());
+  Alcotest.(check bool) "search may miss it" true
+    (Lin.check ~final:[] (history None) = Ok ());
+  Alcotest.(check bool) "a value nobody wrote is rejected" true
+    (Result.is_error (Lin.check ~final:[] (history (Some 2))));
+  Alcotest.(check bool) "a final state the ops cannot reach is rejected" true
+    (Result.is_error (Lin.check ~final:[ (1, 1) ] (history (Some 1))))
+
 let suite =
   [
     Alcotest.test_case "fastfair clean (2w+1r)" `Quick test_fastfair_clean;
@@ -313,5 +406,9 @@ let suite =
     Alcotest.test_case "harness exhaustive mode" `Quick test_harness_exhaustive;
     Alcotest.test_case "harness failing-point lists" `Quick test_harness_failing_lists;
     Alcotest.test_case "default crash mode stable" `Quick test_default_mode_stable;
+    Alcotest.test_case "spec window" `Quick test_spec_window;
+    Alcotest.test_case "spec repeated prefix in window" `Quick test_spec_repeated_prefix;
+    Alcotest.test_case "spec per-key query" `Quick test_spec_per_key;
+    Alcotest.test_case "wgl hand-written histories" `Quick test_wgl_histories;
   ]
   @ suspended_reader_cases ()
