@@ -1043,7 +1043,6 @@ let sharded_target () =
 (* ------------------------------------------------------------------ *)
 
 module Trace = Ff_trace.Trace
-module Obs_ts = Ff_obs.Timeseries
 module Slo = Ff_obs.Slo
 module Profile = Ff_obs.Profile
 module Snapshot = Ff_obs.Snapshot
@@ -1159,10 +1158,6 @@ let soak_scenario () =
       keys
   in
   let mon = Slo.Monitor.create ~window_ns:200_000 ~tracer:tr (soak_rules ()) in
-  let ts = Obs_ts.create ~window_ns:200_000 tr in
-  Obs_ts.track_counter ts "shard.batch_ops";
-  Obs_ts.track_counter ts "shard.degraded";
-  Obs_ts.track_histogram ts "shard.latency_ns.insert";
   let chunk = max 1 (Array.length ops / 32) in
   let run_range lo hi =
     let len = hi - lo in
@@ -1172,7 +1167,6 @@ let soak_scenario () =
       ignore (Shard.submit t (Array.sub ops (lo + !off) c));
       let now = Trace.now tr in
       Slo.Monitor.tick mon ~now;
-      Obs_ts.tick ts ~now;
       off := !off + c
     done
   in
@@ -1300,11 +1294,7 @@ let soak_scenario () =
     | 0 -> ignore (Cluster.get c k)
     | _ -> ignore (Cluster.put c k j));
     cluster_ns := max !cluster_ns (Cluster.now_ns c);
-    if j land 15 = 0 then begin
-      let now = Trace.now tr in
-      Slo.Monitor.tick mon ~now;
-      Obs_ts.tick ts ~now
-    end
+    if j land 15 = 0 then Slo.Monitor.tick mon ~now:(Trace.now tr)
   done;
   if !victim_node >= 0 then Cluster.restart_node c !victim_node;
   for _ = 1 to 3 do
@@ -1351,17 +1341,14 @@ let soak_scenario () =
       ~latency:(Shard.merged_latency t)
       ~slo:report ~profile ()
   in
-  (t, tr, ts, snap, report)
+  (t, tr, snap, report)
 
 let soak_target () =
   print_endline
     "== soak: zipfian mix + crash + fault storm + scrub + elastic \
      split/merge on 4 shards ==";
-  let t, tr, ts, snap, report = soak_scenario () in
+  let t, tr, snap, report = soak_scenario () in
   Snapshot.pp Format.std_formatter snap;
-  Format.printf "timeseries: %d samples over %d series@."
-    (Obs_ts.samples ts)
-    (List.length (Obs_ts.names ts));
   Format.printf "shard health: %s@."
     (String.concat " "
        (Array.to_list

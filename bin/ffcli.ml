@@ -1428,6 +1428,20 @@ let cluster_demo nodes shards ops keyspace seed mutate =
 (* check: model-check schedules and crash states                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Save a counterexample as [dir/name], creating [dir] and any missing
+   parents first. *)
+let save_counterexample dir name (v : Ff_check.Check.violation) =
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  mkdir_p dir;
+  let path = Filename.concat dir name in
+  Ff_check.Counterexample.save v.Ff_check.Check.counterexample path;
+  path
+
 let print_check_report ~out (r : Ff_check.Check.report) =
   print_endline (Ff_check.Check.report_summary r);
   List.iteri
@@ -1435,14 +1449,12 @@ let print_check_report ~out (r : Ff_check.Check.report) =
       Printf.printf "\nviolation %d (%s):\n%s\n" (i + 1)
         (Ff_check.Check.kind_to_string v.Ff_check.Check.kind)
         v.Ff_check.Check.detail;
-      match out with
-      | None -> ()
-      | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let path = Filename.concat dir (Printf.sprintf "cx-%d.json" (i + 1)) in
-          Ff_check.Counterexample.save v.Ff_check.Check.counterexample path;
+      Option.iter
+        (fun dir ->
+          let path = save_counterexample dir (Printf.sprintf "cx-%d.json" (i + 1)) v in
           Printf.printf "counterexample saved to %s (replay with: ffcli check --replay %s)\n"
             path path)
+        out)
     r.Ff_check.Check.violations;
   if r.Ff_check.Check.violations = [] then 0 else 1
 
@@ -1462,17 +1474,13 @@ let check_all index_name seed out =
       | None ->
           Printf.printf "%-16s %s\n" fam.C.name (C.report_summary r);
           List.iteri
-            (fun i (v : C.violation) ->
-              match out with
-              | None -> ()
-              | Some dir ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                  let path =
-                    Filename.concat dir
-                      (Printf.sprintf "%s-cx-%d.json" fam.C.name (i + 1))
-                  in
-                  Ff_check.Counterexample.save v.C.counterexample path;
-                  Printf.printf "  counterexample saved to %s\n" path)
+            (fun i v ->
+              Option.iter
+                (fun dir ->
+                  let name = Printf.sprintf "%s-cx-%d.json" fam.C.name (i + 1) in
+                  Printf.printf "  counterexample saved to %s\n"
+                    (save_counterexample dir name v))
+                out)
             r.C.violations;
           if r.C.violations <> [] then 1 else acc)
     0 C.families

@@ -386,9 +386,6 @@ let entries_debug a l n =
   in
   go 0 leftmost []
 
-let raw_records_debug a l n =
-  Array.init l.L.capacity (fun i -> (peek_key a n i, peek_ptr a n i))
-
 let insert_nonfull_unordered a l n ~key ~value =
   assert (value <> 0);
   let cnt = count a l n in

@@ -93,9 +93,6 @@ val writer_fix : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> bool
 val entries_debug : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) list
 (** Uncharged dump of valid entries (tests and checkers). *)
 
-val raw_records_debug : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) array
-(** Uncharged dump of all record slots, including garbage. *)
-
 (** {1 Negative control (ablation)} *)
 
 val insert_nonfull_unordered :

@@ -8,7 +8,6 @@ let make_mutex = function
 
 let lock = function No_mutex -> () | Sim_mutex m -> Ff_mcsim.Mcsim.lock m
 let unlock = function No_mutex -> () | Sim_mutex m -> Ff_mcsim.Mcsim.unlock m
-let try_lock = function No_mutex -> true | Sim_mutex m -> Ff_mcsim.Mcsim.try_lock m
 
 type rwlock = No_rwlock | Sim_rwlock of Ff_mcsim.Mcsim.rwlock
 

@@ -13,9 +13,6 @@ val make_mutex : mode -> mutex
 val lock : mutex -> unit
 val unlock : mutex -> unit
 
-val try_lock : mutex -> bool
-(** Always succeeds in [Single] mode. *)
-
 type rwlock
 
 val make_rwlock : mode -> rwlock

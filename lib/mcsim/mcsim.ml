@@ -55,7 +55,6 @@ let create_gate () = { opened = false; g_waiters = Queue.create () }
 type _ Effect.t +=
   | Charge : int -> unit Effect.t
   | Lock : mutex -> unit Effect.t
-  | Try_lock : mutex -> bool Effect.t
   | Unlock : mutex -> unit Effect.t
   | Rd_lock : rwlock -> unit Effect.t
   | Rd_unlock : rwlock -> unit Effect.t
@@ -69,7 +68,6 @@ type _ Effect.t +=
 let charge ns = if ns > 0 then Effect.perform (Charge ns)
 let yield () = Effect.perform (Charge 0)
 let lock m = Effect.perform (Lock m)
-let try_lock m = Effect.perform (Try_lock m)
 let unlock m = Effect.perform (Unlock m)
 let rd_lock l = Effect.perform (Rd_lock l)
 let rd_unlock l = Effect.perform (Rd_unlock l)
@@ -275,14 +273,6 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
                 th.cont <- Some k;
                 th.pending <- P_blocked
               end)
-      | Try_lock m ->
-          Some
-            (fun k ->
-              if m.m_owner = -1 then begin
-                m.m_owner <- th.thread_tid;
-                Effect.Deep.continue k true
-              end
-              else Effect.Deep.continue k false)
       | Unlock m ->
           Some
             (fun k ->

@@ -22,7 +22,6 @@ type mutex
 val create_mutex : unit -> mutex
 val lock : mutex -> unit
 val unlock : mutex -> unit
-val try_lock : mutex -> bool
 
 type rwlock
 

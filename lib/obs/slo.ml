@@ -38,23 +38,6 @@ type rule =
          which lives in the Monitor; the stateless check degrades to
          the lifetime rate. *)
 
-let rule_name = function
-  | Latency r -> r.rule
-  | Burn_rate r -> r.rule
-  | Burn_rate_multi r -> r.rule
-
-let rule_describe = function
-  | Latency r ->
-      Printf.sprintf "%s: p%g(%s) <= %dns" r.rule r.percentile r.metric
-        r.bound_ns
-  | Burn_rate r ->
-      Printf.sprintf "%s: sum(%s*) per 1k sum(%s*) <= %g" r.rule r.events
-        r.ops r.max_per_1k
-  | Burn_rate_multi r ->
-      Printf.sprintf
-        "%s: sum(%s*) per 1k sum(%s*) <= %g over both %dns and %dns windows"
-        r.rule r.events r.ops r.max_per_1k r.short_ns r.long_ns
-
 type violation = {
   rule : string;
   detail : string;

@@ -35,9 +35,6 @@ type rule =
           history and therefore lives in {!Monitor}; the stateless
           {!evaluate} degrades the rule to its lifetime rate. *)
 
-val rule_name : rule -> string
-val rule_describe : rule -> string
-
 type violation = {
   rule : string;
   detail : string;

@@ -438,12 +438,6 @@ let poison_line t line =
     done
   end
 
-let clear_poison_line t line =
-  if Hashtbl.mem t.poison line then begin
-    Hashtbl.remove t.poison line;
-    t.poison_n <- t.poison_n - 1
-  end
-
 let is_poisoned t addr =
   t.poison_n > 0 && Hashtbl.mem t.poison (line_of addr)
 
@@ -509,7 +503,6 @@ let store_count t = t.stores
 let flush_count t = t.flushes
 let epoch t = t.epoch
 let set_flush_elision t b = t.elide_flush <- b
-let flush_elision t = t.elide_flush
 let pending_epochs t = Storelog.pending_epochs t.log
 
 let power_fail t mode =

@@ -217,8 +217,6 @@ val set_flush_elision : t -> bool -> unit
     (recovery code always runs with real flushes) and never inherited
     by {!clone}. *)
 
-val flush_elision : t -> bool
-
 val power_fail : t -> Storelog.crash_mode -> unit
 (** Apply a crash state to the persisted image, then reset the
     volatile image to it, clear caches and the store log, and disarm
@@ -278,9 +276,6 @@ val fault_stats : t -> fault_stats
 val poison_line : t -> int -> unit
 (** [poison_line t line] poisons one cache line directly (tests and
     targeted experiments); idempotent. *)
-
-val clear_poison_line : t -> int -> unit
-(** Lift the poison without repairing the scrambled contents. *)
 
 val is_poisoned : t -> int -> bool
 (** Whether the line containing this word address is poisoned. *)

@@ -44,6 +44,3 @@ let arm ?(read_ns = 100) ?(write_ns = 700) () =
     fence_ns = 20;
     mlp_factor = 2;
   }
-
-let with_latency t ~read_ns ~write_ns =
-  { t with read_latency_ns = read_ns; write_latency_ns = write_ns }

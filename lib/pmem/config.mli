@@ -42,5 +42,3 @@ val pm : ?read_ns:int -> ?write_ns:int -> unit -> t
 val arm : ?read_ns:int -> ?write_ns:int -> unit -> t
 (** Non-TSO machine with 4-byte atomic words and dmb fences, modelling
     the paper's Nexus 5 setup of Section 5.5. *)
-
-val with_latency : t -> read_ns:int -> write_ns:int -> t

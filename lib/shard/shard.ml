@@ -1200,7 +1200,7 @@ let txn_part x k =
   match List.assoc_opt i x.parts with
   | Some p -> p
   | None ->
-      let p = Tx.begin_tx ~deferred:true (tx_managers x.sh).(i) in
+      let p = Tx.begin_tx (tx_managers x.sh).(i) in
       x.parts <- (i, p) :: x.parts;
       p
 

@@ -21,7 +21,6 @@ type t = {
 type tx = {
   mgr : t;
   id : int;
-  deferred : bool;
   mutable live : bool;
   mutable nops : int;
   mutable undos : (int * int option) list; (* eager path: (key, pre), newest first *)
@@ -56,16 +55,16 @@ let instant t id detail =
 let enc = function None -> 0 | Some v -> v
 let dec v = if v = 0 then None else Some v
 
-let begin_tx ?deferred t =
-  let deferred =
-    match deferred with Some d -> d | None -> t.path = Shadow
-  in
+(* A Shadow manager's transactions stage privately until commit (the
+   deferred path); a Logged manager's install eagerly under undo. *)
+let deferred tx = tx.mgr.path = Shadow
+
+let begin_tx t =
   let id = Txlog.begin_tx t.log in
   instant t Trace.id_tx_begin id;
   {
     mgr = t;
     id;
-    deferred;
     live = true;
     nops = 0;
     undos = [];
@@ -78,14 +77,14 @@ let check_live tx =
 
 let get tx k =
   check_live tx;
-  if tx.deferred then
+  if deferred tx then
     match Hashtbl.find_opt tx.overlay k with
     | Some post -> post
     | None -> tx.mgr.ops.Intf.search k
   else tx.mgr.ops.Intf.search k
 
 let visible_pre tx k =
-  if tx.deferred then
+  if deferred tx then
     match Hashtbl.find_opt tx.overlay k with
     | Some post -> post
     | None -> tx.mgr.ops.Intf.read_for_update k
@@ -96,7 +95,7 @@ let write ?payload tx k post =
   let m = tx.mgr in
   let pre = visible_pre tx k in
   let r = { Txlog.key = k; old_v = enc pre; new_v = enc post } in
-  if tx.deferred then begin
+  if deferred tx then begin
     (* Shadow path: stage volatile, persist nothing yet. *)
     Txlog.append ~persist:false ?payload m.log r;
     tx.staged <- r :: tx.staged;
@@ -144,7 +143,7 @@ let commit tx =
   end
   else begin
   in_span m Trace.id_tx_commit tx.nops (fun () ->
-      if tx.deferred then begin
+      if deferred tx then begin
         if Txlog.torn_commit m.log then
           (* Mutant: the decision record goes durable with no ordered
              persist of the payload it covers. *)
@@ -172,7 +171,7 @@ let rollback tx =
   if tx.nops = 0 then Txlog.abandon m.log
   else
     in_span m Trace.id_tx_abort tx.nops (fun () ->
-        if not tx.deferred then
+        if not (deferred tx) then
           List.iter (fun (k, pre) -> m.ops.Intf.install k pre) tx.undos;
         Txlog.discard m.log);
   retire tx;
@@ -200,8 +199,8 @@ let run t f =
 
 let prepare tx ~gtid ~coord =
   check_live tx;
-  if not tx.deferred then
-    invalid_arg "Tx.prepare: two-phase commit requires a deferred transaction";
+  if not (deferred tx) then
+    invalid_arg "Tx.prepare: two-phase commit requires a Shadow manager";
   let m = tx.mgr in
   in_span m Trace.id_tx_log tx.nops (fun () ->
       if Txlog.torn_commit m.log then Txlog.set_prepared m.log ~gtid ~coord

@@ -61,10 +61,10 @@ val set_torn_commit : t -> bool -> unit
 
 (** {1 Transactions} *)
 
-val begin_tx : ?deferred:bool -> t -> tx
-(** Open a transaction.  [deferred] forces shadow staging regardless
-    of the manager's path (the two-phase-commit hooks require it);
-    default follows [path t]. *)
+val begin_tx : t -> tx
+(** Open a transaction: staged privately until commit on a [Shadow]
+    manager (the two-phase-commit hooks require it), installed eagerly
+    on a [Logged] one. *)
 
 val get : tx -> int -> int option
 (** Read through the transaction: sees the transaction's own
@@ -116,8 +116,8 @@ val run : t -> (tx -> 'a) -> ('a, string) result
 
 val prepare : tx -> gtid:int -> coord:int -> unit
 (** Persist the staged payload and the prepared marker.  The
-    transaction must be deferred.
-    @raise Invalid_argument on an eager transaction. *)
+    transaction's manager must be [Shadow].
+    @raise Invalid_argument on a [Logged] manager's transaction. *)
 
 val decide : tx -> unit
 (** Coordinator only, after {!prepare}: persist the commit word — the

@@ -1,6 +1,6 @@
-(* Tests for lib/obs: sliding-window time-series, the fence-attribution
-   profiler, SLO rule evaluation, the run snapshot's derived headline,
-   plus the end-to-end property the observability layer hangs on — a
+(* Tests for lib/obs: the fence-attribution profiler, SLO rule
+   evaluation, the run snapshot's derived headline, plus the
+   end-to-end property the observability layer hangs on — a
    sharded media-fault run yields a well-formed Perfetto trace with
    degraded and re-admission events, byte-identical across two
    same-seed runs. *)
@@ -10,7 +10,6 @@ module Metrics = Ff_trace.Metrics
 module J = Ff_trace.Json
 module Hist = Ff_util.Histogram
 module Prng = Ff_util.Prng
-module Ts = Ff_obs.Timeseries
 module Profile = Ff_obs.Profile
 module Slo = Ff_obs.Slo
 module Snapshot = Ff_obs.Snapshot
@@ -18,63 +17,6 @@ module Arena = Ff_pmem.Arena
 module Stats = Ff_pmem.Stats
 module Shard = Ff_shard.Shard
 module W = Ff_workload.Workload
-
-(* ------------------------------------------------------------------ *)
-(* Timeseries                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let manual_tracer () =
-  let clock = ref 0 in
-  let tr = Trace.create ~clock:(fun () -> !clock) () in
-  (clock, tr)
-
-let test_timeseries_windows () =
-  let clock, tr = manual_tracer () in
-  let reg = Trace.metrics tr in
-  let ts = Ts.create ~window_ns:100 tr in
-  Ts.track_counter ts "ops";
-  Ts.track_gauge ts "depth";
-  Ts.track_histogram ts "lat";
-  Metrics.add reg "ops" 10;
-  Metrics.set_gauge reg "depth" 3.;
-  Metrics.observe reg "lat" 100;
-  clock := 100;
-  Ts.tick ts ~now:!clock;
-  Metrics.add reg "ops" 5;
-  Metrics.set_gauge reg "depth" 7.;
-  (* Mid-window tick must not sample. *)
-  clock := 150;
-  Ts.tick ts ~now:!clock;
-  Alcotest.(check int) "one sample so far" 1 (Ts.samples ts);
-  clock := 200;
-  Ts.tick ts ~now:!clock;
-  Alcotest.(check int) "two samples" 2 (Ts.samples ts);
-  Alcotest.(check (array (pair int (float 0.001))))
-    "counter points are per-window deltas"
-    [| (100, 10.); (200, 5.) |]
-    (Ts.points ts "ops");
-  Alcotest.(check (array (pair int (float 0.001))))
-    "gauge points are current values"
-    [| (100, 3.); (200, 7.) |]
-    (Ts.points ts "depth");
-  let lat = Ts.points ts "lat" in
-  Alcotest.(check int) "histogram series sampled" 2 (Array.length lat);
-  Alcotest.(check (float 0.001)) "window p99 of the single sample" 100.
-    (snd lat.(0))
-
-let test_timeseries_counter_prefix () =
-  let clock, tr = manual_tracer () in
-  let reg = Trace.metrics tr in
-  let ts = Ts.create ~window_ns:10 tr in
-  Ts.track_counter ts "shard.degraded";
-  Metrics.incr reg (Metrics.shard_label "shard.degraded" 0);
-  Metrics.incr reg (Metrics.shard_label "shard.degraded" 3);
-  clock := 10;
-  Ts.tick ts ~now:!clock;
-  Alcotest.(check (array (pair int (float 0.001))))
-    "per-shard labels sum under the prefix"
-    [| (10, 2.) |]
-    (Ts.points ts "shard.degraded")
 
 (* ------------------------------------------------------------------ *)
 (* Profiler: site attribution through a real instrumented tree         *)
@@ -113,6 +55,11 @@ let test_profile_site_table () =
 (* SLO rules                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let manual_tracer () =
+  let clock = ref 0 in
+  let tr = Trace.create ~clock:(fun () -> !clock) () in
+  (clock, tr)
+
 let test_slo_violation_names_rule () =
   let clock, tr = manual_tracer () in
   let reg = Trace.metrics tr in
@@ -148,9 +95,12 @@ let test_slo_violation_names_rule () =
 let test_slo_burn_rate () =
   let clock, tr = manual_tracer () in
   let reg = Trace.metrics tr in
-  Metrics.add reg (Metrics.shard_label "shard.degraded" 0) 3;
+  Metrics.add reg (Metrics.shard_label "shard.degraded" 0) 1;
+  Metrics.add reg (Metrics.shard_label "shard.degraded" 3) 2;
   Metrics.add reg (Metrics.shard_label "shard.batch_ops" 0) 200;
   Metrics.add reg (Metrics.shard_label "shard.batch_ops" 1) 200;
+  Alcotest.(check int) "per-shard labels sum under the prefix" 3
+    (Metrics.counter_prefix_sum reg "shard.degraded");
   clock := 50;
   let rule ~max_per_1k =
     Slo.Burn_rate
@@ -310,9 +260,6 @@ let test_fault_trace_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "timeseries windows" `Quick test_timeseries_windows;
-    Alcotest.test_case "timeseries counter prefix" `Quick
-      test_timeseries_counter_prefix;
     Alcotest.test_case "profile site table" `Quick test_profile_site_table;
     Alcotest.test_case "slo violation names rule" `Quick
       test_slo_violation_names_rule;
