@@ -1452,8 +1452,9 @@ let print_check_report ~out (r : Ff_check.Check.report) =
       Option.iter
         (fun dir ->
           let path = save_counterexample dir (Printf.sprintf "cx-%d.json" (i + 1)) v in
-          Printf.printf "counterexample saved to %s (replay with: ffcli check --replay %s)\n"
-            path path)
+          Printf.printf
+            "counterexample saved to %s (replay with: ffcli check --replay %s)\n" path
+            path)
         out)
     r.Ff_check.Check.violations;
   if r.Ff_check.Check.violations = [] then 0 else 1

@@ -69,8 +69,7 @@ let crash_checkable d =
 
 type workload = {
   scripts : (int * Spec.op) list array;  (* per thread: (opid, op) *)
-  initial : (int * int) list;            (* prefill bindings *)
-  spec : Spec.t;  (* every write, in opid order: what [written] admits *)
+  spec : Spec.t;  (* the prefill, then every op in opid order *)
 }
 
 (* Values come from one counter, so every insert (prefill included)
@@ -94,7 +93,7 @@ let gen_workload cfg =
             (id, op)))
   in
   let log = List.map (fun (_, op) -> [ op ]) (List.concat (Array.to_list scripts)) in
-  { scripts; initial; spec = Spec.make ~initial (Array.of_list log) }
+  { scripts; spec = Spec.make ~initial (Array.of_list log) }
 
 type exec = {
   arena : Arena.t;
@@ -108,7 +107,8 @@ let setup cfg d w () =
   let arena = Sweep.arena ~non_tso:cfg.non_tso () in
   let dcfg = index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
-  Sweep.in_sim arena (fun () -> List.iter (fun (k, v) -> ops.Intf.insert k v) w.initial);
+  Sweep.in_sim arena (fun () ->
+      List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w.spec));
   if cfg.elide_flush then Arena.set_flush_elision arena true;
   let total = Array.fold_left (fun a s -> a + List.length s) 0 w.scripts in
   let calls = Array.make total (Linearize.make_call ~opid:0 ~tid:0 (Spec.Search 0)) in
@@ -163,7 +163,7 @@ let validate_live cfg w (r : exec Sweep.run) =
   let final = ref [] in
   Sweep.in_sim x.arena (fun () ->
       final := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
-  match Linearize.check ~initial:w.initial ~final:!final x.calls with
+  match Linearize.check ~initial:(Spec.initial w.spec) ~final:!final x.calls with
   | Ok () -> []
   | Error detail -> [ (Linearizability, detail) ]
 
@@ -179,8 +179,8 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
   in
   let tolerance =
     if d.D.caps.D.lock_free_reads then
-      pre_recovery_tolerance ~keyspace:cfg.keyspace ~written:(Spec.written w.spec) (fun () ->
-          d.D.open_existing sdcfg x.arena)
+      pre_recovery_tolerance ~keyspace:cfg.keyspace ~written:(Spec.written w.spec)
+        (fun () -> d.D.open_existing sdcfg x.arena)
     else []
   in
   tolerance
@@ -191,7 +191,7 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
     Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
   with
   | dump -> (
-      match Linearize.check ~initial:w.initial ~final:dump x.calls with
+      match Linearize.check ~initial:(Spec.initial w.spec) ~final:dump x.calls with
       | Ok () -> []
       | Error msg -> [ (Durability, msg) ])
   | exception e -> [ (Durability, "recovery raised: " ^ Printexc.to_string e) ]

@@ -166,10 +166,8 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       (recovery_to_string recovery)
       partition mode
   in
-  let explain ~issued k v =
-    match Spec.window script ~lo:acked.(k) ~hi:issued (Spec.Key (k, v)) with
-    | Ok _ -> None
-    | Error why -> Some why
+  let window ~issued k v =
+    Spec.window script ~lo:acked.(k) ~hi:issued (Spec.Key (k, v))
   in
   (* The partition opens a few acks before the kill, so a primary
      that acks unreplicated writes (the mutant) has a window to do
@@ -252,9 +250,9 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
               match Cluster.get cl k with
               | Error _ -> ()
               | Ok v -> (
-                  match explain ~issued:j k v with
-                  | None -> ()
-                  | Some why ->
+                  match window ~issued:j k v with
+                  | Ok _ -> ()
+                  | Error why ->
                       add Sweep.Linearizability
                         (Printf.sprintf "stale read (during run): %s %s" why
                            scen_tag)))))
@@ -285,9 +283,9 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
           (Printf.sprintf "audit read unavailable after recovery: key %d %s" k
              scen_tag)
     | Some v -> (
-        match explain ~issued:(Spec.length script) k v with
-        | None -> ()
-        | Some why ->
+        match window ~issued:(Spec.length script) k v with
+        | Ok _ -> ()
+        | Error why ->
             add
               (if acked.(k) > 0 then Sweep.Durability else Sweep.Linearizability)
               (Printf.sprintf "lost acknowledged write after recovery: %s %s" why

@@ -48,12 +48,7 @@ let draw vc rng ~keyspace =
   let key = 1 + Prng.int rng keyspace in
   if Prng.int rng 4 = 0 then Delete key else Insert (key, fresh vc)
 
-type t = {
-  initial : (int * int) list;
-  log : op list array;
-  states : state array;
-  writes : (int * int, unit) Hashtbl.t;
-}
+type t = { initial : (int * int) list; log : op list array; states : state array }
 
 let make ~initial log =
   let states = Array.make (Array.length log + 1) (List.sort compare initial) in
@@ -62,14 +57,7 @@ let make ~initial log =
       states.(i + 1) <-
         List.fold_left (fun s op -> fst (apply s op)) states.(i) entry)
     log;
-  let writes = Hashtbl.create 64 in
-  List.iter (fun b -> Hashtbl.replace writes b ()) initial;
-  Array.iter
-    (List.iter (function
-      | Insert (k, v) -> Hashtbl.replace writes (k, v) ()
-      | Delete _ | Search _ -> ()))
-    log;
-  { initial; log; states; writes }
+  { initial; log; states }
 
 let create rng ~prefill:n_prefill ~keyspace ~per_entry n =
   let vc = values () in
@@ -81,30 +69,25 @@ let initial t = t.initial
 let log t = t.log
 let length t = Array.length t.log
 let state t i = t.states.(i)
-let written t k v = Hashtbl.mem t.writes (k, v)
+let written t k v =
+  List.mem (k, v) t.initial || Array.exists (List.mem (Insert (k, v))) t.log
 
 type observation = Map of state | Key of int * int option
 
 (* (key, observed, prefix state) for every key on which [st] disagrees
    with the observation. *)
 let diff obs st =
-  match obs with
-  | Key (k, seen) ->
+  let keys, seen =
+    match obs with
+    | Key (k, v) -> ([ k ], fun _ -> v)
+    | Map m ->
+        (List.sort_uniq compare (List.map fst (m @ st)), fun k -> List.assoc_opt k m)
+  in
+  List.filter_map
+    (fun k ->
       let want = List.assoc_opt k st in
-      if want = seen then [] else [ (k, seen, want) ]
-  | Map seen ->
-      let rec go a b =
-        match (a, b) with
-        | [], [] -> []
-        | (k, v) :: a', [] -> (k, Some v, None) :: go a' []
-        | [], (k, w) :: b' -> (k, None, Some w) :: go [] b'
-        | (k, v) :: a', (k', w) :: b' ->
-            if k < k' then (k, Some v, None) :: go a' b
-            else if k' < k then (k', None, Some w) :: go a b'
-            else if v = w then go a' b'
-            else (k, Some v, Some w) :: go a' b'
-      in
-      go seen st
+      if seen k = want then None else Some (k, seen k, want))
+    keys
 
 let show_obs = function
   | Map s -> show_state s
@@ -114,7 +97,9 @@ let window t ~lo ~hi obs =
   if lo < 0 || hi < lo || hi > length t then
     invalid_arg (Printf.sprintf "Spec.window [%d, %d] of %d" lo hi (length t));
   let rec first p =
-    if p > hi then None else if diff obs t.states.(p) = [] then Some p else first (p + 1)
+    if p > hi then None
+    else if diff obs t.states.(p) = [] then Some p
+    else first (p + 1)
   in
   match first lo with
   | Some p -> Ok p

@@ -2,19 +2,12 @@
     sequential map, and a commit log with the model state after every
     prefix.
 
-    Each family says what it observed — a whole map or one key's
-    binding — and which window of log prefixes may explain it; the
-    model answers.  That is durable linearizability for all five:
+    A family's oracle says what it observed — a whole map or one key's
+    binding — and which window of log prefixes may explain it
+    ({!window}); DESIGN.md ("One driver, one model, five families")
+    lists each family's window.  That is durable linearizability:
     acknowledged effects must be in the explaining prefix, in-flight
     ones may or may not be.
-
-    - linearizability ({!Linearize}): WGL search over {!apply};
-    - tx: one log entry per transaction, window
-      [[committed, commit_started]];
-    - snapshot: the pin's window of fully-applied ops;
-    - rebalance: per key, [[applied, applied + 1]];
-    - replica: per key, from the last ack on the key to the op being
-      issued.
 
     Every value is drawn from one counter of distinct odd numbers
     (prefill included), so a binding no writer wrote is recognisable
