@@ -1,5 +1,6 @@
 module Arena = Ff_pmem.Arena
 module Epoch = Ff_pmem.Epoch
+module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
@@ -54,13 +55,21 @@ type exec = {
 }
 
 (* Writer applies the commit log through the wrapped ops while a
-   snapshot reader pins an epoch at a scheduler-chosen point, records
-   the prefix window [lo, hi] of commits the pin could linearize
-   against, then reads the whole keyspace at that epoch twice.  The
+   snapshot reader pins an epoch, records the prefix window [lo, hi]
+   of commits the pin could linearize against, then reads the whole
+   keyspace at that epoch twice while the writer finishes the log.
+
+   The pin lands mid-log: the reader waits on a gate the writer opens
+   after [pin_after] ops (seed-drawn, below the log length), and the
+   writer waits on a second gate until the pin is published.  Both
+   waits block in the simulator rather than spin: the snapshot
+   layer's own quiesce loops spin, and under PCT a higher-priority
+   spinner starves the thread it waits for, so a writer still in
+   flight while the reader publishes would never finish.  The
    [applied] counter moves only between wrapped ops (no yield point
    separates an op's return from the increment), so the window is
    exact. *)
-let setup cfg d w () =
+let setup cfg d (w, pin_after) () =
   let arena = Sweep.arena () in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
@@ -70,20 +79,28 @@ let setup cfg d w () =
   let pinned = ref None in
   let vec1 = ref [] in
   let vec2 = ref [] in
+  let go = Mcsim.create_gate () and published = Mcsim.create_gate () in
   let writer _ =
-    Array.iter
-      (List.iter (fun op ->
-           (match op with
-           | Spec.Insert (k, v) -> ops.Intf.insert k v
-           | Spec.Delete k -> ignore (ops.Intf.delete k)
-           | Spec.Search _ -> ());
-           incr applied))
+    Array.iteri
+      (fun i ->
+        if i = pin_after then begin
+          Mcsim.gate_open go;
+          Mcsim.gate_wait published
+        end;
+        List.iter (fun op ->
+            (match op with
+            | Spec.Insert (k, v) -> ops.Intf.insert k v
+            | Spec.Delete k -> ignore (ops.Intf.delete k)
+            | Spec.Search _ -> ());
+            incr applied))
       (Spec.log w)
   in
   let reader _ =
+    Mcsim.gate_wait go;
     let lo = !applied in
     let e = ops.Intf.snapshot_begin 0 in
     let hi = !applied in
+    Mcsim.gate_open published;
     pinned := Some (e, lo, hi);
     for k = 1 to cfg.keyspace do
       vec1 := (k, ops.Intf.read_at e k) :: !vec1
@@ -191,9 +208,12 @@ let family cfg name =
   let d = Registry.find_exn name in
   let w =
     lazy
-      (Spec.create (Prng.create cfg.seed) ~prefill:cfg.prefill
-         ~keyspace:cfg.keyspace ~per_entry:1
-         (cfg.rounds * cfg.ops_per_round))
+      (let rng = Prng.create cfg.seed in
+       let n = cfg.rounds * cfg.ops_per_round in
+       let spec =
+         Spec.create rng ~prefill:cfg.prefill ~keyspace:cfg.keyspace ~per_entry:1 n
+       in
+       (spec, Prng.int rng n))
   in
   {
     Sweep.index = name;
@@ -213,7 +233,7 @@ let family cfg name =
     mutant = Some (Snapshot.mutant_read_latest, cfg.mutant);
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> x.applied);
-    live = (fun r -> validate_live cfg (Lazy.force w) r);
+    live = (fun r -> validate_live cfg (fst (Lazy.force w)) r);
     crash = validate_crash d;
     counterexample =
       (fun ~arena:_ ->

@@ -524,6 +524,24 @@ let test_snapcheck_clean () =
   Alcotest.(check bool) "explored schedules" true (r.C.schedules_run > 0);
   Alcotest.(check bool) "explored crashes" true (r.C.crash_runs > 0)
 
+(* Seed 5 pins after 3 writer ops, and op 3 deletes an absent key, so
+   the pinned state (prefix 3) equals the one before it (prefix 2).
+   The window [3, 3] must admit it; a first-match oracle reports an
+   isolation violation here. *)
+let test_snapcheck_repeated_prefix () =
+  let spec =
+    Ff_check.Spec.create (Prng.create 5) ~prefill:SC.default.SC.prefill
+      ~keyspace:SC.default.SC.keyspace ~per_entry:1
+      (SC.default.SC.rounds * SC.default.SC.ops_per_round)
+  in
+  Alcotest.(check bool) "prefix 3 repeats prefix 2" true
+    (Ff_check.Spec.state spec 2 = Ff_check.Spec.state spec 3);
+  let r =
+    SC.run ~config:{ SC.default with SC.seed = 5; schedules = 2; crash_budget = 0 }
+      "snap-fastfair"
+  in
+  Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
+
 (* The artifact must survive serialization; the replay-dispatch test
    in test_check replays one. *)
 let test_snapcheck_mutant_caught () =
@@ -574,5 +592,7 @@ let suite =
       test_snapcheck_clean;
     Alcotest.test_case "snapcheck: read-latest mutant caught" `Quick
       test_snapcheck_mutant_caught;
+    Alcotest.test_case "snapcheck: mid-log pin on a repeated prefix" `Quick
+      test_snapcheck_repeated_prefix;
     QCheck_alcotest.to_alcotest prop_pinned_range_equals_model;
   ]
