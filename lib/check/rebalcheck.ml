@@ -5,6 +5,7 @@ module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Shard = Ff_shard.Shard
 module Rebalance = Ff_rebalance.Rebalance
+module Mcsim = Ff_mcsim.Mcsim
 module Cx = Counterexample
 
 type rkind = Rb_split | Rb_merge | Rb_migrate
@@ -73,6 +74,29 @@ type exec = {
 
 let pivot cfg = (cfg.keyspace / 2) + 1
 
+(* The drop-delta mutant loses only what lands between the tap and
+   the cutover, so the writer puts one change there on every schedule
+   that lets it run before the cutover, the canonical Fifo one
+   included: the first entry that makes the last change the log makes
+   to a moved key.  Nothing later undoes that change, so losing its
+   record leaves the key wrong for good.  The rebalancer starts one
+   entry earlier (that entry races the plan publication and the tap
+   quiesce) and the writer then waits for the tap.  Both waits block
+   in the simulator: a spinning writer would starve the rebalancer
+   under PCT.  [None] when the log changes no moved key. *)
+let held_entry cfg w =
+  let moved k = cfg.kind = Rb_migrate || k >= pivot cfg in
+  let last = Hashtbl.create 8 in
+  Array.iteri
+    (fun i ->
+      List.iter (function
+        | Spec.Insert (k, _) when moved k -> Hashtbl.replace last k i
+        | Spec.Delete k when moved k && List.mem_assoc k (Spec.state w i) ->
+            Hashtbl.replace last k i
+        | Spec.Insert _ | Spec.Delete _ | Spec.Search _ -> ()))
+    (Spec.log w);
+  Hashtbl.fold (fun _ i acc -> Some (min i (Option.value acc ~default:i))) last None
+
 (* Writer applies the commit log through the routed serving layer
    while the rebalancer thread splits / merges / migrates underneath
    it.  Fence marks on every involved arena are the crash-sweep
@@ -100,14 +124,24 @@ let setup cfg name w () =
       List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) (Spec.initial w));
   let applied = ref 0 in
   let rebalanced = ref false in
+  let tap = match cfg.kind with Rb_merge -> 1 | Rb_split | Rb_migrate -> 0 in
+  let tapped () = Shard.shards t > tap && Shard.tapped t ~shard:tap in
+  let held = held_entry cfg w in
+  let start = max 0 (Option.value held ~default:0 - 1) in
+  let go = Mcsim.create_gate () in
   let writer _ =
-    Array.iter
-      (List.iter (fun op ->
-           (match op with
-           | Spec.Insert (k, v) -> Shard.insert t ~key:k ~value:v
-           | Spec.Delete k -> ignore (Shard.delete t k)
-           | Spec.Search _ -> ());
-           incr applied))
+    Array.iteri
+      (fun i ops ->
+        if i = start then Mcsim.gate_open go;
+        if Some i = held then Mcsim.await (fun () -> tapped () || !rebalanced);
+        List.iter
+          (fun op ->
+            (match op with
+            | Spec.Insert (k, v) -> Shard.insert t ~key:k ~value:v
+            | Spec.Delete k -> ignore (Shard.delete t k)
+            | Spec.Search _ -> ());
+            incr applied)
+          ops)
       (Spec.log w)
   in
   let rebalancer _ =
@@ -115,6 +149,7 @@ let setup cfg name w () =
        copy across many writer ops, maximising the dual-write window
        the checker must protect. *)
     let throttle = { Rebalance.bytes_per_ms = 16; chunk_ops = 1 } in
+    Mcsim.gate_wait go;
     (match cfg.kind with
     | Rb_split -> ignore (Rebalance.split ~throttle t ~shard:0 ~pivot:(pivot cfg))
     | Rb_merge -> ignore (Rebalance.merge ~throttle t ~left:0)

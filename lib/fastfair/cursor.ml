@@ -1,21 +1,11 @@
-module Arena = Ff_pmem.Arena
 module L = Layout
 
 type t = { tree : Tree.t; mutable node : int; mutable last : int }
 
-let to_leaf tree key =
-  let a = Tree.arena tree in
-  let l = Tree.layout tree in
-  let rec go n =
-    if L.is_leaf a n then n
-    else go (Node.find_child a l n ~mode:Node.Linear key)
-  in
-  go (Tree.root tree)
-
-let create tree ~lo = { tree; node = to_leaf tree lo; last = lo - 1 }
+let create tree ~lo = { tree; node = Tree.to_leaf tree lo; last = lo - 1 }
 
 let seek c key =
-  c.node <- to_leaf c.tree key;
+  c.node <- Tree.to_leaf c.tree key;
   c.last <- key - 1
 
 (* Smallest valid key > c.last in the current node. *)

@@ -149,18 +149,21 @@ let search a l n ~mode ?(tr = Trace.null) key =
 (* Internal-node routing                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Each route also reports whether the scan ran off its end: no valid
+   entry greater than [key], so a split may have moved the key's range
+   to the sibling (the descent's B-link move-right test). *)
 let route_left_to_right a l n tr key =
   let cap = l.L.capacity in
   let leftmost = L.leftmost a n in
   let rec go i prev_raw child =
-    if i >= cap then child
+    if i >= cap then (child, true)
     else begin
       let p = L.ptr a n i in
-      if p = 0 then child
+      if p = 0 then (child, true)
       else begin
         let k = L.key a n i in
         if p <> prev_raw then
-          if k <= key then go (i + 1) p p else child
+          if k <= key then go (i + 1) p p else (child, false)
         else begin
           Trace.dup_skip tr ~leaf:false;
           go (i + 1) p child
@@ -172,22 +175,22 @@ let route_left_to_right a l n tr key =
 
 let route_right_to_left a l n tr key =
   let cap = l.L.capacity in
-  let rec go i =
-    if i < 0 then L.leftmost a n
+  let rec go i past_end =
+    if i < 0 then (L.leftmost a n, past_end)
     else begin
       let p = L.ptr a n i in
-      if p = 0 then go (i - 1)
+      if p = 0 then go (i - 1) past_end
       else if p <> L.left_ptr_of a n i then begin
         let k = L.key a n i in
-        if k <= key then p else go (i - 1)
+        if k <= key then (p, past_end) else go (i - 1) false
       end
       else begin
         Trace.dup_skip tr ~leaf:false;
-        go (i - 1)
+        go (i - 1) past_end
       end
     end
   in
-  go (cap - 1)
+  go (cap - 1) true
 
 let binary_route a l n key =
   let cfg = Arena.config a in
@@ -204,19 +207,19 @@ let binary_route a l n key =
     end
   in
   let best = go 0 (cnt - 1) (-1) in
-  if best < 0 then L.leftmost a n else L.ptr a n best
+  ((if best < 0 then L.leftmost a n else L.ptr a n best), best = cnt - 1)
 
-let find_child a l n ~mode ?(tr = Trace.null) key =
+let route a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_route a l n key
   | Linear ->
       let rec attempt budget =
         let sw = L.switch a n in
-        let child =
+        let r =
           if sw land 1 = 0 then route_left_to_right a l n tr key
           else route_right_to_left a l n tr key
         in
-        if L.switch a n <> sw && budget > 0 then attempt (budget - 1) else child
+        if L.switch a n <> sw && budget > 0 then attempt (budget - 1) else r
       in
       attempt 64
 

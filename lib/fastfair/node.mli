@@ -50,16 +50,18 @@ val search :
     records each duplicate-adjacent-pointer skip (the paper's
     tolerated transient inconsistency); defaults to the null tracer. *)
 
-val find_child :
+val route :
   Ff_pmem.Arena.t ->
   Layout.t ->
   Layout.node ->
   mode:search_mode ->
   ?tr:Ff_trace.Trace.t ->
   int ->
-  int
+  int * bool
 (** Lock-free routing in an internal node: the child covering [key]
-    ([leftmost_ptr] when the key precedes all entries).  [tr] as in
+    ([leftmost_ptr] when the key precedes all entries), and whether
+    the scan found no valid entry greater than [key] — only then can
+    a split have moved the key's range to the sibling.  [tr] as in
     {!search}. *)
 
 val insert_nonfull :

@@ -124,24 +124,22 @@ let runlock t n =
    wrong for the separator gap of internal splits (see Layout.low). *)
 let chain_covers t s key = s <> 0 && L.low t.arena s <= key
 
-let rec move_right t node key =
-  let s = L.sibling t.arena node in
-  if s <> 0 && chain_covers t s key then move_right t s key else node
-
-(* Move right only when the key lies beyond this node's last entry —
-   avoids touching the sibling on the common path. *)
-let move_right_if_beyond t node key =
-  match Node.last_entry t.arena t.layout node with
-  | Some (last, _) when key <= last -> node
-  | Some _ | None -> move_right t node key
-
-let rec to_leaf t node key =
-  let node = move_right_if_beyond t node key in
-  if is_leaf t node then node
+(* Descend from [node] to the node covering [key] at [level].  The
+   sibling is read only where the route scan finds no entry greater
+   than the key (B-link move-right); at [level] itself nobody moves
+   right: readers chase siblings on a miss and writers re-check
+   [chain_covers] under the lock. *)
+let rec descend t node key ~level =
+  if L.level t.arena node = level then node
   else
-    to_leaf t
-      (Node.find_child t.arena t.layout node ~mode:t.mode ~tr:t.tracer key)
-      key
+    let child, past_end =
+      Node.route t.arena t.layout node ~mode:t.mode ~tr:t.tracer key
+    in
+    let s = if past_end then L.sibling t.arena node else 0 in
+    if chain_covers t s key then descend t s key ~level
+    else descend t child key ~level
+
+let to_leaf t key = descend t (root t) key ~level:0
 
 (* ------------------------------------------------------------------ *)
 (* Lazy recovery hooks (Section 4.2)                                   *)
@@ -190,7 +188,7 @@ let search t key =
   @@ fun () ->
   let a = t.arena and l = t.layout in
   Arena.set_phase a Stats.Search;
-  let leaf = to_leaf t (root t) key in
+  let leaf = to_leaf t key in
   (* Algorithm 3 epilogue: on a miss, chase the sibling chain while it
      can still cover the key. *)
   let rec at_leaf leaf =
@@ -354,12 +352,7 @@ and insert_at_level t ~level ~key ~child ~donor =
   let rt = root t in
   if L.level a rt < level then grow_root t ~level ~sep:key ~child ~donor
   else begin
-    let rec descend n =
-      let n = move_right_if_beyond t n key in
-      if L.level a n = level then n
-      else descend (Node.find_child a t.layout n ~mode:t.mode ~tr:t.tracer key)
-    in
-    insert_into_node t (descend rt) key child ~internal:true
+    insert_into_node t (descend t rt key ~level) key child ~internal:true
   end
 
 and grow_root t ~level ~sep ~child ~donor =
@@ -402,7 +395,7 @@ let insert t ~key ~value =
   @@ fun () ->
   let a = t.arena in
   Arena.set_phase a Stats.Search;
-  let leaf = to_leaf t (root t) key in
+  let leaf = to_leaf t key in
   insert_into_node t leaf key value ~internal:false;
   Arena.set_phase a Stats.Other
 
@@ -417,7 +410,7 @@ let delete t key =
   @@ fun () ->
   let a = t.arena and l = t.layout in
   Arena.set_phase a Stats.Search;
-  let leaf = to_leaf t (root t) key in
+  let leaf = to_leaf t key in
   let rec del leaf =
     wlock t leaf;
     writer_fix_if_pending t leaf;
@@ -447,7 +440,7 @@ let range t ~lo ~hi f =
   @@ fun () ->
   let a = t.arena and l = t.layout in
   Arena.set_phase a Stats.Search;
-  let leaf = to_leaf t (root t) lo in
+  let leaf = to_leaf t lo in
   let last = ref (lo - 1) in
   let rec scan node =
     rlock t node;

@@ -55,6 +55,13 @@ val insert : t -> key:int -> value:int -> unit
 val search : t -> int -> int option
 val delete : t -> int -> bool
 
+val to_leaf : t -> int -> Layout.node
+(** The B-link descent every operation starts with: the leaf the
+    route from the root reaches for the key.  Internal nodes move
+    right only when their route scan finds no entry greater than the
+    key; the leaf itself is never moved past, so a caller that misses
+    must follow the sibling chain (as {!search} and {!range} do). *)
+
 val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Ascending leaf-chain scan over [lo, hi], deduplicating the
     transient repetitions a concurrent shift or an untruncated split

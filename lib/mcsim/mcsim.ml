@@ -62,6 +62,7 @@ type _ Effect.t +=
   | Wr_unlock : rwlock -> unit Effect.t
   | Gate_wait : gate -> unit Effect.t
   | Gate_open : gate -> unit Effect.t
+  | Await : (unit -> bool) -> unit Effect.t
   | My_tid : int Effect.t
   | Now : int Effect.t
 
@@ -75,6 +76,10 @@ let wr_lock l = Effect.perform (Wr_lock l)
 let wr_unlock l = Effect.perform (Wr_unlock l)
 let gate_wait g = Effect.perform (Gate_wait g)
 let gate_open g = Effect.perform (Gate_open g)
+let await cond =
+  if not (cond ()) then
+    try Effect.perform (Await cond)
+    with Effect.Unhandled _ -> failwith "Mcsim.await: condition false outside Mcsim.run"
 
 let my_tid () =
   try Effect.perform My_tid
@@ -195,6 +200,8 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
         th
   in
   let events : [ `Free of int | `Wake of thread ] Heap.t = Heap.create () in
+  (* Threads parked in [await], oldest first, with their conditions. *)
+  let awaiting : ((unit -> bool) * thread) list ref = ref [] in
   let idle = ref [] in
   let now = ref 0 in
   let nevents = ref 0 in
@@ -340,6 +347,15 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
               Queue.iter wake g.g_waiters;
               Queue.clear g.g_waiters;
               Effect.Deep.continue k ())
+      | Await cond ->
+          Some
+            (fun k ->
+              if cond () then Effect.Deep.continue k ()
+              else begin
+                awaiting := !awaiting @ [ (cond, th) ];
+                th.cont <- Some k;
+                th.pending <- P_blocked
+              end)
       | My_tid -> Some (fun k -> Effect.Deep.continue k th.thread_tid)
       | Now -> Some (fun k -> Effect.Deep.continue k (!now + !seg_acc))
       | _ -> None
@@ -398,7 +414,17 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
           if Vec.is_empty runq then idle := c :: !idle
           else begin
             let th = take_runnable () in
-            (match run_segment th with
+            let outcome = run_segment th in
+            (* Only a segment can change what an [await] condition
+               reads: re-check them after every one, waking the ready
+               waiters when the segment ends. *)
+            if !awaiting <> [] then begin
+              let (`Ran cost | `Blocked cost | `Done cost) = outcome in
+              let ready, still = List.partition (fun (cond, _) -> cond ()) !awaiting in
+              awaiting := still;
+              List.iter (fun (_, w) -> Heap.push events (t + cost) (`Wake w)) ready
+            end;
+            (match outcome with
             | `Ran cost ->
                 (* The thread occupies this core until t + cost; it
                    may not be picked up elsewhere before then. *)

@@ -38,6 +38,15 @@ val create_gate : unit -> gate
 val gate_wait : gate -> unit
 val gate_open : gate -> unit
 
+val await : (unit -> bool) -> unit
+(** Block until the condition holds.  The scheduler re-evaluates it
+    after every segment, so a waiter is never runnable (and charges no
+    time) while it is false: the blocking form of a spin-wait, which a
+    priority scheduler would starve.  The condition must be pure: no
+    PM access, no effects.  Returns at once if it already holds.
+    @raise Failure if it does not and no {!run} is active (nothing
+    else could ever make it hold). *)
+
 val charge : int -> unit
 (** Consume simulated CPU nanoseconds. *)
 

@@ -451,10 +451,14 @@ let guarded t i f =
 (* Mutations wait out an in-progress global snapshot pin or rebalance
    cutover so no write lands on an already-pinned shard while a
    sibling has yet to pin — the cross-shard cut stays consistent.
-   Reads are unaffected. *)
+   Reads are unaffected.  Waits block in the simulator rather than
+   spin: a priority scheduler runs a spinner forever and starves the
+   thread it waits for.  The loop re-checks after waking, so the
+   caller still leaves with the gate open and no yield point before
+   its next step. *)
 let write_gate t =
   while t.pinning do
-    Arena.cpu_work t.instances.(0).arena 30
+    Mcsim.await (fun () -> not t.pinning)
   done
 
 (* Pass the gate and count the mutation as in flight until it is fully
@@ -662,7 +666,7 @@ let quiesce t f =
     ~finally:(fun () -> t.pinning <- false)
     (fun () ->
       while t.commits_in_flight > 0 do
-        Arena.cpu_work t.instances.(0).arena 30
+        Mcsim.await (fun () -> t.commits_in_flight = 0)
       done;
       ignore (drain_queues t);
       f ())
@@ -791,6 +795,8 @@ let untap_writes t ~shard =
       it.ops <- base;
       it.tap_base <- None;
       t.txs <- None
+
+let tapped t ~shard = t.instances.(shard).tap_base <> None
 
 (* Splices replace the volatile topology in one step.  They require
    drained queues (call them inside {!quiesce}) and rebuild the

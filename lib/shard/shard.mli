@@ -194,6 +194,9 @@ val tap_writes : t -> shard:int -> (int -> int option -> unit) -> unit
 val untap_writes : t -> shard:int -> unit
 (** Restore the untapped handle; idempotent. *)
 
+val tapped : t -> shard:int -> bool
+(** Whether shard [shard]'s writes are tapped right now (uncharged). *)
+
 val splice_split :
   t -> shard:int -> slot:int -> pivot:int -> ops:Ff_index.Intf.ops ->
   arena:Ff_pmem.Arena.t -> unit
