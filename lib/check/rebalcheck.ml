@@ -95,7 +95,9 @@ let held_entry cfg w =
             Hashtbl.replace last k i
         | Spec.Insert _ | Spec.Delete _ | Spec.Search _ -> ()))
     (Spec.log w);
-  Hashtbl.fold (fun _ i acc -> Some (min i (Option.value acc ~default:i))) last None
+  Hashtbl.fold
+    (fun _ i acc -> Some (match acc with Some j -> min i j | None -> i))
+    last None
 
 (* Writer applies the commit log through the routed serving layer
    while the rebalancer thread splits / merges / migrates underneath
@@ -125,6 +127,7 @@ let setup cfg name w () =
   let applied = ref 0 in
   let rebalanced = ref false in
   let tap = match cfg.kind with Rb_merge -> 1 | Rb_split | Rb_migrate -> 0 in
+  (* Merge's cutover removes the tapped shard. *)
   let tapped () = Shard.shards t > tap && Shard.tapped t ~shard:tap in
   let held = held_entry cfg w in
   let start = max 0 (Option.value held ~default:0 - 1) in

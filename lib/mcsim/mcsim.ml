@@ -350,12 +350,9 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
       | Await cond ->
           Some
             (fun k ->
-              if cond () then Effect.Deep.continue k ()
-              else begin
-                awaiting := !awaiting @ [ (cond, th) ];
-                th.cont <- Some k;
-                th.pending <- P_blocked
-              end)
+              awaiting := !awaiting @ [ (cond, th) ];
+              th.cont <- Some k;
+              th.pending <- P_blocked)
       | My_tid -> Some (fun k -> Effect.Deep.continue k th.thread_tid)
       | Now -> Some (fun k -> Effect.Deep.continue k (!now + !seg_acc))
       | _ -> None

@@ -659,6 +659,175 @@ let prop_crash_then_recover_sound =
                     false)
            committed true)
 
+(* ------------------------------------------------------------------ *)
+(* B-link descent                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let level_of a n = Arena.peek a (n + Layout.off_level)
+
+(* Keys 10, 20, ..., 10n go into 128-byte nodes (4 entries), then the
+   insert of 10(n+1) crashes at its first store into a node of level
+   >= [above] that already existed: the split below that level is
+   published (sibling linked, donor truncated) but its separator never
+   reached the parent.  Every store is kept, so the reopened tree is
+   exactly that state.  Returns the tree, the donor and its dangling
+   sibling. *)
+let dangling_split ~mode ~above n =
+  let a = mk_arena () in
+  let t = Tree.create ~node_bytes:128 ~mode a in
+  for i = 1 to n do
+    Tree.insert t ~key:(10 * i) ~value:(value_of (10 * i))
+  done;
+  let words = (Tree.layout t).Layout.node_words in
+  let upper =
+    List.filter (fun nd -> level_of a nd >= above) (Tree.reachable_nodes t)
+  in
+  let dry = Arena.clone a in
+  let base = Arena.store_count dry in
+  let first = ref None in
+  let nop _ = () and nop2 _ _ = () in
+  Arena.set_event_sink dry
+    (Some
+       {
+         Arena.ev_store =
+           (fun addr ->
+             if !first = None
+                && List.exists (fun nd -> addr >= nd && addr < nd + words) upper
+             then first := Some (Arena.store_count dry - base));
+         ev_flush = nop;
+         ev_fence = (fun () -> ());
+         ev_alloc = nop2;
+         ev_free = nop2;
+         ev_crash = (fun () -> ());
+       });
+  let trigger = 10 * (n + 1) in
+  Tree.insert (Tree.open_existing ~node_bytes:128 ~mode dry) ~key:trigger
+    ~value:(value_of trigger);
+  let k = Option.get !first in
+  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + k));
+  (try Tree.insert t ~key:trigger ~value:(value_of trigger) with Arena.Crashed -> ());
+  Arena.power_fail a Storelog.Keep_all;
+  let t = Tree.open_existing ~node_bytes:128 ~mode a in
+  let nodes = Tree.reachable_nodes t in
+  let referenced =
+    List.concat_map
+      (fun p ->
+        Arena.peek a (p + Layout.off_leftmost)
+        :: List.map snd (Node.entries_debug a (Tree.layout t) p))
+      (List.filter (fun p -> level_of a p = above) nodes)
+  in
+  let sib =
+    List.find
+      (fun nd ->
+        level_of a nd = above - 1 && nd <> Tree.root t && not (List.mem nd referenced))
+      nodes
+  in
+  let donor = List.find (fun nd -> Arena.peek a (nd + Layout.off_sibling) = sib) nodes in
+  (t, donor, sib)
+
+(* Route parities: even scans left to right, odd right to left (as
+   while a delete shifts); set on every internal node. *)
+let set_internal_parity t odd =
+  let a = Tree.arena t in
+  List.iter
+    (fun nd -> if level_of a nd > 0 then Layout.set_switch a nd (if odd then 1 else 0))
+    (Tree.reachable_nodes t)
+
+let descent_variants = [ (Node.Linear, false); (Node.Linear, true); (Node.Binary, false) ]
+
+let variant_name (mode, odd) =
+  match mode with
+  | Node.Binary -> "binary"
+  | Node.Linear -> if odd then "linear odd" else "linear even"
+
+(* A leaf split whose separator is missing: the descent stops at the
+   donor (no move-right at the leaf), and search, range, insert and
+   delete of keys at and past the donor's last entry still reach the
+   sibling through their own sibling checks. *)
+let test_descent_dangling_leaf () =
+  List.iter
+    (fun ((mode, odd) as v) ->
+      let t, donor, sib = dangling_split ~mode ~above:1 6 in
+      set_internal_parity t odd;
+      let a = Tree.arena t and l = Tree.layout t in
+      let name what = Printf.sprintf "%s: %s" (variant_name v) what in
+      let donor_keys = List.map fst (Node.entries_debug a l donor) in
+      let sib_keys = List.map fst (Node.entries_debug a l sib) in
+      let last = List.nth donor_keys (List.length donor_keys - 1) in
+      Alcotest.(check bool) (name "split moved keys right") true (sib_keys <> []);
+      List.iter
+        (fun k ->
+          Alcotest.(check int) (name "descent stays on the donor") donor (Tree.to_leaf t k);
+          Alcotest.(check (option int)) (name "search") (Some (value_of k)) (Tree.search t k))
+        (last :: sib_keys);
+      let got = ref [] in
+      Tree.range t ~lo:last ~hi:max_int (fun k _ -> got := k :: !got);
+      Alcotest.(check (list int)) (name "range") (last :: sib_keys) (List.rev !got);
+      let past = 10 * (List.length donor_keys + List.length sib_keys + 5) in
+      Tree.insert t ~key:past ~value:(value_of past);
+      Tree.insert t ~key:(List.hd sib_keys) ~value:1001;
+      Alcotest.(check bool) (name "delete") true (Tree.delete t (List.nth sib_keys 1));
+      Alcotest.(check (list (pair int int)))
+        (name "writes landed in the sibling")
+        ((List.hd sib_keys, 1001)
+         :: List.map (fun k -> (k, value_of k)) (List.tl (List.tl sib_keys) @ [ past ]))
+        (Node.entries_debug a l sib);
+      Alcotest.(check (list int)) (name "donor untouched") donor_keys
+        (List.map fst (Node.entries_debug a l donor)))
+    descent_variants
+
+(* An internal split whose separator is missing from the root: the
+   route through the truncated donor runs off its end, so the descent
+   reads the sibling and moves right, reaching the leaf that covers the
+   key in every route parity and in binary mode. *)
+let test_descent_dangling_internal () =
+  List.iter
+    (fun ((mode, odd) as v) ->
+      let t, donor, sib = dangling_split ~mode ~above:2 18 in
+      set_internal_parity t odd;
+      let a = Tree.arena t and l = Tree.layout t in
+      let name what = Printf.sprintf "%s: %s" (variant_name v) what in
+      let low = Arena.peek a (sib + Layout.off_low) in
+      let last = List.fold_left (fun m (k, _) -> max m k) 0 (Node.entries_debug a l donor) in
+      Alcotest.(check bool) (name "donor truncated below the sibling") true (last < low);
+      List.iter
+        (fun k ->
+          let leaf = Tree.to_leaf t k in
+          let s = Arena.peek a (leaf + Layout.off_sibling) in
+          Alcotest.(check bool)
+            (name (Printf.sprintf "leaf reached for %d covers it" k))
+            true
+            (Arena.peek a (leaf + Layout.off_low) <= k
+            && (s = 0 || Arena.peek a (s + Layout.off_low) > k)
+            && List.mem_assoc k (Node.entries_debug a l leaf));
+          Alcotest.(check (option int)) (name "search") (Some (value_of k)) (Tree.search t k))
+        (List.filter (fun k -> k >= last) (List.init 18 (fun i -> 10 * (i + 1)))))
+    descent_variants
+
+(* A cold search for the first key of a full leaf (the root) reads the
+   header line and the first record line, and nothing else: 8 loads
+   (the root pointer, cached by open_existing; level, switch and
+   leftmost; ptr, key and the key re-read of record 0; the switch
+   re-check) and 2 line misses, the second at the sequential discount.
+   A descent that probed the leaf's tail first would add a full miss on
+   line 7 and make the header line's miss a full one. *)
+let test_descent_cold_cost () =
+  let config = Config.pm ~read_ns:300 ~write_ns:300 () in
+  let a = mk_arena ~config () in
+  let t = Tree.create a in
+  let cap = (Tree.layout t).Layout.capacity in
+  for k = 1 to cap do
+    Tree.insert t ~key:k ~value:(value_of k)
+  done;
+  Alcotest.(check int) "one full leaf" 1 (Tree.height t);
+  Arena.power_fail a Storelog.Keep_all;
+  let t = Tree.open_existing a in
+  Arena.reset_stats a;
+  Alcotest.(check (option int)) "found" (Some (value_of 1)) (Tree.search t 1);
+  let s = Arena.total_stats a in
+  Alcotest.(check (list int)) "loads, line misses, sequential misses" [ 8; 2; 1 ]
+    [ s.Stats.loads; s.Stats.line_misses; s.Stats.seq_misses ]
+
 let suite =
   [
     Alcotest.test_case "node insert ascending" `Quick test_node_insert_ascending;
@@ -683,6 +852,10 @@ let suite =
     Alcotest.test_case "tree seq+reverse" `Quick test_tree_sequential_and_reverse;
     Alcotest.test_case "tree binary mode" `Quick test_tree_binary_mode;
     Alcotest.test_case "tree logged splits" `Quick test_tree_logged_split_policy;
+    Alcotest.test_case "descent: dangling leaf split" `Quick test_descent_dangling_leaf;
+    Alcotest.test_case "descent: dangling internal split" `Quick
+      test_descent_dangling_internal;
+    Alcotest.test_case "descent: cold search cost" `Quick test_descent_cold_cost;
     Alcotest.test_case "tree crash: insert" `Quick test_tree_crash_simple_insert;
     Alcotest.test_case "tree crash: split" `Quick test_tree_crash_split_insert;
     Alcotest.test_case "tree crash: deep split" `Quick test_tree_crash_deep_split;

@@ -120,6 +120,34 @@ let test_gate () =
   | 99 :: rest -> Alcotest.(check int) "both waiters ran" 2 (List.length rest)
   | _ -> Alcotest.fail "opener must run first")
 
+(* A waiter parked in [await] is never runnable while its condition is
+   false, so a scheduler that always picks the first runnable thread
+   (which would run a spinning waiter forever) still runs the setter.
+   The waiter resumes when the segment that set the flag ends. *)
+let test_await () =
+  let flag = ref false and set_at = ref 0 and resumed_at = ref 0 in
+  let waiter _ =
+    Mcsim.await (fun () -> !flag);
+    resumed_at := Option.get (Mcsim.sim_now ())
+  in
+  let setter _ =
+    for _ = 1 to 10 do
+      Mcsim.charge 100
+    done;
+    flag := true;
+    set_at := Option.get (Mcsim.sim_now ());
+    Mcsim.charge 100
+  in
+  ignore
+    (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy:(Mcsim.Choose (fun _ -> 0))
+       [| waiter; setter |]);
+  Alcotest.(check (list int)) "set, then resumed after that segment" [ 1000; 1100 ]
+    [ !set_at; !resumed_at ];
+  Mcsim.await (fun () -> true);
+  Alcotest.check_raises "false outside run"
+    (Failure "Mcsim.await: condition false outside Mcsim.run")
+    (fun () -> Mcsim.await (fun () -> false))
+
 let test_contention_cost () =
   (* Read-lock acquisitions on one shared lock cost more with more
      concurrent readers. *)
@@ -302,6 +330,7 @@ let suite =
     Alcotest.test_case "rwlock parallel readers" `Quick test_rwlock_readers_parallel;
     Alcotest.test_case "rwlock writer excludes" `Quick test_rwlock_writer_excludes;
     Alcotest.test_case "gate" `Quick test_gate;
+    Alcotest.test_case "await" `Quick test_await;
     Alcotest.test_case "lock contention cost" `Quick test_contention_cost;
     Alcotest.test_case "my_tid" `Quick test_my_tid;
     Alcotest.test_case "my_tid outside run" `Quick test_my_tid_outside_run;

@@ -459,6 +459,31 @@ let test_rebalcheck_mutant_fails () =
       Alcotest.(check bool) "rebal survives the round-trip" true
         (cx'.Cx.rebal = cx.Cx.rebal)
 
+(* The writer holds its last change to a moved key until the tap is
+   in, so the canonical schedule alone, with no crash sweep, loses an
+   acknowledged write under the drop-delta mutant: for every kind and
+   seed, however cheap the writer's ops are. *)
+let test_rebalcheck_mutant_canonical () =
+  List.iter
+    (fun kind ->
+      for seed = 1 to 5 do
+        let cfg =
+          {
+            (rc_config kind) with
+            RC.mutant = true;
+            ops = 12;
+            seed;
+            schedules = 0;
+            crash_budget = 0;
+          }
+        in
+        let r = RC.run ~config:cfg "fastfair" in
+        if r.C.violations = [] then
+          Alcotest.failf "%s seed %d: the canonical schedule lost no write"
+            (RC.rkind_to_string kind) seed
+      done)
+    [ RC.Rb_split; RC.Rb_merge; RC.Rb_migrate ]
+
 let suite =
   [
     Alcotest.test_case "slot audit" `Quick test_slot_audit;
@@ -477,4 +502,6 @@ let suite =
       test_merge_resolves_live_topology;
     Alcotest.test_case "rebalcheck clean" `Slow test_rebalcheck_clean;
     Alcotest.test_case "rebalcheck mutant" `Slow test_rebalcheck_mutant_fails;
+    Alcotest.test_case "rebalcheck mutant, canonical schedule" `Quick
+      test_rebalcheck_mutant_canonical;
   ]
