@@ -461,8 +461,8 @@ let test_rebalcheck_mutant_fails () =
 
 (* The writer holds its last change to a moved key until the tap is
    in, so the canonical schedule alone, with no crash sweep, loses an
-   acknowledged write under the drop-delta mutant: for every kind and
-   seed, however cheap the writer's ops are. *)
+   acknowledged write under the drop-delta mutant: for every kind at
+   seeds 1-5, however cheap the writer's ops are. *)
 let test_rebalcheck_mutant_canonical () =
   List.iter
     (fun kind ->
