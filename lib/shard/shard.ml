@@ -195,7 +195,10 @@ type t = {
      batch records true end-to-end latency (queueing + execution).
      Rebuilt (empty) whenever a splice changes the topology. *)
   mutable queues : (int * int * Workload.op) list ref array;
-  mutable qlen : int array;
+  (* Per shard: ops routed to it since its oldest queued op was
+     enqueued, reads that skipped the queue included; 0 while the
+     queue is empty.  The queue closes when this reaches [batch_cap]. *)
+  mutable window : int array;
   retry_limit : int;
   backoff_ns : int;
   mutable next_op : int;
@@ -258,7 +261,7 @@ let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
     group;
     tracer;
     queues = Array.init n (fun _ -> ref []);
-    qlen = Array.make n 0;
+    window = Array.make n 0;
     retry_limit;
     backoff_ns;
     next_op = 0;
@@ -586,6 +589,17 @@ let finish_op t it op_id enq op =
     Trace.instant t.tracer Trace.id_op op_id
   end
 
+(* Run one point op on shard [i] and record its latency.  A shard going
+   degraded fails this op, not the run. *)
+let serve t i (op_id, enq, op) =
+  let it = t.instances.(i) in
+  let r =
+    try guarded t i (fun () -> Workload.run_op it.ops op)
+    with Degraded _ -> 0
+  in
+  finish_op t it op_id enq op;
+  r
+
 (* Drain shard [i]'s queue as one batch.  Ops are stably sorted by key
    (same-key submission order survives; distinct point ops commute, so
    results match sequential execution) and run under one group-flush
@@ -597,7 +611,7 @@ let finish_op t it op_id enq op =
    own queue drain runs while [pinning] is up), so a quiesce raised
    mid-batch waits for the whole batch to apply. *)
 let exec_batch t i =
-  if t.qlen.(i) = 0 then 0
+  if !(t.queues.(i)) = [] then 0
   else begin
     t.commits_in_flight <- t.commits_in_flight + 1;
     Fun.protect
@@ -610,27 +624,16 @@ let exec_batch t i =
         (List.rev !q)
     in
     q := [];
-    let count = t.qlen.(i) in
-    t.qlen.(i) <- 0;
+    let count = List.length batch in
+    t.window.(i) <- 0;
     let it = t.instances.(i) in
     let a = it.arena in
     if Trace.enabled t.tracer then
       Trace.span_begin t.tracer Trace.id_batch count;
     if t.group then Arena.group_begin a;
-    let acc =
-      List.fold_left
-        (fun acc (op_id, enq, op) ->
-          (* A shard going degraded fails this op, not the batch: the
-             remaining ops still run and the closing group_end fence
-             still makes the survivors durable. *)
-          let r =
-            try guarded t i (fun () -> Workload.run_op it.ops op)
-            with Degraded _ -> 0
-          in
-          finish_op t it op_id enq op;
-          acc + r)
-        0 batch
-    in
+    (* A degraded op fails alone: the remaining ops still run and the
+       closing group_end fence still makes the survivors durable. *)
+    let acc = List.fold_left (fun acc q -> acc + serve t i q) 0 batch in
     if t.group then Arena.group_end a;
     if Trace.enabled t.tracer then Trace.span_end t.tracer Trace.id_batch;
     it.batches <- it.batches + 1;
@@ -805,15 +808,16 @@ let tapped t ~shard = t.instances.(shard).tap_base <> None
 
 let check_spliceable t =
   Array.iteri
-    (fun i n -> if n > 0 then
+    (fun i q -> if !q <> [] then
         invalid_arg
-          (Printf.sprintf "Shard.splice: shard %d has %d queued ops" i n))
-    t.qlen
+          (Printf.sprintf "Shard.splice: shard %d has %d queued ops" i
+             (List.length !q)))
+    t.queues
 
 let rebuild_sched t =
   let n = Array.length t.instances in
   t.queues <- Array.init n (fun _ -> ref []);
-  t.qlen <- Array.make n 0;
+  t.window <- Array.make n 0;
   t.txs <- None
 
 (* The split and merge topology edits, computed once for the live
@@ -906,9 +910,13 @@ let instance_ops t i = t.instances.(i).ops
 let instance_arena t i = t.instances.(i).arena
 let shard_span t i = Partition.span t.partition i
 
-(* Enqueue a trace; a shard executes whenever its queue reaches
-   [batch_cap].  Range is a scheduling barrier: all queues drain so the
-   merged cursor sees every prior write, matching sequential order. *)
+(* Enqueue a trace; a shard executes its queue once [batch_cap] ops
+   have been routed to it since the oldest queued op.  A search whose
+   key has no queued op on its shard skips the queue and runs at once:
+   distinct keys commute, so it sees what sequential order would show
+   it, and it reads only state an earlier batch already fenced.  Range
+   is a scheduling barrier: all queues drain so the merged cursor sees
+   every prior write, matching sequential order. *)
 let submit t ops =
   write_gate t;
   let acc = ref 0 in
@@ -929,10 +937,20 @@ let submit t ops =
           finish_op t it op_id enq op;
           acc := !acc + !n
       | op ->
-          let i = shard_of_key t (key_of_op op) in
-          t.queues.(i) := (op_id, now_ns t.instances.(i), op) :: !(t.queues.(i));
-          t.qlen.(i) <- t.qlen.(i) + 1;
-          if t.qlen.(i) >= t.batch_cap then acc := !acc + exec_batch t i)
+          let k = key_of_op op in
+          let i = shard_of_key t k in
+          let it = t.instances.(i) in
+          let q = t.queues.(i) in
+          let queued_key () = List.exists (fun (_, _, o) -> key_of_op o = k) !q in
+          (match op with
+          | Workload.Search _ when not (queued_key ()) ->
+              acc := !acc + serve t i (op_id, now_ns it, op);
+              it.routed <- it.routed + 1;
+              if !q <> [] then t.window.(i) <- t.window.(i) + 1
+          | _ ->
+              q := (op_id, now_ns it, op) :: !q;
+              t.window.(i) <- t.window.(i) + 1);
+          if t.window.(i) >= t.batch_cap then acc := !acc + exec_batch t i)
     ops;
   acc := !acc + drain_queues t;
   !acc

@@ -320,14 +320,20 @@ val tx_stats : t -> int * int * int
 (** {1 Batched scheduler} *)
 
 val submit : t -> Ff_workload.Workload.op array -> int
-(** Enqueue a trace shard-by-shard; a shard's queue drains as one
-    batch when it reaches [batch_cap] (and at the end of the call).
-    Within a batch, ops are stably sorted by key — same-key order is
-    preserved and distinct point ops commute, so the returned checksum
-    equals sequential {!Ff_workload.Workload.run_trace}.  [Range] ops
-    are scheduling barriers: all queues drain first, then the merged
-    cursor runs.  Each batch emits a [batch] trace instant and bumps
-    the per-shard [shard.batch_ops.shard<i>] metric. *)
+(** Run a trace shard-by-shard.  Writes enqueue on their shard; a
+    shard's queue drains as one batch once [batch_cap] ops have been
+    routed to the shard since its oldest queued op (and at the end of
+    the call).  A [Search] whose key has no queued op on its shard
+    skips the queue: it runs at once, outside any batch and fence, and
+    its latency is its own service time; it still counts toward the
+    queue's [batch_cap], so batch boundaries do not depend on how many
+    reads skipped.  A [Search] whose key has a queued op joins the
+    batch.  Within a batch, ops are stably sorted by key — same-key
+    order is preserved and distinct point ops commute, so the returned
+    checksum equals sequential {!Ff_workload.Workload.run_trace}.
+    [Range] ops are scheduling barriers: all queues drain first, then
+    the merged cursor runs.  Each batch emits a [batch] trace instant
+    and bumps the per-shard [shard.batch_ops.shard<i>] metric. *)
 
 val drain_queues : t -> int
 (** Force-drain every pending queue; returns the checksum sum. *)

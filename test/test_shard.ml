@@ -126,12 +126,12 @@ let test_range_oracle_range () =
 (* Batched scheduler                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let mixed_trace seed n =
+let mixed_trace ?(space = 3000) ?(search_pct = 25) seed n =
   let rng = Prng.create seed in
-  Workload.mixed_trace rng ~n ~space:3000
+  Workload.mixed_trace rng ~n ~space
     {
-      Workload.insert_pct = 50;
-      search_pct = 25;
+      Workload.insert_pct = 75 - search_pct;
+      search_pct;
       delete_pct = 15;
       range_pct = 10;
       range_len = 8;
@@ -139,11 +139,20 @@ let mixed_trace seed n =
       scan_len_max = 0;
     }
 
+(* One insert per window of [cap] ops on a single shard, the rest
+   searches of keys an earlier window inserted: [m] windows are [m]
+   batches only if the searches that skip the queue still count toward
+   its [batch_cap]. *)
+let windowed_trace ~cap m =
+  Array.init (m * cap) (fun i ->
+      let j = i / cap in
+      if i mod cap = 0 then Workload.Insert (j + 1)
+      else Workload.Search (1 + ((i * 7) mod (j + 1))))
+
 (* submit must produce exactly the sequential result: same checksum,
-   same final contents. *)
-let test_submit_equivalence () =
-  let trace = mixed_trace 0x5eed 4000 in
-  let t = Shard.create ~inner:"fastfair" ~shards:4 ~batch_cap:32 () in
+   same final contents.  Returns the ensemble for further checks. *)
+let check_submit ?(shards = 4) ?partition ~batch_cap trace =
+  let t = Shard.create ~inner:"fastfair" ~shards ?partition ~batch_cap () in
   let oracle =
     Registry.build "fastfair" (Arena.create ~words:(1 lsl 20) ())
   in
@@ -159,7 +168,51 @@ let test_submit_equivalence () =
     "final contents equal"
     (pairs (fun ops f -> ops.Intf.range 1 20_000 f) oracle)
     (pairs (fun t f -> Shard.range t ~lo:1 ~hi:20_000 f) t);
-  Alcotest.(check bool) "batches ran" true (Shard.batches t > 0)
+  t
+
+(* The default mix, and a 40-key space where many searches hit a key
+   with a queued write and so must join its batch, at several batch
+   caps under both partition policies. *)
+let test_submit_equivalence () =
+  let t = check_submit ~batch_cap:32 (mixed_trace 0x5eed 4000) in
+  Alcotest.(check bool) "batches ran" true (Shard.batches t > 0);
+  let hot = mixed_trace ~space:40 ~search_pct:40 0x407 3000 in
+  List.iter
+    (fun partition ->
+      List.iter
+        (fun batch_cap -> ignore (check_submit ~partition ~batch_cap hot))
+        [ 1; 7; 64 ])
+    [ Partition.hash ~shards:4; Partition.even_range ~shards:4 ~space:40 ];
+  let t = check_submit ~shards:1 ~batch_cap:8 (windowed_trace ~cap:8 50) in
+  Alcotest.(check int) "one batch per window" 50 (Shard.batches t)
+
+(* A read-only submit runs no batch and issues no fence, and each
+   search's latency is exactly its own service time: the latency
+   samples sum to the shards' clock advance. *)
+let test_reads_skip_queue () =
+  let t = Shard.create ~inner:"fastfair" ~shards:4 ~batch_cap:64 () in
+  for k = 1 to 2000 do
+    Shard.insert t ~key:k ~value:(value_of k)
+  done;
+  let stats () =
+    Array.fold_left
+      (fun (ns, fences) a ->
+        let s = Arena.total_stats a in
+        (ns + Stats.total_ns s, fences + s.Stats.fences))
+      (0, 0) (Shard.arenas t)
+  in
+  let ns0, fences0 = stats () in
+  let lat0 = Histogram.copy (Shard.merged_latency t) in
+  let n = 3000 in
+  let trace = Array.init n (fun i -> Workload.Search (1 + ((i * 37) mod 2500))) in
+  ignore (Shard.submit t trace);
+  let ns1, fences1 = stats () in
+  let lat = Histogram.delta (Shard.merged_latency t) lat0 in
+  Alcotest.(check int) "no batches" 0 (Shard.batches t);
+  Alcotest.(check int) "no fences" fences0 fences1;
+  Alcotest.(check int) "one sample per search" n (Histogram.count lat);
+  Alcotest.(check int) "latency sum is service time" (ns1 - ns0)
+    (int_of_float (Float.round (Histogram.mean lat *. float_of_int n)))
 
 (* Group flush must leave identical contents while issuing strictly
    fewer fences (one per batch instead of one per flush). *)
@@ -311,6 +364,7 @@ let suite =
     Alcotest.test_case "range oracle (range)" `Quick test_range_oracle_range;
     Alcotest.test_case "submit equals sequential" `Quick
       test_submit_equivalence;
+    Alcotest.test_case "reads skip the queue" `Quick test_reads_skip_queue;
     Alcotest.test_case "group flush: fewer fences" `Quick
       test_group_flush_fewer_fences;
     Alcotest.test_case "latency histograms merge" `Quick test_latency_merge;
