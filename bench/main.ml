@@ -1078,7 +1078,7 @@ let soak_rules () =
       {
         rule = "degraded-budget";
         events = "shard.degraded";
-        ops = "shard.batch_ops";
+        ops = "shard.ops";
         max_per_1k = 5.;
       };
     (* Replication rules for the chaos phase below.  The multi-window

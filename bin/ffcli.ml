@@ -809,7 +809,7 @@ let top index_name ops shards seed p99_bound =
             {
               rule = "degraded-budget";
               events = "shard.degraded";
-              ops = "shard.batch_ops";
+              ops = "shard.ops";
               max_per_1k = 5.;
             };
         ]

@@ -17,7 +17,7 @@ type rule =
   | Burn_rate of {
       rule : string;
       events : string;  (** counter prefix, e.g. ["shard.degraded"] *)
-      ops : string;  (** counter prefix, e.g. ["shard.batch_ops"] *)
+      ops : string;  (** counter prefix, e.g. ["shard.ops"] *)
       max_per_1k : float;
     }
   | Burn_rate_multi of {

@@ -579,13 +579,16 @@ let latency_label = function
   | Workload.Range _ -> "shard.latency_ns.range"
 
 (* Record one op's end-to-end latency (enqueue to completion, on the
-   shard's clock) and link it back to its submit-time id with an
-   [id_op] instant, so traces can be joined per op. *)
-let finish_op t it op_id enq op =
+   shard's clock), count it as served by shard [i] and link it back to
+   its submit-time id with an [id_op] instant, so traces can be joined
+   per op. *)
+let finish_op t i op_id enq op =
+  let it = t.instances.(i) in
   let lat = max 0 (now_ns it - enq) in
   Histogram.add it.lat lat;
   if Trace.enabled t.tracer then begin
     Trace.observe t.tracer (latency_label op) lat;
+    Metrics.incr (Trace.metrics t.tracer) (Metrics.shard_label "shard.ops" i);
     Trace.instant t.tracer Trace.id_op op_id
   end
 
@@ -597,7 +600,7 @@ let serve t i (op_id, enq, op) =
     try guarded t i (fun () -> Workload.run_op it.ops op)
     with Degraded _ -> 0
   in
-  finish_op t it op_id enq op;
+  finish_op t i op_id enq op;
   r
 
 (* Drain shard [i]'s queue as one batch.  Ops are stably sorted by key
@@ -638,10 +641,6 @@ let exec_batch t i =
     if Trace.enabled t.tracer then Trace.span_end t.tracer Trace.id_batch;
     it.batches <- it.batches + 1;
     it.routed <- it.routed + count;
-    if Trace.enabled t.tracer then
-      Metrics.add (Trace.metrics t.tracer)
-        (Metrics.shard_label "shard.batch_ops" i)
-        count;
     acc
   end
 
@@ -927,14 +926,14 @@ let submit t ops =
       match op with
       | Workload.Range (lo, len) ->
           acc := !acc + drain_queues t;
-          let it = t.instances.(shard_of_key t lo) in
-          let enq = now_ns it in
+          let i = shard_of_key t lo in
+          let enq = now_ns t.instances.(i) in
           let n = ref 0 in
           (* Like point ops in a batch, a scan over a degraded shard
              fails this op, not the run. *)
           (try range t ~lo ~hi:(lo + (len * 4)) (fun _ _ -> incr n)
            with Degraded _ -> ());
-          finish_op t it op_id enq op;
+          finish_op t i op_id enq op;
           acc := !acc + !n
       | op ->
           let k = key_of_op op in

@@ -332,8 +332,9 @@ val submit : t -> Ff_workload.Workload.op array -> int
     order is preserved and distinct point ops commute, so the returned
     checksum equals sequential {!Ff_workload.Workload.run_trace}.
     [Range] ops are scheduling barriers: all queues drain first, then
-    the merged cursor runs.  Each batch emits a [batch] trace instant
-    and bumps the per-shard [shard.batch_ops.shard<i>] metric. *)
+    the merged cursor runs.  Each batch emits a [batch] trace instant.
+    Every op bumps the per-shard [shard.ops.shard<i>] metric once, on
+    its own shard — a [Range] on the shard of its low key. *)
 
 val drain_queues : t -> int
 (** Force-drain every pending queue; returns the checksum sum. *)

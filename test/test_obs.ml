@@ -97,8 +97,8 @@ let test_slo_burn_rate () =
   let reg = Trace.metrics tr in
   Metrics.add reg (Metrics.shard_label "shard.degraded" 0) 1;
   Metrics.add reg (Metrics.shard_label "shard.degraded" 3) 2;
-  Metrics.add reg (Metrics.shard_label "shard.batch_ops" 0) 200;
-  Metrics.add reg (Metrics.shard_label "shard.batch_ops" 1) 200;
+  Metrics.add reg (Metrics.shard_label "shard.ops" 0) 200;
+  Metrics.add reg (Metrics.shard_label "shard.ops" 1) 200;
   Alcotest.(check int) "per-shard labels sum under the prefix" 3
     (Metrics.counter_prefix_sum reg "shard.degraded");
   clock := 50;
@@ -107,7 +107,7 @@ let test_slo_burn_rate () =
       {
         rule = "degraded-budget";
         events = "shard.degraded";
-        ops = "shard.batch_ops";
+        ops = "shard.ops";
         max_per_1k;
       }
   in

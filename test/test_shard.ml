@@ -150,15 +150,22 @@ let windowed_trace ~cap m =
       else Workload.Search (1 + ((i * 7) mod (j + 1))))
 
 (* submit must produce exactly the sequential result: same checksum,
-   same final contents.  Returns the ensemble for further checks. *)
+   same final contents.  Every op, queued, skipped or scan, counts once
+   under [shard.ops].  Returns the ensemble for further checks. *)
 let check_submit ?(shards = 4) ?partition ~batch_cap trace =
-  let t = Shard.create ~inner:"fastfair" ~shards ?partition ~batch_cap () in
+  let tracer = Ff_trace.Trace.create ~capacity:1024 () in
+  let t =
+    Shard.create ~inner:"fastfair" ~shards ?partition ~batch_cap ~tracer ()
+  in
   let oracle =
     Registry.build "fastfair" (Arena.create ~words:(1 lsl 20) ())
   in
   let got = Shard.submit t trace in
   let want = Workload.run_trace oracle trace in
   Alcotest.(check int) "checksum equals sequential" want got;
+  Alcotest.(check int) "every op counted once" (Array.length trace)
+    (Ff_trace.Metrics.counter_prefix_sum (Ff_trace.Trace.metrics tracer)
+       "shard.ops");
   let pairs r ops =
     let acc = ref [] in
     r ops (fun k v -> acc := (k, v) :: !acc);
