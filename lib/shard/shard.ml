@@ -578,13 +578,11 @@ let latency_label = function
   | Workload.Delete _ -> "shard.latency_ns.delete"
   | Workload.Range _ -> "shard.latency_ns.range"
 
-(* Record one op's end-to-end latency (enqueue to completion, on the
-   shard's clock), count it as served by shard [i] and link it back to
-   its submit-time id with an [id_op] instant, so traces can be joined
-   per op. *)
-let finish_op t i op_id enq op =
+(* Record one op's end-to-end latency [lat] under shard [i], count it
+   as served by that shard and link it back to its submit-time id with
+   an [id_op] instant, so traces can be joined per op. *)
+let finish_op t i op_id lat op =
   let it = t.instances.(i) in
-  let lat = max 0 (now_ns it - enq) in
   Histogram.add it.lat lat;
   if Trace.enabled t.tracer then begin
     Trace.observe t.tracer (latency_label op) lat;
@@ -592,15 +590,16 @@ let finish_op t i op_id enq op =
     Trace.instant t.tracer Trace.id_op op_id
   end
 
-(* Run one point op on shard [i] and record its latency.  A shard going
-   degraded fails this op, not the run. *)
+(* Run one point op on shard [i] and record its latency, enqueue to
+   completion on the shard's clock.  A shard going degraded fails this
+   op, not the run. *)
 let serve t i (op_id, enq, op) =
   let it = t.instances.(i) in
   let r =
     try guarded t i (fun () -> Workload.run_op it.ops op)
     with Degraded _ -> 0
   in
-  finish_op t i op_id enq op;
+  finish_op t i op_id (max 0 (now_ns it - enq)) op;
   r
 
 (* Drain shard [i]'s queue as one batch.  Ops are stably sorted by key
@@ -926,14 +925,21 @@ let submit t ops =
       match op with
       | Workload.Range (lo, len) ->
           acc := !acc + drain_queues t;
-          let i = shard_of_key t lo in
-          let enq = now_ns t.instances.(i) in
+          let hi = lo + (len * 4) in
+          (* The shards read their slices in parallel, so the scan
+             takes the largest clock advance among them. *)
+          let slo, shi = Partition.overlapping t.partition ~lo ~hi in
+          let clocks () =
+            Array.init (shi - slo + 1) (fun j -> now_ns t.instances.(slo + j))
+          in
+          let c0 = clocks () in
           let n = ref 0 in
           (* Like point ops in a batch, a scan over a degraded shard
              fails this op, not the run. *)
-          (try range t ~lo ~hi:(lo + (len * 4)) (fun _ _ -> incr n)
-           with Degraded _ -> ());
-          finish_op t i op_id enq op;
+          (try range t ~lo ~hi (fun _ _ -> incr n) with Degraded _ -> ());
+          let lat = ref 0 in
+          Array.iteri (fun j c -> lat := max !lat (c - c0.(j))) (clocks ());
+          finish_op t (shard_of_key t lo) op_id !lat op;
           acc := !acc + !n
       | op ->
           let k = key_of_op op in

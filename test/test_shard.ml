@@ -195,9 +195,13 @@ let test_submit_equivalence () =
 
 (* A read-only submit runs no batch and issues no fence, and each
    search's latency is exactly its own service time: the latency
-   samples sum to the shards' clock advance. *)
+   samples sum to the shards' clock advance.  A scan across shards
+   takes the largest clock advance among them. *)
 let test_reads_skip_queue () =
-  let t = Shard.create ~inner:"fastfair" ~shards:4 ~batch_cap:64 () in
+  let t =
+    Shard.create ~inner:"fastfair" ~shards:4 ~batch_cap:64
+      ~partition:(Partition.even_range ~shards:4 ~space:2000) ()
+  in
   for k = 1 to 2000 do
     Shard.insert t ~key:k ~value:(value_of k)
   done;
@@ -219,7 +223,19 @@ let test_reads_skip_queue () =
   Alcotest.(check int) "no fences" fences0 fences1;
   Alcotest.(check int) "one sample per search" n (Histogram.count lat);
   Alcotest.(check int) "latency sum is service time" (ns1 - ns0)
-    (int_of_float (Float.round (Histogram.mean lat *. float_of_int n)))
+    (int_of_float (Float.round (Histogram.mean lat *. float_of_int n)));
+  let clocks () =
+    Array.map (fun a -> Stats.total_ns (Arena.total_stats a)) (Shard.arenas t)
+  in
+  let c0 = clocks () in
+  let lat0 = Histogram.copy (Shard.merged_latency t) in
+  (* Shard 0 reads 50 keys of this scan, shard 1 all of its 500. *)
+  ignore (Shard.submit t [| Workload.Range (451, 200) |]);
+  let slowest = Array.fold_left max 0 (Array.map2 ( - ) (clocks ()) c0) in
+  let lat = Histogram.delta (Shard.merged_latency t) lat0 in
+  Alcotest.(check int) "scan latency is the slowest shard's" slowest
+    (int_of_float (Histogram.mean lat));
+  Alcotest.(check int) "still no batches" 0 (Shard.batches t)
 
 (* Group flush must leave identical contents while issuing strictly
    fewer fences (one per batch instead of one per flush). *)
