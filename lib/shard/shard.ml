@@ -937,18 +937,17 @@ let submit t ops =
           (* Like point ops in a batch, a scan over a degraded shard
              fails this op, not the run. *)
           (try range t ~lo ~hi (fun _ _ -> incr n) with Degraded _ -> ());
-          let lat = ref 0 in
-          Array.iteri (fun j c -> lat := max !lat (c - c0.(j))) (clocks ());
-          finish_op t (shard_of_key t lo) op_id !lat op;
+          let lat = Array.fold_left max 0 (Array.map2 ( - ) (clocks ()) c0) in
+          finish_op t (shard_of_key t lo) op_id lat op;
           acc := !acc + !n
       | op ->
           let k = key_of_op op in
           let i = shard_of_key t k in
           let it = t.instances.(i) in
           let q = t.queues.(i) in
-          let queued_key () = List.exists (fun (_, _, o) -> key_of_op o = k) !q in
           (match op with
-          | Workload.Search _ when not (queued_key ()) ->
+          | Workload.Search _
+            when not (List.exists (fun (_, _, o) -> key_of_op o = k) !q) ->
               acc := !acc + serve t i (op_id, now_ns it, op);
               it.routed <- it.routed + 1;
               if !q <> [] then t.window.(i) <- t.window.(i) + 1
