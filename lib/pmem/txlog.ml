@@ -133,18 +133,16 @@ let append ?(persist = true) ?payload t r =
   t.count <- i + 1;
   (* Undo-logging ordering: the payload word the new binding will point
      to, the record line and the head that makes it valid are written
-     back together, and one fence makes them all durable before the
-     caller's in-place write.  Inside a caller's group scope the lines
-     join that scope but the fence is still issued here.  The
-     torn-commit mutant elides exactly this persist. *)
+     back, and one fence makes them all durable before the caller's
+     in-place write.  Inside the caller's group scope the write-backs
+     are [clwb]s and that fence is the only one.  The torn-commit
+     mutant elides exactly this persist. *)
   if not persist then Option.iter (fun p -> t.payload <- p :: t.payload) payload
   else if not t.torn then begin
-    let own = not (Arena.in_group a) in
-    if own then Arena.group_begin a;
     Option.iter (Arena.flush a) payload;
     Arena.flush a rb;
     Arena.flush a t.base;
-    if own then Arena.group_end a else Arena.fence a
+    Arena.fence a
   end
 
 (* The deferred path's one ordering point: staged payload lines (each

@@ -101,12 +101,13 @@ val append : ?persist:bool -> ?payload:int -> t -> record -> unit
 
     With [persist = true] (the default) the payload line, the record
     line and the header line carrying the advanced [head] are written
-    back as one group ([clwb]) and {e one} fence closes it before
-    returning — the undo-logging contract: the pre-image (and the cell
-    the new binding will name) is durable before the caller's in-place
-    write.  When the caller already holds a group-flush scope
-    ({!Arena.group_begin}), the lines join it and the fence is still
-    issued, but the caller's scope stays open.  With [persist = false]
+    back and a fence closes them before returning — the undo-logging
+    contract: the pre-image (and the cell the new binding will name) is
+    durable before the caller's in-place write.  The caller is expected
+    to hold a group-flush scope ({!Arena.group_begin}): the write-backs
+    are then [clwb]s and that fence is the append's only one, and the
+    scope stays open.  Outside a scope each write-back carries its own
+    fence.  With [persist = false]
     the stores are merely issued and [payload] is remembered for
     {!persist_payload} (shadow path: the caller persists the whole
     payload at once).

@@ -22,6 +22,7 @@ type tx = {
   mgr : t;
   id : int;
   mutable live : bool;
+  mutable scoped : bool; (* Logged path: holds the arena's group scope *)
   mutable nops : int;
   mutable undos : (int * int option) list; (* eager path: (key, pre), newest first *)
   mutable staged : Txlog.record list; (* deferred path, newest first *)
@@ -66,6 +67,7 @@ let begin_tx t =
     mgr = t;
     id;
     live = true;
+    scoped = false;
     nops = 0;
     undos = [];
     staged = [];
@@ -103,10 +105,18 @@ let write ?payload tx k post =
     tx.nops <- tx.nops + 1
   end
   else begin
-    (* Logged path: undo record (and payload) durable before the
-       in-place write.  The write is counted and its undo pushed before
-       the install runs: an install that applies and then raises must
-       still be rolled back before the log is truncated. *)
+    (* Logged path: the transaction runs under one group-flush scope
+       (its own, or a caller's already open), so every write-back below
+       is a [clwb].  The append's fence makes the undo record (and
+       payload) durable before the in-place write; commit fences the
+       installs once, before truncation.  The write is counted and its
+       undo pushed before the install runs: an install that applies and
+       then raises must still be rolled back before the log is
+       truncated. *)
+    if not (Arena.in_group m.arena) then begin
+      Arena.group_begin m.arena;
+      tx.scoped <- true
+    end;
     in_span m Trace.id_tx_log tx.nops (fun () -> Txlog.append ?payload m.log r);
     tx.nops <- tx.nops + 1;
     tx.undos <- (k, pre) :: tx.undos;
@@ -120,6 +130,14 @@ let put ?payload tx k v =
 
 let del tx k = write tx k None <> None
 let abort ?(reason = "aborted") _tx = raise (Abort reason)
+
+(* Close the transaction's own group scope, if it opened one; commit
+   and rollback call this on every exit. *)
+let release tx =
+  if tx.scoped then begin
+    tx.scoped <- false;
+    Arena.group_end tx.mgr.arena
+  end
 
 let retire tx = tx.live <- false
 
@@ -143,37 +161,46 @@ let commit tx =
   end
   else begin
   in_span m Trace.id_tx_commit tx.nops (fun () ->
-      if deferred tx then begin
-        if Txlog.torn_commit m.log then
-          (* Mutant: the decision record goes durable with no ordered
-             persist of the payload it covers. *)
-          Txlog.set_commit m.log
-        else begin
-          Txlog.persist_payload m.log;
-          Txlog.set_commit m.log
-        end;
-        apply_staged tx
-      end
-      else if Arena.in_group m.arena then
-        (* Every install is durable when it returns, so truncation is
-           the commit point.  Inside a caller's group scope the
-           installs' write-backs still need a fence before the
-           truncating store. *)
-        Arena.fence m.arena;
-      Txlog.discard m.log);
+      Fun.protect ~finally:(fun () -> release tx) (fun () ->
+          if deferred tx then begin
+            if Txlog.torn_commit m.log then
+              (* Mutant: the decision record goes durable with no ordered
+                 persist of the payload it covers. *)
+              Txlog.set_commit m.log
+            else begin
+              Txlog.persist_payload m.log;
+              Txlog.set_commit m.log
+            end;
+            apply_staged tx
+          end
+          else
+            (* The installs' write-backs are [clwb]s inside the scope:
+               one fence makes them durable before the store that
+               truncates the log, which is the commit point. *)
+            Arena.fence m.arena;
+          Txlog.discard m.log));
   retire tx;
   m.commits <- m.commits + 1
   end
 
+(* A rollback that raises leaves the log un-truncated for {!recover};
+   the scope still closes, so the arena stays usable.  With no write
+   counted the scope may still be open: a first write's append can
+   raise after opening it. *)
 let rollback tx =
   check_live tx;
   let m = tx.mgr in
-  if tx.nops = 0 then Txlog.abandon m.log
-  else
-    in_span m Trace.id_tx_abort tx.nops (fun () ->
-        if not (deferred tx) then
-          List.iter (fun (k, pre) -> m.ops.Intf.install k pre) tx.undos;
-        Txlog.discard m.log);
+  Fun.protect ~finally:(fun () -> release tx) (fun () ->
+      if tx.nops = 0 then Txlog.abandon m.log
+      else
+        in_span m Trace.id_tx_abort tx.nops (fun () ->
+            if not (deferred tx) then begin
+              List.iter (fun (k, pre) -> m.ops.Intf.install k pre) tx.undos;
+              (* Same ordering as commit: the restored images are
+                 durable before truncation. *)
+              Arena.fence m.arena
+            end;
+            Txlog.discard m.log));
   retire tx;
   m.aborts <- m.aborts + 1
 
@@ -189,8 +216,10 @@ let run t f =
   | exception e ->
       (* A crash mid-append or mid-commit leaves the arena refusing
          further stores; the original exception must win over the
-         secondary failure of a best-effort rollback. *)
-      if tx.live then (try rollback tx with _ -> ());
+         secondary failure of a best-effort rollback.  Such a rollback
+         has already closed the scope; the transaction retires with
+         its log left for {!recover}. *)
+      if tx.live then (try rollback tx with _ -> retire tx);
       raise e
 
 (* ------------------------------------------------------------------ *)

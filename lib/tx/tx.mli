@@ -5,14 +5,17 @@
     runs multi-key transactions through one of two commit paths, both
     behind the same {!commit}:
 
-    - {b Logged} (undo): every write persists a combined undo/redo
-      record, the header and the optional payload line as one
-      write-back group closed by one fence, {e before} the eager
-      in-place install.  Each install is durable when it returns, so
-      truncating the log ({!Ff_pmem.Txlog.discard}) is the commit
-      point; there is no commit word.  A crash before truncation rolls
+    - {b Logged} (undo): the transaction runs under one group-flush
+      scope, opened at its first write (or the caller's, if one is
+      already open) and closed when it retires.  Every write persists
+      a combined undo/redo record, the header and the optional payload
+      line as [clwb]s closed by one fence, {e before} the eager
+      in-place install.  The installs' own write-backs are [clwb]s
+      too, made durable by one fence before commit truncates the log
+      ({!Ff_pmem.Txlog.discard}); that truncation is the commit point,
+      and there is no commit word.  A crash before truncation rolls
       back from the undo images.  Classic persistent-memory
-      transactions.
+      transactions, one fence per write.
     - {b Shadow} (MOD-style minimally ordered): writes stage in a
       volatile write set; commit group-flushes the whole payload with
       a single fence, persists the commit word, then installs under a
@@ -91,18 +94,23 @@ val abort : ?reason:string -> tx -> 'a
 val commit : tx -> unit
 (** Run the commit protocol for the transaction's path.  When this
     returns, the transaction's effects are durable and the log is
-    truncated.  On [Logged] the truncation itself is the commit point;
-    on [Shadow] the commit word is, and the installs follow it. *)
+    truncated.  On [Logged] the truncation itself is the commit point,
+    after one fence covering every install; on [Shadow] the commit
+    word is, and the installs follow it. *)
 
 val rollback : tx -> unit
 (** Undo every effect (logged path: re-install each pre-image through
-    the index's [install], newest first; shadow path: drop the write
-    set) and truncate the log. *)
+    the index's [install], newest first, and fence them; shadow path:
+    drop the write set) and truncate the log.  A rollback that raises
+    still closes the transaction's scope and leaves the log for
+    {!recover}. *)
 
 val run : t -> (tx -> 'a) -> ('a, string) result
 (** [run t f] opens a transaction, applies [f], and commits.  {!Abort}
     rolls back and returns [Error reason]; any other exception rolls
-    back and re-raises. *)
+    back and re-raises.  If that rollback raises too, the transaction
+    retires with its log left for {!recover}.  On every way out the
+    arena's group scope is as [run] found it. *)
 
 (** {1 Two-phase commit hooks}
 
