@@ -262,10 +262,34 @@ let fenced_before evs ~lo ~hi lines =
       done;
       !f
 
+let install_points evs =
+  List.filter (fun i -> evs.(i) = Install) (List.init (Array.length evs) Fun.id)
+
+(* Inside the transaction's scope every write-back from [evs.(from)]
+   up to the store that truncates the log (the last store to the head
+   at [log + 2]) is grouped, so only a fence before that store orders
+   them. *)
+let fenced_before_truncation evs log ~from =
+  let trunc = ref (-1) in
+  Array.iteri (fun i e -> if i > from && e = Store (log + 2) then trunc := i) evs;
+  Alcotest.(check bool) "log truncated" true (!trunc > 0);
+  let written = ref [] in
+  for i = from to !trunc - 1 do
+    match evs.(i) with
+    | Flush (addr, grouped) ->
+        Alcotest.(check bool) "write-back grouped" true grouped;
+        written := line_of addr :: !written
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "write-backs" true (!written <> []);
+  Alcotest.(check bool) "write-backs fenced before truncation" true
+    (fenced_before evs ~lo:from ~hi:!trunc !written)
+
 (* Three payload-carrying puts through an index whose installs leave
    an [Install] marker in the event stream.  [run ()] executes them in
-   one [Tx.run] and returns the events. *)
-let ordering_fixture path =
+   one [Tx.run] (aborting it after the puts when [abort]) and returns
+   the events. *)
+let ordering_fixture ?(abort = false) path =
   let a = fresh_arena () in
   let base = Registry.build "fastfair" a in
   for k = 1 to 6 do
@@ -304,10 +328,11 @@ let ordering_fixture path =
                let c = cells + i in
                Arena.write a c (100 + k);
                Tx.put ~payload:c tx k c)
-             [ 1; 2; 4 ])
+             [ 1; 2; 4 ];
+           if abort then Tx.abort tx)
      with
-    | Ok () -> ()
-    | Error m -> Alcotest.fail m);
+    | Ok () -> if abort then Alcotest.fail "abort did not propagate"
+    | Error m -> if not abort then Alcotest.fail m);
     Arena.set_event_sink a None;
     Array.of_list (List.rev !evs)
   in
@@ -319,10 +344,10 @@ let test_logged_write_back_ordering () =
       let a, cells, log, run = ordering_fixture Tx.Logged in
       if in_caller_group then Arena.group_begin a;
       let evs = run () in
+      Alcotest.(check bool) "caller's scope left as found" in_caller_group
+        (Arena.in_group a);
       if in_caller_group then Arena.group_end a;
-      let installs =
-        List.filter (fun i -> evs.(i) = Install) (List.init (Array.length evs) Fun.id)
-      in
+      let installs = install_points evs in
       Alcotest.(check int) "three installs" 3 (List.length installs);
       let rec go lo n = function
         | [] -> ()
@@ -340,24 +365,22 @@ let test_logged_write_back_ordering () =
             go hi (n + 1) rest
       in
       go 0 0 installs;
-      (* Commit by truncation: whatever the installs wrote back is
-         fenced before the store that clears the head. *)
-      let last_install = List.nth installs 2 in
-      let trunc = ref (-1) in
-      Array.iteri
-        (fun i e ->
-          if !trunc < 0 && i > last_install && e = Store (log + 2) then trunc := i)
-        evs;
-      Alcotest.(check bool) "log truncated" true (!trunc > 0);
-      let written = ref [] in
-      for i = last_install to !trunc - 1 do
-        match evs.(i) with
-        | Flush (addr, _) -> written := line_of addr :: !written
-        | _ -> ()
-      done;
-      Alcotest.(check bool) "installs fenced before truncation" true
-        (fenced_before evs ~lo:last_install ~hi:!trunc !written))
+      (* Commit by truncation: whatever any install wrote back, from
+         the first one on, is fenced before the store that clears the
+         head. *)
+      fenced_before_truncation evs log ~from:(List.hd installs))
     [ false; true ]
+
+(* Rollback restores the pre-images inside the same scope; those
+   write-backs, too, are fenced before the truncating store. *)
+let test_logged_rollback_ordering () =
+  let a, _, log, run = ordering_fixture ~abort:true Tx.Logged in
+  let evs = run () in
+  Alcotest.(check bool) "scope closed" false (Arena.in_group a);
+  let installs = install_points evs in
+  Alcotest.(check int) "three installs, three undos" 6 (List.length installs);
+  (* The undos are the last three installs. *)
+  fenced_before_truncation evs log ~from:(List.nth installs 3)
 
 let test_shadow_write_back_ordering () =
   List.iter
@@ -416,6 +439,107 @@ let test_install_raises_rolls_back () =
   Alcotest.(check (list (pair int int))) "pre-images restored"
     [ (1, 11); (2, 12); (3, 13) ] (dump base 3);
   Alcotest.(check bool) "log idle" true (Txlog.state (Tx.txlog mgr) = Txlog.Idle)
+
+(* A Logged transaction holds the arena's group scope from its first
+   write until it retires, on every way out of [Tx.run]; a read-only
+   one opens none and fences nothing. *)
+let test_scope_balanced () =
+  let a = fresh_arena () in
+  let base = Registry.build "fastfair" a in
+  for k = 1 to 3 do
+    base.Intf.insert k (10 + k)
+  done;
+  let fail_on = ref 0 in
+  let ops =
+    {
+      base with
+      Intf.install =
+        (fun k v ->
+          base.Intf.install k v;
+          if k = !fail_on then begin
+            fail_on := 0;
+            failwith "install failed after applying"
+          end);
+    }
+  in
+  let mgr = Tx.create ~path:Tx.Logged a ops in
+  let scope_closed what =
+    Alcotest.(check bool) (what ^ ": scope closed") false (Arena.in_group a)
+  in
+  let fences () = (Arena.total_stats a).Stats.fences in
+  let before = fences () in
+  (match Tx.run mgr (fun tx -> Tx.get tx 1) with
+  | Ok v -> Alcotest.(check (option int)) "read" (Some 11) v
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "read-only transaction fences" 0 (fences () - before);
+  scope_closed "read-only";
+  (match
+     Tx.run mgr (fun tx ->
+         Tx.put tx 1 101;
+         Alcotest.(check bool) "scope held while live" true (Arena.in_group a);
+         Tx.put tx 2 102)
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  scope_closed "commit";
+  (match Tx.run mgr (fun tx -> Tx.put tx 3 103; Tx.abort tx) with
+  | Ok () -> Alcotest.fail "abort did not propagate"
+  | Error _ -> ());
+  scope_closed "abort";
+  fail_on := 2;
+  (match Tx.run mgr (fun tx -> Tx.put tx 1 111; Tx.put tx 2 112) with
+  | _ -> Alcotest.fail "install failure was swallowed"
+  | exception Failure _ -> ());
+  scope_closed "re-raised install failure";
+  Alcotest.(check (list (pair int int))) "committed state only"
+    [ (1, 101); (2, 102); (3, 13) ] (dump base 3)
+
+(* A rollback that itself raises must still close the scope, and leave
+   the log for recovery to undo. *)
+let test_rollback_raises () =
+  let a = fresh_arena () in
+  let base = Registry.build "fastfair" a in
+  for k = 1 to 3 do
+    base.Intf.insert k (10 + k)
+  done;
+  (* Key 2's forward install applies and raises; its undo raises
+     without applying.  Recovery's undo, the third call, succeeds. *)
+  let calls = ref 0 in
+  let ops =
+    {
+      base with
+      Intf.install =
+        (fun k v ->
+          if k = 2 then begin
+            incr calls;
+            if !calls = 1 then begin
+              base.Intf.install k v;
+              failwith "forward install failed"
+            end
+            else if !calls = 2 then failwith "undo install failed"
+          end;
+          base.Intf.install k v);
+    }
+  in
+  let mgr = Tx.create ~path:Tx.Logged a ops in
+  (match Tx.run mgr (fun tx -> Tx.put tx 1 101; Tx.put tx 2 102) with
+  | _ -> Alcotest.fail "install failure was swallowed"
+  | exception Failure m ->
+      Alcotest.(check string) "original exception wins" "forward install failed" m);
+  Alcotest.(check bool) "scope closed" false (Arena.in_group a);
+  Arena.group_begin a;
+  Arena.group_end a;
+  (match Txlog.state (Tx.txlog mgr) with
+  | Txlog.In_flight n -> Alcotest.(check int) "log left for recovery" 2 n
+  | _ -> Alcotest.fail "expected In_flight");
+  (match Tx.recover mgr with
+  | `Undone n -> Alcotest.(check int) "undone" 2 n
+  | _ -> Alcotest.fail "expected `Undone");
+  Alcotest.(check (list (pair int int))) "pre-images restored"
+    [ (1, 11); (2, 12); (3, 13) ] (dump base 3);
+  match Tx.run mgr (fun tx -> Tx.put tx 3 103) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m
 
 (* Rollback goes through the manager's own ops handle, so a wrapper
    around [install] (a rebalance write tap, a timing shim) sees the
@@ -678,10 +802,16 @@ let suite =
       test_payload_negative_control;
     Alcotest.test_case "logged write-backs fenced before install" `Quick
       test_logged_write_back_ordering;
+    Alcotest.test_case "logged undos fenced before truncation" `Quick
+      test_logged_rollback_ordering;
     Alcotest.test_case "shadow write-backs fenced before commit word" `Quick
       test_shadow_write_back_ordering;
     Alcotest.test_case "install that raises is rolled back" `Quick
       test_install_raises_rolls_back;
+    Alcotest.test_case "logged scope closes on every exit" `Quick
+      test_scope_balanced;
+    Alcotest.test_case "rollback that raises closes the scope" `Quick
+      test_rollback_raises;
     Alcotest.test_case "rollback goes through the wrapped install" `Quick
       test_rollback_uses_wrapped_install;
     Alcotest.test_case "Tx.run commit/abort bookkeeping" `Quick test_run_abort;
