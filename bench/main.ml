@@ -492,24 +492,18 @@ let crash_target () =
       ignore (Tree.delete tc keys.(i))
     done
   in
-  let probe =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:256 c in
-    let b = Arena.store_count c in
-    batch tc;
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:256 in
+  let probe = Arena.store_span a0 ~reopen batch in
   let points = ref 0 and tolerated = ref 0 and recovered = ref 0 in
   let step = max 1 (probe / 200) in
   let k = ref 0 in
   while !k <= probe do
     incr points;
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:256 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + !k));
-    (try batch tc with Arena.Crashed -> ());
-    Arena.power_fail c (Storelog.Random_eviction (Prng.create !k));
-    let tc = Tree.open_existing ~node_bytes:256 c in
+    let tc =
+      reopen
+        (Arena.crash_image a0 ~reopen batch ~at:!k
+           (Storelog.Random_eviction (Prng.create !k)))
+    in
     (* keys 10.. were never deleted; they must stay readable *)
     let pre_ok = ref true in
     Array.iteri
@@ -645,19 +639,12 @@ let ablation () =
       (fun k -> Node.insert_nonfull a0 l node ~key:k ~value:(W.value_of k) ~mode:Node.Linear)
       keys;
     Arena.drain a0;
-    let total =
-      let c = Arena.clone a0 in
-      let b = Arena.store_count c in
-      insert_fn c l node;
-      Arena.store_count c - b
-    in
+    let run c = insert_fn c l node in
+    let total = Arena.store_span a0 ~reopen:Fun.id run in
     let bad = ref 0 and states = ref 0 in
     for k = 0 to total do
       incr states;
-      let c = Arena.clone a0 in
-      Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-      (try insert_fn c l node with Arena.Crashed -> ());
-      Arena.power_fail c Storelog.Keep_all;
+      let c = Arena.crash_image a0 ~reopen:Fun.id run ~at:k Storelog.Keep_all in
       if
         not
           (List.for_all
@@ -978,14 +965,12 @@ let scrub_run_one name =
     t.Intf.close ();
     Arena.drain a;
     let t = d.Descriptor.open_existing config a in
-    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 40));
-    (try
-       for i = 1 to 64 do
-         let k = (8 * n) + i in
-         t.Intf.insert k (W.value_of k)
-       done
-     with Arena.Crashed -> ());
-    Arena.set_crash_plan a Arena.Never;
+    ignore
+      (Arena.crash_after a 40 (fun () ->
+           for i = 1 to 64 do
+             let k = (8 * n) + i in
+             t.Intf.insert k (W.value_of k)
+           done));
     Arena.set_fault_plan a
       (Some { Arena.fault_seed = 71; poison_lines = 2; flip_words = 0; stuck_words = 0 });
     Arena.power_fail a (Ff_workload.Crash_harness.default_mode 40);

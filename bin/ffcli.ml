@@ -583,20 +583,14 @@ let scrub_run index_name keys seed poison json out mutate_skip =
     let run_batch (t : Intf.ops) =
       Array.iter (fun k -> t.Intf.insert k (W.value_of k)) fresh
     in
-    (* Probe the batch's store span on a throwaway clone. *)
-    let span =
-      let a = Arena.clone base in
-      let t = d.Descriptor.open_existing config a in
-      let c0 = Arena.store_count a in
-      run_batch t;
-      Arena.store_count a - c0
-    in
+    let reopen = d.Descriptor.open_existing config in
+    let span = Arena.store_span base ~reopen run_batch in
+    (* The fault plan must be armed between the crash and the power
+       failure, so this one uses the primitive under [crash_image]. *)
     let crash_at ~poison k =
       let a = Arena.clone base in
-      let t = d.Descriptor.open_existing config a in
-      Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + k));
-      (try run_batch t with Arena.Crashed -> ());
-      Arena.set_crash_plan a Arena.Never;
+      let t = reopen a in
+      ignore (Arena.crash_after a k (fun () -> run_batch t));
       if poison > 0 then
         Arena.set_fault_plan a
           (Some
@@ -935,16 +929,10 @@ let tx_demo index_name path_name accounts transfers points seed json =
       t.Intf.recover ();
       (t, Tx.create ~path a t)
     in
-    (* Span of the victim transfer, probed on a throwaway clone (the
-       transfer body draws nothing from the PRNG, so every clone
-       executes the identical store sequence). *)
-    let span =
-      let a = Arena.clone base in
-      let _, m = reopen a in
-      let c0 = Arena.store_count a in
-      ignore (transfer m src dst amt);
-      Arena.store_count a - c0
-    in
+    (* The transfer body draws nothing from the PRNG, so every clone
+       executes the identical store sequence. *)
+    let run (_, m) = ignore (transfer m src dst amt) in
+    let span = Arena.store_span base ~reopen run in
     let offsets =
       if span <= points then List.init span (fun i -> i + 1)
       else
@@ -964,14 +952,11 @@ let tx_demo index_name path_name accounts transfers points seed json =
     let violations = ref [] in
     List.iter
       (fun k ->
-        let a = Arena.clone base in
-        let _, m = reopen a in
-        Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + k));
-        (try ignore (transfer m src dst amt)
-         with Arena.Crashed -> ());
-        Arena.set_crash_plan a Arena.Never;
-        Arena.power_fail a (Harness.default_mode (seed + k));
-        let t3, m3 = reopen a in
+        let t3, m3 =
+          reopen
+            (Arena.crash_image base ~reopen run ~at:k
+               (Harness.default_mode (seed + k)))
+        in
         (match Tx.recover m3 with
         | `Redone _ -> incr redone
         | `Undone _ -> incr undone

@@ -23,13 +23,9 @@ let () =
   print_endline "base tree: keys {10,20,30,40} in one full 128-byte leaf";
 
   (* How many stores does 'insert 25' (a full FAIR split) take? *)
-  let total =
-    let c = Arena.clone arena in
-    let t = Tree.open_existing ~node_bytes:128 c in
-    let before = Arena.store_count c in
-    Tree.insert t ~key:25 ~value:(value_of 25);
-    Arena.store_count c - before
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 in
+  let insert_25 t = Tree.insert t ~key:25 ~value:(value_of 25) in
+  let total = Arena.store_span arena ~reopen insert_25 in
   Printf.printf "insert 25 forces a node split: %d 8-byte stores\n\n" total;
 
   let tolerated = ref 0 and atomic = ref 0 and recovered = ref 0 in
@@ -37,15 +33,14 @@ let () =
     (* Clone the device, crash before the (k+1)-th store, and lose
        everything that was not explicitly flushed (plus random
        evictions). *)
-    let c = Arena.clone arena in
-    let t = Tree.open_existing ~node_bytes:128 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Tree.insert t ~key:25 ~value:(value_of 25) with Arena.Crashed -> ());
-    Arena.power_fail c (Storelog.Random_eviction (Prng.create k));
+    let c =
+      Arena.crash_image arena ~reopen insert_25 ~at:k
+        (Storelog.Random_eviction (Prng.create k))
+    in
 
     (* Reattach with NO recovery: lock-free readers must still see
        every committed key. *)
-    let t = Tree.open_existing ~node_bytes:128 c in
+    let t = reopen c in
     let committed_ok =
       List.for_all
         (fun key -> Tree.search t key = Some (value_of key))

@@ -194,9 +194,9 @@ type 'x t = {
    fresh arenas, then the concurrent phase runs under [policy] at
    quantum 1 on one simulated core, so the policy's decision sequence
    is a total order over every PM access.  Flushes and fences on every
-   arena are recorded as crash candidates; [crash_at] arms
-   [After_stores] on one arena, and the resulting [Arena.Crashed]
-   leaves in-flight operations pending. *)
+   arena are recorded as crash candidates; [crash_at] is an absolute
+   store count on one arena, where the crash leaves in-flight
+   operations pending. *)
 let execute f ~policy ~crash_at =
   let s = f.setup () in
   let fences = ref [] in
@@ -218,16 +218,15 @@ let execute f ~policy ~crash_at =
              ev_crash = (fun () -> ());
            }))
     s.arenas;
-  (match crash_at with
-  | Some (aid, k) when aid < Array.length s.arenas ->
-      Arena.set_crash_plan s.arenas.(aid) (Arena.After_stores k)
-  | Some _ | None -> ());
+  let run () =
+    ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads)
+  in
   let crashed =
-    try
-      ignore
-        (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads);
-      false
-    with Arena.Crashed -> true
+    match crash_at with
+    | Some (aid, k) when aid < Array.length s.arenas ->
+        let a = s.arenas.(aid) in
+        Arena.crash_after a (k - Arena.store_count a) run
+    | Some _ | None -> run (); false
   in
   Array.iter (fun a -> Arena.set_event_sink a None) s.arenas;
   {

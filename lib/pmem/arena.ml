@@ -545,6 +545,27 @@ let clone t =
     poison_n = t.poison_n;
   }
 
+(* The crash-at-store protocol every crash experiment shares: arm,
+   run, swallow the crash, disarm whatever happened. *)
+let crash_after t k f =
+  t.plan <- After_stores (t.stores + k);
+  Fun.protect ~finally:(fun () -> t.plan <- Never) @@ fun () ->
+  match f () with () -> false | exception Crashed -> true
+
+let store_span base ~reopen run =
+  let c = clone base in
+  let h = reopen c in
+  let before = c.stores in
+  run h;
+  c.stores - before
+
+let crash_image base ~reopen run ~at mode =
+  let c = clone base in
+  let h = reopen c in
+  ignore (crash_after c at (fun () -> run h));
+  power_fail c mode;
+  c
+
 let dirty_line_count t = List.length (Storelog.dirty_lines t.log)
 
 (* A reattached segment (or any freshly mounted image) starts from the

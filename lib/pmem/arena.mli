@@ -196,8 +196,39 @@ val root_set : t -> int -> int -> unit
 (** {1 Crash machinery} *)
 
 val set_crash_plan : t -> crash_plan -> unit
+(** Arm a plan by absolute counter value.  Crash experiments use the
+    three functions below instead; only code that arms several arenas
+    at once needs this. *)
+
 val store_count : t -> int
 val flush_count : t -> int
+
+val crash_after : t -> int -> (unit -> unit) -> bool
+(** [crash_after a k f] arms a crash [k] stores from now (the store
+    that would make the count [store_count a + k + 1] raises, and is
+    not applied), runs [f], and returns whether the crash fired.
+    {!Crashed} is swallowed; any other exception from [f] propagates.
+    The plan is disarmed on every return, so a later store never
+    raises.  The arena is left as the crash found it: call
+    {!power_fail} to turn it into a post-crash image. *)
+
+val store_span : t -> reopen:(t -> 'h) -> ('h -> unit) -> int
+(** [store_span base ~reopen run] is the number of stores [run]
+    performs on a reopened clone of [base]: the span of crash points
+    [0 .. span] to sweep.  [base] is drained, never otherwise mutated.
+    [reopen] attaches a handle ([Fun.id] for node-level code, an index
+    or a transaction manager above it) and its own stores are not
+    counted. *)
+
+val crash_image :
+  t -> reopen:(t -> 'h) -> ('h -> unit) -> at:int -> Storelog.crash_mode -> t
+(** [crash_image base ~reopen run ~at mode] clones [base], reopens
+    the clone, runs [run] under [crash_after … at] (so the crash
+    lands before the [at+1]-th store of [run]; [at >= span] runs to
+    completion), then {!power_fail}s the clone under [mode] and
+    returns it.  [reopen] runs before the crash is armed, so its
+    stores never count towards [at]; the returned clone is disarmed.
+    Reopen it again to validate and recover. *)
 
 val epoch : t -> int
 (** Current store epoch (bumped by every {!fence} and every non-group

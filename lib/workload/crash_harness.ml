@@ -27,26 +27,14 @@ let enumerate ?(max_points = 256) ?(exhaustive = false) ?mode ~base ~reopen
   (* A reader that cannot tolerate the crash state may raise rather
      than miss; count that as failed validation, not a harness error. *)
   let validate t = try validate t with _ -> false in
-  Arena.drain base;
-  let store_span =
-    let c = Arena.clone base in
-    let t = reopen c in
-    let before = Arena.store_count c in
-    batch t;
-    Arena.store_count c - before
-  in
+  let store_span = Arena.store_span base ~reopen batch in
   let step = if exhaustive then 1 else max 1 (store_span / max_points) in
   let points = ref 0 and tolerated = ref 0 and recovered = ref 0 in
   let failed_tolerance = ref [] and failed_recovery = ref [] in
   let k = ref 0 in
   while !k <= store_span do
     incr points;
-    let c = Arena.clone base in
-    let t = reopen c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + !k));
-    (try batch t with Arena.Crashed -> ());
-    Arena.power_fail c (mode !k);
-    let t = reopen c in
+    let t = reopen (Arena.crash_image base ~reopen batch ~at:!k (mode !k)) in
     if validate t then incr tolerated else failed_tolerance := !k :: !failed_tolerance;
     t.Intf.recover ();
     if validate t then incr recovered else failed_recovery := !k :: !failed_recovery;

@@ -133,14 +133,13 @@ let test_crash_midstream m reopen () =
     (fun crash_at ->
       let a = mk_arena () in
       let t = m.build a in
-      Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + crash_at));
       let committed = ref [] in
-      (try
-         for k = 1 to 400 do
-           t.Intf.insert k (value_of k);
-           committed := k :: !committed
-         done
-       with Arena.Crashed -> ());
+      ignore
+        (Arena.crash_after a crash_at (fun () ->
+             for k = 1 to 400 do
+               t.Intf.insert k (value_of k);
+               committed := k :: !committed
+             done));
       Arena.power_fail a Storelog.Keep_all;
       let t = reopen a in
       t.Intf.recover ();
@@ -273,21 +272,12 @@ let test_wbtree_split_crash_enum () =
   let setup = List.init 8 (fun i -> (i + 1) * 10) in
   List.iter (fun k -> Ff_wbtree.Wbtree.insert w0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let wc = Ff_wbtree.Wbtree.open_existing ~node_bytes:256 c in
-    let b = Arena.store_count c in
-    Ff_wbtree.Wbtree.insert wc ~key:45 ~value:(value_of 45);
-    Arena.store_count c - b
-  in
+  let reopen = Ff_wbtree.Wbtree.open_existing ~node_bytes:256 in
+  let insert wc = Ff_wbtree.Wbtree.insert wc ~key:45 ~value:(value_of 45) in
+  let total = Arena.store_span a0 ~reopen insert in
   Alcotest.(check bool) "split happened (many stores)" true (total > 30);
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    let wc = Ff_wbtree.Wbtree.open_existing ~node_bytes:256 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Ff_wbtree.Wbtree.insert wc ~key:45 ~value:(value_of 45) with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_none;
-    let wc = Ff_wbtree.Wbtree.open_existing ~node_bytes:256 c in
+    let wc = reopen (Arena.crash_image a0 ~reopen insert ~at:k Storelog.Keep_none) in
     Ff_wbtree.Wbtree.recover wc;
     List.iter
       (fun key ->
@@ -310,23 +300,15 @@ let test_fptree_split_crash_enum () =
   let setup = List.init 8 (fun i -> (i + 1) * 10) in
   List.iter (fun k -> Ff_fptree.Fptree.insert f0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
+  let reopen c =
     let fc = Ff_fptree.Fptree.open_existing ~leaf_bytes:256 c in
     Ff_fptree.Fptree.recover fc;
-    let b = Arena.store_count c in
-    Ff_fptree.Fptree.insert fc ~key:45 ~value:(value_of 45);
-    Arena.store_count c - b
+    fc
   in
+  let insert fc = Ff_fptree.Fptree.insert fc ~key:45 ~value:(value_of 45) in
+  let total = Arena.store_span a0 ~reopen insert in
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    let fc = Ff_fptree.Fptree.open_existing ~leaf_bytes:256 c in
-    Ff_fptree.Fptree.recover fc;
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Ff_fptree.Fptree.insert fc ~key:45 ~value:(value_of 45) with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_all;
-    let fc = Ff_fptree.Fptree.open_existing ~leaf_bytes:256 c in
-    Ff_fptree.Fptree.recover fc;
+    let fc = reopen (Arena.crash_image a0 ~reopen insert ~at:k Storelog.Keep_all) in
     List.iter
       (fun key ->
         Alcotest.(check (option int))

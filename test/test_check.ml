@@ -282,16 +282,13 @@ let test_default_mode_stable () =
       t.Intf.insert i (value_of i)
     done;
     Arena.drain base;
-    let c = Arena.clone base in
-    let t = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 c) in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try
-       for i = 100 to 120 do
-         t.Intf.insert i (value_of i)
-       done
-     with Arena.Crashed -> ());
-    Arena.power_fail c (Harness.default_mode k);
-    let t = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 c) in
+    let reopen c = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 c) in
+    let batch t =
+      for i = 100 to 120 do
+        t.Intf.insert i (value_of i)
+      done
+    in
+    let t = reopen (Arena.crash_image base ~reopen batch ~at:k (Harness.default_mode k)) in
     t.Intf.recover ();
     dump t
   in

@@ -86,23 +86,18 @@ let test_compact_crash_points () =
     if k mod 7 <> 0 then ignore (Tree.delete t0 k)
   done;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 c in
-    let b = Arena.store_count c in
-    ignore (Compact.compact tc);
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 in
+  let compact tc = ignore (Compact.compact tc) in
+  let total = Arena.store_span a0 ~reopen compact in
   Alcotest.(check bool) "compaction stores" true (total > 0);
   let step = max 1 (total / 80) in
   let k = ref 0 in
   while !k <= total do
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + !k));
-    (try ignore (Compact.compact tc) with Arena.Crashed -> ());
-    Arena.power_fail c (Storelog.Random_eviction (Prng.create !k));
-    let tc = Tree.open_existing ~node_bytes:128 c in
+    let tc =
+      reopen
+        (Arena.crash_image a0 ~reopen compact ~at:!k
+           (Storelog.Random_eviction (Prng.create !k)))
+    in
     (* pre-recovery reader tolerance *)
     List.iter
       (fun key ->
@@ -217,24 +212,13 @@ let test_bulk_load_crash_atomicity () =
      root untouched. *)
   let a = mk_arena () in
   let pairs = Array.init 500 (fun i -> (i + 1, value_of (i + 1))) in
-  let probe =
-    let c = Arena.clone a in
-    let before = Arena.store_count c in
-    ignore (Bulk.load ~node_bytes:128 c pairs);
-    Arena.store_count c - before
-  in
+  let load c = ignore (Bulk.load ~node_bytes:128 c pairs) in
+  let probe = Arena.store_span a ~reopen:Fun.id load in
+  let crash_at k = Arena.crash_image a ~reopen:Fun.id load ~at:k Storelog.Keep_none in
   (* crash in the middle of the build *)
-  let c = Arena.clone a in
-  Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + (probe / 2)));
-  (try ignore (Bulk.load ~node_bytes:128 c pairs) with Arena.Crashed -> ());
-  Arena.power_fail c Storelog.Keep_none;
-  Alcotest.(check int) "root slot still empty" 0 (Arena.root_get c 0);
+  Alcotest.(check int) "root slot still empty" 0 (Arena.root_get (crash_at (probe / 2)) 0);
   (* crash after: everything present *)
-  let c = Arena.clone a in
-  let t = Bulk.load ~node_bytes:128 c pairs in
-  Arena.power_fail c Storelog.Keep_none;
-  let t2 = Tree.open_existing ~node_bytes:128 c in
-  ignore t;
+  let t2 = Tree.open_existing ~node_bytes:128 (crash_at probe) in
   for k = 1 to 500 do
     Alcotest.(check (option int)) "bulk survives crash" (Some (value_of k))
       (Tree.search t2 k)
@@ -272,18 +256,10 @@ let test_unordered_insert_is_not_endurable () =
     (fun k -> Node.insert_nonfull a0 l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
     [ 10; 20; 30; 40; 50; 60; 70 ];
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let b = Arena.store_count c in
-    Node.insert_nonfull_unordered c l n ~key:25 ~value:(value_of 25);
-    Arena.store_count c - b
-  in
+  let run c = Node.insert_nonfull_unordered c l n ~key:25 ~value:(value_of 25) in
+  let total = Arena.store_span a0 ~reopen:Fun.id run in
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Node.insert_nonfull_unordered c l n ~key:25 ~value:(value_of 25)
-     with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_all;
+    let c = Arena.crash_image a0 ~reopen:Fun.id run ~at:k Storelog.Keep_all in
     List.iter
       (fun key ->
         match Node.search c l n ~mode:Node.Linear key with

@@ -113,13 +113,8 @@ let node_crash_enumeration op_name setup op committed in_flight =
   let a0, l, n = mk_node ~node_bytes:256 () in
   setup a0 l n;
   Arena.drain a0;
-  let probe_stores () =
-    let c = Arena.clone a0 in
-    let before = Arena.store_count c in
-    op c l n;
-    Arena.store_count c - before
-  in
-  let total = probe_stores () in
+  let run c = op c l n in
+  let total = Arena.store_span a0 ~reopen:Fun.id run in
   Alcotest.(check bool) (op_name ^ ": op does stores") true (total > 0);
   let modes =
     [
@@ -132,8 +127,7 @@ let node_crash_enumeration op_name setup op committed in_flight =
     List.iter
       (fun (mode_name, mode) ->
         let c = Arena.clone a0 in
-        Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-        let crashed = try op c l n; false with Arena.Crashed -> true in
+        let crashed = Arena.crash_after c k (fun () -> run c) in
         if k < total then
           Alcotest.(check bool)
             (Printf.sprintf "%s: crash fires at %d" op_name k)
@@ -227,19 +221,14 @@ let test_node_crash_non_tso_with_fences () =
     (fun k -> Node.insert_nonfull a0 l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
     [ 10; 20; 30; 40 ];
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let b = Arena.store_count c in
-    Node.insert_nonfull c l n ~key:25 ~value:(value_of 25) ~mode:Node.Linear;
-    Arena.store_count c - b
-  in
+  let run c = Node.insert_nonfull c l n ~key:25 ~value:(value_of 25) ~mode:Node.Linear in
+  let total = Arena.store_span a0 ~reopen:Fun.id run in
   for k = 0 to total do
     for seed = 0 to 5 do
-      let c = Arena.clone a0 in
-      Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-      (try Node.insert_nonfull c l n ~key:25 ~value:(value_of 25) ~mode:Node.Linear
-       with Arena.Crashed -> ());
-      Arena.power_fail c (Storelog.Non_tso_random (Prng.create (seed + (k * 31))));
+      let c =
+        Arena.crash_image a0 ~reopen:Fun.id run ~at:k
+          (Storelog.Non_tso_random (Prng.create (seed + (k * 31))))
+      in
       List.iter
         (fun key ->
           Alcotest.(check (option int))
@@ -380,25 +369,15 @@ let tree_crash_enum ?(node_bytes = 128) ~setup_keys ~op ~op_descr ~committed
   let t0 = Tree.create ~node_bytes a0 in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup_keys;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes c in
-    let before = Arena.store_count c in
-    op tc;
-    Arena.store_count c - before
-  in
+  let reopen = Tree.open_existing ~node_bytes in
+  let total = Arena.store_span a0 ~reopen op in
   Alcotest.(check bool) (op_descr ^ " has stores") true (total > 0);
   let step = max 1 (total / 64) in
   let k = ref 0 in
   while !k <= total do
     List.iter
       (fun mode ->
-        let c = Arena.clone a0 in
-        let tc = Tree.open_existing ~node_bytes c in
-        Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + !k));
-        (try op tc with Arena.Crashed -> ());
-        Arena.power_fail c mode;
-        let tc = Tree.open_existing ~node_bytes c in
+        let tc = reopen (Arena.crash_image a0 ~reopen op ~at:!k mode) in
         (* (a) lock-free reader tolerance with no repair at all *)
         List.iter
           (fun key ->
@@ -472,6 +451,8 @@ let test_tree_crash_update () =
     ~committed:(List.filter (fun k -> k <> 20) setup)
     ~in_flight:None ()
 
+let insert_25 t = Tree.insert t ~key:25 ~value:(value_of 25)
+
 let test_tree_crash_logged_split () =
   (* The FAST+Logging baseline must also recover, via its log. *)
   let a0 = mk_arena ~words:(1 lsl 20) () in
@@ -479,20 +460,12 @@ let test_tree_crash_logged_split () =
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 ~split_policy:Tree.Logged c in
-    let b = Arena.store_count c in
-    Tree.insert tc ~key:25 ~value:(value_of 25);
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 ~split_policy:Tree.Logged in
+  let total = Arena.store_span a0 ~reopen insert_25 in
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 ~split_policy:Tree.Logged c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Tree.insert tc ~key:25 ~value:(value_of 25) with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_none;
-    let tc = Tree.open_existing ~node_bytes:128 ~split_policy:Tree.Logged c in
+    let tc =
+      reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_none)
+    in
     Tree.recover tc;
     List.iter
       (fun key ->
@@ -510,20 +483,10 @@ let test_tree_lazy_recovery_by_writers () =
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 c in
-    let b = Arena.store_count c in
-    Tree.insert tc ~key:25 ~value:(value_of 25);
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 in
+  let total = Arena.store_span a0 ~reopen insert_25 in
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Tree.insert tc ~key:25 ~value:(value_of 25) with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_all;
-    let tc = Tree.open_existing ~node_bytes:128 c in
+    let tc = reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_all) in
     Tree.recover ~lazy_:true tc;
     (* Writers repair as a side effect of normal operation. *)
     List.iter (fun key -> Tree.insert tc ~key ~value:(value_of key)) [ 15; 35; 45 ];
@@ -545,23 +508,19 @@ let test_tree_crash_random_workload () =
     let t = Tree.create ~node_bytes:128 a in
     let committed = Hashtbl.create 256 in
     let planned = 50 + Prng.int rng 300 in
-    Arena.set_crash_plan a
-      (Arena.After_stores (Arena.store_count a + 500 + Prng.int rng 4000));
-    let crashed = ref false in
-    (try
-       for i = 1 to planned do
-         let k = 1 + Prng.int rng 1000 in
-         if Prng.int rng 10 < 7 then begin
-           Tree.insert t ~key:k ~value:(value_of k);
-           Hashtbl.replace committed k (value_of k)
-         end
-         else begin
-           ignore (Tree.delete t k);
-           Hashtbl.remove committed k
-         end;
-         ignore i
-       done
-     with Arena.Crashed -> crashed := true);
+    ignore
+      (Arena.crash_after a (500 + Prng.int rng 4000) (fun () ->
+           for _ = 1 to planned do
+             let k = 1 + Prng.int rng 1000 in
+             if Prng.int rng 10 < 7 then begin
+               Tree.insert t ~key:k ~value:(value_of k);
+               Hashtbl.replace committed k (value_of k)
+             end
+             else begin
+               ignore (Tree.delete t k);
+               Hashtbl.remove committed k
+             end
+           done));
     Arena.power_fail a Storelog.Keep_all;
     let t = Tree.open_existing ~node_bytes:128 a in
     Tree.recover t;
@@ -635,14 +594,13 @@ let prop_crash_then_recover_sound =
       let a = mk_arena ~words:(1 lsl 21) () in
       let t = Tree.create ~node_bytes:128 a in
       let committed = Hashtbl.create 64 in
-      Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 20 + crash_after));
-      (try
-         for _ = 1 to 400 do
-           let k = 1 + Prng.int rng 500 in
-           Tree.insert t ~key:k ~value:(value_of k);
-           Hashtbl.replace committed k (value_of k)
-         done
-       with Arena.Crashed -> ());
+      ignore
+        (Arena.crash_after a (20 + crash_after) (fun () ->
+             for _ = 1 to 400 do
+               let k = 1 + Prng.int rng 500 in
+               Tree.insert t ~key:k ~value:(value_of k);
+               Hashtbl.replace committed k (value_of k)
+             done));
       Arena.power_fail a (Storelog.Random_eviction (Prng.create seed));
       let t = Tree.open_existing ~node_bytes:128 a in
       Tree.recover t;
@@ -682,30 +640,32 @@ let dangling_split ~mode ~above n =
   let upper =
     List.filter (fun nd -> level_of a nd >= above) (Tree.reachable_nodes t)
   in
-  let dry = Arena.clone a in
-  let base = Arena.store_count dry in
-  let first = ref None in
+  (* Dry run on a clone: the index of the insert's first store into
+     one of those nodes. *)
+  let seen = ref 0 and first = ref None in
   let nop _ = () and nop2 _ _ = () in
-  Arena.set_event_sink dry
-    (Some
-       {
-         Arena.ev_store =
-           (fun addr ->
-             if !first = None
-                && List.exists (fun nd -> addr >= nd && addr < nd + words) upper
-             then first := Some (Arena.store_count dry - base));
-         ev_flush = nop;
-         ev_fence = (fun () -> ());
-         ev_alloc = nop2;
-         ev_free = nop2;
-         ev_crash = (fun () -> ());
-       });
+  let reopen dry =
+    Arena.set_event_sink dry
+      (Some
+         {
+           Arena.ev_store =
+             (fun addr ->
+               if !first = None
+                  && List.exists (fun nd -> addr >= nd && addr < nd + words) upper
+               then first := Some !seen;
+               incr seen);
+           ev_flush = nop;
+           ev_fence = (fun () -> ());
+           ev_alloc = nop2;
+           ev_free = nop2;
+           ev_crash = (fun () -> ());
+         });
+    Tree.open_existing ~node_bytes:128 ~mode dry
+  in
   let trigger = 10 * (n + 1) in
-  Tree.insert (Tree.open_existing ~node_bytes:128 ~mode dry) ~key:trigger
-    ~value:(value_of trigger);
-  let k = Option.get !first in
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + k));
-  (try Tree.insert t ~key:trigger ~value:(value_of trigger) with Arena.Crashed -> ());
+  let insert t = Tree.insert t ~key:trigger ~value:(value_of trigger) in
+  ignore (Arena.store_span a ~reopen insert);
+  ignore (Arena.crash_after a (Option.get !first) (fun () -> insert t));
   Arena.power_fail a Storelog.Keep_all;
   let t = Tree.open_existing ~node_bytes:128 ~mode a in
   let nodes = Tree.reachable_nodes t in

@@ -106,6 +106,8 @@ let test_switch_direction_stress () =
   done;
   Invariant.check_exn t
 
+let insert_25 t = Tree.insert t ~key:25 ~value:(value_of 25)
+
 let test_non_tso_tree_crash_enum () =
   (* Tree-level crash enumeration under the ARM memory model with
      dmb fences active: split + root growth must stay endurable. *)
@@ -115,21 +117,15 @@ let test_non_tso_tree_crash_enum () =
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 c in
-    let b = Arena.store_count c in
-    Tree.insert tc ~key:25 ~value:(value_of 25);
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 in
+  let total = Arena.store_span a0 ~reopen insert_25 in
   for k = 0 to total do
     for seed = 0 to 3 do
-      let c = Arena.clone a0 in
-      let tc = Tree.open_existing ~node_bytes:128 c in
-      Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-      (try Tree.insert tc ~key:25 ~value:(value_of 25) with Arena.Crashed -> ());
-      Arena.power_fail c (Storelog.Non_tso_random (Prng.create ((k * 17) + seed)));
-      let tc = Tree.open_existing ~node_bytes:128 c in
+      let tc =
+        reopen
+          (Arena.crash_image a0 ~reopen insert_25 ~at:k
+             (Storelog.Non_tso_random (Prng.create ((k * 17) + seed))))
+      in
       List.iter
         (fun key ->
           Alcotest.(check (option int))
@@ -150,20 +146,10 @@ let test_leaflock_crash_enum () =
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
   Arena.drain a0;
-  let total =
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 ~leaf_read_locks:true c in
-    let b = Arena.store_count c in
-    Tree.insert tc ~key:25 ~value:(value_of 25);
-    Arena.store_count c - b
-  in
+  let reopen = Tree.open_existing ~node_bytes:128 ~leaf_read_locks:true in
+  let total = Arena.store_span a0 ~reopen insert_25 in
   for k = 0 to total do
-    let c = Arena.clone a0 in
-    let tc = Tree.open_existing ~node_bytes:128 ~leaf_read_locks:true c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Tree.insert tc ~key:25 ~value:(value_of 25) with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_all;
-    let tc = Tree.open_existing ~node_bytes:128 ~leaf_read_locks:true c in
+    let tc = reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_all) in
     List.iter
       (fun key ->
         Alcotest.(check (option int))
@@ -241,14 +227,13 @@ let test_many_crash_recover_cycles () =
   let model = Hashtbl.create 512 in
   let rng = Prng.create 5 in
   for cycle = 1 to 10 do
-    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 400 + Prng.int rng 2000));
-    (try
-       for _ = 1 to 500 do
-         let k = 1 + Prng.int rng 3000 in
-         Tree.insert !t ~key:k ~value:(value_of k);
-         Hashtbl.replace model k (value_of k)
-       done
-     with Arena.Crashed -> ());
+    ignore
+      (Arena.crash_after a (400 + Prng.int rng 2000) (fun () ->
+           for _ = 1 to 500 do
+             let k = 1 + Prng.int rng 3000 in
+             Tree.insert !t ~key:k ~value:(value_of k);
+             Hashtbl.replace model k (value_of k)
+           done));
     Arena.power_fail a (Storelog.Random_eviction (Prng.create cycle));
     t := Tree.open_existing ~node_bytes:256 a;
     Tree.recover !t;

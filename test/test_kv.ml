@@ -83,13 +83,12 @@ let test_cell_reuse () =
 let test_crash_durability () =
   let a, kv = mk () in
   let committed = ref [] in
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 3000));
-  (try
-     for k = 1 to 500 do
-       Kv.put kv ~key:k ~value:(k * 7);
-       committed := k :: !committed
-     done
-   with Arena.Crashed -> ());
+  ignore
+    (Arena.crash_after a 3000 (fun () ->
+         for k = 1 to 500 do
+           Kv.put kv ~key:k ~value:(k * 7);
+           committed := k :: !committed
+         done));
   Arena.power_fail a (Storelog.Random_eviction (Prng.create 1));
   let kv = Kv.open_existing ~node_bytes:256 a in
   Kv.recover kv;
@@ -110,12 +109,9 @@ let test_crash_update_atomic () =
   Kv.put kv ~key:5 ~value:111;
   Arena.drain a;
   for k = 0 to 3 do
-    let c = Arena.clone a in
-    let kvc = Kv.open_existing ~node_bytes:256 c in
-    Arena.set_crash_plan c (Arena.After_stores (Arena.store_count c + k));
-    (try Kv.put kvc ~key:5 ~value:222 with Arena.Crashed -> ());
-    Arena.power_fail c Storelog.Keep_all;
-    let kvc = Kv.open_existing ~node_bytes:256 c in
+    let reopen = Kv.open_existing ~node_bytes:256 in
+    let put kvc = Kv.put kvc ~key:5 ~value:222 in
+    let kvc = reopen (Arena.crash_image a ~reopen put ~at:k Storelog.Keep_all) in
     match Kv.get kvc 5 with
     | Some 111 | Some 222 -> ()
     | other ->

@@ -421,20 +421,19 @@ let golden_run ?(flood = 0) () =
   done;
   let t = Ff_fastfair.Tree.create ~node_bytes:256 a in
   let r = Prng.create 13 in
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 6000));
-  (try
-     for i = 1 to 2000 do
-       let k = 1 + Prng.int r 500 in
-       if Prng.int r 4 = 0 then ignore (Ff_fastfair.Tree.delete t k)
-       else Ff_fastfair.Tree.insert t ~key:k ~value:((2 * k) + 1);
-       if i mod 10 = 0 then begin
-         for _ = 1 to 3 do
-           Arena.write a (golden_scratch + Prng.int r 64) i
-         done;
-         if i mod 20 = 0 then Arena.fence a
-       end
-     done
-   with Arena.Crashed -> ());
+  ignore
+    (Arena.crash_after a 6000 (fun () ->
+         for i = 1 to 2000 do
+           let k = 1 + Prng.int r 500 in
+           if Prng.int r 4 = 0 then ignore (Ff_fastfair.Tree.delete t k)
+           else Ff_fastfair.Tree.insert t ~key:k ~value:((2 * k) + 1);
+           if i mod 10 = 0 then begin
+             for _ = 1 to 3 do
+               Arena.write a (golden_scratch + Prng.int r 64) i
+             done;
+             if i mod 20 = 0 then Arena.fence a
+           end
+         done));
   a
 
 let image_digest a =

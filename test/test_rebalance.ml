@@ -308,16 +308,13 @@ let split_crash_at after =
   in
   let keys = List.init 30 (fun i -> i + 1) in
   List.iter (fun k -> Shard.insert t ~key:k ~value:(value_of k)) keys;
-  (* [After_stores] is an absolute store count — offset past the
-     prefill so the sweep lands inside the rebalance itself. *)
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + after));
+  (* Counted from the end of the prefill, so the sweep lands inside
+     the rebalance itself. *)
   let crashed =
-    try
-      ignore
-        (Mcsim.run ~cores:1 ~quantum_ns:1 ~arena:a
-           [| (fun _ -> ignore (Rebalance.split t ~shard:0 ~pivot:16)) |]);
-      false
-    with Arena.Crashed -> true
+    Arena.crash_after a after (fun () ->
+        ignore
+          (Mcsim.run ~cores:1 ~quantum_ns:1 ~arena:a
+             [| (fun _ -> ignore (Rebalance.split t ~shard:0 ~pivot:16)) |]))
   in
   Arena.power_fail a Storelog.Keep_all;
   ignore (Rebalance.resolve a);
@@ -369,10 +366,8 @@ let committed_crash_sweep ~bounds ~rebalance ~shards_after =
   let committed_seen = ref false and rolled_forward = ref 0 in
   for n = 0 to total - 1 do
     let a, t = setup () in
-    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + n));
-    (match go a t with
-    | _ -> Alcotest.failf "crash at store %d of %d did not fire" n total
-    | exception Arena.Crashed -> ());
+    if not (Arena.crash_after a n (fun () -> ignore (go a t))) then
+      Alcotest.failf "crash at store %d of %d did not fire" n total;
     Arena.power_fail a Storelog.Keep_all;
     (match Rebalance.phase a with
     | Rebalance.Committed _ -> committed_seen := true

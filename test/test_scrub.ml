@@ -183,18 +183,12 @@ let test_free_unknown_after_crash () =
 (* Crash an insert batch after [k] stores, apply a deterministic
    eviction pattern, return the crashed arena. *)
 let crash_after ~base k =
-  let a = Arena.clone base in
-  let d = ff () in
-  let t = reopen d a in
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + k));
-  (try
-     for i = 1 to 40 do
-       t.Intf.insert (5000 + i) (value_of (5000 + i))
-     done
-   with Arena.Crashed -> ());
-  Arena.set_crash_plan a Arena.Never;
-  Arena.power_fail a (Harness.default_mode k);
-  a
+  let batch (t : Intf.ops) =
+    for i = 1 to 40 do
+      t.Intf.insert (5000 + i) (value_of (5000 + i))
+    done
+  in
+  Arena.crash_image base ~reopen:(reopen (ff ())) batch ~at:k (Harness.default_mode k)
 
 (* First crash point whose post-crash image leaks a block. *)
 let find_leaky base =

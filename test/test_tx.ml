@@ -107,16 +107,15 @@ let crash_sweep_path path mode_of =
     let baseline = dump ops keyspace in
     let committed = ref false in
     let commit_started = ref false in
-    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + offset));
-    (try
-       let tx = Tx.begin_tx mgr in
-       Tx.put tx 1 101;
-       Tx.put tx 2 102;
-       ignore (Tx.del tx 3);
-       commit_started := true;
-       Tx.commit tx;
-       committed := true
-     with Arena.Crashed -> ());
+    ignore
+      (Arena.crash_after a offset (fun () ->
+           let tx = Tx.begin_tx mgr in
+           Tx.put tx 1 101;
+           Tx.put tx 2 102;
+           ignore (Tx.del tx 3);
+           commit_started := true;
+           Tx.commit tx;
+           committed := true));
     Arena.power_fail a (mode_of offset);
     let o = d.D.open_existing D.default_config a in
     o.Intf.recover ();
@@ -184,18 +183,17 @@ let payload_sweep ?(pass_payload = true) path mode_of =
       pre;
     let mgr = Tx.create ~path a ops in
     let committed = ref false and commit_started = ref false in
-    Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + offset));
-    (try
-       let tx = Tx.begin_tx mgr in
-       List.iter
-         (fun k ->
-           let c = cell (100 + k) in
-           if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
-         [ 1; 2; 4 ];
-       commit_started := true;
-       Tx.commit tx;
-       committed := true
-     with Arena.Crashed -> ());
+    ignore
+      (Arena.crash_after a offset (fun () ->
+           let tx = Tx.begin_tx mgr in
+           List.iter
+             (fun k ->
+               let c = cell (100 + k) in
+               if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
+             [ 1; 2; 4 ];
+           commit_started := true;
+           Tx.commit tx;
+           committed := true));
     Arena.power_fail a (mode_of offset);
     let o = d.D.open_existing D.default_config a in
     o.Intf.recover ();
