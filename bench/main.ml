@@ -21,6 +21,7 @@ module Intf = Ff_index.Intf
 module Descriptor = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module W = Ff_workload.Workload
+module Harness = Ff_workload.Crash_harness
 module Shard = Ff_shard.Shard
 module Histogram = Ff_util.Histogram
 module Tree = Ff_fastfair.Tree
@@ -494,30 +495,29 @@ let crash_target () =
   in
   let reopen = Tree.open_existing ~node_bytes:256 in
   let probe = Arena.store_span a0 ~reopen batch in
-  let points = ref 0 and tolerated = ref 0 and recovered = ref 0 in
-  let step = max 1 (probe / 200) in
-  let k = ref 0 in
-  while !k <= probe do
-    incr points;
-    let tc =
-      reopen
-        (Arena.crash_image a0 ~reopen batch ~at:!k
-           (Storelog.Random_eviction (Prng.create !k)))
-    in
-    (* keys 10.. were never deleted; they must stay readable *)
-    let pre_ok = ref true in
+  (* keys 10.. were never deleted; they must stay readable *)
+  let readable tc =
+    let ok = ref true in
     Array.iteri
       (fun i key ->
-        if i >= 10 && Tree.search tc key <> Some (W.value_of key) then pre_ok := false)
+        if i >= 10 && Tree.search tc key <> Some (W.value_of key) then ok := false)
       keys;
-    if !pre_ok then incr tolerated;
-    Tree.recover tc;
-    if Ff_fastfair.Invariant.check tc = [] then incr recovered;
-    k := !k + step
-  done;
+    !ok
+  in
+  let points = Harness.crash_points ~max_points:200 probe in
+  let tolerated = ref 0 and recovered = ref 0 in
+  List.iter
+    (fun k ->
+      let tc =
+        reopen (Arena.crash_image a0 ~reopen batch ~at:k (Harness.default_mode k))
+      in
+      if readable tc then incr tolerated;
+      Tree.recover tc;
+      if Ff_fastfair.Invariant.check tc = [] then incr recovered)
+    points;
   Printf.printf
     "crash points: %d | readable pre-recovery: %d | sound post-recovery: %d\n"
-    !points !tolerated !recovered;
+    (List.length points) !tolerated !recovered;
   (* Recovery-cost comparison: FAST+FAIR reattaches instantly; FP-tree
      rebuilds its DRAM inner levels. *)
   let nrec = sc 50_000 in
@@ -973,7 +973,7 @@ let scrub_run_one name =
            done));
     Arena.set_fault_plan a
       (Some { Arena.fault_seed = 71; poison_lines = 2; flip_words = 0; stuck_words = 0 });
-    Arena.power_fail a (Ff_workload.Crash_harness.default_mode 40);
+    Arena.power_fail a (Harness.default_mode 40);
     let r =
       Scrub.run ~config d a ~recover:(fun () ->
           let t = d.Descriptor.open_existing config a in
@@ -1198,7 +1198,7 @@ let soak_scenario () =
     hot pivot (Shard.shards t) rb.Rebalance.r_moved_keys
     rb.Rebalance.r_cutover_ns;
   (* Phase 2: one power failure, scrubbed recovery. *)
-  Shard.power_fail t (Ff_workload.Crash_harness.default_mode !base_seed);
+  Shard.power_fail t (Harness.default_mode !base_seed);
   Shard.recover t;
   (* Phase 3: fault storm — poison the last shard's leftmost leaf
      header (a line scrub can repair it) and touch a key that

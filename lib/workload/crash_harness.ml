@@ -21,6 +21,14 @@ type outcome = {
    crash state anywhere. *)
 let default_mode k = Storelog.Random_eviction (Prng.create k)
 
+(* Evenly spaced, both ends included: i * span / (m - 1) for i < m.
+   Once span >= m the gap between neighbours is at least 1, so the
+   points stay distinct. *)
+let crash_points ~max_points span =
+  let m = max 2 max_points in
+  if span < m then List.init (span + 1) Fun.id
+  else List.init m (fun i -> i * span / (m - 1))
+
 let enumerate ?(max_points = 256) ?(exhaustive = false) ?mode ~base ~reopen
     ~batch ~validate () =
   let mode = match mode with Some m -> m | None -> default_mode in
@@ -28,20 +36,21 @@ let enumerate ?(max_points = 256) ?(exhaustive = false) ?mode ~base ~reopen
      than miss; count that as failed validation, not a harness error. *)
   let validate t = try validate t with _ -> false in
   let store_span = Arena.store_span base ~reopen batch in
-  let step = if exhaustive then 1 else max 1 (store_span / max_points) in
-  let points = ref 0 and tolerated = ref 0 and recovered = ref 0 in
+  let points =
+    if exhaustive then List.init (store_span + 1) Fun.id
+    else crash_points ~max_points store_span
+  in
+  let tolerated = ref 0 and recovered = ref 0 in
   let failed_tolerance = ref [] and failed_recovery = ref [] in
-  let k = ref 0 in
-  while !k <= store_span do
-    incr points;
-    let t = reopen (Arena.crash_image base ~reopen batch ~at:!k (mode !k)) in
-    if validate t then incr tolerated else failed_tolerance := !k :: !failed_tolerance;
-    t.Intf.recover ();
-    if validate t then incr recovered else failed_recovery := !k :: !failed_recovery;
-    k := !k + step
-  done;
+  List.iter
+    (fun k ->
+      let t = reopen (Arena.crash_image base ~reopen batch ~at:k (mode k)) in
+      if validate t then incr tolerated else failed_tolerance := k :: !failed_tolerance;
+      t.Intf.recover ();
+      if validate t then incr recovered else failed_recovery := k :: !failed_recovery)
+    points;
   {
-    points = !points;
+    points = List.length points;
     tolerated = !tolerated;
     recovered = !recovered;
     store_span;

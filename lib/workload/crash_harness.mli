@@ -30,6 +30,13 @@ val default_mode : int -> Ff_pmem.Storelog.crash_mode
     recorded (point, seed) pair replays to the identical crash image
     on every OCaml version. *)
 
+val crash_points : max_points:int -> int -> int list
+(** [crash_points ~max_points span] picks the crash points of a
+    sampled sweep over stores [0 .. span]: every point when there are
+    at most [max_points] of them, otherwise exactly [max_points]
+    ascending, distinct points spread evenly from [0] to [span], both
+    ends included.  A [max_points] below 2 counts as 2. *)
+
 val enumerate :
   ?max_points:int ->
   ?exhaustive:bool ->
@@ -45,7 +52,8 @@ val enumerate :
     reattaches an index to a cloned arena; [batch] runs the operations
     to crash; [validate] checks the committed data (it runs once
     pre-recovery and once after calling the ops' [recover]).
-    [max_points] (default 256) samples evenly across the store span;
+    [max_points] (default 256) caps the points, picked by
+    {!crash_points};
     [exhaustive] (default false) ignores [max_points] and tests every
     store as a crash point — the model checker's non-sampled mode;
     [mode] picks the crash semantics per point (default

@@ -80,6 +80,27 @@ let test_fastfair_pre_recovery_tolerance () =
   let o = Harness.enumerate ~max_points:80 ~base ~reopen ~batch ~validate () in
   Alcotest.(check int) "tolerated pre-recovery everywhere" o.Harness.points o.Harness.tolerated
 
+(* The sampled sweep visits at most [max_points] crash points, evenly
+   spread, and never drops either end of the store span. *)
+let test_crash_points_capped () =
+  for span = 0 to 300 do
+    for cap = 2 to 64 do
+      let pts = Harness.crash_points ~max_points:cap span in
+      let label = Printf.sprintf "span %d cap %d" span cap in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | [ _ ] | [] -> true
+      in
+      Alcotest.(check bool) (label ^ ": ascending, distinct") true (ascending pts);
+      Alcotest.(check bool) (label ^ ": within the cap") true (List.length pts <= cap);
+      Alcotest.(check int) (label ^ ": starts at 0") 0 (List.hd pts);
+      Alcotest.(check int) (label ^ ": ends at the span") span
+        (List.nth pts (List.length pts - 1));
+      if span < cap then
+        Alcotest.(check int) (label ^ ": every point") (span + 1) (List.length pts)
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -159,6 +180,7 @@ let suite =
     Alcotest.test_case "harness: wort" `Quick harness_wort;
     Alcotest.test_case "harness: skiplist" `Quick harness_skiplist;
     Alcotest.test_case "fastfair pre-recovery tolerance" `Quick test_fastfair_pre_recovery_tolerance;
+    Alcotest.test_case "crash points capped" `Quick test_crash_points_capped;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "histogram empty/zero" `Quick test_histogram_empty_and_zero;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
