@@ -92,6 +92,75 @@ let test_crash_plan_flush_counting () =
   let crashed = try Arena.flush a 100; false with Arena.Crashed -> true in
   Alcotest.(check bool) "second flush crashes" true crashed
 
+(* The crash-at-store primitive that every crash experiment uses. *)
+let write_n a n =
+  for i = 0 to n - 1 do
+    Arena.write a (100 + i) (i + 1)
+  done
+
+let still_armed a =
+  try write_n a 10; false with Arena.Crashed -> true
+
+let test_crash_after_fires_on_next_store () =
+  for k = 0 to 5 do
+    let a = mk () in
+    Arena.write a 200 1;
+    let start = Arena.store_count a in
+    let label = Printf.sprintf "k=%d: " k in
+    Alcotest.(check bool) (label ^ "fired") true (Arena.crash_after a k (fun () -> write_n a 10));
+    Alcotest.(check int) (label ^ "store count") (start + k) (Arena.store_count a);
+    Alcotest.(check int) (label ^ "store k+1 not applied") 0 (Arena.peek a (100 + k));
+    if k > 0 then
+      Alcotest.(check int) (label ^ "store k applied") k (Arena.peek a (100 + k - 1));
+    Alcotest.(check bool) (label ^ "disarmed") false (still_armed a)
+  done
+
+let test_crash_after_no_crash_disarms () =
+  let a = mk () in
+  Alcotest.(check bool) "did not fire" false (Arena.crash_after a 3 (fun () -> write_n a 3));
+  Alcotest.(check bool) "later store does not raise" false (still_armed a)
+
+let test_crash_after_propagates () =
+  let a = mk () in
+  (match
+     Arena.crash_after a 2 (fun () ->
+         Arena.write a 100 1;
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "propagated" "boom" m);
+  Alcotest.(check bool) "disarmed after raise" false (still_armed a)
+
+let test_crash_image_at_span_completes () =
+  let base = mk () in
+  write_n base 20;
+  Arena.flush_range base 100 20;
+  let run a =
+    for i = 0 to 40 do
+      Arena.write a (200 + (3 * i)) (i + 7);
+      if i mod 5 = 0 then Arena.flush a (200 + (3 * i));
+      if i mod 11 = 0 then Arena.fence a
+    done
+  in
+  (* A reopen's own stores precede the armed window and are not counted. *)
+  let reopen a = Arena.write a 50 1; a in
+  let span = Arena.store_span base ~reopen run in
+  Alcotest.(check int) "span counts run's stores only" 41 span;
+  let image a = Array.init (Arena.capacity a) (Arena.peek_persisted a) in
+  List.iter
+    (fun (name, mode) ->
+      let crashed = Arena.crash_image base ~reopen run ~at:span (mode ()) in
+      let full = Arena.clone base in
+      run (reopen full);
+      Arena.power_fail full (mode ());
+      Alcotest.(check bool) (name ^ ": same persisted image") true
+        (image crashed = image full))
+    [
+      ("keep_none", fun () -> Storelog.Keep_none);
+      ("keep_all", fun () -> Storelog.Keep_all);
+      ("random", fun () -> Storelog.Random_eviction (Prng.create 5));
+    ]
+
 let test_fence_epochs_non_tso () =
   (* Under Non_tso, stores in a later epoch must not persist unless all
      earlier-epoch stores do. *)
@@ -295,6 +364,10 @@ let suite =
     Alcotest.test_case "random eviction = line prefix" `Quick test_power_fail_random_is_per_line_prefix;
     Alcotest.test_case "crash plan stores" `Quick test_crash_plan_store_counting;
     Alcotest.test_case "crash plan flushes" `Quick test_crash_plan_flush_counting;
+    Alcotest.test_case "crash_after fires on store k+1" `Quick test_crash_after_fires_on_next_store;
+    Alcotest.test_case "crash_after disarms when unfired" `Quick test_crash_after_no_crash_disarms;
+    Alcotest.test_case "crash_after propagates and disarms" `Quick test_crash_after_propagates;
+    Alcotest.test_case "crash_image at span = completion" `Quick test_crash_image_at_span_completes;
     Alcotest.test_case "non-TSO fences ordered" `Quick test_fence_epochs_non_tso;
     Alcotest.test_case "non-TSO reorders without fence" `Quick test_non_tso_without_fence_can_reorder;
     Alcotest.test_case "alloc aligned+zeroed" `Quick test_alloc_line_aligned_and_zeroed;
