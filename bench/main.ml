@@ -1788,65 +1788,6 @@ let ycsb_mix_target spec =
   Table.print tbl
 
 (* ------------------------------------------------------------------ *)
-(* Perfetto trace of a multithreaded mixed run (--trace FILE)          *)
-(* ------------------------------------------------------------------ *)
-
-let trace_target file =
-  Printf.printf "== tracing 8 simulated threads, mixed 16:4:1 workload ==\n";
-  (* Fail on an unwritable output path now, not after the simulation. *)
-  close_out (open_out file);
-  let n = sc 20_000 in
-  let ops = sc 8_000 in
-  let threads = 8 in
-  let config = { Config.default with Config.write_latency_ns = 300; max_threads = 64 } in
-  let a = arena ~config ((n + ops) * 60) in
-  let t = Tree.create ~lock_mode:Locks.Sim a in
-  let keys = W.distinct_uniform (Prng.create 51) ~n:(n + ops) ~space:(16 * (n + ops)) in
-  ignore
-    (Mcsim.run ~cores:16 ~arena:a
-       [|
-         (fun _ ->
-           Array.iteri (fun i k -> if i < n then Tree.insert t ~key:k ~value:(W.value_of k)) keys);
-       |]);
-  (* Attach the tracer only for the measured run: each Mcsim.run restarts
-     the simulated clock, and mixing timebases would bend the timeline. *)
-  let tr = Ff_trace.Trace.for_arena ~capacity:(1 lsl 16) a in
-  Tree.set_tracer t tr;
-  let per = ops / threads in
-  let body tid =
-    let r = Prng.create (200 + tid) in
-    let base = n + (tid * per) in
-    let inserted = ref 0 in
-    let g = ref 0 in
-    while (16 + 4 + 1) * !g < per do
-      for _ = 1 to 16 do
-        ignore (Tree.search t keys.(Prng.int r n))
-      done;
-      for _ = 1 to 4 do
-        if !inserted < per then begin
-          let k = keys.(base + !inserted) in
-          Tree.insert t ~key:k ~value:(W.value_of k);
-          incr inserted
-        end
-      done;
-      ignore (Tree.delete t keys.(Prng.int r n));
-      incr g
-    done
-  in
-  ignore
-    (Mcsim.run ~cores:16 ~quantum_ns:150 ~lock_ns:20 ~contention_ns:100
-       ~policy:(sched ()) ~arena:a
-       (Array.init threads (fun _ -> body)));
-  Arena.set_event_sink a None;
-  Ff_trace.Perfetto.write_file tr file;
-  Printf.printf "[perfetto trace -> %s: %d events kept, %d dropped, %d dup-pointer skips]\n%!"
-    file
-    (Ff_trace.Trace.event_count tr)
-    (Ff_trace.Trace.dropped_count tr)
-    (Ff_trace.Trace.dup_skips tr);
-  print_endline (Ff_trace.Metrics.to_json_string (Ff_trace.Trace.metrics tr))
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1876,16 +1817,12 @@ let targets =
 
 let () =
   let selected = ref [] in
-  let trace_file = ref "" in
   let mix_spec = ref "" in
   let spec =
     [
       ( "--scale",
         Arg.Float (fun s -> scale := s),
         "S  scale workload sizes by S (default 1.0)" );
-      ( "--trace",
-        Arg.Set_string trace_file,
-        "FILE  record a multithreaded mixed run as a Perfetto/chrome://tracing JSON file" );
       ( "--mix",
         Arg.String
           (fun s ->
@@ -1953,21 +1890,20 @@ let () =
     ]
   in
   let usage =
-    "main.exe [targets] [--scale S] [--trace FILE] [--mix M] [--shards N,M,...]\n\
+    "main.exe [targets] [--scale S] [--mix M] [--shards N,M,...]\n\
      targets: "
     ^ String.concat " " (List.map fst targets)
-    ^ " (default: all; --trace/--mix alone run only their own workload, \
+    ^ " (default: all; --mix alone runs only its own workload, \
        --shards alone runs sharded)"
   in
   Arg.parse spec (fun t -> selected := t :: !selected) usage;
   let selected =
     if !selected = [] then
-      if !trace_file <> "" || !mix_spec <> "" then []
+      if !mix_spec <> "" then []
       else if !shard_counts <> [] then [ "sharded" ]
       else List.map fst targets
     else List.rev !selected
   in
-  if !trace_file <> "" then trace_target !trace_file;
   if !mix_spec <> "" then ycsb_mix_target !mix_spec;
   let t0 = Unix.gettimeofday () in
   List.iter
