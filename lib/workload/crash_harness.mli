@@ -6,7 +6,10 @@
     operation batch performs, then for (sampled or exhaustive) crash
     points k = 0..N, clone the device, crash before store k+1, apply a
     crash semantics, and validate the reopened index — both {e before}
-    recovery (reader tolerance) and after. *)
+    recovery (reader tolerance) and after.  The span probe and every
+    crash image come from {!Ff_pmem.Arena.store_span} and
+    {!Ff_pmem.Arena.crash_image}, the crash-at-store primitive the
+    rest of the tree uses too. *)
 
 type outcome = {
   points : int;      (** crash points exercised *)
