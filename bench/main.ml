@@ -637,7 +637,9 @@ let ablation () =
     Node.init a0 l node ~level:0 ~leftmost:0 ~low:0;
     let keys = [ 10; 20; 30; 40; 50; 60; 70 ] in
     List.iter
-      (fun k -> Node.insert_nonfull a0 l node ~key:k ~value:(W.value_of k) ~mode:Node.Linear)
+      (fun k ->
+        Node.insert_nonfull a0 l node ~count:(Node.count a0 l node) ~key:k
+          ~value:(W.value_of k))
       keys;
     Arena.drain a0;
     let run c = insert_fn c l node in
@@ -657,8 +659,9 @@ let ablation () =
   in
   let fast_bad, states =
     count_violations (fun a l n ->
-        Ff_fastfair.Node.insert_nonfull a l n ~key:25 ~value:(W.value_of 25)
-          ~mode:Ff_fastfair.Node.Linear)
+        Ff_fastfair.Node.insert_nonfull a l n
+          ~count:(Ff_fastfair.Node.count a l n)
+          ~key:25 ~value:(W.value_of 25))
   in
   let naive_bad, _ =
     count_violations (fun a l n ->

@@ -57,7 +57,11 @@ type exec = {
 (* Writer applies the commit log through the wrapped ops while a
    snapshot reader pins an epoch, records the prefix window [lo, hi]
    of commits the pin could linearize against, then reads the whole
-   keyspace at that epoch twice while the writer finishes the log.
+   keyspace at that epoch twice: once while the writer finishes the
+   log, and again once the writer has applied all of it.  The second
+   pass waits for the whole log so that every later write exists when
+   it reads: a read that leaks one diverges from the first pass by
+   construction, not by schedule luck.
 
    The pin lands mid-log: the reader waits on a gate the writer opens
    after [pin_after] ops (seed-drawn, below the log length), and the
@@ -80,6 +84,7 @@ let setup cfg d (w, pin_after) () =
   let vec1 = ref [] in
   let vec2 = ref [] in
   let go = Mcsim.create_gate () and published = Mcsim.create_gate () in
+  let total = Array.fold_left (fun n ops -> n + List.length ops) 0 (Spec.log w) in
   let writer _ =
     Array.iteri
       (fun i ->
@@ -105,6 +110,7 @@ let setup cfg d (w, pin_after) () =
     for k = 1 to cfg.keyspace do
       vec1 := (k, ops.Intf.read_at e k) :: !vec1
     done;
+    Mcsim.await (fun () -> !applied = total);
     for k = 1 to cfg.keyspace do
       vec2 := (k, ops.Intf.read_at e k) :: !vec2
     done
@@ -130,7 +136,8 @@ let observed_assoc vec =
 
 (* Live run: the pinned read vector must equal the model state at some
    commit-log prefix within the pin window, and a second pass over the
-   same epoch must be identical even though the writer kept going. *)
+   same epoch must be identical even though the writer has since
+   applied the rest of the log. *)
 let validate_live cfg w (r : exec Sweep.run) =
   let x = r.Sweep.result in
   match x.pinned with

@@ -49,14 +49,15 @@ let merge_into t a_node b level =
   (* An internal donor's leftmost child needs its own entry. *)
   if level > 0 then begin
     let lm = L.leftmost a b in
-    Node.insert_nonfull a l a_node ~key:(L.low a b) ~value:lm ~mode:Node.Linear
+    Node.insert_nonfull a l a_node ~count:(Node.count a l a_node) ~key:(L.low a b)
+      ~value:lm
   end;
   (* Migrate entries: commit in the left node first, then retire the
      donor's copy; the transient duplicate carries the same value. *)
   let rec drain () =
     match Node.first_entry a l b with
     | Some (k, v) ->
-        Node.insert_nonfull a l a_node ~key:k ~value:v ~mode:Node.Linear;
+        Node.insert_nonfull a l a_node ~count:(Node.count a l a_node) ~key:k ~value:v;
         ignore (Node.delete a l b k);
         drain ()
     | None -> ()
@@ -69,6 +70,7 @@ let merge_into t a_node b level =
 
 let compact t =
   let a = Tree.arena t and l = Tree.layout t in
+  Tree.drop_finger t;
   let freed = ref 0 in
   let top = L.level a (Tree.root t) in
   for level = 0 to top do

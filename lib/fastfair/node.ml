@@ -13,10 +13,14 @@ let init a l n ~level ~leftmost ~low =
   L.set_count_hint a n 0;
   L.set_low a n low
 
-let count a l n =
+(* First zero pointer at or after slot [i]; every slot below [i] is
+   known to hold a nonzero pointer. *)
+let count_from a l n i =
   let cap = l.L.capacity in
   let rec go i = if i < cap && L.ptr a n i <> 0 then go (i + 1) else i in
-  go 0
+  go i
+
+let count a l n = count_from a l n 0
 
 let first_entry a l n =
   let cap = l.L.capacity in
@@ -44,17 +48,22 @@ let last_entry a l n =
   in
   go (cap - 1)
 
-let find_exact a l n key =
+type location = Found of int | Absent of int
+
+(* Keys are compared up to the first valid one greater than [key];
+   past it only the pointers are read, to find the count. *)
+let locate a l n key =
   let cap = l.L.capacity in
   let rec go i prev_raw =
-    if i >= cap then None
+    if i >= cap then Absent i
     else begin
       let p = L.ptr a n i in
-      if p = 0 then None
+      if p = 0 then Absent i
+      else if p = prev_raw then go (i + 1) p
       else begin
         let k = L.key a n i in
-        if p <> prev_raw then
-          if k = key then Some i else if k > key then None else go (i + 1) p
+        if k = key then Found i
+        else if k > key then Absent (count_from a l n (i + 1))
         else go (i + 1) p
       end
     end
@@ -149,49 +158,56 @@ let search a l n ~mode ?(tr = Trace.null) key =
 (* Internal-node routing                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Each route also reports whether the scan ran off its end: no valid
-   entry greater than [key], so a split may have moved the key's range
-   to the sibling (the descent's B-link move-right test). *)
+(* Each route also returns the separators around the chosen child:
+   [lo] is the chosen entry's key (0 for the leftmost child) and [hi]
+   the first valid key greater than [key] (0 when the scan ran off its
+   end: only then can a split have moved the key's range to the
+   sibling, the descent's B-link move-right test).  Both are returned
+   per call: under Mcsim a route yields at every load, so scratch
+   state shared between calls would mix two descents' bounds. *)
 let route_left_to_right a l n tr key =
   let cap = l.L.capacity in
   let leftmost = L.leftmost a n in
-  let rec go i prev_raw child =
-    if i >= cap then (child, true)
+  let rec go i prev_raw child lo =
+    if i >= cap then (child, lo, 0)
     else begin
       let p = L.ptr a n i in
-      if p = 0 then (child, true)
+      if p = 0 then (child, lo, 0)
       else begin
         let k = L.key a n i in
         if p <> prev_raw then
-          if k <= key then go (i + 1) p p else (child, false)
+          if k <= key then go (i + 1) p p k else (child, lo, k)
         else begin
           Trace.dup_skip tr ~leaf:false;
-          go (i + 1) p child
+          go (i + 1) p child lo
         end
       end
     end
   in
-  go 0 leftmost leftmost
+  go 0 leftmost leftmost 0
 
 let route_right_to_left a l n tr key =
   let cap = l.L.capacity in
-  let rec go i past_end =
-    if i < 0 then (L.leftmost a n, past_end)
+  let rec go i hi =
+    if i < 0 then (L.leftmost a n, 0, hi)
     else begin
       let p = L.ptr a n i in
-      if p = 0 then go (i - 1) past_end
+      if p = 0 then go (i - 1) hi
       else if p <> L.left_ptr_of a n i then begin
         let k = L.key a n i in
-        if k <= key then (p, past_end) else go (i - 1) false
+        if k <= key then (p, k, hi) else go (i - 1) k
       end
       else begin
         Trace.dup_skip tr ~leaf:false;
-        go (i - 1) past_end
+        go (i - 1) hi
       end
     end
   in
-  go (cap - 1) true
+  go (cap - 1) 0
 
+(* Binary routing reports no separators (the descent sets no finger
+   in that mode): [lo] is 0, and [hi] is [max_int] unless the route
+   ran off the end. *)
 let binary_route a l n key =
   let cfg = Arena.config a in
   ignore l;
@@ -207,7 +223,9 @@ let binary_route a l n key =
     end
   in
   let best = go 0 (cnt - 1) (-1) in
-  ((if best < 0 then L.leftmost a n else L.ptr a n best), best = cnt - 1)
+  ( (if best < 0 then L.leftmost a n else L.ptr a n best),
+    0,
+    if best = cnt - 1 then 0 else max_int )
 
 let route a l n ~mode ?(tr = Trace.null) key =
   match mode with
@@ -229,11 +247,10 @@ let route a l n ~mode ?(tr = Trace.null) key =
 
 let record_first_in_line i = i mod 4 = 0
 
-let insert_nonfull a l n ~key ~value ~mode =
+let insert_nonfull a l n ~count:cnt ~key ~value =
   assert (value <> 0);
   let sw = L.switch a n in
   if sw land 1 = 1 then L.set_switch a n (sw + 1);
-  let cnt = match mode with Linear -> count a l n | Binary -> L.count_hint a n in
   assert (cnt < l.L.capacity);
   let rec shift i =
     if i < 0 then begin
@@ -281,8 +298,8 @@ let insert_nonfull a l n ~key ~value ~mode =
 let record_last_in_line i = i mod 4 = 3
 
 let remove_at a l n pos =
-  let cnt = count a l n in
-  assert (pos >= 0 && pos < cnt);
+  assert (pos >= 0);
+  let cnt = count_from a l n (pos + 1) in
   for i = pos to cnt - 2 do
     let k = L.key a n (i + 1) and p = L.ptr a n (i + 1) in
     L.set_key a n i k;
@@ -305,9 +322,9 @@ let delete a l n key =
        (dirty cache lines flushed in order, paper Section VI). *)
     Arena.flush a (n + L.off_switch)
   end;
-  match find_exact a l n key with
-  | None -> false
-  | Some pos ->
+  match locate a l n key with
+  | Absent _ -> false
+  | Found pos ->
       remove_at a l n pos;
       true
 
@@ -317,8 +334,8 @@ let update_value a l n ~pos ~value =
   L.set_ptr a n pos value;
   Arena.flush a (n + L.ptr_off pos)
 
-let truncate_from a l n pos =
-  let cnt = count a l n in
+let truncate_from a l n ~count:cnt pos =
+  ignore l;
   let rec zero i =
     if i >= pos then begin
       L.set_ptr a n i 0;

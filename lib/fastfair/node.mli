@@ -32,9 +32,16 @@ val first_entry : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) opti
 
 val last_entry : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) option
 
-val find_exact : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> int option
-(** Position of the valid entry holding exactly this key (writer-side;
-    assumes the lock is held so no direction juggling is needed). *)
+type location =
+  | Found of int   (** position of the valid entry holding the key *)
+  | Absent of int  (** the key is not present; the node's count *)
+
+val locate : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> location
+(** Writer-side probe for one key, in one left-to-right pass: keys are
+    read up to the first valid one greater than the key, then only
+    pointers, so an absent key also yields the count {!insert_nonfull}
+    needs.  Assumes the lock is held, so no direction juggling is
+    needed. *)
 
 val search :
   Ff_pmem.Arena.t ->
@@ -57,22 +64,29 @@ val route :
   mode:search_mode ->
   ?tr:Ff_trace.Trace.t ->
   int ->
-  int * bool
-(** Lock-free routing in an internal node: the child covering [key]
-    ([leftmost_ptr] when the key precedes all entries), and whether
-    the scan found no valid entry greater than [key] — only then can
-    a split have moved the key's range to the sibling.  [tr] as in
+  int * int * int
+(** Lock-free routing in an internal node: [(child, lo, hi)], the
+    child covering [key] ([leftmost_ptr] when the key precedes all
+    entries) and the separators the scan saw around it.  [lo] is the
+    chosen entry's key, 0 for the leftmost child.  [hi] is the first
+    valid key greater than [key], or 0 when the scan found none —
+    only then can a split have moved the key's range to the sibling.
+    [Binary] routing reports no separators: [lo] is 0 and [hi] is
+    [max_int] unless the route ran off the end.  [tr] as in
     {!search}. *)
 
 val insert_nonfull :
-  Ff_pmem.Arena.t -> Layout.t -> Layout.node -> key:int -> value:int -> mode:search_mode -> unit
+  Ff_pmem.Arena.t -> Layout.t -> Layout.node -> count:int -> key:int -> value:int -> unit
 (** FAST insertion (Algorithm 1).  Preconditions: lock held, key not
-    present, [count < capacity].  Every intermediate store leaves the
-    node endurable. *)
+    present, [count] is the node's count (as {!locate} or {!count}
+    returned it) and [count < capacity].  Every intermediate store
+    leaves the node endurable. *)
 
 val remove_at : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> unit
 (** FAST left-shift removal of the record at a position (used by
-    delete and by lazy recovery's garbage compaction). *)
+    delete and by lazy recovery's garbage compaction).  The slots up
+    to the position must hold nonzero pointers, as they do wherever a
+    left-to-right scan found it; the count is read from there on. *)
 
 val delete : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> bool
 (** Find and remove a key; flips the switch counter to odd first so
@@ -81,8 +95,8 @@ val delete : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> bool
 val update_value : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> pos:int -> value:int -> unit
 (** Atomic in-place value replacement (8-byte store + flush). *)
 
-val truncate_from : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> unit
-(** Zero record pointers from the top down to the given position
+val truncate_from : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> count:int -> int -> unit
+(** Zero record pointers from slot [count - 1] down to the given position
     inclusive — the FAIR split's in-place truncation of the donor
     node.  Every prefix of the store sequence only shrinks the node's
     visible suffix, so readers and crashes are safe. *)

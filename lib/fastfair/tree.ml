@@ -20,6 +20,14 @@ type t = {
   clean : (int, unit) Hashtbl.t;
   mutable log_area : int;
   mutable tracer : Trace.t;
+  (* Leaf finger: the leaf the last descent reached and the route
+     separators [finger_lo, finger_hi) around it; [finger = 0] when
+     unset.  Volatile and advisory: FAIR keeps every key a sibling
+     walk right of its old leaf, so only [finger_lo] must be exact
+     (DESIGN.md deviation 10). *)
+  mutable finger : Layout.node;
+  mutable finger_lo : int;
+  mutable finger_hi : int;
 }
 
 let arena t = t.arena
@@ -42,6 +50,9 @@ let make_t ?(node_bytes = 512) ?(mode = Node.Linear) ?(split_policy = Fair)
     clean = Hashtbl.create 256;
     log_area = 0;
     tracer = Trace.null;
+    finger = 0;
+    finger_lo = 0;
+    finger_hi = 0;
   }
 
 let create ?node_bytes ?mode ?split_policy ?lock_mode ?leaf_read_locks
@@ -115,7 +126,7 @@ let runlock t n =
   if t.leaf_read_locks then Locks.rd_unlock (Locks.Table.rwlock_of t.locks n)
 
 (* ------------------------------------------------------------------ *)
-(* Descent with B-link move-right                                      *)
+(* Descent with B-link move-right, and the leaf finger                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Has the current node been split past us, i.e. does the sibling's
@@ -124,22 +135,47 @@ let runlock t n =
    wrong for the separator gap of internal splits (see Layout.low). *)
 let chain_covers t s key = s <> 0 && L.low t.arena s <= key
 
-(* Descend from [node] to the node covering [key] at [level].  The
-   sibling is read only where the route scan finds no entry greater
-   than the key (B-link move-right); at [level] itself nobody moves
-   right: readers chase siblings on a miss and writers re-check
-   [chain_covers] under the lock. *)
-let rec descend t node key ~level =
-  if L.level t.arena node = level then node
-  else
-    let child, past_end =
-      Node.route t.arena t.layout node ~mode:t.mode ~tr:t.tracer key
-    in
-    let s = if past_end then L.sibling t.arena node else 0 in
-    if chain_covers t s key then descend t s key ~level
-    else descend t child key ~level
+let drop_finger t = t.finger <- 0
 
-let to_leaf t key = descend t (root t) key ~level:0
+(* A writer or reader that had to chase the sibling chain off the
+   finger leaf found its range shrunk: forget it. *)
+let left_finger t leaf = if leaf = t.finger then drop_finger t
+
+(* Descend from [node], whose range is bounded by [lo, hi), to the
+   node covering [key] at [level].  The sibling is read only where the
+   route scan finds no entry greater than the key (B-link move-right),
+   and then its low key also bounds the child's range; at [level]
+   itself nobody moves right: readers chase siblings on a miss and
+   writers re-check [chain_covers] under the lock.  A descent that
+   reaches a leaf leaves the finger on it ([Binary] routes report no
+   upper separator, so that mode sets none). *)
+let rec descend t node key ~level ~lo ~hi =
+  let a = t.arena in
+  if L.level a node = level then begin
+    if level = 0 && t.mode = Node.Linear then begin
+      t.finger <- node;
+      t.finger_lo <- lo;
+      t.finger_hi <- hi
+    end;
+    node
+  end
+  else
+    let child, c_lo, c_hi =
+      Node.route a t.layout node ~mode:t.mode ~tr:t.tracer key
+    in
+    let lo = max lo c_lo in
+    if c_hi <> 0 then descend t child key ~level ~lo ~hi:(min hi c_hi)
+    else
+      let s = L.sibling a node in
+      if s = 0 then descend t child key ~level ~lo ~hi
+      else
+        let low = L.low a s in
+        if low <= key then descend t s key ~level ~lo:low ~hi
+        else descend t child key ~level ~lo ~hi:(min hi low)
+
+let to_leaf t key =
+  if t.finger <> 0 && t.finger_lo <= key && key < t.finger_hi then t.finger
+  else descend t (root t) key ~level:0 ~lo:0 ~hi:max_int
 
 (* ------------------------------------------------------------------ *)
 (* Lazy recovery hooks (Section 4.2)                                   *)
@@ -166,7 +202,7 @@ let complete_truncation t node =
           in
           find_pos 0 (L.leftmost a node)
         with
-        | Some pos -> Node.truncate_from a l node pos
+        | Some pos -> Node.truncate_from a l node ~count:(Node.count a l node) pos
         | None -> ())
     | (Some _ | None), (Some _ | None) -> ()
 
@@ -205,6 +241,7 @@ let search t key =
     match (v, next) with
     | Some v, _ -> Some v
     | None, Some s ->
+        left_finger t leaf;
         if Trace.enabled t.tracer then begin
           Trace.incr t.tracer "fastfair.sibling_chase";
           Trace.instant t.tracer Trace.id_sibling_chase s
@@ -271,12 +308,11 @@ let append_raw t sib j k p =
   L.set_key a sib j k;
   L.set_ptr a sib j p
 
-(* Split [node] (lock held, node full) and insert the pending (key,
-   value); releases the lock and attaches the new sibling to the
-   parent.  Paper Algorithm 2. *)
-let rec split_and_insert t node key value =
+(* Split [node] (lock held, node full with [cnt] entries) and insert
+   the pending (key, value); releases the lock and attaches the new
+   sibling to the parent.  Paper Algorithm 2. *)
+let rec split_and_insert t node cnt key value =
   let a = t.arena and l = t.layout in
-  let cnt = Node.count a l node in
   let median = cnt / 2 in
   let level = L.level a node in
   let sep = L.key a node median in
@@ -295,16 +331,16 @@ let rec split_and_insert t node key value =
   done;
   L.set_count_hint a sib !j;
   (* While still private, place the pending key if it belongs right. *)
-  if key >= sep then
-    Node.insert_nonfull a l sib ~key ~value ~mode:t.mode;
+  if key >= sep then Node.insert_nonfull a l sib ~count:!j ~key ~value;
   L.set_sibling a sib (L.sibling a node);
   Arena.flush_range a sib l.L.node_words;
   (* Commit point: the sibling becomes visible. *)
   L.set_sibling a node sib;
   Arena.flush a (node + L.off_sibling);
   (* In-place truncation of the donor. *)
-  Node.truncate_from a l node median;
-  if key < sep then Node.insert_nonfull a l node ~key ~value ~mode:t.mode;
+  Node.truncate_from a l node ~count:cnt median;
+  if node = t.finger then t.finger_hi <- min t.finger_hi sep;
+  if key < sep then Node.insert_nonfull a l node ~count:median ~key ~value;
   if t.split_policy = Logged then clear_split_log t;
   Trace.span_end t.tracer Trace.id_split;
   wunlock t node;
@@ -322,27 +358,28 @@ and insert_into_node t node key value ~internal =
   if s <> 0 && chain_covers t s key then begin
     (* A concurrent (or interrupted) split moved our range right. *)
     wunlock t node;
+    left_finger t node;
     insert_into_node t s key value ~internal
   end
   else begin
     Arena.set_phase a Stats.Search;
-    let existing = Node.find_exact a l node key in
+    let existing = Node.locate a l node key in
     Arena.set_phase a Stats.Update;
     match existing with
-    | Some pos ->
+    | Node.Found pos ->
         if not internal then Node.update_value a l node ~pos ~value;
         wunlock t node
-    | None ->
-        if Node.count a l node < l.L.capacity then begin
+    | Node.Absent count ->
+        if count < l.L.capacity then begin
           (* The level argument is a charged read: only pay it when
              tracing is on, so the disabled path is cost-free. *)
           if Trace.enabled t.tracer then
             Trace.span_begin t.tracer Trace.id_fast_shift (L.level a node);
-          Node.insert_nonfull a l node ~key ~value ~mode:t.mode;
+          Node.insert_nonfull a l node ~count ~key ~value;
           Trace.span_end t.tracer Trace.id_fast_shift;
           wunlock t node
         end
-        else split_and_insert t node key value
+        else split_and_insert t node count key value
   end
 
 (* Insert a separator into the internal level [level], growing the root
@@ -352,7 +389,8 @@ and insert_at_level t ~level ~key ~child ~donor =
   let rt = root t in
   if L.level a rt < level then grow_root t ~level ~sep:key ~child ~donor
   else begin
-    insert_into_node t (descend t rt key ~level) key child ~internal:true
+    insert_into_node t (descend t rt key ~level ~lo:0 ~hi:max_int) key child
+      ~internal:true
   end
 
 and grow_root t ~level ~sep ~child ~donor =
@@ -417,6 +455,7 @@ let delete t key =
     let s = L.sibling a leaf in
     if s <> 0 && chain_covers t s key then begin
       wunlock t leaf;
+      left_finger t leaf;
       del s
     end
     else begin
@@ -539,6 +578,7 @@ let eager_recover t =
 let recover ?(lazy_ = false) t =
   Trace.span_begin t.tracer Trace.id_recovery (if lazy_ then 1 else 0);
   Hashtbl.reset t.clean;
+  drop_finger t;
   if t.split_policy = Logged then restore_from_log t;
   if lazy_ then t.lazy_pending <- true else eager_recover t;
   Trace.span_end t.tracer Trace.id_recovery

@@ -60,7 +60,18 @@ val to_leaf : t -> int -> Layout.node
     route from the root reaches for the key.  Internal nodes move
     right only when their route scan finds no entry greater than the
     key; the leaf itself is never moved past, so a caller that misses
-    must follow the sibling chain (as {!search} and {!range} do). *)
+    must follow the sibling chain (as {!search} and {!range} do).
+
+    The tree keeps a volatile leaf finger: the leaf the last descent
+    reached and the separators its routes saw around it.  A key inside
+    those bounds starts at that leaf with no descent.  A split of the
+    finger leaf narrows the bounds; a sibling chase off it,
+    {!recover} and {!drop_finger} clear it.  [Binary] mode never sets
+    it. *)
+
+val drop_finger : t -> unit
+(** Forget the leaf finger.  A pass that frees nodes behind the
+    tree's back (such as {!Compact.compact}) must call it. *)
 
 val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Ascending leaf-chain scan over [lo, hi], deduplicating the

@@ -48,6 +48,30 @@ let test_fastfair_clean_non_tso () =
   Alcotest.(check int) "no violations under relaxed PM order" 0
     (List.length r.C.violations)
 
+(* Split-forcing concurrent run: 60 prefilled keys and 40 ops over a
+   160-key space split 512-byte leaves while other threads descend and
+   start at the leaf finger.  A descent that took its finger bounds
+   from another thread's route would misroute later keys below the
+   finger leaf's range, which the final-state check reports. *)
+let test_fastfair_split_forcing () =
+  let config =
+    {
+      C.default with
+      C.writers = 3;
+      readers = 2;
+      ops_per_thread = 8;
+      keyspace = 160;
+      prefill = 60;
+      schedules = 60;
+      crashes = false;
+      seed = 2;
+    }
+  in
+  let r = C.run ~config "fastfair" in
+  Alcotest.(check (option string)) "not skipped" None r.C.skipped;
+  Alcotest.(check int) "schedules explored" 60 r.C.schedules_run;
+  Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
+
 (* Acceptance: the missing-clflush mutant (accounting happens, the
    persist is dropped) must be caught by the crash product engine, and
    the recorded artifact must reproduce the violation byte-for-byte. *)
@@ -395,6 +419,7 @@ let suite =
   [
     Alcotest.test_case "fastfair clean (2w+1r)" `Quick test_fastfair_clean;
     Alcotest.test_case "fastfair clean non-TSO" `Quick test_fastfair_clean_non_tso;
+    Alcotest.test_case "fastfair split-forcing (3w+2r)" `Quick test_fastfair_split_forcing;
     Alcotest.test_case "elide-flush mutant + replay" `Quick
       test_elide_flush_mutant_and_replay;
     Alcotest.test_case "replay dispatch: every family" `Quick test_replay_dispatch;

@@ -253,7 +253,8 @@ let test_unordered_insert_is_not_endurable () =
   let n = Arena.alloc a0 l.Layout.node_words in
   Node.init a0 l n ~level:0 ~leftmost:0 ~low:0;
   List.iter
-    (fun k -> Node.insert_nonfull a0 l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
+    (fun k ->
+      Node.insert_nonfull a0 l n ~count:(Node.count a0 l n) ~key:k ~value:(value_of k))
     [ 10; 20; 30; 40; 50; 60; 70 ];
   Arena.drain a0;
   let run c = Node.insert_nonfull_unordered c l n ~key:25 ~value:(value_of 25) in

@@ -22,6 +22,11 @@ let mk_tree ?config ?words ?(node_bytes = 512) ?(mode = Node.Linear)
 (* Node-level tests                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* FAST-insert [k] into a node whose count is read first (the tree
+   passes the count its own probe already read). *)
+let node_insert a l n k =
+  Node.insert_nonfull a l n ~count:(Node.count a l n) ~key:k ~value:(value_of k)
+
 let mk_node ?(node_bytes = 512) () =
   let a = mk_arena ~words:(1 lsl 14) () in
   let l = Layout.make ~node_bytes in
@@ -32,7 +37,7 @@ let mk_node ?(node_bytes = 512) () =
 let test_node_insert_ascending () =
   let a, l, n = mk_node () in
   for k = 1 to l.Layout.capacity - 1 do
-    Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear
+    node_insert a l n k
   done;
   Alcotest.(check int) "count" (l.Layout.capacity - 1) (Node.count a l n);
   for k = 1 to l.Layout.capacity - 1 do
@@ -43,7 +48,7 @@ let test_node_insert_ascending () =
 let test_node_insert_descending () =
   let a, l, n = mk_node () in
   for k = 20 downto 1 do
-    Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear
+    node_insert a l n k
   done;
   let entries = Node.entries_debug a l n in
   Alcotest.(check (list int)) "sorted"
@@ -55,7 +60,7 @@ let test_node_insert_random_order () =
   let a, l, n = mk_node () in
   let keys = Array.init 25 (fun i -> (i * 3) + 1) in
   Prng.shuffle rng keys;
-  Array.iter (fun k -> Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear) keys;
+  Array.iter (node_insert a l n) keys;
   let entries = Node.entries_debug a l n in
   Alcotest.(check int) "count" 25 (List.length entries);
   let sorted = List.sort compare (Array.to_list keys) in
@@ -64,7 +69,7 @@ let test_node_insert_random_order () =
 let test_node_delete_and_search () =
   let a, l, n = mk_node () in
   for k = 1 to 20 do
-    Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear
+    node_insert a l n k
   done;
   Alcotest.(check bool) "delete 10" true (Node.delete a l n 10);
   Alcotest.(check bool) "delete again" false (Node.delete a l n 10);
@@ -77,18 +82,18 @@ let test_node_delete_and_search () =
 
 let test_node_update_value () =
   let a, l, n = mk_node () in
-  Node.insert_nonfull a l n ~key:5 ~value:(value_of 5) ~mode:Node.Linear;
-  (match Node.find_exact a l n 5 with
-  | Some pos -> Node.update_value a l n ~pos ~value:999
-  | None -> Alcotest.fail "key missing");
+  node_insert a l n 5;
+  (match Node.locate a l n 5 with
+  | Node.Found pos -> Node.update_value a l n ~pos ~value:999
+  | Node.Absent _ -> Alcotest.fail "key missing");
   Alcotest.(check (option int)) "updated" (Some 999) (Node.search a l n ~mode:Node.Linear 5)
 
 let test_node_zero_terminator_invariant () =
   let a, l, n = mk_node ~node_bytes:128 () in
   for k = 1 to l.Layout.capacity - 1 do
-    Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear
+    node_insert a l n k
   done;
-  Node.truncate_from a l n 1;
+  Node.truncate_from a l n ~count:(Node.count a l n) 1;
   for i = 1 to l.Layout.capacity - 1 do
     Alcotest.(check int) "zeroed beyond truncation" 0 (Arena.peek a (n + Layout.ptr_off i))
   done;
@@ -97,7 +102,7 @@ let test_node_zero_terminator_invariant () =
 let test_node_binary_search () =
   let a, l, n = mk_node () in
   for k = 1 to 20 do
-    Node.insert_nonfull a l n ~key:(2 * k) ~value:(value_of k) ~mode:Node.Binary
+    Node.insert_nonfull a l n ~count:(Node.count a l n) ~key:(2 * k) ~value:(value_of k)
   done;
   for k = 1 to 20 do
     Alcotest.(check (option int)) "binary find" (Some (value_of k))
@@ -163,48 +168,32 @@ let node_crash_enumeration op_name setup op committed in_flight =
   done
 
 let test_node_crash_insert_middle () =
-  let setup a l n =
-    List.iter
-      (fun k -> Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
-      [ 10; 20; 30; 40; 50; 60; 70 ]
-  in
-  let op a l n = Node.insert_nonfull a l n ~key:25 ~value:(value_of 25) ~mode:Node.Linear in
+  let setup a l n = List.iter (node_insert a l n) [ 10; 20; 30; 40; 50; 60; 70 ] in
+  let op a l n = node_insert a l n 25 in
   let committed _ = List.map (fun k -> (k, value_of k)) [ 10; 20; 30; 40; 50; 60; 70 ] in
   node_crash_enumeration "insert-mid" setup op committed (Some (25, value_of 25))
 
 let test_node_crash_insert_head () =
-  let setup a l n =
-    List.iter
-      (fun k -> Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
-      [ 10; 20; 30 ]
-  in
-  let op a l n = Node.insert_nonfull a l n ~key:5 ~value:(value_of 5) ~mode:Node.Linear in
+  let setup a l n = List.iter (node_insert a l n) [ 10; 20; 30 ] in
+  let op a l n = node_insert a l n 5 in
   let committed _ = List.map (fun k -> (k, value_of k)) [ 10; 20; 30 ] in
   node_crash_enumeration "insert-head" setup op committed (Some (5, value_of 5))
 
 let test_node_crash_insert_tail () =
-  let setup a l n =
-    List.iter
-      (fun k -> Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
-      [ 10; 20; 30 ]
-  in
-  let op a l n = Node.insert_nonfull a l n ~key:99 ~value:(value_of 99) ~mode:Node.Linear in
+  let setup a l n = List.iter (node_insert a l n) [ 10; 20; 30 ] in
+  let op a l n = node_insert a l n 99 in
   let committed _ = List.map (fun k -> (k, value_of k)) [ 10; 20; 30 ] in
   node_crash_enumeration "insert-tail" setup op committed (Some (99, value_of 99))
 
 let test_node_crash_delete () =
-  let setup a l n =
-    List.iter
-      (fun k -> Node.insert_nonfull a l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
-      [ 10; 20; 30; 40; 50; 60 ]
-  in
+  let setup a l n = List.iter (node_insert a l n) [ 10; 20; 30; 40; 50; 60 ] in
   let op a l n = ignore (Node.delete a l n 20) in
   (* All keys except the deleted one must stay readable. *)
   let committed _ = List.map (fun k -> (k, value_of k)) [ 10; 30; 40; 50; 60 ] in
   node_crash_enumeration "delete" setup op committed (Some (20, value_of 20))
 
 let test_node_crash_delete_empty_node_edge () =
-  let setup a l n = Node.insert_nonfull a l n ~key:7 ~value:(value_of 7) ~mode:Node.Linear in
+  let setup a l n = node_insert a l n 7 in
   let op a l n = ignore (Node.delete a l n 7) in
   let committed _ = [] in
   node_crash_enumeration "delete-last" setup op committed (Some (7, value_of 7))
@@ -217,11 +206,9 @@ let test_node_crash_non_tso_with_fences () =
   let l = Layout.make ~node_bytes:256 in
   let n = Arena.alloc a0 l.Layout.node_words in
   Node.init a0 l n ~level:0 ~leftmost:0 ~low:0;
-  List.iter
-    (fun k -> Node.insert_nonfull a0 l n ~key:k ~value:(value_of k) ~mode:Node.Linear)
-    [ 10; 20; 30; 40 ];
+  List.iter (node_insert a0 l n) [ 10; 20; 30; 40 ];
   Arena.drain a0;
-  let run c = Node.insert_nonfull c l n ~key:25 ~value:(value_of 25) ~mode:Node.Linear in
+  let run c = node_insert c l n 25 in
   let total = Arena.store_span a0 ~reopen:Fun.id run in
   for k = 0 to total do
     for seed = 0 to 5 do
@@ -788,6 +775,37 @@ let test_descent_cold_cost () =
   Alcotest.(check (list int)) "loads, line misses, sequential misses" [ 8; 2; 1 ]
     [ s.Stats.loads; s.Stats.line_misses; s.Stats.seq_misses ]
 
+(* The leaf finger: a repeated search of one key starts at the leaf
+   the first one reached, so it skips the descent's loads; [recover]
+   drops the finger, so the next search pays the full descent again;
+   [Binary] mode sets no finger.  Load counts do not depend on cache
+   state, so equal counts mean the same loads. *)
+let test_leaf_finger () =
+  List.iter
+    (fun mode ->
+      let a, t = mk_tree ~node_bytes:128 ~mode () in
+      for k = 1 to 200 do
+        Tree.insert t ~key:(10 * k) ~value:(value_of (10 * k))
+      done;
+      Alcotest.(check bool) "three levels or more" true (Tree.height t >= 3);
+      let loads () =
+        Arena.reset_stats a;
+        Alcotest.(check (option int)) "found" (Some (value_of 1000)) (Tree.search t 1000);
+        (Arena.total_stats a).Stats.loads
+      in
+      let cold = loads () in
+      let warm = loads () in
+      Tree.recover t;
+      let recovered = loads () in
+      match mode with
+      | Node.Linear ->
+          Alcotest.(check bool) "repeat search skips the descent" true (warm < cold);
+          Alcotest.(check int) "recover drops the finger" cold recovered
+      | Node.Binary ->
+          Alcotest.(check (list int)) "binary mode sets no finger" [ cold; cold ]
+            [ warm; recovered ])
+    [ Node.Linear; Node.Binary ]
+
 let suite =
   [
     Alcotest.test_case "node insert ascending" `Quick test_node_insert_ascending;
@@ -816,6 +834,7 @@ let suite =
     Alcotest.test_case "descent: dangling internal split" `Quick
       test_descent_dangling_internal;
     Alcotest.test_case "descent: cold search cost" `Quick test_descent_cold_cost;
+    Alcotest.test_case "descent: leaf finger" `Quick test_leaf_finger;
     Alcotest.test_case "tree crash: insert" `Quick test_tree_crash_simple_insert;
     Alcotest.test_case "tree crash: split" `Quick test_tree_crash_split_insert;
     Alcotest.test_case "tree crash: deep split" `Quick test_tree_crash_deep_split;
