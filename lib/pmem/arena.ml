@@ -566,7 +566,7 @@ let crash_image base ~reopen run ~at mode =
   power_fail c mode;
   c
 
-let dirty_line_count t = List.length (Storelog.dirty_lines t.log)
+let dirty_line_count t = Storelog.dirty_line_count t.log
 
 (* A reattached segment (or any freshly mounted image) starts from the
    post-crash allocator state: the heap contents and bump pointer are

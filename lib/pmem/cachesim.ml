@@ -2,31 +2,102 @@
    Slot 0 is a sentinel head (most recent side); the tail side is
    evicted.  Slots [fresh .. capacity] have held no line since the last
    [clear]: a miss takes the next of them while any is left and evicts
-   the LRU line after that.  All operations are O(1). *)
+   the LRU line after that.  All operations are O(1).
+
+   The map is an open-addressed table of slot numbers (0 = empty cell),
+   probed linearly from the line's hash and compared through
+   [line_of], so an access allocates nothing.  The slot arrays and the
+   table grow with the number of resident lines, up to [capacity]:
+   most contexts never fill a full-size cache. *)
 
 type t = {
   capacity : int;
-  map : (int, int) Hashtbl.t; (* line -> slot *)
-  line_of : int array;        (* slot -> line *)
-  prev : int array;
-  next : int array;
+  mutable table : int array;
+  mutable mask : int; (* cells - 1; at least twice the slots in use *)
+  mutable shift : int; (* 63 - log2 cells *)
+  mutable line_of : int array; (* slot -> line *)
+  mutable prev : int array;
+  mutable next : int array;
   mutable fresh : int;
   mutable last_miss_line : int;
 }
 
 type outcome = Hit | Miss | Seq_miss
 
+let base_slots = 16
+let base_bits = 5
+
+let set_table t bits =
+  t.table <- Array.make (1 lsl bits) 0;
+  t.mask <- (1 lsl bits) - 1;
+  t.shift <- 63 - bits
+
+let set_slots t n =
+  t.line_of <- Array.make n 0;
+  t.prev <- Array.make n 0;
+  t.next <- Array.make n 0
+
 let create ~capacity =
-  let capacity = max capacity 1 in
-  {
-    capacity;
-    map = Hashtbl.create (2 * capacity);
-    line_of = Array.make (capacity + 1) 0;
-    prev = Array.make (capacity + 1) 0;
-    next = Array.make (capacity + 1) 0;
-    fresh = 1;
-    last_miss_line = min_int;
-  }
+  let t =
+    {
+      capacity = max capacity 1;
+      table = [||];
+      mask = 0;
+      shift = 0;
+      line_of = [||];
+      prev = [||];
+      next = [||];
+      fresh = 1;
+      last_miss_line = min_int;
+    }
+  in
+  set_table t base_bits;
+  set_slots t base_slots;
+  t
+
+(* Fibonacci hashing: the top bits of the product. *)
+let hash t line = (line * 0x2545F4914F6CDD1D) lsr t.shift
+
+(* The cell holding [line]'s slot, or the empty cell where it would go. *)
+let rec probe table line_of mask line i =
+  let slot = table.(i) in
+  if slot = 0 || line_of.(slot) = line then i
+  else probe table line_of mask line ((i + 1) land mask)
+
+let find t line = probe t.table t.line_of t.mask line (hash t line)
+
+(* Empty cell [i] and shift later cells of its probe run back over the
+   hole (backward-shift deletion: no tombstones). *)
+let delete t i =
+  let table = t.table and mask = t.mask in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while table.(!j) <> 0 do
+    let h = hash t t.line_of.(table.(!j)) in
+    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+    if not stays then begin
+      table.(!hole) <- table.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  table.(!hole) <- 0
+
+let grow_table t =
+  let old = t.table in
+  set_table t (64 - t.shift);
+  Array.iter (fun slot -> if slot <> 0 then t.table.(find t t.line_of.(slot)) <- slot) old
+
+let grow_slots t =
+  let n = Array.length t.line_of in
+  let m = min (2 * n) (t.capacity + 1) in
+  let extend a =
+    let b = Array.make m 0 in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.line_of <- extend t.line_of;
+  t.prev <- extend t.prev;
+  t.next <- extend t.next
 
 let unlink t slot =
   let p = t.prev.(slot) and n = t.next.(slot) in
@@ -44,35 +115,48 @@ let evict_lru t =
   let victim = t.prev.(0) in
   assert (victim <> 0);
   unlink t victim;
-  Hashtbl.remove t.map t.line_of.(victim);
+  delete t (find t t.line_of.(victim));
   victim
 
-let access t line =
-  match Hashtbl.find_opt t.map line with
-  | Some slot ->
-      unlink t slot;
-      push_front t slot;
-      Hit
-  | None ->
-      let slot =
-        if t.fresh <= t.capacity then begin
-          t.fresh <- t.fresh + 1;
-          t.fresh - 1
-        end
-        else evict_lru t
-      in
+let lookup t line =
+  let i = find t line in
+  let slot = t.table.(i) in
+  if slot <> 0 then begin
+    unlink t slot;
+    push_front t slot;
+    Hit
+  end
+  else begin
+    if t.fresh <= t.capacity then begin
+      let slot = t.fresh in
+      if slot = Array.length t.line_of then grow_slots t;
+      t.fresh <- slot + 1;
       t.line_of.(slot) <- line;
-      Hashtbl.replace t.map line slot;
+      t.table.(i) <- slot;
       push_front t slot;
-      let sequential = line = t.last_miss_line + 1 in
-      t.last_miss_line <- line;
-      if sequential then Seq_miss else Miss
+      if 2 * slot > t.mask + 1 then grow_table t
+    end
+    else begin
+      let slot = evict_lru t in
+      t.line_of.(slot) <- line;
+      t.table.(find t line) <- slot;
+      push_front t slot
+    end;
+    let sequential = line = t.last_miss_line + 1 in
+    t.last_miss_line <- line;
+    if sequential then Seq_miss else Miss
+  end
+
+let access t line =
+  let first = t.next.(0) in
+  (* The most recent line again (the next word of the same node, say):
+     the LRU order is already right. *)
+  if first <> 0 && t.line_of.(first) = line then Hit else lookup t line
 
 let clear t =
-  Hashtbl.reset t.map;
+  set_table t base_bits;
+  set_slots t base_slots;
   t.fresh <- 1;
-  t.next.(0) <- 0;
-  t.prev.(0) <- 0;
   t.last_miss_line <- min_int
 
-let resident t line = Hashtbl.mem t.map line
+let resident t line = t.table.(find t line) <> 0

@@ -1,40 +1,224 @@
 module Prng = Ff_util.Prng
 
-(* One entry per dirty cache line: the line's pending stores, newest
-   first.  Flushing a line applies its stores and drops the entry, so
-   the log holds the dirty state and nothing else.  [seq] numbers
-   stores in program order across lines; only the high-water write-back
-   reads it. *)
+(* Pending stores live in a slab of parallel int arrays: store [s] is
+   [addr.(s)], [value.(s)] and [epoch.(s)], and [seq.(s)] numbers it in
+   program order across lines (only the high-water write-back reads
+   it).  [next.(s)] chains a line's stores in program order, or links
+   the free list while [s] is unused.  An open-addressed table maps each
+   dirty line to the head and tail of its chain, so a clean line has no
+   cell and the log holds the dirty state and nothing else.  Once the
+   arrays have grown, neither [record] nor [flush_line] allocates.
 
-type entry = { seq : int; addr : int; value : int; epoch : int }
+   Probes and chain walks are top-level functions: a local recursive
+   function that captures variables allocates a closure per call. *)
 
 type t = {
-  lines : (int, entry list ref) Hashtbl.t;
+  mutable addr : int array;
+  mutable value : int array;
+  mutable epoch : int array;
+  mutable seq : int array;
+  mutable next : int array;
+  mutable free : int; (* first free slot, [nil] if none *)
+  mutable used : int; (* slots [used ..] have never been handed out *)
+  (* Cell [i] is [table.(3i)] = line ([empty] if none), [table.(3i+1)]
+     = head store, [table.(3i+2)] = tail store.  Linear probing from
+     the line's hash, backward-shift deletion, at most half full. *)
+  mutable table : int array;
+  mutable mask : int; (* cells - 1 *)
+  mutable shift : int; (* 63 - log2 cells *)
+  mutable lines : int;
+  mutable last : int; (* the cell [record] last used: a hint, checked before use *)
   mutable next_seq : int;
   mutable pending : int;
 }
 
 let high_water = 1 lsl 16
+let nil = -1
+let empty = -1 (* lines are non-negative *)
+let base_slots = 64
+let base_bits = 6
 
-let create () = { lines = Hashtbl.create 64; next_seq = 0; pending = 0 }
+(* A log that empties gives back arrays grown past this many entries,
+   so a flood of pending stores does not keep the arena large. *)
+let shrink_above = 1024
+
+let set_slab t n =
+  t.addr <- Array.make n 0;
+  t.value <- Array.make n 0;
+  t.epoch <- Array.make n 0;
+  t.seq <- Array.make n 0;
+  t.next <- Array.make n nil;
+  t.free <- nil;
+  t.used <- 0
+
+let set_table t bits =
+  t.table <- Array.make (3 lsl bits) empty;
+  t.mask <- (1 lsl bits) - 1;
+  t.shift <- 63 - bits;
+  t.lines <- 0
+
+let create () =
+  let t =
+    {
+      addr = [||];
+      value = [||];
+      epoch = [||];
+      seq = [||];
+      next = [||];
+      free = nil;
+      used = 0;
+      table = [||];
+      mask = 0;
+      shift = 0;
+      lines = 0;
+      last = 0;
+      next_seq = 0;
+      pending = 0;
+    }
+  in
+  set_slab t base_slots;
+  set_table t base_bits;
+  t
+
 let pending t = t.pending
+let dirty_line_count t = t.lines
 
-let apply t persisted e =
-  persisted.(e.addr) <- e.value;
+(* Fibonacci hashing: the top bits of the product. *)
+let hash t line = (line * 0x2545F4914F6CDD1D) lsr t.shift
+
+(* The cell holding [line], or the empty cell where it would go. *)
+let rec probe table mask line i =
+  let k = table.(3 * i) in
+  if k = line || k = empty then i else probe table mask line ((i + 1) land mask)
+
+let find t line = probe t.table t.mask line (hash t line)
+
+(* Empty cell [i] and shift later cells of its probe run back over the
+   hole, so every line stays reachable from its hash without
+   tombstones. *)
+let delete t i =
+  let table = t.table and mask = t.mask in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while table.(3 * !j) <> empty do
+    let h = hash t table.(3 * !j) in
+    (* The line at [j] may fill the hole unless its home lies
+       cyclically in (hole, j]. *)
+    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+    if not stays then begin
+      table.(3 * !hole) <- table.(3 * !j);
+      table.((3 * !hole) + 1) <- table.((3 * !j) + 1);
+      table.((3 * !hole) + 2) <- table.((3 * !j) + 2);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  table.(3 * !hole) <- empty;
+  t.lines <- t.lines - 1
+
+let grow_table t =
+  let old = t.table in
+  set_table t (64 - t.shift);
+  for c = 0 to (Array.length old / 3) - 1 do
+    let line = old.(3 * c) in
+    if line <> empty then begin
+      let i = find t line in
+      Array.blit old (3 * c) t.table (3 * i) 3;
+      t.lines <- t.lines + 1
+    end
+  done
+
+let grow_slab t =
+  let n = Array.length t.addr in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.addr <- extend t.addr 0;
+  t.value <- extend t.value 0;
+  t.epoch <- extend t.epoch 0;
+  t.seq <- extend t.seq 0;
+  t.next <- extend t.next nil
+
+let alloc_slot t =
+  let s = t.free in
+  if s <> nil then begin
+    t.free <- t.next.(s);
+    s
+  end
+  else begin
+    if t.used = Array.length t.addr then grow_slab t;
+    t.used <- t.used + 1;
+    t.used - 1
+  end
+
+let apply t persisted s = persisted.(t.addr.(s)) <- t.value.(s)
+
+(* Persist store [s] and put its slot on the free list. *)
+let release t persisted s =
+  apply t persisted s;
+  t.next.(s) <- t.free;
+  t.free <- s;
   t.pending <- t.pending - 1
 
-(* Lines hold disjoint words, so only the order within a line matters:
-   [iter_stores] visits each line's stores in program order. *)
-let iter_stores t f = Hashtbl.iter (fun _ cell -> List.iter f (List.rev !cell)) t.lines
-let fold_stores t f acc = Hashtbl.fold (fun _ cell acc -> List.fold_left f acc !cell) t.lines acc
-let dirty_lines t = Hashtbl.fold (fun line _ acc -> line :: acc) t.lines []
+(* Persist the chain from [s] up to the first store newer than
+   [cutoff]; return that store, or [nil]. *)
+let rec apply_upto t persisted cutoff s =
+  if s = nil || t.seq.(s) > cutoff then s
+  else begin
+    let n = t.next.(s) in
+    release t persisted s;
+    apply_upto t persisted cutoff n
+  end
+
+(* An empty log starts over from the first slot, and gives back arrays
+   that a flood grew. *)
+let reset t =
+  if Array.length t.addr > shrink_above then set_slab t base_slots
+  else begin
+    t.free <- nil;
+    t.used <- 0
+  end;
+  if t.mask >= shrink_above then set_table t base_bits
+  else if t.lines > 0 then begin
+    Array.fill t.table 0 (Array.length t.table) empty;
+    t.lines <- 0
+  end
 
 let flush_line t ~persisted line =
-  match Hashtbl.find_opt t.lines line with
-  | None -> ()
-  | Some cell ->
-      List.iter (apply t persisted) (List.rev !cell);
-      Hashtbl.remove t.lines line
+  let i = find t line in
+  if t.table.(3 * i) = line then begin
+    ignore (apply_upto t persisted max_int t.table.((3 * i) + 1));
+    delete t i;
+    if t.pending = 0 then reset t
+  end
+
+(* Lines hold disjoint words, so only the order within a line matters:
+   [iter_stores] visits each line's stores in program order, in table
+   order across lines. *)
+let iter_stores t f =
+  for i = 0 to t.mask do
+    if t.table.(3 * i) <> empty then begin
+      let s = ref t.table.((3 * i) + 1) in
+      while !s <> nil do
+        f !s;
+        s := t.next.(!s)
+      done
+    end
+  done
+
+let fold_stores t f acc =
+  let acc = ref acc in
+  iter_stores t (fun s -> acc := f !acc s);
+  !acc
+
+let dirty_lines t =
+  let acc = ref [] in
+  for i = 0 to t.mask do
+    let line = t.table.(3 * i) in
+    if line <> empty then acc := line :: !acc
+  done;
+  !acc
 
 (* Wirth's FIND: the [k]-th smallest element of [a] (0-based), in
    linear expected time; reorders [a]. *)
@@ -67,27 +251,55 @@ let select (a : int array) k =
    its host time. *)
 let evict_to t ~persisted ~target =
   let seqs = Array.make t.pending 0 in
-  ignore (fold_stores t (fun i e -> seqs.(i) <- e.seq; i + 1) 0);
+  ignore (fold_stores t (fun i s -> seqs.(i) <- t.seq.(s); i + 1) 0);
   let cutoff = select seqs (t.pending - target - 1) in
-  Hashtbl.filter_map_inplace
-    (fun _ cell ->
-      let newer, older = List.partition (fun e -> e.seq > cutoff) !cell in
-      List.iter (apply t persisted) (List.rev older);
-      match newer with
-      | [] -> None
-      | _ ->
-          cell := newer;
-          Some cell)
-    t.lines
+  let table = t.table in
+  let i = ref 0 in
+  while !i <= t.mask do
+    if table.(3 * !i) = empty then incr i
+    else begin
+      let head = apply_upto t persisted cutoff table.((3 * !i) + 1) in
+      (* A deletion shifts a later cell into [i]: look at [i] again.
+         A cell that wraps around from the front is looked at twice,
+         which is harmless: its stores are all newer than [cutoff]. *)
+      if head = nil then delete t !i
+      else begin
+        table.((3 * !i) + 1) <- head;
+        incr i
+      end
+    end
+  done
 
+(* The store that would take the log past [high_water] first writes
+   back the oldest until half remain counting itself: the same stores
+   persist as if it were logged first, and the slab never holds more
+   than [high_water] stores. *)
 let record t ~persisted ~addr ~value ~line ~epoch =
-  let e = { seq = t.next_seq; addr; value; epoch } in
+  if t.pending >= high_water then evict_to t ~persisted ~target:((high_water / 2) - 1);
+  let s = alloc_slot t in
+  t.addr.(s) <- addr;
+  t.value.(s) <- value;
+  t.epoch.(s) <- epoch;
+  t.seq.(s) <- t.next_seq;
+  t.next.(s) <- nil;
   t.next_seq <- t.next_seq + 1;
   t.pending <- t.pending + 1;
-  (match Hashtbl.find_opt t.lines line with
-  | Some cell -> cell := e :: !cell
-  | None -> Hashtbl.add t.lines line (ref [ e ]));
-  if t.pending > high_water then evict_to t ~persisted ~target:(high_water / 2)
+  (* Stores come in runs to one line (a node's words, a shift). *)
+  let c = t.last in
+  let table = t.table in
+  let i = if c <= t.mask && table.(3 * c) = line then c else find t line in
+  t.last <- i;
+  if table.(3 * i) = line then begin
+    t.next.(table.((3 * i) + 2)) <- s;
+    table.((3 * i) + 2) <- s
+  end
+  else begin
+    table.(3 * i) <- line;
+    table.((3 * i) + 1) <- s;
+    table.((3 * i) + 2) <- s;
+    t.lines <- t.lines + 1;
+    if 2 * t.lines > t.mask + 1 then grow_table t
+  end
 
 type fault_spec = {
   fault_seed : int;
@@ -130,32 +342,36 @@ let apply_faults ~persisted spec =
   end
 
 let pending_epochs t =
-  List.sort_uniq Int.compare (fold_stores t (fun acc e -> e.epoch :: acc) [])
+  List.sort_uniq Int.compare (fold_stores t (fun acc s -> t.epoch.(s) :: acc) [])
 
-(* All randomized modes iterate lines/words in sorted order, never in
-   Hashtbl order: the PRNG draw sequence is then a function of the
-   logged stores alone, so a recorded (seed, crash point) pair replays
-   to the identical persisted image on any OCaml version (Hashtbl
-   iteration order depends on Hashtbl.hash internals and is not a
-   cross-version contract). *)
+(* A crash mode persists stores without releasing them; [apply_crash]
+   then empties the log at once.  All randomized modes iterate
+   lines/words in sorted order, never in table order: the PRNG draw
+   sequence is then a function of the logged stores alone, so a
+   recorded (seed, crash point) pair replays to the identical persisted
+   image whatever the table layout. *)
 
 (* Persist a random prefix of [stores], given in program order. *)
 let apply_prefix t persisted rng stores =
   let k = Prng.int rng (List.length stores + 1) in
-  List.iteri (fun i e -> if i < k then apply t persisted e) stores
+  List.iteri (fun i s -> if i < k then apply t persisted s) stores
 
 let apply_non_tso_cutoff t persisted cutoff rng =
-  iter_stores t (fun e -> if e.epoch < cutoff then apply t persisted e);
+  iter_stores t (fun s -> if t.epoch.(s) < cutoff then apply t persisted s);
   (* Per-word random prefixes at the cutoff epoch. *)
   let by_word = Hashtbl.create 16 in
-  iter_stores t (fun e ->
-      if e.epoch = cutoff then
-        Hashtbl.replace by_word e.addr
-          (e :: Option.value ~default:[] (Hashtbl.find_opt by_word e.addr)));
+  iter_stores t (fun s ->
+      if t.epoch.(s) = cutoff then
+        Hashtbl.replace by_word t.addr.(s)
+          (s :: Option.value ~default:[] (Hashtbl.find_opt by_word t.addr.(s))));
   let words = List.sort Int.compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word []) in
   List.iter
     (fun addr -> apply_prefix t persisted rng (List.rev (Hashtbl.find by_word addr)))
     words
+
+let chain t line =
+  let rec go s = if s = nil then [] else s :: go t.next.(s) in
+  go t.table.((3 * find t line) + 1)
 
 let rec apply_mode t ~persisted mode =
   match mode with
@@ -164,7 +380,7 @@ let rec apply_mode t ~persisted mode =
   | Random_eviction rng ->
       (* Independent per-line prefix of the line's pending stores. *)
       List.iter
-        (fun line -> apply_prefix t persisted rng (List.rev !(Hashtbl.find t.lines line)))
+        (fun line -> apply_prefix t persisted rng (chain t line))
         (List.sort Int.compare (dirty_lines t))
   | Non_tso_random rng ->
       (* Pick an epoch cutoff e*: all pending stores with epoch < e*
@@ -172,7 +388,7 @@ let rec apply_mode t ~persisted mode =
          random prefix of its store sequence. *)
       let lo, hi =
         fold_stores t
-          (fun (lo, hi) e -> (Int.min lo e.epoch, Int.max hi e.epoch))
+          (fun (lo, hi) s -> (Int.min lo t.epoch.(s), Int.max hi t.epoch.(s)))
           (max_int, min_int)
       in
       if lo <= hi then apply_non_tso_cutoff t persisted (Prng.in_range rng lo (hi + 2)) rng
@@ -185,5 +401,5 @@ let rec apply_mode t ~persisted mode =
 
 let apply_crash t ~persisted mode =
   apply_mode t ~persisted mode;
-  Hashtbl.reset t.lines;
-  t.pending <- 0
+  t.pending <- 0;
+  reset t

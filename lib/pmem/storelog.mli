@@ -11,12 +11,15 @@
       respect to fence ordering and per-word program order.
 
     The log maps each dirty cache line to its pending stores in program
-    order; a clean line has no entry.  [flush_line] models [clflush]: it
+    order (a chain through flat slab arrays, found through an
+    open-addressed line table); a clean line has no entry.  [flush_line] models [clflush]: it
     applies the line's stores to the persisted image and drops the line,
     so the log's size follows the dirty state, not the number of stores
     ever made.  A background write-back bounds it: past {!high_water}
     pending stores, the oldest are persisted (always a legal persisted
-    state). *)
+    state).  Recording and flushing allocate nothing once the log's
+    arrays have grown; a log that empties gives back arrays a flood
+    grew. *)
 
 type t
 
@@ -90,10 +93,13 @@ val pending_epochs : t -> int list
 val apply_crash : t -> persisted:int array -> crash_mode -> unit
 (** Apply a crash state to [persisted] and clear the log.  [Keep_all]
     is the drain: every pending store persisted.  Randomized modes
-    iterate lines/words in sorted order (never [Hashtbl] order), so for
+    iterate lines/words in sorted order (never table order), so for
     a fixed log content and PRNG seed the resulting image is identical
     across OCaml versions — recorded counterexamples replay
     bit-for-bit. *)
 
 val dirty_lines : t -> int list
 (** Lines with at least one pending store, in no particular order. *)
+
+val dirty_line_count : t -> int
+(** [List.length (dirty_lines t)], in O(1). *)

@@ -449,27 +449,93 @@ let test_storelog_holds_only_dirty () =
   let grown = Obj.reachable_words (Obj.repr a) - before in
   Alcotest.(check bool) (Printf.sprintf "arena grew by %d words" grown) true (grown < 1024)
 
-(* Thread contexts are built on first use: an arena that has only run
-   tid 0 holds one cache simulator, not [max_threads] of them. *)
+(* Thread contexts are built on first use: running tid 1 as well as
+   tid 0 adds one context, which tid 0 alone never built.  The accesses
+   touch a few lines, so no context grows past its fresh size. *)
 let test_contexts_on_demand () =
-  let a = mk () in
-  Arena.write a 100 1;
-  ignore (Arena.read a 200);
-  Arena.flush a 100;
+  let run tids =
+    let a = mk () in
+    List.iter
+      (fun tid ->
+        Arena.set_tid a tid;
+        Arena.write a 100 1;
+        ignore (Arena.read a 200);
+        Arena.flush a 100)
+      tids;
+    Arena.set_tid a 0;
+    Obj.reachable_words (Obj.repr a)
+  in
+  let second = run [ 0; 1 ] - run [ 0 ] in
   let one =
     Obj.reachable_words
       (Obj.repr (Cachesim.create ~capacity:Config.default.Config.cache_lines))
   in
-  let words = Obj.reachable_words (Obj.repr a) in
   Alcotest.(check bool)
-    (Printf.sprintf "arena holds %d words, one context %d" words one)
-    true (words < 2 * one);
-  Alcotest.(check int) "unused tid has zero stats" 0 (Arena.stats a 5).Stats.loads
+    (Printf.sprintf "tid 1 costs %d words, a fresh cache %d" second one)
+    true
+    (one <= second && second < 2 * one);
+  Alcotest.(check int) "unused tid has zero stats" 0 (Arena.stats (mk ()) 5).Stats.loads
+
+(* The charged path allocates nothing once warm: minor words per call,
+   averaged over many calls (the [Gc.minor_words] readings themselves
+   allocate a few words). *)
+let minor_words_per_call f =
+  let n = 100_000 in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_charged_path_allocation_free () =
+  let a = mk ~config:{ Config.default with Config.cache_lines = 64 } () in
+  let line i = Arena.reserved_words + (i mod 128 * Arena.words_per_line) in
+  (* Two lines alternate, so each read hits a line that is not the most
+     recent; 128 lines cycled through a 64-line LRU make every read miss. *)
+  let cases =
+    [
+      ("read hit, same line", fun _ -> ignore (Arena.read a 100));
+      ("read hit", fun i -> ignore (Arena.read a (line (i land 1))));
+      ("read miss", fun i -> ignore (Arena.read a (line i)));
+      ( "write + flush",
+        fun i ->
+          Arena.write a (line i) i;
+          Arena.flush a (line i) );
+    ]
+  in
+  let words = List.map (fun (name, f) -> (name, minor_words_per_call f)) cases in
+  Alcotest.(check bool)
+    (String.concat ", "
+       (List.map (fun (name, w) -> Printf.sprintf "%s: %.2f minor words per call" name w) words))
+    true
+    (List.for_all (fun (_, w) -> w < 0.01) words);
+  Alcotest.(check bool) "reads missed" true ((Arena.stats a 0).Stats.line_misses > 100_000)
+
+(* A flood of pending stores grows the store log; flushing it all gives
+   the memory back. *)
+let test_storelog_shrinks_when_empty () =
+  let fresh = Obj.reachable_words (Obj.repr (mk ())) in
+  let a = mk () in
+  for i = 1 to Storelog.high_water + 1000 do
+    Arena.write a (Arena.reserved_words + (i mod 64)) i
+  done;
+  let peak = Obj.reachable_words (Obj.repr a) - fresh in
+  Arena.flush_range a Arena.reserved_words 64;
+  let left = Obj.reachable_words (Obj.repr a) - fresh in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words over a fresh arena at the peak, %d after the flush" peak left)
+    true
+    (peak > Storelog.high_water && left < 256)
 
 let memory_tests =
   [
     Alcotest.test_case "store log holds only dirty lines" `Quick test_storelog_holds_only_dirty;
     Alcotest.test_case "thread contexts on demand" `Quick test_contexts_on_demand;
+    Alcotest.test_case "charged path allocation-free" `Quick test_charged_path_allocation_free;
+    Alcotest.test_case "store log shrinks when empty" `Quick test_storelog_shrinks_when_empty;
   ]
 
 (* Golden crash images.  A fixed seeded FAST+FAIR insert/delete run,

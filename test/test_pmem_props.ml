@@ -173,6 +173,253 @@ let prop_non_tso_respects_fences =
       done;
       !ok)
 
+(* Differential tests: the flat [Cachesim] and [Storelog] against
+   naive list-based references kept here. *)
+
+(* LRU over a list, most recent first. *)
+module Lru_ref = struct
+  type t = { cap : int; mutable lines : int list; mutable last_miss : int }
+
+  let create cap = { cap; lines = []; last_miss = min_int }
+
+  let access m line =
+    if List.mem line m.lines then begin
+      m.lines <- line :: List.filter (( <> ) line) m.lines;
+      Cachesim.Hit
+    end
+    else begin
+      m.lines <- List.filteri (fun i _ -> i < m.cap) (line :: m.lines);
+      let sequential = line = m.last_miss + 1 in
+      m.last_miss <- line;
+      if sequential then Cachesim.Seq_miss else Cachesim.Miss
+    end
+
+  let clear m =
+    m.lines <- [];
+    m.last_miss <- min_int
+end
+
+(* A line stream over [0, 4 * capacity): random lines, sequential
+   runs, and an occasional clear (-1). *)
+let gen_stream =
+  QCheck.Gen.(
+    int_range 1 64 >>= fun cap ->
+    list_size (int_range 1 600)
+      (frequency
+         [ (8, int_bound ((4 * cap) - 1)); (3, return (-2)); (1, return (-1)) ])
+    >|= fun steps -> (cap, steps))
+
+let prop_cachesim_matches_list_lru =
+  QCheck.Test.make ~count:300 ~name:"Cachesim = list LRU"
+    (QCheck.make gen_stream ~print:(fun (cap, steps) ->
+         Printf.sprintf "cap %d: %s" cap (String.concat " " (List.map string_of_int steps))))
+    (fun (cap, steps) ->
+      let c = Cachesim.create ~capacity:cap and m = Lru_ref.create cap in
+      let prev = ref 0 in
+      List.for_all
+        (fun step ->
+          if step = -1 then begin
+            Cachesim.clear c;
+            Lru_ref.clear m;
+            true
+          end
+          else begin
+            (* -2 continues a sequential run. *)
+            let line = if step = -2 then (!prev + 1) mod (4 * cap) else step in
+            prev := line;
+            Cachesim.access c line = Lru_ref.access m line
+            && List.for_all
+                 (fun l -> Cachesim.resident c l = List.mem l m.lines)
+                 (List.init (4 * cap) Fun.id)
+          end)
+        steps)
+
+(* The list-and-Hashtbl store log that the flat one replaced. *)
+module Log_ref = struct
+  type entry = { seq : int; addr : int; value : int; epoch : int }
+  type t = { lines : (int, entry list ref) Hashtbl.t; mutable next_seq : int; mutable pending : int }
+
+  let create () = { lines = Hashtbl.create 64; next_seq = 0; pending = 0 }
+
+  let apply t persisted e =
+    persisted.(e.addr) <- e.value;
+    t.pending <- t.pending - 1
+
+  let iter_stores t f = Hashtbl.iter (fun _ cell -> List.iter f (List.rev !cell)) t.lines
+  let fold_stores t f acc = Hashtbl.fold (fun _ cell acc -> List.fold_left f acc !cell) t.lines acc
+  let dirty_lines t = List.sort Int.compare (Hashtbl.fold (fun line _ acc -> line :: acc) t.lines [])
+
+  let flush_line t persisted line =
+    match Hashtbl.find_opt t.lines line with
+    | None -> ()
+    | Some cell ->
+        List.iter (apply t persisted) (List.rev !cell);
+        Hashtbl.remove t.lines line
+
+  let evict_to t persisted target =
+    let seqs = List.sort Int.compare (fold_stores t (fun acc e -> e.seq :: acc) []) in
+    let cutoff = List.nth seqs (t.pending - target - 1) in
+    Hashtbl.filter_map_inplace
+      (fun _ cell ->
+        let newer, older = List.partition (fun e -> e.seq > cutoff) !cell in
+        List.iter (apply t persisted) (List.rev older);
+        match newer with
+        | [] -> None
+        | _ ->
+            cell := newer;
+            Some cell)
+      t.lines
+
+  let record t persisted ~addr ~value ~line ~epoch =
+    let e = { seq = t.next_seq; addr; value; epoch } in
+    t.next_seq <- t.next_seq + 1;
+    t.pending <- t.pending + 1;
+    (match Hashtbl.find_opt t.lines line with
+    | Some cell -> cell := e :: !cell
+    | None -> Hashtbl.add t.lines line (ref [ e ]));
+    if t.pending > Storelog.high_water then evict_to t persisted (Storelog.high_water / 2)
+
+  let pending_epochs t = List.sort_uniq Int.compare (fold_stores t (fun acc e -> e.epoch :: acc) [])
+
+  let apply_prefix t persisted rng stores =
+    let k = Prng.int rng (List.length stores + 1) in
+    List.iteri (fun i e -> if i < k then apply t persisted e) stores
+
+  let apply_non_tso_cutoff t persisted cutoff rng =
+    iter_stores t (fun e -> if e.epoch < cutoff then apply t persisted e);
+    let by_word = Hashtbl.create 16 in
+    iter_stores t (fun e ->
+        if e.epoch = cutoff then
+          Hashtbl.replace by_word e.addr
+            (e :: Option.value ~default:[] (Hashtbl.find_opt by_word e.addr)));
+    let words = List.sort Int.compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word []) in
+    List.iter (fun addr -> apply_prefix t persisted rng (List.rev (Hashtbl.find by_word addr))) words
+
+  let rec apply_crash t persisted (mode : Storelog.crash_mode) =
+    match mode with
+    | Keep_none -> ()
+    | Keep_all -> iter_stores t (apply t persisted)
+    | Random_eviction rng ->
+        List.iter
+          (fun line -> apply_prefix t persisted rng (List.rev !(Hashtbl.find t.lines line)))
+          (dirty_lines t)
+    | Non_tso_random rng ->
+        let lo, hi =
+          fold_stores t (fun (lo, hi) e -> (Int.min lo e.epoch, Int.max hi e.epoch)) (max_int, min_int)
+        in
+        if lo <= hi then apply_non_tso_cutoff t persisted (Prng.in_range rng lo (hi + 2)) rng
+    | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t persisted cutoff rng
+    | Media_fault (spec, base) ->
+        apply_crash t persisted base;
+        ignore (Storelog.apply_faults ~persisted spec)
+end
+
+(* A store-log program over 64 lines: stores, fences (the epoch) and
+   line flushes. *)
+type log_step = Record of int * int | Bump_epoch | Flush_line of int
+
+let log_words = 512
+
+let gen_log_program ?(flushes = 3) n =
+  QCheck.Gen.(
+    list_size n
+      (frequency
+         [
+           (12, map2 (fun a v -> Record (a, v + 1)) (int_bound (log_words - 1)) (int_bound 0xffff));
+           (1, return Bump_epoch);
+           (flushes, map (fun l -> Flush_line l) (int_bound ((log_words / 8) - 1)));
+         ]))
+
+(* Run [steps] on both logs, then crash both under every mode built
+   from [seed]; every persisted image and the logs' observable state
+   must agree. *)
+let logs_agree steps seed =
+  let run () =
+    let log = Storelog.create () and p = Array.make log_words 0 in
+    let r = Log_ref.create () and q = Array.make log_words 0 in
+    let epoch = ref 0 in
+    List.iter
+      (function
+        | Record (addr, value) ->
+            Storelog.record log ~persisted:p ~addr ~value ~line:(addr / 8) ~epoch:!epoch;
+            Log_ref.record r q ~addr ~value ~line:(addr / 8) ~epoch:!epoch
+        | Bump_epoch -> incr epoch
+        | Flush_line line ->
+            Storelog.flush_line log ~persisted:p line;
+            Log_ref.flush_line r q line)
+      steps;
+    (log, p, r, q)
+  in
+  let log, p, r, q = run () in
+  let epochs = Storelog.pending_epochs log in
+  let same_state =
+    p = q
+    && Storelog.pending log = r.Log_ref.pending
+    && epochs = Log_ref.pending_epochs r
+    && List.sort Int.compare (Storelog.dirty_lines log) = Log_ref.dirty_lines r
+    && Storelog.dirty_line_count log = List.length (Log_ref.dirty_lines r)
+  in
+  let media base =
+    Storelog.Media_fault
+      ({ Storelog.fault_seed = seed; flip_words = 3; stuck_words = 1; fault_lo = 0; fault_hi = log_words },
+       base)
+  in
+  let modes =
+    [
+      (fun () -> Storelog.Keep_none);
+      (fun () -> Storelog.Keep_all);
+      (fun () -> Storelog.Random_eviction (Prng.create seed));
+      (fun () -> Storelog.Non_tso_random (Prng.create seed));
+      (fun () -> media (Storelog.Random_eviction (Prng.create seed)));
+    ]
+    (* Every pending epoch as a cutoff, or about eight evenly spread. *)
+    @ List.filteri
+        (fun i _ -> i mod max 1 (List.length epochs / 8) = 0)
+        (List.map (fun e () -> Storelog.Non_tso_cutoff (e, Prng.create seed)) epochs)
+  in
+  same_state
+  && List.for_all
+       (fun mode ->
+         let log, p, r, q = run () in
+         Storelog.apply_crash log ~persisted:p (mode ());
+         Log_ref.apply_crash r q (mode ());
+         p = q && Storelog.pending log = 0 && Storelog.dirty_lines log = [])
+       modes
+
+let print_log_program steps =
+  Printf.sprintf "%d steps: %s" (List.length steps)
+    (String.concat ";"
+       (List.filteri (fun i _ -> i < 200)
+          (List.map
+             (function
+               | Record (a, v) -> Printf.sprintf "R(%d,%d)" a v
+               | Bump_epoch -> "mf"
+               | Flush_line l -> Printf.sprintf "F(%d)" l)
+             steps)))
+
+let prop_storelog_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"Storelog = list store log, every crash mode"
+    (QCheck.make ~print:(fun (s, seed) -> Printf.sprintf "seed %d, %s" seed (print_log_program s))
+       QCheck.Gen.(pair (gen_log_program (int_range 1 400)) small_nat))
+    (fun (steps, seed) -> logs_agree steps seed)
+
+(* Past [high_water] pending stores both logs write back the oldest: a
+   flood without flushes crosses the mark, then an ordinary program
+   runs on the written-back log. *)
+let prop_storelog_matches_reference_past_high_water =
+  let h = Storelog.high_water in
+  QCheck.Test.make ~count:3 ~name:"Storelog = list store log past high_water"
+    (QCheck.make ~print:(fun (s, seed) -> Printf.sprintf "seed %d, %s" seed (print_log_program s))
+       QCheck.Gen.(
+         pair
+           (map2 ( @ )
+              (gen_log_program ~flushes:0 (int_range (h * 11 / 10) (h * 3 / 2)))
+              (gen_log_program (int_range 1 400)))
+           small_nat))
+    (fun (steps, seed) ->
+      List.length (List.filter (function Record _ -> true | _ -> false) steps) > h
+      && logs_agree steps seed)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -183,4 +430,7 @@ let suite =
       prop_clone_equivalence;
       prop_drain_then_keep_none_is_identity;
       prop_non_tso_respects_fences;
+      prop_cachesim_matches_list_lru;
+      prop_storelog_matches_reference;
+      prop_storelog_matches_reference_past_high_water;
     ]
