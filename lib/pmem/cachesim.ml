@@ -2,19 +2,16 @@
    Slot 0 is a sentinel head (most recent side); the tail side is
    evicted.  Slots [fresh .. capacity] have held no line since the last
    [clear]: a miss takes the next of them while any is left and evicts
-   the LRU line after that.  All operations are O(1).
+   the LRU line after that.  All operations are O(1) and allocate
+   nothing once the arrays have grown.
 
-   The map is an open-addressed table of slot numbers (0 = empty cell),
-   probed linearly from the line's hash and compared through
-   [line_of], so an access allocates nothing.  The slot arrays and the
-   table grow with the number of resident lines, up to [capacity]:
-   most contexts never fill a full-size cache. *)
+   The slot arrays grow with the number of resident lines, up to
+   [capacity], and so does the map: most contexts never fill a
+   full-size cache. *)
 
 type t = {
   capacity : int;
-  mutable table : int array;
-  mutable mask : int; (* cells - 1; at least twice the slots in use *)
-  mutable shift : int; (* 63 - log2 cells *)
+  table : Linemap.t;
   mutable line_of : int array; (* slot -> line *)
   mutable prev : int array;
   mutable next : int array;
@@ -25,12 +22,6 @@ type t = {
 type outcome = Hit | Miss | Seq_miss
 
 let base_slots = 16
-let base_bits = 5
-
-let set_table t bits =
-  t.table <- Array.make (1 lsl bits) 0;
-  t.mask <- (1 lsl bits) - 1;
-  t.shift <- 63 - bits
 
 let set_slots t n =
   t.line_of <- Array.make n 0;
@@ -41,9 +32,7 @@ let create ~capacity =
   let t =
     {
       capacity = max capacity 1;
-      table = [||];
-      mask = 0;
-      shift = 0;
+      table = Linemap.create ~bits:5;
       line_of = [||];
       prev = [||];
       next = [||];
@@ -51,41 +40,8 @@ let create ~capacity =
       last_miss_line = min_int;
     }
   in
-  set_table t base_bits;
   set_slots t base_slots;
   t
-
-(* Fibonacci hashing: the top bits of the product. *)
-let hash t line = (line * 0x2545F4914F6CDD1D) lsr t.shift
-
-(* The cell holding [line]'s slot, or the empty cell where it would go. *)
-let rec probe table line_of mask line i =
-  let slot = table.(i) in
-  if slot = 0 || line_of.(slot) = line then i
-  else probe table line_of mask line ((i + 1) land mask)
-
-let find t line = probe t.table t.line_of t.mask line (hash t line)
-
-(* Empty cell [i] and shift later cells of its probe run back over the
-   hole (backward-shift deletion: no tombstones). *)
-let delete t i =
-  let table = t.table and mask = t.mask in
-  let hole = ref i and j = ref ((i + 1) land mask) in
-  while table.(!j) <> 0 do
-    let h = hash t t.line_of.(table.(!j)) in
-    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-    if not stays then begin
-      table.(!hole) <- table.(!j);
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  table.(!hole) <- 0
-
-let grow_table t =
-  let old = t.table in
-  set_table t (64 - t.shift);
-  Array.iter (fun slot -> if slot <> 0 then t.table.(find t t.line_of.(slot)) <- slot) old
 
 let grow_slots t =
   let n = Array.length t.line_of in
@@ -115,13 +71,12 @@ let evict_lru t =
   let victim = t.prev.(0) in
   assert (victim <> 0);
   unlink t victim;
-  delete t (find t t.line_of.(victim));
+  ignore (Linemap.remove t.table t.line_of.(victim));
   victim
 
 let lookup t line =
-  let i = find t line in
-  let slot = t.table.(i) in
-  if slot <> 0 then begin
+  let slot = Linemap.get t.table line in
+  if slot <> Linemap.absent then begin
     unlink t slot;
     push_front t slot;
     Hit
@@ -132,15 +87,14 @@ let lookup t line =
       if slot = Array.length t.line_of then grow_slots t;
       t.fresh <- slot + 1;
       t.line_of.(slot) <- line;
-      t.table.(i) <- slot;
       push_front t slot;
-      if 2 * slot > t.mask + 1 then grow_table t
+      Linemap.add t.table line slot
     end
     else begin
       let slot = evict_lru t in
       t.line_of.(slot) <- line;
-      t.table.(find t line) <- slot;
-      push_front t slot
+      push_front t slot;
+      Linemap.add t.table line slot
     end;
     let sequential = line = t.last_miss_line + 1 in
     t.last_miss_line <- line;
@@ -154,9 +108,9 @@ let access t line =
   if first <> 0 && t.line_of.(first) = line then Hit else lookup t line
 
 let clear t =
-  set_table t base_bits;
+  Linemap.clear t.table;
   set_slots t base_slots;
   t.fresh <- 1;
   t.last_miss_line <- min_int
 
-let resident t line = t.table.(find t line) <> 0
+let resident t line = Linemap.get t.table line <> Linemap.absent

@@ -4,13 +4,14 @@ module Prng = Ff_util.Prng
    [addr.(s)], [value.(s)] and [epoch.(s)], and [seq.(s)] numbers it in
    program order across lines (only the high-water write-back reads
    it).  [next.(s)] chains a line's stores in program order, or links
-   the free list while [s] is unused.  An open-addressed table maps each
-   dirty line to the head and tail of its chain, so a clean line has no
-   cell and the log holds the dirty state and nothing else.  Once the
-   arrays have grown, neither [record] nor [flush_line] allocates.
+   the free list while [s] is unused, and [tail.(s)] is the last store
+   of the chain that [s] heads.  A {!Linemap} maps each dirty line to
+   the head of its chain, so a clean line has no cell and the log holds
+   the dirty state and nothing else.  Once the arrays have grown,
+   neither [record] nor [flush_line] allocates.
 
-   Probes and chain walks are top-level functions: a local recursive
-   function that captures variables allocates a closure per call. *)
+   Chain walks are top-level functions: a local recursive function
+   that captures variables allocates a closure per call. *)
 
 type t = {
   mutable addr : int array;
@@ -18,25 +19,17 @@ type t = {
   mutable epoch : int array;
   mutable seq : int array;
   mutable next : int array;
+  mutable tail : int array;
   mutable free : int; (* first free slot, [nil] if none *)
   mutable used : int; (* slots [used ..] have never been handed out *)
-  (* Cell [i] is [table.(3i)] = line ([empty] if none), [table.(3i+1)]
-     = head store, [table.(3i+2)] = tail store.  Linear probing from
-     the line's hash, backward-shift deletion, at most half full. *)
-  mutable table : int array;
-  mutable mask : int; (* cells - 1 *)
-  mutable shift : int; (* 63 - log2 cells *)
-  mutable lines : int;
-  mutable last : int; (* the cell [record] last used: a hint, checked before use *)
+  table : Linemap.t; (* dirty line -> head store *)
   mutable next_seq : int;
   mutable pending : int;
 }
 
 let high_water = 1 lsl 16
 let nil = -1
-let empty = -1 (* lines are non-negative *)
 let base_slots = 64
-let base_bits = 6
 
 (* A log that empties gives back arrays grown past this many entries,
    so a flood of pending stores does not keep the arena large. *)
@@ -48,14 +41,9 @@ let set_slab t n =
   t.epoch <- Array.make n 0;
   t.seq <- Array.make n 0;
   t.next <- Array.make n nil;
+  t.tail <- Array.make n nil;
   t.free <- nil;
   t.used <- 0
-
-let set_table t bits =
-  t.table <- Array.make (3 lsl bits) empty;
-  t.mask <- (1 lsl bits) - 1;
-  t.shift <- 63 - bits;
-  t.lines <- 0
 
 let create () =
   let t =
@@ -65,67 +53,19 @@ let create () =
       epoch = [||];
       seq = [||];
       next = [||];
+      tail = [||];
       free = nil;
       used = 0;
-      table = [||];
-      mask = 0;
-      shift = 0;
-      lines = 0;
-      last = 0;
+      table = Linemap.create ~bits:6;
       next_seq = 0;
       pending = 0;
     }
   in
   set_slab t base_slots;
-  set_table t base_bits;
   t
 
 let pending t = t.pending
-let dirty_line_count t = t.lines
-
-(* Fibonacci hashing: the top bits of the product. *)
-let hash t line = (line * 0x2545F4914F6CDD1D) lsr t.shift
-
-(* The cell holding [line], or the empty cell where it would go. *)
-let rec probe table mask line i =
-  let k = table.(3 * i) in
-  if k = line || k = empty then i else probe table mask line ((i + 1) land mask)
-
-let find t line = probe t.table t.mask line (hash t line)
-
-(* Empty cell [i] and shift later cells of its probe run back over the
-   hole, so every line stays reachable from its hash without
-   tombstones. *)
-let delete t i =
-  let table = t.table and mask = t.mask in
-  let hole = ref i and j = ref ((i + 1) land mask) in
-  while table.(3 * !j) <> empty do
-    let h = hash t table.(3 * !j) in
-    (* The line at [j] may fill the hole unless its home lies
-       cyclically in (hole, j]. *)
-    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-    if not stays then begin
-      table.(3 * !hole) <- table.(3 * !j);
-      table.((3 * !hole) + 1) <- table.((3 * !j) + 1);
-      table.((3 * !hole) + 2) <- table.((3 * !j) + 2);
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  table.(3 * !hole) <- empty;
-  t.lines <- t.lines - 1
-
-let grow_table t =
-  let old = t.table in
-  set_table t (64 - t.shift);
-  for c = 0 to (Array.length old / 3) - 1 do
-    let line = old.(3 * c) in
-    if line <> empty then begin
-      let i = find t line in
-      Array.blit old (3 * c) t.table (3 * i) 3;
-      t.lines <- t.lines + 1
-    end
-  done
+let dirty_line_count t = Linemap.length t.table
 
 let grow_slab t =
   let n = Array.length t.addr in
@@ -138,7 +78,8 @@ let grow_slab t =
   t.value <- extend t.value 0;
   t.epoch <- extend t.epoch 0;
   t.seq <- extend t.seq 0;
-  t.next <- extend t.next nil
+  t.next <- extend t.next nil;
+  t.tail <- extend t.tail nil
 
 let alloc_slot t =
   let s = t.free in
@@ -179,17 +120,12 @@ let reset t =
     t.free <- nil;
     t.used <- 0
   end;
-  if t.mask >= shrink_above then set_table t base_bits
-  else if t.lines > 0 then begin
-    Array.fill t.table 0 (Array.length t.table) empty;
-    t.lines <- 0
-  end
+  Linemap.clear t.table
 
 let flush_line t ~persisted line =
-  let i = find t line in
-  if t.table.(3 * i) = line then begin
-    ignore (apply_upto t persisted max_int t.table.((3 * i) + 1));
-    delete t i;
+  let head = Linemap.remove t.table line in
+  if head <> Linemap.absent then begin
+    ignore (apply_upto t persisted max_int head);
     if t.pending = 0 then reset t
   end
 
@@ -197,9 +133,9 @@ let flush_line t ~persisted line =
    [iter_stores] visits each line's stores in program order, in table
    order across lines. *)
 let iter_stores t f =
-  for i = 0 to t.mask do
-    if t.table.(3 * i) <> empty then begin
-      let s = ref t.table.((3 * i) + 1) in
+  for i = 0 to Linemap.cells t.table - 1 do
+    if Linemap.key t.table i <> Linemap.empty then begin
+      let s = ref (Linemap.value t.table i) in
       while !s <> nil do
         f !s;
         s := t.next.(!s)
@@ -214,9 +150,9 @@ let fold_stores t f acc =
 
 let dirty_lines t =
   let acc = ref [] in
-  for i = 0 to t.mask do
-    let line = t.table.(3 * i) in
-    if line <> empty then acc := line :: !acc
+  for i = 0 to Linemap.cells t.table - 1 do
+    let line = Linemap.key t.table i in
+    if line <> Linemap.empty then acc := line :: !acc
   done;
   !acc
 
@@ -255,16 +191,20 @@ let evict_to t ~persisted ~target =
   let cutoff = select seqs (t.pending - target - 1) in
   let table = t.table in
   let i = ref 0 in
-  while !i <= t.mask do
-    if table.(3 * !i) = empty then incr i
+  while !i < Linemap.cells table do
+    if Linemap.key table !i = Linemap.empty then incr i
     else begin
-      let head = apply_upto t persisted cutoff table.((3 * !i) + 1) in
-      (* A deletion shifts a later cell into [i]: look at [i] again.
+      let old = Linemap.value table !i in
+      let head = apply_upto t persisted cutoff old in
+      (* A removal shifts a later cell into [i]: look at [i] again.
          A cell that wraps around from the front is looked at twice,
          which is harmless: its stores are all newer than [cutoff]. *)
-      if head = nil then delete t !i
+      if head = nil then Linemap.remove_at table !i
       else begin
-        table.((3 * !i) + 1) <- head;
+        if head <> old then begin
+          t.tail.(head) <- t.tail.(old);
+          Linemap.set_value table !i head
+        end;
         incr i
       end
     end
@@ -284,21 +224,14 @@ let record t ~persisted ~addr ~value ~line ~epoch =
   t.next.(s) <- nil;
   t.next_seq <- t.next_seq + 1;
   t.pending <- t.pending + 1;
-  (* Stores come in runs to one line (a node's words, a shift). *)
-  let c = t.last in
-  let table = t.table in
-  let i = if c <= t.mask && table.(3 * c) = line then c else find t line in
-  t.last <- i;
-  if table.(3 * i) = line then begin
-    t.next.(table.((3 * i) + 2)) <- s;
-    table.((3 * i) + 2) <- s
+  let head = Linemap.get t.table line in
+  if head <> Linemap.absent then begin
+    t.next.(t.tail.(head)) <- s;
+    t.tail.(head) <- s
   end
   else begin
-    table.(3 * i) <- line;
-    table.((3 * i) + 1) <- s;
-    table.((3 * i) + 2) <- s;
-    t.lines <- t.lines + 1;
-    if 2 * t.lines > t.mask + 1 then grow_table t
+    t.tail.(s) <- s;
+    Linemap.add t.table line s
   end
 
 type fault_spec = {
@@ -371,7 +304,7 @@ let apply_non_tso_cutoff t persisted cutoff rng =
 
 let chain t line =
   let rec go s = if s = nil then [] else s :: go t.next.(s) in
-  go t.table.((3 * find t line) + 1)
+  go (Linemap.get t.table line)
 
 let rec apply_mode t ~persisted mode =
   match mode with
