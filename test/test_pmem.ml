@@ -650,6 +650,81 @@ let golden =
 let test_golden_crash_images () =
   Alcotest.(check (list (pair string string))) "crash image digests" golden (golden_digests ())
 
+(* The paths that touch pending stores without a power failure: saving
+   the image, poisoning a dirty line, cloning.  [golden_run] leaves the
+   scratch window's lines dirty, so the poisoned line has pending
+   stores. *)
+let pending_digests () =
+  let saved =
+    let a = golden_run () in
+    let path = Filename.temp_file "golden" ".img" in
+    Arena.save_to_file a path;
+    let b = Arena.load_from_file path in
+    Sys.remove path;
+    (* Saving leaves the pending stores pending. *)
+    Arena.power_fail a Storelog.Keep_all;
+    Alcotest.(check string) "keep_all after save" (List.assoc "keep_all" golden) (image_digest a);
+    image_digest b
+  in
+  let poisoned mode =
+    let a = golden_run () in
+    Arena.poison_line a ((golden_scratch / Arena.words_per_line) + 2);
+    Arena.power_fail a mode;
+    image_digest a
+  in
+  let cloned =
+    let c = Arena.clone (golden_run ()) in
+    Alcotest.(check bool) "clone's images agree" true
+      (List.for_all
+         (fun i -> Arena.peek c i = Arena.peek_persisted c i)
+         (List.init golden_words Fun.id));
+    let r = Prng.create 17 in
+    for i = 1 to 40 do
+      Arena.write c (golden_scratch + Prng.int r 64) (-i)
+    done;
+    Arena.power_fail c (Storelog.Random_eviction (Prng.create 9));
+    image_digest c
+  in
+  let media =
+    {
+      Storelog.fault_seed = 98;
+      flip_words = 4;
+      stuck_words = 1;
+      fault_lo = Arena.reserved_words;
+      fault_hi = golden_words;
+    }
+  in
+  [
+    ("save_to_file", saved);
+    ("poison keep_none", poisoned Storelog.Keep_none);
+    ("poison keep_all", poisoned Storelog.Keep_all);
+    ("poison random_eviction", poisoned (Storelog.Random_eviction (Prng.create 3)));
+    ("poison non_tso_random", poisoned (Storelog.Non_tso_random (Prng.create 4)));
+    ("poison non_tso_cutoff", poisoned (Storelog.Non_tso_cutoff (60, Prng.create 5)));
+    ( "poison media_fault",
+      poisoned (Storelog.Media_fault (media, Storelog.Random_eviction (Prng.create 6))) );
+    ("clone", cloned);
+  ]
+
+let golden_pending =
+  [
+    ("save_to_file", "0d26a69306fbc432f56b0fb0ca0a358b");
+    ("poison keep_none", "da8d64b1bd531ceab81c393901e05f4b");
+    ("poison keep_all", "c1bdefe8968a6fe04c29d5c7bfed49a6");
+    ("poison random_eviction", "eb86d2a075b0572a39c515099ddffe29");
+    ("poison non_tso_random", "91ca83b74bce97c8498c38b2202a1b8c");
+    ("poison non_tso_cutoff", "51b1eb38715484f8e68d6898862e6f34");
+    ("poison media_fault", "c9e2bd78dedd94ac5d1ee356a7fac5b3");
+    ("clone", "72d4dac68388a6d68e3c808156e0161f");
+  ]
+
+let test_golden_pending_images () =
+  Alcotest.(check (list (pair string string)))
+    "pending-store image digests" golden_pending (pending_digests ())
+
 let suite =
   suite @ file_tests @ memory_tests
-  @ [ Alcotest.test_case "golden crash images" `Quick test_golden_crash_images ]
+  @ [
+      Alcotest.test_case "golden crash images" `Quick test_golden_crash_images;
+      Alcotest.test_case "golden pending-store images" `Quick test_golden_pending_images;
+    ]

@@ -147,6 +147,39 @@ let prop_drain_then_keep_none_is_identity =
       Array.for_all (fun i -> Arena.read a (base + i) = snapshot.(i))
         (Array.init 64 (fun i -> i)))
 
+(* [peek_persisted] is the image a crash that loses every pending store
+   leaves, and [peek] the one a crash that keeps them all leaves, also
+   after a flood of unflushed stores past the store log's high-water
+   mark has written the oldest back. *)
+let prop_peeks_predict_crash_images =
+  let h = Storelog.high_water in
+  QCheck.Test.make ~count:40 ~name:"peek_persisted and peek predict Keep_none and Keep_all"
+    QCheck.(
+      triple arbitrary_program
+        (make
+           ~print:(Printf.sprintf "flood of %d")
+           Gen.(frequency [ (3, return 0); (1, int_range (h + 1) (h * 3 / 2)) ]))
+        small_nat)
+    (fun (steps, flood, seed) ->
+      let words = 4096 in
+      let run () =
+        let a = Arena.create ~words () in
+        let r = Prng.create seed in
+        for i = 1 to flood do
+          Arena.write a (base + Prng.int r 64) i;
+          if i mod 1000 = 0 then Arena.fence a
+        done;
+        run_program a steps;
+        a
+      in
+      let agree mode view =
+        let a = run () in
+        let before = Array.init words (view a) in
+        Arena.power_fail a mode;
+        Array.for_all Fun.id (Array.init words (fun i -> Arena.peek a i = before.(i)))
+      in
+      agree Storelog.Keep_none Arena.peek_persisted && agree Storelog.Keep_all Arena.peek)
+
 (* Non-TSO: a fenced store sequence to distinct words can only persist
    downward-closed cuts. *)
 let prop_non_tso_respects_fences =
@@ -429,6 +462,7 @@ let suite =
       prop_random_eviction_per_word_monotone;
       prop_clone_equivalence;
       prop_drain_then_keep_none_is_identity;
+      prop_peeks_predict_crash_images;
       prop_non_tso_respects_fences;
       prop_cachesim_matches_list_lru;
       prop_storelog_matches_reference;
