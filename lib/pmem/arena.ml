@@ -56,8 +56,9 @@ let new_ctx config =
 
 type t = {
   config : Config.t;
-  volatile : int array;
-  persisted : int array;
+  (* What the CPU sees; the persisted state is this image rolled back
+     through [log]. *)
+  image : int array;
   log : Storelog.t;
   (* A thread's context is built on its first use: most arenas only
      ever run tid 0. *)
@@ -95,14 +96,13 @@ type t = {
 let round_to_lines words = (words + words_per_line - 1) / words_per_line * words_per_line
 
 (* The fresh state that [create], [clone] and [load_from_file] start from. *)
-let make config ~volatile ~persisted =
+let make config ~image =
   let ctx = new_ctx config in
   let ctxs = Array.make config.Config.max_threads None in
   ctxs.(0) <- Some ctx;
   {
     config;
-    volatile;
-    persisted;
+    image;
     log = Storelog.create ();
     ctxs;
     cur = 0;
@@ -131,10 +131,10 @@ let make config ~volatile ~persisted =
 
 let create ?(config = Config.default) ~words () =
   let words = round_to_lines words in
-  make config ~volatile:(Array.make words 0) ~persisted:(Array.make words 0)
+  make config ~image:(Array.make words 0)
 
 let config t = t.config
-let capacity t = Array.length t.volatile
+let capacity t = Array.length t.image
 
 let set_tid t tid =
   assert (tid >= 0 && tid < Array.length t.ctxs);
@@ -188,7 +188,7 @@ let charge_fence t ns =
 let line_of addr = addr / words_per_line
 
 let check addr t =
-  if addr < 0 || addr >= Array.length t.volatile then
+  if addr < 0 || addr >= Array.length t.image then
     invalid_arg (Printf.sprintf "Arena: address %d out of bounds" addr)
 
 let read t addr =
@@ -215,7 +215,7 @@ let read t addr =
     t.fs_media_reads <- t.fs_media_reads + 1;
     raise (Media_error addr)
   end;
-  t.volatile.(addr)
+  t.image.(addr)
 
 let maybe_crash_on_store t =
   match t.plan with
@@ -235,7 +235,8 @@ let write t addr v =
   let ctx = t.ctx in
   let s = ctx.stats in
   s.Stats.stores <- s.Stats.stores + 1;
-  t.volatile.(addr) <- v;
+  let undo = t.image.(addr) in
+  t.image.(addr) <- v;
   let line = line_of addr in
   (* Overwriting a poisoned line repairs it (the model's analogue of a
      full-line write clearing the platform poison bit). *)
@@ -245,7 +246,7 @@ let write t addr v =
   end;
   (* Write-allocate: the line is resident after the store. *)
   ignore (Cachesim.access ctx.cache line);
-  Storelog.record t.log ~persisted:t.persisted ~addr ~value:v ~line ~epoch:t.epoch;
+  Storelog.record t.log ~addr ~value:v ~undo ~line ~epoch:t.epoch;
   charge t t.config.Config.store_ns
 
 let fence t =
@@ -270,13 +271,12 @@ let flush t addr =
   (* Fault injection: an elided flush performs all the accounting of a
      real one (events, counters, cost, epoch) but leaves the stores in
      the volatile cache — the bug pattern of a forgotten clflush. *)
-  if not t.elide_flush then
-    Storelog.flush_line t.log ~persisted:t.persisted (line_of addr);
+  if not t.elide_flush then Storelog.flush_line t.log (line_of addr);
   if t.group then
     (* Group-flush scope: the line is written back asynchronously
        ([clwb]), so no fence is implied and the write latency overlaps
        with other in-flight write-backs at the MLP discount.  The
-       persisted image is updated immediately, which is a legal (and
+       line's stores persist immediately, which is a legal (and
        conservative) TSO state — durability is only *guaranteed* at the
        closing [group_end] fence, so crash semantics are unchanged. *)
     charge_flush t
@@ -312,11 +312,11 @@ let in_group t = t.group
 
 let peek t addr =
   check addr t;
-  t.volatile.(addr)
+  t.image.(addr)
 
 let peek_persisted t addr =
   check addr t;
-  t.persisted.(addr)
+  Storelog.persisted t.log ~image:t.image ~line:(line_of addr) addr
 
 (* Allocation: line-aligned bump pointer with per-size free lists.
    Allocator metadata is volatile; recovery re-derives reachability
@@ -332,7 +332,7 @@ let alloc_raw t words =
       addr
   | Some [] | None ->
       let addr = t.bump in
-      if addr + words > Array.length t.volatile then raise Out_of_memory;
+      if addr + words > Array.length t.image then raise Out_of_memory;
       t.bump <- addr + words;
       Hashtbl.replace t.live_blocks addr words;
       addr
@@ -418,9 +418,10 @@ let root_set t slot v =
 (* Media faults                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Poisoning scrambles the line in BOTH images with seed-derived
-   garbage: repair code cannot cheat by peeking the old contents — it
-   must re-derive them from surviving structure. *)
+(* Poisoning scrambles the line with seed-derived garbage, in the image
+   and in the persisted state its pending stores roll back to: repair
+   code cannot cheat by peeking the old contents — it must re-derive
+   them from surviving structure. *)
 let scramble_mult = 0x2545F4914F6CDD1D
 
 let poison_line t line =
@@ -432,10 +433,9 @@ let poison_line t line =
     t.fs_poisoned <- t.fs_poisoned + 1;
     let rng = Prng.create (line * scramble_mult) in
     for w = addr to addr + words_per_line - 1 do
-      let v = Prng.next rng in
-      t.volatile.(w) <- v;
-      t.persisted.(w) <- v
-    done
+      t.image.(w) <- Prng.next rng
+    done;
+    Storelog.rebase_line t.log ~image:t.image line
   end
 
 let is_poisoned t addr =
@@ -484,10 +484,9 @@ let inject_faults t p =
         fault_hi = t.bump;
       }
     in
-    let faults = Storelog.apply_faults ~persisted:t.persisted spec in
+    let faults = Storelog.apply_faults ~image:t.image spec in
     List.iter
       (fun (kind, addr) ->
-        t.volatile.(addr) <- t.persisted.(addr);
         match kind with
         | `Flip ->
             t.fs_flipped <- t.fs_flipped + 1;
@@ -507,8 +506,7 @@ let pending_epochs t = Storelog.pending_epochs t.log
 
 let power_fail t mode =
   (match t.sink with None -> () | Some s -> s.ev_crash ());
-  Storelog.apply_crash t.log ~persisted:t.persisted mode;
-  Array.blit t.persisted 0 t.volatile 0 (Array.length t.persisted);
+  Storelog.apply_crash t.log ~image:t.image mode;
   iter_ctxs t (fun c -> Cachesim.clear c.cache);
   t.plan <- Never;
   t.group <- false;
@@ -528,12 +526,12 @@ let power_fail t mode =
   (match t.fplan with None -> () | Some p -> inject_faults t p);
   t.fplan <- None
 
-let drain t = Storelog.apply_crash t.log ~persisted:t.persisted Storelog.Keep_all
+let drain t = Storelog.drain t.log
 
 let clone t =
   drain t;
   {
-    (make t.config ~volatile:(Array.copy t.volatile) ~persisted:(Array.copy t.persisted)) with
+    (make t.config ~image:(Array.copy t.image)) with
     epoch = t.epoch;
     stores = t.stores;
     flushes = t.flushes;
@@ -582,10 +580,12 @@ let forget_allocations t =
 let magic = 0xFA57FA12
 
 let save_to_file t path =
+  let persisted = Array.copy t.image in
+  Storelog.roll_back t.log ~image:persisted;
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> Marshal.to_channel oc (magic, Array.length t.persisted, t.bump, t.persisted) [])
+    (fun () -> Marshal.to_channel oc (magic, Array.length persisted, t.bump, persisted) [])
 
 let load_from_file ?(config = Config.default) path =
   let ic = open_in_bin path in
@@ -596,7 +596,6 @@ let load_from_file ?(config = Config.default) path =
   in
   if m <> magic then invalid_arg "Arena.load_from_file: not an arena image";
   let t = create ~config ~words () in
-  Array.blit persisted 0 t.persisted 0 (min words (Array.length t.persisted));
-  Array.blit persisted 0 t.volatile 0 (min words (Array.length t.volatile));
+  Array.blit persisted 0 t.image 0 (min words (Array.length t.image));
   t.bump <- max bump reserved_words;
   t

@@ -4,14 +4,17 @@
     OCaml 5 stores without tearing — the paper's 8-byte failure-atomic
     store granularity).  A cache line is {!words_per_line} words.
 
-    Two images are kept: the {e volatile} image (what the CPU sees,
-    always current) and the {e persisted} image (what PM holds).  A
-    {!write} updates the volatile image and logs the store as pending;
-    {!flush} ([clflush] + [mfence] in the paper's pseudo-code) persists
-    the pending stores of one line.  {!power_fail} discards the
-    volatile image after applying a {!Storelog.crash_mode} — this is
-    how crash experiments enumerate every transient state the paper's
-    Section III argues readers must tolerate.
+    One image is kept: what the CPU sees, always current.  What PM
+    holds, the {e persisted} image, differs from it only on words with
+    pending stores, so it is not kept: a {!write} updates the image and
+    logs the store as pending together with the word's old value, and
+    the persisted image is the image with those stores undone (see
+    {!Storelog}).  {!flush} ([clflush] + [mfence] in the paper's
+    pseudo-code) persists the pending stores of one line.
+    {!power_fail} rolls the image back and applies a
+    {!Storelog.crash_mode} — this is how crash experiments enumerate
+    every transient state the paper's Section III argues readers must
+    tolerate.
 
     Every access charges simulated nanoseconds to the current thread
     context according to {!Config.t}: LLC misses cost the PM read
@@ -105,10 +108,10 @@ val event_sink : t -> event_sink option
 (** {1 Memory operations} *)
 
 val read : t -> int -> int
-(** Charged word load from the volatile image. *)
+(** Charged word load from the image. *)
 
 val write : t -> int -> int -> unit
-(** Charged, failure-atomic word store (volatile image + store log). *)
+(** Charged, failure-atomic word store (image + store log). *)
 
 val flush : t -> int -> unit
 (** [clflush_with_mfence] of the line containing the address. *)
@@ -129,8 +132,8 @@ val cpu_work : t -> int -> unit
 (** {1 Group flush}
 
     Inside a group-flush scope every {!flush} behaves like [clwb]
-    instead of [clflush_with_mfence]: the line is still written back to
-    the persisted image immediately (a legal TSO state, so crash
+    instead of [clflush_with_mfence]: the line's stores still persist
+    immediately (a legal TSO state, so crash
     semantics are unchanged and every crash-sweep result carries over),
     but no fence is implied — the write-back cost overlaps with other
     in-flight write-backs at the MLP discount and no per-flush fence is
@@ -149,10 +152,13 @@ val group_end : t -> unit
 val in_group : t -> bool
 
 val peek : t -> int -> int
-(** Uncharged volatile read (checkers and debugging only). *)
+(** Uncharged read of the image (checkers and debugging only). *)
 
 val peek_persisted : t -> int -> int
-(** Uncharged read of the persisted image. *)
+(** Uncharged read of the persisted image: the value the word's oldest
+    pending store overwrote, or the image word if it has none — what a
+    {!Storelog.Keep_none} power failure would leave.  O(pending stores
+    of the word's line). *)
 
 (** {1 Allocation} *)
 
@@ -249,9 +255,10 @@ val set_flush_elision : t -> bool -> unit
     by {!clone}. *)
 
 val power_fail : t -> Storelog.crash_mode -> unit
-(** Apply a crash state to the persisted image, then reset the
-    volatile image to it, clear caches and the store log, and disarm
-    the crash plan.  Free lists and the live-block table are also
+(** Turn the image into a crash state: roll every dirty line back to
+    its persisted contents and apply the pending stores the mode keeps
+    ({!Storelog.apply_crash}, O(pending stores), not O(capacity)).
+    Then clear caches and the store log, and disarm the crash plan.  Free lists and the live-block table are also
     dropped (allocator metadata is volatile, as across
     {!save_to_file}/{!load_from_file}), and an armed {!fault_plan}
     fires on the post-crash image before disarming.  Execution can
@@ -263,8 +270,9 @@ val power_fail : t -> Storelog.crash_mode -> unit
     Arm a {!fault_plan} and the next {!power_fail} poisons whole cache
     lines (subsequent charged reads raise {!Media_error}) and injects
     bit flips / stuck words via {!Storelog.Media_fault}.  Poisoning
-    scrambles the line's contents in both images with seed-derived
-    garbage, so repair code must re-derive the data from surviving
+    scrambles the line's contents with seed-derived garbage, in the
+    image and in the persisted state its pending stores would roll
+    back to, so repair code must re-derive the data from surviving
     structure rather than peek at it.  An ordinary {!write} to a
     poisoned line clears the poison (the full-line-overwrite repair of
     real platforms).  Poison survives further power failures but is
@@ -316,7 +324,8 @@ val poisoned_lines : t -> int list
 
 val drain : t -> unit
 (** Quiesce: persist all pending stores (legal under TSO — it is the
-    all-lines-evicted state, {!Storelog.Keep_all}).  {!clone} drains
+    all-lines-evicted state, {!Storelog.Keep_all}).  The image already
+    holds them, so this only empties the store log.  {!clone} drains
     first. *)
 
 val forget_allocations : t -> unit
@@ -329,8 +338,8 @@ val forget_allocations : t -> unit
 val clone : t -> t
 (** Deep copy for crash-point enumeration.  Drains [t] first, then
     builds the copy with the same constructor as {!create} and carries
-    over both images, the store/flush/epoch counters, the allocator
-    state and the poisoned lines.  Everything else starts fresh: an
+    over the image (one array copy), the store/flush/epoch counters,
+    the allocator state and the poisoned lines.  Everything else starts fresh: an
     empty store log, tid 0's context only with zeroed statistics, and
     no crash plan, fault plan, event sink or yield hook. *)
 
@@ -345,11 +354,12 @@ val dirty_line_count : t -> int
     power failure. *)
 
 val save_to_file : t -> string -> unit
-(** Serialize the persisted image (pending stores are NOT included —
-    call {!drain} first if you want them). *)
+(** Serialize the persisted image: a copy of the image rolled back
+    through the store log (pending stores are NOT included — call
+    {!drain} first if you want them; the arena is not changed). *)
 
 val load_from_file : ?config:Config.t -> string -> t
-(** Recreate an arena whose volatile and persisted images both equal
-    the saved persisted image (i.e. the post-crash, post-power-on
-    state).  Allocation metadata (bump pointer) is restored; free
-    lists are not (they are volatile, as on real PM). *)
+(** Recreate an arena whose image equals the saved persisted image
+    (i.e. the post-crash, post-power-on state).  Allocation metadata
+    (bump pointer) is restored; free lists are not (they are volatile,
+    as on real PM). *)

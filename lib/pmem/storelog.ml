@@ -1,9 +1,11 @@
 module Prng = Ff_util.Prng
 
-(* Pending stores live in a slab of parallel int arrays: store [s] is
-   [addr.(s)], [value.(s)] and [epoch.(s)], and [seq.(s)] numbers it in
-   program order across lines (only the high-water write-back reads
-   it).  [next.(s)] chains a line's stores in program order, or links
+(* The arena keeps one image, which already holds every store; the log
+   keeps what a crash can still take back.  Pending stores live in a
+   slab of parallel int arrays: store [s] is [addr.(s)], [value.(s)]
+   and [epoch.(s)], [undo.(s)] is its word's value just before it, and
+   [seq.(s)] numbers it in program order across lines (only the
+   high-water write-back reads it).  [next.(s)] chains a line's stores in program order, or links
    the free list while [s] is unused, and [tail.(s)] is the last store
    of the chain that [s] heads.  A {!Linemap} maps each dirty line to
    the head of its chain, so a clean line has no cell and the log holds
@@ -16,6 +18,7 @@ module Prng = Ff_util.Prng
 type t = {
   mutable addr : int array;
   mutable value : int array;
+  mutable undo : int array;
   mutable epoch : int array;
   mutable seq : int array;
   mutable next : int array;
@@ -38,6 +41,7 @@ let shrink_above = 1024
 let set_slab t n =
   t.addr <- Array.make n 0;
   t.value <- Array.make n 0;
+  t.undo <- Array.make n 0;
   t.epoch <- Array.make n 0;
   t.seq <- Array.make n 0;
   t.next <- Array.make n nil;
@@ -50,6 +54,7 @@ let create () =
     {
       addr = [||];
       value = [||];
+      undo = [||];
       epoch = [||];
       seq = [||];
       next = [||];
@@ -76,6 +81,7 @@ let grow_slab t =
   in
   t.addr <- extend t.addr 0;
   t.value <- extend t.value 0;
+  t.undo <- extend t.undo 0;
   t.epoch <- extend t.epoch 0;
   t.seq <- extend t.seq 0;
   t.next <- extend t.next nil;
@@ -93,23 +99,23 @@ let alloc_slot t =
     t.used - 1
   end
 
-let apply t persisted s = persisted.(t.addr.(s)) <- t.value.(s)
+let apply t image s = image.(t.addr.(s)) <- t.value.(s)
 
-(* Persist store [s] and put its slot on the free list. *)
-let release t persisted s =
-  apply t persisted s;
+(* Persist store [s]: the image already holds it, so only its slot goes
+   back on the free list. *)
+let release t s =
   t.next.(s) <- t.free;
   t.free <- s;
   t.pending <- t.pending - 1
 
 (* Persist the chain from [s] up to the first store newer than
    [cutoff]; return that store, or [nil]. *)
-let rec apply_upto t persisted cutoff s =
+let rec release_upto t cutoff s =
   if s = nil || t.seq.(s) > cutoff then s
   else begin
     let n = t.next.(s) in
-    release t persisted s;
-    apply_upto t persisted cutoff n
+    release t s;
+    release_upto t cutoff n
   end
 
 (* An empty log starts over from the first slot, and gives back arrays
@@ -122,12 +128,44 @@ let reset t =
   end;
   Linemap.clear t.table
 
-let flush_line t ~persisted line =
+let flush_line t line =
   let head = Linemap.remove t.table line in
   if head <> Linemap.absent then begin
-    ignore (apply_upto t persisted max_int head);
+    ignore (release_upto t max_int head);
     if t.pending = 0 then reset t
   end
+
+let drain t =
+  t.pending <- 0;
+  reset t
+
+(* A word's persisted value is the undo value of its oldest pending
+   store, or the image word if it has none. *)
+let rec first_undo t image addr s =
+  if s = nil then image.(addr)
+  else if t.addr.(s) = addr then t.undo.(s)
+  else first_undo t image addr t.next.(s)
+
+let persisted t ~image ~line addr = first_undo t image addr (Linemap.get t.table line)
+
+(* The chain from [s], newest store first. *)
+let rec rev_chain t s acc = if s = nil then acc else rev_chain t t.next.(s) (s :: acc)
+
+let roll_back t ~image =
+  for i = 0 to Linemap.cells t.table - 1 do
+    if Linemap.key t.table i <> Linemap.empty then
+      List.iter
+        (fun s -> image.(t.addr.(s)) <- t.undo.(s))
+        (rev_chain t (Linemap.value t.table i) [])
+  done
+
+let rec rebase_from t image s =
+  if s <> nil then begin
+    t.undo.(s) <- image.(t.addr.(s));
+    rebase_from t image t.next.(s)
+  end
+
+let rebase_line t ~image line = rebase_from t image (Linemap.get t.table line)
 
 (* Lines hold disjoint words, so only the order within a line matters:
    [iter_stores] visits each line's stores in program order, in table
@@ -185,7 +223,7 @@ let select (a : int array) k =
    not sorted for: a bulk load that flushes only at the end crosses the
    mark every [high_water / 2] stores, and a sort per crossing doubled
    its host time. *)
-let evict_to t ~persisted ~target =
+let evict_to t ~target =
   let seqs = Array.make t.pending 0 in
   ignore (fold_stores t (fun i s -> seqs.(i) <- t.seq.(s); i + 1) 0);
   let cutoff = select seqs (t.pending - target - 1) in
@@ -195,7 +233,7 @@ let evict_to t ~persisted ~target =
     if Linemap.key table !i = Linemap.empty then incr i
     else begin
       let old = Linemap.value table !i in
-      let head = apply_upto t persisted cutoff old in
+      let head = release_upto t cutoff old in
       (* A removal shifts a later cell into [i]: look at [i] again.
          A cell that wraps around from the front is looked at twice,
          which is harmless: its stores are all newer than [cutoff]. *)
@@ -214,11 +252,12 @@ let evict_to t ~persisted ~target =
    back the oldest until half remain counting itself: the same stores
    persist as if it were logged first, and the slab never holds more
    than [high_water] stores. *)
-let record t ~persisted ~addr ~value ~line ~epoch =
-  if t.pending >= high_water then evict_to t ~persisted ~target:((high_water / 2) - 1);
+let record t ~addr ~value ~undo ~line ~epoch =
+  if t.pending >= high_water then evict_to t ~target:((high_water / 2) - 1);
   let s = alloc_slot t in
   t.addr.(s) <- addr;
   t.value.(s) <- value;
+  t.undo.(s) <- undo;
   t.epoch.(s) <- epoch;
   t.seq.(s) <- t.next_seq;
   t.next.(s) <- nil;
@@ -254,7 +293,7 @@ type crash_mode =
    [fault_seed] alone, so a recorded (seed, index) pair replays the
    identical fault sequence regardless of what the base crash mode
    did: flips first (index order), then stuck words. *)
-let apply_faults ~persisted spec =
+let apply_faults ~image spec =
   let rng = Prng.create spec.fault_seed in
   let span = spec.fault_hi - spec.fault_lo in
   if span <= 0 then []
@@ -263,12 +302,12 @@ let apply_faults ~persisted spec =
     for _ = 1 to spec.flip_words do
       let addr = spec.fault_lo + Prng.int rng span in
       let bit = Prng.int rng 62 in
-      persisted.(addr) <- persisted.(addr) lxor (1 lsl bit);
+      image.(addr) <- image.(addr) lxor (1 lsl bit);
       faults := (`Flip, addr) :: !faults
     done;
     for _ = 1 to spec.stuck_words do
       let addr = spec.fault_lo + Prng.int rng span in
-      persisted.(addr) <- max_int;
+      image.(addr) <- max_int;
       faults := (`Stuck, addr) :: !faults
     done;
     List.rev !faults
@@ -277,20 +316,22 @@ let apply_faults ~persisted spec =
 let pending_epochs t =
   List.sort_uniq Int.compare (fold_stores t (fun acc s -> t.epoch.(s) :: acc) [])
 
-(* A crash mode persists stores without releasing them; [apply_crash]
-   then empties the log at once.  All randomized modes iterate
-   lines/words in sorted order, never in table order: the PRNG draw
+(* [apply_crash] rolls the image back to the persisted state; a crash
+   mode then persists stores by applying their values again, without
+   releasing them, and [apply_crash] empties the log at once.  All
+   randomized modes iterate lines/words in sorted order, never in
+   table order: the PRNG draw
    sequence is then a function of the logged stores alone, so a
    recorded (seed, crash point) pair replays to the identical persisted
    image whatever the table layout. *)
 
 (* Persist a random prefix of [stores], given in program order. *)
-let apply_prefix t persisted rng stores =
+let apply_prefix t image rng stores =
   let k = Prng.int rng (List.length stores + 1) in
-  List.iteri (fun i s -> if i < k then apply t persisted s) stores
+  List.iteri (fun i s -> if i < k then apply t image s) stores
 
-let apply_non_tso_cutoff t persisted cutoff rng =
-  iter_stores t (fun s -> if t.epoch.(s) < cutoff then apply t persisted s);
+let apply_non_tso_cutoff t image cutoff rng =
+  iter_stores t (fun s -> if t.epoch.(s) < cutoff then apply t image s);
   (* Per-word random prefixes at the cutoff epoch. *)
   let by_word = Hashtbl.create 16 in
   iter_stores t (fun s ->
@@ -299,21 +340,19 @@ let apply_non_tso_cutoff t persisted cutoff rng =
           (s :: Option.value ~default:[] (Hashtbl.find_opt by_word t.addr.(s))));
   let words = List.sort Int.compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word []) in
   List.iter
-    (fun addr -> apply_prefix t persisted rng (List.rev (Hashtbl.find by_word addr)))
+    (fun addr -> apply_prefix t image rng (List.rev (Hashtbl.find by_word addr)))
     words
 
-let chain t line =
-  let rec go s = if s = nil then [] else s :: go t.next.(s) in
-  go (Linemap.get t.table line)
+let chain t line = List.rev (rev_chain t (Linemap.get t.table line) [])
 
-let rec apply_mode t ~persisted mode =
+let rec apply_mode t ~image mode =
   match mode with
   | Keep_none -> ()
-  | Keep_all -> iter_stores t (apply t persisted)
+  | Keep_all -> iter_stores t (apply t image)
   | Random_eviction rng ->
       (* Independent per-line prefix of the line's pending stores. *)
       List.iter
-        (fun line -> apply_prefix t persisted rng (chain t line))
+        (fun line -> apply_prefix t image rng (chain t line))
         (List.sort Int.compare (dirty_lines t))
   | Non_tso_random rng ->
       (* Pick an epoch cutoff e*: all pending stores with epoch < e*
@@ -324,15 +363,15 @@ let rec apply_mode t ~persisted mode =
           (fun (lo, hi) s -> (Int.min lo t.epoch.(s), Int.max hi t.epoch.(s)))
           (max_int, min_int)
       in
-      if lo <= hi then apply_non_tso_cutoff t persisted (Prng.in_range rng lo (hi + 2)) rng
-  | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t persisted cutoff rng
+      if lo <= hi then apply_non_tso_cutoff t image (Prng.in_range rng lo (hi + 2)) rng
+  | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t image cutoff rng
   | Media_fault (spec, base) ->
       (* Base crash state first, then the media damage on top: the
          fault model corrupts whatever the crash left behind. *)
-      apply_mode t ~persisted base;
-      ignore (apply_faults ~persisted spec)
+      apply_mode t ~image base;
+      ignore (apply_faults ~image spec)
 
-let apply_crash t ~persisted mode =
-  apply_mode t ~persisted mode;
-  t.pending <- 0;
-  reset t
+let apply_crash t ~image mode =
+  roll_back t ~image;
+  apply_mode t ~image mode;
+  drain t

@@ -304,19 +304,23 @@ let test_drain_persists_everything () =
 let test_storelog_eviction_bounded () =
   (* Write past the high-water mark without flushing: the store that
      crosses it writes the oldest stores back until half remain. *)
-  let persisted = Array.make 1024 0 in
+  let image = Array.make 1024 0 in
   let log = Storelog.create () in
   let extra = 1000 in
   for i = 1 to Storelog.high_water + extra do
-    Storelog.record log ~persisted ~addr:(i mod 1024) ~value:i ~line:(i mod 1024 / 8) ~epoch:0
+    let addr = i mod 1024 in
+    let undo = image.(addr) in
+    image.(addr) <- i;
+    Storelog.record log ~addr ~value:i ~undo ~line:(addr / 8) ~epoch:0
   done;
   Alcotest.(check int) "pending bounded"
     ((Storelog.high_water / 2) + extra - 1)
     (Storelog.pending log);
+  let persisted addr = Storelog.persisted log ~image ~line:(addr / 8) addr in
   let last = (Storelog.high_water / 2) + 1 in
-  Alcotest.(check int) "newest written-back store" last persisted.(last mod 1024);
+  Alcotest.(check int) "newest written-back store" last (persisted (last mod 1024));
   Alcotest.(check int) "its successor's word keeps an older store" (last + 1 - 1024)
-    persisted.((last + 1) mod 1024)
+    (persisted ((last + 1) mod 1024))
 
 let test_per_thread_stats () =
   let a = mk () in
@@ -535,8 +539,30 @@ let test_storelog_shrinks_when_empty () =
     true
     (peak > Storelog.high_water && left < 256)
 
+(* An arena holds one image: creating or cloning an [n]-word arena
+   allocates [n] words plus the fixed cost of a fresh store log, cache
+   and tables. *)
+let test_one_image () =
+  let n = 1 lsl 16 in
+  let words_allocated f =
+    (* An empty minor heap: no collection runs while [f] allocates. *)
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    let r = f () in
+    let minor', promoted', major' = Gc.counters () in
+    (r, int_of_float (minor' -. minor +. (major' -. major) -. (promoted' -. promoted)))
+  in
+  let a, created = words_allocated (fun () -> mk ~words:n ()) in
+  Arena.write a 100 1;
+  let _, cloned = words_allocated (fun () -> Arena.clone a) in
+  Alcotest.(check bool)
+    (Printf.sprintf "create %d and clone %d words for a %d-word arena" created cloned n)
+    true
+    (created <= n + 4096 && cloned <= n + 4096)
+
 let memory_tests =
   [
+    Alcotest.test_case "one image per arena" `Quick test_one_image;
     Alcotest.test_case "store log holds only dirty lines" `Quick test_storelog_holds_only_dirty;
     Alcotest.test_case "thread contexts on demand" `Quick test_contexts_on_demand;
     Alcotest.test_case "charged path allocation-free" `Quick test_charged_path_allocation_free;

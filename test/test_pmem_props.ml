@@ -344,7 +344,7 @@ module Log_ref = struct
     | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t persisted cutoff rng
     | Media_fault (spec, base) ->
         apply_crash t persisted base;
-        ignore (Storelog.apply_faults ~persisted spec)
+        ignore (Storelog.apply_faults ~image:persisted spec)
 end
 
 (* A store-log program over 64 lines: stores, fences (the epoch) and
@@ -365,7 +365,8 @@ let gen_log_program ?(flushes = 3) n =
 
 (* Run [steps] on both logs, then crash both under every mode built
    from [seed]; every persisted image and the logs' observable state
-   must agree. *)
+   must agree.  [Storelog] keeps the image with every store in it, the
+   reference the persisted image. *)
 let logs_agree steps seed =
   let run () =
     let log = Storelog.create () and p = Array.make log_words 0 in
@@ -374,19 +375,25 @@ let logs_agree steps seed =
     List.iter
       (function
         | Record (addr, value) ->
-            Storelog.record log ~persisted:p ~addr ~value ~line:(addr / 8) ~epoch:!epoch;
+            let undo = p.(addr) in
+            p.(addr) <- value;
+            Storelog.record log ~addr ~value ~undo ~line:(addr / 8) ~epoch:!epoch;
             Log_ref.record r q ~addr ~value ~line:(addr / 8) ~epoch:!epoch
         | Bump_epoch -> incr epoch
         | Flush_line line ->
-            Storelog.flush_line log ~persisted:p line;
+            Storelog.flush_line log line;
             Log_ref.flush_line r q line)
       steps;
     (log, p, r, q)
   in
   let log, p, r, q = run () in
   let epochs = Storelog.pending_epochs log in
+  let rolled_back = Array.copy p in
+  Storelog.roll_back log ~image:rolled_back;
   let same_state =
-    p = q
+    rolled_back = q
+    && Array.for_all Fun.id
+         (Array.init log_words (fun addr -> Storelog.persisted log ~image:p ~line:(addr / 8) addr = q.(addr)))
     && Storelog.pending log = r.Log_ref.pending
     && epochs = Log_ref.pending_epochs r
     && List.sort Int.compare (Storelog.dirty_lines log) = Log_ref.dirty_lines r
@@ -414,7 +421,7 @@ let logs_agree steps seed =
   && List.for_all
        (fun mode ->
          let log, p, r, q = run () in
-         Storelog.apply_crash log ~persisted:p (mode ());
+         Storelog.apply_crash log ~image:p (mode ());
          Log_ref.apply_crash r q (mode ());
          p = q && Storelog.pending log = 0 && Storelog.dirty_lines log = [])
        modes
