@@ -87,10 +87,10 @@ let fastfair_mode ~node_bytes ~mode a = Tree.ops (Tree.create ~node_bytes ~mode 
 (* Measurement helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let us_per_op a n = float_of_int (Stats.total_ns (Arena.total_stats a)) /. float_of_int n /. 1000.
+let us_per_op a n = float_of_int (Arena.elapsed_ns a) /. float_of_int n /. 1000.
 
 let kops a n =
-  let ns = Stats.total_ns (Arena.total_stats a) in
+  let ns = Arena.elapsed_ns a in
   if ns = 0 then 0. else float_of_int n /. (float_of_int ns /. 1e9) /. 1000.
 
 (* ------------------------------------------------------------------ *)
@@ -531,7 +531,7 @@ let crash_target () =
     let t = Tree.open_existing a in
     Arena.reset_stats a;
     Tree.recover ~lazy_:true t;
-    Stats.total_ns (Arena.total_stats a)
+    Arena.elapsed_ns a
   in
   let fp_ns =
     let a = arena (nrec * 56) in
@@ -542,7 +542,7 @@ let crash_target () =
     let t = Ff_fptree.Fptree.open_existing a in
     Arena.reset_stats a;
     Ff_fptree.Fptree.recover t;
-    Stats.total_ns (Arena.total_stats a)
+    Arena.elapsed_ns a
   in
   Printf.printf
     "recovery cost at %d keys: FAST+FAIR (lazy) %d ns | FP-tree inner rebuild %d ns\n"
@@ -703,7 +703,7 @@ let ablation () =
     Arena.reset_stats a3;
     let c = ref 0 in
     Tree.range t3 ~lo:1 ~hi:n (fun _ _ -> incr c);
-    (float_of_int (Stats.total_ns (Arena.total_stats a3)) /. 1e6, !c)
+    (float_of_int (Arena.elapsed_ns a3) /. 1e6, !c)
   in
   let before_ms, cnt = scan () in
   let freed = Ff_fastfair.Compact.compact t3 in
@@ -824,7 +824,7 @@ let latencies () =
       W.load_keys t keys;
       let h_search = Ff_util.Histogram.create () in
       let h_insert = Ff_util.Histogram.create () in
-      let snap () = Stats.total_ns (Arena.total_stats a) in
+      let snap () = Arena.elapsed_ns a in
       for i = 0 to probes - 1 do
         let before = snap () in
         ignore (t.Intf.search keys.(i * (n / probes)));
@@ -905,7 +905,7 @@ let sharded_run ~shards ~group =
   let arenas = Shard.arenas t in
   let wall =
     Array.fold_left
-      (fun acc a -> max acc (Stats.total_ns (Arena.total_stats a)))
+      (fun acc a -> max acc (Arena.elapsed_ns a))
       0 arenas
   in
   let sum f = Array.fold_left (fun acc a -> acc + f (Arena.total_stats a)) 0 arenas in
@@ -1132,7 +1132,7 @@ let soak_scenario () =
   clock_ref :=
     (fun () ->
       Array.fold_left
-        (fun acc a -> max acc (Stats.total_ns (Arena.total_stats a)))
+        (fun acc a -> max acc (Arena.elapsed_ns a))
         0 arenas);
   Array.iter (fun a -> Trace.attach_arena tr a) arenas;
   let oprng = Prng.create (W.shard_seed ~base:!base_seed ~shard:1) in
@@ -1194,7 +1194,7 @@ let soak_scenario () =
   clock_ref :=
     (fun () ->
       Array.fold_left
-        (fun acc a -> max acc (Stats.total_ns (Arena.total_stats a)))
+        (fun acc a -> max acc (Arena.elapsed_ns a))
         0 (Shard.arenas t));
   Printf.printf
     "  [mid-soak split: shard %d at pivot %d -> %d shards, %d keys copied, \
@@ -1418,7 +1418,7 @@ let rb_row kind =
      keeps ticking after a migrate cutover moves the writer onto the
      destination arena (a max would freeze at the source's total). *)
   let clock () =
-    let ns a = Stats.total_ns (Arena.total_stats a) in
+    let ns a = Arena.elapsed_ns a in
     match dst with None -> ns sim_arena | Some d -> ns sim_arena + ns d
   in
   let phase = ref `Before in

@@ -768,7 +768,7 @@ let top index_name ops shards seed p99_bound =
       clock_ref :=
         (fun () ->
           Array.fold_left
-            (fun acc a -> max acc (Stats.total_ns (Arena.total_stats a)))
+            (fun acc a -> max acc (Arena.elapsed_ns a))
             0 arenas);
       Array.iter (fun a -> FTrace.attach_arena tr a) arenas;
       let keys = W.zipfian (Prng.create seed) ~n:ops ~space:(8 * ops) ~theta:0.99 in

@@ -85,8 +85,13 @@ let my_tid () =
   try Effect.perform My_tid
   with Effect.Unhandled _ -> failwith "Mcsim.my_tid: not inside Mcsim.run"
 
+(* Runs in progress: outside every run there is no scheduler clock,
+   and [sim_now] says so without performing an effect no one handles. *)
+let running = ref 0
+
 let sim_now () =
-  try Some (Effect.perform Now) with Effect.Unhandled _ -> None
+  if !running = 0 then None
+  else try Some (Effect.perform Now) with Effect.Unhandled _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                            *)
@@ -436,12 +441,14 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
           loop ()
   in
   let cleanup () =
+    decr running;
     match arena with
     | Some a ->
         Arena.set_yield_hook a None;
         Arena.set_tid a 0
     | None -> ()
   in
+  incr running;
   (try loop ()
    with e ->
      cleanup ();

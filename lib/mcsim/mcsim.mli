@@ -60,7 +60,8 @@ val sim_now : unit -> int option
 (** Current simulated time in nanoseconds — the scheduler clock plus
     the running segment's consumed charge, so events stamped with it
     align across threads on one timeline.  [None] outside {!run};
-    tracers then fall back to a per-thread clock. *)
+    tracers then fall back to a per-thread clock.  Outside {!run} it
+    performs no effect and allocates nothing. *)
 
 (** {1 Running} *)
 

@@ -158,6 +158,13 @@ let total_stats t =
   iter_ctxs t (fun c -> Stats.add acc c.stats);
   acc
 
+let elapsed_ns t =
+  let ns = ref 0 in
+  for i = 0 to Array.length t.ctxs - 1 do
+    match t.ctxs.(i) with Some c -> ns := !ns + Stats.total_ns c.stats | None -> ()
+  done;
+  !ns
+
 let reset_stats t = iter_ctxs t (fun c -> Stats.reset c.stats)
 
 let set_phase t phase = t.ctx.stats.Stats.phase <- phase

@@ -77,6 +77,10 @@ val stats : t -> int -> Stats.t
 val total_stats : t -> Stats.t
 (** Sum over the threads that have a context. *)
 
+val elapsed_ns : t -> int
+(** [Stats.total_ns (total_stats t)], without building the sum: the
+    arena's clock outside {!Ff_mcsim.Mcsim.run}.  Allocates nothing. *)
+
 val reset_stats : t -> unit
 val set_phase : t -> Stats.phase -> unit
 

@@ -243,7 +243,7 @@ let charge_throttle arena th bytes =
 let now_ns arena =
   match Mcsim.sim_now () with
   | Some ns -> ns
-  | None -> Stats.total_ns (Arena.total_stats arena)
+  | None -> Arena.elapsed_ns arena
 
 (* ------------------------------------------------------------------ *)
 (* Reports and fault injection                                         *)

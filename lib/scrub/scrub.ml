@@ -105,7 +105,7 @@ let run ?(tracer = Trace.null) ?(repair = true) ?(reclaim = true) ?recover
              d.D.name)
   in
   Trace.span_begin tracer Trace.id_scrub 0;
-  let ns0 = Stats.total_ns (Arena.total_stats arena) in
+  let ns0 = Arena.elapsed_ns arena in
   let used_before = Arena.used_words arena in
   let sops = provider config arena in
   (* 1. Media repair. *)
@@ -178,7 +178,7 @@ let run ?(tracer = Trace.null) ?(repair = true) ?(reclaim = true) ?recover
   let remaining_poison =
     List.map (fun l -> l * wpl) (Arena.poisoned_lines arena)
   in
-  let ns1 = Stats.total_ns (Arena.total_stats arena) in
+  let ns1 = Arena.elapsed_ns arena in
   let report =
     {
       index = d.D.name;

@@ -280,7 +280,7 @@ let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
 let now_ns it =
   match Mcsim.sim_now () with
   | Some ns -> ns
-  | None -> Stats.total_ns (Arena.total_stats it.arena)
+  | None -> Arena.elapsed_ns it.arena
 
 let shards t = Array.length t.instances
 let partition t = t.partition
