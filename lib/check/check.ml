@@ -104,7 +104,11 @@ type exec = {
 (* Every thread stamps invocation and response of each op into a
    shared history. *)
 let setup cfg d w () =
-  let arena = Sweep.arena ~non_tso:cfg.non_tso () in
+  let arena =
+    Sweep.arena ~non_tso:cfg.non_tso
+      ~keys:(cfg.keyspace + cfg.prefill + (cfg.writers * cfg.ops_per_thread))
+      ()
+  in
   let dcfg = index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->

@@ -106,17 +106,18 @@ let held_entry cfg w =
    copy, dual-write application, cutover and the finish phase. *)
 let setup cfg name w () =
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
+  let keys = cfg.keyspace + cfg.prefill + cfg.ops in
   let t, arenas =
     match cfg.kind with
     | Rb_split | Rb_merge ->
-        let src = Arena.create ~words:(1 lsl 20) () in
+        let src = Sweep.arena ~keys () in
         let bounds = if cfg.kind = Rb_merge then [| pivot cfg |] else [||] in
         ( Shard.create_composite ~config:dcfg ~inner:name
             ~partition:(Shard.Partition.range ~bounds) src,
           [| src |] )
     | Rb_migrate ->
         (* Serving mode builds its own arena; we adopt it as [src]. *)
-        let dst = Arena.create ~words:(1 lsl 20) () in
+        let dst = Sweep.arena ~keys () in
         let t =
           Shard.create ~inner_config:dcfg ~group:false ~inner:name ~shards:1 ()
         in

@@ -74,7 +74,9 @@ type exec = {
    separates an op's return from the increment), so the window is
    exact. *)
 let setup cfg d (w, pin_after) () =
-  let arena = Sweep.arena () in
+  let arena =
+    Sweep.arena ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops_per_round)) ()
+  in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->

@@ -101,12 +101,16 @@ let counterexample ~index ~node_bytes ?(writers = 1) ?(readers = 0)
 (* Helpers shared by the families' setups and oracles                  *)
 (* ------------------------------------------------------------------ *)
 
-let arena ?(non_tso = false) () =
+(* Every registered index at its default node size takes under 13
+   words per written key (the snapshot index, which keeps a version per
+   write); 64 per key leaves room to spare, and the floor holds the
+   base nodes and shard roots of a tiny run several times over. *)
+let arena ?(non_tso = false) ~keys () =
   let config =
     if non_tso then { Pconfig.default with Pconfig.memory_order = Pconfig.Non_tso }
     else Pconfig.default
   in
-  Arena.create ~config ~words:(1 lsl 20) ()
+  Arena.create ~config ~words:(max (1 lsl 16) (64 * keys)) ()
 
 let index_config d ~node_bytes =
   let lock_mode =

@@ -83,8 +83,10 @@ val counterexample :
 
 (** {1 Helpers for setups and oracles} *)
 
-val arena : ?non_tso:bool -> unit -> Ff_pmem.Arena.t
-(** A fresh 1 Mi-word arena, under [Non_tso] memory order if asked. *)
+val arena : ?non_tso:bool -> keys:int -> unit -> Ff_pmem.Arena.t
+(** A fresh arena for a run that writes at most [keys] keys (its
+    keyspace, prefill and ops together), under [Non_tso] memory order
+    if asked: 64 words per key, and at least 64 Ki words. *)
 
 val index_config :
   Ff_index.Descriptor.t -> node_bytes:int option -> Ff_index.Descriptor.config

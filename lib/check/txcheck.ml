@@ -95,7 +95,11 @@ type exec = {
    the writer's transaction script and the reader scripts are the
    concurrent phase. *)
 let setup cfg d w () =
-  let arena = Sweep.arena ~non_tso:cfg.non_tso () in
+  let arena =
+    Sweep.arena ~non_tso:cfg.non_tso
+      ~keys:(cfg.keyspace + cfg.prefill + (cfg.txns * cfg.ops_per_txn))
+      ()
+  in
   let dcfg = Sweep.index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->
