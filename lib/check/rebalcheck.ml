@@ -116,10 +116,12 @@ let setup cfg name w () =
             ~partition:(Shard.Partition.range ~bounds) src,
           [| src |] )
     | Rb_migrate ->
-        (* Serving mode builds its own arena; we adopt it as [src]. *)
+        (* Serving mode builds its own arena, of the same size; we
+           adopt it as [src]. *)
         let dst = Sweep.arena ~keys () in
         let t =
-          Shard.create ~inner_config:dcfg ~group:false ~inner:name ~shards:1 ()
+          Shard.create ~words:(Arena.capacity dst) ~inner_config:dcfg ~group:false
+            ~inner:name ~shards:1 ()
         in
         (t, [| (Shard.arenas t).(0); dst |])
   in
