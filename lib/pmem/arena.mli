@@ -262,11 +262,11 @@ val power_fail : t -> Storelog.crash_mode -> unit
 (** Turn the image into a crash state: roll every dirty line back to
     its persisted contents and apply the pending stores the mode keeps
     ({!Storelog.apply_crash}, O(pending stores), not O(capacity)).
-    Then clear caches and the store log, and disarm the crash plan.  Free lists and the live-block table are also
-    dropped (allocator metadata is volatile, as across
-    {!save_to_file}/{!load_from_file}), and an armed {!fault_plan}
-    fires on the post-crash image before disarming.  Execution can
-    continue (recovery). *)
+    Then clear caches and the store log, and disarm the crash plan.
+    Free lists and the live-block table are also dropped (allocator
+    metadata is volatile, as across {!save_to_file}/{!load_from_file}),
+    and an armed {!fault_plan} fires on the post-crash image before
+    disarming.  Execution can continue (recovery). *)
 
 (** {1 Media faults}
 

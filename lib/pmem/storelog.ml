@@ -5,12 +5,13 @@ module Prng = Ff_util.Prng
    slab of parallel int arrays: store [s] is [addr.(s)], [value.(s)]
    and [epoch.(s)], [undo.(s)] is its word's value just before it, and
    [seq.(s)] numbers it in program order across lines (only the
-   high-water write-back reads it).  [next.(s)] chains a line's stores in program order, or links
-   the free list while [s] is unused, and [tail.(s)] is the last store
-   of the chain that [s] heads.  A {!Linemap} maps each dirty line to
-   the head of its chain, so a clean line has no cell and the log holds
-   the dirty state and nothing else.  Once the arrays have grown,
-   neither [record] nor [flush_line] allocates.
+   high-water write-back reads it).  [next.(s)] chains a line's stores
+   in program order, or links the free list while [s] is unused, and
+   [tail.(s)] is the last store of the chain that [s] heads.  A
+   {!Linemap} maps each dirty line to the head of its chain, so a clean
+   line has no cell and the log holds the dirty state and nothing else.
+   Once the arrays have grown, neither [record] nor [flush_line]
+   allocates.
 
    Chain walks are top-level functions: a local recursive function
    that captures variables allocates a closure per call. *)

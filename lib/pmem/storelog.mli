@@ -75,9 +75,9 @@ type fault_spec = {
   fault_lo : int;    (** first word address eligible for a fault *)
   fault_hi : int;    (** one past the last eligible word address *)
 }
-(** Uncorrectable-media damage applied to the post-crash image: [flip_words] random single-bit flips followed by
-    [stuck_words] words stuck at all-ones, drawn uniformly from
-    [fault_lo, fault_hi).  The draw order is fixed (flips first, in
+(** Uncorrectable-media damage applied to the post-crash image:
+    [flip_words] random single-bit flips followed by [stuck_words]
+    words stuck at all-ones, drawn uniformly from [fault_lo, fault_hi).  The draw order is fixed (flips first, in
     index order, then stuck words), so every fault is replayable from
     [(fault_seed, index)]. *)
 

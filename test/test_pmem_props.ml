@@ -393,7 +393,8 @@ let logs_agree steps seed =
   let same_state =
     rolled_back = q
     && Array.for_all Fun.id
-         (Array.init log_words (fun addr -> Storelog.persisted log ~image:p ~line:(addr / 8) addr = q.(addr)))
+         (Array.init log_words (fun addr ->
+              Storelog.persisted log ~image:p ~line:(addr / 8) addr = q.(addr)))
     && Storelog.pending log = r.Log_ref.pending
     && epochs = Log_ref.pending_epochs r
     && List.sort Int.compare (Storelog.dirty_lines log) = Log_ref.dirty_lines r
