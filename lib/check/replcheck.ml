@@ -13,7 +13,6 @@ type config = {
   keyspace : int;
   seed : int;
   mutant : bool;
-  faulty_fabric : bool;
   schedules : int;
   node_bytes : int option;
 }
@@ -26,7 +25,6 @@ let default =
     keyspace = 12;
     seed = 42;
     mutant = false;
-    faulty_fabric = true;
     schedules = 12;
     node_bytes = None;
   }
@@ -135,7 +133,7 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
       inner = name;
       words = 1 lsl 14;
       seed = fault_seed;
-      faults = (if cfg.faulty_fabric then Fabric.default_faults else Fabric.calm);
+      faults = Fabric.default_faults;
     }
   in
   let cl = Cluster.create ~tracer ccfg in
@@ -354,7 +352,6 @@ let repl_of_cx (cx : Cx.t) =
 let config_of_counterexample (cx : Cx.t) =
   let r = repl_of_cx cx in
   {
-    default with
     nodes = r.rp_nodes;
     shards = r.rp_shards;
     ops = cx.workload.ops_per_thread;

@@ -40,7 +40,6 @@ type config = {
   keyspace : int;
   seed : int;  (** workload seed (scripts and scenario derivation) *)
   mutant : bool;  (** arm the ack-before-replicate mutant *)
-  faulty_fabric : bool;  (** inject fabric faults (default true) *)
   schedules : int;  (** scenario budget (default 12) *)
   node_bytes : int option;
 }
