@@ -21,7 +21,6 @@ module Intf = Ff_index.Intf
 module Descriptor = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module W = Ff_workload.Workload
-module Harness = Ff_workload.Crash_harness
 module Shard = Ff_shard.Shard
 module Histogram = Ff_util.Histogram
 module Tree = Ff_fastfair.Tree
@@ -505,12 +504,14 @@ let crash_target () =
       keys;
     !ok
   in
-  let points = Harness.crash_points ~max_points:200 probe in
+  let points = Arena.crash_points ~max_points:200 probe in
   let tolerated = ref 0 and recovered = ref 0 in
   List.iter
     (fun k ->
       let tc =
-        reopen (Arena.crash_image a0 ~reopen batch ~at:k (Harness.default_mode k))
+        reopen
+          (Arena.crash_image a0 ~reopen batch ~at:k
+             (Storelog.Random_eviction (Prng.create k)))
       in
       if readable tc then incr tolerated;
       Tree.recover tc;
@@ -977,7 +978,7 @@ let scrub_run_one name =
            done));
     Arena.set_fault_plan a
       (Some { Arena.fault_seed = 71; poison_lines = 2; flip_words = 0; stuck_words = 0 });
-    Arena.power_fail a (Harness.default_mode 40);
+    Arena.power_fail a (Storelog.Random_eviction (Prng.create 40));
     let r =
       Scrub.run ~config d a ~recover:(fun () ->
           let t = d.Descriptor.open_existing config a in
@@ -1202,7 +1203,7 @@ let soak_scenario () =
     hot pivot (Shard.shards t) rb.Rebalance.r_moved_keys
     rb.Rebalance.r_cutover_ns;
   (* Phase 2: one power failure, scrubbed recovery. *)
-  Shard.power_fail t (Harness.default_mode !base_seed);
+  Shard.power_fail t (Storelog.Random_eviction (Prng.create !base_seed));
   Shard.recover t;
   (* Phase 3: fault storm — poison the last shard's leftmost leaf
      header (a line scrub can repair it) and touch a key that

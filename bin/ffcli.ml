@@ -7,7 +7,7 @@
    Subcommands:
      list        registered indexes and their capability matrix
      fuzz        random ops cross-checked against a model
-     crash-test  crash-point sweep with recovery validation
+     crash-test  one-thread model check: crash a batch at sampled stores
      stats       PM event statistics for a load (text or --json;
                  --shards adds per-shard fault/degradation blocks)
      dump        print the structure of a small FAST+FAIR tree
@@ -42,7 +42,6 @@ module Descriptor = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Locks = Ff_index.Locks
 module W = Ff_workload.Workload
-module Harness = Ff_workload.Crash_harness
 module Shard = Ff_shard.Shard
 module Rebalance = Ff_rebalance.Rebalance
 module Scrub = Ff_scrub.Scrub
@@ -165,7 +164,7 @@ let fuzz index_name ops_count seed shards faults =
            flip_words = 0;
            stuck_words = 0;
          });
-    Arena.power_fail arena (Harness.default_mode step);
+    Arena.power_fail arena (Storelog.Random_eviction (Prng.create step));
     let r =
       Scrub.run ~config:Descriptor.default_config d arena
         ~recover:(fun () ->
@@ -257,10 +256,19 @@ let fuzz index_name ops_count seed shards faults =
   end
 
 (* ------------------------------------------------------------------ *)
-(* crash-test: generic crash-point sweep over any recoverable index    *)
+(* crash-test: a one-thread model check of any recoverable index       *)
 (* ------------------------------------------------------------------ *)
 
+(* One writer runs a two-op batch over [keys] prefilled keys, drawn
+   from a keyspace eight times as large; the checker crashes it at
+   [points] sampled store counts under its three crash modes and judges
+   each image by durable linearizability.  The pre-recovery oracle
+   runs only on indexes that claim lock-free reads (the paper's
+   transient-inconsistency guarantee) — lock-based designs never
+   promised it, so their tolerance is reported as unchecked and a
+   failure of either oracle exits 1. *)
 let crash_test index_name keys points seed =
+  let module C = Ff_check.Check in
   let d = Registry.find_exn index_name in
   if not d.Descriptor.caps.Descriptor.has_recovery then begin
     Printf.printf "crash-test: %s has no recovery capability (volatile); nothing to test\n"
@@ -268,53 +276,54 @@ let crash_test index_name keys points seed =
     0
   end
   else begin
-    let config = small_nodes d in
-    let base = Arena.create ~words:(max (keys * 100) (1 lsl 16)) () in
-    let t = d.Descriptor.build config base in
-    let rng = Prng.create seed in
-    let ks = W.distinct_uniform rng ~n:keys ~space:(8 * keys) in
-    W.load_keys t ks;
-    t.Intf.close ();
-    let extra = (16 * keys) + 1 in
-    let batch (t : Intf.ops) =
-      t.Intf.insert extra (W.value_of extra);
-      ignore (t.Intf.delete ks.(0))
+    let r =
+      C.run
+        ~config:
+          {
+            C.default with
+            C.writers = 1;
+            readers = 0;
+            ops_per_thread = 2;
+            keyspace = 2 * keys;
+            prefill = keys;
+            seed;
+            max_crash_points = points;
+            crash_budget = 3 * max 2 points;
+            node_bytes = (small_nodes d).Descriptor.node_bytes;
+          }
+        index_name
     in
-    let validate (t : Intf.ops) =
-      Array.for_all
-        (fun key -> key = ks.(0) || t.Intf.search key = Some (W.value_of key))
-        ks
+    let failed kind =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (v : C.violation) ->
+             match v.C.counterexample.Ff_check.Counterexample.crash with
+             | Some c when v.C.kind = kind -> Some c.Ff_check.Counterexample.store_count
+             | _ -> None)
+           r.C.violations)
     in
-    let o =
-      Harness.enumerate ~max_points:points ~base
-        ~reopen:(d.Descriptor.open_existing config)
-        ~batch ~validate ()
-    in
+    let intolerant = failed C.Tolerance and lost = failed C.Durability in
     Printf.printf
-      "crash-test %s: %d points over %d stores, tolerated pre-recovery %d, recovered %d\n"
-      index_name o.Harness.points o.Harness.store_span o.Harness.tolerated
-      o.Harness.recovered;
+      "crash-test %s: %d points over %d stores, tolerated pre-recovery %s, recovered %d\n"
+      index_name r.C.crash_points r.C.stores
+      (if d.Descriptor.caps.Descriptor.lock_free_reads then
+         string_of_int (r.C.crash_points - List.length intolerant)
+       else "unchecked (no lock-free reads)")
+      (r.C.crash_points - List.length lost);
     let show label = function
       | [] -> ()
       | pts ->
           Printf.printf "  %s at stores: %s\n" label
             (String.concat ", " (List.map string_of_int pts))
     in
-    show "intolerant" o.Harness.failed_tolerance;
-    show "recovery FAILED" o.Harness.failed_recovery;
-    (* Exit-code contract: failed recovery is always a durability bug;
-       failed pre-recovery tolerance is a bug only for structures that
-       claim lock-free reads (the paper's transient-inconsistency
-       guarantee) — lock-based designs never promised it. *)
-    let tolerance_bug =
-      d.Descriptor.caps.Descriptor.lock_free_reads
-      && o.Harness.failed_tolerance <> []
-    in
-    if tolerance_bug then
-      Printf.printf
-        "  FAIL: %s claims lock-free reads but crash states broke pre-recovery readers\n"
-        index_name;
-    if o.Harness.failed_recovery = [] && not tolerance_bug then 0 else 1
+    show "intolerant" intolerant;
+    show "recovery FAILED" lost;
+    List.iter
+      (fun (v : C.violation) ->
+        if v.C.kind = C.Linearizability then
+          Printf.printf "  FAIL: uncrashed run: %s\n" v.C.detail)
+      r.C.violations;
+    if r.C.violations = [] then 0 else 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -600,7 +609,7 @@ let scrub_run index_name keys seed poison json out mutate_skip =
                flip_words = 0;
                stuck_words = 0;
              });
-      Arena.power_fail a (Harness.default_mode k);
+      Arena.power_fail a (Storelog.Random_eviction (Prng.create k));
       a
     in
     let rec find k =
@@ -933,12 +942,7 @@ let tx_demo index_name path_name accounts transfers points seed json =
        executes the identical store sequence. *)
     let run (_, m) = ignore (transfer m src dst amt) in
     let span = Arena.store_span base ~reopen run in
-    let offsets =
-      if span <= points then List.init span (fun i -> i + 1)
-      else
-        List.init points (fun i ->
-            1 + (i * (span - 1) / (max 1 (points - 1))))
-    in
+    let offsets = Arena.crash_points ~max_points:points span in
     let pre = Array.init accounts (fun i -> balances.(i + 1)) in
     let post =
       Array.init accounts (fun i ->
@@ -955,7 +959,7 @@ let tx_demo index_name path_name accounts transfers points seed json =
         let t3, m3 =
           reopen
             (Arena.crash_image base ~reopen run ~at:k
-               (Harness.default_mode (seed + k)))
+               (Storelog.Random_eviction (Prng.create (seed + k))))
         in
         (match Tx.recover m3 with
         | `Redone _ -> incr redone
@@ -1598,7 +1602,6 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
                  seed;
                  explorer;
                  schedules;
-                 crashes = not no_crashes;
                  crash_budget;
                  non_tso;
                  elide_flush = elide;
@@ -1670,7 +1673,8 @@ let crash_cmd =
   in
   Cmd.v
     (Cmd.info "crash-test"
-       ~doc:"Crash an insert+delete batch at sampled store points and validate recovery")
+       ~doc:"Crash one writer's two-op batch at sampled store points (a one-thread \
+             model check) and judge every image by durable linearizability")
     Term.(const crash_test $ index_arg $ keys $ points $ seed_arg)
 
 let stats_cmd =
@@ -1924,7 +1928,8 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Model-check an index: explore schedules, verify linearizability, and crash \
-             every explored schedule at each fence; --tx checks whole transactions \
+             every explored schedule at sampled store counts; one thread (-w 1 -r 0) \
+             checks any index sequentially; --tx checks whole transactions \
              for durable serializability, --rebalance checks lost-write freedom \
              under live resharding, --replica checks no-lost-acks replication, \
              --all runs every family as one smoke sweep")

@@ -16,7 +16,6 @@ type config = {
   seed : int;
   explorer : explorer;
   schedules : int;
-  crashes : bool;
   max_crash_points : int;
   crash_budget : int;
   non_tso : bool;
@@ -34,7 +33,6 @@ let default =
     seed = 1;
     explorer = Pct;
     schedules = 16;
-    crashes = true;
     max_crash_points = 12;
     crash_budget = 256;
     non_tso = false;
@@ -42,16 +40,18 @@ let default =
     node_bytes = None;
   }
 
-(* An index is schedule-checkable when concurrent threads are legal:
-   either the structure drives Mcsim locks itself (Sim mode), or its
-   readers are lock-free and at most one writer runs. *)
+(* One thread is always legal: the run is sequential, and the crash
+   product sweeps its stores.  Concurrent threads are legal when either
+   the structure drives Mcsim locks itself (Sim mode), or its readers
+   are lock-free and at most one writer runs. *)
 let checkable d cfg =
-  if cfg.writers + cfg.readers < 2 then Some "need at least 2 threads"
-  else if (cfg.writers + cfg.readers) * cfg.ops_per_thread > Linearize.max_ops then
+  let threads = cfg.writers + cfg.readers in
+  if threads < 1 then Some "need at least 1 thread"
+  else if threads * cfg.ops_per_thread > Linearize.max_ops then
     Some
       (Printf.sprintf "history would exceed %d ops (reduce threads/ops)"
          Linearize.max_ops)
-  else if D.supports_lock_mode d Locks.Sim then None
+  else if threads = 1 || D.supports_lock_mode d Locks.Sim then None
   else if d.D.caps.D.lock_free_reads && cfg.writers <= 1 then None
   else
     Some
@@ -207,11 +207,13 @@ let family cfg name =
     Sweep.index = name;
     gate = checkable d cfg;
     crash_gate =
-      (if not cfg.crashes then Some "crash engine disabled" else crash_checkable d);
+      (if cfg.crash_budget <= 0 then Some "crash engine disabled"
+       else crash_checkable d);
     budget =
       {
         explorer = cfg.explorer;
-        schedules = cfg.schedules;
+        (* A single thread has exactly one schedule. *)
+        schedules = (if cfg.writers + cfg.readers = 1 then 1 else cfg.schedules);
         seed = cfg.seed;
         max_crash_points = cfg.max_crash_points;
         crash_budget = cfg.crash_budget;

@@ -29,9 +29,10 @@
       sequential {!Spec} model and the observed final state
       ({!Linearize}).
 
-    - {b Crash product}: for every fence of an explored schedule, the
-      run is replayed decision-for-decision up to that store count,
-      the arena is crashed through each {!Ff_pmem.Storelog.crash_mode}
+    - {b Crash product}: for every sampled store count of an explored
+      schedule's concurrent phase, the run is replayed
+      decision-for-decision up to that count, the arena is crashed
+      through each {!Ff_pmem.Storelog.crash_mode}
       (exhaustive per-epoch [Non_tso_cutoff] sweeps under non-TSO),
       and the result is validated for pre-recovery reader tolerance
       (lock-free readers must not fabricate bindings or raise) and
@@ -58,9 +59,9 @@ type config = {
   seed : int;             (** workload + exploration seed *)
   explorer : explorer;    (** default [Pct]; [Dfs] for tiny workloads *)
   schedules : int;        (** exploration budget (default 16) *)
-  crashes : bool;         (** run the crash product engine (default true) *)
-  max_crash_points : int; (** fence points sampled per schedule *)
-  crash_budget : int;     (** global cap on crash executions *)
+  max_crash_points : int; (** store counts sampled per schedule *)
+  crash_budget : int;     (** global cap on crash executions; 0 turns
+                              the crash product engine off *)
   non_tso : bool;         (** run under [Non_tso] memory order and sweep
                               per-epoch cutoffs exhaustively *)
   elide_flush : bool;     (** fault injection: drop every flush during
@@ -85,6 +86,8 @@ type report = Sweep.report = {
   schedules_run : int;
   exhausted : bool;       (** DFS covered the entire decision tree *)
   crash_runs : int;       (** crash executions performed *)
+  crash_points : int;     (** store counts crashed *)
+  stores : int;           (** stores of the explored concurrent phases *)
   ops_checked : int;      (** history operations across all schedules *)
   violations : violation list;
   skipped : string option;  (** reason when the index is not checkable *)
@@ -93,9 +96,11 @@ type report = Sweep.report = {
 }
 
 val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor supports concurrent checking under this
-    config (Sim lock mode, or lock-free reads with at most one
-    writer); [Some reason] otherwise. *)
+(** [None] when the descriptor can be checked under this config: any
+    index with one thread (a sequential run crashed at every sampled
+    store), and from two threads on one that supports concurrency
+    (Sim lock mode, or lock-free reads with at most one writer);
+    [Some reason] otherwise. *)
 
 val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report
 (** [run name] checks the registry index [name] for linearizability

@@ -5,7 +5,7 @@
     through the routed serving layer while a rebalancer thread splits,
     merges or migrates a shard underneath it.  The {!Sweep} driver
     explores the schedule x crash product, starting from the canonical
-    Fifo schedule, and every fence point of every involved arena is a
+    Fifo schedule, and every store count of every involved arena is a
     crash candidate — covering plan publication, the throttled
     background copy, the dual-write window, the cutover commit and the
     finish phase.

@@ -25,6 +25,8 @@ type report = {
   schedules_run : int;
   exhausted : bool;
   crash_runs : int;
+  crash_points : int;
+  stores : int;
   ops_checked : int;
   violations : violation list;
   skipped : string option;
@@ -37,6 +39,8 @@ let empty_report index =
     schedules_run = 0;
     exhausted = false;
     crash_runs = 0;
+    crash_points = 0;
+    stores = 0;
     ops_checked = 0;
     violations = [];
     skipped = None;
@@ -149,8 +153,6 @@ let pre_recovery_tolerance ~keyspace ~written open_ =
 (* Family descriptions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type point = int * int
-
 type 'x setup = {
   arenas : Arena.t array;
   threads : (int -> unit) array;
@@ -161,7 +163,7 @@ type 'x run = {
   result : 'x;
   arenas : Arena.t array;
   crashed : bool;
-  fences : point list;
+  candidates : (int * int * int) list;
 }
 
 type finding = kind * string
@@ -197,31 +199,13 @@ type 'x t = {
 (* One controlled execution: the family's setup builds and prefills on
    fresh arenas, then the concurrent phase runs under [policy] at
    quantum 1 on one simulated core, so the policy's decision sequence
-   is a total order over every PM access.  Flushes and fences on every
-   arena are recorded as crash candidates; [crash_at] is an absolute
-   store count on one arena, where the crash leaves in-flight
-   operations pending. *)
+   is a total order over every PM access.  Every store count the phase
+   passes through, on every arena it stores to, is a crash candidate;
+   [crash_at] is an absolute store count on one arena, where the crash
+   leaves in-flight operations pending. *)
 let execute f ~policy ~crash_at =
   let s = f.setup () in
-  let fences = ref [] in
-  let nop = fun (_ : int) -> () and nop2 = fun (_ : int) (_ : int) -> () in
-  Array.iteri
-    (fun aid a ->
-      (* Durability points: explicit fences and non-group flushes (a
-         flush is clflush_with_mfence, so under TSO flushes are where
-         epochs advance). *)
-      let mark _ = fences := (aid, Arena.store_count a) :: !fences in
-      Arena.set_event_sink a
-        (Some
-           {
-             Arena.ev_store = nop;
-             ev_flush = mark;
-             ev_fence = (fun () -> mark 0);
-             ev_alloc = nop2;
-             ev_free = nop2;
-             ev_crash = (fun () -> ());
-           }))
-    s.arenas;
+  let starts = Array.map Arena.store_count s.arenas in
   let run () =
     ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads)
   in
@@ -232,13 +216,14 @@ let execute f ~policy ~crash_at =
         Arena.crash_after a (k - Arena.store_count a) run
     | Some _ | None -> run (); false
   in
-  Array.iter (fun a -> Arena.set_event_sink a None) s.arenas;
-  {
-    result = s.finish ();
-    arenas = s.arenas;
-    crashed;
-    fences = List.sort_uniq compare !fences;
-  }
+  let candidates =
+    List.filter_map
+      (fun aid ->
+        let last = Arena.store_count s.arenas.(aid) in
+        if last > starts.(aid) then Some (aid, starts.(aid), last) else None)
+      (List.init (Array.length s.arenas) Fun.id)
+  in
+  { result = s.finish (); arenas = s.arenas; crashed; candidates }
 
 (* Re-execute along a recorded decision prefix (Fifo past its end). *)
 let replay_to f decisions crash_at =
@@ -251,12 +236,18 @@ let replay_to f decisions crash_at =
 let crash_findings f r crash =
   if f.crashed_only && not r.crashed then [] else f.crash r crash
 
-let sample_evenly max_n lst =
-  let n = List.length lst in
-  if n <= max_n then lst
-  else
-    let arr = Array.of_list lst in
-    List.init max_n (fun i -> arr.(i * n / max_n))
+(* The candidates laid end to end, arena after arena, sampled by the
+   one crash-point sampler. *)
+let sample max_points candidates =
+  let total = List.fold_left (fun n (_, lo, hi) -> n + hi - lo + 1) 0 candidates in
+  let rec pick base spans picks =
+    match (spans, picks) with
+    | [], _ | _, [] -> []
+    | (aid, lo, hi) :: rest, i :: more ->
+        if i - base <= hi - lo then (aid, lo + i - base) :: pick base spans more
+        else pick (base + hi - lo + 1) rest picks
+  in
+  if total = 0 then [] else pick 0 candidates (Arena.crash_points ~max_points (total - 1))
 
 let stamp f ~arena ~decisions ~crash (kind, detail) =
   {
@@ -283,6 +274,8 @@ let run ?(tracer = Trace.null) f =
       let crash_enabled = f.crash_gate = None in
       let budget = ref b.crash_budget in
       let crash_runs = ref 0 in
+      let crash_points = ref 0 in
+      let stores = ref 0 in
       let ops_checked = ref 0 in
       let violations = ref [] in
       let add ~arena ~decisions ~crash finding =
@@ -299,12 +292,13 @@ let run ?(tracer = Trace.null) f =
           (add ~arena:aid ~decisions:choices ~crash:(Some crash))
           (crash_findings f r crash)
       in
-      (* Full product for one explored schedule: every (sampled) fence
-         point x every crash mode, within the global budget. *)
-      let crash_sweep choices fences =
+      (* Full product for one explored schedule: every sampled store
+         count x every crash mode, within the global budget. *)
+      let crash_sweep choices candidates =
         List.iter
           (fun (aid, k) ->
             if !budget > 0 then begin
+              incr crash_points;
               let crash mode cutoff =
                 { Cx.store_count = k; mode; crash_seed = k; cutoff }
               in
@@ -326,7 +320,7 @@ let run ?(tracer = Trace.null) f =
                    [ "keep_none"; "keep_all"; "random_eviction" ]
                 @ cutoffs)
             end)
-          (sample_evenly b.max_crash_points fences)
+          (sample b.max_crash_points candidates)
       in
       (* One explored schedule: execute, run the live oracle, then the
          crash product. *)
@@ -335,8 +329,9 @@ let run ?(tracer = Trace.null) f =
         let choices = Schedule.choices rc in
         Trace.span_begin tracer sched_span (Array.length choices);
         ops_checked := !ops_checked + f.ops r.result;
+        List.iter (fun (_, lo, hi) -> stores := !stores + hi - lo) r.candidates;
         List.iter (add ~arena:0 ~decisions:choices ~crash:None) (f.live r);
-        if crash_enabled then crash_sweep choices r.fences;
+        if crash_enabled then crash_sweep choices r.candidates;
         Trace.span_end tracer sched_span
       in
       if f.canonical_fifo then begin
@@ -361,6 +356,8 @@ let run ?(tracer = Trace.null) f =
         schedules_run = exploration.Schedule.schedules;
         exhausted = exploration.Schedule.exhausted;
         crash_runs = !crash_runs;
+        crash_points = !crash_points;
+        stores = !stores;
         ops_checked = !ops_checked;
         violations = List.rev !violations;
         skipped = None;
@@ -389,6 +386,7 @@ let replay ?(arena = 0) f (cx : Cx.t) =
         (empty_report f.index) with
         schedules_run = 1;
         crash_runs = (if crash_at = None then 0 else 1);
+        crash_points = (if crash_at = None then 0 else 1);
         ops_checked = f.ops r.result;
         violations =
           List.map

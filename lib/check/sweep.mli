@@ -8,20 +8,23 @@
     extension it stamps.  The driver owns everything else:
 
     - {b One controlled execution}: the family's setup builds and
-      prefills on fresh arenas, the driver installs a fence-point
-      event sink on every arena, optionally arms a crash plan, and
-      runs the concurrent phase on {!Ff_mcsim.Mcsim} with [cores = 1]
-      and [quantum_ns = 1], so every PM access is a preemption point
-      and the policy's decision sequence is a total order.
+      prefills on fresh arenas, the driver notes every arena's store
+      count, optionally arms a crash plan, and runs the concurrent
+      phase on {!Ff_mcsim.Mcsim} with [cores = 1] and
+      [quantum_ns = 1], so every PM access is a preemption point and
+      the policy's decision sequence is a total order.
     - {b Exploration}: PCT sampling or bounded-exhaustive DFS
       ({!Schedule}), optionally preceded by the canonical Fifo
       schedule.  Each explored schedule runs the live oracle.
-    - {b Crash product}: for every (sampled) fence point of an
-      explored schedule, the run is replayed decision-for-decision up
-      to that store count and crashed under each
-      {!Ff_pmem.Storelog.crash_mode} — plus every pending epoch cutoff
-      under non-TSO — within a global budget; each crash runs the
-      crash oracle.
+    - {b Crash product}: every store count the concurrent phase
+      passes through, on every arena it stores to, is a crash
+      candidate (flushes and fences included: each falls between two
+      stores).  For every candidate picked by
+      {!Ff_pmem.Arena.crash_points}, the explored schedule is replayed
+      decision-for-decision up to that store count and crashed under
+      each {!Ff_pmem.Storelog.crash_mode} — plus every pending epoch
+      cutoff under non-TSO — within a global budget; each crash runs
+      the crash oracle.
     - {b Counterexamples}: every violation carries a {!Counterexample}
       that {!replay} re-executes along the recorded decisions. *)
 
@@ -42,6 +45,12 @@ type report = {
   schedules_run : int;
   exhausted : bool;       (** DFS covered the entire decision tree *)
   crash_runs : int;       (** crash executions performed *)
+  crash_points : int;
+      (** store counts crashed (each under every crash mode the budget
+          left room for) *)
+  stores : int;
+      (** stores the explored schedules' concurrent phases performed,
+          over every arena *)
   ops_checked : int;      (** operations across all schedules *)
   violations : violation list;
   skipped : string option;  (** reason when the index is not checkable *)
@@ -112,9 +121,6 @@ val pre_recovery_tolerance :
 
 (** {1 Family descriptions} *)
 
-type point = int * int
-(** A crash candidate: (arena index, absolute store count). *)
-
 type 'x setup = {
   arenas : Ff_pmem.Arena.t array;
       (** Every arena the run touches; arena 0 hosts the simulator. *)
@@ -127,7 +133,11 @@ type 'x run = {
   result : 'x;
   arenas : Ff_pmem.Arena.t array;
   crashed : bool;
-  fences : point list;  (** sorted fence points: the crash candidates *)
+  candidates : (int * int * int) list;
+      (** the crash candidates: for every arena the concurrent phase
+          stored to, in arena order, [(arena, first, last)], its store
+          counts at the phase's start and end; every count from
+          [first] to [last] is a candidate *)
 }
 
 type finding = kind * string
@@ -136,7 +146,7 @@ type budget = {
   explorer : explorer;
   schedules : int;
   seed : int;
-  max_crash_points : int;  (** fence points sampled per schedule *)
+  max_crash_points : int;  (** candidates sampled per schedule *)
   crash_budget : int;      (** global cap on crash executions *)
 }
 

@@ -571,6 +571,14 @@ let crash_image base ~reopen run ~at mode =
   power_fail c mode;
   c
 
+(* Evenly spaced, both ends included: i * span / (m - 1) for i < m.
+   Once span >= m the gap between neighbours is at least 1, so the
+   points stay distinct. *)
+let crash_points ~max_points span =
+  let m = max 2 max_points in
+  if span < m then List.init (span + 1) Fun.id
+  else List.init m (fun i -> i * span / (m - 1))
+
 let dirty_line_count t = Storelog.dirty_line_count t.log
 
 (* A reattached segment (or any freshly mounted image) starts from the

@@ -240,6 +240,15 @@ val crash_image :
     stores never count towards [at]; the returned clone is disarmed.
     Reopen it again to validate and recover. *)
 
+val crash_points : max_points:int -> int -> int list
+(** [crash_points ~max_points span] picks the crash points of a
+    sampled sweep over stores [0 .. span]: every point when there are
+    at most [max_points] of them, otherwise exactly [max_points]
+    ascending, distinct points spread evenly from [0] to [span], both
+    ends included.  A [max_points] below 2 counts as 2.  The one
+    sampler of every crash sweep: the model checker's candidates and
+    the sequential sweeps over {!store_span}. *)
+
 val epoch : t -> int
 (** Current store epoch (bumped by every {!fence} and every non-group
     {!flush}).  The model checker records epochs at fence events to

@@ -9,7 +9,6 @@ module Mcsim = Ff_mcsim.Mcsim
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
-module Harness = Ff_workload.Crash_harness
 module C = Ff_check.Check
 module Cx = Ff_check.Counterexample
 module Spec = Ff_check.Spec
@@ -63,7 +62,7 @@ let test_fastfair_split_forcing () =
       keyspace = 160;
       prefill = 60;
       schedules = 60;
-      crashes = false;
+      crash_budget = 0;
       seed = 2;
     }
   in
@@ -158,7 +157,7 @@ let test_replay_dispatch () =
    budget, so we assert the budget was consumed, not exhaustion). *)
 let test_dfs_explorer () =
   let config =
-    { small_config with C.explorer = C.Dfs; schedules = 4; crashes = false }
+    { small_config with C.explorer = C.Dfs; schedules = 4; crash_budget = 0 }
   in
   let r = C.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
@@ -245,53 +244,97 @@ let suspended_reader_cases () =
     (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
-(* Crash harness: exhaustive mode + failing-point lists                *)
+(* One thread: a sequential run crashed at every store                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_harness_exhaustive () =
-  let base = Arena.create ~words:(1 lsl 20) () in
-  let t = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:128 base) in
-  for k = 1 to 40 do
-    t.Intf.insert k (value_of k)
-  done;
-  let reopen a = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 a) in
-  let batch (t : Intf.ops) =
-    t.Intf.insert 100 (value_of 100);
-    t.Intf.insert 101 (value_of 101)
-  in
-  let validate (t : Intf.ops) =
-    List.for_all (fun k -> t.Intf.search k = Some (value_of k)) (List.init 40 (fun i -> i + 1))
-  in
-  let o = Harness.enumerate ~exhaustive:true ~base ~reopen ~batch ~validate () in
-  Alcotest.(check int) "every store is a crash point" (o.Harness.store_span + 1)
-    o.Harness.points;
-  Alcotest.(check int) "recovered everywhere" o.Harness.points o.Harness.recovered;
-  Alcotest.(check (list int)) "no recovery failures" [] o.Harness.failed_recovery
+let one_thread = { C.default with C.writers = 1; readers = 0 }
 
-let test_harness_failing_lists () =
-  let base = Arena.create ~words:(1 lsl 20) () in
-  let t = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:128 base) in
-  for k = 1 to 20 do
-    t.Intf.insert k (value_of k)
-  done;
-  let reopen a = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 a) in
-  let batch (t : Intf.ops) = t.Intf.insert 999 (value_of 999) in
-  (* Deliberately demand the batch's own key: early crash points must
-     fail, and the failure indices must come back sorted ascending. *)
-  let validate (t : Intf.ops) = t.Intf.search 999 = Some (value_of 999) in
-  let o = Harness.enumerate ~exhaustive:true ~base ~reopen ~batch ~validate () in
-  Alcotest.(check bool) "some points fail" true (o.Harness.failed_recovery <> []);
-  Alcotest.(check bool) "point 0 fails" true (List.mem 0 o.Harness.failed_recovery);
-  Alcotest.(check int) "bookkeeping adds up"
-    o.Harness.points
-    (o.Harness.recovered + List.length o.Harness.failed_recovery);
-  let sorted l = l = List.sort compare l in
-  Alcotest.(check bool) "failure lists ascending" true
-    (sorted o.Harness.failed_tolerance && sorted o.Harness.failed_recovery)
+(* A budget that covers the phase's span crashes at every store count
+   from the phase's start to its end, each under the three TSO modes;
+   the flush and fence counts are only some of them.  The phase is
+   replayed by hand (the checker's workload generator, one writer) to
+   learn its span and its flush and fence counts. *)
+let test_one_thread_every_store () =
+  let config =
+    { one_thread with C.ops_per_thread = 3; seed = 3; max_crash_points = 1000; crash_budget = 3000 }
+  in
+  let tracer = Ff_trace.Trace.create () in
+  let r = C.run ~config ~tracer "fastfair" in
+  Alcotest.(check (option string)) "one thread is checkable" None r.C.skipped;
+  Alcotest.(check int) "no violations" 0 (List.length r.C.violations);
+  let crashed = ref [] in
+  Ff_trace.Trace.iter_events tracer (fun ~tid:_ ~ts:_ -> function
+    | Ff_trace.Trace.Inst { name = "check.crash_point"; detail } ->
+        crashed := detail :: !crashed
+    | _ -> ());
+  let points = List.sort_uniq compare !crashed in
+  let d = Registry.find_exn "fastfair" in
+  let arena =
+    Ff_check.Sweep.arena
+      ~keys:(config.C.keyspace + config.C.prefill + config.C.ops_per_thread)
+      ()
+  in
+  let t =
+    Registry.build ~config:(Ff_check.Sweep.index_config d ~node_bytes:None) "fastfair" arena
+  in
+  let values = Spec.values () in
+  let initial = Spec.prefill values ~prefill:config.C.prefill ~keyspace:config.C.keyspace in
+  Ff_check.Sweep.in_sim arena (fun () -> List.iter (fun (k, v) -> t.Intf.insert k v) initial);
+  let rng = Ff_util.Prng.split (Ff_util.Prng.create config.C.seed) in
+  let ops =
+    List.init config.C.ops_per_thread (fun _ -> Spec.draw values rng ~keyspace:config.C.keyspace)
+  in
+  let first = Arena.store_count arena in
+  let marks = ref [] in
+  let mark _ = marks := Arena.store_count arena :: !marks in
+  Arena.set_event_sink arena
+    (Some
+       {
+         Arena.ev_store = ignore;
+         ev_flush = mark;
+         ev_fence = (fun () -> mark 0);
+         ev_alloc = (fun _ _ -> ());
+         ev_free = (fun _ _ -> ());
+         ev_crash = ignore;
+       });
+  Ff_check.Sweep.in_sim arena (fun () ->
+      List.iter
+        (function
+          | Spec.Insert (k, v) -> t.Intf.insert k v
+          | Spec.Delete k -> ignore (t.Intf.delete k)
+          | Spec.Search k -> ignore (t.Intf.search k))
+        ops);
+  let last = Arena.store_count arena in
+  Alcotest.(check (list int)) "every store count of the phase"
+    (List.init (last - first + 1) (fun i -> first + i))
+    points;
+  Alcotest.(check int) "three modes per point" (3 * List.length points) r.C.crash_runs;
+  Alcotest.(check int) "points reported" (List.length points) r.C.crash_points;
+  Alcotest.(check int) "stores reported" (last - first) r.C.stores;
+  Alcotest.(check bool) "flush and fence counts are candidates" true
+    (List.for_all (fun m -> List.mem m points) !marks);
+  Alcotest.(check bool) "some candidate is neither a flush nor a fence" true
+    (List.exists (fun k -> not (List.mem k !marks)) points)
 
-(* Stable crash-mode seeding: the default mode for a point index must
-   rebuild the identical crash image on every run (SplitMix64 from the
-   index, sorted line iteration) — asserted by replaying one eviction
+(* The negative control: with every flush elided, a one-thread run
+   loses acknowledged writes, and its counterexample replays. *)
+let test_one_thread_mutant () =
+  let config =
+    { one_thread with C.ops_per_thread = 4; elide_flush = true; crash_budget = 64 }
+  in
+  let r = C.run ~config "fastfair" in
+  match List.filter (fun v -> v.C.kind = C.Durability) r.C.violations with
+  | [] -> Alcotest.fail "one-thread elide-flush run found no durability violation"
+  | v :: _ -> (
+      match Cx.of_json (Cx.to_json v.C.counterexample) with
+      | Error e -> Alcotest.fail ("of_json: " ^ e)
+      | Ok cx ->
+          Alcotest.(check int) "one writer recorded" 1 cx.Cx.workload.Cx.writers;
+          Alcotest.(check bool) "replay reproduces" true ((C.replay cx).C.violations <> []))
+
+(* Stable crash-mode seeding: random eviction seeded from a point index
+   must rebuild the identical crash image on every run (SplitMix64 from
+   the index, sorted line iteration) — asserted by replaying one eviction
    crash twice and comparing full dumps. *)
 let test_default_mode_stable () =
   let dump t =
@@ -312,7 +355,11 @@ let test_default_mode_stable () =
         t.Intf.insert i (value_of i)
       done
     in
-    let t = reopen (Arena.crash_image base ~reopen batch ~at:k (Harness.default_mode k)) in
+    let t =
+      reopen
+        (Arena.crash_image base ~reopen batch ~at:k
+           (Storelog.Random_eviction (Ff_util.Prng.create k)))
+    in
     t.Intf.recover ();
     dump t
   in
@@ -425,8 +472,8 @@ let suite =
     Alcotest.test_case "replay dispatch: every family" `Quick test_replay_dispatch;
     Alcotest.test_case "dfs explorer" `Quick test_dfs_explorer;
     Alcotest.test_case "capability gating" `Quick test_gating;
-    Alcotest.test_case "harness exhaustive mode" `Quick test_harness_exhaustive;
-    Alcotest.test_case "harness failing-point lists" `Quick test_harness_failing_lists;
+    Alcotest.test_case "one thread: every store crashed" `Quick test_one_thread_every_store;
+    Alcotest.test_case "one thread: elide-flush replay" `Quick test_one_thread_mutant;
     Alcotest.test_case "default crash mode stable" `Quick test_default_mode_stable;
     Alcotest.test_case "spec window" `Quick test_spec_window;
     Alcotest.test_case "spec repeated prefix in window" `Quick test_spec_repeated_prefix;

@@ -1,91 +1,18 @@
-(* The generic crash harness applied uniformly to every persistent
-   index, plus histogram and tree-helper coverage. *)
+(* The crash-point sampler, plus histogram and tree-helper coverage. *)
 
 open Ff_pmem
 module Prng = Ff_util.Prng
 module Histogram = Ff_util.Histogram
-module Intf = Ff_index.Intf
-module Harness = Ff_workload.Crash_harness
 module W = Ff_workload.Workload
 
 let value_of k = (2 * k) + 1
-
-(* ------------------------------------------------------------------ *)
-(* Crash harness across all persistent indexes                         *)
-(* ------------------------------------------------------------------ *)
-
-let harness_case label build reopen () =
-  let base = Arena.create ~words:(1 lsl 20) () in
-  let t = build base in
-  let keys = List.init 150 (fun i -> (i + 1) * 3) in
-  List.iter (fun k -> t.Intf.insert k (value_of k)) keys;
-  let batch (t : Intf.ops) =
-    for i = 1 to 12 do
-      t.Intf.insert (10_000 + i) (value_of (10_000 + i))
-    done;
-    ignore (t.Intf.delete 3)
-  in
-  let validate (t : Intf.ops) =
-    List.for_all
-      (fun k -> k = 3 || t.Intf.search k = Some (value_of k))
-      keys
-  in
-  let o = Harness.enumerate ~max_points:60 ~base ~reopen ~batch ~validate () in
-  Alcotest.(check bool) (label ^ " span > 0") true (o.Harness.store_span > 0);
-  (* After recovery, every index must pass at every crash point. *)
-  Alcotest.(check int) (label ^ " recovered everywhere") o.Harness.points o.Harness.recovered
-
-let harness_fastfair =
-  harness_case "fastfair"
-    (fun a -> Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:128 a))
-    (fun a -> Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 a))
-
-let harness_wbtree =
-  harness_case "wbtree"
-    (fun a -> Ff_wbtree.Wbtree.ops (Ff_wbtree.Wbtree.create ~node_bytes:256 a))
-    (fun a -> Ff_wbtree.Wbtree.ops (Ff_wbtree.Wbtree.open_existing ~node_bytes:256 a))
-
-let harness_fptree =
-  harness_case "fptree"
-    (fun a -> Ff_fptree.Fptree.ops (Ff_fptree.Fptree.create ~leaf_bytes:256 a))
-    (fun a -> Ff_fptree.Fptree.ops (Ff_fptree.Fptree.open_existing ~leaf_bytes:256 a))
-
-let harness_wort =
-  harness_case "wort"
-    (fun a -> Ff_wort.Wort.ops (Ff_wort.Wort.create a))
-    (fun a -> Ff_wort.Wort.ops (Ff_wort.Wort.open_existing a))
-
-let harness_skiplist =
-  harness_case "skiplist"
-    (fun a -> Ff_skiplist.Skiplist.ops (Ff_skiplist.Skiplist.create a))
-    (fun a -> Ff_skiplist.Skiplist.ops (Ff_skiplist.Skiplist.open_existing a))
-
-(* FAST+FAIR additionally guarantees reader tolerance BEFORE recovery
-   — the paper's differentiator; append-only/logged designs need their
-   recovery step first. *)
-let test_fastfair_pre_recovery_tolerance () =
-  let base = Arena.create ~words:(1 lsl 20) () in
-  let t = Ff_fastfair.Tree.create ~node_bytes:128 base in
-  let keys = List.init 150 (fun i -> (i + 1) * 3) in
-  List.iter (fun k -> Ff_fastfair.Tree.insert t ~key:k ~value:(value_of k)) keys;
-  let reopen a = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 a) in
-  let batch (t : Intf.ops) =
-    for i = 1 to 12 do
-      t.Intf.insert (10_000 + i) (value_of (10_000 + i))
-    done
-  in
-  let validate (t : Intf.ops) =
-    List.for_all (fun k -> t.Intf.search k = Some (value_of k)) keys
-  in
-  let o = Harness.enumerate ~max_points:80 ~base ~reopen ~batch ~validate () in
-  Alcotest.(check int) "tolerated pre-recovery everywhere" o.Harness.points o.Harness.tolerated
 
 (* The sampled sweep visits at most [max_points] crash points, evenly
    spread, and never drops either end of the store span. *)
 let test_crash_points_capped () =
   for span = 0 to 300 do
     for cap = 2 to 64 do
-      let pts = Harness.crash_points ~max_points:cap span in
+      let pts = Arena.crash_points ~max_points:cap span in
       let label = Printf.sprintf "span %d cap %d" span cap in
       let rec ascending = function
         | a :: (b :: _ as rest) -> a < b && ascending rest
@@ -174,12 +101,6 @@ let test_tree_min_max_cardinal () =
 
 let suite =
   [
-    Alcotest.test_case "harness: fastfair" `Quick harness_fastfair;
-    Alcotest.test_case "harness: wbtree" `Quick harness_wbtree;
-    Alcotest.test_case "harness: fptree" `Quick harness_fptree;
-    Alcotest.test_case "harness: wort" `Quick harness_wort;
-    Alcotest.test_case "harness: skiplist" `Quick harness_skiplist;
-    Alcotest.test_case "fastfair pre-recovery tolerance" `Quick test_fastfair_pre_recovery_tolerance;
     Alcotest.test_case "crash points capped" `Quick test_crash_points_capped;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "histogram empty/zero" `Quick test_histogram_empty_and_zero;

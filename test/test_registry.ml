@@ -1,5 +1,5 @@
 (* Registry-generic coverage: every registered descriptor gets a
-   model-cross-checked fuzz, a capability-gated crash-point sweep, and
+   model-cross-checked fuzz, a one-thread model-checked crash sweep, and
    a persist -> power-fail -> reopen round trip that goes through the
    root-slot manifest (no out-of-band knowledge of what the image
    holds). *)
@@ -9,7 +9,7 @@ module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
-module Harness = Ff_workload.Crash_harness
+module C = Ff_check.Check
 
 let value_of k = (2 * k) + 1
 let mk_arena ?(words = 1 lsl 21) () = Arena.create ~words ()
@@ -91,37 +91,45 @@ let test_fuzz d () =
   end;
   t.Intf.close ()
 
-(* Capability-gated crash-point sweep: every recoverable descriptor
-   must validate at every sampled crash point after recovery; the
-   volatile ones must be skipped (None), not crash the sweep. *)
+(* The one crash sweep over every descriptor, a one-thread model
+   check: one writer's 12 ops (inserts, overwrites and deletes drawn
+   from twice the prefilled keys) over 120 prefilled keys on small
+   nodes, crashed at 40 sampled store counts under the three TSO
+   modes.  Every image must be durably linearizable after recovery and,
+   on indexes with lock-free reads, tolerable before it; a volatile
+   descriptor's crash engine must refuse, not fail the sweep. *)
 let test_crash_sweep d () =
-  let base = Arena.create ~words:(1 lsl 20) () in
-  let config = small_config d in
-  let t = d.D.build config base in
-  let keys = List.init 120 (fun i -> (i + 1) * 3) in
-  List.iter (fun k -> t.Intf.insert k (value_of k)) keys;
-  let batch (t : Intf.ops) =
-    for i = 1 to 10 do
-      t.Intf.insert (10_000 + i) (value_of (10_000 + i))
-    done;
-    if d.D.caps.D.has_delete then ignore (t.Intf.delete 3)
+  let config =
+    {
+      C.default with
+      C.writers = 1;
+      readers = 0;
+      ops_per_thread = 12;
+      keyspace = 240;
+      prefill = 120;
+      max_crash_points = 40;
+      crash_budget = 120;
+      node_bytes = (small_config d).D.node_bytes;
+    }
   in
-  let validate (t : Intf.ops) =
-    List.for_all (fun k -> k = 3 || t.Intf.search k = Some (value_of k)) keys
-  in
-  match
-    Harness.enumerate_descriptor ~max_points:40 ~config ~base ~descriptor:d
-      ~batch ~validate ()
-  with
-  | None ->
-      Alcotest.(check bool)
-        (d.D.name ^ " skipped only when volatile")
-        false d.D.caps.D.has_recovery
-  | Some o ->
-      Alcotest.(check bool) (d.D.name ^ " span > 0") true (o.Harness.store_span > 0);
-      Alcotest.(check int)
-        (d.D.name ^ " recovered everywhere")
-        o.Harness.points o.Harness.recovered
+  let r = C.run ~config d.D.name in
+  Alcotest.(check (option string)) (d.D.name ^ " checkable") None r.C.skipped;
+  List.iter
+    (fun v ->
+      Alcotest.failf "%s: %s violation: %s" d.D.name (C.kind_to_string v.C.kind)
+        v.C.detail)
+    r.C.violations;
+  if d.D.caps.D.has_recovery then begin
+    Alcotest.(check bool) (d.D.name ^ " span > 0") true (r.C.stores > 0);
+    Alcotest.(check int)
+      (d.D.name ^ " sampled points")
+      (min 40 (r.C.stores + 1))
+      r.C.crash_points;
+    Alcotest.(check int)
+      (d.D.name ^ " every mode at every point")
+      (3 * r.C.crash_points) r.C.crash_runs
+  end
+  else Alcotest.(check int) (d.D.name ^ " volatile: no crash runs") 0 r.C.crash_runs
 
 (* Unified persistent lifecycle: build by name, close, save the image,
    reload it, reopen purely from the manifest (no name supplied), and

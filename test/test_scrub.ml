@@ -18,7 +18,6 @@ module Registry = Ff_index.Registry
 module Scrub = Ff_scrub.Scrub
 module Shard = Ff_shard.Shard
 module L = Ff_fastfair.Layout
-module Harness = Ff_workload.Crash_harness
 
 let value_of k = (2 * k) + 1
 let wpl = Arena.words_per_line
@@ -188,7 +187,8 @@ let crash_after ~base k =
       t.Intf.insert (5000 + i) (value_of (5000 + i))
     done
   in
-  Arena.crash_image base ~reopen:(reopen (ff ())) batch ~at:k (Harness.default_mode k)
+  Arena.crash_image base ~reopen:(reopen (ff ())) batch ~at:k
+    (Storelog.Random_eviction (Prng.create k))
 
 (* First crash point whose post-crash image leaks a block. *)
 let find_leaky base =
