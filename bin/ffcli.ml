@@ -260,7 +260,7 @@ let fuzz index_name ops_count seed shards faults =
 (* ------------------------------------------------------------------ *)
 
 (* One writer runs a two-op batch over [keys] prefilled keys, drawn
-   from a keyspace eight times as large; the checker crashes it at
+   from a keyspace twice as large; the checker crashes it at
    [points] sampled store counts under its three crash modes and judges
    each image by durable linearizability.  The pre-recovery oracle
    runs only on indexes that claim lock-free reads (the paper's

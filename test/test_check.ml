@@ -256,7 +256,13 @@ let one_thread = { C.default with C.writers = 1; readers = 0 }
    learn its span and its flush and fence counts. *)
 let test_one_thread_every_store () =
   let config =
-    { one_thread with C.ops_per_thread = 3; seed = 3; max_crash_points = 1000; crash_budget = 3000 }
+    {
+      one_thread with
+      C.ops_per_thread = 3;
+      seed = 3;
+      max_crash_points = 1000;
+      crash_budget = 3000;
+    }
   in
   let tracer = Ff_trace.Trace.create () in
   let r = C.run ~config ~tracer "fastfair" in
