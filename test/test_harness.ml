@@ -1,11 +1,91 @@
-(* The crash-point sampler, plus histogram and tree-helper coverage. *)
+(* Sequential crash sweeps over every persistent index, the
+   crash-point sampler, plus histogram and tree-helper coverage. *)
 
 open Ff_pmem
 module Prng = Ff_util.Prng
 module Histogram = Ff_util.Histogram
+module Intf = Ff_index.Intf
+module C = Ff_check.Check
 module W = Ff_workload.Workload
 
 let value_of k = (2 * k) + 1
+
+(* ------------------------------------------------------------------ *)
+(* Sequential crash sweeps across the persistent indexes               *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-thread model check on the indexes' own small nodes: one
+   writer's 13 ops over 150 prefilled keys, crashed at 60 sampled store
+   counts under the three TSO modes.  After recovery every image must
+   be durably linearizable. *)
+let harness_case name node_bytes () =
+  let config =
+    {
+      C.default with
+      C.writers = 1;
+      readers = 0;
+      ops_per_thread = 13;
+      keyspace = 300;
+      prefill = 150;
+      max_crash_points = 60;
+      crash_budget = 180;
+      node_bytes;
+    }
+  in
+  let r = C.run ~config name in
+  Alcotest.(check (option string)) (name ^ " checkable") None r.C.skipped;
+  List.iter
+    (fun v ->
+      Alcotest.failf "%s: %s violation: %s" name (C.kind_to_string v.C.kind) v.C.detail)
+    r.C.violations;
+  Alcotest.(check bool) (name ^ " span > 0") true (r.C.stores > 0);
+  Alcotest.(check int) (name ^ " sampled points") (min 60 (r.C.stores + 1)) r.C.crash_points;
+  Alcotest.(check int) (name ^ " recovered everywhere") (3 * r.C.crash_points) r.C.crash_runs
+
+let harness_fastfair = harness_case "fastfair" (Some 128)
+let harness_wbtree = harness_case "wbtree" (Some 256)
+let harness_fptree = harness_case "fptree" (Some 256)
+let harness_wort = harness_case "wort" None
+let harness_skiplist = harness_case "skiplist" None
+
+(* FAST+FAIR additionally guarantees reader tolerance BEFORE recovery
+   -- the paper's differentiator; append-only/logged designs need their
+   recovery step first.  Stronger than the checker's no-fabrication
+   oracle: at every sampled store of an insert batch, under each TSO
+   crash mode, a reader of the unrecovered image finds every committed
+   key with its value. *)
+let test_fastfair_pre_recovery_tolerance () =
+  let base = Arena.create ~words:(1 lsl 20) () in
+  let t = Ff_fastfair.Tree.create ~node_bytes:128 base in
+  let keys = List.init 150 (fun i -> (i + 1) * 3) in
+  List.iter (fun k -> Ff_fastfair.Tree.insert t ~key:k ~value:(value_of k)) keys;
+  let reopen a = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.open_existing ~node_bytes:128 a) in
+  let batch (t : Intf.ops) =
+    for i = 1 to 12 do
+      t.Intf.insert (10_000 + i) (value_of (10_000 + i))
+    done
+  in
+  let span = Arena.store_span base ~reopen batch in
+  Alcotest.(check bool) "span > 0" true (span > 0);
+  let points = Arena.crash_points ~max_points:80 span in
+  List.iter
+    (fun at ->
+      List.iter
+        (fun (label, mode) ->
+          let img = Arena.crash_image base ~reopen batch ~at mode in
+          let t' = reopen img in
+          List.iter
+            (fun k ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "crash at %d (%s): key %d before recovery" at label k)
+                (Some (value_of k)) (t'.Intf.search k))
+            keys)
+        [
+          ("keep_none", Storelog.Keep_none);
+          ("keep_all", Storelog.Keep_all);
+          ("random_eviction", Storelog.Random_eviction (Prng.create at));
+        ])
+    points
 
 (* The sampled sweep visits at most [max_points] crash points, evenly
    spread, and never drops either end of the store span. *)
@@ -101,6 +181,12 @@ let test_tree_min_max_cardinal () =
 
 let suite =
   [
+    Alcotest.test_case "harness: fastfair" `Quick harness_fastfair;
+    Alcotest.test_case "harness: wbtree" `Quick harness_wbtree;
+    Alcotest.test_case "harness: fptree" `Quick harness_fptree;
+    Alcotest.test_case "harness: wort" `Quick harness_wort;
+    Alcotest.test_case "harness: skiplist" `Quick harness_skiplist;
+    Alcotest.test_case "fastfair pre-recovery tolerance" `Quick test_fastfair_pre_recovery_tolerance;
     Alcotest.test_case "crash points capped" `Quick test_crash_points_capped;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "histogram empty/zero" `Quick test_histogram_empty_and_zero;
