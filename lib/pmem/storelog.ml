@@ -221,9 +221,9 @@ let select (a : int array) k =
 (* Persist the globally oldest stores until [target] remain.  A line's
    oldest stores are a prefix of its program order, so each line
    persists its stores up to one [seq] cutoff.  The cutoff is selected,
-   not sorted for: a bulk load that flushes only at the end crosses the
-   mark every [high_water / 2] stores, and a sort per crossing doubled
-   its host time. *)
+   not sorted for: a long run of unflushed stores (the header lines of
+   a large bulk load) crosses the mark every [high_water / 2] stores,
+   and a sort at each crossing costs more host time than a selection. *)
 let evict_to t ~target =
   let seqs = Array.make t.pending 0 in
   ignore (fold_stores t (fun i s -> seqs.(i) <- t.seq.(s); i + 1) 0);

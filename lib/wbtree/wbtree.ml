@@ -187,22 +187,29 @@ let last_key t n =
 (* Descent with sibling chase (split completion tolerance)             *)
 (* ------------------------------------------------------------------ *)
 
-let rec chain_covers t s k =
+(* No sibling walk visits more nodes than the arena can hold, so a
+   longer one is a cycle — a torn image can link a chain back into
+   itself.  [hop t hops] counts one more step of a walk. *)
+let hop t hops =
+  if hops >= Arena.capacity t.arena / t.node_words then failwith "Wbtree: sibling cycle";
+  hops + 1
+
+let rec chain_covers t hops s k =
   if s = 0 then false
   else
     match first_key t s with
     | Some k0 -> k0 <= k
-    | None -> chain_covers t (sibling t s) k
+    | None -> chain_covers t (hop t hops) (sibling t s) k
 
 let move_right t n k =
-  let rec go n =
+  let rec go hops n =
     match last_key t n with
     | Some last when k <= last -> n
     | Some _ | None ->
         let s = sibling t n in
-        if s <> 0 && chain_covers t s k then go s else n
+        if s <> 0 && chain_covers t 0 s k then go (hop t hops) s else n
   in
-  go n
+  go 0 n
 
 let rec to_leaf t n k =
   let n = move_right t n k in
@@ -386,7 +393,7 @@ let delete t k =
 
 let range t ~lo ~hi f =
   let leaf = to_leaf t (root t) lo in
-  let rec scan n last =
+  let rec scan hops n last =
     let stop = ref false in
     let last = ref last in
     List.iter
@@ -401,9 +408,9 @@ let range t ~lo ~hi f =
         end)
       (logical_order t n);
     let s = sibling t n in
-    if (not !stop) && s <> 0 then scan s !last
+    if (not !stop) && s <> 0 then scan (hop t hops) s !last
   in
-  scan leaf (lo - 1)
+  scan 0 leaf (lo - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -414,8 +421,10 @@ let leftmost_of_level t lvl =
   go (root t)
 
 let chain t first =
-  let rec go n acc = if n = 0 then List.rev acc else go (sibling t n) (n :: acc) in
-  go first []
+  let rec go hops n acc =
+    if n = 0 then List.rev acc else go (hop t hops) (sibling t n) (n :: acc)
+  in
+  go 0 first []
 
 let fix_slots t n =
   let bm = bitmap t n in

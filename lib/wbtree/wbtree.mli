@@ -10,7 +10,12 @@
     log — the two costs FAST+FAIR removes.
 
     Single-threaded, as in the paper (Section 5.7 notes wB+-tree was
-    not designed for concurrent queries). *)
+    not designed for concurrent queries).
+
+    A sibling walk (descent, range scan, recovery, {!check}) that
+    takes more steps than the arena has nodes has met a cycle, which
+    only a damaged image can hold; it raises [Failure] instead of
+    spinning. *)
 
 type t
 

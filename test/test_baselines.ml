@@ -208,6 +208,23 @@ let test_wbtree_invariants () =
   Alcotest.(check (list string)) "invariants" [] (Ff_wbtree.Wbtree.check w);
   Alcotest.(check bool) "height grew" true (Ff_wbtree.Wbtree.height w >= 2)
 
+(* A torn image can link a sibling chain back into itself: every
+   sibling walk must stop at the arena's node count and raise, not
+   spin. *)
+let test_wbtree_sibling_cycle () =
+  let a = mk_arena () in
+  let w = Ff_wbtree.Wbtree.create ~node_bytes:256 a in
+  for k = 1 to 5 do
+    Ff_wbtree.Wbtree.insert w ~key:k ~value:(value_of k)
+  done;
+  let leaf = Arena.root_get a 4 in
+  Arena.write a (leaf + 2) leaf;
+  let cycle = Failure "Wbtree: sibling cycle" in
+  Alcotest.check_raises "search" cycle (fun () -> ignore (Ff_wbtree.Wbtree.search w 100));
+  Alcotest.check_raises "range" cycle (fun () ->
+      Ff_wbtree.Wbtree.range w ~lo:1 ~hi:100 (fun _ _ -> ()));
+  Alcotest.check_raises "check" cycle (fun () -> ignore (Ff_wbtree.Wbtree.check w))
+
 let test_flush_counts_ranking () =
   (* Paper Section 5.2/5.4: wB+-tree issues substantially more flushes
      per insert than FAST+FAIR; WORT issues fewer. *)
@@ -261,6 +278,7 @@ let suite =
       Alcotest.test_case "fptree fp collisions" `Quick test_fptree_fingerprint_collisions;
       Alcotest.test_case "skiplist structure" `Quick test_skiplist_structure;
       Alcotest.test_case "wbtree invariants" `Quick test_wbtree_invariants;
+      Alcotest.test_case "wbtree sibling cycle" `Quick test_wbtree_sibling_cycle;
       Alcotest.test_case "flush-count ranking" `Quick test_flush_counts_ranking;
     ]
 

@@ -224,10 +224,27 @@ let test_bulk_load_crash_atomicity () =
       (Tree.search t2 k)
   done
 
+(* A 1000-pair input with pair [i] replaced by [p]. *)
+let bulk_load_with i p () =
+  let keys = Ff_workload.Workload.distinct_uniform (Prng.create 8) ~n:1000 ~space:100_000 in
+  let pairs = Array.map (fun k -> (k, value_of k)) keys in
+  pairs.(i) <- p (keys.(0), keys.(700));
+  ignore (Bulk.load (mk_arena ()) pairs)
+
 let test_bulk_load_rejects_duplicates () =
   let a = mk_arena () in
-  Alcotest.check_raises "duplicate keys" (Invalid_argument "Bulk.load: duplicate key")
-    (fun () -> ignore (Bulk.load a [| (1, 3); (1, 5) |]))
+  let dup = Invalid_argument "Bulk.load: duplicate key" in
+  Alcotest.check_raises "duplicate keys" dup (fun () ->
+      ignore (Bulk.load a [| (1, 3); (1, 5) |]));
+  Alcotest.check_raises "duplicate far apart" dup (bulk_load_with 999 (fun (k0, _) -> (k0, 7)))
+
+(* Each fault alone still raises its own message. *)
+let test_bulk_load_rejects_invalid_pairs () =
+  let key = Invalid_argument "Bulk.load: keys must be positive" in
+  Alcotest.check_raises "zero key" key (bulk_load_with 500 (fun _ -> (0, 7)));
+  Alcotest.check_raises "negative key" key (bulk_load_with 3 (fun _ -> (-5, 7)));
+  Alcotest.check_raises "zero value" (Invalid_argument "Bulk.load: values must be nonzero")
+    (bulk_load_with 700 (fun (_, k700) -> (k700, 0)))
 
 let test_bulk_load_empty_and_tiny () =
   let a = mk_arena () in
@@ -238,6 +255,51 @@ let test_bulk_load_empty_and_tiny () =
   let a2 = mk_arena () in
   let t2 = Bulk.load a2 [| (9, 19) |] in
   Alcotest.(check (option int)) "singleton" (Some 19) (Tree.search t2 9)
+
+(* Keys that differ only above the low 16 bits: a sort that skips a
+   radix digit misorders them. *)
+let test_bulk_load_every_digit () =
+  let a = mk_arena () in
+  let spread = Array.init 200 (fun i -> (i + 1) * (max_int / 201)) in
+  let keys =
+    Array.append [| (1 lsl 48) + 5; 1; max_int; (1 lsl 32) + 1; 1 lsl 16 |] spread
+  in
+  Prng.shuffle (Prng.create 5) keys;
+  let t = Bulk.load ~node_bytes:128 a (Array.mapi (fun i k -> (k, i + 1)) keys) in
+  Array.iteri
+    (fun i k -> Alcotest.(check (option int)) "every digit" (Some (i + 1)) (Tree.search t k))
+    keys;
+  Alcotest.(check (list int)) "sorted" (List.sort compare (Array.to_list keys))
+    (Invariant.keys t);
+  Invariant.check_exn t
+
+(* The loader's simulated work, pinned: every charged access and flush
+   of a fixed 20k-pair load, and nothing left pending afterwards.  With
+   a 512-line cache the misses of the load, and of the searches right
+   after it, also pin the order in which the loader touched lines. *)
+let test_bulk_load_same_work () =
+  let keys = Ff_workload.Workload.distinct_uniform (Prng.create 20) ~n:20_000 ~space:1_000_000 in
+  let load config =
+    let a = Arena.create ~config ~words:(1 lsl 18) () in
+    let t = Bulk.load a (Array.map (fun k -> (k, value_of k)) keys) in
+    (a, t)
+  in
+  let counts a =
+    let s = Arena.total_stats a in
+    Stats.
+      [ s.loads; s.stores; s.flushes; s.fences; s.line_hits; s.line_misses; s.seq_misses;
+        total_ns s; Arena.dirty_line_count a ]
+  in
+  let pm, _ = load (Config.pm ()) in
+  Alcotest.(check (list int)) "pm arena"
+    [ 1860; 107259; 7281; 7282; 1860; 0; 0; 2293427; 0 ] (counts pm);
+  let small, t = load { (Config.pm ()) with Config.cache_lines = 512 } in
+  Alcotest.(check (list int)) "512-line cache"
+    [ 1860; 107259; 7281; 7282; 788; 1072; 0; 2613955; 0 ] (counts small);
+  Arena.reset_stats small;
+  Array.iter (fun k -> ignore (Tree.search t k)) (Array.sub keys 0 2000);
+  Alcotest.(check (list int)) "searches after"
+    [ 180765; 0; 0; 0; 170425; 10340; 7694; 1541275; 0 ] (counts small)
 
 (* ------------------------------------------------------------------ *)
 (* Negative control: the naive unordered shift corrupts crash states   *)
@@ -287,6 +349,9 @@ let suite =
     Alcotest.test_case "bulk load then mutate" `Quick test_bulk_load_then_mutate;
     Alcotest.test_case "bulk load crash atomicity" `Quick test_bulk_load_crash_atomicity;
     Alcotest.test_case "bulk load duplicates" `Quick test_bulk_load_rejects_duplicates;
+    Alcotest.test_case "bulk load invalid pairs" `Quick test_bulk_load_rejects_invalid_pairs;
     Alcotest.test_case "bulk load empty/tiny" `Quick test_bulk_load_empty_and_tiny;
+    Alcotest.test_case "bulk load every radix digit" `Quick test_bulk_load_every_digit;
+    Alcotest.test_case "bulk load same work" `Quick test_bulk_load_same_work;
     Alcotest.test_case "unordered insert not endurable" `Quick test_unordered_insert_is_not_endurable;
   ]
