@@ -281,9 +281,9 @@ let crash_test index_name keys points seed =
         ~config:
           {
             C.default with
-            C.writers = 1;
+            Ff_check.Counterexample.writers = 1;
             readers = 0;
-            ops_per_thread = 2;
+            ops = 2;
             keyspace = 2 * keys;
             prefill = keys;
             seed;
@@ -1481,21 +1481,6 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
     replay =
   let module C = Ff_check.Check in
   let module Cx = Ff_check.Counterexample in
-  let module TC = Ff_check.Txcheck in
-  let module SC = Ff_check.Snapcheck in
-  let module RC = Ff_check.Rebalcheck in
-  let module RepC = Ff_check.Replcheck in
-  (* Gate on the family's own [checkable] so an unsupported index
-     exits 2 with the reason instead of a skipped report. *)
-  let gated flag checkable config
-      (run : ?config:_ -> ?tracer:_ -> string -> C.report) =
-    match checkable (Registry.find_exn index_name) config with
-    | Some msg ->
-        Printf.printf "check --%s: %s\n" flag msg;
-        2
-    | None -> print_check_report ~out (run ~config index_name)
-  in
-  let crash_budget = if no_crashes then 0 else crash_budget in
   match replay with
   | Some path -> (
       match Cx.load path with
@@ -1503,12 +1488,14 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
           Printf.printf "check --replay: %s\n" msg;
           2
       | Ok cx -> (
-          Printf.printf "replaying %s%s counterexample for %s (crash: %s)\n"
-            (C.family_of cx).C.banner cx.Cx.kind cx.Cx.index
-            (match cx.Cx.crash with
-            | None -> "none"
-            | Some c -> Printf.sprintf "%s at store %d" c.Cx.mode c.Cx.store_count);
-          match C.replay cx with
+          match
+            Printf.printf "replaying %s%s counterexample for %s (crash: %s)\n"
+              (C.family_of cx).C.banner cx.Cx.kind cx.Cx.index
+              (match cx.Cx.crash with
+              | None -> "none"
+              | Some c -> Printf.sprintf "%s at store %d" c.Cx.mode c.Cx.store_count);
+            C.replay cx
+          with
           | exception Invalid_argument msg ->
               Printf.printf "check --replay: %s\n" msg;
               2
@@ -1521,92 +1508,47 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
                 print_endline "counterexample did NOT reproduce";
                 2
               end))
-  | None ->
-      let explorer =
-        match explorer with
-        | "dfs" -> C.Dfs
-        | "pct" -> C.Pct
-        | s -> invalid_arg (Printf.sprintf "unknown explorer %S (dfs, pct)" s)
+  | None when all -> check_all index_name seed out
+  | None -> (
+      (* Each family arms only its own mutant flag. *)
+      let name, mutant =
+        if replica then ("replica", repl_mutant)
+        else if rebalance then ("rebalance", rebal_mutant)
+        else if snapshot then ("snapshot", snap_mutant)
+        else if tx then ("tx", torn)
+        else ("linearizability", elide)
       in
-      if all then check_all index_name seed out
-      else if replica then
-        gated "replica" RepC.checkable
-          {
-            RepC.default with
-            RepC.ops = (if ops > 2 then ops else RepC.default.RepC.ops);
-            keyspace;
-            seed;
-            mutant = repl_mutant;
-            schedules;
-          }
-          RepC.run
-      else if rebalance then
-        gated "rebalance" RC.checkable
-          {
-            RC.default with
-            RC.kind = RC.rkind_of_string rebal_kind;
-            ops;
-            keyspace;
-            prefill;
-            seed;
-            mutant = rebal_mutant;
-            explorer;
-            schedules;
-            crash_budget;
-          }
-          RC.run
-      else if snapshot then
-        gated "snapshot" SC.checkable
-          {
-            SC.default with
-            SC.rounds;
-            ops_per_round = ops;
-            keyspace;
-            prefill;
-            seed;
-            mutant = snap_mutant;
-            explorer;
-            schedules;
-            crash_budget;
-          }
-          SC.run
-      else if tx then
-        gated "tx" TC.checkable
-          {
-            TC.default with
-            TC.txns;
-            ops_per_txn = ops;
-            readers;
-            keyspace;
-            prefill;
-            seed;
-            path = tx_path_of_string tx_path;
-            torn_commit = torn;
-            explorer;
-            schedules;
-            crash_budget;
-            non_tso;
-          }
-          TC.run
-      else
-        print_check_report ~out
-          (C.run
-             ~config:
-               {
-                 C.default with
-                 C.writers;
-                 readers;
-                 ops_per_thread = ops;
-                 keyspace;
-                 prefill;
-                 seed;
-                 explorer;
-                 schedules;
-                 crash_budget;
-                 non_tso;
-                 elide_flush = elide;
-               }
-             index_name)
+      let fam = C.family_named name in
+      let config =
+        {
+          fam.C.default with
+          Cx.writers;
+          readers;
+          (* A replica script of two ops or fewer runs the default length. *)
+          ops = (if replica && ops <= 2 then fam.C.default.Cx.ops else ops);
+          rounds = (if tx then txns else rounds);
+          keyspace;
+          prefill;
+          seed;
+          explorer;
+          schedules;
+          crash_budget = (if no_crashes then 0 else crash_budget);
+          non_tso;
+          mutant;
+          tx_path;
+          rebal_kind;
+        }
+      in
+      (* One gate: an index the family cannot check exits 2 with the
+         reason. *)
+      let r = fam.C.run ~config index_name in
+      match r.C.skipped with
+      | Some reason ->
+          Printf.printf "check%s: %s\n"
+            (if name = "linearizability" then "" else " --" ^ name)
+            reason;
+          2
+      | None -> print_check_report ~out r)
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -1816,7 +1758,8 @@ let check_cmd =
     Arg.(value & opt int 4 & info [ "prefill" ] ~docv:"N" ~doc:"Keys inserted before the concurrent phase.")
   in
   let explorer =
-    Arg.(value & opt string "pct" & info [ "explorer"; "e" ] ~docv:"MODE"
+    Arg.(value & opt (enum Ff_check.Counterexample.explorers) Ff_check.Check.Pct
+         & info [ "explorer"; "e" ] ~docv:"MODE"
          ~doc:"Schedule exploration: $(b,pct) (randomized priorities) or $(b,dfs) (bounded exhaustive).")
   in
   let schedules =
@@ -1850,7 +1793,8 @@ let check_cmd =
          ~doc:"With --tx: transactions in the writer script.")
   in
   let tx_path =
-    Arg.(value & opt string "logged" & info [ "tx-path" ] ~docv:"PATH"
+    Arg.(value & opt (enum Ff_check.Counterexample.tx_paths) Tx.Logged
+         & info [ "tx-path" ] ~docv:"PATH"
          ~doc:"With --tx: commit path under test, $(b,logged) or $(b,shadow).")
   in
   let torn =
@@ -1887,7 +1831,9 @@ let check_cmd =
                may be lost. $(b,--ops) becomes the writer commit-log length.")
   in
   let rebal_kind =
-    Arg.(value & opt string "split" & info [ "rebal-kind" ] ~docv:"KIND"
+    Arg.(value & opt (enum Ff_check.Counterexample.rebal_kinds)
+           Ff_check.Counterexample.Rb_split
+         & info [ "rebal-kind" ] ~docv:"KIND"
          ~doc:"With --rebalance: $(b,split), $(b,merge) or $(b,migrate).")
   in
   let rebal_mutant =

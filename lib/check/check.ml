@@ -7,47 +7,16 @@ module Locks = Ff_index.Locks
 module Cx = Counterexample
 include Sweep
 
-type config = {
-  writers : int;
-  readers : int;
-  ops_per_thread : int;
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  explorer : explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  non_tso : bool;
-  elide_flush : bool;
-  node_bytes : int option;
-}
-
-let default =
-  {
-    writers = 2;
-    readers = 1;
-    ops_per_thread = 2;
-    keyspace = 8;
-    prefill = 4;
-    seed = 1;
-    explorer = Pct;
-    schedules = 16;
-    max_crash_points = 12;
-    crash_budget = 256;
-    non_tso = false;
-    elide_flush = false;
-    node_bytes = None;
-  }
+type config = Cx.config
 
 (* One thread is always legal: the run is sequential, and the crash
    product sweeps its stores.  Concurrent threads are legal when either
    the structure drives Mcsim locks itself (Sim mode), or its readers
    are lock-free and at most one writer runs. *)
-let checkable d cfg =
+let checkable d (cfg : config) =
   let threads = cfg.writers + cfg.readers in
   if threads < 1 then Some "need at least 1 thread"
-  else if threads * cfg.ops_per_thread > Linearize.max_ops then
+  else if threads * cfg.ops > Linearize.max_ops then
     Some
       (Printf.sprintf "history would exceed %d ops (reduce threads/ops)"
          Linearize.max_ops)
@@ -75,7 +44,7 @@ type workload = {
 (* Values come from one counter, so every insert (prefill included)
    writes a distinct value — the registry's uniqueness contract, and
    what lets the tolerance check recognize a fabricated binding. *)
-let gen_workload cfg =
+let gen_workload (cfg : config) =
   let values = Spec.values () in
   let initial = Spec.prefill values ~prefill:cfg.prefill ~keyspace:cfg.keyspace in
   let master = Prng.create cfg.seed in
@@ -83,7 +52,7 @@ let gen_workload cfg =
   let scripts =
     Array.init (cfg.writers + cfg.readers) (fun tid ->
         let rng = Prng.split master in
-        List.init cfg.ops_per_thread (fun _ ->
+        List.init cfg.ops (fun _ ->
             let op =
               if tid < cfg.writers then Spec.draw values rng ~keyspace:cfg.keyspace
               else Spec.Search (1 + Prng.int rng cfg.keyspace)
@@ -103,17 +72,17 @@ type exec = {
 
 (* Every thread stamps invocation and response of each op into a
    shared history. *)
-let setup cfg d w () =
+let setup (cfg : config) d w () =
   let arena =
     Sweep.arena ~non_tso:cfg.non_tso
-      ~keys:(cfg.keyspace + cfg.prefill + (cfg.writers * cfg.ops_per_thread))
+      ~keys:(cfg.keyspace + cfg.prefill + (cfg.writers * cfg.ops))
       ()
   in
   let dcfg = index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->
       List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w.spec));
-  if cfg.elide_flush then Arena.set_flush_elision arena true;
+  if cfg.mutant then Arena.set_flush_elision arena true;
   let total = Array.fold_left (fun a s -> a + List.length s) 0 w.scripts in
   let calls = Array.make total (Linearize.make_call ~opid:0 ~tid:0 (Spec.Search 0)) in
   Array.iteri
@@ -162,7 +131,7 @@ let setup cfg d w () =
 (* Linearizability of the history against the final bindings, read
    through the live handle inside the simulator (it may hold Sim
    locks). *)
-let validate_live cfg w (r : exec Sweep.run) =
+let validate_live (cfg : config) w (r : exec Sweep.run) =
   let x = r.result in
   let final = ref [] in
   Sweep.in_sim x.arena (fun () ->
@@ -175,7 +144,7 @@ let validate_live cfg w (r : exec Sweep.run) =
    (lock-free readers only), then recovery and durable
    linearizability of the invoked history against the post-recovery
    dump. *)
-let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
+let validate_crash (cfg : config) d w (r : exec Sweep.run) (crash : Cx.crash) =
   let x = r.result in
   Arena.power_fail x.arena (mode_of_crash crash);
   let sdcfg =
@@ -200,25 +169,17 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
       | Error msg -> [ (Durability, msg) ])
   | exception e -> [ (Durability, "recovery raised: " ^ Printexc.to_string e) ]
 
-let family cfg name =
+let family (cfg : config) name =
   let d = Registry.find_exn name in
   let w = lazy (gen_workload cfg) in
   {
-    Sweep.index = name;
+    Sweep.family = "linearizability";
+    index = name;
+    (* A single thread has exactly one schedule. *)
+    config =
+      (if cfg.writers + cfg.readers = 1 then { cfg with schedules = 1 } else cfg);
     gate = checkable d cfg;
-    crash_gate =
-      (if cfg.crash_budget <= 0 then Some "crash engine disabled"
-       else crash_checkable d);
-    budget =
-      {
-        explorer = cfg.explorer;
-        (* A single thread has exactly one schedule. *)
-        schedules = (if cfg.writers + cfg.readers = 1 then 1 else cfg.schedules);
-        seed = cfg.seed;
-        max_crash_points = cfg.max_crash_points;
-        crash_budget = cfg.crash_budget;
-      };
-    probe_cutoffs = cfg.non_tso;
+    crash_gate = crash_checkable d;
     canonical_fifo = false;
     crashed_only = false;
     mutant = None;
@@ -226,30 +187,11 @@ let family cfg name =
     ops = (fun x -> Array.length x.calls);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
     crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
-    counterexample =
-      (fun ~arena:_ ->
-        Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
-          ~writers:cfg.writers ~readers:cfg.readers ~non_tso:cfg.non_tso
-          ~elide_flush:cfg.elide_flush ~ops_per_thread:cfg.ops_per_thread
-          ~keyspace:cfg.keyspace ~prefill:cfg.prefill ~seed:cfg.seed ());
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
-let config_of_counterexample (cx : Cx.t) =
-  let w = cx.Cx.workload in
-  {
-    default with
-    writers = w.Cx.writers;
-    readers = w.Cx.readers;
-    ops_per_thread = w.Cx.ops_per_thread;
-    keyspace = w.Cx.keyspace;
-    prefill = w.Cx.prefill;
-    seed = w.Cx.seed;
-    non_tso = w.Cx.non_tso;
-    elide_flush = w.Cx.elide_flush;
-    node_bytes = cx.Cx.node_bytes;
-  }
+let replay_family cx = Sweep.replay (family cx.Cx.config cx.Cx.index) cx
 
 (* ------------------------------------------------------------------ *)
 (* Every family: the smoke sweep and replay dispatch                   *)
@@ -258,7 +200,8 @@ let config_of_counterexample (cx : Cx.t) =
 type family = {
   name : string;
   banner : string;
-  owns : Cx.t -> bool;
+  default : config;
+  run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report;
   smoke : index:string -> seed:int -> report;
   replay : Cx.t -> report;
 }
@@ -269,70 +212,68 @@ module RC = Rebalcheck
 module RepC = Replcheck
 
 (* Smoke budgets size a quick sweep, not a deep audit; the deep sweeps
-   run per family.  A counterexample belongs to the family whose
-   extension it carries; one with none is a linearizability artifact. *)
+   run per family. *)
 let families =
   [
     {
       name = "linearizability";
       banner = "";
-      owns =
-        (fun cx ->
-          cx.Cx.tx = None && cx.Cx.snap = None && cx.Cx.rebal = None
-          && cx.Cx.repl = None);
+      default;
+      run;
       smoke =
         (fun ~index ~seed ->
           run ~config:{ default with seed; schedules = 6; crash_budget = 64 } index);
-      replay =
-        (fun cx -> Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx);
+      replay = replay_family;
     };
     {
       name = "tx";
       banner = "transaction ";
-      owns = (fun cx -> cx.Cx.tx <> None);
+      default = TC.default;
+      run = TC.run;
       smoke =
         (fun ~index ~seed ->
-          TC.run
-            ~config:{ TC.default with TC.seed; schedules = 4; crash_budget = 64 }
-            index);
+          TC.run ~config:{ TC.default with seed; schedules = 4; crash_budget = 64 } index);
       replay = TC.replay;
     };
     {
       name = "snapshot";
       banner = "snapshot ";
-      owns = (fun cx -> cx.Cx.snap <> None);
+      default = SC.default;
+      run = SC.run;
       smoke =
         (fun ~index ~seed ->
           (* The snapshot family needs a snapshottable wrapper. *)
           let snap = "snap-" ^ index in
           let index = if Registry.find snap <> None then snap else index in
-          SC.run
-            ~config:{ SC.default with SC.seed; schedules = 4; crash_budget = 64 }
-            index);
+          SC.run ~config:{ SC.default with seed; schedules = 4; crash_budget = 64 } index);
       replay = SC.replay;
     };
     {
       name = "rebalance";
       banner = "rebalance ";
-      owns = (fun cx -> cx.Cx.rebal <> None);
+      default = RC.default;
+      run = RC.run;
       smoke =
         (fun ~index ~seed ->
-          RC.run
-            ~config:{ RC.default with RC.seed; schedules = 2; crash_budget = 24 }
-            index);
+          RC.run ~config:{ RC.default with seed; schedules = 2; crash_budget = 24 } index);
       replay = RC.replay;
     };
     {
       name = "replica";
       banner = "replication ";
-      owns = (fun cx -> cx.Cx.repl <> None);
+      default = RepC.default;
+      run = RepC.run;
       smoke =
-        (fun ~index ~seed ->
-          RepC.run ~config:{ RepC.default with RepC.seed; schedules = 4 } index);
+        (fun ~index ~seed -> RepC.run ~config:{ RepC.default with seed; schedules = 4 } index);
       replay = RepC.replay;
     };
   ]
 
-let family_of cx = List.find (fun f -> f.owns cx) families
+let family_named name =
+  match List.find_opt (fun f -> f.name = name) families with
+  | Some f -> f
+  | None -> invalid_arg (Printf.sprintf "counterexample: unknown family %S" name)
+
+let family_of cx = family_named cx.Cx.family
 
 let replay cx = (family_of cx).replay cx

@@ -5,14 +5,15 @@
 
     {b Families.}  Five checker families back the paper's claims:
     linearizability (this module), {!Txcheck}, {!Snapcheck},
-    {!Rebalcheck} and {!Replcheck}.  The first four are small
-    descriptions ({!Sweep.t}: a [checkable] gate, a setup that builds
-    one run, a live oracle, a crash oracle and a counterexample
-    extension) run by the one {!Sweep} driver.  Replcheck keeps its
-    own scenario product (it has no Mcsim schedules) and shares the
-    report, crash-mode parsing and replay dispatch.  {!families}
-    lists all five; {!replay} picks the family from a
-    counterexample's extension.
+    {!Rebalcheck} and {!Replcheck}.  All five read the one
+    {!Counterexample.config} record, each with its own defaults, and
+    a counterexample stores that record as is.  The first four are
+    small descriptions ({!Sweep.t}: a [checkable] gate, a setup that
+    builds one run, a live oracle and a crash oracle) run by the one
+    {!Sweep} driver.  Replcheck keeps its own scenario product (it has
+    no Mcsim schedules) and shares the report, crash-mode parsing and
+    replay dispatch.  {!families} lists all five; {!replay} picks the
+    family a counterexample names.
 
     {b The linearizability family}:
 
@@ -50,26 +51,13 @@
 
 type explorer = Sweep.explorer = Dfs | Pct
 
-type config = {
-  writers : int;          (** concurrent writer threads (default 2) *)
-  readers : int;          (** concurrent reader threads (default 1) *)
-  ops_per_thread : int;   (** script length per thread (default 2) *)
-  keyspace : int;         (** keys drawn from [1..keyspace] (default 8) *)
-  prefill : int;          (** keys inserted before the concurrent phase *)
-  seed : int;             (** workload + exploration seed *)
-  explorer : explorer;    (** default [Pct]; [Dfs] for tiny workloads *)
-  schedules : int;        (** exploration budget (default 16) *)
-  max_crash_points : int; (** store counts sampled per schedule *)
-  crash_budget : int;     (** global cap on crash executions; 0 turns
-                              the crash product engine off *)
-  non_tso : bool;         (** run under [Non_tso] memory order and sweep
-                              per-epoch cutoffs exhaustively *)
-  elide_flush : bool;     (** fault injection: drop every flush during
-                              the concurrent phase (test-only mutant) *)
-  node_bytes : int option;
-}
+type config = Counterexample.config
+(** [writers] + [readers] threads each run [ops] operations; [mutant]
+    drops every flush during the concurrent phase (flush elision). *)
 
 val default : config
+(** 2 writers and 1 reader, 2 ops each, keyspace 8, prefill 4, seed
+    1, 16 PCT schedules, 12 crash points, crash budget 256. *)
 
 type kind = Sweep.kind = Linearizability | Tolerance | Durability
 
@@ -95,22 +83,16 @@ type report = Sweep.report = {
       (** why the crash engine was skipped or truncated, if it was *)
 }
 
-val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor can be checked under this config: any
-    index with one thread (a sequential run crashed at every sampled
-    store), and from two threads on one that supports concurrency
-    (Sim lock mode, or lock-free reads with at most one writer);
-    [Some reason] otherwise. *)
-
 val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report
 (** [run name] checks the registry index [name] for linearizability
     and durable linearizability.  Never raises on an uncheckable index
-    — returns a [skipped] report.  The optional tracer receives one
-    ["check.schedule"] span per explored schedule and a
+    — returns a [skipped] report: any index is checkable with one
+    thread (a sequential run crashed at every sampled store), and from
+    two threads on one that supports concurrency (Sim lock mode, or
+    lock-free reads with at most one writer).  The optional tracer
+    receives one ["check.schedule"] span per explored schedule and a
     ["check.crash_point"] instant per crash execution.
     @raise Invalid_argument on an unknown registry name. *)
-
-val config_of_counterexample : Counterexample.t -> config
 
 val report_summary : report -> string
 (** One-line human-readable summary. *)
@@ -120,9 +102,10 @@ val report_summary : report -> string
 type family = {
   name : string;  (** ["linearizability"], ["tx"], ["snapshot"], ... *)
   banner : string;  (** replay banner prefix, e.g. ["transaction "] *)
-  owns : Counterexample.t -> bool;
-      (** the counterexample carries this family's extension (none,
-          for linearizability) *)
+  default : config;  (** the family's own defaults *)
+  run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report;
+      (** check one index; an uncheckable one yields a [skipped]
+          report *)
   smoke : index:string -> seed:int -> report;
       (** a bounded smoke sweep of [index] ([ffcli check --all]) *)
   replay : Counterexample.t -> report;
@@ -132,13 +115,17 @@ val families : family list
 (** linearizability, tx, snapshot, rebalance, replica — in that
     order. *)
 
+val family_named : string -> family
+(** @raise Invalid_argument on a name not in {!families}. *)
+
 val family_of : Counterexample.t -> family
-(** The family that produced a counterexample, from its extension. *)
+(** The family a counterexample names.
+    @raise Invalid_argument on an unknown family. *)
 
 val replay : Counterexample.t -> report
 (** Re-execute one recorded counterexample through the family that
     produced it: exactly one schedule (and crash, if any).  A faithful
     counterexample yields the same violation(s); an empty
     [violations] list means the artifact did not reproduce.
-    @raise Invalid_argument if the artifact names an unknown index,
-    crash mode, tx path, rebalance kind or replica recovery. *)
+    @raise Invalid_argument if the artifact names an unknown family,
+    index or crash mode, or a replica scenario index below 0. *)

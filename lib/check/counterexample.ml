@@ -1,171 +1,160 @@
 module Json = Ff_trace.Json
 
-type workload = {
+type explorer = Dfs | Pct
+
+type rebal_kind = Rb_split | Rb_merge | Rb_migrate
+
+type config = {
   writers : int;
   readers : int;
-  ops_per_thread : int;
+  ops : int;
+  rounds : int;
   keyspace : int;
   prefill : int;
   seed : int;
+  explorer : explorer;
+  schedules : int;
+  max_crash_points : int;
+  crash_budget : int;
   non_tso : bool;
-  elide_flush : bool;
+  mutant : bool;
+  node_bytes : int option;
+  tx_path : Ff_tx.Tx.path;
+  rebal_kind : rebal_kind;
+  nodes : int;
+  shards : int;
 }
 
+let explorers = [ ("pct", Pct); ("dfs", Dfs) ]
+let tx_paths = [ ("logged", Ff_tx.Tx.Logged); ("shadow", Ff_tx.Tx.Shadow) ]
+let rebal_kinds = [ ("split", Rb_split); ("merge", Rb_merge); ("migrate", Rb_migrate) ]
+let name_of table v = fst (List.find (fun (_, x) -> x = v) table)
+
 type crash = {
+  arena : int;
   store_count : int;
   mode : string;
   crash_seed : int;
   cutoff : int option;
 }
 
-type tx_info = {
-  path : string; (* "logged" | "shadow" *)
-  torn : bool;
-  txns : int;
-}
-
-type snap_info = {
-  mutant : bool; (* read-latest mutant armed *)
-  rounds : int;
-}
-
-type rebal_info = {
-  rb_kind : string; (* "split" | "merge" | "migrate" *)
-  rb_mutant : bool; (* drop-delta mutant armed *)
-  rb_shards : int;  (* shard count before the rebalance *)
-  rb_arena : int;   (* crash-plan arena: 0 = source, 1 = migrate dst *)
-}
-
-type repl_info = {
-  rp_mutant : bool;    (* ack-before-replicate mutant armed *)
-  rp_nodes : int;      (* cluster node count *)
-  rp_shards : int;     (* shards per node ensemble *)
-  rp_fault_seed : int; (* fabric fault-plan seed *)
-  rp_kill_at : int;    (* kill primary after this many acks; -1 = never *)
-  rp_partition : bool; (* partition primary/backup before the kill *)
-  rp_recovery : string; (* "failover" | "restart" | "restart_refail" *)
-}
-
 type t = {
+  family : string;
   index : string;
-  node_bytes : int option;
+  config : config;
   kind : string;
-  workload : workload;
-  tx : tx_info option;
-  snap : snap_info option;
-  rebal : rebal_info option;
-  repl : repl_info option;
   decisions : int array;
   crash : crash option;
   detail : string;
 }
 
-let version = 1
+let version = 2
 
 let opt f = function None -> Json.Null | Some x -> f x
+let int n = Json.Int n
+
+let config_to_json c =
+  Json.Obj
+    [
+      ("writers", int c.writers);
+      ("readers", int c.readers);
+      ("ops", int c.ops);
+      ("rounds", int c.rounds);
+      ("keyspace", int c.keyspace);
+      ("prefill", int c.prefill);
+      ("seed", int c.seed);
+      ("explorer", Json.Str (name_of explorers c.explorer));
+      ("schedules", int c.schedules);
+      ("max_crash_points", int c.max_crash_points);
+      ("crash_budget", int c.crash_budget);
+      ("non_tso", Json.Bool c.non_tso);
+      ("mutant", Json.Bool c.mutant);
+      ("node_bytes", opt int c.node_bytes);
+      ("tx_path", Json.Str (name_of tx_paths c.tx_path));
+      ("rebal_kind", Json.Str (name_of rebal_kinds c.rebal_kind));
+      ("nodes", int c.nodes);
+      ("shards", int c.shards);
+    ]
 
 let to_json t =
-  let w = t.workload in
   Json.to_string
     (Json.Obj
        [
-         ("version", Json.Int version);
+         ("version", int version);
+         ("family", Json.Str t.family);
          ("index", Json.Str t.index);
-         ("node_bytes", opt (fun n -> Json.Int n) t.node_bytes);
+         ("config", config_to_json t.config);
          ("kind", Json.Str t.kind);
-         ( "workload",
-           Json.Obj
-             [
-               ("writers", Json.Int w.writers);
-               ("readers", Json.Int w.readers);
-               ("ops_per_thread", Json.Int w.ops_per_thread);
-               ("keyspace", Json.Int w.keyspace);
-               ("prefill", Json.Int w.prefill);
-               ("seed", Json.Int w.seed);
-               ("non_tso", Json.Bool w.non_tso);
-               ("elide_flush", Json.Bool w.elide_flush);
-             ] );
-         ( "tx",
-           opt
-             (fun x ->
-               Json.Obj
-                 [
-                   ("path", Json.Str x.path);
-                   ("torn", Json.Bool x.torn);
-                   ("txns", Json.Int x.txns);
-                 ])
-             t.tx );
-         ( "snap",
-           opt
-             (fun s ->
-               Json.Obj
-                 [ ("mutant", Json.Bool s.mutant); ("rounds", Json.Int s.rounds) ])
-             t.snap );
-         ( "rebal",
-           opt
-             (fun r ->
-               Json.Obj
-                 [
-                   ("rb_kind", Json.Str r.rb_kind);
-                   ("rb_mutant", Json.Bool r.rb_mutant);
-                   ("rb_shards", Json.Int r.rb_shards);
-                   ("rb_arena", Json.Int r.rb_arena);
-                 ])
-             t.rebal );
-         ( "repl",
-           opt
-             (fun r ->
-               Json.Obj
-                 [
-                   ("rp_mutant", Json.Bool r.rp_mutant);
-                   ("rp_nodes", Json.Int r.rp_nodes);
-                   ("rp_shards", Json.Int r.rp_shards);
-                   ("rp_fault_seed", Json.Int r.rp_fault_seed);
-                   ("rp_kill_at", Json.Int r.rp_kill_at);
-                   ("rp_partition", Json.Bool r.rp_partition);
-                   ("rp_recovery", Json.Str r.rp_recovery);
-                 ])
-             t.repl );
-         ( "decisions",
-           Json.Arr (Array.to_list (Array.map (fun d -> Json.Int d) t.decisions)) );
+         ("decisions", Json.Arr (Array.to_list (Array.map int t.decisions)));
          ( "crash",
            opt
              (fun c ->
                Json.Obj
                  [
-                   ("store_count", Json.Int c.store_count);
+                   ("arena", int c.arena);
+                   ("store_count", int c.store_count);
                    ("mode", Json.Str c.mode);
-                   ("seed", Json.Int c.crash_seed);
-                   ("cutoff", opt (fun e -> Json.Int e) c.cutoff);
+                   ("seed", int c.crash_seed);
+                   ("cutoff", opt int c.cutoff);
                  ])
              t.crash );
          ("detail", Json.Str t.detail);
        ])
 
+let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
 let field name conv j =
   match Json.member name j with
+  | None -> Error (Printf.sprintf "counterexample: missing field %S" name)
   | Some v -> (
       match conv v with
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "counterexample: bad field %S" name))
-  | None -> Error (Printf.sprintf "counterexample: missing field %S" name)
 
-(* Tolerant optional members: absent or of the wrong type reads as the
-   default. *)
-let bool_or default name j =
-  match Json.member name j with Some (Json.Bool b) -> b | _ -> default
+let bool = function Json.Bool b -> Some b | _ -> None
+let enum table v = Option.bind (Json.to_str v) (fun s -> List.assoc_opt s table)
+let nullable conv = function Json.Null -> Some None | v -> Option.map Option.some (conv v)
 
-let int_or default name j =
-  match Json.member name j with Some (Json.Int n) -> n | _ -> default
+let ints l =
+  let a = List.filter_map Json.to_int l in
+  if List.length a = List.length l then Some (Array.of_list a) else None
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+let config_of_json j =
+  let int name = field name Json.to_int j in
+  let* writers = int "writers" in
+  let* readers = int "readers" in
+  let* ops = int "ops" in
+  let* rounds = int "rounds" in
+  let* keyspace = int "keyspace" in
+  let* prefill = int "prefill" in
+  let* seed = int "seed" in
+  let* explorer = field "explorer" (enum explorers) j in
+  let* schedules = int "schedules" in
+  let* max_crash_points = int "max_crash_points" in
+  let* crash_budget = int "crash_budget" in
+  let* non_tso = field "non_tso" bool j in
+  let* mutant = field "mutant" bool j in
+  let* node_bytes = field "node_bytes" (nullable Json.to_int) j in
+  let* tx_path = field "tx_path" (enum tx_paths) j in
+  let* rebal_kind = field "rebal_kind" (enum rebal_kinds) j in
+  let* nodes = int "nodes" in
+  let* shards = int "shards" in
+  Ok
+    {
+      writers; readers; ops; rounds; keyspace; prefill; seed; explorer; schedules;
+      max_crash_points; crash_budget; non_tso; mutant; node_bytes; tx_path;
+      rebal_kind; nodes; shards;
+    }
 
-(* Optional extension members (absent or [null] in artifacts of other
-   families and in older ones, so the version stays 1). *)
-let extension name parse j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some x -> Result.map Option.some (parse x)
+let crash_of_json = function
+  | Json.Null -> Ok None
+  | j ->
+      let* arena = field "arena" Json.to_int j in
+      let* store_count = field "store_count" Json.to_int j in
+      let* mode = field "mode" Json.to_str j in
+      let* crash_seed = field "seed" Json.to_int j in
+      let* cutoff = field "cutoff" (nullable Json.to_int) j in
+      Ok (Some { arena; store_count; mode; crash_seed; cutoff })
 
 let of_json s =
   match Json.of_string s with
@@ -175,124 +164,14 @@ let of_json s =
       if v <> version then
         Error (Printf.sprintf "counterexample: unsupported version %d" v)
       else
+        let* family = field "family" Json.to_str j in
         let* index = field "index" Json.to_str j in
-        let node_bytes =
-          match Json.member "node_bytes" j with
-          | Some (Json.Int n) -> Some n
-          | _ -> None
-        in
+        let* config = Result.bind (field "config" Option.some j) config_of_json in
         let* kind = field "kind" Json.to_str j in
-        let* wj = field "workload" Option.some j in
-        let* writers = field "writers" Json.to_int wj in
-        let* readers = field "readers" Json.to_int wj in
-        let* ops_per_thread = field "ops_per_thread" Json.to_int wj in
-        let* keyspace = field "keyspace" Json.to_int wj in
-        let* prefill = field "prefill" Json.to_int wj in
-        let* seed = field "seed" Json.to_int wj in
-        let non_tso = bool_or false "non_tso" wj in
-        let elide_flush = bool_or false "elide_flush" wj in
-        let* tx =
-          extension "tx"
-            (fun xj ->
-              let* path = field "path" Json.to_str xj in
-              let* txns = field "txns" Json.to_int xj in
-              Ok { path; torn = bool_or false "torn" xj; txns })
-            j
-        in
-        let* snap =
-          extension "snap"
-            (fun sj ->
-              let* rounds = field "rounds" Json.to_int sj in
-              Ok { mutant = bool_or false "mutant" sj; rounds })
-            j
-        in
-        let* rebal =
-          extension "rebal"
-            (fun rj ->
-              let* rb_kind = field "rb_kind" Json.to_str rj in
-              let* rb_shards = field "rb_shards" Json.to_int rj in
-              Ok
-                {
-                  rb_kind;
-                  rb_mutant = bool_or false "rb_mutant" rj;
-                  rb_shards;
-                  rb_arena = int_or 0 "rb_arena" rj;
-                })
-            j
-        in
-        let* repl =
-          extension "repl"
-            (fun rj ->
-              let* rp_nodes = field "rp_nodes" Json.to_int rj in
-              let* rp_shards = field "rp_shards" Json.to_int rj in
-              let* rp_fault_seed = field "rp_fault_seed" Json.to_int rj in
-              Ok
-                {
-                  rp_mutant = bool_or false "rp_mutant" rj;
-                  rp_nodes;
-                  rp_shards;
-                  rp_fault_seed;
-                  rp_kill_at = int_or (-1) "rp_kill_at" rj;
-                  rp_partition = bool_or false "rp_partition" rj;
-                  rp_recovery =
-                    (match Json.member "rp_recovery" rj with
-                    | Some (Json.Str s) -> s
-                    | _ -> "failover");
-                })
-            j
-        in
-        let* decisions = field "decisions" Json.to_list j in
-        let* decisions =
-          try
-            Ok
-              (Array.of_list
-                 (List.map
-                    (fun d ->
-                      match Json.to_int d with
-                      | Some i -> i
-                      | None -> failwith "non-int decision")
-                    decisions))
-          with Failure m -> Error ("counterexample: " ^ m)
-        in
-        let* crash =
-          extension "crash"
-            (fun cj ->
-              let* store_count = field "store_count" Json.to_int cj in
-              let* mode = field "mode" Json.to_str cj in
-              let* crash_seed = field "seed" Json.to_int cj in
-              let cutoff =
-                match Json.member "cutoff" cj with
-                | Some (Json.Int e) -> Some e
-                | _ -> None
-              in
-              Ok { store_count; mode; crash_seed; cutoff })
-            j
-        in
+        let* decisions = field "decisions" (fun d -> Option.bind (Json.to_list d) ints) j in
+        let* crash = Result.bind (field "crash" Option.some j) crash_of_json in
         let* detail = field "detail" Json.to_str j in
-        Ok
-          {
-            index;
-            node_bytes;
-            kind;
-            workload =
-              {
-                writers;
-                readers;
-                ops_per_thread;
-                keyspace;
-                prefill;
-                seed;
-                non_tso;
-                elide_flush;
-              };
-            tx;
-            snap;
-            rebal;
-            repl;
-            decisions;
-            crash;
-            detail;
-          }
+        Ok { family; index; config; kind; decisions; crash; detail }
 
 let save t path =
   let oc = open_out path in

@@ -1,90 +1,69 @@
-(** Replayable counterexample artifacts.
+(** Replayable counterexample artifacts, and the one configuration
+    every checker family reads.
 
-    A failure found by the model checker is fully determined by:
-    the index and workload parameters (every script is derived from
-    the seed), the recorded scheduling decisions, and — for crash
-    failures — the crash point (absolute store count), crash-mode
-    name, PRNG seed and optional epoch cutoff.  This module
-    round-trips that tuple through JSON so `ffcli check --replay`
-    can re-execute it deterministically on any build. *)
+    A failure found by the model checker is fully determined by: the
+    family and index, the family's configuration (every script is
+    derived from its seed), the recorded scheduling decisions, and —
+    for crash failures — the crashed arena, the crash point (absolute
+    store count), the crash-mode name, its PRNG seed and an optional
+    epoch cutoff.  This module round-trips that tuple through JSON so
+    [ffcli check --replay] can re-execute it deterministically on any
+    build. *)
 
-type workload = {
-  writers : int;
-  readers : int;
-  ops_per_thread : int;
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  non_tso : bool;
-      (** arena ran with [Non_tso] memory order (affects fence
-          placement, hence execution determinism) *)
-  elide_flush : bool;
-      (** fault injection was active (mutant run, test-only) *)
+type explorer = Dfs | Pct
+
+type rebal_kind = Rb_split | Rb_merge | Rb_migrate
+
+type config = {
+  writers : int;          (** concurrent writer threads (linearizability) *)
+  readers : int;          (** concurrent reader threads (linearizability, tx) *)
+  ops : int;
+      (** ops per thread (linearizability), per transaction (tx), per
+          round (snapshot); the writer's log length (rebalance) or the
+          client script length (replica) *)
+  rounds : int;           (** transactions (tx) or write rounds (snapshot) *)
+  keyspace : int;         (** keys drawn from [1..keyspace] *)
+  prefill : int;          (** keys inserted before the concurrent phase *)
+  seed : int;             (** workload + exploration seed *)
+  explorer : explorer;
+  schedules : int;        (** exploration budget (replica: scenarios) *)
+  max_crash_points : int; (** store counts sampled per schedule *)
+  crash_budget : int;     (** global cap on crash executions; 0 turns
+                              the crash product engine off *)
+  non_tso : bool;         (** run under [Non_tso] memory order and sweep
+                              every pending epoch cutoff *)
+  mutant : bool;          (** arm the family's own seeded mutant *)
+  node_bytes : int option;
+  tx_path : Ff_tx.Tx.path;  (** commit path under test (tx) *)
+  rebal_kind : rebal_kind;  (** rebalance run under the writer *)
+  nodes : int;            (** cluster nodes (replica) *)
+  shards : int;           (** shards per node ensemble (replica) *)
 }
 
+val explorers : (string * explorer) list
+val tx_paths : (string * Ff_tx.Tx.path) list
+val rebal_kinds : (string * rebal_kind) list
+(** The names the JSON codec and the command line use. *)
+
+val name_of : (string * 'a) list -> 'a -> string
+
 type crash = {
-  store_count : int;  (** crash fires at this absolute store count *)
-  mode : string;      (** "keep_none" | "keep_all" | "random_eviction"
-                          | "non_tso_cutoff" *)
+  arena : int;          (** crashed arena: 0, or 1 for a migrate destination *)
+  store_count : int;    (** crash fires at this absolute store count *)
+  mode : string;        (** "keep_none" | "keep_all" | "random_eviction"
+                            | "non_tso_cutoff" *)
   crash_seed : int;
   cutoff : int option;  (** epoch cutoff for "non_tso_cutoff" *)
 }
 
-type tx_info = {
-  path : string;  (** commit path: "logged" | "shadow" *)
-  torn : bool;    (** torn-commit mutant was active *)
-  txns : int;     (** transactions in the writer script *)
-}
-(** Transaction-checker extension ({!Txcheck}).  Serialized as an
-    optional ["tx"] member — absent/[null] for per-op counterexamples
-    — so pre-transaction artifacts still parse (version stays 1). *)
-
-type snap_info = {
-  mutant : bool;  (** read-latest mutant was active *)
-  rounds : int;   (** writer rounds in the script *)
-}
-(** Snapshot-checker extension ({!Snapcheck}).  Serialized as an
-    optional ["snap"] member with the same tolerant-parse convention
-    as [tx] (version stays 1). *)
-
-type rebal_info = {
-  rb_kind : string; (** "split" | "merge" | "migrate" *)
-  rb_mutant : bool; (** drop-delta mutant was active *)
-  rb_shards : int;  (** shard count before the rebalance *)
-  rb_arena : int;   (** crash-plan arena: 0 = source, 1 = migrate dst *)
-}
-(** Rebalance-checker extension ({!Rebalcheck}).  Serialized as an
-    optional ["rebal"] member with the same tolerant-parse convention
-    as [tx] and [snap] (version stays 1). *)
-
-type repl_info = {
-  rp_mutant : bool;     (** ack-before-replicate mutant was active *)
-  rp_nodes : int;       (** cluster node count *)
-  rp_shards : int;      (** shards per node ensemble *)
-  rp_fault_seed : int;  (** fabric fault-plan seed *)
-  rp_kill_at : int;     (** kill the primary after this many acks; -1 = never *)
-  rp_partition : bool;  (** partition primary/backup before the kill *)
-  rp_recovery : string;
-      (** what follows the kill: ["failover"] (promote the backup, the
-          victim rejoins as a backup at settle), ["restart"] (the
-          victim restarts in place, still the route primary, with no
-          failover), or ["restart_refail"] (restart in place, then a
-          second kill with a forced failover later in the script) *)
-}
-(** Replication-checker extension ({!Replcheck}).  Serialized as an
-    optional ["repl"] member with the same tolerant-parse convention
-    as [tx], [snap] and [rebal] (version stays 1). *)
-
 type t = {
+  family : string;      (** ["linearizability"], ["tx"], ["snapshot"], ... *)
   index : string;       (** registry name *)
-  node_bytes : int option;
+  config : config;      (** the configuration the sweep ran, as is *)
   kind : string;        (** "linearizability" | "tolerance" | "durability" *)
-  workload : workload;
-  tx : tx_info option;  (** present iff produced by {!Txcheck} *)
-  snap : snap_info option;  (** present iff produced by {!Snapcheck} *)
-  rebal : rebal_info option;  (** present iff produced by {!Rebalcheck} *)
-  repl : repl_info option;  (** present iff produced by {!Replcheck} *)
   decisions : int array;
+      (** the schedule's decisions; a replica artifact records its
+          scenario index as its one decision *)
   crash : crash option;
   detail : string;      (** human-readable failure description *)
 }
@@ -93,5 +72,8 @@ val version : int
 
 val to_json : t -> string
 val of_json : string -> (t, string) result
+(** Rejects any other [version] with ["counterexample: unsupported
+    version N"]. *)
+
 val save : t -> string -> unit
 val load : string -> (t, string) result

@@ -24,49 +24,31 @@
     ensemble crashes and reattaches as one image); migrate runs a
     serving ensemble and sweeps crash points on {e both} the source
     and the destination arena, resolving which image is authoritative
-    from the source's decision word.
+    from the source's decision word; a counterexample's crash record
+    names the arena it crashed.
 
-    [mutant] arms {!Ff_rebalance.Rebalance.mutant_drop_delta} (cutover
-    silently discards the dual-written delta records).  A run over
-    the mutant must produce lost-write violations; each
-    counterexample carries the [rebal] extension so
-    [ffcli check --replay] re-executes it deterministically. *)
+    The config's [rebal_kind] runs under a writer log of [ops] entries,
+    under TSO ([non_tso] is ignored).  [mutant] arms
+    {!Ff_rebalance.Rebalance.mutant_drop_delta} (cutover silently
+    discards the dual-written delta records).  A run over the mutant
+    must produce lost-write violations; each counterexample, of family
+    ["rebalance"], lets [ffcli check --replay] re-execute it
+    deterministically. *)
 
-type rkind = Rb_split | Rb_merge | Rb_migrate
+type rkind = Counterexample.rebal_kind = Rb_split | Rb_merge | Rb_migrate
 
 val rkind_to_string : rkind -> string
-val rkind_of_string : string -> rkind
 
-type config = {
-  kind : rkind;          (** which rebalance runs under the writer *)
-  ops : int;             (** writer commit-log length (default 10) *)
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  mutant : bool;         (** arm the drop-delta mutant (default false) *)
-  explorer : Sweep.explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  node_bytes : int option;
-}
+val default : Counterexample.config
+(** A split under a 10-entry log, 4 PCT schedules, 8 crash points,
+    crash budget 64; otherwise {!Sweep.default}. *)
 
-val default : config
-
-val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor is rebalance-checkable: persistent,
-    recoverable, range-scannable, and (for split/merge) with a
-    relocatable root. *)
-
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
+val run :
+  ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] (e.g. ["fastfair"])
-    and returns a {!Sweep.report}.  Counterexamples carry
-    [Counterexample.rebal = Some _]. *)
+    and returns a {!Sweep.report}; an index that is not persistent,
+    recoverable, range-scannable and (for split/merge) with a
+    relocatable root is skipped. *)
 
 val replay : Counterexample.t -> Sweep.report
-(** Re-execute one recorded rebalance counterexample (the artifact
-    must carry the [rebal] extension).
-    @raise Invalid_argument if [cx.rebal = None]. *)
-
-val config_of_counterexample : Counterexample.t -> config
-(** @raise Invalid_argument if [cx.rebal = None]. *)
+(** Re-execute one recorded rebalance counterexample. *)

@@ -6,30 +6,9 @@ module Cluster = Ff_cluster.Cluster
 module Fabric = Ff_net.Fabric
 module Cx = Counterexample
 
-type config = {
-  nodes : int;
-  shards : int;
-  ops : int;
-  keyspace : int;
-  seed : int;
-  mutant : bool;
-  schedules : int;
-  node_bytes : int option;
-}
+let default = { Sweep.default with Cx.ops = 60; keyspace = 12; seed = 42; schedules = 12 }
 
-let default =
-  {
-    nodes = 3;
-    shards = 2;
-    ops = 60;
-    keyspace = 12;
-    seed = 42;
-    mutant = false;
-    schedules = 12;
-    node_bytes = None;
-  }
-
-let checkable d cfg =
+let checkable d (cfg : Cx.config) =
   let c = d.D.caps in
   if not (c.D.is_persistent && c.D.has_recovery) then
     Some "not replication-checkable: volatile or no recovery"
@@ -46,7 +25,7 @@ let checkable d cfg =
    increasing and a stale read is detectable by inequality alone.  The
    script is the commit log: entry [j] is the op at position [j], so
    prefix [j] is every write issued before it. *)
-let gen_script cfg =
+let gen_script (cfg : Cx.config) =
   let rng = Prng.create (cfg.seed * 31 + 17) in
   Spec.make ~initial:[]
     (Array.init cfg.ops (fun j ->
@@ -57,7 +36,7 @@ let gen_script cfg =
          | _ -> [ Spec.Insert (k, j + 1) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Counterexamples                                                     *)
+(* Scenario product                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* What follows the kill.  [Failover] promotes the backup and the
@@ -73,57 +52,40 @@ let recovery_to_string = function
   | Restart -> "restart"
   | Restart_refail -> "restart_refail"
 
-let recovery_of_string = function
-  | "failover" -> Failover
-  | "restart" -> Restart
-  | "restart_refail" -> Restart_refail
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown recovery %S" s)
-
-(* The kill is recorded as the crash: [store_count] is the ack count
-   it fired after, and [mode] the crash mode the victim lost its
-   pending stores under. *)
-let mk_cx cfg ~name ~kind ~fault_seed ~kill_at ~recovery ~partition ~mode
-    ~detail =
-  {
-    (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
-       ~ops_per_thread:cfg.ops ~keyspace:cfg.keyspace ~prefill:0 ~seed:cfg.seed ())
-    with
-    Cx.kind = Sweep.kind_to_string kind;
-    repl =
-      Some
-        {
-          Cx.rp_mutant = cfg.mutant;
-          rp_nodes = cfg.nodes;
-          rp_shards = cfg.shards;
-          rp_fault_seed = fault_seed;
-          rp_kill_at = kill_at;
-          rp_partition = partition;
-          rp_recovery = recovery_to_string recovery;
-        };
-    crash =
-      (if kill_at < 0 then None
-       else
-         Some
-           { Cx.store_count = kill_at; mode; crash_seed = fault_seed; cutoff = None });
-    detail;
-  }
+(* Scenario [i] of the product: every field derives from the seed and
+   [i], so an artifact records only [i]. *)
+let scenario (cfg : Cx.config) i =
+  if i < 0 then invalid_arg (Printf.sprintf "Replcheck: negative scenario index %d" i);
+  let kill_points = [| -1; cfg.ops / 4; cfg.ops / 2; 3 * cfg.ops / 4 |] in
+  let recoveries = [| Failover; Restart; Restart_refail |] in
+  let fault_seed = (cfg.seed * 7919) + (101 * i) in
+  let kill_at = kill_points.(i mod Array.length kill_points) in
+  let recovery =
+    recoveries.(i / Array.length kill_points mod Array.length recoveries)
+  in
+  let partition = i / 2 mod 2 = 1 in
+  let mode = if i mod 2 = 0 then "keep_all" else "keep_none" in
+  (fault_seed, kill_at, recovery, partition, mode)
 
 (* ------------------------------------------------------------------ *)
 (* One scenario                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive the script against a fresh cluster; kill the hot shard's
-   primary after [kill_at] acks (optionally partitioning it from its
-   backup a few ops earlier), recover per [recovery] — fail over, or
-   restart the victim in place with no failover, or restart in place
-   and fail over on a second kill — finish the script, then heal,
-   restart any dead node and audit every key. *)
-let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
-    ~mode =
-  let crash_mode =
-    Sweep.mode_of_crash
-      { Cx.store_count = kill_at; mode; crash_seed = fault_seed; cutoff = None }
+(* Drive scenario [i]'s script against a fresh cluster; kill the hot
+   shard's primary after [kill_at] acks (optionally partitioning it
+   from its backup a few ops earlier), recover per [recovery] — fail
+   over, or restart the victim in place with no failover, or restart
+   in place and fail over on a second kill — finish the script, then
+   heal, restart any dead node and audit every key.  The kill is
+   recorded as the crash: [store_count] is the ack count it fired
+   after, and [mode] the crash mode the victim lost its pending stores
+   under. *)
+let run_scenario (cfg : Cx.config) ~tracer ~name i =
+  let fault_seed, kill_at, recovery, partition, mode = scenario cfg i in
+  let crash =
+    { Cx.arena = 0; store_count = kill_at; mode; crash_seed = fault_seed; cutoff = None }
   in
+  let crash_mode = Sweep.mode_of_crash crash in
   let script = gen_script cfg in
   let ccfg =
     {
@@ -152,8 +114,15 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
         Sweep.kind;
         detail;
         counterexample =
-          mk_cx cfg ~name ~kind ~fault_seed ~kill_at ~recovery ~partition
-            ~mode ~detail;
+          {
+            Cx.family = "replica";
+            index = name;
+            config = cfg;
+            kind = Sweep.kind_to_string kind;
+            decisions = [| i |];
+            crash = (if kill_at < 0 then None else Some crash);
+            detail;
+          };
       }
       :: !violations
   in
@@ -292,41 +261,21 @@ let run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery ~partition
   Cluster.close cl;
   (List.rev !violations, !crash_runs, Spec.length script + cfg.keyspace)
 
-(* ------------------------------------------------------------------ *)
-(* Scenario product                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let scenario cfg i =
-  let kill_points = [| -1; cfg.ops / 4; cfg.ops / 2; 3 * cfg.ops / 4 |] in
-  let recoveries = [| Failover; Restart; Restart_refail |] in
-  let fault_seed = (cfg.seed * 7919) + (101 * i) in
-  let kill_at = kill_points.(i mod Array.length kill_points) in
-  let recovery =
-    recoveries.(i / Array.length kill_points mod Array.length recoveries)
-  in
-  let partition = i / 2 mod 2 = 1 in
-  let mode = if i mod 2 = 0 then "keep_all" else "keep_none" in
-  (fault_seed, kill_at, recovery, partition, mode)
-
 let run ?(config = default) ?(tracer = Trace.null) name =
   let cfg = config in
   let d = Registry.find_exn name in
   match checkable d cfg with
   | Some reason -> { (Sweep.empty_report name) with skipped = Some reason }
   | None ->
-      Sweep.with_mutant (Some (Cluster.mutant_ack_before_replicate, cfg.mutant))
+      Sweep.with_mutant (Some Cluster.mutant_ack_before_replicate) cfg.mutant
       @@ fun () ->
       let scen_span = Trace.intern tracer "replcheck.scenario" in
       let crash_runs = ref 0 in
       let ops_checked = ref 0 in
       let violations = ref [] in
       for i = 0 to cfg.schedules - 1 do
-        let fault_seed, kill_at, recovery, partition, mode = scenario cfg i in
         Trace.span_begin tracer scen_span i;
-        let vs, cr, ops =
-          run_scenario cfg ~tracer ~name ~fault_seed ~kill_at ~recovery
-            ~partition ~mode
-        in
+        let vs, cr, ops = run_scenario cfg ~tracer ~name i in
         Trace.span_end tracer scen_span;
         violations := !violations @ vs;
         crash_runs := !crash_runs + cr;
@@ -340,40 +289,17 @@ let run ?(config = default) ?(tracer = Trace.null) name =
         violations = !violations;
       }
 
-(* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let repl_of_cx (cx : Cx.t) =
-  match cx.repl with
-  | Some r -> r
-  | None -> invalid_arg "Replcheck.replay: counterexample has no repl extension"
-
-let config_of_counterexample (cx : Cx.t) =
-  let r = repl_of_cx cx in
-  {
-    nodes = r.rp_nodes;
-    shards = r.rp_shards;
-    ops = cx.workload.ops_per_thread;
-    keyspace = cx.workload.keyspace;
-    seed = cx.workload.seed;
-    mutant = r.rp_mutant;
-    schedules = 1;
-    node_bytes = cx.node_bytes;
-  }
-
 let replay (cx : Cx.t) =
-  let r = repl_of_cx cx in
-  let cfg = config_of_counterexample cx in
-  let recovery = recovery_of_string r.rp_recovery in
-  let mode = match cx.crash with Some c -> c.mode | None -> "keep_all" in
-  Sweep.with_mutant (Some (Cluster.mutant_ack_before_replicate, cfg.mutant))
-  @@ fun () ->
-  let vs, cr, ops =
-    run_scenario cfg ~tracer:Trace.null ~name:cx.index
-      ~fault_seed:r.rp_fault_seed ~kill_at:r.rp_kill_at ~recovery
-      ~partition:r.rp_partition ~mode
+  let i =
+    match cx.decisions with
+    | [| i |] -> i
+    | _ -> invalid_arg "Replcheck: a replica counterexample records one scenario index"
   in
+  (* The crash record only shows the kill, but must name a known mode. *)
+  Option.iter (fun c -> ignore (Sweep.mode_of_crash c)) cx.crash;
+  Sweep.with_mutant (Some Cluster.mutant_ack_before_replicate) cx.config.mutant
+  @@ fun () ->
+  let vs, cr, ops = run_scenario cx.config ~tracer:Trace.null ~name:cx.index i in
   {
     (Sweep.empty_report cx.index) with
     schedules_run = 1;

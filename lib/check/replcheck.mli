@@ -29,37 +29,31 @@
 
     [mutant] arms {!Ff_cluster.Cluster.mutant_ack_before_replicate}
     (the primary acks before the backup is durable).  A mutant run
-    under partition + kill must produce lost-ack violations; each
-    counterexample carries the [repl] extension so
-    [ffcli check --replay] re-executes it deterministically. *)
+    under partition + kill must produce lost-ack violations.
 
-type config = {
-  nodes : int;  (** cluster nodes (default 3) *)
-  shards : int;  (** logical shards (default 2) *)
-  ops : int;  (** client script length per scenario (default 60) *)
-  keyspace : int;
-  seed : int;  (** workload seed (scripts and scenario derivation) *)
-  mutant : bool;  (** arm the ack-before-replicate mutant *)
-  schedules : int;  (** scenario budget (default 12) *)
-  node_bytes : int option;
-}
+    The config's [ops] is the script length over [keyspace] keys on
+    [nodes] nodes of [shards] shards, and [schedules] counts the
+    scenarios; the Mcsim fields (explorer, prefill, crash budget,
+    [non_tso]) are ignored.  Scenario [i] derives its fault seed,
+    kill point, recovery, partition and crash mode from the seed and
+    [i] alone, so a counterexample, of family ["replica"], records [i]
+    as its one decision, and [ffcli check --replay] re-executes it
+    deterministically. *)
 
-val default : config
+val default : Counterexample.config
+(** 3 nodes of 2 shards, a 60-op script over 12 keys, seed 42, 12
+    scenarios; otherwise {!Sweep.default}. *)
 
-val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor can host a replicated ensemble:
-    persistent with recovery (replicas crash and resync). *)
-
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
+val run :
+  ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks a cluster over the registry index [name] and
-    returns a {!Sweep.report}.  Counterexamples carry
-    [Counterexample.repl = Some _]. *)
+    returns a {!Sweep.report}; an index that cannot host a replicated
+    ensemble (persistent with recovery: replicas crash and resync),
+    fewer than 2 nodes, no op or fewer than 2 keys is skipped. *)
 
 val replay : Counterexample.t -> Sweep.report
-(** Re-execute one recorded replication counterexample (the artifact
-    must carry the [repl] extension).
-    @raise Invalid_argument if [cx.repl = None], or the recorded crash
-    mode or recovery name is unknown. *)
-
-val config_of_counterexample : Counterexample.t -> config
-(** @raise Invalid_argument if [cx.repl = None]. *)
+(** Re-execute one recorded replication counterexample: the scenario
+    its one decision names.
+    @raise Invalid_argument if the artifact does not record exactly
+    one scenario index, the index is negative, or its crash record
+    names an unknown crash mode. *)

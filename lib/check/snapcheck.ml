@@ -8,40 +8,14 @@ module Registry = Ff_index.Registry
 module Snapshot = Ff_snapshot.Snapshot
 module Cx = Counterexample
 
-type config = {
-  rounds : int;
-  ops_per_round : int;
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  mutant : bool;
-  explorer : Sweep.explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  node_bytes : int option;
-}
-
 let default =
-  {
-    rounds = 3;
-    ops_per_round = 4;
-    keyspace = 8;
-    prefill = 4;
-    seed = 1;
-    mutant = false;
-    explorer = Sweep.Pct;
-    schedules = 8;
-    max_crash_points = 10;
-    crash_budget = 128;
-    node_bytes = None;
-  }
+  { Sweep.default with Cx.ops = 4; schedules = 8; max_crash_points = 10; crash_budget = 128 }
 
-let checkable d cfg =
+let checkable d (cfg : Cx.config) =
   if not d.D.caps.D.snapshottable then Some "not snapshottable"
   else if not (d.D.caps.D.is_persistent && d.D.caps.D.has_recovery) then
     Some "not crash-checkable: volatile or no recovery"
-  else if cfg.rounds < 1 || cfg.ops_per_round < 1 then
+  else if cfg.rounds < 1 || cfg.ops < 1 then
     Some "need at least 1 write round"
   else None
 
@@ -73,9 +47,9 @@ type exec = {
    [applied] counter moves only between wrapped ops (no yield point
    separates an op's return from the increment), so the window is
    exact. *)
-let setup cfg d (w, pin_after) () =
+let setup (cfg : Cx.config) d (w, pin_after) () =
   let arena =
-    Sweep.arena ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops_per_round)) ()
+    Sweep.arena ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops)) ()
   in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
@@ -140,7 +114,7 @@ let observed_assoc vec =
    commit-log prefix within the pin window, and a second pass over the
    same epoch must be identical even though the writer has since
    applied the rest of the log. *)
-let validate_live cfg w (r : exec Sweep.run) =
+let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   let x = r.Sweep.result in
   match x.pinned with
   | None -> []
@@ -213,64 +187,33 @@ let validate_crash d (r : exec Sweep.run) (crash : Cx.crash) =
       | exception ex ->
           [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
 
-let family cfg name =
+let family (cfg : Cx.config) name =
   let d = Registry.find_exn name in
   let w =
     lazy
       (let rng = Prng.create cfg.seed in
-       let n = cfg.rounds * cfg.ops_per_round in
+       let n = cfg.rounds * cfg.ops in
        let spec =
          Spec.create rng ~prefill:cfg.prefill ~keyspace:cfg.keyspace ~per_entry:1 n
        in
        (spec, Prng.int rng n))
   in
   {
-    Sweep.index = name;
+    Sweep.family = "snapshot";
+    index = name;
+    (* The snapshot layer is checked under TSO only. *)
+    config = { cfg with non_tso = false };
     gate = checkable d cfg;
     crash_gate = None;
-    budget =
-      {
-        Sweep.explorer = cfg.explorer;
-        schedules = cfg.schedules;
-        seed = cfg.seed;
-        max_crash_points = cfg.max_crash_points;
-        crash_budget = cfg.crash_budget;
-      };
-    probe_cutoffs = false;
     canonical_fifo = false;
     crashed_only = false;
-    mutant = Some (Snapshot.mutant_read_latest, cfg.mutant);
+    mutant = Some Snapshot.mutant_read_latest;
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> x.applied);
     live = (fun r -> validate_live cfg (fst (Lazy.force w)) r);
     crash = validate_crash d;
-    counterexample =
-      (fun ~arena:_ ->
-        {
-          (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
-             ~readers:1 ~ops_per_thread:cfg.ops_per_round ~keyspace:cfg.keyspace
-             ~prefill:cfg.prefill ~seed:cfg.seed ())
-          with
-          Cx.snap = Some { Cx.mutant = cfg.mutant; rounds = cfg.rounds };
-        });
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
-let config_of_counterexample (cx : Cx.t) =
-  match cx.Cx.snap with
-  | None -> invalid_arg "Snapcheck: counterexample lacks the snap extension"
-  | Some s ->
-      let w = cx.Cx.workload in
-      {
-        default with
-        rounds = s.Cx.rounds;
-        ops_per_round = w.Cx.ops_per_thread;
-        keyspace = w.Cx.keyspace;
-        prefill = w.Cx.prefill;
-        seed = w.Cx.seed;
-        mutant = s.Cx.mutant;
-        node_bytes = cx.Cx.node_bytes;
-      }
-
-let replay cx = Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx
+let replay cx = Sweep.replay (family cx.Cx.config cx.Cx.index) cx

@@ -25,41 +25,22 @@
       pre-crash observation byte-for-byte.  Reported as
       [Durability].
 
-    [mutant] arms {!Ff_snapshot.Snapshot.mutant_read_latest} (pinned
-    reads silently resolve against the live tree).  A run over the
-    mutant must produce violations; each counterexample carries the
-    [snap] extension so [ffcli check --replay] re-executes it
-    deterministically. *)
+    The writer runs the config's [rounds] rounds of [ops] puts/deletes,
+    under TSO ([non_tso] is ignored).  [mutant] arms
+    {!Ff_snapshot.Snapshot.mutant_read_latest} (pinned reads silently
+    resolve against the live tree).  A run over the mutant must
+    produce violations; each counterexample, of family ["snapshot"],
+    lets [ffcli check --replay] re-execute it deterministically. *)
 
-type config = {
-  rounds : int;          (** writer rounds (default 3) *)
-  ops_per_round : int;   (** puts/deletes per round (default 4) *)
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  mutant : bool;         (** arm the read-latest mutant (default false) *)
-  explorer : Sweep.explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  node_bytes : int option;
-}
+val default : Counterexample.config
+(** 3 rounds of 4 ops, 8 PCT schedules, 10 crash points, crash budget
+    128; otherwise {!Sweep.default}. *)
 
-val default : config
-
-val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor is snapshot-checkable: [snapshottable]
-    and persistent with recovery. *)
-
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
+val run :
+  ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] (e.g.
-    ["snap-fastfair"]) and returns a {!Sweep.report}.  Counterexamples
-    carry [Counterexample.snap = Some _]. *)
+    ["snap-fastfair"]) and returns a {!Sweep.report}; an index that is
+    not [snapshottable] and persistent with recovery is skipped. *)
 
 val replay : Counterexample.t -> Sweep.report
-(** Re-execute one recorded snapshot counterexample (the artifact must
-    carry the [snap] extension).
-    @raise Invalid_argument if [cx.snap = None]. *)
-
-val config_of_counterexample : Counterexample.t -> config
-(** @raise Invalid_argument if [cx.snap = None]. *)
+(** Re-execute one recorded snapshot counterexample. *)

@@ -9,7 +9,29 @@ module Locks = Ff_index.Locks
 module Trace = Ff_trace.Trace
 module Cx = Counterexample
 
-type explorer = Dfs | Pct
+type explorer = Cx.explorer = Dfs | Pct
+
+let default =
+  {
+    Cx.writers = 2;
+    readers = 1;
+    ops = 2;
+    rounds = 3;
+    keyspace = 8;
+    prefill = 4;
+    seed = 1;
+    explorer = Pct;
+    schedules = 16;
+    max_crash_points = 12;
+    crash_budget = 256;
+    non_tso = false;
+    mutant = false;
+    node_bytes = None;
+    tx_path = Ff_tx.Tx.Logged;
+    rebal_kind = Cx.Rb_split;
+    nodes = 3;
+    shards = 2;
+  }
 
 type kind = Linearizability | Tolerance | Durability
 
@@ -75,31 +97,13 @@ let mode_of_crash (c : Cx.crash) =
       Storelog.Non_tso_cutoff (cutoff, Prng.create c.Cx.crash_seed)
   | s -> invalid_arg (Printf.sprintf "counterexample: unknown crash mode %S" s)
 
-let with_mutant mutant f =
+let with_mutant mutant armed f =
   match mutant with
   | None -> f ()
-  | Some (flag, armed) ->
+  | Some flag ->
       let prev = !flag in
       flag := armed;
       Fun.protect ~finally:(fun () -> flag := prev) f
-
-let counterexample ~index ~node_bytes ?(writers = 1) ?(readers = 0)
-    ?(non_tso = false) ?(elide_flush = false) ~ops_per_thread ~keyspace
-    ~prefill ~seed () =
-  {
-    Cx.index;
-    node_bytes;
-    kind = "";
-    workload =
-      { writers; readers; ops_per_thread; keyspace; prefill; seed; non_tso; elide_flush };
-    tx = None;
-    snap = None;
-    rebal = None;
-    repl = None;
-    decisions = [||];
-    crash = None;
-    detail = "";
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Helpers shared by the families' setups and oracles                  *)
@@ -168,28 +172,19 @@ type 'x run = {
 
 type finding = kind * string
 
-type budget = {
-  explorer : explorer;
-  schedules : int;
-  seed : int;
-  max_crash_points : int;
-  crash_budget : int;
-}
-
 type 'x t = {
+  family : string;
   index : string;
+  config : Cx.config;
   gate : string option;
   crash_gate : string option;
-  budget : budget;
-  probe_cutoffs : bool;
   canonical_fifo : bool;
   crashed_only : bool;
-  mutant : (bool ref * bool) option;
+  mutant : bool ref option;
   setup : unit -> 'x setup;
   ops : 'x -> int;
   live : 'x run -> finding list;
   crash : 'x run -> Cx.crash -> finding list;
-  counterexample : arena:int -> Cx.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -249,14 +244,16 @@ let sample max_points candidates =
   in
   if total = 0 then [] else pick 0 candidates (Arena.crash_points ~max_points (total - 1))
 
-let stamp f ~arena ~decisions ~crash (kind, detail) =
+let stamp f ~decisions ~crash (kind, detail) =
   {
     kind;
     detail;
     counterexample =
       {
-        (f.counterexample ~arena) with
-        Cx.kind = kind_to_string kind;
+        Cx.family = f.family;
+        index = f.index;
+        config = f.config;
+        kind = kind_to_string kind;
         decisions;
         crash;
         detail;
@@ -267,30 +264,30 @@ let run ?(tracer = Trace.null) f =
   match f.gate with
   | Some reason -> { (empty_report f.index) with skipped = Some reason }
   | None ->
-      with_mutant f.mutant @@ fun () ->
-      let b = f.budget in
+      let c = f.config in
+      with_mutant f.mutant c.mutant @@ fun () ->
       let sched_span = Trace.intern tracer "check.schedule" in
       let crash_inst = Trace.intern tracer "check.crash_point" in
-      let crash_enabled = f.crash_gate = None in
-      let budget = ref b.crash_budget in
+      let crash_note =
+        if c.crash_budget <= 0 then Some "crash engine disabled" else f.crash_gate
+      in
+      let budget = ref c.crash_budget in
       let crash_runs = ref 0 in
       let crash_points = ref 0 in
       let stores = ref 0 in
       let ops_checked = ref 0 in
       let violations = ref [] in
-      let add ~arena ~decisions ~crash finding =
-        violations := stamp f ~arena ~decisions ~crash finding :: !violations
+      let add ~decisions ~crash finding =
+        violations := stamp f ~decisions ~crash finding :: !violations
       in
       (* Replay the schedule up to the crash point and validate the
          given crash semantics on the result. *)
-      let crash_run choices aid crash =
+      let crash_run choices crash =
         incr crash_runs;
         decr budget;
         Trace.instant tracer crash_inst crash.Cx.store_count;
-        let r = replay_to f choices (Some (aid, crash.Cx.store_count)) in
-        List.iter
-          (add ~arena:aid ~decisions:choices ~crash:(Some crash))
-          (crash_findings f r crash)
+        let r = replay_to f choices (Some (crash.Cx.arena, crash.Cx.store_count)) in
+        List.iter (add ~decisions:choices ~crash:(Some crash)) (crash_findings f r crash)
       in
       (* Full product for one explored schedule: every sampled store
          count x every crash mode, within the global budget. *)
@@ -300,10 +297,10 @@ let run ?(tracer = Trace.null) f =
             if !budget > 0 then begin
               incr crash_points;
               let crash mode cutoff =
-                { Cx.store_count = k; mode; crash_seed = k; cutoff }
+                { Cx.arena = aid; store_count = k; mode; crash_seed = k; cutoff }
               in
               let cutoffs =
-                if not f.probe_cutoffs then []
+                if not c.non_tso then []
                 else
                   (* Non-TSO probe: replay to the crash point to learn
                      which epochs still have pending stores, then sweep
@@ -314,13 +311,13 @@ let run ?(tracer = Trace.null) f =
                     (Arena.pending_epochs r.arenas.(aid))
               in
               List.iter
-                (fun c -> if !budget > 0 then crash_run choices aid c)
+                (fun crash -> if !budget > 0 then crash_run choices crash)
                 (List.map
                    (fun m -> crash m None)
                    [ "keep_none"; "keep_all"; "random_eviction" ]
                 @ cutoffs)
             end)
-          (sample b.max_crash_points candidates)
+          (sample c.max_crash_points candidates)
       in
       (* One explored schedule: execute, run the live oracle, then the
          crash product. *)
@@ -330,8 +327,8 @@ let run ?(tracer = Trace.null) f =
         Trace.span_begin tracer sched_span (Array.length choices);
         ops_checked := !ops_checked + f.ops r.result;
         List.iter (fun (_, lo, hi) -> stores := !stores + hi - lo) r.candidates;
-        List.iter (add ~arena:0 ~decisions:choices ~crash:None) (f.live r);
-        if crash_enabled then crash_sweep choices r.candidates;
+        List.iter (add ~decisions:choices ~crash:None) (f.live r);
+        if crash_note = None then crash_sweep choices r.candidates;
         Trace.span_end tracer sched_span
       in
       if f.canonical_fifo then begin
@@ -339,15 +336,15 @@ let run ?(tracer = Trace.null) f =
         check_schedule (Schedule.record_policy ~fallback:Mcsim.Fifo rc) rc
       end;
       let exploration =
-        match b.explorer with
+        match c.explorer with
         | Dfs ->
-            Schedule.dfs ~max_schedules:b.schedules (fun ~prefix ->
+            Schedule.dfs ~max_schedules:c.schedules (fun ~prefix ->
                 let rc = Schedule.recorder () in
                 let policy = Schedule.record_policy ~prefix ~fallback:Mcsim.Fifo rc in
                 check_schedule policy rc;
                 (Schedule.decisions rc, ()))
         | Pct ->
-            Schedule.pct ~schedules:b.schedules ~seed:b.seed (fun ~policy ->
+            Schedule.pct ~schedules:c.schedules ~seed:c.seed (fun ~policy ->
                 let rc = Schedule.recorder () in
                 check_schedule (Schedule.record_policy ~fallback:policy rc) rc)
       in
@@ -362,20 +359,22 @@ let run ?(tracer = Trace.null) f =
         violations = List.rev !violations;
         skipped = None;
         crash_note =
-          (if crash_enabled && !budget <= 0 then
+          (if crash_note = None && !budget <= 0 then
              Some
                (Printf.sprintf
                   "crash budget (%d executions) exhausted; sweep truncated"
-                  b.crash_budget)
-           else f.crash_gate);
+                  c.crash_budget)
+           else crash_note);
       }
 
-let replay ?(arena = 0) f (cx : Cx.t) =
+let replay f (cx : Cx.t) =
   match f.gate with
   | Some reason -> { (empty_report f.index) with skipped = Some reason }
   | None ->
-      with_mutant f.mutant @@ fun () ->
-      let crash_at = Option.map (fun c -> (arena, c.Cx.store_count)) cx.Cx.crash in
+      with_mutant f.mutant f.config.mutant @@ fun () ->
+      let crash_at =
+        Option.map (fun c -> (c.Cx.arena, c.Cx.store_count)) cx.Cx.crash
+      in
       let r = replay_to f cx.Cx.decisions crash_at in
       let findings =
         match cx.Cx.crash with

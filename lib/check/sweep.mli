@@ -3,9 +3,9 @@
     report, crash-mode parsing and counterexample plumbing every
     family, replica included, reports through.
 
-    A family is a small description ({!t}): how to set up one run,
-    what its live and crash oracles check, and which counterexample
-    extension it stamps.  The driver owns everything else:
+    A family is a small description ({!t}): the {!Counterexample.config}
+    it runs, how to set up one run, and what its live and crash oracles
+    check.  The driver owns everything else:
 
     - {b One controlled execution}: the family's setup builds and
       prefills on fresh arenas, the driver notes every arena's store
@@ -23,12 +23,17 @@
       {!Ff_pmem.Arena.crash_points}, the explored schedule is replayed
       decision-for-decision up to that store count and crashed under
       each {!Ff_pmem.Storelog.crash_mode} — plus every pending epoch
-      cutoff under non-TSO — within a global budget; each crash runs
-      the crash oracle.
+      cutoff under [non_tso] — within the [crash_budget]; each crash
+      runs the crash oracle.  A [crash_budget] of 0 turns it off.
     - {b Counterexamples}: every violation carries a {!Counterexample}
-      that {!replay} re-executes along the recorded decisions. *)
+      holding the family's config as is, which {!replay} re-executes
+      along the recorded decisions, crashing the recorded arena. *)
 
-type explorer = Dfs | Pct
+type explorer = Counterexample.explorer = Dfs | Pct
+
+val default : Counterexample.config
+(** The linearizability family's defaults, which every other family
+    overrides where its own differ. *)
 
 type kind = Linearizability | Tolerance | Durability
 
@@ -68,27 +73,9 @@ val mode_of_crash : Counterexample.crash -> Ff_pmem.Storelog.crash_mode
     @raise Invalid_argument on an unknown mode name, or
     ["non_tso_cutoff"] without a cutoff. *)
 
-val with_mutant : (bool ref * bool) option -> (unit -> 'a) -> 'a
-(** [with_mutant (Some (flag, armed)) f] runs [f] with the global
-    mutant [flag] set to [armed], restoring it afterwards. *)
-
-val counterexample :
-  index:string ->
-  node_bytes:int option ->
-  ?writers:int ->
-  ?readers:int ->
-  ?non_tso:bool ->
-  ?elide_flush:bool ->
-  ops_per_thread:int ->
-  keyspace:int ->
-  prefill:int ->
-  seed:int ->
-  unit ->
-  Counterexample.t
-(** A counterexample for this workload (one writer, no readers, TSO
-    and no flush elision unless given) with no extension, no
-    decisions, no crash and empty kind and detail: the template a
-    family extends. *)
+val with_mutant : bool ref option -> bool -> (unit -> 'a) -> 'a
+(** [with_mutant (Some flag) armed f] runs [f] with the global mutant
+    [flag] set to [armed], restoring it afterwards. *)
 
 (** {1 Helpers for setups and oracles} *)
 
@@ -142,51 +129,41 @@ type 'x run = {
 
 type finding = kind * string
 
-type budget = {
-  explorer : explorer;
-  schedules : int;
-  seed : int;
-  max_crash_points : int;  (** candidates sampled per schedule *)
-  crash_budget : int;      (** global cap on crash executions *)
-}
-
 type 'x t = {
+  family : string;  (** stamped on every counterexample *)
   index : string;
+  config : Counterexample.config;
+      (** explorer, schedules, seed, crash budget and [non_tso] drive
+          the sweep; the whole record is stamped on every
+          counterexample *)
   gate : string option;  (** the family's [checkable] verdict *)
   crash_gate : string option;
       (** [None] runs the crash product; [Some note] skips it and
           reports [note] *)
-  budget : budget;
-  probe_cutoffs : bool;
-      (** non-TSO: probe each crash point for pending epochs and sweep
-          every [non_tso_cutoff] *)
   canonical_fifo : bool;
       (** explore the Fifo schedule first (not counted in
           [schedules_run]) *)
   crashed_only : bool;
       (** run the crash oracle only when the crash plan fired *)
-  mutant : (bool ref * bool) option;
-      (** global mutant flag armed for the whole run *)
+  mutant : bool ref option;
+      (** global mutant flag, set to [config.mutant] for the whole run *)
   setup : unit -> 'x setup;
   ops : 'x -> int;  (** operations a run contributes to [ops_checked] *)
   live : 'x run -> finding list;  (** oracle on a crash-free run *)
   crash : 'x run -> Counterexample.crash -> finding list;
       (** power-fail the run's arenas under the given crash, recover,
           and check the recovered state *)
-  counterexample : arena:int -> Counterexample.t;
-      (** template stamped on this family's violations (workload and
-          extension; the driver fills kind, decisions, crash, detail).
-          [arena] is the crashed arena, 0 for live violations. *)
 }
 
 val run : ?tracer:Ff_trace.Trace.t -> 'x t -> report
 (** Explore and crash within the family's budget.  Returns a [skipped]
-    report when [gate] is [Some _].  The tracer receives one
+    report when [gate] is [Some _], and notes ["crash engine
+    disabled"] when [crash_budget] is 0.  The tracer receives one
     ["check.schedule"] span per explored schedule and a
     ["check.crash_point"] instant per crash execution. *)
 
-val replay : ?arena:int -> 'x t -> Counterexample.t -> report
-(** Re-execute one recorded schedule (crashing [arena], default 0, if
+val replay : 'x t -> Counterexample.t -> report
+(** Re-execute one recorded schedule (crashing the recorded arena, if
     the counterexample records a crash) and re-run exactly the
     recorded oracle.  An empty [violations] list means the artifact
     did not reproduce. *)

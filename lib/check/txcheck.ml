@@ -7,53 +7,13 @@ module Locks = Ff_index.Locks
 module Tx = Ff_tx.Tx
 module Cx = Counterexample
 
-type config = {
-  txns : int;
-  ops_per_txn : int;
-  readers : int;
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  path : Tx.path;
-  torn_commit : bool;
-  explorer : Sweep.explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  non_tso : bool;
-  node_bytes : int option;
-}
+let default = { Sweep.default with Cx.schedules = 8; crash_budget = 192 }
 
-let default =
-  {
-    txns = 3;
-    ops_per_txn = 2;
-    readers = 1;
-    keyspace = 8;
-    prefill = 4;
-    seed = 1;
-    path = Tx.Logged;
-    torn_commit = false;
-    explorer = Sweep.Pct;
-    schedules = 8;
-    max_crash_points = 12;
-    crash_budget = 192;
-    non_tso = false;
-    node_bytes = None;
-  }
-
-let path_name = function Tx.Logged -> "logged" | Tx.Shadow -> "shadow"
-
-let path_of_name = function
-  | "logged" -> Tx.Logged
-  | "shadow" -> Tx.Shadow
-  | s -> invalid_arg (Printf.sprintf "counterexample: unknown tx path %S" s)
-
-let checkable d cfg =
+let checkable d (cfg : Cx.config) =
   if not d.D.caps.D.txnable then Some "not txnable"
   else if not (d.D.caps.D.is_persistent && d.D.caps.D.has_recovery) then
     Some "not crash-checkable: volatile or no recovery"
-  else if cfg.txns < 1 then Some "need at least 1 transaction"
+  else if cfg.rounds < 1 then Some "need at least 1 transaction"
   else if
     cfg.readers > 0
     && (not (D.supports_lock_mode d Locks.Sim))
@@ -65,17 +25,17 @@ let checkable d cfg =
    transaction, so prefix i is the state after i commits. *)
 type workload = { spec : Spec.t; reader_scripts : int list array }
 
-let gen_workload cfg =
+let gen_workload (cfg : Cx.config) =
   let master = Prng.create cfg.seed in
   let spec =
     Spec.create (Prng.split master) ~prefill:cfg.prefill ~keyspace:cfg.keyspace
-      ~per_entry:cfg.ops_per_txn cfg.txns
+      ~per_entry:cfg.ops cfg.rounds
   in
   let reader_scripts =
     Array.init cfg.readers (fun _ ->
         let rng = Prng.split master in
         List.init
-          (cfg.txns * cfg.ops_per_txn)
+          (cfg.rounds * cfg.ops)
           (fun _ -> 1 + Prng.int rng cfg.keyspace))
   in
   { spec; reader_scripts }
@@ -94,18 +54,18 @@ type exec = {
 (* Build + prefill + transaction-manager creation happen in the setup;
    the writer's transaction script and the reader scripts are the
    concurrent phase. *)
-let setup cfg d w () =
+let setup (cfg : Cx.config) d w () =
   let arena =
     Sweep.arena ~non_tso:cfg.non_tso
-      ~keys:(cfg.keyspace + cfg.prefill + (cfg.txns * cfg.ops_per_txn))
+      ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops))
       ()
   in
   let dcfg = Sweep.index_config d ~node_bytes:cfg.node_bytes in
   let ops = Registry.build ~config:dcfg d.D.name arena in
   Sweep.in_sim arena (fun () ->
       List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w.spec));
-  let mgr = Tx.create ~path:cfg.path arena ops in
-  if cfg.torn_commit then Tx.set_torn_commit mgr true;
+  let mgr = Tx.create ~path:cfg.tx_path arena ops in
+  if cfg.mutant then Tx.set_torn_commit mgr true;
   let committed = ref 0 in
   let commit_started = ref 0 in
   let tx_ops = ref 0 in
@@ -154,7 +114,7 @@ let setup cfg d w () =
 
 (* Live run: no concurrent reader fabricated a binding, and the final
    state is the whole committed schedule. *)
-let validate_live cfg w (r : exec Sweep.run) =
+let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   let x = r.Sweep.result in
   (match x.fabricated with
   | Some (k, v) ->
@@ -167,14 +127,14 @@ let validate_live cfg w (r : exec Sweep.run) =
   let dump = ref [] in
   Sweep.in_sim x.arena (fun () ->
       dump := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
-  match Spec.window w.spec ~lo:cfg.txns ~hi:cfg.txns (Spec.Map !dump) with
+  match Spec.window w.spec ~lo:cfg.rounds ~hi:cfg.rounds (Spec.Map !dump) with
   | Ok _ -> []
   | Error why -> [ (Sweep.Durability, "serializability: final state " ^ why) ]
 
 (* Crash the execution, recover (index recovery then transaction
    recovery over the persisted log), and compare the observed state
    against the durable-serializability oracle. *)
-let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
+let validate_crash (cfg : Cx.config) d w (r : exec Sweep.run) (crash : Cx.crash) =
   let x = r.Sweep.result in
   Arena.power_fail x.arena (Sweep.mode_of_crash crash);
   let sdcfg = { x.dcfg with D.lock_mode = Locks.Single } in
@@ -198,7 +158,7 @@ let validate_crash cfg d w (r : exec Sweep.run) (crash : Cx.crash) =
     match
       let o = d.D.open_existing sdcfg x.arena in
       o.Intf.recover ();
-      ignore (Tx.recover (Tx.create ~path:cfg.path x.arena o));
+      ignore (Tx.recover (Tx.create ~path:cfg.tx_path x.arena o));
       Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
     with
     | dump -> (
@@ -225,18 +185,11 @@ let family cfg name =
   let d = Registry.find_exn name in
   let w = lazy (gen_workload cfg) in
   {
-    Sweep.index = name;
+    Sweep.family = "tx";
+    index = name;
+    config = cfg;
     gate = checkable d cfg;
     crash_gate = None;
-    budget =
-      {
-        Sweep.explorer = cfg.explorer;
-        schedules = cfg.schedules;
-        seed = cfg.seed;
-        max_crash_points = cfg.max_crash_points;
-        crash_budget = cfg.crash_budget;
-      };
-    probe_cutoffs = cfg.non_tso;
     canonical_fifo = false;
     crashed_only = false;
     mutant = None;
@@ -244,39 +197,8 @@ let family cfg name =
     ops = (fun x -> x.tx_ops);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
     crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
-    counterexample =
-      (fun ~arena:_ ->
-        {
-          (Sweep.counterexample ~index:name ~node_bytes:cfg.node_bytes
-             ~readers:cfg.readers ~non_tso:cfg.non_tso
-             ~ops_per_thread:cfg.ops_per_txn ~keyspace:cfg.keyspace
-             ~prefill:cfg.prefill ~seed:cfg.seed ())
-          with
-          Cx.tx =
-            Some
-              { Cx.path = path_name cfg.path; torn = cfg.torn_commit; txns = cfg.txns };
-        });
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
 
-let config_of_counterexample (cx : Cx.t) =
-  match cx.Cx.tx with
-  | None -> invalid_arg "Txcheck: counterexample lacks the tx extension"
-  | Some x ->
-      let w = cx.Cx.workload in
-      {
-        default with
-        txns = x.Cx.txns;
-        ops_per_txn = w.Cx.ops_per_thread;
-        readers = w.Cx.readers;
-        keyspace = w.Cx.keyspace;
-        prefill = w.Cx.prefill;
-        seed = w.Cx.seed;
-        path = path_of_name x.Cx.path;
-        torn_commit = x.Cx.torn;
-        non_tso = w.Cx.non_tso;
-        node_bytes = cx.Cx.node_bytes;
-      }
-
-let replay cx = Sweep.replay (family (config_of_counterexample cx) cx.Cx.index) cx
+let replay cx = Sweep.replay (family cx.Cx.config cx.Cx.index) cx

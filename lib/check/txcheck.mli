@@ -25,47 +25,25 @@
     read-uncommitted data; the [Shadow] path stages privately and
     gives read-committed.)
 
-    [torn_commit] arms the injected mutant (commit record persisted
-    before the log payload it covers, and eager-path undo records left
-    volatile).  A sweep over a torn run must produce violations; each
-    carries a {!Counterexample} with the [tx] extension populated so
-    [ffcli check --replay] re-executes it deterministically. *)
+    The config's [rounds] transactions of [ops] puts/deletes each run
+    on its [tx_path] beside [readers] readers.  [mutant] arms the
+    torn-commit mutant (commit record persisted before the log payload
+    it covers, and eager-path undo records left volatile).  A sweep
+    over a torn run must produce violations; each carries a
+    {!Counterexample} of family ["tx"] so [ffcli check --replay]
+    re-executes it deterministically. *)
 
-type config = {
-  txns : int;             (** transactions in the writer script (default 3) *)
-  ops_per_txn : int;      (** puts/deletes per transaction (default 2) *)
-  readers : int;          (** concurrent reader threads (default 1) *)
-  keyspace : int;
-  prefill : int;
-  seed : int;
-  path : Ff_tx.Tx.path;   (** commit path under test (default [Logged]) *)
-  torn_commit : bool;     (** arm the torn-commit mutant (default false) *)
-  explorer : Sweep.explorer;
-  schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
-  non_tso : bool;
-  node_bytes : int option;
-}
+val default : Counterexample.config
+(** 3 transactions of 2 ops on the [Logged] path, 1 reader, 8 PCT
+    schedules, crash budget 192; otherwise {!Sweep.default}. *)
 
-val default : config
-
-val checkable : Ff_index.Descriptor.t -> config -> string option
-(** [None] when the descriptor is transaction-checkable: [txnable],
-    persistent with recovery, and — when [readers > 0] — safe for
-    concurrent lock-free reads (or Sim locks). *)
-
-val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
+val run :
+  ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] and returns a report
     in {!Sweep.report} form ([Durability] counts cover both atomicity
-    and durability failures; see module docs).  Counterexamples carry
-    [Counterexample.tx = Some _]. *)
+    and durability failures; see module docs).  An index that is not
+    [txnable], persistent with recovery and — with readers — safe for
+    concurrent lock-free reads (or Sim locks) is skipped. *)
 
 val replay : Counterexample.t -> Sweep.report
-(** Re-execute one recorded transaction counterexample (the artifact
-    must carry the [tx] extension).
-    @raise Invalid_argument if [cx.tx = None]. *)
-
-val config_of_counterexample : Counterexample.t -> config
-(** @raise Invalid_argument if [cx.tx = None] or the recorded path
-    name is unknown. *)
+(** Re-execute one recorded transaction counterexample. *)

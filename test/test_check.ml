@@ -21,9 +21,9 @@ let value_of k = (2 * k) + 1
 let small_config =
   {
     C.default with
-    C.writers = 2;
+    Cx.writers = 2;
     readers = 1;
-    ops_per_thread = 2;
+    ops = 2;
     schedules = 6;
     max_crash_points = 6;
     crash_budget = 36;
@@ -34,13 +34,13 @@ let small_config =
 let test_fastfair_clean () =
   let r = C.run ~config:small_config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
-  Alcotest.(check int) "schedules explored" small_config.C.schedules r.C.schedules_run;
+  Alcotest.(check int) "schedules explored" small_config.Cx.schedules r.C.schedules_run;
   Alcotest.(check bool) "crash product ran" true (r.C.crash_runs > 0);
   Alcotest.(check bool) "histories checked" true (r.C.ops_checked > 0);
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
 
 let test_fastfair_clean_non_tso () =
-  let config = { small_config with C.non_tso = true; schedules = 3; crash_budget = 24 } in
+  let config = { small_config with Cx.non_tso = true; schedules = 3; crash_budget = 24 } in
   let r = C.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
   Alcotest.(check bool) "crash product ran" true (r.C.crash_runs > 0);
@@ -56,9 +56,9 @@ let test_fastfair_split_forcing () =
   let config =
     {
       C.default with
-      C.writers = 3;
+      Cx.writers = 3;
       readers = 2;
-      ops_per_thread = 8;
+      ops = 8;
       keyspace = 160;
       prefill = 60;
       schedules = 60;
@@ -75,7 +75,7 @@ let test_fastfair_split_forcing () =
    persist is dropped) must be caught by the crash product engine, and
    the recorded artifact must reproduce the violation byte-for-byte. *)
 let test_elide_flush_mutant_and_replay () =
-  let config = { small_config with C.elide_flush = true; schedules = 4 } in
+  let config = { small_config with Cx.mutant = true; schedules = 4 } in
   let r = C.run ~config "fastfair" in
   Alcotest.(check bool) "mutant caught" true (r.C.violations <> []);
   Alcotest.(check bool) "durability violations found" true
@@ -86,7 +86,7 @@ let test_elide_flush_mutant_and_replay () =
   let cx = v.C.counterexample in
   Alcotest.(check string) "kind stamped" "durability" cx.Cx.kind;
   Alcotest.(check bool) "crash recorded" true (cx.Cx.crash <> None);
-  Alcotest.(check bool) "mutation recorded" true cx.Cx.workload.Cx.elide_flush;
+  Alcotest.(check bool) "mutation recorded" true cx.Cx.config.Cx.mutant;
   (* JSON round trip is lossless. *)
   (match Cx.of_json (Cx.to_json cx) with
   | Ok cx' -> Alcotest.(check bool) "json round trip" true (cx = cx')
@@ -101,9 +101,10 @@ let test_elide_flush_mutant_and_replay () =
   Alcotest.(check bool) "replay is deterministic" true (a = replay ())
 
 (* One replay entry for every family: a counterexample from each
-   family's mutant sweep survives JSON and reproduces through
-   [Check.replay], which routes it by its extension; an artifact with
-   no extension is a linearizability one. *)
+   family's mutant sweep survives JSON whole and reproduces through
+   [Check.replay], which routes it by the family it names.  The
+   migrate case crashes arena 1 (the migrate destination), which the
+   crash record carries; a version-1 artifact is refused. *)
 let test_replay_dispatch () =
   let first (r : C.report) =
     match r.C.violations with
@@ -114,50 +115,93 @@ let test_replay_dispatch () =
   let module SC = Ff_check.Snapcheck in
   let module RC = Ff_check.Rebalcheck in
   let module RepC = Ff_check.Replcheck in
+  let migrate =
+    RC.run
+      ~config:
+        {
+          RC.default with
+          Cx.mutant = true;
+          rebal_kind = RC.Rb_migrate;
+          ops = 12;
+          schedules = 2;
+          crash_budget = 80;
+          seed = 2;
+        }
+      "fastfair"
+  in
+  let on_dst =
+    match
+      List.find_opt
+        (fun v ->
+          match v.C.counterexample.Cx.crash with
+          | Some c -> c.Cx.arena = 1
+          | None -> false)
+        migrate.C.violations
+    with
+    | Some v -> v.C.counterexample
+    | None -> Alcotest.fail "migrate drop-delta sweep crashed no destination arena"
+  in
+  Alcotest.(check (option (pair int string)))
+    "destination crash point" (Some (90, "keep_none"))
+    (Option.map (fun c -> (c.Cx.store_count, c.Cx.mode)) on_dst.Cx.crash);
   let cases =
     [
       ( "linearizability",
-        C.run
-          ~config:{ small_config with C.elide_flush = true; schedules = 4 }
-          "fastfair" );
+        first
+          (C.run
+             ~config:{ small_config with Cx.mutant = true; schedules = 4 }
+             "fastfair") );
       ( "tx",
-        TC.run
-          ~config:{ TC.default with TC.torn_commit = true; schedules = 2; crash_budget = 32 }
-          "fastfair" );
+        first
+          (TC.run
+             ~config:{ TC.default with Cx.mutant = true; schedules = 2; crash_budget = 32 }
+             "fastfair") );
       ( "snapshot",
-        SC.run
-          ~config:{ SC.default with SC.mutant = true; schedules = 2; crash_budget = 32 }
-          "snap-fastfair" );
+        first
+          (SC.run
+             ~config:{ SC.default with Cx.mutant = true; schedules = 2; crash_budget = 32 }
+             "snap-fastfair") );
       ( "rebalance",
-        RC.run
-          ~config:
-            { RC.default with RC.mutant = true; ops = 12; schedules = 2; crash_budget = 80 }
-          "fastfair" );
+        first
+          (RC.run
+             ~config:
+               { RC.default with Cx.mutant = true; ops = 12; schedules = 2; crash_budget = 80 }
+             "fastfair") );
+      ("rebalance", on_dst);
       ( "replica",
-        RepC.run
-          ~config:{ RepC.default with RepC.mutant = true; schedules = 8; seed = 42 }
-          "fastfair" );
+        first
+          (RepC.run
+             ~config:{ RepC.default with Cx.mutant = true; schedules = 8; seed = 42 }
+             "fastfair") );
     ]
   in
+  let details (r : C.report) = List.map (fun v -> v.C.detail) r.C.violations in
   List.iter
-    (fun (name, r) ->
-      match Cx.of_json (Cx.to_json (first r)) with
-      | Error e -> Alcotest.failf "%s: counterexample does not parse: %s" name e
-      | Ok cx ->
-          Alcotest.(check string) (name ^ " routed") name (C.family_of cx).C.name;
-          Alcotest.(check bool) (name ^ " reproduces") true
-            ((C.replay cx).C.violations <> []))
+    (fun (name, cx) ->
+      Alcotest.(check bool) (name ^ " round-trips whole") true
+        (Cx.of_json (Cx.to_json cx) = Ok cx);
+      Alcotest.(check string) (name ^ " routed") name (C.family_of cx).C.name;
+      Alcotest.(check bool) (name ^ " reproduces") true
+        (List.mem cx.Cx.detail (details (C.replay cx))))
     cases;
-  let bare = { (first (List.assoc "tx" cases)) with Cx.tx = None } in
-  Alcotest.(check string) "no extension routes to linearizability" "linearizability"
-    (C.family_of bare).C.name
+  let bare = { (List.assoc "tx" cases) with Cx.family = "linearizability" } in
+  Alcotest.(check string) "the family field routes" "linearizability"
+    (C.family_of bare).C.name;
+  let module Json = Ff_trace.Json in
+  let v1 =
+    match Json.of_string (Cx.to_json bare) with
+    | Json.Obj m -> Json.to_string (Json.Obj (("version", Json.Int 1) :: List.remove_assoc "version" m))
+    | _ -> Alcotest.fail "artifact is not a JSON object"
+  in
+  Alcotest.(check bool) "version 1 refused" true
+    (Cx.of_json v1 = Error "counterexample: unsupported version 1")
 
 (* DFS explorer: bounded-exhaustive mode runs clean on the real tree
    (tiny budget — the decision tree is far larger than any test
    budget, so we assert the budget was consumed, not exhaustion). *)
 let test_dfs_explorer () =
   let config =
-    { small_config with C.explorer = C.Dfs; schedules = 4; crash_budget = 0 }
+    { small_config with Cx.explorer = C.Dfs; schedules = 4; crash_budget = 0 }
   in
   let r = C.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
@@ -173,7 +217,7 @@ let test_gating () =
   Alcotest.(check bool) "wbtree skipped with reason" true (r.C.skipped <> None);
   Alcotest.(check int) "no schedules run" 0 r.C.schedules_run;
   (* blink is volatile: schedules check, crash engine refuses. *)
-  let config = { small_config with C.writers = 1; readers = 2; schedules = 2 } in
+  let config = { small_config with Cx.writers = 1; readers = 2; schedules = 2 } in
   let r = C.run ~config "blink" in
   Alcotest.(check bool) "blink crash engine gated" true (r.C.crash_note <> None);
   Alcotest.(check int) "blink crash runs" 0 r.C.crash_runs
@@ -247,7 +291,7 @@ let suspended_reader_cases () =
 (* One thread: a sequential run crashed at every store                 *)
 (* ------------------------------------------------------------------ *)
 
-let one_thread = { C.default with C.writers = 1; readers = 0 }
+let one_thread = { C.default with Cx.writers = 1; readers = 0 }
 
 (* A budget that covers the phase's span crashes at every store count
    from the phase's start to its end, each under the three TSO modes;
@@ -258,7 +302,7 @@ let test_one_thread_every_store () =
   let config =
     {
       one_thread with
-      C.ops_per_thread = 3;
+      Cx.ops = 3;
       seed = 3;
       max_crash_points = 1000;
       crash_budget = 3000;
@@ -277,18 +321,18 @@ let test_one_thread_every_store () =
   let d = Registry.find_exn "fastfair" in
   let arena =
     Ff_check.Sweep.arena
-      ~keys:(config.C.keyspace + config.C.prefill + config.C.ops_per_thread)
+      ~keys:(config.Cx.keyspace + config.Cx.prefill + config.Cx.ops)
       ()
   in
   let t =
     Registry.build ~config:(Ff_check.Sweep.index_config d ~node_bytes:None) "fastfair" arena
   in
   let values = Spec.values () in
-  let initial = Spec.prefill values ~prefill:config.C.prefill ~keyspace:config.C.keyspace in
+  let initial = Spec.prefill values ~prefill:config.Cx.prefill ~keyspace:config.Cx.keyspace in
   Ff_check.Sweep.in_sim arena (fun () -> List.iter (fun (k, v) -> t.Intf.insert k v) initial);
-  let rng = Ff_util.Prng.split (Ff_util.Prng.create config.C.seed) in
+  let rng = Ff_util.Prng.split (Ff_util.Prng.create config.Cx.seed) in
   let ops =
-    List.init config.C.ops_per_thread (fun _ -> Spec.draw values rng ~keyspace:config.C.keyspace)
+    List.init config.Cx.ops (fun _ -> Spec.draw values rng ~keyspace:config.Cx.keyspace)
   in
   let first = Arena.store_count arena in
   let marks = ref [] in
@@ -326,7 +370,7 @@ let test_one_thread_every_store () =
    loses acknowledged writes, and its counterexample replays. *)
 let test_one_thread_mutant () =
   let config =
-    { one_thread with C.ops_per_thread = 4; elide_flush = true; crash_budget = 64 }
+    { one_thread with Cx.ops = 4; mutant = true; crash_budget = 64 }
   in
   let r = C.run ~config "fastfair" in
   match List.filter (fun v -> v.C.kind = C.Durability) r.C.violations with
@@ -335,7 +379,7 @@ let test_one_thread_mutant () =
       match Cx.of_json (Cx.to_json v.C.counterexample) with
       | Error e -> Alcotest.fail ("of_json: " ^ e)
       | Ok cx ->
-          Alcotest.(check int) "one writer recorded" 1 cx.Cx.workload.Cx.writers;
+          Alcotest.(check int) "one writer recorded" 1 cx.Cx.config.Cx.writers;
           Alcotest.(check bool) "replay reproduces" true ((C.replay cx).C.violations <> []))
 
 (* Stable crash-mode seeding: random eviction seeded from a point index

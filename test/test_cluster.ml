@@ -440,7 +440,7 @@ module Cx = Ff_check.Counterexample
    recovery mode (failover, restart-in-place, restart-then-refail)
    against every kill point. *)
 let repc_config =
-  { RepC.default with RepC.ops = 40; keyspace = 8; schedules = 12; seed = 42 }
+  { RepC.default with Cx.ops = 40; keyspace = 8; schedules = 12; seed = 42 }
 
 let test_replcheck_clean () =
   let r = RepC.run ~config:repc_config "fastfair" in
@@ -448,15 +448,15 @@ let test_replcheck_clean () =
     "clean sweep" []
     (List.map (fun v -> v.C.detail) r.C.violations);
   Alcotest.(check bool) "killed some primaries" true (r.C.crash_runs > 0);
-  Alcotest.(check int) "all scenarios ran" repc_config.RepC.schedules
+  Alcotest.(check int) "all scenarios ran" repc_config.Cx.schedules
     r.C.schedules_run
 
 let test_replcheck_mutant_fails () =
   (* The ack-before-replicate mutant must lose acks somewhere in the
-     partition x kill scenarios and every counterexample must carry a
-     repl extension that survives JSON; the replay-dispatch test in
+     partition x kill scenarios and every counterexample must name the
+     replica family and survive JSON; the replay-dispatch test in
      test_check replays one. *)
-  let cfg = { repc_config with RepC.mutant = true; schedules = 8 } in
+  let cfg = { repc_config with Cx.mutant = true; schedules = 8 } in
   let r = RepC.run ~config:cfg "fastfair" in
   if r.C.violations = [] then
     Alcotest.fail "ack-before-replicate mutant slipped past the sweep";
@@ -468,70 +468,35 @@ let test_replcheck_mutant_fails () =
     | None -> List.hd r.C.violations
   in
   let cx = v.C.counterexample in
-  (match cx.Cx.repl with
-  | Some rp -> Alcotest.(check bool) "mutant recorded" true rp.Cx.rp_mutant
-  | None -> Alcotest.fail "counterexample lacks the repl extension");
+  Alcotest.(check string) "family recorded" "replica" cx.Cx.family;
+  Alcotest.(check bool) "mutant recorded" true cx.Cx.config.Cx.mutant;
   match Cx.of_json (Cx.to_json cx) with
   | Error e -> Alcotest.failf "counterexample does not round-trip: %s" e
-  | Ok cx' ->
-      Alcotest.(check bool) "repl survives the round-trip" true
-        (cx'.Cx.repl = cx.Cx.repl)
+  | Ok cx' -> Alcotest.(check bool) "repl survives the round-trip" true (cx' = cx)
 
-(* A replica artifact naming an unknown crash mode or recovery is
-   rejected, not silently replayed as something else; an artifact
-   without [rp_recovery] still parses as a failover. *)
+(* A replica artifact naming an unknown crash mode, or a negative
+   scenario index, is rejected, not silently replayed as something
+   else. *)
 let test_replcheck_rejects_unknown_names () =
   let cx =
     {
-      (Ff_check.Sweep.counterexample ~index:"fastfair" ~node_bytes:None
-         ~ops_per_thread:40 ~keyspace:8 ~prefill:0 ~seed:42 ())
-      with
-      Cx.kind = "durability";
-      repl =
-        Some
-          {
-            Cx.rp_mutant = false;
-            rp_nodes = 3;
-            rp_shards = 2;
-            rp_fault_seed = 1;
-            rp_kill_at = 10;
-            rp_partition = false;
-            rp_recovery = "failover";
-          };
+      Cx.family = "replica";
+      index = "fastfair";
+      config = repc_config;
+      kind = "durability";
+      decisions = [| 1 |];
       crash =
-        Some { Cx.store_count = 10; mode = "bogus"; crash_seed = 1; cutoff = None };
+        Some
+          { Cx.arena = 0; store_count = 10; mode = "bogus"; crash_seed = 1; cutoff = None };
+      detail = "";
     }
   in
   Alcotest.check_raises "unknown crash mode"
     (Invalid_argument "counterexample: unknown crash mode \"bogus\"")
     (fun () -> ignore (C.replay cx));
-  let bad_recovery =
-    {
-      cx with
-      Cx.crash = None;
-      repl = Option.map (fun r -> { r with Cx.rp_recovery = "bogus" }) cx.Cx.repl;
-    }
-  in
-  Alcotest.check_raises "unknown recovery"
-    (Invalid_argument "counterexample: unknown recovery \"bogus\"")
-    (fun () -> ignore (C.replay bad_recovery));
-  let module Json = Ff_trace.Json in
-  let without =
-    match Json.of_string (Cx.to_json { cx with Cx.crash = None }) with
-    | Json.Obj members ->
-        Json.Obj
-          (List.map
-             (function
-               | "repl", Json.Obj r -> ("repl", Json.Obj (List.remove_assoc "rp_recovery" r))
-               | m -> m)
-             members)
-    | j -> j
-  in
-  match Cx.of_json (Json.to_string without) with
-  | Error e -> Alcotest.failf "artifact without rp_recovery: %s" e
-  | Ok cx' ->
-      Alcotest.(check (option string)) "defaults to failover" (Some "failover")
-        (Option.map (fun r -> r.Cx.rp_recovery) cx'.Cx.repl)
+  Alcotest.check_raises "negative scenario index"
+    (Invalid_argument "Replcheck: negative scenario index -1")
+    (fun () -> ignore (C.replay { cx with Cx.crash = None; decisions = [| -1 |] }))
 
 let suite =
   [

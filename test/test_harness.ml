@@ -22,9 +22,9 @@ let harness_case name node_bytes () =
   let config =
     {
       C.default with
-      C.writers = 1;
+      Ff_check.Counterexample.writers = 1;
       readers = 0;
-      ops_per_thread = 13;
+      ops = 13;
       keyspace = 300;
       prefill = 150;
       max_crash_points = 60;

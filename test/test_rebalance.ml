@@ -407,7 +407,7 @@ let test_merge_resolves_live_topology () =
 let rc_config kind =
   {
     RC.default with
-    RC.kind;
+    Cx.rebal_kind = kind;
     ops = 8;
     schedules = 2;
     max_crash_points = 4;
@@ -429,7 +429,7 @@ let test_rebalcheck_mutant_fails () =
   let cfg =
     {
       (rc_config RC.Rb_split) with
-      RC.mutant = true;
+      Cx.mutant = true;
       ops = 12;
       max_crash_points = 24;
       crash_budget = 80;
@@ -438,21 +438,16 @@ let test_rebalcheck_mutant_fails () =
   let r = RC.run ~config:cfg "fastfair" in
   if r.C.violations = [] then
     Alcotest.fail "drop-delta mutant slipped past the sweep";
-  (* The counterexample must carry the rebal extension and survive a
-     JSON round-trip; the replay-dispatch test in test_check replays
-     one. *)
+  (* The counterexample must record its config and survive a JSON
+     round-trip; the replay-dispatch test in test_check replays one. *)
   let v = List.hd r.C.violations in
   let cx = v.C.counterexample in
-  (match cx.Cx.rebal with
-  | Some rb ->
-      Alcotest.(check string) "kind recorded" "split" rb.Cx.rb_kind;
-      Alcotest.(check bool) "mutant recorded" true rb.Cx.rb_mutant
-  | None -> Alcotest.fail "counterexample lacks the rebal extension");
+  Alcotest.(check string) "kind recorded" "split"
+    (RC.rkind_to_string cx.Cx.config.Cx.rebal_kind);
+  Alcotest.(check bool) "mutant recorded" true cx.Cx.config.Cx.mutant;
   match Cx.of_json (Cx.to_json cx) with
   | Error e -> Alcotest.failf "counterexample does not round-trip: %s" e
-  | Ok cx' ->
-      Alcotest.(check bool) "rebal survives the round-trip" true
-        (cx'.Cx.rebal = cx.Cx.rebal)
+  | Ok cx' -> Alcotest.(check bool) "rebal survives the round-trip" true (cx' = cx)
 
 (* The writer holds its last change to a moved key until the tap is
    in, so the canonical schedule alone, with no crash sweep, loses an
@@ -465,7 +460,7 @@ let test_rebalcheck_mutant_canonical () =
         let cfg =
           {
             (rc_config kind) with
-            RC.mutant = true;
+            Cx.mutant = true;
             ops = 12;
             seed;
             schedules = 0;

@@ -102,9 +102,9 @@ let test_crash_sweep d () =
   let config =
     {
       C.default with
-      C.writers = 1;
+      Ff_check.Counterexample.writers = 1;
       readers = 0;
-      ops_per_thread = 12;
+      ops = 12;
       keyspace = 240;
       prefill = 120;
       max_crash_points = 40;

@@ -516,7 +516,7 @@ let prop_pinned_range_equals_model =
 (* ------------------------------------------------------------------ *)
 
 let small =
-  { SC.default with SC.schedules = 4; max_crash_points = 6; crash_budget = 48 }
+  { SC.default with Cx.schedules = 4; max_crash_points = 6; crash_budget = 48 }
 
 let test_snapcheck_clean () =
   let r = SC.run ~config:small "snap-fastfair" in
@@ -530,14 +530,14 @@ let test_snapcheck_clean () =
    isolation violation here. *)
 let test_snapcheck_repeated_prefix () =
   let spec =
-    Ff_check.Spec.create (Prng.create 5) ~prefill:SC.default.SC.prefill
-      ~keyspace:SC.default.SC.keyspace ~per_entry:1
-      (SC.default.SC.rounds * SC.default.SC.ops_per_round)
+    Ff_check.Spec.create (Prng.create 5) ~prefill:SC.default.Cx.prefill
+      ~keyspace:SC.default.Cx.keyspace ~per_entry:1
+      (SC.default.Cx.rounds * SC.default.Cx.ops)
   in
   Alcotest.(check bool) "prefix 3 repeats prefix 2" true
     (Ff_check.Spec.state spec 2 = Ff_check.Spec.state spec 3);
   let r =
-    SC.run ~config:{ SC.default with SC.seed = 5; schedules = 2; crash_budget = 0 }
+    SC.run ~config:{ SC.default with Cx.seed = 5; schedules = 2; crash_budget = 0 }
       "snap-fastfair"
   in
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
@@ -545,19 +545,15 @@ let test_snapcheck_repeated_prefix () =
 (* The artifact must survive serialization; the replay-dispatch test
    in test_check replays one. *)
 let test_snapcheck_mutant_caught () =
-  let r = SC.run ~config:{ small with SC.mutant = true } "snap-fastfair" in
+  let r = SC.run ~config:{ small with Cx.mutant = true } "snap-fastfair" in
   match r.C.violations with
   | [] -> Alcotest.fail "read-latest mutant produced no violations"
   | v :: _ -> (
       let cx = v.C.counterexample in
-      (match cx.Cx.snap with
-      | Some s -> Alcotest.(check bool) "artifact records mutant" true s.Cx.mutant
-      | None -> Alcotest.fail "counterexample lacks the snap extension");
+      Alcotest.(check bool) "artifact records mutant" true cx.Cx.config.Cx.mutant;
       match Cx.of_json (Cx.to_json cx) with
       | Error m -> Alcotest.failf "snap artifact does not parse: %s" m
-      | Ok cx' ->
-          Alcotest.(check bool) "snap extension round-trips" true
-            (cx'.Cx.snap = cx.Cx.snap))
+      | Ok cx' -> Alcotest.(check bool) "snap config round-trips" true (cx' = cx))
 
 let suite =
   [

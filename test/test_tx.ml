@@ -589,8 +589,8 @@ let test_run_abort () =
 let small_config =
   {
     TC.default with
-    TC.txns = 3;
-    ops_per_txn = 2;
+    Cx.rounds = 3;
+    ops = 2;
     schedules = 4;
     max_crash_points = 6;
     crash_budget = 48;
@@ -604,14 +604,14 @@ let test_txcheck_logged_clean () =
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
 
 let test_txcheck_shadow_clean () =
-  let config = { small_config with TC.path = Tx.Shadow } in
+  let config = { small_config with Cx.tx_path = Tx.Shadow } in
   let r = TC.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
 
 let test_txcheck_non_tso_clean () =
   let config =
-    { small_config with TC.non_tso = true; schedules = 2; crash_budget = 32 }
+    { small_config with Cx.non_tso = true; schedules = 2; crash_budget = 32 }
   in
   let r = TC.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
@@ -624,37 +624,35 @@ let test_txcheck_volatile_skipped () =
   Alcotest.(check bool) "volatile index skipped" true (r.C.skipped <> None)
 
 let torn_caught path =
-  let config = { small_config with TC.path = path; torn_commit = true } in
+  let config = { small_config with Cx.tx_path = path; mutant = true } in
   let r = TC.run ~config "fastfair" in
   Alcotest.(check bool) "mutant caught" true (r.C.violations <> []);
   Alcotest.(check bool) "durability violation found" true
     (List.exists (fun v -> v.C.kind = C.Durability) r.C.violations);
   List.find (fun v -> v.C.kind = C.Durability) r.C.violations
 
-(* The artifact round-trips through JSON with its tx extension; the
+(* The artifact round-trips through JSON with its tx config; the
    replay-dispatch test in test_check replays one. *)
 let test_torn_commit_logged_caught () =
   let v = torn_caught Tx.Logged in
   let json = Cx.to_json v.C.counterexample in
   match Cx.of_json json with
   | Error m -> Alcotest.failf "counterexample does not parse: %s" m
-  | Ok cx -> (
-      match cx.Cx.tx with
-      | Some x ->
-          Alcotest.(check string) "path recorded" "logged" x.Cx.path;
-          Alcotest.(check bool) "torn recorded" true x.Cx.torn
-      | None -> Alcotest.fail "tx extension missing")
+  | Ok cx ->
+      Alcotest.(check bool) "path recorded" true (cx.Cx.config.Cx.tx_path = Tx.Logged);
+      Alcotest.(check bool) "torn recorded" true cx.Cx.config.Cx.mutant
 
 let test_torn_commit_shadow_caught () = ignore (torn_caught Tx.Shadow)
 
 let test_counterexample_tx_optional () =
-  (* A per-op artifact (no tx member) must still parse — and Check's
-     own constructor leaves the extension empty. *)
+  (* A per-op artifact (the linearizability family) must still parse,
+     and keep its family. *)
   let v = torn_caught Tx.Logged in
-  let cx = { v.C.counterexample with Cx.tx = None } in
+  let cx = { v.C.counterexample with Cx.family = "linearizability" } in
   match Cx.of_json (Cx.to_json cx) with
   | Error m -> Alcotest.failf "tx-less artifact does not parse: %s" m
-  | Ok cx' -> Alcotest.(check bool) "tx stays empty" true (cx'.Cx.tx = None)
+  | Ok cx' ->
+      Alcotest.(check string) "tx stays empty" "linearizability" cx'.Cx.family
 
 (* ------------------------------------------------------------------ *)
 (* Shard-level two-phase commit                                        *)
