@@ -7,7 +7,7 @@
    Subcommands:
      list        registered indexes and their capability matrix
      fuzz        random ops cross-checked against a model
-     crash-test  one-thread model check: crash a batch at sampled stores
+     crash-test  one-thread model check: crash a batch at every store
      stats       PM event statistics for a load (text or --json;
                  --shards adds per-shard fault/degradation blocks)
      dump        print the structure of a small FAST+FAIR tree
@@ -260,14 +260,14 @@ let fuzz index_name ops_count seed shards faults =
 (* ------------------------------------------------------------------ *)
 
 (* One writer runs a two-op batch over [keys] prefilled keys, drawn
-   from a keyspace twice as large; the checker crashes it at
-   [points] sampled store counts under its three crash modes and judges
-   each image by durable linearizability.  The pre-recovery oracle
+   from a keyspace twice as large; the checker crashes it at every
+   store count under its three crash modes and judges each image by
+   durable linearizability.  The pre-recovery oracle
    runs only on indexes that claim lock-free reads (the paper's
    transient-inconsistency guarantee) — lock-based designs never
    promised it, so their tolerance is reported as unchecked and a
    failure of either oracle exits 1. *)
-let crash_test index_name keys points seed =
+let crash_test index_name keys seed =
   let module C = Ff_check.Check in
   let d = Registry.find_exn index_name in
   if not d.Descriptor.caps.Descriptor.has_recovery then begin
@@ -287,8 +287,6 @@ let crash_test index_name keys points seed =
             keyspace = 2 * keys;
             prefill = keys;
             seed;
-            max_crash_points = points;
-            crash_budget = 3 * max 2 points;
             node_bytes = (small_nodes d).Descriptor.node_bytes;
           }
         index_name
@@ -1476,7 +1474,7 @@ let check_all index_name seed out =
     0 C.families
 
 let check index_name writers readers ops keyspace prefill seed explorer schedules
-    no_crashes crash_budget non_tso elide tx txns tx_path torn snapshot rounds
+    no_crashes non_tso elide tx txns tx_path torn snapshot rounds
     snap_mutant rebalance rebal_kind rebal_mutant replica repl_mutant all out
     replay =
   let module C = Ff_check.Check in
@@ -1532,7 +1530,7 @@ let check index_name writers readers ops keyspace prefill seed explorer schedule
           seed;
           explorer;
           schedules;
-          crash_budget = (if no_crashes then 0 else crash_budget);
+          crashes = not no_crashes;
           non_tso;
           mutant;
           tx_path;
@@ -1610,14 +1608,11 @@ let crash_cmd =
   let keys =
     Arg.(value & opt int 2000 & info [ "keys"; "k" ] ~docv:"N" ~doc:"Preloaded keys.")
   in
-  let points =
-    Arg.(value & opt int 200 & info [ "points"; "p" ] ~docv:"P" ~doc:"Crash points to sample.")
-  in
   Cmd.v
     (Cmd.info "crash-test"
-       ~doc:"Crash one writer's two-op batch at sampled store points (a one-thread \
+       ~doc:"Crash one writer's two-op batch at every store count (a one-thread \
              model check) and judge every image by durable linearizability")
-    Term.(const crash_test $ index_arg $ keys $ points $ seed_arg)
+    Term.(const crash_test $ index_arg $ keys $ seed_arg)
 
 let stats_cmd =
   let keys =
@@ -1766,11 +1761,9 @@ let check_cmd =
     Arg.(value & opt int 16 & info [ "schedules" ] ~docv:"N" ~doc:"Exploration budget (schedules).")
   in
   let no_crashes =
-    Arg.(value & flag & info [ "no-crashes" ] ~doc:"Skip the crash x schedule product engine.")
-  in
-  let crash_budget =
-    Arg.(value & opt int 256 & info [ "crash-budget" ] ~docv:"N"
-         ~doc:"Global cap on crash executions across all schedules.")
+    Arg.(value & flag & info [ "no-crashes" ]
+         ~doc:"Skip the crash x schedule product engine, which otherwise crashes \
+               every store count of every explored schedule.")
   in
   let non_tso =
     Arg.(value & flag & info [ "non-tso" ]
@@ -1874,13 +1867,13 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Model-check an index: explore schedules, verify linearizability, and crash \
-             every explored schedule at sampled store counts; one thread (-w 1 -r 0) \
+             every explored schedule at every store count; one thread (-w 1 -r 0) \
              checks any index sequentially; --tx checks whole transactions \
              for durable serializability, --rebalance checks lost-write freedom \
              under live resharding, --replica checks no-lost-acks replication, \
              --all runs every family as one smoke sweep")
     Term.(const check $ index_arg $ writers $ readers $ ops $ keyspace $ prefill $ seed_arg
-          $ explorer $ schedules $ no_crashes $ crash_budget $ non_tso $ elide
+          $ explorer $ schedules $ no_crashes $ non_tso $ elide
           $ tx $ txns $ tx_path $ torn $ snapshot $ rounds $ snap_mutant
           $ rebalance $ rebal_kind $ rebal_mutant $ replica $ repl_mutant $ all
           $ out $ replay)

@@ -65,7 +65,6 @@ let gen_workload (cfg : config) =
   { scripts; spec = Spec.make ~initial (Array.of_list log) }
 
 type exec = {
-  arena : Arena.t;
   ops : Intf.ops;
   calls : Linearize.call array;  (* only ops that were invoked *)
 }
@@ -120,7 +119,6 @@ let setup (cfg : config) d w () =
       (fun () ->
         Arena.set_flush_elision arena false;
         {
-          arena;
           ops;
           calls =
             Array.of_list
@@ -134,32 +132,31 @@ let setup (cfg : config) d w () =
 let validate_live (cfg : config) w (r : exec Sweep.run) =
   let x = r.result in
   let final = ref [] in
-  Sweep.in_sim x.arena (fun () ->
+  Sweep.in_sim r.arenas.(0) (fun () ->
       final := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
   match Linearize.check ~initial:(Spec.initial w.spec) ~final:!final x.calls with
   | Ok () -> []
   | Error detail -> [ (Linearizability, detail) ]
 
-(* Apply the crash and validate: pre-recovery reader tolerance
+(* Validate the crashed image: pre-recovery reader tolerance
    (lock-free readers only), then recovery and durable
    linearizability of the invoked history against the post-recovery
    dump. *)
-let validate_crash (cfg : config) d w (r : exec Sweep.run) (crash : Cx.crash) =
-  let x = r.result in
-  Arena.power_fail x.arena (mode_of_crash crash);
+let validate_crash (cfg : config) d w (r : exec Sweep.run) =
+  let x = r.result and arena = r.arenas.(0) in
   let sdcfg =
     { (index_config d ~node_bytes:cfg.node_bytes) with D.lock_mode = Locks.Single }
   in
   let tolerance =
     if d.D.caps.D.lock_free_reads then
       pre_recovery_tolerance ~keyspace:cfg.keyspace ~written:(Spec.written w.spec)
-        (fun () -> d.D.open_existing sdcfg x.arena)
+        (fun () -> d.D.open_existing sdcfg arena)
     else []
   in
   tolerance
   @
   match
-    let o = d.D.open_existing sdcfg x.arena in
+    let o = d.D.open_existing sdcfg arena in
     o.Intf.recover ();
     Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
   with
@@ -186,7 +183,7 @@ let family (cfg : config) name =
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> Array.length x.calls);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
+    crash = (fun r -> validate_crash cfg d (Lazy.force w) r);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)
@@ -211,8 +208,8 @@ module SC = Snapcheck
 module RC = Rebalcheck
 module RepC = Replcheck
 
-(* Smoke budgets size a quick sweep, not a deep audit; the deep sweeps
-   run per family. *)
+(* A smoke sweep explores fewer schedules than a family's default; the
+   deep sweeps run per family. *)
 let families =
   [
     {
@@ -222,7 +219,7 @@ let families =
       run;
       smoke =
         (fun ~index ~seed ->
-          run ~config:{ default with seed; schedules = 6; crash_budget = 64 } index);
+          run ~config:{ default with seed; schedules = 6 } index);
       replay = replay_family;
     };
     {
@@ -232,7 +229,7 @@ let families =
       run = TC.run;
       smoke =
         (fun ~index ~seed ->
-          TC.run ~config:{ TC.default with seed; schedules = 4; crash_budget = 64 } index);
+          TC.run ~config:{ TC.default with seed; schedules = 4 } index);
       replay = TC.replay;
     };
     {
@@ -245,7 +242,7 @@ let families =
           (* The snapshot family needs a snapshottable wrapper. *)
           let snap = "snap-" ^ index in
           let index = if Registry.find snap <> None then snap else index in
-          SC.run ~config:{ SC.default with seed; schedules = 4; crash_budget = 64 } index);
+          SC.run ~config:{ SC.default with seed; schedules = 4 } index);
       replay = SC.replay;
     };
     {
@@ -255,7 +252,7 @@ let families =
       run = RC.run;
       smoke =
         (fun ~index ~seed ->
-          RC.run ~config:{ RC.default with seed; schedules = 2; crash_budget = 24 } index);
+          RC.run ~config:{ RC.default with seed; schedules = 2 } index);
       replay = RC.replay;
     };
     {

@@ -30,12 +30,12 @@
       sequential {!Spec} model and the observed final state
       ({!Linearize}).
 
-    - {b Crash product}: for every sampled store count of an explored
+    - {b Crash product}: for every store count of every explored
       schedule's concurrent phase, the run is replayed
-      decision-for-decision up to that count, the arena is crashed
-      through each {!Ff_pmem.Storelog.crash_mode}
+      decision-for-decision up to that count once, a copy of the arena
+      is crashed through each {!Ff_pmem.Storelog.crash_mode}
       (exhaustive per-epoch [Non_tso_cutoff] sweeps under non-TSO),
-      and the result is validated for pre-recovery reader tolerance
+      and each is validated for pre-recovery reader tolerance
       (lock-free readers must not fabricate bindings or raise) and
       durable linearizability (completed ops must survive recovery;
       in-flight ops may).
@@ -57,7 +57,7 @@ type config = Counterexample.config
 
 val default : config
 (** 2 writers and 1 reader, 2 ops each, keyspace 8, prefill 4, seed
-    1, 16 PCT schedules, 12 crash points, crash budget 256. *)
+    1, 16 PCT schedules, crashes on. *)
 
 type kind = Sweep.kind = Linearizability | Tolerance | Durability
 
@@ -80,14 +80,14 @@ type report = Sweep.report = {
   violations : violation list;
   skipped : string option;  (** reason when the index is not checkable *)
   crash_note : string option;
-      (** why the crash engine was skipped or truncated, if it was *)
+      (** why the crash engine was skipped, if it was *)
 }
 
 val run : ?config:config -> ?tracer:Ff_trace.Trace.t -> string -> report
 (** [run name] checks the registry index [name] for linearizability
     and durable linearizability.  Never raises on an uncheckable index
     — returns a [skipped] report: any index is checkable with one
-    thread (a sequential run crashed at every sampled store), and from
+    thread (a sequential run crashed at every store), and from
     two threads on one that supports concurrency (Sim lock mode, or
     lock-free reads with at most one writer).  The optional tracer
     receives one ["check.schedule"] span per explored schedule and a
@@ -107,7 +107,9 @@ type family = {
       (** check one index; an uncheckable one yields a [skipped]
           report *)
   smoke : index:string -> seed:int -> report;
-      (** a bounded smoke sweep of [index] ([ffcli check --all]) *)
+      (** a smoke sweep of [index] ([ffcli check --all]): fewer
+          schedules than the family's default, every crash point of
+          each *)
   replay : Counterexample.t -> report;
 }
 

@@ -14,8 +14,7 @@ type config = {
   seed : int;
   explorer : explorer;
   schedules : int;
-  max_crash_points : int;
-  crash_budget : int;
+  crashes : bool;
   non_tso : bool;
   mutant : bool;
   node_bytes : int option;
@@ -48,7 +47,7 @@ type t = {
   detail : string;
 }
 
-let version = 2
+let version = 3
 
 let opt f = function None -> Json.Null | Some x -> f x
 let int n = Json.Int n
@@ -65,8 +64,7 @@ let config_to_json c =
       ("seed", int c.seed);
       ("explorer", Json.Str (name_of explorers c.explorer));
       ("schedules", int c.schedules);
-      ("max_crash_points", int c.max_crash_points);
-      ("crash_budget", int c.crash_budget);
+      ("crashes", Json.Bool c.crashes);
       ("non_tso", Json.Bool c.non_tso);
       ("mutant", Json.Bool c.mutant);
       ("node_bytes", opt int c.node_bytes);
@@ -130,8 +128,7 @@ let config_of_json j =
   let* seed = int "seed" in
   let* explorer = field "explorer" (enum explorers) j in
   let* schedules = int "schedules" in
-  let* max_crash_points = int "max_crash_points" in
-  let* crash_budget = int "crash_budget" in
+  let* crashes = field "crashes" bool j in
   let* non_tso = field "non_tso" bool j in
   let* mutant = field "mutant" bool j in
   let* node_bytes = field "node_bytes" (nullable Json.to_int) j in
@@ -142,7 +139,7 @@ let config_of_json j =
   Ok
     {
       writers; readers; ops; rounds; keyspace; prefill; seed; explorer; schedules;
-      max_crash_points; crash_budget; non_tso; mutant; node_bytes; tx_path;
+      crashes; non_tso; mutant; node_bytes; tx_path;
       rebal_kind; nodes; shards;
     }
 

@@ -27,9 +27,9 @@ type config = {
   seed : int;             (** workload + exploration seed *)
   explorer : explorer;
   schedules : int;        (** exploration budget (replica: scenarios) *)
-  max_crash_points : int; (** store counts sampled per schedule *)
-  crash_budget : int;     (** global cap on crash executions; 0 turns
-                              the crash product engine off *)
+  crashes : bool;         (** run the crash product: every store count
+                              of every explored schedule, crashed under
+                              every mode; [false] turns it off *)
   non_tso : bool;         (** run under [Non_tso] memory order and sweep
                               every pending epoch cutoff *)
   mutant : bool;          (** arm the family's own seeded mutant *)

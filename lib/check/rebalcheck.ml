@@ -12,8 +12,7 @@ type rkind = Cx.rebal_kind = Rb_split | Rb_merge | Rb_migrate
 
 let rkind_to_string = Cx.name_of Cx.rebal_kinds
 
-let default =
-  { Sweep.default with Cx.ops = 10; schedules = 4; max_crash_points = 8; crash_budget = 64 }
+let default = { Sweep.default with Cx.ops = 10; schedules = 4 }
 
 let checkable d (cfg : Cx.config) =
   let c = d.D.caps in
@@ -28,7 +27,6 @@ let checkable d (cfg : Cx.config) =
   else None
 
 type exec = {
-  arenas : Arena.t array; (* [src] or [src; dst] (migrate) *)
   dcfg : D.config;
   applied : int;          (* writer ops fully applied (acknowledged) *)
   rebalanced : bool;      (* the rebalancer thread ran to completion *)
@@ -75,18 +73,18 @@ let setup (cfg : Cx.config) name w () =
   let t, arenas =
     match cfg.rebal_kind with
     | Rb_split | Rb_merge ->
-        let src = Sweep.arena ~keys () in
+        let src = Sweep.arena ~non_tso:cfg.non_tso ~keys () in
         let bounds = if cfg.rebal_kind = Rb_merge then [| pivot cfg |] else [||] in
         ( Shard.create_composite ~config:dcfg ~inner:name
             ~partition:(Shard.Partition.range ~bounds) src,
           [| src |] )
     | Rb_migrate ->
-        (* Serving mode builds its own arena, of the same size; we
-           adopt it as [src]. *)
-        let dst = Sweep.arena ~keys () in
+        (* Serving mode builds its own arena, of the same size and
+           memory order; we adopt it as [src]. *)
+        let dst = Sweep.arena ~non_tso:cfg.non_tso ~keys () in
         let t =
-          Shard.create ~words:(Arena.capacity dst) ~inner_config:dcfg ~group:false
-            ~inner:name ~shards:1 ()
+          Shard.create ~pm_config:(Arena.config dst) ~words:(Arena.capacity dst)
+            ~inner_config:dcfg ~group:false ~inner:name ~shards:1 ()
         in
         (t, [| (Shard.arenas t).(0); dst |])
   in
@@ -133,7 +131,6 @@ let setup (cfg : Cx.config) name w () =
     finish =
       (fun () ->
         {
-          arenas;
           dcfg;
           applied = !applied;
           rebalanced = !rebalanced;
@@ -189,13 +186,12 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   in
   shape @ check_prefix cfg w ~applied:x.applied ~ctx:"live" x.read_live
 
-(* Crash run: power-fail every involved arena, resolve the half-done
-   rebalance from the decision word alone, reattach whatever authority
-   survives, recover it, and hold it to the acknowledged prefix. *)
-let validate_crash (cfg : Cx.config) name w (r : exec Sweep.run) (crash : Cx.crash) =
-  let x = r.Sweep.result in
-  Array.iter (fun a -> Arena.power_fail a (Sweep.mode_of_crash crash)) x.arenas;
-  let src = x.arenas.(0) in
+(* Crash run: on the crashed copies of every involved arena, resolve
+   the half-done rebalance from the decision word alone, reattach
+   whatever authority survives, recover it, and hold it to the
+   acknowledged prefix. *)
+let validate_crash (cfg : Cx.config) name w (r : exec Sweep.run) =
+  let x = r.Sweep.result and src = r.Sweep.arenas.(0) in
   let reopened =
     match cfg.rebal_kind with
     | Rb_split | Rb_merge -> (
@@ -210,7 +206,7 @@ let validate_crash (cfg : Cx.config) name w (r : exec Sweep.run) (crash : Cx.cra
     | Rb_migrate -> (
         let authority =
           match Rebalance.resolve src with
-          | Rebalance.Resolved_migrated -> x.arenas.(1)
+          | Rebalance.Resolved_migrated -> r.Sweep.arenas.(1)
           | _ -> src
         in
         match
@@ -236,8 +232,7 @@ let family (cfg : Cx.config) name =
   {
     Sweep.family = "rebalance";
     index = name;
-    (* Resharding is checked under TSO only. *)
-    config = { cfg with non_tso = false };
+    config = cfg;
     gate = checkable d cfg;
     crash_gate = None;
     (* Schedule 0 is always the canonical round-robin interleaving:
@@ -254,7 +249,7 @@ let family (cfg : Cx.config) name =
     setup = (fun () -> setup cfg name (Lazy.force w) ());
     ops = (fun x -> x.applied);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r c -> validate_crash cfg name (Lazy.force w) r c);
+    crash = (fun r -> validate_crash cfg name (Lazy.force w) r);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

@@ -28,7 +28,8 @@
     names the arena it crashed.
 
     The config's [rebal_kind] runs under a writer log of [ops] entries,
-    under TSO ([non_tso] is ignored).  [mutant] arms
+    with every arena, migrate's source and destination included, under
+    [Non_tso] memory order if [non_tso] asks for it.  [mutant] arms
     {!Ff_rebalance.Rebalance.mutant_drop_delta} (cutover silently
     discards the dual-written delta records).  A run over the mutant
     must produce lost-write violations; each counterexample, of family
@@ -40,8 +41,8 @@ type rkind = Counterexample.rebal_kind = Rb_split | Rb_merge | Rb_migrate
 val rkind_to_string : rkind -> string
 
 val default : Counterexample.config
-(** A split under a 10-entry log, 4 PCT schedules, 8 crash points,
-    crash budget 64; otherwise {!Sweep.default}. *)
+(** A split under a 10-entry log, 4 PCT schedules; otherwise
+    {!Sweep.default}. *)
 
 val run :
   ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report

@@ -8,6 +8,9 @@ module Cx = Counterexample
 
 let default = { Sweep.default with Cx.ops = 60; keyspace = 12; seed = 42; schedules = 12 }
 
+(* The scenario product has no Mcsim schedules, no prefill and no
+   crash sweep to turn off: a config asking for one is refused, not
+   ignored. *)
 let checkable d (cfg : Cx.config) =
   let c = d.D.caps in
   if not (c.D.is_persistent && c.D.has_recovery) then
@@ -15,6 +18,15 @@ let checkable d (cfg : Cx.config) =
   else if cfg.nodes < 2 then Some "need at least 2 nodes"
   else if cfg.ops < 1 || cfg.keyspace < 2 then
     Some "need at least 1 op and keyspace >= 2"
+  else if not cfg.crashes then
+    Some "every scenario kills a primary: crashes cannot be turned off"
+  else if cfg.non_tso then Some "the cluster runs under TSO only: non_tso does not apply"
+  else if cfg.explorer <> Cx.Pct then
+    Some "scenarios are enumerated: only the pct explorer applies"
+  else if cfg.prefill <> default.prefill then
+    Some
+      (Printf.sprintf "the script needs no prefill: prefill must stay at its default %d"
+         default.prefill)
   else None
 
 (* ------------------------------------------------------------------ *)

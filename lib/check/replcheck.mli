@@ -33,11 +33,13 @@
 
     The config's [ops] is the script length over [keyspace] keys on
     [nodes] nodes of [shards] shards, and [schedules] counts the
-    scenarios; the Mcsim fields (explorer, prefill, crash budget,
-    [non_tso]) are ignored.  Scenario [i] derives its fault seed,
-    kill point, recovery, partition and crash mode from the seed and
-    [i] alone, so a counterexample, of family ["replica"], records [i]
-    as its one decision, and [ffcli check --replay] re-executes it
+    scenarios.  The Mcsim fields do not apply: a config that turns
+    [crashes] off, asks for [non_tso], the [Dfs] explorer or a
+    [prefill] other than the default's is refused with a reason.
+    Scenario [i] derives its fault seed, kill point, recovery,
+    partition and crash mode from the seed and [i] alone, so a
+    counterexample, of family ["replica"], records [i] as its one
+    decision, and [ffcli check --replay] re-executes it
     deterministically. *)
 
 val default : Counterexample.config
@@ -49,7 +51,8 @@ val run :
 (** [run name] checks a cluster over the registry index [name] and
     returns a {!Sweep.report}; an index that cannot host a replicated
     ensemble (persistent with recovery: replicas crash and resync),
-    fewer than 2 nodes, no op or fewer than 2 keys is skipped. *)
+    fewer than 2 nodes, no op, fewer than 2 keys or a refused Mcsim
+    field is skipped with the reason. *)
 
 val replay : Counterexample.t -> Sweep.report
 (** Re-execute one recorded replication counterexample: the scenario

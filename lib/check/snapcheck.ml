@@ -1,4 +1,3 @@
-module Arena = Ff_pmem.Arena
 module Epoch = Ff_pmem.Epoch
 module Mcsim = Ff_mcsim.Mcsim
 module Prng = Ff_util.Prng
@@ -8,8 +7,7 @@ module Registry = Ff_index.Registry
 module Snapshot = Ff_snapshot.Snapshot
 module Cx = Counterexample
 
-let default =
-  { Sweep.default with Cx.ops = 4; schedules = 8; max_crash_points = 10; crash_budget = 128 }
+let default = { Sweep.default with Cx.ops = 4; schedules = 8 }
 
 let checkable d (cfg : Cx.config) =
   if not d.D.caps.D.snapshottable then Some "not snapshottable"
@@ -20,7 +18,6 @@ let checkable d (cfg : Cx.config) =
   else None
 
 type exec = {
-  arena : Arena.t;
   dcfg : D.config;
   applied : int;                     (* log entries fully applied *)
   pinned : (int * int * int) option; (* (epoch, window lo, window hi) *)
@@ -49,7 +46,9 @@ type exec = {
    exact. *)
 let setup (cfg : Cx.config) d (w, pin_after) () =
   let arena =
-    Sweep.arena ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops)) ()
+    Sweep.arena ~non_tso:cfg.non_tso
+      ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops))
+      ()
   in
   let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
   let ops = Registry.build ~config:dcfg d.D.name arena in
@@ -97,7 +96,6 @@ let setup (cfg : Cx.config) d (w, pin_after) () =
     finish =
       (fun () ->
         {
-          arena;
           dcfg;
           applied = !applied;
           pinned = !pinned;
@@ -148,28 +146,27 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
       in
       isolation @ stability
 
-(* Crash run: power-fail, recover, and re-pin the pre-crash epoch.
-   Every key the reader observed before the crash must read back
-   identically — a published epoch is durable, so the crash cannot
-   move it. *)
-let validate_crash d (r : exec Sweep.run) (crash : Cx.crash) =
-  let x = r.Sweep.result in
+(* Crash run: recover the crashed image and re-pin the pre-crash
+   epoch.  Every key the reader observed before the crash must read
+   back identically — a published epoch is durable, so the crash
+   cannot move it. *)
+let validate_crash d (r : exec Sweep.run) =
+  let x = r.Sweep.result and arena = r.Sweep.arenas.(0) in
   match x.pinned with
   | None -> []
   | Some (e, _, _) -> (
-      Arena.power_fail x.arena (Sweep.mode_of_crash crash);
       match
-        let o = d.D.open_existing x.dcfg x.arena in
+        let o = d.D.open_existing x.dcfg arena in
         o.Intf.recover ();
         o
       with
       | o ->
-          if Epoch.current x.arena < e then
+          if Epoch.current arena < e then
             [
               ( Sweep.Durability,
                 Printf.sprintf
                   "published epoch lost: reader pinned %d but recovery reads %d"
-                  e (Epoch.current x.arena) );
+                  e (Epoch.current arena) );
             ]
           else
             List.filter_map
@@ -201,8 +198,7 @@ let family (cfg : Cx.config) name =
   {
     Sweep.family = "snapshot";
     index = name;
-    (* The snapshot layer is checked under TSO only. *)
-    config = { cfg with non_tso = false };
+    config = cfg;
     gate = checkable d cfg;
     crash_gate = None;
     canonical_fifo = false;

@@ -19,22 +19,21 @@
     - {e Stability}: a second full pass over the same pinned epoch,
       taken while the writer keeps committing, must be identical to
       the first.  Reported as [Tolerance].
-    - {e Durability}: every crash point is replayed under each crash
-      mode; after [power_fail] + recovery the pre-crash epoch must
+    - {e Durability}: every crash point is crashed under each crash
+      mode; after recovery of the crashed image the pre-crash epoch must
       still be published and re-pinning it must reproduce every
       pre-crash observation byte-for-byte.  Reported as
       [Durability].
 
     The writer runs the config's [rounds] rounds of [ops] puts/deletes,
-    under TSO ([non_tso] is ignored).  [mutant] arms
+    under [Non_tso] memory order if [non_tso] asks for it.  [mutant] arms
     {!Ff_snapshot.Snapshot.mutant_read_latest} (pinned reads silently
     resolve against the live tree).  A run over the mutant must
     produce violations; each counterexample, of family ["snapshot"],
     lets [ffcli check --replay] re-execute it deterministically. *)
 
 val default : Counterexample.config
-(** 3 rounds of 4 ops, 8 PCT schedules, 10 crash points, crash budget
-    128; otherwise {!Sweep.default}. *)
+(** 3 rounds of 4 ops, 8 PCT schedules; otherwise {!Sweep.default}. *)
 
 val run :
   ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report

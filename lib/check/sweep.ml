@@ -22,8 +22,7 @@ let default =
     seed = 1;
     explorer = Pct;
     schedules = 16;
-    max_crash_points = 12;
-    crash_budget = 256;
+    crashes = true;
     non_tso = false;
     mutant = false;
     node_bytes = None;
@@ -184,7 +183,7 @@ type 'x t = {
   setup : unit -> 'x setup;
   ops : 'x -> int;
   live : 'x run -> finding list;
-  crash : 'x run -> Cx.crash -> finding list;
+  crash : 'x run -> finding list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -228,21 +227,19 @@ let replay_to f decisions crash_at =
   in
   execute f ~policy ~crash_at
 
-let crash_findings f r crash =
-  if f.crashed_only && not r.crashed then [] else f.crash r crash
-
-(* The candidates laid end to end, arena after arena, sampled by the
-   one crash-point sampler. *)
-let sample max_points candidates =
-  let total = List.fold_left (fun n (_, lo, hi) -> n + hi - lo + 1) 0 candidates in
-  let rec pick base spans picks =
-    match (spans, picks) with
-    | [], _ | _, [] -> []
-    | (aid, lo, hi) :: rest, i :: more ->
-        if i - base <= hi - lo then (aid, lo + i - base) :: pick base spans more
-        else pick (base + hi - lo + 1) rest picks
-  in
-  if total = 0 then [] else pick 0 candidates (Arena.crash_points ~max_points (total - 1))
+(* The crash oracle sees a crashed copy of every arena of the run,
+   each under its own instance of the crash's mode (a randomized mode
+   draws from a fresh PRNG per arena); the run's own arenas stay as
+   the replay left them, for the next mode.  The copies take over the
+   images of the previous oracle's copies in [spares]. *)
+let crash_findings f r crash ~spares =
+  if f.crashed_only && not r.crashed then []
+  else begin
+    let into i = if i < Array.length !spares then Some !spares.(i) else None in
+    spares :=
+      Array.mapi (fun i a -> Arena.crashed_copy ?into:(into i) a (mode_of_crash crash)) r.arenas;
+    f.crash { r with arenas = !spares }
+  end
 
 let stamp f ~decisions ~crash (kind, detail) =
   {
@@ -268,56 +265,33 @@ let run ?(tracer = Trace.null) f =
       with_mutant f.mutant c.mutant @@ fun () ->
       let sched_span = Trace.intern tracer "check.schedule" in
       let crash_inst = Trace.intern tracer "check.crash_point" in
-      let crash_note =
-        if c.crash_budget <= 0 then Some "crash engine disabled" else f.crash_gate
-      in
-      let budget = ref c.crash_budget in
+      let crash_note = if c.crashes then f.crash_gate else Some "crash engine disabled" in
       let crash_runs = ref 0 in
       let crash_points = ref 0 in
       let stores = ref 0 in
       let ops_checked = ref 0 in
       let violations = ref [] in
+      let spares = ref [||] in
       let add ~decisions ~crash finding =
         violations := stamp f ~decisions ~crash finding :: !violations
       in
-      (* Replay the schedule up to the crash point and validate the
-         given crash semantics on the result. *)
-      let crash_run choices crash =
-        incr crash_runs;
-        decr budget;
-        Trace.instant tracer crash_inst crash.Cx.store_count;
-        let r = replay_to f choices (Some (crash.Cx.arena, crash.Cx.store_count)) in
-        List.iter (add ~decisions:choices ~crash:(Some crash)) (crash_findings f r crash)
-      in
-      (* Full product for one explored schedule: every sampled store
-         count x every crash mode, within the global budget. *)
-      let crash_sweep choices candidates =
+      (* One crash point: replay the schedule up to store [k] of arena
+         [aid] once, then run the crash oracle under every mode, plus
+         every epoch cutoff still pending there under [non_tso]. *)
+      let crash_point choices aid k =
+        incr crash_points;
+        let r = replay_to f choices (Some (aid, k)) in
+        let cutoffs = if c.non_tso then Arena.pending_epochs r.arenas.(aid) else [] in
         List.iter
-          (fun (aid, k) ->
-            if !budget > 0 then begin
-              incr crash_points;
-              let crash mode cutoff =
-                { Cx.arena = aid; store_count = k; mode; crash_seed = k; cutoff }
-              in
-              let cutoffs =
-                if not c.non_tso then []
-                else
-                  (* Non-TSO probe: replay to the crash point to learn
-                     which epochs still have pending stores, then sweep
-                     every cutoff exhaustively. *)
-                  let r = replay_to f choices (Some (aid, k)) in
-                  List.map
-                    (fun e -> crash "non_tso_cutoff" (Some e))
-                    (Arena.pending_epochs r.arenas.(aid))
-              in
-              List.iter
-                (fun crash -> if !budget > 0 then crash_run choices crash)
-                (List.map
-                   (fun m -> crash m None)
-                   [ "keep_none"; "keep_all"; "random_eviction" ]
-                @ cutoffs)
-            end)
-          (sample c.max_crash_points candidates)
+          (fun (mode, cutoff) ->
+            let crash = { Cx.arena = aid; store_count = k; mode; crash_seed = k; cutoff } in
+            incr crash_runs;
+            Trace.instant tracer crash_inst k;
+            List.iter
+              (add ~decisions:choices ~crash:(Some crash))
+              (crash_findings f r crash ~spares))
+          (List.map (fun m -> (m, None)) [ "keep_none"; "keep_all"; "random_eviction" ]
+          @ List.map (fun e -> ("non_tso_cutoff", Some e)) cutoffs)
       in
       (* One explored schedule: execute, run the live oracle, then the
          crash product. *)
@@ -328,7 +302,13 @@ let run ?(tracer = Trace.null) f =
         ops_checked := !ops_checked + f.ops r.result;
         List.iter (fun (_, lo, hi) -> stores := !stores + hi - lo) r.candidates;
         List.iter (add ~decisions:choices ~crash:None) (f.live r);
-        if crash_note = None then crash_sweep choices r.candidates;
+        if crash_note = None then
+          List.iter
+            (fun (aid, first, last) ->
+              for k = first to last do
+                crash_point choices aid k
+              done)
+            r.candidates;
         Trace.span_end tracer sched_span
       in
       if f.canonical_fifo then begin
@@ -358,13 +338,7 @@ let run ?(tracer = Trace.null) f =
         ops_checked = !ops_checked;
         violations = List.rev !violations;
         skipped = None;
-        crash_note =
-          (if crash_note = None && !budget <= 0 then
-             Some
-               (Printf.sprintf
-                  "crash budget (%d executions) exhausted; sweep truncated"
-                  c.crash_budget)
-           else crash_note);
+        crash_note;
       }
 
 let replay f (cx : Cx.t) =
@@ -379,7 +353,7 @@ let replay f (cx : Cx.t) =
       let findings =
         match cx.Cx.crash with
         | None -> f.live r
-        | Some crash -> crash_findings f r crash
+        | Some crash -> crash_findings f r crash ~spares:(ref [||])
       in
       {
         (empty_report f.index) with

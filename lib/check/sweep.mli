@@ -17,14 +17,14 @@
       ({!Schedule}), optionally preceded by the canonical Fifo
       schedule.  Each explored schedule runs the live oracle.
     - {b Crash product}: every store count the concurrent phase
-      passes through, on every arena it stores to, is a crash
-      candidate (flushes and fences included: each falls between two
-      stores).  For every candidate picked by
-      {!Ff_pmem.Arena.crash_points}, the explored schedule is replayed
-      decision-for-decision up to that store count and crashed under
-      each {!Ff_pmem.Storelog.crash_mode} — plus every pending epoch
-      cutoff under [non_tso] — within the [crash_budget]; each crash
-      runs the crash oracle.  A [crash_budget] of 0 turns it off.
+      passes through, on every arena it stores to, is a crash point
+      (flushes and fences included: each falls between two stores),
+      and every crash point of every explored schedule is crashed.
+      The schedule is replayed decision-for-decision up to the point
+      once; then, for each {!Ff_pmem.Storelog.crash_mode} — plus
+      every epoch cutoff still pending there under [non_tso] — the
+      crash oracle sees {!Ff_pmem.Arena.crashed_copy} of every arena
+      of the run.  [crashes = false] turns the product off.
     - {b Counterexamples}: every violation carries a {!Counterexample}
       holding the family's config as is, which {!replay} re-executes
       along the recorded decisions, crashing the recorded arena. *)
@@ -49,10 +49,8 @@ type report = {
   index : string;
   schedules_run : int;
   exhausted : bool;       (** DFS covered the entire decision tree *)
-  crash_runs : int;       (** crash executions performed *)
-  crash_points : int;
-      (** store counts crashed (each under every crash mode the budget
-          left room for) *)
+  crash_runs : int;       (** crash oracle runs: one per mode per point *)
+  crash_points : int;     (** store counts crashed, each under every mode *)
   stores : int;
       (** stores the explored schedules' concurrent phases performed,
           over every arena *)
@@ -60,7 +58,7 @@ type report = {
   violations : violation list;
   skipped : string option;  (** reason when the index is not checkable *)
   crash_note : string option;
-      (** why the crash engine was skipped or truncated, if it was *)
+      (** why the crash engine was skipped, if it was *)
 }
 
 val empty_report : string -> report
@@ -133,9 +131,8 @@ type 'x t = {
   family : string;  (** stamped on every counterexample *)
   index : string;
   config : Counterexample.config;
-      (** explorer, schedules, seed, crash budget and [non_tso] drive
-          the sweep; the whole record is stamped on every
-          counterexample *)
+      (** explorer, schedules, seed, [crashes] and [non_tso] drive the
+          sweep; the whole record is stamped on every counterexample *)
   gate : string option;  (** the family's [checkable] verdict *)
   crash_gate : string option;
       (** [None] runs the crash product; [Some note] skips it and
@@ -150,17 +147,17 @@ type 'x t = {
   setup : unit -> 'x setup;
   ops : 'x -> int;  (** operations a run contributes to [ops_checked] *)
   live : 'x run -> finding list;  (** oracle on a crash-free run *)
-  crash : 'x run -> Counterexample.crash -> finding list;
-      (** power-fail the run's arenas under the given crash, recover,
-          and check the recovered state *)
+  crash : 'x run -> finding list;
+      (** recover the run's [arenas], which are crashed copies, and
+          check the recovered state *)
 }
 
 val run : ?tracer:Ff_trace.Trace.t -> 'x t -> report
-(** Explore and crash within the family's budget.  Returns a [skipped]
-    report when [gate] is [Some _], and notes ["crash engine
-    disabled"] when [crash_budget] is 0.  The tracer receives one
-    ["check.schedule"] span per explored schedule and a
-    ["check.crash_point"] instant per crash execution. *)
+(** Explore, and crash every crash point of every explored schedule.
+    Returns a [skipped] report when [gate] is [Some _], and notes
+    ["crash engine disabled"] when [crashes] is [false].  The tracer
+    receives one ["check.schedule"] span per explored schedule and a
+    ["check.crash_point"] instant per crash oracle run. *)
 
 val replay : 'x t -> Counterexample.t -> report
 (** Re-execute one recorded schedule (crashing the recorded arena, if

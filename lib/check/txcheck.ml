@@ -1,4 +1,3 @@
-module Arena = Ff_pmem.Arena
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
@@ -7,7 +6,7 @@ module Locks = Ff_index.Locks
 module Tx = Ff_tx.Tx
 module Cx = Counterexample
 
-let default = { Sweep.default with Cx.schedules = 8; crash_budget = 192 }
+let default = { Sweep.default with Cx.schedules = 8 }
 
 let checkable d (cfg : Cx.config) =
   if not d.D.caps.D.txnable then Some "not txnable"
@@ -41,7 +40,6 @@ let gen_workload (cfg : Cx.config) =
   { spec; reader_scripts }
 
 type exec = {
-  arena : Arena.t;
   dcfg : D.config;
   ops : Intf.ops;
   committed : int;       (* commits that returned before the crash *)
@@ -102,7 +100,6 @@ let setup (cfg : Cx.config) d w () =
     finish =
       (fun () ->
         {
-          arena;
           dcfg;
           ops;
           committed = !committed;
@@ -125,40 +122,39 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   | None -> [])
   @
   let dump = ref [] in
-  Sweep.in_sim x.arena (fun () ->
+  Sweep.in_sim r.Sweep.arenas.(0) (fun () ->
       dump := Sweep.dump ~keyspace:cfg.keyspace x.ops.Intf.search);
   match Spec.window w.spec ~lo:cfg.rounds ~hi:cfg.rounds (Spec.Map !dump) with
   | Ok _ -> []
   | Error why -> [ (Sweep.Durability, "serializability: final state " ^ why) ]
 
-(* Crash the execution, recover (index recovery then transaction
-   recovery over the persisted log), and compare the observed state
-   against the durable-serializability oracle. *)
-let validate_crash (cfg : Cx.config) d w (r : exec Sweep.run) (crash : Cx.crash) =
-  let x = r.Sweep.result in
-  Arena.power_fail x.arena (Sweep.mode_of_crash crash);
+(* Recover the crashed image (index recovery then transaction recovery
+   over the persisted log), and compare the observed state against the
+   durable-serializability oracle. *)
+let validate_crash (cfg : Cx.config) d w (r : exec Sweep.run) =
+  let x = r.Sweep.result and arena = r.Sweep.arenas.(0) in
   let sdcfg = { x.dcfg with D.lock_mode = Locks.Single } in
   let tolerance =
     if d.D.caps.D.lock_free_reads then
       Sweep.pre_recovery_tolerance ~keyspace:cfg.keyspace
         ~written:(Spec.written w.spec)
-        (fun () -> d.D.open_existing sdcfg x.arena)
+        (fun () -> d.D.open_existing sdcfg arena)
     else []
   in
   (* A durable commit word covering an untrusted payload is direct
      evidence of inverted commit ordering — flag it before recovery
      truncates the log. *)
   let torn =
-    match Ff_pmem.Txlog.attach x.arena with
+    match Ff_pmem.Txlog.attach arena with
     | Some l when Ff_pmem.Txlog.commit_torn l ->
         [ (Sweep.Durability, "torn commit: commit record durable without its payload") ]
     | _ -> []
   in
   let recovered =
     match
-      let o = d.D.open_existing sdcfg x.arena in
+      let o = d.D.open_existing sdcfg arena in
       o.Intf.recover ();
-      ignore (Tx.recover (Tx.create ~path:cfg.tx_path x.arena o));
+      ignore (Tx.recover (Tx.create ~path:cfg.tx_path arena o));
       Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
     with
     | dump -> (
@@ -196,7 +192,7 @@ let family cfg name =
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> x.tx_ops);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r c -> validate_crash cfg d (Lazy.force w) r c);
+    crash = (fun r -> validate_crash cfg d (Lazy.force w) r);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

@@ -35,7 +35,7 @@
 
 val default : Counterexample.config
 (** 3 transactions of 2 ops on the [Logged] path, 1 reader, 8 PCT
-    schedules, crash budget 192; otherwise {!Sweep.default}. *)
+    schedules; otherwise {!Sweep.default}. *)
 
 val run :
   ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report

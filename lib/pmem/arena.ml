@@ -535,20 +535,44 @@ let power_fail t mode =
 
 let drain t = Storelog.drain t.log
 
-let clone t =
-  drain t;
+(* A fresh arena over [image] that carries [t]'s counters, bump
+   pointer and poison; its allocator tables start empty. *)
+let copy_onto t image =
   {
-    (make t.config ~image:(Array.copy t.image)) with
+    (make t.config ~image) with
     epoch = t.epoch;
     stores = t.stores;
     flushes = t.flushes;
     bump = t.bump;
-    free_lists = Hashtbl.copy t.free_lists;
-    live_blocks = Hashtbl.copy t.live_blocks;
-    free_set = Hashtbl.copy t.free_set;
     poison = Hashtbl.copy t.poison;
     poison_n = t.poison_n;
   }
+
+let clone t =
+  drain t;
+  {
+    (copy_onto t (Array.copy t.image)) with
+    free_lists = Hashtbl.copy t.free_lists;
+    live_blocks = Hashtbl.copy t.live_blocks;
+    free_set = Hashtbl.copy t.free_set;
+  }
+
+let crashed_copy ?into t mode =
+  let n = Array.length t.image in
+  let image =
+    match into with
+    | Some c when Array.length c.image = n -> c.image
+    | Some _ | None -> Array.make n 0
+  in
+  (* A typed loop, not [Array.blit]: int stores need no write barrier. *)
+  for i = 0 to n - 1 do
+    image.(i) <- t.image.(i)
+  done;
+  Storelog.roll_back t.log ~image;
+  Storelog.apply_mode t.log ~image mode;
+  let c = copy_onto t image in
+  Option.iter (inject_faults c) t.fplan;
+  c
 
 (* The crash-at-store protocol every crash experiment shares: arm,
    run, swallow the crash, disarm whatever happened. *)

@@ -356,6 +356,13 @@ val clone : t -> t
     empty store log, tid 0's context only with zeroed statistics, and
     no crash plan, fault plan, event sink or yield hook. *)
 
+val crashed_copy : ?into:t -> t -> Storelog.crash_mode -> t
+(** [crashed_copy t mode] is what [power_fail t mode] would leave, as a
+    new arena (like {!clone}: tid 0's context, no plan, sink or hook),
+    and [t] is unchanged, so one replay can crash under several modes;
+    give each a fresh randomized mode.  [into], a spent arena of [t]'s
+    capacity, lends the copy its image and must not be used again. *)
+
 val dirty_line_count : t -> int
 (** Cache lines holding stores that are not yet persisted. *)
 

@@ -116,10 +116,14 @@ val pending_epochs : t -> int list
 (** Distinct fence epochs among pending stores, sorted ascending —
     the set of meaningful {!Non_tso_cutoff} values for this log. *)
 
+val apply_mode : t -> image:int array -> crash_mode -> unit
+(** On an [image] {!roll_back} left, apply again the pending stores the
+    mode keeps; the log is unchanged. *)
+
 val apply_crash : t -> image:int array -> crash_mode -> unit
 (** Turn [image] into a crash state and clear the log: {!roll_back},
-    then apply again the pending stores the mode keeps, so the work is
-    O(pending stores).  [Keep_all] leaves [image] as it was.
+    then {!apply_mode}, so the work is O(pending stores).  [Keep_all]
+    leaves [image] as it was.
     Randomized modes iterate lines/words in sorted order (never table order), so for
     a fixed log content and PRNG seed the resulting image is identical
     across OCaml versions — recorded counterexamples replay

@@ -16,18 +16,10 @@ module Lin = Ff_check.Linearize
 
 let value_of k = (2 * k) + 1
 
-(* Small budgets keep the suite fast; the CI check-smoke job runs the
+(* Few schedules keep the suite fast; the CI check-smoke job runs the
    wider sweeps. *)
 let small_config =
-  {
-    C.default with
-    Cx.writers = 2;
-    readers = 1;
-    ops = 2;
-    schedules = 6;
-    max_crash_points = 6;
-    crash_budget = 36;
-  }
+  { C.default with Cx.writers = 2; readers = 1; ops = 2; schedules = 6 }
 
 (* Acceptance: 2 writers + 1 lock-free reader on the real tree — no
    linearizability violation, no crash-state violation. *)
@@ -40,7 +32,7 @@ let test_fastfair_clean () =
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
 
 let test_fastfair_clean_non_tso () =
-  let config = { small_config with Cx.non_tso = true; schedules = 3; crash_budget = 24 } in
+  let config = { small_config with Cx.non_tso = true; schedules = 3 } in
   let r = C.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
   Alcotest.(check bool) "crash product ran" true (r.C.crash_runs > 0);
@@ -62,7 +54,7 @@ let test_fastfair_split_forcing () =
       keyspace = 160;
       prefill = 60;
       schedules = 60;
-      crash_budget = 0;
+      crashes = false;
       seed = 2;
     }
   in
@@ -104,7 +96,8 @@ let test_elide_flush_mutant_and_replay () =
    family's mutant sweep survives JSON whole and reproduces through
    [Check.replay], which routes it by the family it names.  The
    migrate case crashes arena 1 (the migrate destination), which the
-   crash record carries; a version-1 artifact is refused. *)
+   crash record carries; a version-1 or version-2 artifact is
+   refused. *)
 let test_replay_dispatch () =
   let first (r : C.report) =
     match r.C.violations with
@@ -124,7 +117,6 @@ let test_replay_dispatch () =
           rebal_kind = RC.Rb_migrate;
           ops = 12;
           schedules = 2;
-          crash_budget = 80;
           seed = 2;
         }
       "fastfair"
@@ -141,8 +133,11 @@ let test_replay_dispatch () =
     | Some v -> v.C.counterexample
     | None -> Alcotest.fail "migrate drop-delta sweep crashed no destination arena"
   in
+  Alcotest.(check int) "every store count of both arenas crashed"
+    (migrate.C.stores + (2 * (migrate.C.schedules_run + 1)))
+    migrate.C.crash_points;
   Alcotest.(check (option (pair int string)))
-    "destination crash point" (Some (90, "keep_none"))
+    "destination crash point" (Some (79, "keep_none"))
     (Option.map (fun c -> (c.Cx.store_count, c.Cx.mode)) on_dst.Cx.crash);
   let cases =
     [
@@ -154,18 +149,17 @@ let test_replay_dispatch () =
       ( "tx",
         first
           (TC.run
-             ~config:{ TC.default with Cx.mutant = true; schedules = 2; crash_budget = 32 }
+             ~config:{ TC.default with Cx.mutant = true; schedules = 2 }
              "fastfair") );
       ( "snapshot",
         first
           (SC.run
-             ~config:{ SC.default with Cx.mutant = true; schedules = 2; crash_budget = 32 }
+             ~config:{ SC.default with Cx.mutant = true; schedules = 2 }
              "snap-fastfair") );
       ( "rebalance",
         first
           (RC.run
-             ~config:
-               { RC.default with Cx.mutant = true; ops = 12; schedules = 2; crash_budget = 80 }
+             ~config:{ RC.default with Cx.mutant = true; ops = 12; schedules = 2 }
              "fastfair") );
       ("rebalance", on_dst);
       ( "replica",
@@ -188,20 +182,24 @@ let test_replay_dispatch () =
   Alcotest.(check string) "the family field routes" "linearizability"
     (C.family_of bare).C.name;
   let module Json = Ff_trace.Json in
-  let v1 =
+  let versioned n =
     match Json.of_string (Cx.to_json bare) with
-    | Json.Obj m -> Json.to_string (Json.Obj (("version", Json.Int 1) :: List.remove_assoc "version" m))
+    | Json.Obj m -> Json.to_string (Json.Obj (("version", Json.Int n) :: List.remove_assoc "version" m))
     | _ -> Alcotest.fail "artifact is not a JSON object"
   in
-  Alcotest.(check bool) "version 1 refused" true
-    (Cx.of_json v1 = Error "counterexample: unsupported version 1")
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "version %d refused" n) true
+        (Cx.of_json (versioned n)
+        = Error (Printf.sprintf "counterexample: unsupported version %d" n)))
+    [ 1; 2 ]
 
 (* DFS explorer: bounded-exhaustive mode runs clean on the real tree
    (tiny budget — the decision tree is far larger than any test
    budget, so we assert the budget was consumed, not exhaustion). *)
 let test_dfs_explorer () =
   let config =
-    { small_config with Cx.explorer = C.Dfs; schedules = 4; crash_budget = 0 }
+    { small_config with Cx.explorer = C.Dfs; schedules = 4; crashes = false }
   in
   let r = C.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
@@ -293,21 +291,13 @@ let suspended_reader_cases () =
 
 let one_thread = { C.default with Cx.writers = 1; readers = 0 }
 
-(* A budget that covers the phase's span crashes at every store count
-   from the phase's start to its end, each under the three TSO modes;
-   the flush and fence counts are only some of them.  The phase is
-   replayed by hand (the checker's workload generator, one writer) to
-   learn its span and its flush and fence counts. *)
+(* The sweep crashes at every store count from the phase's start to
+   its end, each under the three TSO modes; the flush and fence counts
+   are only some of them.  The phase is replayed by hand (the
+   checker's workload generator, one writer) to learn its span and its
+   flush and fence counts. *)
 let test_one_thread_every_store () =
-  let config =
-    {
-      one_thread with
-      Cx.ops = 3;
-      seed = 3;
-      max_crash_points = 1000;
-      crash_budget = 3000;
-    }
-  in
+  let config = { one_thread with Cx.ops = 3; seed = 3 } in
   let tracer = Ff_trace.Trace.create () in
   let r = C.run ~config ~tracer "fastfair" in
   Alcotest.(check (option string)) "one thread is checkable" None r.C.skipped;
@@ -370,7 +360,7 @@ let test_one_thread_every_store () =
    loses acknowledged writes, and its counterexample replays. *)
 let test_one_thread_mutant () =
   let config =
-    { one_thread with Cx.ops = 4; mutant = true; crash_budget = 64 }
+    { one_thread with Cx.ops = 4; mutant = true }
   in
   let r = C.run ~config "fastfair" in
   match List.filter (fun v -> v.C.kind = C.Durability) r.C.violations with

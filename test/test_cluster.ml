@@ -498,6 +498,31 @@ let test_replcheck_rejects_unknown_names () =
     (Invalid_argument "Replcheck: negative scenario index -1")
     (fun () -> ignore (C.replay { cx with Cx.crash = None; decisions = [| -1 |] }))
 
+(* The scenario product has no Mcsim schedules, prefill or crash sweep
+   to turn off: a config asking for one is refused with its reason
+   before any scenario runs, never silently ignored. *)
+let replcheck_refuses config reason () =
+  let r = RepC.run ~config "fastfair" in
+  Alcotest.(check (option string)) "refused with its reason" (Some reason) r.C.skipped;
+  Alcotest.(check int) "no scenario run" 0 r.C.schedules_run;
+  Alcotest.(check int) "no primary killed" 0 r.C.crash_runs
+
+let test_replcheck_refuses_no_crashes =
+  replcheck_refuses { repc_config with Cx.crashes = false }
+    "every scenario kills a primary: crashes cannot be turned off"
+
+let test_replcheck_refuses_non_tso =
+  replcheck_refuses { repc_config with Cx.non_tso = true }
+    "the cluster runs under TSO only: non_tso does not apply"
+
+let test_replcheck_refuses_dfs =
+  replcheck_refuses { repc_config with Cx.explorer = Cx.Dfs }
+    "scenarios are enumerated: only the pct explorer applies"
+
+let test_replcheck_refuses_prefill =
+  replcheck_refuses { repc_config with Cx.prefill = 20 }
+    "the script needs no prefill: prefill must stay at its default 4"
+
 let suite =
   [
     Alcotest.test_case "fabric faults" `Quick test_fabric_faults;
@@ -526,4 +551,9 @@ let suite =
     Alcotest.test_case "replcheck mutant" `Slow test_replcheck_mutant_fails;
     Alcotest.test_case "replcheck rejects unknown names" `Quick
       test_replcheck_rejects_unknown_names;
+    Alcotest.test_case "replcheck refuses --no-crashes" `Quick
+      test_replcheck_refuses_no_crashes;
+    Alcotest.test_case "replcheck refuses --non-tso" `Quick test_replcheck_refuses_non_tso;
+    Alcotest.test_case "replcheck refuses -e dfs" `Quick test_replcheck_refuses_dfs;
+    Alcotest.test_case "replcheck refuses --prefill" `Quick test_replcheck_refuses_prefill;
   ]

@@ -293,6 +293,63 @@ let test_clone_independent () =
   Arena.write b 100 3;
   Alcotest.(check int) "original unaffected" 2 (Arena.read a 100)
 
+(* A crashed copy is what [power_fail] leaves on a twin replay, under
+   every TSO mode and every pending non-TSO cutoff: the same image,
+   counters and allocator state (free lists and live table dropped),
+   with flush elision off.  The original keeps its image, store count
+   and pending stores, so one replay serves every mode; a spent copy
+   passed as [into] lends its image without changing the result. *)
+let test_crashed_copy_matches_power_fail () =
+  let replay () =
+    let a = Arena.create ~config:(Config.arm ()) ~words:4096 () in
+    let blk = Arena.alloc a 16 in
+    Arena.free a (Arena.alloc a 8) 8;
+    for i = 0 to 15 do
+      Arena.write a (blk + i) (i + 1);
+      if i mod 5 = 4 then Arena.fence a;
+      if i = 7 then Arena.flush a blk
+    done;
+    Arena.set_flush_elision a true;
+    (a, blk)
+  in
+  let a, blk = replay () in
+  let words f t = List.init (Arena.capacity t) (f t) in
+  let state t =
+    (words Arena.peek t, Arena.store_count t, Arena.used_words t, Arena.free_blocks t)
+  in
+  let original = (state a, words Arena.peek_persisted a, Arena.pending_epochs a) in
+  let modes =
+    [
+      ("keep_none", fun () -> Storelog.Keep_none);
+      ("keep_all", fun () -> Storelog.Keep_all);
+      ("random_eviction", fun () -> Storelog.Random_eviction (Prng.create 7));
+    ]
+    @ List.map
+        (fun e -> (Printf.sprintf "cutoff %d" e, fun () -> Storelog.Non_tso_cutoff (e, Prng.create 7)))
+        (Arena.pending_epochs a)
+  in
+  Alcotest.(check bool) "several pending epochs" true (List.length modes > 4);
+  let spare = ref None in
+  List.iter
+    (fun (name, mode) ->
+      let c = Arena.crashed_copy ?into:!spare a (mode ()) in
+      let twin, _ = replay () in
+      Arena.power_fail twin (mode ());
+      Alcotest.(check bool) (name ^ ": power_fail's image and allocator") true
+        (state c = state twin && Arena.free_words c = 0);
+      Alcotest.(check bool) (name ^ ": original unchanged") true
+        (original = (state a, words Arena.peek_persisted a, Arena.pending_epochs a));
+      (* A wrong-sized free is refused only while the live table knows
+         the block. *)
+      Alcotest.(check bool) (name ^ ": original keeps its live table") true
+        (match Arena.free a blk 8 with () -> false | exception Invalid_argument _ -> true);
+      Arena.free c blk 8;
+      Arena.write c 500 9;
+      Arena.flush c 500;
+      Alcotest.(check int) (name ^ ": flush elision off") 9 (Arena.peek_persisted c 500);
+      spare := Some c)
+    modes
+
 let test_drain_persists_everything () =
   let a = mk () in
   Arena.write a 100 1;
@@ -383,6 +440,7 @@ let suite =
     Alcotest.test_case "sequential discount" `Quick test_sequential_miss_discount;
     Alcotest.test_case "phase buckets" `Quick test_phase_buckets;
     Alcotest.test_case "clone independent" `Quick test_clone_independent;
+    Alcotest.test_case "crashed copy = power_fail" `Quick test_crashed_copy_matches_power_fail;
     Alcotest.test_case "drain persists" `Quick test_drain_persists_everything;
     Alcotest.test_case "storelog eviction bounded" `Quick test_storelog_eviction_bounded;
     Alcotest.test_case "per-thread stats" `Quick test_per_thread_stats;

@@ -404,25 +404,29 @@ let test_merge_resolves_live_topology () =
 (* The Rebalcheck family                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rc_config kind =
-  {
-    RC.default with
-    Cx.rebal_kind = kind;
-    ops = 8;
-    schedules = 2;
-    max_crash_points = 4;
-    crash_budget = 24;
-  }
+let rc_config kind = { RC.default with Cx.rebal_kind = kind; ops = 8; schedules = 2 }
 
+(* Every schedule, the canonical Fifo one included, stores to every
+   arena of the run: the source, and for a migrate the destination
+   too.  The sweep crashes every store count from [first] to [last] on
+   each, so its points are the stores plus one per arena per schedule,
+   each under the three TSO modes. *)
 let test_rebalcheck_clean () =
   List.iter
     (fun kind ->
+      let name = RC.rkind_to_string kind in
       let r = RC.run ~config:(rc_config kind) "fastfair" in
       Alcotest.(check (list string))
-        (Printf.sprintf "clean %s sweep" (RC.rkind_to_string kind))
+        (Printf.sprintf "clean %s sweep" name)
         []
         (List.map (fun v -> v.C.detail) r.C.violations);
-      Alcotest.(check bool) "swept some crashes" true (r.C.crash_runs > 0))
+      let arenas = if kind = RC.Rb_migrate then 2 else 1 in
+      Alcotest.(check int)
+        (name ^ ": every store count of every arena")
+        (r.C.stores + (arenas * (r.C.schedules_run + 1)))
+        r.C.crash_points;
+      Alcotest.(check int) (name ^ ": three modes per point") (3 * r.C.crash_points)
+        r.C.crash_runs)
     [ RC.Rb_split; RC.Rb_merge; RC.Rb_migrate ]
 
 let test_rebalcheck_mutant_fails () =
@@ -431,8 +435,6 @@ let test_rebalcheck_mutant_fails () =
       (rc_config RC.Rb_split) with
       Cx.mutant = true;
       ops = 12;
-      max_crash_points = 24;
-      crash_budget = 80;
     }
   in
   let r = RC.run ~config:cfg "fastfair" in
@@ -464,7 +466,7 @@ let test_rebalcheck_mutant_canonical () =
             ops = 12;
             seed;
             schedules = 0;
-            crash_budget = 0;
+            crashes = false;
           }
         in
         let r = RC.run ~config:cfg "fastfair" in

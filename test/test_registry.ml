@@ -94,8 +94,7 @@ let test_fuzz d () =
 (* The one crash sweep over every descriptor, a one-thread model
    check: one writer's 12 ops (inserts, overwrites and deletes drawn
    from twice the prefilled keys) over 120 prefilled keys on small
-   nodes, crashed at 40 sampled store counts under the three TSO
-   modes.  Every image must be durably linearizable after recovery and,
+   nodes, crashed at every store count under the three TSO modes.  Every image must be durably linearizable after recovery and,
    on indexes with lock-free reads, tolerable before it; a volatile
    descriptor's crash engine must refuse, not fail the sweep. *)
 let test_crash_sweep d () =
@@ -107,8 +106,6 @@ let test_crash_sweep d () =
       ops = 12;
       keyspace = 240;
       prefill = 120;
-      max_crash_points = 40;
-      crash_budget = 120;
       node_bytes = (small_config d).D.node_bytes;
     }
   in
@@ -122,9 +119,8 @@ let test_crash_sweep d () =
   if d.D.caps.D.has_recovery then begin
     Alcotest.(check bool) (d.D.name ^ " span > 0") true (r.C.stores > 0);
     Alcotest.(check int)
-      (d.D.name ^ " sampled points")
-      (min 40 (r.C.stores + 1))
-      r.C.crash_points;
+      (d.D.name ^ " every store count crashed")
+      (r.C.stores + 1) r.C.crash_points;
     Alcotest.(check int)
       (d.D.name ^ " every mode at every point")
       (3 * r.C.crash_points) r.C.crash_runs

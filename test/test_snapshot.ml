@@ -515,8 +515,7 @@ let prop_pinned_range_equals_model =
 (* Snapcheck family                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let small =
-  { SC.default with Cx.schedules = 4; max_crash_points = 6; crash_budget = 48 }
+let small = { SC.default with Cx.schedules = 4 }
 
 let test_snapcheck_clean () =
   let r = SC.run ~config:small "snap-fastfair" in
@@ -537,7 +536,7 @@ let test_snapcheck_repeated_prefix () =
   Alcotest.(check bool) "prefix 3 repeats prefix 2" true
     (Ff_check.Spec.state spec 2 = Ff_check.Spec.state spec 3);
   let r =
-    SC.run ~config:{ SC.default with Cx.seed = 5; schedules = 2; crash_budget = 0 }
+    SC.run ~config:{ SC.default with Cx.seed = 5; schedules = 2; crashes = false }
       "snap-fastfair"
   in
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)

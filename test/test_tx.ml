@@ -586,15 +586,7 @@ let test_run_abort () =
 (* Durable-serializability checker                                     *)
 (* ------------------------------------------------------------------ *)
 
-let small_config =
-  {
-    TC.default with
-    Cx.rounds = 3;
-    ops = 2;
-    schedules = 4;
-    max_crash_points = 6;
-    crash_budget = 48;
-  }
+let small_config = { TC.default with Cx.rounds = 3; ops = 2; schedules = 4 }
 
 let test_txcheck_logged_clean () =
   let r = TC.run ~config:small_config "fastfair" in
@@ -611,7 +603,7 @@ let test_txcheck_shadow_clean () =
 
 let test_txcheck_non_tso_clean () =
   let config =
-    { small_config with Cx.non_tso = true; schedules = 2; crash_budget = 32 }
+    { small_config with Cx.non_tso = true; schedules = 2 }
   in
   let r = TC.run ~config "fastfair" in
   Alcotest.(check (option string)) "not skipped" None r.C.skipped;
