@@ -482,8 +482,8 @@ let crash_target () =
   let keys = W.distinct_uniform rng ~n ~space:(8 * n) in
   Array.iter (fun k -> Tree.insert t0 ~key:k ~value:(W.value_of k)) keys;
   Arena.drain a0;
-  (* Crash a batch of inserts and deletes (with splits) at sampled
-     store points; count tolerance, and soundness (a well-formed tree
+  (* Crash a batch of inserts and deletes (with splits) at every
+     store point; count tolerance, and soundness (a well-formed tree
      that still holds every committed key) after recovery. *)
   let batch tc =
     for i = 1 to 20 do
@@ -504,7 +504,7 @@ let crash_target () =
       keys;
     !ok
   in
-  let points = Arena.crash_points ~max_points:200 probe in
+  let points = List.init (probe + 1) Fun.id in
   let tolerated = ref 0 and recovered = ref 0 in
   List.iter
     (fun k ->

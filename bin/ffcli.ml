@@ -21,7 +21,7 @@
                  to no-lost-acks replication; --all smoke-sweeps every
                  family with one verdict line each)
      tx          failure-atomic multi-key transfers: crash one transfer
-                 mid-commit at every sampled store, audit the balances
+                 mid-commit at every store, audit the balances
      snapshot    MVCC time travel: pin epochs, crash, read the old
                  world back, reclaim with epoch GC
      backup      online backup of a pinned snapshot into a second
@@ -867,12 +867,12 @@ let tx_path_of_string = function
   | s -> invalid_arg (Printf.sprintf "unknown commit path %S (logged, shadow)" s)
 
 (* The demo: load N accounts, run a history of committed transfers,
-   then replay one further transfer crashed mid-commit at every sampled
-   store offset.  After each power failure + recovery the balance sheet
+   then replay one further transfer crashed mid-commit at every store
+   offset.  After each power failure + recovery the balance sheet
    must sit exactly on a transaction boundary (all-pre or all-post) —
    which also conserves the total.  A torn half-transfer is a
    violation and a nonzero exit. *)
-let tx_demo index_name path_name accounts transfers points seed json =
+let tx_demo index_name path_name accounts transfers seed json =
   let path = tx_path_of_string path_name in
   let d = Registry.find_exn index_name in
   if not d.Descriptor.caps.Descriptor.txnable then begin
@@ -940,7 +940,7 @@ let tx_demo index_name path_name accounts transfers points seed json =
        executes the identical store sequence. *)
     let run (_, m) = ignore (transfer m src dst amt) in
     let span = Arena.store_span base ~reopen run in
-    let offsets = Arena.crash_points ~max_points:points span in
+    let offsets = List.init (span + 1) Fun.id in
     let pre = Array.init accounts (fun i -> balances.(i + 1)) in
     let post =
       Array.init accounts (fun i ->
@@ -1891,20 +1891,16 @@ let tx_cmd =
     Arg.(value & opt int 200 & info [ "transfers"; "n" ] ~docv:"N"
          ~doc:"Committed transfer history before the crash sweep.")
   in
-  let points =
-    Arg.(value & opt int 60 & info [ "points" ] ~docv:"P"
-         ~doc:"Crash points sampled across the victim transfer's stores.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the audit as a JSON object.")
   in
   Cmd.v
     (Cmd.info "tx"
        ~doc:"Failure-atomic multi-key transfers: crash one transfer mid-commit \
-             at every sampled store, recover, and audit that the balances land \
+             at every store, recover, and audit that the balances land \
              on a transaction boundary")
-    Term.(const tx_demo $ index_arg $ path $ accounts $ transfers $ points
-          $ seed_arg $ json)
+    Term.(const tx_demo $ index_arg $ path $ accounts $ transfers $ seed_arg
+          $ json)
 
 let snapshot_cmd =
   let index =

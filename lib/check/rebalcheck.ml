@@ -97,11 +97,11 @@ let setup (cfg : Cx.config) name w () =
   let tapped () = Shard.shards t > tap && Shard.tapped t ~shard:tap in
   let held = held_entry cfg w in
   let start = max 0 (Option.value held ~default:0 - 1) in
-  let go = Mcsim.create_gate () in
+  let started = ref false in
   let writer _ =
     Array.iteri
       (fun i ops ->
-        if i = start then Mcsim.gate_open go;
+        if i = start then started := true;
         if Some i = held then Mcsim.await (fun () -> tapped () || !rebalanced);
         List.iter
           (fun op ->
@@ -118,7 +118,7 @@ let setup (cfg : Cx.config) name w () =
        copy across many writer ops, maximising the dual-write window
        the checker must protect. *)
     let throttle = { Rebalance.bytes_per_ms = 16; chunk_ops = 1 } in
-    Mcsim.gate_wait go;
+    Mcsim.await (fun () -> !started);
     (match cfg.rebal_kind with
     | Rb_split -> ignore (Rebalance.split ~throttle t ~shard:0 ~pivot:(pivot cfg))
     | Rb_merge -> ignore (Rebalance.merge ~throttle t ~left:0)

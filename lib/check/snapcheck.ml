@@ -34,16 +34,17 @@ type exec = {
    it reads: a read that leaks one diverges from the first pass by
    construction, not by schedule luck.
 
-   The pin lands mid-log: the reader waits on a gate the writer opens
-   after [pin_after] ops (seed-drawn, below the log length), and the
-   writer waits on a second gate until the pin is published.  Both
-   waits block in the simulator rather than spin: the snapshot
-   layer's own quiesce loops spin, and under PCT a higher-priority
-   spinner starves the thread it waits for, so a writer still in
-   flight while the reader publishes would never finish.  The
-   [applied] counter moves only between wrapped ops (no yield point
-   separates an op's return from the increment), so the window is
-   exact. *)
+   The pin lands mid-log and races the writer: the reader awaits
+   [pin_after - 1] applied ops ([pin_after] is seed-drawn, below the
+   log length), so its pin can overlap op [pin_after - 1] in flight —
+   the snapshot layer's quiesce awaits it rather than spinning, so the
+   writer finishes it under any schedule.  The writer awaits the
+   published pin before op [pin_after], so at least one op always
+   follows the pin: without that wait a schedule may pin at the end of
+   the log, where a read-latest snapshot reads the same as a pinned
+   one.  The [applied] counter moves only between wrapped ops (no
+   yield point separates an op's return from the increment), so the
+   window is exact. *)
 let setup (cfg : Cx.config) d (w, pin_after) () =
   let arena =
     Sweep.arena ~non_tso:cfg.non_tso
@@ -58,15 +59,11 @@ let setup (cfg : Cx.config) d (w, pin_after) () =
   let pinned = ref None in
   let vec1 = ref [] in
   let vec2 = ref [] in
-  let go = Mcsim.create_gate () and published = Mcsim.create_gate () in
   let total = Array.fold_left (fun n ops -> n + List.length ops) 0 (Spec.log w) in
   let writer _ =
     Array.iteri
       (fun i ->
-        if i = pin_after then begin
-          Mcsim.gate_open go;
-          Mcsim.gate_wait published
-        end;
+        if i = pin_after then Mcsim.await (fun () -> !pinned <> None);
         List.iter (fun op ->
             (match op with
             | Spec.Insert (k, v) -> ops.Intf.insert k v
@@ -76,12 +73,10 @@ let setup (cfg : Cx.config) d (w, pin_after) () =
       (Spec.log w)
   in
   let reader _ =
-    Mcsim.gate_wait go;
+    Mcsim.await (fun () -> !applied >= pin_after - 1);
     let lo = !applied in
     let e = ops.Intf.snapshot_begin 0 in
-    let hi = !applied in
-    Mcsim.gate_open published;
-    pinned := Some (e, lo, hi);
+    pinned := Some (e, lo, !applied);
     for k = 1 to cfg.keyspace do
       vec1 := (k, ops.Intf.read_at e k) :: !vec1
     done;

@@ -2,10 +2,10 @@
 
     One writer thread applies a deterministic commit log ({!Spec})
     through a snapshot-wrapped index ({!Ff_snapshot.Snapshot}), while a
-    reader thread pins an epoch after a seed-drawn number of writer ops
-    and reads the whole keyspace at that epoch — twice — racing the
-    rest of the log.  The {!Sweep} driver explores the schedule x crash
-    product.
+    reader thread pins an epoch racing a seed-drawn writer op, before
+    at least one more, and reads the whole keyspace at that epoch —
+    twice — racing the rest of the log.  The {!Sweep} driver explores
+    the schedule x crash product.
 
     Three oracles:
 

@@ -110,14 +110,15 @@ let with_mutant mutant armed f =
 
 (* Every registered index at its default node size takes under 13
    words per written key (the snapshot index, which keeps a version per
-   write); 64 per key leaves room to spare, and the floor holds the
-   base nodes and shard roots of a tiny run several times over. *)
+   write); 64 per key leaves room to spare.  The 16 Ki-word floor holds
+   the base nodes and shard roots of a tiny run; it stays small because
+   every crash execution copies the whole image. *)
 let arena ?(non_tso = false) ~keys () =
   let config =
     if non_tso then { Pconfig.default with Pconfig.memory_order = Pconfig.Non_tso }
     else Pconfig.default
   in
-  Arena.create ~config ~words:(max (1 lsl 16) (64 * keys)) ()
+  Arena.create ~config ~words:(max (1 lsl 14) (64 * keys)) ()
 
 let index_config d ~node_bytes =
   let lock_mode =

@@ -44,10 +44,6 @@ let create_rwlock () =
   { readers = 0; writer = -1; rw_waiters = Queue.create (); rw_port_free = 0;
     rw_port_run = -1 }
 
-type gate = { mutable opened : bool; g_waiters : thread Queue.t }
-
-let create_gate () = { opened = false; g_waiters = Queue.create () }
-
 (* ------------------------------------------------------------------ *)
 (* Effects                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -60,26 +56,25 @@ type _ Effect.t +=
   | Rd_unlock : rwlock -> unit Effect.t
   | Wr_lock : rwlock -> unit Effect.t
   | Wr_unlock : rwlock -> unit Effect.t
-  | Gate_wait : gate -> unit Effect.t
-  | Gate_open : gate -> unit Effect.t
   | Await : (unit -> bool) -> unit Effect.t
   | My_tid : int Effect.t
   | Now : int Effect.t
 
 let charge ns = if ns > 0 then Effect.perform (Charge ns)
-let yield () = Effect.perform (Charge 0)
 let lock m = Effect.perform (Lock m)
 let unlock m = Effect.perform (Unlock m)
 let rd_lock l = Effect.perform (Rd_lock l)
 let rd_unlock l = Effect.perform (Rd_unlock l)
 let wr_lock l = Effect.perform (Wr_lock l)
 let wr_unlock l = Effect.perform (Wr_unlock l)
-let gate_wait g = Effect.perform (Gate_wait g)
-let gate_open g = Effect.perform (Gate_open g)
+(* A woken waiter resumes a little after the segment that made its
+   condition true, and another thread may have made it false again in
+   between: re-check, and park again until it holds on resumption. *)
 let await cond =
-  if not (cond ()) then
+  while not (cond ()) do
     try Effect.perform (Await cond)
     with Effect.Unhandled _ -> failwith "Mcsim.await: condition false outside Mcsim.run"
+  done
 
 let my_tid () =
   try Effect.perform My_tid
@@ -336,22 +331,6 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
               l.writer <- -1;
               drain_rwlock l;
               suspend_charged k (rw_port l))
-      | Gate_wait g ->
-          Some
-            (fun k ->
-              if g.opened then Effect.Deep.continue k ()
-              else begin
-                Queue.push th g.g_waiters;
-                th.cont <- Some k;
-                th.pending <- P_blocked
-              end)
-      | Gate_open g ->
-          Some
-            (fun k ->
-              g.opened <- true;
-              Queue.iter wake g.g_waiters;
-              Queue.clear g.g_waiters;
-              Effect.Deep.continue k ())
       | Await cond ->
           Some
             (fun k ->

@@ -31,27 +31,22 @@ val rd_unlock : rwlock -> unit
 val wr_lock : rwlock -> unit
 val wr_unlock : rwlock -> unit
 
-type gate
-(** A binary event: threads wait until it is opened. *)
-
-val create_gate : unit -> gate
-val gate_wait : gate -> unit
-val gate_open : gate -> unit
-
 val await : (unit -> bool) -> unit
-(** Block until the condition holds.  The scheduler re-evaluates it
-    after every segment, so a waiter is never runnable (and charges no
-    time) while it is false: the blocking form of a spin-wait, which a
-    priority scheduler would starve.  The condition must be pure: no
-    PM access, no effects.  Returns at once if it already holds.
+(** Block until the condition holds: the one way a simulated thread
+    waits.  The scheduler re-evaluates it after every segment, so a
+    waiter is never runnable (and charges no time) while it is false:
+    the blocking form of a spin-wait, which a priority scheduler would
+    starve.  A woken waiter re-checks on resuming and parks again if
+    another thread made the condition false meanwhile, so [await]
+    returns only once it holds, with no yield point before the
+    caller's next step: [await (fun () -> not busy); busy <- true] is
+    a test-and-set.  The condition must be pure: no PM access, no
+    effects.  Returns at once if it already holds.
     @raise Failure if it does not and no {!run} is active (nothing
     else could ever make it hold). *)
 
 val charge : int -> unit
 (** Consume simulated CPU nanoseconds. *)
-
-val yield : unit -> unit
-(** Zero-cost reschedule point. *)
 
 val my_tid : unit -> int
 (** Index of the current logical thread.  @raise Failure outside {!run}. *)

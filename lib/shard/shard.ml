@@ -456,13 +456,10 @@ let guarded t i f =
    sibling has yet to pin — the cross-shard cut stays consistent.
    Reads are unaffected.  Waits block in the simulator rather than
    spin: a priority scheduler runs a spinner forever and starves the
-   thread it waits for.  The loop re-checks after waking, so the
-   caller still leaves with the gate open and no yield point before
-   its next step. *)
-let write_gate t =
-  while t.pinning do
-    Mcsim.await (fun () -> not t.pinning)
-  done
+   thread it waits for.  [Mcsim.await] returns with the gate open and
+   no yield point before the caller's next step.  The test keeps the
+   common no-pin path from allocating the closure. *)
+let write_gate t = if t.pinning then Mcsim.await (fun () -> not t.pinning)
 
 (* Pass the gate and count the mutation as in flight until it is fully
    applied.  The gate check and the increment share no yield point, so
@@ -666,9 +663,7 @@ let quiesce t f =
   Fun.protect
     ~finally:(fun () -> t.pinning <- false)
     (fun () ->
-      while t.commits_in_flight > 0 do
-        Mcsim.await (fun () -> t.commits_in_flight = 0)
-      done;
+      Mcsim.await (fun () -> t.commits_in_flight = 0);
       ignore (drain_queues t);
       f ())
 

@@ -49,6 +49,7 @@ module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
 module Registry = Ff_index.Registry
 module Trace = Ff_trace.Trace
+module Mcsim = Ff_mcsim.Mcsim
 
 let magic = 0x534E4150 (* "SNAP" *)
 let slot_anchor = 66
@@ -229,13 +230,13 @@ let preserve t e k w =
 
 (* Every mutation runs between [enter]/[leave] so a publisher can
    quiesce: new writers stall while an epoch is being published, and
-   publication waits until in-flight writers drain.  The checks and
-   counter updates touch no arena word, so under the cooperative
-   simulator they are atomic with respect to thread switches. *)
+   publication waits until in-flight writers drain.  Every wait here is
+   an [Mcsim.await] on volatile fields, never a spin: under a priority
+   scheduler a spinner starves the thread it waits for.  [await]
+   returns with its condition true and no yield point before the
+   counter update, so check-then-increment is atomic. *)
 let enter t =
-  while t.publishing do
-    Arena.cpu_work t.arena 20
-  done;
+  Mcsim.await (fun () -> not t.publishing);
   t.in_flight <- t.in_flight + 1
 
 let leave t = t.in_flight <- t.in_flight - 1
@@ -281,15 +282,12 @@ let chain_find t e s =
 (* Readers hold a slot so the collector can quiesce them: [gc_before]
    unlinks and [Arena.free]s version lines, and a reader mid-walk must
    never keep a pointer into a line being recycled.  The slot is gated
-   on the same [publishing] flag as writers; the check-then-increment
-   touches no arena word, so it is atomic under the cooperative
-   simulator.  The floor check lives *inside* the slot — checking it
-   before the gate would let a concurrent gc collect the epoch between
-   the check and the walk. *)
+   on the same [publishing] flag as writers, with the same atomic
+   await-then-increment.  The floor check lives *inside* the slot —
+   checking it before the gate would let a concurrent gc collect the
+   epoch between the check and the walk. *)
 let reader_enter t =
-  while t.publishing do
-    Arena.cpu_work t.arena 20
-  done;
+  Mcsim.await (fun () -> not t.publishing);
   t.readers <- t.readers + 1
 
 let reader_leave t = t.readers <- t.readers - 1
@@ -374,9 +372,7 @@ let range_at t s lo hi f =
 (* ------------------------------------------------------------------ *)
 
 let snapshot_begin t at =
-  while t.publishing do
-    Arena.cpu_work t.arena 20
-  done;
+  Mcsim.await (fun () -> not t.publishing);
   t.publishing <- true;
   Fun.protect
     ~finally:(fun () -> t.publishing <- false)
@@ -384,9 +380,7 @@ let snapshot_begin t at =
       (* Quiesce: wait out in-flight writers and any open group-flush
          scope (a shadow-transaction apply or a shard batch), so the
          pinned epoch sits on an operation boundary. *)
-      while t.in_flight > 0 || Arena.in_group t.arena do
-        Arena.cpu_work t.arena 30
-      done;
+      Mcsim.await (fun () -> t.in_flight = 0 && not (Arena.in_group t.arena));
       let c = Epoch.current t.arena in
       if at > 0 && c = at then
         (* Already pinned at the coordinator's epoch — a retried call
@@ -418,9 +412,7 @@ let snapshot_begin t at =
    *first*, so a crash mid-reclamation can never let a later re-pin
    read a half-collected epoch. *)
 let gc_before t e =
-  while t.publishing do
-    Arena.cpu_work t.arena 20
-  done;
+  Mcsim.await (fun () -> not t.publishing);
   t.publishing <- true;
   Fun.protect
     ~finally:(fun () -> t.publishing <- false)
@@ -428,9 +420,8 @@ let gc_before t e =
       (* Quiesce readers as well as writers: a reader mid-chain-walk
          must not hold a pointer into a record this pass is about to
          unlink and free (the line could be reallocated under it). *)
-      while t.in_flight > 0 || t.readers > 0 || Arena.in_group t.arena do
-        Arena.cpu_work t.arena 30
-      done;
+      Mcsim.await (fun () ->
+          t.in_flight = 0 && t.readers = 0 && not (Arena.in_group t.arena));
       site_enter t `Gc;
       Fun.protect ~finally:(fun () -> site_exit t) @@ fun () ->
       let freed = ref 0 in

@@ -103,23 +103,6 @@ let test_rwlock_writer_excludes () =
        [| writer; reader; reader; writer; reader; reader |]);
   Alcotest.(check bool) "no reader during write" false !violation
 
-let test_gate () =
-  let g = Mcsim.create_gate () in
-  let order = ref [] in
-  let waiter tid =
-    Mcsim.gate_wait g;
-    order := tid :: !order
-  in
-  let opener _ =
-    Mcsim.charge 5000;
-    order := 99 :: !order;
-    Mcsim.gate_open g
-  in
-  ignore (Mcsim.run ~cores:4 [| waiter; waiter; opener |]);
-  (match List.rev !order with
-  | 99 :: rest -> Alcotest.(check int) "both waiters ran" 2 (List.length rest)
-  | _ -> Alcotest.fail "opener must run first")
-
 (* A waiter parked in [await] is never runnable while its condition is
    false, so a scheduler that always picks the first runnable thread
    (which would run a spinning waiter forever) still runs the setter.
@@ -147,6 +130,33 @@ let test_await () =
   Alcotest.check_raises "false outside run"
     (Failure "Mcsim.await: condition false outside Mcsim.run")
     (fun () -> Mcsim.await (fun () -> false))
+
+(* A woken waiter does not resume at once: here the setter clears the
+   flag again on its next segment, before the waiter gets a core.  The
+   waiter must park again rather than return with its condition false,
+   and return only after the setter raises the flag for good. *)
+let test_await_rechecks () =
+  let flag = ref false and seen = ref [] in
+  let waiter _ =
+    Mcsim.await (fun () -> !flag);
+    seen := (!flag, Option.get (Mcsim.sim_now ())) :: !seen
+  in
+  let setter _ =
+    Mcsim.charge 1;
+    flag := true;
+    Mcsim.charge 1;
+    flag := false;
+    Mcsim.charge 1000;
+    flag := true;
+    Mcsim.charge 1
+  in
+  (* Run the setter whenever it is runnable. *)
+  let prefer_setter tids = if Array.length tids > 1 && tids.(1) = 1 then 1 else 0 in
+  ignore
+    (Mcsim.run ~cores:2 ~quantum_ns:1 ~policy:(Mcsim.Choose prefer_setter)
+       [| waiter; setter |]);
+  Alcotest.(check (list (pair bool int))) "returned once, with the flag up" [ (true, 1003) ]
+    !seen
 
 let test_contention_cost () =
   (* Read-lock acquisitions on one shared lock cost more with more
@@ -329,8 +339,8 @@ let suite =
     Alcotest.test_case "mutex blocking time" `Quick test_mutex_blocking_time;
     Alcotest.test_case "rwlock parallel readers" `Quick test_rwlock_readers_parallel;
     Alcotest.test_case "rwlock writer excludes" `Quick test_rwlock_writer_excludes;
-    Alcotest.test_case "gate" `Quick test_gate;
     Alcotest.test_case "await" `Quick test_await;
+    Alcotest.test_case "await re-checks on waking" `Quick test_await_rechecks;
     Alcotest.test_case "lock contention cost" `Quick test_contention_cost;
     Alcotest.test_case "my_tid" `Quick test_my_tid;
     Alcotest.test_case "my_tid outside run" `Quick test_my_tid_outside_run;

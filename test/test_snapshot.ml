@@ -315,6 +315,41 @@ let test_pin_vs_first_write () =
            (Printf.sprintf "pct %d" s, Mcsim.pct_policy ~seed:s ())));
   Alcotest.(check (list string)) "no post-pin write visible" [] (List.rev !leaks)
 
+(* Regression: a pin must not starve the writer it quiesces.  The
+   scheduler runs the pinner whenever it is runnable, as a PCT run
+   that favours it does, while the writer is mid-insert.  A pinner
+   that spun on the writer's in-flight count would run forever and
+   never let the insert finish; one that awaits it blocks, the insert
+   completes, and the pin lands after it.  The chooser gives up after
+   [cap] decisions, so a spinning pinner fails instead of hanging. *)
+let test_pin_does_not_starve_writer () =
+  let a, _st, t = wrapped ~n:8 () in
+  let key = 9 and cap = 100_000 in
+  let writing = ref false and pinned = ref None and decisions = ref 0 in
+  let writer _ =
+    writing := true;
+    t.Intf.insert key (W.value_of key)
+  in
+  let pinner _ =
+    Mcsim.await (fun () -> !writing);
+    pinned := Some (t.Intf.snapshot_begin 0)
+  in
+  let prefer_pinner tids =
+    incr decisions;
+    if !decisions > cap then
+      Alcotest.failf "pinner still running after %d scheduling decisions" cap;
+    let rec find i = if i >= Array.length tids || tids.(i) = 1 then i else find (i + 1) in
+    find 0
+  in
+  ignore
+    (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy:(Mcsim.Choose prefer_pinner) ~arena:a
+       [| writer; pinner |]);
+  match !pinned with
+  | None -> Alcotest.fail "the pin never completed"
+  | Some e ->
+      Alcotest.(check (option int)) "the pin sees the finished insert"
+        (Some (W.value_of key)) (t.Intf.read_at e key)
+
 (* ------------------------------------------------------------------ *)
 (* Online backup                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -414,26 +449,26 @@ let test_shard_snapshot_requires_cap () =
 (* Regression: a global pin racing a multi-shard transaction commit
    must not cut between the per-shard applies — the pinned epoch sees
    the transaction's writes on every participating shard or on none.
-   The gate releases the pinner only once the committer is heading
-   into txn_commit, so the two genuinely overlap under the simulator. *)
+   The pinner awaits a flag the committer sets on its way into
+   txn_commit, so the two genuinely overlap under the simulator. *)
 let test_txn_commit_vs_pin () =
   let t = Shard.create ~words:(1 lsl 18) ~inner:"snap-fastfair" ~shards:4 () in
   let n = 16 in
   for k = 1 to n do
     Shard.insert t ~key:k ~value:(W.value_of k)
   done;
-  let gate = Mcsim.create_gate () in
+  let committing = ref false in
   let g = ref 0 in
   let committer _ =
     let x = Shard.txn_begin t in
     for k = 1 to 8 do
       Shard.txn_put x k (fresh_value n k)
     done;
-    Mcsim.gate_open gate;
+    committing := true;
     Shard.txn_commit x
   in
   let pinner _ =
-    Mcsim.gate_wait gate;
+    Mcsim.await (fun () -> !committing);
     g := Shard.snapshot_begin t
   in
   let arenas = Shard.arenas t in
@@ -554,6 +589,18 @@ let test_snapcheck_mutant_caught () =
       | Error m -> Alcotest.failf "snap artifact does not parse: %s" m
       | Ok cx' -> Alcotest.(check bool) "snap config round-trips" true (cx' = cx))
 
+(* The writer awaits the pin before its op [pin_after], so a write
+   always follows the pin, where a read-latest snapshot reads the
+   future.  Without that wait, seed 6's one schedule pins after the
+   whole log and the live oracles see nothing wrong. *)
+let test_snapcheck_write_follows_pin () =
+  let r =
+    SC.run
+      ~config:{ SC.default with Cx.seed = 6; schedules = 1; crashes = false; mutant = true }
+      "snap-fastfair"
+  in
+  Alcotest.(check bool) "read-latest mutant caught live" true (r.C.violations <> [])
+
 let suite =
   [
     Alcotest.test_case "epoch cell: publish, crash, group refusal" `Quick
@@ -578,6 +625,8 @@ let suite =
       test_pin_vs_first_write;
     Alcotest.test_case "global pin cuts on a txn boundary" `Quick
       test_txn_commit_vs_pin;
+    Alcotest.test_case "pin does not starve an in-flight writer" `Quick
+      test_pin_does_not_starve_writer;
     Alcotest.test_case "online backup round-trip" `Quick test_backup_roundtrip;
     Alcotest.test_case "cross-shard consistent snapshots" `Quick
       test_shard_snapshot;
@@ -587,6 +636,8 @@ let suite =
       test_snapcheck_clean;
     Alcotest.test_case "snapcheck: read-latest mutant caught" `Quick
       test_snapcheck_mutant_caught;
+    Alcotest.test_case "snapcheck: a write follows the pin" `Quick
+      test_snapcheck_write_follows_pin;
     Alcotest.test_case "snapcheck: mid-log pin on a repeated prefix" `Quick
       test_snapcheck_repeated_prefix;
     QCheck_alcotest.to_alcotest prop_pinned_range_equals_model;
