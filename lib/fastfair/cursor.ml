@@ -8,26 +8,17 @@ let seek c key =
   c.node <- Tree.to_leaf c.tree key;
   c.last <- key - 1
 
-(* Smallest valid key > c.last in the current node. *)
+(* Smallest valid key > c.last in the current node: keys ascend, so
+   the first one the walk takes. *)
 let scan_node c =
-  let a = Tree.arena c.tree and l = Tree.layout c.tree in
-  let cap = l.L.capacity in
   let best = ref None in
-  let rec go i prev_raw =
-    if i < cap then begin
-      let p = L.ptr a c.node i in
-      if p <> 0 then begin
-        (if p <> prev_raw then begin
-           let k = L.key a c.node i in
-           match !best with
-           | Some (bk, _) when bk <= k -> ()
-           | Some _ | None -> if k > c.last then best := Some (k, p)
-         end);
-        go (i + 1) p
-      end
-    end
-  in
-  go 0 (L.leftmost a c.node);
+  Node.walk (Tree.arena c.tree) (Tree.layout c.tree) c.node ~tr:(Tree.tracer c.tree)
+    ~leaf:true ~rtl:false
+    ~see:(fun k _ -> if k > c.last then Take else Pass)
+    ~take:(fun _ k _ p ->
+      best := Some (k, p);
+      false)
+    ();
   !best
 
 let rec next c =

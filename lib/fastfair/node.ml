@@ -71,57 +71,74 @@ let locate a l n key =
   go 0 (L.leftmost a n)
 
 (* ------------------------------------------------------------------ *)
-(* Lock-free search (Algorithm 3)                                      *)
+(* Lock-free reads (Algorithm 3)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let scan_left_to_right a l n tr key =
-  let cap = l.L.capacity in
-  let rec go i prev_raw =
-    if i >= cap then None
-    else begin
-      let p = L.ptr a n i in
-      if p = 0 then None
-      else begin
-        let k = L.key a n i in
-        if p <> prev_raw then
-          if k = key then
-            (* Double-read: the (key, ptr) pair is two separate words;
-               re-checking the key rejects a half-shifted pair. *)
-            if L.key a n i = key then Some p else go (i + 1) p
-          else if k > key then None
-          else go (i + 1) p
+type step = Pass | Stop | Take
+
+(* The one lock-free walk over a node's slots.  A slot is valid only
+   if its pointer differs from its left neighbour's (the leftmost
+   pointer for slot 0); a duplicate is a half-shifted record, the
+   paper's endurable transient inconsistency, and is skipped.  Left to
+   right, the pointer of each slot is carried forward as the next
+   slot's left pointer; right to left, a zero pointer is skipped and
+   the key is read only once the slot is found valid.  [see k p] says
+   what the caller does with a valid entry, and [take i k left p]
+   receives the ones it takes; it returns true to walk on. *)
+let walk a l n ?(tr = Trace.null) ~leaf ~rtl ~see ~take () =
+  let skip () = Trace.dup_skip tr ~leaf in
+  if rtl then
+    let rec go i =
+      if i >= 0 then begin
+        let p = L.ptr a n i in
+        if p = 0 then go (i - 1)
         else begin
-          (* Duplicate adjacent pointers: a half-shifted record; the
-             paper's endurable transient inconsistency, tolerated by
-             skipping. *)
-          Trace.dup_skip tr ~leaf:true;
-          go (i + 1) p
+          let left = L.left_ptr_of a n i in
+          if p = left then begin
+            skip ();
+            go (i - 1)
+          end
+          else
+            let k = L.key a n i in
+            match see k p with
+            | Pass -> go (i - 1)
+            | Stop -> ()
+            | Take -> if take i k left p then go (i - 1)
         end
       end
-    end
-  in
-  go 0 (L.leftmost a n)
+    in
+    go (l.L.capacity - 1)
+  else
+    let cap = l.L.capacity in
+    let rec go i left =
+      if i < cap then begin
+        let p = L.ptr a n i in
+        if p <> 0 then begin
+          let k = L.key a n i in
+          if p = left then begin
+            skip ();
+            go (i + 1) p
+          end
+          else
+            match see k p with
+            | Pass -> go (i + 1) p
+            | Stop -> ()
+            | Take -> if take i k left p then go (i + 1) p
+        end
+      end
+    in
+    go 0 (L.leftmost a n)
 
-let scan_right_to_left a l n tr key =
-  let cap = l.L.capacity in
-  let rec go i =
-    if i < 0 then None
-    else begin
-      let p = L.ptr a n i in
-      if p = 0 then go (i - 1)
-      else if p <> L.left_ptr_of a n i then begin
-        let k = L.key a n i in
-        if k = key then if L.key a n i = key then Some p else go (i - 1)
-        else if k < key then None
-        else go (i - 1)
-      end
-      else begin
-        Trace.dup_skip tr ~leaf:true;
-        go (i - 1)
-      end
-    end
+(* Algorithm 3's retry: walk in the direction the switch counter's
+   parity picks (odd while a delete shifts left), and walk again if a
+   writer moved the counter meanwhile. *)
+let retry a n f =
+  let rec attempt budget =
+    let sw = L.switch a n in
+    let r = f ~rtl:(sw land 1 = 1) in
+    if L.switch a n <> sw && budget > 0 then attempt (budget - 1) else r
   in
-  go (cap - 1)
+  attempt 64
 
 let binary_search_leaf a l n key =
   let cfg = Arena.config a in
@@ -140,70 +157,32 @@ let binary_search_leaf a l n key =
   in
   go 0 (cnt - 1)
 
-let search a l n ~mode ?(tr = Trace.null) key =
+(* Search stops at the key.  The key is read again before the entry is
+   returned: the (key, ptr) pair is two separate words, and the re-read
+   rejects a half-shifted pair. *)
+let search a l n ~mode ?tr key =
   match mode with
   | Binary -> binary_search_leaf a l n key
   | Linear ->
-      let rec attempt budget =
-        let sw = L.switch a n in
-        let ret =
-          if sw land 1 = 0 then scan_left_to_right a l n tr key
-          else scan_right_to_left a l n tr key
-        in
-        if L.switch a n <> sw && budget > 0 then attempt (budget - 1) else ret
-      in
-      attempt 64
+      retry a n @@ fun ~rtl ->
+      let found = ref None in
+      walk a l n ?tr ~leaf:true ~rtl
+        ~see:(fun k _ ->
+          if k = key then Take
+          else if (if rtl then k > key else k < key) then Pass
+          else Stop)
+        ~take:(fun i _ _ p ->
+          if L.key a n i = key then begin
+            found := Some p;
+            false
+          end
+          else true)
+        ();
+      !found
 
 (* ------------------------------------------------------------------ *)
 (* Internal-node routing                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Each route also returns the separators around the chosen child:
-   [lo] is the chosen entry's key (0 for the leftmost child) and [hi]
-   the first valid key greater than [key] (0 when the scan ran off its
-   end: only then can a split have moved the key's range to the
-   sibling, the descent's B-link move-right test).  Both are returned
-   per call: under Mcsim a route yields at every load, so scratch
-   state shared between calls would mix two descents' bounds. *)
-let route_left_to_right a l n tr key =
-  let cap = l.L.capacity in
-  let leftmost = L.leftmost a n in
-  let rec go i prev_raw child lo =
-    if i >= cap then (child, lo, 0)
-    else begin
-      let p = L.ptr a n i in
-      if p = 0 then (child, lo, 0)
-      else begin
-        let k = L.key a n i in
-        if p <> prev_raw then
-          if k <= key then go (i + 1) p p k else (child, lo, k)
-        else begin
-          Trace.dup_skip tr ~leaf:false;
-          go (i + 1) p child lo
-        end
-      end
-    end
-  in
-  go 0 leftmost leftmost 0
-
-let route_right_to_left a l n tr key =
-  let cap = l.L.capacity in
-  let rec go i hi =
-    if i < 0 then (L.leftmost a n, 0, hi)
-    else begin
-      let p = L.ptr a n i in
-      if p = 0 then go (i - 1) hi
-      else if p <> L.left_ptr_of a n i then begin
-        let k = L.key a n i in
-        if k <= key then (p, k, hi) else go (i - 1) k
-      end
-      else begin
-        Trace.dup_skip tr ~leaf:false;
-        go (i - 1) hi
-      end
-    end
-  in
-  go (cap - 1) 0
 
 (* Binary routing reports no separators (the descent sets no finger
    in that mode): [lo] is 0, and [hi] is [max_int] unless the route
@@ -227,19 +206,43 @@ let binary_route a l n key =
     0,
     if best = cnt - 1 then 0 else max_int )
 
-let route a l n ~mode ?(tr = Trace.null) key =
+(* Route picks the child covering [key] and the separators around it:
+   [lo] is the chosen entry's key (0 for the leftmost child) and [hi]
+   the first valid key greater than [key] (0 when the walk ran off its
+   end: only then can a split have moved the key's range to the
+   sibling, the descent's B-link move-right test).  Left to right the
+   child is the left pointer of that first greater key; right to left
+   it is the first entry not above [key].  Both separators are
+   returned per call: under Mcsim a route yields at every load, so
+   scratch state shared between calls would mix two descents'
+   bounds. *)
+let route a l n ~mode ?tr key =
   match mode with
   | Binary -> binary_route a l n key
   | Linear ->
-      let rec attempt budget =
-        let sw = L.switch a n in
-        let r =
-          if sw land 1 = 0 then route_left_to_right a l n tr key
-          else route_right_to_left a l n tr key
-        in
-        if L.switch a n <> sw && budget > 0 then attempt (budget - 1) else r
-      in
-      attempt 64
+      retry a n @@ fun ~rtl ->
+      let child = ref 0 and lo = ref 0 and hi = ref 0 in
+      walk a l n ?tr ~leaf:false ~rtl
+        ~see:(fun k p ->
+          if k > key then if rtl then (hi := k; Pass) else Take
+          else if rtl then Take
+          else begin
+            child := p;
+            lo := k;
+            Pass
+          end)
+        ~take:(fun _ k left p ->
+          if rtl then begin
+            child := p;
+            lo := k
+          end
+          else begin
+            child := left;
+            hi := k
+          end;
+          false)
+        ();
+      ((if !child = 0 then L.leftmost a n else !child), !lo, !hi)
 
 (* ------------------------------------------------------------------ *)
 (* FAST insertion (Algorithm 1)                                        *)

@@ -43,6 +43,34 @@ val locate : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> location
     needs.  Assumes the lock is held, so no direction juggling is
     needed. *)
 
+(** {1 Lock-free reads (Algorithm 3)} *)
+
+type step =
+  | Pass  (** walk on past the entry *)
+  | Stop  (** end the walk *)
+  | Take  (** hand the entry to [take] *)
+
+val walk :
+  Ff_pmem.Arena.t ->
+  Layout.t ->
+  Layout.node ->
+  ?tr:Ff_trace.Trace.t ->
+  leaf:bool ->
+  rtl:bool ->
+  see:(int -> int -> step) ->
+  take:(int -> int -> int -> int -> bool) ->
+  unit ->
+  unit
+(** The one lock-free walk over a node's valid entries, left to right
+    or right to left ([rtl]).  A slot is valid only if its pointer
+    differs from its left neighbour's; a duplicate is a half-shifted
+    record and is skipped (counted on [tr] as a leaf or internal
+    duplicate-pointer skip).  [see key ptr] decides what to do with
+    each valid entry; [take slot key left ptr] receives each entry
+    taken, with the left pointer it was validated against, and returns
+    true to walk on.  Lock-free callers ({!search}, {!route},
+    [Tree.range], [Cursor]) differ only in [see] and [take]. *)
+
 val search :
   Ff_pmem.Arena.t ->
   Layout.t ->

@@ -483,25 +483,20 @@ let range t ~lo ~hi f =
   let last = ref (lo - 1) in
   let rec scan node =
     rlock t node;
-    let cap = l.L.capacity in
     let beyond = ref false in
-    let rec go i prev_raw =
-      if i < cap && not !beyond then begin
-        let p = L.ptr a node i in
-        if p <> 0 then begin
-          let k = L.key a node i in
-          if p <> prev_raw then begin
-            if k > hi then beyond := true
-            else if k >= lo && k > !last then begin
-              f k p;
-              last := k
-            end
-          end;
-          go (i + 1) p
+    Node.walk a l node ~tr:t.tracer ~leaf:true ~rtl:false
+      ~see:(fun k _ ->
+        if k > hi then begin
+          beyond := true;
+          Stop
         end
-      end
-    in
-    go 0 (L.leftmost a node);
+        else if k >= lo && k > !last then Take
+        else Pass)
+      ~take:(fun _ k _ p ->
+        f k p;
+        last := k;
+        true)
+      ();
     let s = L.sibling a node in
     runlock t node;
     if (not !beyond) && s <> 0 then scan s
