@@ -38,29 +38,40 @@ type exec = {
 let pivot (cfg : Cx.config) = (cfg.keyspace / 2) + 1
 
 (* The drop-delta mutant loses only what lands between the tap and
-   the cutover, so the writer puts one change there on every schedule
-   that lets it run before the cutover, the canonical Fifo one
-   included: the first entry that makes the last change the log makes
-   to a moved key.  Nothing later undoes that change, so losing its
-   record leaves the key wrong for good.  The rebalancer starts one
-   entry earlier (that entry races the plan publication and the tap
-   quiesce) and the writer then waits for the tap.  Both waits block
-   in the simulator: a spinning writer would starve the rebalancer
-   under PCT.  [None] when the log changes no moved key. *)
+   the cutover, and then only where the copy has already read the
+   key, so the writer puts one change there on every schedule that
+   lets it run before the cutover, the canonical Fifo one included:
+   the last op the log applies to the lowest moved key whose last op
+   changes it.  Nothing later touches the key, so losing its record
+   leaves the key wrong for good; a later delete of a key the model
+   already lacks would redo a lost delete, which is why the last op,
+   not the last change, decides.  The copy reads the moved span in
+   ascending key order, so the lowest key is the first it has passed.
+   The rebalancer starts one entry earlier (that entry races the plan
+   publication and the tap quiesce) and the writer then waits for the
+   tap.  Both waits block in the simulator: a spinning writer would
+   starve the rebalancer under PCT.  [None] when no moved key's last
+   op changes it. *)
 let held_entry (cfg : Cx.config) w =
   let moved k = cfg.rebal_kind = Rb_migrate || k >= pivot cfg in
   let last = Hashtbl.create 8 in
   Array.iteri
     (fun i ->
       List.iter (function
-        | Spec.Insert (k, _) when moved k -> Hashtbl.replace last k i
-        | Spec.Delete k when moved k && List.mem_assoc k (Spec.state w i) ->
-            Hashtbl.replace last k i
+        | Spec.Insert (k, _) when moved k -> Hashtbl.replace last k (Some i)
+        | Spec.Delete k when moved k ->
+            Hashtbl.replace last k
+              (if List.mem_assoc k (Spec.state w i) then Some i else None)
         | Spec.Insert _ | Spec.Delete _ | Spec.Search _ -> ()))
     (Spec.log w);
   Hashtbl.fold
-    (fun _ i acc -> Some (match acc with Some j -> min i j | None -> i))
+    (fun k i acc ->
+      match (i, acc) with
+      | Some i, Some (k', _) when k < k' -> Some (k, i)
+      | Some i, None -> Some (k, i)
+      | _, acc -> acc)
     last None
+  |> Option.map snd
 
 (* Writer applies the commit log through the routed serving layer
    while the rebalancer thread splits / merges / migrates underneath

@@ -35,8 +35,8 @@ type exec = {
    construction, not by schedule luck.
 
    The pin lands mid-log and races the writer: the reader awaits
-   [pin_after - 1] applied ops ([pin_after] is seed-drawn, below the
-   log length), so its pin can overlap op [pin_after - 1] in flight —
+   [pin_after - 1] applied ops ([pin_after] is seed-drawn, in
+   2 .. n-1), so its pin can overlap op [pin_after - 1] in flight —
    the snapshot layer's quiesce awaits it rather than spinning, so the
    writer finishes it under any schedule.  The writer awaits the
    published pin before op [pin_after], so at least one op always
@@ -179,17 +179,20 @@ let validate_crash d (r : exec Sweep.run) =
       | exception ex ->
           [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
 
+(* The commit log and the writer op the pin races, both drawn from the
+   seed.  [pin_after] lies in 2 .. n-1, so the pin waits for op 0 and
+   at least one op follows it (a shorter log takes [n - 1]). *)
+let draw (cfg : Cx.config) =
+  let rng = Prng.create cfg.seed in
+  let n = cfg.rounds * cfg.ops in
+  let spec = Spec.create rng ~prefill:cfg.prefill ~keyspace:cfg.keyspace ~per_entry:1 n in
+  (spec, if n < 3 then max 0 (n - 1) else 2 + Prng.int rng (n - 2))
+
+let pin_after cfg = snd (draw cfg)
+
 let family (cfg : Cx.config) name =
   let d = Registry.find_exn name in
-  let w =
-    lazy
-      (let rng = Prng.create cfg.seed in
-       let n = cfg.rounds * cfg.ops in
-       let spec =
-         Spec.create rng ~prefill:cfg.prefill ~keyspace:cfg.keyspace ~per_entry:1 n
-       in
-       (spec, Prng.int rng n))
-  in
+  let w = lazy (draw cfg) in
   {
     Sweep.family = "snapshot";
     index = name;

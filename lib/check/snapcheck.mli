@@ -35,6 +35,13 @@
 val default : Counterexample.config
 (** 3 rounds of 4 ops, 8 PCT schedules; otherwise {!Sweep.default}. *)
 
+val pin_after : Counterexample.config -> int
+(** The writer op before which the reader's pin lands, drawn from the
+    config's seed in [2 .. n-1] for a log of [n >= 3] entries: the
+    reader pins once [pin_after - 1 >= 1] ops are applied, racing op
+    [pin_after - 1] in flight, and the writer awaits the pin before op
+    [pin_after]. *)
+
 val run :
   ?config:Counterexample.config -> ?tracer:Ff_trace.Trace.t -> string -> Sweep.report
 (** [run name] checks the registry index [name] (e.g.

@@ -42,7 +42,7 @@ let fresh vc =
   v
 
 let prefill vc ~prefill ~keyspace =
-  List.init (min prefill keyspace) (fun i -> (i + 1, fresh vc))
+  List.init (min prefill keyspace) (fun i -> ((i + 1) * keyspace / prefill, fresh vc))
 
 let draw vc rng ~keyspace =
   let key = 1 + Prng.int rng keyspace in

@@ -8,28 +8,16 @@ let seek c key =
   c.node <- Tree.to_leaf c.tree key;
   c.last <- key - 1
 
-(* Smallest valid key > c.last in the current node: keys ascend, so
-   the first one the walk takes. *)
-let scan_node c =
-  let best = ref None in
-  Node.walk (Tree.arena c.tree) (Tree.layout c.tree) c.node ~tr:(Tree.tracer c.tree)
-    ~leaf:true ~rtl:false
-    ~see:(fun k _ -> if k > c.last then Take else Pass)
-    ~take:(fun _ k _ p ->
-      best := Some (k, p);
-      false)
-    ();
-  !best
-
 let rec next c =
+  let a = Tree.arena c.tree in
   if c.node = 0 then None
   else
-    match scan_node c with
+    match Node.next_above a (Tree.layout c.tree) c.node ~tr:(Tree.tracer c.tree) c.last with
     | Some (k, v) ->
         c.last <- k;
         Some (k, v)
     | None ->
-        c.node <- L.sibling (Tree.arena c.tree) c.node;
+        c.node <- L.sibling a c.node;
         next c
 
 let fold tree ~lo ~hi ~init f =

@@ -2,9 +2,9 @@
 
     A cursor holds only a current leaf address and the last key
     delivered, so it stays valid across concurrent FAST shifts and
-    FAIR splits: each {!next} re-scans the current node for the
-    smallest valid key greater than the last one (the same
-    deduplicating discipline as {!Tree.range}), following sibling
+    FAIR splits: each {!next} re-walks the current node for the
+    smallest valid key greater than the last one ({!Node.next_above},
+    checked as {!Node.search} checks its key), following sibling
     pointers as nodes are exhausted.  Like all lock-free reads it
     observes read-uncommitted state (paper Section 4.1). *)
 

@@ -76,58 +76,44 @@ let locate a l n key =
 
 type step = Pass | Stop | Take
 
-(* The one lock-free walk over a node's slots.  A slot is valid only
-   if its pointer differs from its left neighbour's (the leftmost
-   pointer for slot 0); a duplicate is a half-shifted record, the
-   paper's endurable transient inconsistency, and is skipped.  Left to
-   right, the pointer of each slot is carried forward as the next
-   slot's left pointer; right to left, a zero pointer is skipped and
-   the key is read only once the slot is found valid.  [see k p] says
-   what the caller does with a valid entry, and [take i k left p]
-   receives the ones it takes; it returns true to walk on. *)
-let walk a l n ?(tr = Trace.null) ~leaf ~rtl ~see ~take () =
-  let skip () = Trace.dup_skip tr ~leaf in
-  if rtl then
-    let rec go i =
-      if i >= 0 then begin
-        let p = L.ptr a n i in
-        if p = 0 then go (i - 1)
-        else begin
-          let left = L.left_ptr_of a n i in
-          if p = left then begin
-            skip ();
-            go (i - 1)
-          end
-          else
-            let k = L.key a n i in
-            match see k p with
-            | Pass -> go (i - 1)
-            | Stop -> ()
-            | Take -> if take i k left p then go (i - 1)
-        end
-      end
-    in
-    go (l.L.capacity - 1)
-  else
-    let cap = l.L.capacity in
-    let rec go i left =
-      if i < cap then begin
-        let p = L.ptr a n i in
-        if p <> 0 then begin
-          let k = L.key a n i in
-          if p = left then begin
-            skip ();
-            go (i + 1) p
-          end
-          else
-            match see k p with
-            | Pass -> go (i + 1) p
-            | Stop -> ()
-            | Take -> if take i k left p then go (i + 1) p
-        end
-      end
-    in
-    go 0 (L.leftmost a n)
+(* The one lock-free walk, left to right or right to left: per slot
+   the pointer (zero ends the array left to right, and is an empty
+   slot right to left), then the key, which [see k p] judges.  A slot
+   the caller takes is checked in the released code's order: the key,
+   the left pointer, the slot's own pointer, the key again.  It is
+   valid only if the pointers differ and the key did not change; else
+   it is a half-shifted record (the paper's endurable transient
+   inconsistency) and the walk goes on.  No pointer read at one slot
+   is trusted at the next: a FAST shift landing between two loads
+   would pair one record's value with its neighbour's key.  Slot 0's
+   left, the leftmost pointer, is written only at init, so left to
+   right it is read up front with the header line.  [take k left p]
+   returns true to walk on. *)
+let walk a l n tr ~leaf ~rtl ~see ~take =
+  let cap = l.L.capacity in
+  let rec go i leftmost =
+    if i >= 0 && i < cap then begin
+      let next = if rtl then i - 1 else i + 1 in
+      let p = L.ptr a n i in
+      if p = 0 then (if rtl then go next leftmost)
+      else
+        let k = L.key a n i in
+        match see k p with
+        | Pass -> go next leftmost
+        | Stop -> ()
+        | Take ->
+            let left = if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else leftmost in
+            let p = L.ptr a n i in
+            if p <> left && p <> 0 && L.key a n i = k then begin
+              if take k left p then go next leftmost
+            end
+            else begin
+              Trace.dup_skip tr ~leaf;
+              go next leftmost
+            end
+    end
+  in
+  if rtl then go (cap - 1) 0 else go 0 (L.leftmost a n)
 
 (* Algorithm 3's retry: walk in the direction the switch counter's
    parity picks (odd while a delete shifts left), and walk again if a
@@ -157,36 +143,40 @@ let binary_search_leaf a l n key =
   in
   go 0 (cnt - 1)
 
-(* Search stops at the key.  The key is read again before the entry is
-   returned: the (key, ptr) pair is two separate words, and the re-read
-   rejects a half-shifted pair. *)
-let search a l n ~mode ?tr key =
+(* Search stops at the key. *)
+let search a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_search_leaf a l n key
   | Linear ->
       retry a n @@ fun ~rtl ->
       let found = ref None in
-      walk a l n ?tr ~leaf:true ~rtl
+      walk a l n tr ~leaf:true ~rtl
         ~see:(fun k _ ->
           if k = key then Take
           else if (if rtl then k > key else k < key) then Pass
           else Stop)
-        ~take:(fun i _ _ p ->
-          if L.key a n i = key then begin
-            found := Some p;
-            false
-          end
-          else true)
-        ();
+        ~take:(fun _ _ p ->
+          found := Some p;
+          false);
       !found
+
+(* The cursor takes the smallest key above [last]: keys ascend, so the
+   first one the walk takes. *)
+let next_above a l n ?(tr = Trace.null) last =
+  let found = ref None in
+  walk a l n tr ~leaf:true ~rtl:false
+    ~see:(fun k _ -> if k > last then Take else Pass)
+    ~take:(fun k _ p ->
+      found := Some (k, p);
+      false);
+  !found
 
 (* ------------------------------------------------------------------ *)
 (* Internal-node routing                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Binary routing reports no separators (the descent sets no finger
-   in that mode): [lo] is 0, and [hi] is [max_int] unless the route
-   ran off the end. *)
+(* Binary routing reports no separator (the descent sets no finger in
+   that mode): [hi] is [max_int] unless the route ran off the end. *)
 let binary_route a l n key =
   let cfg = Arena.config a in
   ignore l;
@@ -203,46 +193,32 @@ let binary_route a l n key =
   in
   let best = go 0 (cnt - 1) (-1) in
   ( (if best < 0 then L.leftmost a n else L.ptr a n best),
-    0,
     if best = cnt - 1 then 0 else max_int )
 
-(* Route picks the child covering [key] and the separators around it:
-   [lo] is the chosen entry's key (0 for the leftmost child) and [hi]
-   the first valid key greater than [key] (0 when the walk ran off its
-   end: only then can a split have moved the key's range to the
-   sibling, the descent's B-link move-right test).  Left to right the
-   child is the left pointer of that first greater key; right to left
-   it is the first entry not above [key].  Both separators are
-   returned per call: under Mcsim a route yields at every load, so
-   scratch state shared between calls would mix two descents'
-   bounds. *)
-let route a l n ~mode ?tr key =
+(* Route picks the child covering [key] and the first valid key
+   greater than [key], [hi] (0 when the walk ran off its end: only then
+   can a split have moved the key's range to the sibling, the descent's
+   B-link move-right test).  Left to right the child is the left
+   pointer of that first greater key, or the last pointer when there
+   is none; right to left it is the first entry not above [key], or
+   the leftmost pointer.  [hi] is returned per call: under Mcsim a
+   route yields at every load, so scratch state shared between calls
+   would mix two descents' bounds. *)
+let route a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_route a l n key
   | Linear ->
       retry a n @@ fun ~rtl ->
-      let child = ref 0 and lo = ref 0 and hi = ref 0 in
-      walk a l n ?tr ~leaf:false ~rtl
+      let child = ref 0 and hi = ref 0 in
+      walk a l n tr ~leaf:false ~rtl
         ~see:(fun k p ->
-          if k > key then if rtl then (hi := k; Pass) else Take
-          else if rtl then Take
-          else begin
-            child := p;
-            lo := k;
-            Pass
-          end)
-        ~take:(fun _ k left p ->
-          if rtl then begin
-            child := p;
-            lo := k
-          end
-          else begin
-            child := left;
-            hi := k
-          end;
-          false)
-        ();
-      ((if !child = 0 then L.leftmost a n else !child), !lo, !hi)
+          if k <= key then if rtl then Take else (child := p; Pass)
+          else if rtl then (hi := k; Pass)
+          else Take)
+        ~take:(fun k left p ->
+          if rtl then child := p else (child := left; hi := k);
+          false);
+      ((if !child = 0 then L.leftmost a n else !child), !hi)
 
 (* ------------------------------------------------------------------ *)
 (* FAST insertion (Algorithm 1)                                        *)

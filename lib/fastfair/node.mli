@@ -43,34 +43,6 @@ val locate : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> location
     needs.  Assumes the lock is held, so no direction juggling is
     needed. *)
 
-(** {1 Lock-free reads (Algorithm 3)} *)
-
-type step =
-  | Pass  (** walk on past the entry *)
-  | Stop  (** end the walk *)
-  | Take  (** hand the entry to [take] *)
-
-val walk :
-  Ff_pmem.Arena.t ->
-  Layout.t ->
-  Layout.node ->
-  ?tr:Ff_trace.Trace.t ->
-  leaf:bool ->
-  rtl:bool ->
-  see:(int -> int -> step) ->
-  take:(int -> int -> int -> int -> bool) ->
-  unit ->
-  unit
-(** The one lock-free walk over a node's valid entries, left to right
-    or right to left ([rtl]).  A slot is valid only if its pointer
-    differs from its left neighbour's; a duplicate is a half-shifted
-    record and is skipped (counted on [tr] as a leaf or internal
-    duplicate-pointer skip).  [see key ptr] decides what to do with
-    each valid entry; [take slot key left ptr] receives each entry
-    taken, with the left pointer it was validated against, and returns
-    true to walk on.  Lock-free callers ({!search}, {!route},
-    [Tree.range], [Cursor]) differ only in [see] and [take]. *)
-
 val search :
   Ff_pmem.Arena.t ->
   Layout.t ->
@@ -80,9 +52,15 @@ val search :
   int ->
   int option
 (** Lock-free search of one node (Algorithm 3): direction chosen by
-    the switch counter's parity, validity by the duplicate-pointer
-    rule, re-scan if the counter moved.  Returns the value.  [tr]
-    records each duplicate-adjacent-pointer skip (the paper's
+    the switch counter's parity, re-walk if the counter moved.  The
+    walk reads each slot's pointer, then its key, and checks only the
+    slot holding the key, in the released code's order: the key, the
+    left pointer, the slot's own pointer, the key again; the entry is
+    valid only if the pointers differ and the key did not change.  The
+    order matters: a FAST shift can land between a reader's loads at a
+    slot, and a pointer read before the key, or carried over from the
+    slot to the left, then pairs the shifted neighbour's value with
+    the new key.  [tr] records each duplicate-pointer skip (the paper's
     tolerated transient inconsistency); defaults to the null tracer. *)
 
 val route :
@@ -92,16 +70,26 @@ val route :
   mode:search_mode ->
   ?tr:Ff_trace.Trace.t ->
   int ->
-  int * int * int
-(** Lock-free routing in an internal node: [(child, lo, hi)], the
-    child covering [key] ([leftmost_ptr] when the key precedes all
-    entries) and the separators the scan saw around it.  [lo] is the
-    chosen entry's key, 0 for the leftmost child.  [hi] is the first
-    valid key greater than [key], or 0 when the scan found none —
-    only then can a split have moved the key's range to the sibling.
-    [Binary] routing reports no separators: [lo] is 0 and [hi] is
-    [max_int] unless the route ran off the end.  [tr] as in
-    {!search}. *)
+  int * int
+(** Lock-free routing in an internal node: [(child, hi)], the child
+    covering [key] ([leftmost_ptr] when the key precedes all entries)
+    and the first valid key greater than [key], or 0 when the walk
+    found none — only then can a split have moved the key's range to
+    the sibling.  Left to right the checked slot is that first greater
+    key and the child is the left pointer its check read; right to
+    left it is the first entry not above [key].  Read order as in
+    {!search}.  [Binary] routing reports [hi] = [max_int] unless the
+    route ran off the end. *)
+
+val next_above :
+  Ff_pmem.Arena.t ->
+  Layout.t ->
+  Layout.node ->
+  ?tr:Ff_trace.Trace.t ->
+  int ->
+  (int * int) option
+(** The smallest valid (key, value) above the argument, left to right,
+    checked as {!search} checks its key ([Cursor]'s step). *)
 
 val insert_nonfull :
   Ff_pmem.Arena.t -> Layout.t -> Layout.node -> count:int -> key:int -> value:int -> unit

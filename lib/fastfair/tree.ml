@@ -20,11 +20,11 @@ type t = {
   clean : (int, unit) Hashtbl.t;
   mutable log_area : int;
   mutable tracer : Trace.t;
-  (* Leaf finger: the leaf the last descent reached and the route
-     separators [finger_lo, finger_hi) around it; [finger = 0] when
-     unset.  Volatile and advisory: FAIR keeps every key a sibling
-     walk right of its old leaf, so only [finger_lo] must be exact
-     (DESIGN.md deviation 10). *)
+  (* Leaf finger: the leaf the last descent reached, from its
+     persisted low key [finger_lo] up to the route separator
+     [finger_hi]; [finger = 0] when unset.  Volatile and advisory:
+     FAIR keeps every key a sibling walk right of its old leaf, so
+     only [finger_lo] must be exact (DESIGN.md deviation 10). *)
   mutable finger : Layout.node;
   mutable finger_lo : int;
   mutable finger_hi : int;
@@ -141,18 +141,21 @@ let drop_finger t = t.finger <- 0
    finger leaf found its range shrunk: forget it. *)
 let left_finger t leaf = if leaf = t.finger then drop_finger t
 
-(* Descend from [node], whose range is bounded by [lo, hi), to the
-   node covering [key] at [level].  The sibling is read only where the
-   route scan finds no entry greater than the key (B-link move-right),
-   and then its low key also bounds the child's range; at [level]
-   itself nobody moves right: readers chase siblings on a miss and
-   writers re-check [chain_covers] under the lock.  A descent that
-   reaches a leaf leaves the finger on it ([Binary] routes report no
-   upper separator, so that mode sets none). *)
-let rec descend t node key ~level ~lo ~hi =
+(* Descend from [node] to the node covering [key] at [level]; [hi]
+   bounds the range above.  The sibling is read only where the route
+   scan finds no entry greater than the key (B-link move-right), and
+   then its low key also bounds the child's range; at [level] itself
+   nobody moves right: readers chase siblings on a miss and writers
+   re-check [chain_covers] under the lock.  A descent that reaches a
+   leaf leaves the finger on it, from the leaf's persisted low key up
+   to [hi] ([Binary] routes report no upper separator, so that mode
+   sets none). *)
+let rec descend t node key ~level ~hi =
   let a = t.arena in
   if L.level a node = level then begin
     if level = 0 && t.mode = Node.Linear then begin
+      (* Load first: the three fields change with no yield between. *)
+      let lo = L.low a node in
       t.finger <- node;
       t.finger_lo <- lo;
       t.finger_hi <- hi
@@ -160,22 +163,19 @@ let rec descend t node key ~level ~lo ~hi =
     node
   end
   else
-    let child, c_lo, c_hi =
-      Node.route a t.layout node ~mode:t.mode ~tr:t.tracer key
-    in
-    let lo = max lo c_lo in
-    if c_hi <> 0 then descend t child key ~level ~lo ~hi:(min hi c_hi)
+    let child, c_hi = Node.route a t.layout node ~mode:t.mode ~tr:t.tracer key in
+    if c_hi <> 0 then descend t child key ~level ~hi:(min hi c_hi)
     else
       let s = L.sibling a node in
-      if s = 0 then descend t child key ~level ~lo ~hi
+      if s = 0 then descend t child key ~level ~hi
       else
         let low = L.low a s in
-        if low <= key then descend t s key ~level ~lo:low ~hi
-        else descend t child key ~level ~lo ~hi:(min hi low)
+        if low <= key then descend t s key ~level ~hi
+        else descend t child key ~level ~hi:(min hi low)
 
 let to_leaf t key =
   if t.finger <> 0 && t.finger_lo <= key && key < t.finger_hi then t.finger
-  else descend t (root t) key ~level:0 ~lo:0 ~hi:max_int
+  else descend t (root t) key ~level:0 ~hi:max_int
 
 (* ------------------------------------------------------------------ *)
 (* Lazy recovery hooks (Section 4.2)                                   *)
@@ -389,7 +389,7 @@ and insert_at_level t ~level ~key ~child ~donor =
   let rt = root t in
   if L.level a rt < level then grow_root t ~level ~sep:key ~child ~donor
   else begin
-    insert_into_node t (descend t rt key ~level ~lo:0 ~hi:max_int) key child
+    insert_into_node t (descend t rt key ~level ~hi:max_int) key child
       ~internal:true
   end
 
@@ -483,20 +483,25 @@ let range t ~lo ~hi f =
   let last = ref (lo - 1) in
   let rec scan node =
     rlock t node;
+    let cap = l.L.capacity in
     let beyond = ref false in
-    Node.walk a l node ~tr:t.tracer ~leaf:true ~rtl:false
-      ~see:(fun k _ ->
-        if k > hi then begin
-          beyond := true;
-          Stop
+    let rec go i prev_raw =
+      if i < cap && not !beyond then begin
+        let p = L.ptr a node i in
+        if p <> 0 then begin
+          let k = L.key a node i in
+          if p <> prev_raw then begin
+            if k > hi then beyond := true
+            else if k >= lo && k > !last then begin
+              f k p;
+              last := k
+            end
+          end;
+          go (i + 1) p
         end
-        else if k >= lo && k > !last then Take
-        else Pass)
-      ~take:(fun _ k _ p ->
-        f k p;
-        last := k;
-        true)
-      ();
+      end
+    in
+    go 0 (L.leftmost a node);
     let s = L.sibling a node in
     runlock t node;
     if (not !beyond) && s <> 0 then scan s

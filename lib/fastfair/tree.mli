@@ -63,7 +63,8 @@ val to_leaf : t -> int -> Layout.node
     must follow the sibling chain (as {!search} and {!range} do).
 
     The tree keeps a volatile leaf finger: the leaf the last descent
-    reached and the separators its routes saw around it.  A key inside
+    reached, bounded below by its persisted low key and above by the
+    separator its routes saw.  A key inside
     those bounds starts at that leaf with no descent.  A split of the
     finger leaf narrows the bounds; a sibling chase off it,
     {!recover} and {!drop_finger} clear it.  [Binary] mode never sets
@@ -76,7 +77,11 @@ val drop_finger : t -> unit
 val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Ascending leaf-chain scan over [lo, hi], deduplicating the
     transient repetitions a concurrent shift or an untruncated split
-    donor can produce. *)
+    donor can produce.  Unlike {!search} it does not re-read the
+    entries it emits ({!Node.walk}'s check costs a load per entry):
+    it reads each slot's pointer before its key and compares it with
+    the previous slot's, so a FAST shift racing the scan can pair a
+    key with its neighbour's value (see ROADMAP.md). *)
 
 val recover : ?lazy_:bool -> t -> unit
 (** Post-crash normalization.  [lazy_ = true] (paper Section 4.2)

@@ -251,6 +251,60 @@ let test_suspended_reader_delete () =
         (Some (value_of key)) results.(i))
     [ 10; 30; 40 ]
 
+(* A reader parked inside a FAST shift.  The leaf holds 2, 4, 6 and 8,
+   and the writer FAST-inserts 5, just below 6, shifting 6 and 8 right.
+   The [Choose] schedule runs the reader alone for its first [n]
+   decisions (one PM access each at quantum 1), then the writer to its
+   end, then the reader to its end; [n] goes up until the reader is
+   done before the writer starts.  So the reader is parked once at
+   every load, among them the one between its pointer and key loads at
+   6's slot.  A reader that pairs the pointer it read there with the
+   key it reads after the shift reports 5 bound to 6's value, and one
+   that carries that pointer to the next slot skips 6.  [read] returns
+   the (key, value) pairs the reader saw, ascending: each of [keys]
+   with its own value, and 5 either missing or with its own value. *)
+let parked_reader_case ~keys read () =
+  let expect with5 =
+    List.map (fun k -> (k, value_of k)) (List.sort compare (if with5 then 5 :: keys else keys))
+  in
+  let rec park n =
+    let a, t = mk_sim_tree ~node_bytes:512 () in
+    in_sim a (fun () -> List.iter (fun k -> Tree.insert t ~key:k ~value:(value_of k)) [ 2; 4; 6; 8 ]);
+    let seen = ref [] and reader_done = ref false and solo = ref false in
+    let reader _ =
+      seen := read t;
+      reader_done := true
+    in
+    let writer _ =
+      solo := !reader_done;
+      Tree.insert t ~key:5 ~value:(value_of 5)
+    in
+    let picks = ref 0 in
+    let pick tids =
+      let at tid = Option.value ~default:(-1) (Array.find_index (( = ) tid) tids) in
+      if !picks < n && at 0 >= 0 then begin
+        incr picks;
+        at 0
+      end
+      else max 0 (at 1)
+    in
+    ignore
+      (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy:(Mcsim.Choose pick) ~arena:a [| reader; writer |]);
+    if !seen <> expect false && !seen <> expect true then
+      Alcotest.failf "parked after %d decisions: read [%s]" n
+        (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) !seen));
+    if not !solo then park (n + 1)
+  in
+  park 0
+
+let search_reader t =
+  List.filter_map (fun k -> Option.map (fun v -> (k, v)) (Tree.search t k)) [ 5; 6 ]
+
+let cursor_reader t =
+  let c = Ff_fastfair.Cursor.create t ~lo:1 in
+  let rec go acc = match Ff_fastfair.Cursor.next c with Some e -> go (e :: acc) | None -> List.rev acc in
+  go []
+
 let test_concurrent_writers_disjoint () =
   let a, t = mk_sim_tree () in
   let n_threads = 8 and per = 50 in
@@ -346,6 +400,10 @@ let suite =
     Alcotest.test_case "my_tid outside run" `Quick test_my_tid_outside_run;
     Alcotest.test_case "suspended reader vs insert" `Quick test_suspended_reader_insert;
     Alcotest.test_case "suspended reader vs delete" `Quick test_suspended_reader_delete;
+    Alcotest.test_case "parked reader vs FAST insert: search" `Quick
+      (parked_reader_case ~keys:[ 6 ] search_reader);
+    Alcotest.test_case "parked reader vs FAST insert: cursor" `Quick
+      (parked_reader_case ~keys:[ 2; 4; 6; 8 ] cursor_reader);
     Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers_disjoint;
     Alcotest.test_case "mixed readers/writers" `Quick test_concurrent_mixed_with_readers;
     Alcotest.test_case "leaflock variant" `Quick test_leaflock_variant_concurrent;

@@ -558,23 +558,38 @@ let test_snapcheck_clean () =
   Alcotest.(check bool) "explored schedules" true (r.C.schedules_run > 0);
   Alcotest.(check bool) "explored crashes" true (r.C.crash_runs > 0)
 
-(* Seed 5 pins after 3 writer ops, and op 3 deletes an absent key, so
-   the pinned state (prefix 3) equals the one before it (prefix 2).
-   The window [3, 3] must admit it; a first-match oracle reports an
-   isolation violation here. *)
+(* Seed 25 pins once 9 writer ops are applied, and op 9 deletes an
+   absent key, so the pinned state (prefix 9) equals the one before it
+   (prefix 8).  The window from 9 must admit it; a first-match oracle
+   reports an isolation violation here. *)
 let test_snapcheck_repeated_prefix () =
   let spec =
-    Ff_check.Spec.create (Prng.create 5) ~prefill:SC.default.Cx.prefill
+    Ff_check.Spec.create (Prng.create 25) ~prefill:SC.default.Cx.prefill
       ~keyspace:SC.default.Cx.keyspace ~per_entry:1
       (SC.default.Cx.rounds * SC.default.Cx.ops)
   in
-  Alcotest.(check bool) "prefix 3 repeats prefix 2" true
-    (Ff_check.Spec.state spec 2 = Ff_check.Spec.state spec 3);
+  Alcotest.(check int) "pin after" 10 (SC.pin_after { SC.default with Cx.seed = 25 });
+  Alcotest.(check bool) "prefix 9 repeats prefix 8" true
+    (Ff_check.Spec.state spec 8 = Ff_check.Spec.state spec 9);
   let r =
-    SC.run ~config:{ SC.default with Cx.seed = 5; schedules = 2; crashes = false }
+    SC.run ~config:{ SC.default with Cx.seed = 25; schedules = 2; crashes = false }
       "snap-fastfair"
   in
   Alcotest.(check int) "no violations" 0 (List.length r.C.violations)
+
+(* CI's main sweep, [check --snapshot -i snap-fastfair --schedules 6]
+   (2 ops a round, 3 rounds, seed 42), drew its pin before op 0: the
+   writer awaited the pin before its first op on every schedule.  The
+   pin now lies in 2 .. n-1 at every seed, so the reader waits for op 0
+   and races a later op (at seed 42 every schedule pins between 3 and
+   4 applied ops). *)
+let test_snapcheck_pin_past_first_op () =
+  let cfg = { SC.default with Cx.ops = 2; rounds = 3; seed = 42; schedules = 6 } in
+  Alcotest.(check int) "CI sweep pin" 4 (SC.pin_after cfg);
+  for seed = 1 to 100 do
+    let p = SC.pin_after { cfg with Cx.seed } in
+    if p < 2 || p > 5 then Alcotest.failf "seed %d: pin after %d, outside 2 .. 5" seed p
+  done
 
 (* The artifact must survive serialization; the replay-dispatch test
    in test_check replays one. *)
@@ -591,8 +606,9 @@ let test_snapcheck_mutant_caught () =
 
 (* The writer awaits the pin before its op [pin_after], so a write
    always follows the pin, where a read-latest snapshot reads the
-   future.  Without that wait, seed 6's one schedule pins after the
-   whole log and the live oracles see nothing wrong. *)
+   future: seed 6's one schedule catches the mutant live.  Without
+   that wait a schedule may pin after the whole log, where the live
+   oracles see nothing wrong. *)
 let test_snapcheck_write_follows_pin () =
   let r =
     SC.run
@@ -640,5 +656,7 @@ let suite =
       test_snapcheck_write_follows_pin;
     Alcotest.test_case "snapcheck: mid-log pin on a repeated prefix" `Quick
       test_snapcheck_repeated_prefix;
+    Alcotest.test_case "snapcheck: the default sweep pins past op 0" `Quick
+      test_snapcheck_pin_past_first_op;
     QCheck_alcotest.to_alcotest prop_pinned_range_equals_model;
   ]
