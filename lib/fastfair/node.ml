@@ -87,31 +87,33 @@ type step = Pass | Stop | Take
    is trusted at the next: a FAST shift landing between two loads
    would pair one record's value with its neighbour's key.  Slot 0's
    left, the leftmost pointer, is written only at init, so left to
-   right it is read up front with the header line.  [take k left p]
-   returns true to walk on. *)
+   right it is read up front with the header line.  The walk ends at
+   the first valid slot taken and returns [take k left p] for it, or
+   [None] at the end or on [Stop]. *)
 let walk a l n tr ~leaf ~rtl ~see ~take =
   let cap = l.L.capacity in
   let rec go i leftmost =
     if i >= 0 && i < cap then begin
       let next = if rtl then i - 1 else i + 1 in
       let p = L.ptr a n i in
-      if p = 0 then (if rtl then go next leftmost)
+      if p = 0 then if rtl then go next leftmost else None
       else
         let k = L.key a n i in
         match see k p with
         | Pass -> go next leftmost
-        | Stop -> ()
+        | Stop -> None
         | Take ->
-            let left = if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else leftmost in
+            let left =
+              if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else leftmost
+            in
             let p = L.ptr a n i in
-            if p <> left && p <> 0 && L.key a n i = k then begin
-              if take k left p then go next leftmost
-            end
+            if p <> left && p <> 0 && L.key a n i = k then Some (take k left p)
             else begin
               Trace.dup_skip tr ~leaf;
               go next leftmost
             end
     end
+    else None
   in
   if rtl then go (cap - 1) 0 else go 0 (L.leftmost a n)
 
@@ -143,33 +145,24 @@ let binary_search_leaf a l n key =
   in
   go 0 (cnt - 1)
 
-(* Search stops at the key. *)
 let search a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_search_leaf a l n key
   | Linear ->
       retry a n @@ fun ~rtl ->
-      let found = ref None in
       walk a l n tr ~leaf:true ~rtl
         ~see:(fun k _ ->
           if k = key then Take
           else if (if rtl then k > key else k < key) then Pass
           else Stop)
-        ~take:(fun _ _ p ->
-          found := Some p;
-          false);
-      !found
+        ~take:(fun _ _ p -> p)
 
 (* The cursor takes the smallest key above [last]: keys ascend, so the
    first one the walk takes. *)
 let next_above a l n ?(tr = Trace.null) last =
-  let found = ref None in
   walk a l n tr ~leaf:true ~rtl:false
     ~see:(fun k _ -> if k > last then Take else Pass)
-    ~take:(fun k _ p ->
-      found := Some (k, p);
-      false);
-  !found
+    ~take:(fun k _ p -> (k, p))
 
 (* ------------------------------------------------------------------ *)
 (* Internal-node routing                                               *)
@@ -210,15 +203,16 @@ let route a l n ~mode ?(tr = Trace.null) key =
   | Linear ->
       retry a n @@ fun ~rtl ->
       let child = ref 0 and hi = ref 0 in
-      walk a l n tr ~leaf:false ~rtl
-        ~see:(fun k p ->
-          if k <= key then if rtl then Take else (child := p; Pass)
-          else if rtl then (hi := k; Pass)
-          else Take)
-        ~take:(fun k left p ->
-          if rtl then child := p else (child := left; hi := k);
-          false);
-      ((if !child = 0 then L.leftmost a n else !child), !hi)
+      match
+        walk a l n tr ~leaf:false ~rtl
+          ~see:(fun k p ->
+            if k <= key then if rtl then Take else (child := p; Pass)
+            else if rtl then (hi := k; Pass)
+            else Take)
+          ~take:(fun k left p -> if rtl then (p, !hi) else (left, k))
+      with
+      | Some r -> r
+      | None -> ((if !child = 0 then L.leftmost a n else !child), !hi)
 
 (* ------------------------------------------------------------------ *)
 (* FAST insertion (Algorithm 1)                                        *)

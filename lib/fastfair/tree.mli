@@ -78,7 +78,7 @@ val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Ascending leaf-chain scan over [lo, hi], deduplicating the
     transient repetitions a concurrent shift or an untruncated split
     donor can produce.  Unlike {!search} it does not re-read the
-    entries it emits ({!Node.walk}'s check costs a load per entry):
+    entries it emits (that check costs a load per entry):
     it reads each slot's pointer before its key and compares it with
     the previous slot's, so a FAST shift racing the scan can pair a
     key with its neighbour's value (see ROADMAP.md). *)
