@@ -42,7 +42,8 @@ let fresh vc =
   v
 
 let prefill vc ~prefill ~keyspace =
-  List.init (min prefill keyspace) (fun i -> ((i + 1) * keyspace / prefill, fresh vc))
+  let n = min prefill keyspace in
+  List.init n (fun i -> ((i + 1) * keyspace / n, fresh vc))
 
 let draw vc rng ~keyspace =
   let key = 1 + Prng.int rng keyspace in

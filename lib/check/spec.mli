@@ -37,7 +37,9 @@ type values
 val values : unit -> values
 
 val prefill : values -> prefill:int -> keyspace:int -> (int * int) list
-(** Bindings [1 .. min prefill keyspace], each with a fresh value. *)
+(** [n = min prefill keyspace] bindings spread over [1 .. keyspace]
+    (the i-th, from 0, at [(i+1)·keyspace/n]), each with a fresh value,
+    so fresh inserts land between prefilled keys and FAST-shift them. *)
 
 val draw : values -> Ff_util.Prng.t -> keyspace:int -> op
 (** One random write: a key from [1 .. keyspace], then a delete with
