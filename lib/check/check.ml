@@ -138,33 +138,17 @@ let validate_live (cfg : config) w (r : exec Sweep.run) =
   | Ok () -> []
   | Error detail -> [ (Linearizability, detail) ]
 
-(* Validate the crashed image: pre-recovery reader tolerance
-   (lock-free readers only), then recovery and durable
-   linearizability of the invoked history against the post-recovery
-   dump. *)
-let validate_crash (cfg : config) d w (r : exec Sweep.run) =
-  let x = r.result and arena = r.arenas.(0) in
-  let sdcfg =
-    { (index_config d ~node_bytes:cfg.node_bytes) with D.lock_mode = Locks.Single }
-  in
-  let tolerance =
-    if d.D.caps.D.lock_free_reads then
-      pre_recovery_tolerance ~keyspace:cfg.keyspace ~written:(Spec.written w.spec)
-        (fun () -> d.D.open_existing sdcfg arena)
-    else []
-  in
-  tolerance
+(* Durable linearizability of the invoked history against the
+   post-recovery dump of the crashed image. *)
+let judge w (r : exec Sweep.run) (i : Sweep.image) =
+  i.before
   @
-  match
-    let o = d.D.open_existing sdcfg arena in
-    o.Intf.recover ();
-    Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
-  with
-  | dump -> (
-      match Linearize.check ~initial:(Spec.initial w.spec) ~final:dump x.calls with
+  match i.recovered with
+  | Ok dump -> (
+      match Linearize.check ~initial:(Spec.initial w.spec) ~final:dump r.result.calls with
       | Ok () -> []
       | Error msg -> [ (Durability, msg) ])
-  | exception e -> [ (Durability, "recovery raised: " ^ Printexc.to_string e) ]
+  | Error e -> [ (Durability, "recovery raised: " ^ e) ]
 
 let family (cfg : config) name =
   let d = Registry.find_exn name in
@@ -178,12 +162,17 @@ let family (cfg : config) name =
     gate = checkable d cfg;
     crash_gate = crash_checkable d;
     canonical_fifo = false;
-    crashed_only = false;
     mutant = None;
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> Array.length x.calls);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r -> validate_crash cfg d (Lazy.force w) r);
+    read =
+      (fun arenas ->
+        read_index d ~node_bytes:cfg.node_bytes ~keyspace:cfg.keyspace
+          ~written:(Spec.written (Lazy.force w).spec)
+          ~recover:(fun o -> o.Intf.recover ())
+          arenas.(0));
+    judge = (fun r i -> judge (Lazy.force w) r i);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

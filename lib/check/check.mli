@@ -9,36 +9,21 @@
     {!Counterexample.config} record, each with its own defaults, and
     a counterexample stores that record as is.  The first four are
     small descriptions ({!Sweep.t}: a [checkable] gate, a setup that
-    builds one run, a live oracle and a crash oracle) run by the one
-    {!Sweep} driver.  Replcheck keeps its own scenario product (it has
+    builds one run, a live oracle and a crash oracle's [read] and
+    [judge]) run by the one {!Sweep} driver.  Replcheck keeps its own scenario product (it has
     no Mcsim schedules) and shares the report, crash-mode parsing and
     replay dispatch.  {!families} lists all five; {!replay} picks the
     family a counterexample names.
 
-    {b The linearizability family}:
-
-    - {b Schedule explorer}: runs a deterministic workload (generated
-      from a seed) on {!Ff_mcsim.Mcsim} with [cores = 1] and
-      [quantum_ns = 1], so every PM access is a preemption point and a
-      {!Ff_mcsim.Mcsim.Choose} policy's decision sequence is a total
-      order.  Exploration is either bounded-exhaustive DFS over the
-      decision tree or PCT-style randomized priority sampling
-      ({!Schedule}).
-
-    - {b Linearizability}: every explored schedule records per-thread
-      invocation/response histories, checked WGL-style against the
-      sequential {!Spec} model and the observed final state
-      ({!Linearize}).
-
-    - {b Crash product}: for every store count of every explored
-      schedule's concurrent phase, the run is replayed
-      decision-for-decision up to that count once, a copy of the arena
-      is crashed through each {!Ff_pmem.Storelog.crash_mode}
-      (exhaustive per-epoch [Non_tso_cutoff] sweeps under non-TSO),
-      and each is validated for pre-recovery reader tolerance
-      (lock-free readers must not fabricate bindings or raise) and
-      durable linearizability (completed ops must survive recovery;
-      in-flight ops may).
+    {b The linearizability family} runs a seeded workload through the
+    {!Sweep} driver, which explores schedules and crashes every store
+    count of each.  Its live oracle checks each schedule's per-thread
+    invocation/response history WGL-style against the sequential
+    {!Spec} model and the observed final state ({!Linearize}).  Its
+    crash oracle reads each distinct crashed image once (a lock-free
+    reader before recovery must not fabricate a binding or raise; then
+    recovery and a dump) and judges each execution's history against
+    that dump: completed ops must survive recovery, in-flight ops may.
 
     Every violation carries a {!Counterexample} artifact that
     {!replay} (and [ffcli check --replay]) re-executes

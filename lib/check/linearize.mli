@@ -39,5 +39,3 @@ val check :
     model state must equal [final] (the post-recovery dump).  [Error]
     carries a human-readable explanation including the history.
     @raise Invalid_argument when the history exceeds {!max_ops}. *)
-
-val pp_history : call array -> string

@@ -27,7 +27,6 @@ let checkable d (cfg : Cx.config) =
   else None
 
 type exec = {
-  dcfg : D.config;
   applied : int;          (* writer ops fully applied (acknowledged) *)
   rebalanced : bool;      (* the rebalancer thread ran to completion *)
   shards_after : int;
@@ -36,6 +35,7 @@ type exec = {
 }
 
 let pivot (cfg : Cx.config) = (cfg.keyspace / 2) + 1
+let dcfg (cfg : Cx.config) = { D.default_config with D.node_bytes = cfg.node_bytes }
 
 (* The drop-delta mutant loses only what lands between the tap and
    the cutover, and then only where the copy has already read the
@@ -79,7 +79,7 @@ let held_entry (cfg : Cx.config) w =
    candidates, so the sweep covers plan publication, the background
    copy, dual-write application, cutover and the finish phase. *)
 let setup (cfg : Cx.config) name w () =
-  let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
+  let dcfg = dcfg cfg in
   let keys = cfg.keyspace + cfg.prefill + cfg.ops in
   let t, arenas =
     match cfg.rebal_kind with
@@ -142,7 +142,6 @@ let setup (cfg : Cx.config) name w () =
     finish =
       (fun () ->
         {
-          dcfg;
           applied = !applied;
           rebalanced = !rebalanced;
           shards_after = (try Shard.shards t with _ -> 0);
@@ -197,40 +196,45 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   in
   shape @ check_prefix cfg w ~applied:x.applied ~ctx:"live" x.read_live
 
-(* Crash run: on the crashed copies of every involved arena, resolve
-   the half-done rebalance from the decision word alone, reattach
-   whatever authority survives, recover it, and hold it to the
-   acknowledged prefix. *)
-let validate_crash (cfg : Cx.config) name w (r : exec Sweep.run) =
-  let x = r.Sweep.result and src = r.Sweep.arenas.(0) in
-  let reopened =
+(* What the crashed copies of every involved arena show: resolve the
+   half-done rebalance from the decision word alone, reattach whatever
+   authority survives, recover it and read every key. *)
+let read (cfg : Cx.config) name (arenas : Arena.t array) =
+  let src = arenas.(0) in
+  let reopen () =
     match cfg.rebal_kind with
-    | Rb_split | Rb_merge -> (
-        match
-          ignore (Rebalance.resolve src);
-          let t2 = Shard.attach ~config:x.dcfg ~inner:name src in
-          Shard.recover t2;
-          t2
-        with
-        | t2 -> Ok (fun k -> Shard.search t2 k)
-        | exception ex -> Error ("post-crash reattach raised: " ^ Printexc.to_string ex))
-    | Rb_migrate -> (
+    | Rb_split | Rb_merge ->
+        ignore (Rebalance.resolve src);
+        let t2 = Shard.attach ~config:(dcfg cfg) ~inner:name src in
+        Shard.recover t2;
+        fun k -> Shard.search t2 k
+    | Rb_migrate ->
         let authority =
           match Rebalance.resolve src with
-          | Rebalance.Resolved_migrated -> r.Sweep.arenas.(1)
+          | Rebalance.Resolved_migrated -> arenas.(1)
           | _ -> src
         in
-        match
-          let o = Registry.open_existing authority in
-          o.Intf.recover ();
-          o
-        with
-        | o -> Ok o.Intf.search
-        | exception ex ->
-            Error ("post-crash authority reopen raised: " ^ Printexc.to_string ex))
+        let o = Registry.open_existing authority in
+        o.Intf.recover ();
+        o.Intf.search
   in
-  match reopened with
-  | Ok read -> check_prefix cfg w ~applied:x.applied ~ctx:"post-crash" read
+  match
+    let search = reopen () in
+    Array.init cfg.keyspace (fun k -> search (k + 1))
+  with
+  | keys -> Ok keys
+  | exception ex ->
+      let what = if cfg.rebal_kind = Rb_migrate then "authority reopen" else "reattach" in
+      Error (Printf.sprintf "post-crash %s raised: %s" what (Printexc.to_string ex))
+
+(* Crash run: the recovered state holds the acknowledged prefix.  A
+   crash point past the end of a shorter replay never fires; there is
+   no wreck to validate. *)
+let judge (cfg : Cx.config) w (r : exec Sweep.run) = function
+  | _ when not r.Sweep.crashed -> []
+  | Ok keys ->
+      check_prefix cfg w ~applied:r.Sweep.result.applied ~ctx:"post-crash" (fun k ->
+          keys.(k - 1))
   | Error detail -> [ (Sweep.Durability, detail) ]
 
 let family (cfg : Cx.config) name =
@@ -253,14 +257,12 @@ let family (cfg : Cx.config) name =
        systematic orders (two-thread PCT often runs one thread to
        completion first, which never populates the delta). *)
     canonical_fifo = true;
-    (* A crash point past the end of a shorter replay never fires;
-       there is no wreck to validate. *)
-    crashed_only = true;
     mutant = Some Rebalance.mutant_drop_delta;
     setup = (fun () -> setup cfg name (Lazy.force w) ());
     ops = (fun x -> x.applied);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r -> validate_crash cfg name (Lazy.force w) r);
+    read = read cfg name;
+    judge = (fun r -> judge cfg (Lazy.force w) r);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

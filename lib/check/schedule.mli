@@ -19,8 +19,6 @@ val decisions : recorder -> decision array
 val choices : recorder -> int array
 (** Just the chosen indices — what a counterexample artifact stores. *)
 
-val chooser_of_policy : Ff_mcsim.Mcsim.policy -> int array -> int
-
 val record_policy :
   ?prefix:int array ->
   fallback:Ff_mcsim.Mcsim.policy ->

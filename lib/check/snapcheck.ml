@@ -18,12 +18,13 @@ let checkable d (cfg : Cx.config) =
   else None
 
 type exec = {
-  dcfg : D.config;
   applied : int;                     (* log entries fully applied *)
   pinned : (int * int * int) option; (* (epoch, window lo, window hi) *)
   vec1 : (int * int option) list;    (* first pinned read pass, reversed *)
   vec2 : (int * int option) list;    (* second pass (stability probe) *)
 }
+
+let dcfg (cfg : Cx.config) = { D.default_config with D.node_bytes = cfg.node_bytes }
 
 (* Writer applies the commit log through the wrapped ops while a
    snapshot reader pins an epoch, records the prefix window [lo, hi]
@@ -51,8 +52,7 @@ let setup (cfg : Cx.config) d (w, pin_after) () =
       ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops))
       ()
   in
-  let dcfg = { D.default_config with D.node_bytes = cfg.node_bytes } in
-  let ops = Registry.build ~config:dcfg d.D.name arena in
+  let ops = Registry.build ~config:(dcfg cfg) d.D.name arena in
   Sweep.in_sim arena (fun () ->
       List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w));
   let applied = ref 0 in
@@ -90,13 +90,7 @@ let setup (cfg : Cx.config) d (w, pin_after) () =
     threads = [| writer; reader |];
     finish =
       (fun () ->
-        {
-          dcfg;
-          applied = !applied;
-          pinned = !pinned;
-          vec1 = !vec1;
-          vec2 = !vec2;
-        });
+        { applied = !applied; pinned = !pinned; vec1 = !vec1; vec2 = !vec2 });
   }
 
 let observed_assoc vec =
@@ -141,43 +135,43 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
       in
       isolation @ stability
 
-(* Crash run: recover the crashed image and re-pin the pre-crash
-   epoch.  Every key the reader observed before the crash must read
-   back identically — a published epoch is durable, so the crash
-   cannot move it. *)
-let validate_crash d (r : exec Sweep.run) =
-  let x = r.Sweep.result and arena = r.Sweep.arenas.(0) in
-  match x.pinned with
-  | None -> []
-  | Some (e, _, _) -> (
-      match
-        let o = d.D.open_existing x.dcfg arena in
-        o.Intf.recover ();
-        o
-      with
-      | o ->
-          if Epoch.current arena < e then
-            [
+(* What a recovered image shows: its published epoch and every key's
+   binding at each epoch up to it, or what recovery raised. *)
+let read (cfg : Cx.config) d arenas =
+  let arena = arenas.(0) in
+  match
+    let o = d.D.open_existing (dcfg cfg) arena in
+    o.Intf.recover ();
+    Array.init (Epoch.current arena) (fun e ->
+        Array.init cfg.keyspace (fun k -> o.Intf.read_at (e + 1) (k + 1)))
+  with
+  | pinned -> Ok pinned
+  | exception ex -> Error (Printexc.to_string ex)
+
+(* Crash run: re-pin the pre-crash epoch on the recovered image.  Every
+   key the reader observed before the crash must read back identically
+   — a published epoch is durable, so the crash cannot move it. *)
+let judge (r : exec Sweep.run) image =
+  let x = r.Sweep.result in
+  match (x.pinned, image) with
+  | None, _ -> []
+  | Some _, Error ex -> [ (Sweep.Durability, "snapshot recovery raised: " ^ ex) ]
+  | Some (e, _, _), Ok pinned when Array.length pinned < e ->
+      let why = Printf.sprintf "reader pinned %d but recovery reads %d" e (Array.length pinned) in
+      [ (Sweep.Durability, "published epoch lost: " ^ why) ]
+  | Some (e, _, _), Ok pinned ->
+      List.filter_map
+        (fun (k, seen) ->
+          let got = pinned.(e - 1).(k - 1) in
+          if got = seen then None
+          else
+            Some
               ( Sweep.Durability,
                 Printf.sprintf
-                  "published epoch lost: reader pinned %d but recovery reads %d"
-                  e (Epoch.current arena) );
-            ]
-          else
-            List.filter_map
-              (fun (k, seen) ->
-                let got = o.Intf.read_at e k in
-                if got = seen then None
-                else
-                  Some
-                    ( Sweep.Durability,
-                      Printf.sprintf
-                        "post-crash re-pin diverged: epoch %d key %d was %s \
-                         before the crash, %s after recovery"
-                        e k (Spec.show_binding seen) (Spec.show_binding got) ))
-              x.vec1
-      | exception ex ->
-          [ (Sweep.Durability, "snapshot recovery raised: " ^ Printexc.to_string ex) ])
+                  "post-crash re-pin diverged: epoch %d key %d was %s before the \
+                   crash, %s after recovery"
+                  e k (Spec.show_binding seen) (Spec.show_binding got) ))
+        x.vec1
 
 (* The commit log and the writer op the pin races, both drawn from the
    seed.  [pin_after] lies in 2 .. n-1, so the pin waits for op 0 and
@@ -200,12 +194,12 @@ let family (cfg : Cx.config) name =
     gate = checkable d cfg;
     crash_gate = None;
     canonical_fifo = false;
-    crashed_only = false;
     mutant = Some Snapshot.mutant_read_latest;
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> x.applied);
     live = (fun r -> validate_live cfg (fst (Lazy.force w)) r);
-    crash = validate_crash d;
+    read = read cfg d;
+    judge;
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

@@ -20,10 +20,10 @@
       taken while the writer keeps committing, must be identical to
       the first.  Reported as [Tolerance].
     - {e Durability}: every crash point is crashed under each crash
-      mode; after recovery of the crashed image the pre-crash epoch must
-      still be published and re-pinning it must reproduce every
-      pre-crash observation byte-for-byte.  Reported as
-      [Durability].
+      mode.  The recovered image's published epoch, and every key's
+      binding at each epoch up to it, depend on the image alone; the
+      pre-crash epoch must still be published and re-pinning it must
+      reproduce every pre-crash observation.  Reported as [Durability].
 
     The writer runs the config's [rounds] rounds of [ops] puts/deletes,
     under [Non_tso] memory order if [non_tso] asks for it.  [mutant] arms

@@ -135,23 +135,34 @@ let dump ~keyspace search =
   done;
   !acc
 
-let pre_recovery_tolerance ~keyspace ~written open_ =
-  let fabricated search =
-    List.find_opt
-      (fun (k, v) -> not (written k v))
-      (List.filter_map
-         (fun k -> Option.map (fun v -> (k, v)) (search k))
-         (List.init keyspace succ))
+type finding = kind * string
+
+type image = {
+  before : finding list;
+  recovered : ((int * int) list, string) result;
+}
+
+let read_index d ~node_bytes ~keyspace ~written ~recover arena =
+  let dcfg = { (index_config d ~node_bytes) with D.lock_mode = Locks.Single } in
+  let open_ () = d.D.open_existing dcfg arena in
+  let before =
+    if not d.D.caps.D.lock_free_reads then []
+    else
+      let search = (open_ ()).Intf.search in
+      match List.find_opt (fun (k, v) -> not (written k v)) (dump ~keyspace search) with
+      | None -> []
+      | Some (k, v) ->
+          let why = "pre-recovery reader returned fabricated binding" in
+          [ (Tolerance, Printf.sprintf "%s %d -> %d" why k v) ]
+      | exception e -> [ (Tolerance, "pre-recovery reader raised: " ^ Printexc.to_string e) ]
   in
-  match fabricated (open_ ()).Intf.search with
-  | None -> []
-  | Some (k, v) ->
-      [
-        ( Tolerance,
-          Printf.sprintf "pre-recovery reader returned fabricated binding %d -> %d"
-            k v );
-      ]
-  | exception e -> [ (Tolerance, "pre-recovery reader raised: " ^ Printexc.to_string e) ]
+  match
+    let o = open_ () in
+    recover o;
+    dump ~keyspace o.Intf.search
+  with
+  | dump -> { before; recovered = Ok dump }
+  | exception e -> { before; recovered = Error (Printexc.to_string e) }
 
 (* ------------------------------------------------------------------ *)
 (* Family descriptions                                                 *)
@@ -170,21 +181,19 @@ type 'x run = {
   candidates : (int * int * int) list;
 }
 
-type finding = kind * string
-
-type 'x t = {
+type ('x, 'o) t = {
   family : string;
   index : string;
   config : Cx.config;
   gate : string option;
   crash_gate : string option;
   canonical_fifo : bool;
-  crashed_only : bool;
   mutant : bool ref option;
   setup : unit -> 'x setup;
   ops : 'x -> int;
   live : 'x run -> finding list;
-  crash : 'x run -> finding list;
+  read : Arena.t array -> 'o;
+  judge : 'x run -> 'o -> finding list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -228,19 +237,39 @@ let replay_to f decisions crash_at =
   in
   execute f ~policy ~crash_at
 
-(* The crash oracle sees a crashed copy of every arena of the run,
-   each under its own instance of the crash's mode (a randomized mode
-   draws from a fresh PRNG per arena); the run's own arenas stay as
-   the replay left them, for the next mode.  The copies take over the
-   images of the previous oracle's copies in [spares]. *)
-let crash_findings f r crash ~spares =
-  if f.crashed_only && not r.crashed then []
-  else begin
+module Images = Hashtbl.Make (struct
+  type t = int array array
+
+  let equal = ( = )
+  let hash = Array.fold_left (Array.fold_left (fun h w -> (h * 31) + w)) 0
+end)
+
+(* The crash oracle of one family run.  It sees a crashed copy of every
+   arena of the run, each under its own instance of the crash's mode (a
+   randomized mode draws from a fresh PRNG per arena); the run's own
+   arenas stay as the replay left them, for the next mode.  The copies
+   take over the images of the previous copies.  [f.read] runs once per
+   distinct image, across all the run's schedules.  The memo key is
+   exact: {!Arena.image_key} of each copy against a copy of the run's
+   first crashed image of that arena, taken before [read], whose
+   recovery writes to the copies.  Distinct images mostly show the
+   same thing, and the memo keeps one copy of each observation. *)
+let crash_oracle f =
+  let spares = ref [||] and reference = ref [||] and seen = Images.create 64 in
+  let shown = Hashtbl.create 64 in
+  fun r crash ->
     let into i = if i < Array.length !spares then Some !spares.(i) else None in
     spares :=
       Array.mapi (fun i a -> Arena.crashed_copy ?into:(into i) a (mode_of_crash crash)) r.arenas;
-    f.crash { r with arenas = !spares }
-  end
+    if Array.length !reference = 0 then
+      reference := Array.map (fun a -> Arena.crashed_copy a Storelog.Keep_all) !spares;
+    let key = Array.map2 (fun reference a -> Arena.image_key ~reference a) !reference !spares in
+    if not (Images.mem seen key) then begin
+      let o = f.read !spares in
+      if not (Hashtbl.mem shown o) then Hashtbl.add shown o o;
+      Images.add seen key (Hashtbl.find shown o)
+    end;
+    f.judge r (Images.find seen key)
 
 let stamp f ~decisions ~crash (kind, detail) =
   {
@@ -272,7 +301,7 @@ let run ?(tracer = Trace.null) f =
       let stores = ref 0 in
       let ops_checked = ref 0 in
       let violations = ref [] in
-      let spares = ref [||] in
+      let crash_oracle = crash_oracle f in
       let add ~decisions ~crash finding =
         violations := stamp f ~decisions ~crash finding :: !violations
       in
@@ -290,7 +319,7 @@ let run ?(tracer = Trace.null) f =
             Trace.instant tracer crash_inst k;
             List.iter
               (add ~decisions:choices ~crash:(Some crash))
-              (crash_findings f r crash ~spares))
+              (crash_oracle r crash))
           (List.map (fun m -> (m, None)) [ "keep_none"; "keep_all"; "random_eviction" ]
           @ List.map (fun e -> ("non_tso_cutoff", Some e)) cutoffs)
       in
@@ -347,14 +376,12 @@ let replay f (cx : Cx.t) =
   | Some reason -> { (empty_report f.index) with skipped = Some reason }
   | None ->
       with_mutant f.mutant f.config.mutant @@ fun () ->
-      let crash_at =
-        Option.map (fun c -> (c.Cx.arena, c.Cx.store_count)) cx.Cx.crash
-      in
+      let crash_at = Option.map (fun c -> (c.Cx.arena, c.Cx.store_count)) cx.Cx.crash in
       let r = replay_to f cx.Cx.decisions crash_at in
       let findings =
         match cx.Cx.crash with
         | None -> f.live r
-        | Some crash -> crash_findings f r crash ~spares:(ref [||])
+        | Some crash -> crash_oracle f r crash
       in
       {
         (empty_report f.index) with

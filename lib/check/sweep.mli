@@ -24,7 +24,11 @@
       once; then, for each {!Ff_pmem.Storelog.crash_mode} — plus
       every epoch cutoff still pending there under [non_tso] — the
       crash oracle sees {!Ff_pmem.Arena.crashed_copy} of every arena
-      of the run.  [crashes = false] turns the product off.
+      of the run.  Its [read] of those images runs once per distinct
+      image of the family run, memoized under an exact key
+      ({!Ff_pmem.Arena.image_key} against the run's first crashed
+      images); its [judge] runs for every execution.
+      [crashes = false] turns the product off.
     - {b Counterexamples}: every violation carries a {!Counterexample}
       holding the family's config as is, which {!replay} re-executes
       along the recorded decisions, crashing the recorded arena. *)
@@ -49,7 +53,7 @@ type report = {
   index : string;
   schedules_run : int;
   exhausted : bool;       (** DFS covered the entire decision tree *)
-  crash_runs : int;       (** crash oracle runs: one per mode per point *)
+  crash_runs : int;       (** crash executions: one per mode per point *)
   crash_points : int;     (** store counts crashed, each under every mode *)
   stores : int;
       (** stores the explored schedules' concurrent phases performed,
@@ -95,14 +99,26 @@ val in_sim : Ff_pmem.Arena.t -> (unit -> unit) -> unit
 val dump : keyspace:int -> (int -> int option) -> (int * int) list
 (** Bindings of keys [1 .. keyspace] through [search], key-ascending. *)
 
-val pre_recovery_tolerance :
+type finding = kind * string
+
+type image = {
+  before : finding list;  (** what a reader finds before recovery *)
+  recovered : ((int * int) list, string) result;
+      (** the bindings after recovery, or what recovery raised *)
+}
+
+val read_index :
+  Ff_index.Descriptor.t ->
+  node_bytes:int option ->
   keyspace:int ->
   written:(int -> int -> bool) ->
-  (unit -> Ff_index.Intf.ops) ->
-  (kind * string) list
-(** Open a crashed image (before recovery) and search every key: a
-    binding [k -> v] that was never [written] ({!Spec.written}), or an
-    exception, is a [Tolerance] finding. *)
+  recover:(Ff_index.Intf.ops -> unit) ->
+  Ff_pmem.Arena.t ->
+  image
+(** What a crashed index image shows: if the index claims lock-free
+    reads, a search before recovery that returns a binding never
+    [written] ({!Spec.written}) or raises is a [Tolerance] finding;
+    then the image is reopened, [recover]ed and dumped. *)
 
 (** {1 Family descriptions} *)
 
@@ -125,9 +141,7 @@ type 'x run = {
           [first] to [last] is a candidate *)
 }
 
-type finding = kind * string
-
-type 'x t = {
+type ('x, 'o) t = {
   family : string;  (** stamped on every counterexample *)
   index : string;
   config : Counterexample.config;
@@ -140,27 +154,28 @@ type 'x t = {
   canonical_fifo : bool;
       (** explore the Fifo schedule first (not counted in
           [schedules_run]) *)
-  crashed_only : bool;
-      (** run the crash oracle only when the crash plan fired *)
   mutant : bool ref option;
       (** global mutant flag, set to [config.mutant] for the whole run *)
   setup : unit -> 'x setup;
   ops : 'x -> int;  (** operations a run contributes to [ops_checked] *)
   live : 'x run -> finding list;  (** oracle on a crash-free run *)
-  crash : 'x run -> finding list;
-      (** recover the run's [arenas], which are crashed copies, and
-          check the recovered state *)
+  read : Ff_pmem.Arena.t array -> 'o;
+      (** what the crashed copies of the run's arenas show, as a
+          function of their images alone, an exception included; a
+          plain value, compared structurally *)
+  judge : 'x run -> 'o -> finding list;
+      (** hold what [read] saw against this execution *)
 }
 
-val run : ?tracer:Ff_trace.Trace.t -> 'x t -> report
+val run : ?tracer:Ff_trace.Trace.t -> ('x, 'o) t -> report
 (** Explore, and crash every crash point of every explored schedule.
     Returns a [skipped] report when [gate] is [Some _], and notes
     ["crash engine disabled"] when [crashes] is [false].  The tracer
     receives one ["check.schedule"] span per explored schedule and a
-    ["check.crash_point"] instant per crash oracle run. *)
+    ["check.crash_point"] instant per crash execution. *)
 
-val replay : 'x t -> Counterexample.t -> report
+val replay : ('x, 'o) t -> Counterexample.t -> report
 (** Re-execute one recorded schedule (crashing the recorded arena, if
     the counterexample records a crash) and re-run exactly the
-    recorded oracle.  An empty [violations] list means the artifact
-    did not reproduce. *)
+    recorded oracle, whose [read] sees the replayed image itself.  An
+    empty [violations] list means the artifact did not reproduce. *)

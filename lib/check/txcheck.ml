@@ -40,7 +40,6 @@ let gen_workload (cfg : Cx.config) =
   { spec; reader_scripts }
 
 type exec = {
-  dcfg : D.config;
   ops : Intf.ops;
   committed : int;       (* commits that returned before the crash *)
   commit_started : int;  (* transactions whose commit call began *)
@@ -58,8 +57,9 @@ let setup (cfg : Cx.config) d w () =
       ~keys:(cfg.keyspace + cfg.prefill + (cfg.rounds * cfg.ops))
       ()
   in
-  let dcfg = Sweep.index_config d ~node_bytes:cfg.node_bytes in
-  let ops = Registry.build ~config:dcfg d.D.name arena in
+  let ops =
+    Registry.build ~config:(Sweep.index_config d ~node_bytes:cfg.node_bytes) d.D.name arena
+  in
   Sweep.in_sim arena (fun () ->
       List.iter (fun (k, v) -> ops.Intf.insert k v) (Spec.initial w.spec));
   let mgr = Tx.create ~path:cfg.tx_path arena ops in
@@ -100,7 +100,6 @@ let setup (cfg : Cx.config) d w () =
     finish =
       (fun () ->
         {
-          dcfg;
           ops;
           committed = !committed;
           commit_started = !commit_started;
@@ -128,54 +127,48 @@ let validate_live (cfg : Cx.config) w (r : exec Sweep.run) =
   | Ok _ -> []
   | Error why -> [ (Sweep.Durability, "serializability: final state " ^ why) ]
 
-(* Recover the crashed image (index recovery then transaction recovery
-   over the persisted log), and compare the observed state against the
-   durable-serializability oracle. *)
-let validate_crash (cfg : Cx.config) d w (r : exec Sweep.run) =
-  let x = r.Sweep.result and arena = r.Sweep.arenas.(0) in
-  let sdcfg = { x.dcfg with D.lock_mode = Locks.Single } in
-  let tolerance =
-    if d.D.caps.D.lock_free_reads then
-      Sweep.pre_recovery_tolerance ~keyspace:cfg.keyspace
-        ~written:(Spec.written w.spec)
-        (fun () -> d.D.open_existing sdcfg arena)
-    else []
-  in
-  (* A durable commit word covering an untrusted payload is direct
-     evidence of inverted commit ordering — flag it before recovery
-     truncates the log. *)
+(* What the crashed image shows: a durable commit word covering an
+   untrusted payload is direct evidence of inverted commit ordering,
+   flagged before recovery truncates the log; then index recovery and
+   transaction recovery over the persisted log. *)
+let read (cfg : Cx.config) d w arenas =
+  let arena = arenas.(0) in
   let torn =
     match Ff_pmem.Txlog.attach arena with
     | Some l when Ff_pmem.Txlog.commit_torn l ->
         [ (Sweep.Durability, "torn commit: commit record durable without its payload") ]
     | _ -> []
   in
-  let recovered =
-    match
-      let o = d.D.open_existing sdcfg arena in
-      o.Intf.recover ();
-      ignore (Tx.recover (Tx.create ~path:cfg.tx_path arena o));
-      Sweep.dump ~keyspace:cfg.keyspace o.Intf.search
-    with
-    | dump -> (
-        (* A commit in flight at the crash may land atomically or not
-           at all: the window is [committed, commit_started]. *)
-        match
-          Spec.window w.spec ~lo:x.committed ~hi:x.commit_started (Spec.Map dump)
-        with
-        | Ok _ -> []
-        | Error why ->
-            [
-              ( Sweep.Durability,
-                Printf.sprintf
-                  "durable serializability: %d transactions committed (commit \
-                   started on %d) but the recovered state %s"
-                  x.committed x.commit_started why );
-            ])
-    | exception e ->
-        [ (Sweep.Durability, "tx recovery raised: " ^ Printexc.to_string e) ]
+  let i =
+    Sweep.read_index d ~node_bytes:cfg.node_bytes ~keyspace:cfg.keyspace
+      ~written:(Spec.written w.spec)
+      ~recover:(fun o ->
+        o.Intf.recover ();
+        ignore (Tx.recover (Tx.create ~path:cfg.tx_path arena o)))
+      arena
   in
-  tolerance @ torn @ recovered
+  { i with Sweep.before = i.Sweep.before @ torn }
+
+(* The durable-serializability oracle: a commit in flight at the crash
+   may land atomically or not at all, so the recovered state lies in
+   the window [committed, commit_started]. *)
+let judge w (r : exec Sweep.run) (i : Sweep.image) =
+  let x = r.Sweep.result in
+  i.Sweep.before
+  @
+  match i.Sweep.recovered with
+  | Ok dump -> (
+      match Spec.window w.spec ~lo:x.committed ~hi:x.commit_started (Spec.Map dump) with
+      | Ok _ -> []
+      | Error why ->
+          [
+            ( Sweep.Durability,
+              Printf.sprintf
+                "durable serializability: %d transactions committed (commit \
+                 started on %d) but the recovered state %s"
+                x.committed x.commit_started why );
+          ])
+  | Error e -> [ (Sweep.Durability, "tx recovery raised: " ^ e) ]
 
 let family cfg name =
   let d = Registry.find_exn name in
@@ -187,12 +180,12 @@ let family cfg name =
     gate = checkable d cfg;
     crash_gate = None;
     canonical_fifo = false;
-    crashed_only = false;
     mutant = None;
     setup = (fun () -> setup cfg d (Lazy.force w) ());
     ops = (fun x -> x.tx_ops);
     live = (fun r -> validate_live cfg (Lazy.force w) r);
-    crash = (fun r -> validate_crash cfg d (Lazy.force w) r);
+    read = (fun arenas -> read cfg d (Lazy.force w) arenas);
+    judge = (fun r i -> judge (Lazy.force w) r i);
   }
 
 let run ?config:(cfg = default) ?tracer name = Sweep.run ?tracer (family cfg name)

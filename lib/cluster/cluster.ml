@@ -753,13 +753,6 @@ let backup_of t ~shard = t.routes.(shard).backup
 
 let shard_arena t ~node ~shard = Shard.instance_arena t.nodes.(node).ens shard
 
-let repl_lag t ~shard =
-  let r = t.routes.(shard) in
-  if r.primary < 0 then 0
-  else
-    let rep = t.nodes.(r.primary).reps.(shard) in
-    rep.issued - rep.acked
-
 let stats t =
   {
     s_acks = t.acks;

@@ -162,9 +162,6 @@ val term_of : t -> shard:int -> int
 val primary_of : t -> shard:int -> int
 val backup_of : t -> shard:int -> int
 
-val repl_lag : t -> shard:int -> int
-(** Primary's issued seqno minus the backup's acked seqno. *)
-
 val shard_arena : t -> node:int -> shard:int -> Ff_pmem.Arena.t
 (** The arena currently holding [node]'s replica of [shard] (a resync
     replaces it). *)

@@ -574,6 +574,24 @@ let crashed_copy ?into t mode =
   Option.iter (inject_faults c) t.fplan;
   c
 
+(* Only the bump pointer and poison among [t]'s state change what a
+   reader or recovery sees beyond the image: the store epoch tags
+   stores for a later crash of [t] alone, like the store and flush
+   counts. *)
+let image_key ~reference t =
+  let r = reference.image and img = t.image in
+  let n = Array.length img and m = min (Array.length img) (Array.length r) in
+  let diff = ref [] in
+  for i = n - 1 downto m do
+    diff := i :: img.(i) :: !diff
+  done;
+  for i = m - 1 downto 0 do
+    let v = Array.unsafe_get img i in
+    if v <> Array.unsafe_get r i then diff := i :: v :: !diff
+  done;
+  let poison = poisoned_lines t in
+  Array.of_list (n :: t.bump :: List.length poison :: (poison @ !diff))
+
 (* The crash-at-store protocol every crash experiment shares: arm,
    run, swallow the crash, disarm whatever happened. *)
 let crash_after t k f =

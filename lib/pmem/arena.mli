@@ -354,6 +354,14 @@ val crashed_copy : ?into:t -> t -> Storelog.crash_mode -> t
     give each a fresh randomized mode.  [into], a spent arena of [t]'s
     capacity, lends the copy its image and must not be used again. *)
 
+val image_key : reference:t -> t -> int array
+(** An exact key of what [t] shows a reader: its capacity, bump pointer
+    and poisoned lines, then the (address, value) pair of every word
+    where its image differs from [reference]'s.  Against one reference,
+    two arenas get equal keys exactly when those all agree.  The store
+    epoch and the store and flush counts are left out: they only order
+    a later crash of [t] itself. *)
+
 val dirty_line_count : t -> int
 (** Cache lines holding stores that are not yet persisted. *)
 

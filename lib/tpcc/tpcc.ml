@@ -119,17 +119,6 @@ let load ?(path = Tx.Logged) ~arena index cfg =
   done;
   t
 
-(* Order-Status and Stock-Level scan; a structure without ordered
-   range queries cannot host the tables, and the ACID driver needs the
-   transaction hooks to be declared sound. *)
-let load_descriptor ?(path = Tx.Logged) ~arena
-    ?(dconfig = Descriptor.default_config) d cfg =
-  if not d.Descriptor.caps.Descriptor.has_range then
-    invalid_arg ("Tpcc: index " ^ d.Descriptor.name ^ " lacks range scans");
-  if not d.Descriptor.caps.Descriptor.txnable then
-    invalid_arg ("Tpcc: index " ^ d.Descriptor.name ^ " is not txnable");
-  load ~path ~arena (d.Descriptor.build dconfig arena) cfg
-
 (* ------------------------------------------------------------------ *)
 (* Transactional row access                                            *)
 (* ------------------------------------------------------------------ *)
@@ -374,7 +363,6 @@ let run t mix ~txns =
 
 let orders_created t = t.orders
 let checksum t = t.digest land max_int
-let tx_manager t = t.tx
 let commits t = Tx.commits t.tx
 let aborts t = Tx.aborts t.tx
 let retries t = t.retries

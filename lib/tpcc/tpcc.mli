@@ -47,17 +47,6 @@ val load :
     load runs outside transactions), and bind a transaction manager
     using commit path [path] (default [Logged]). *)
 
-val load_descriptor :
-  ?path:Ff_tx.Tx.path ->
-  arena:Ff_pmem.Arena.t ->
-  ?dconfig:Ff_index.Descriptor.config ->
-  Ff_index.Descriptor.t ->
-  config ->
-  t
-(** {!load} over an index built from a registry descriptor.
-    @raise Invalid_argument if the descriptor lacks range scans or is
-    not [txnable]. *)
-
 (** {1 Transactions}
 
     Each call runs one full ACID transaction (begin, body, commit)
@@ -102,10 +91,6 @@ val orders_created : t -> int
 val checksum : t -> int
 (** Stable digest of reads performed (keeps work observable and lets
     tests compare runs). *)
-
-val tx_manager : t -> Ff_tx.Tx.t
-(** The underlying transaction manager (for recovery: run the index's
-    own recovery, then {!Ff_tx.Tx.recover} on this). *)
 
 val commits : t -> int
 val aborts : t -> int

@@ -44,9 +44,6 @@ let set_gauge t name v =
   | Some r -> r := v
   | None -> Hashtbl.add t.gauges name (ref v)
 
-let gauge_value t name =
-  Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
-
 let observe t name sample =
   let h =
     match Hashtbl.find_opt t.hists name with

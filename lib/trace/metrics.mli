@@ -28,7 +28,6 @@ val counter_prefix_sum : t -> string -> int
 (** {1 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
-val gauge_value : t -> string -> float option
 
 (** {1 Histograms} *)
 

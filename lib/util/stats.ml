@@ -29,35 +29,3 @@ let min_max xs =
       (fun (lo, hi) x -> ((if x < lo then x else lo), if x > hi then x else hi))
       (xs.(0), xs.(0))
       xs
-
-let geo_mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.
-  else begin
-    let acc = Array.fold_left (fun a x -> a +. Float.log x) 0. xs in
-    Float.exp (acc /. float_of_int n)
-  end
-
-type summary = {
-  mean : float;
-  stddev : float;
-  p50 : float;
-  p99 : float;
-  min : float;
-  max : float;
-}
-
-let summarize xs =
-  let lo, hi = min_max xs in
-  {
-    mean = mean xs;
-    stddev = stddev xs;
-    p50 = percentile xs 50.;
-    p99 = percentile xs 99.;
-    min = lo;
-    max = hi;
-  }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "mean=%.3f sd=%.3f p50=%.3f p99=%.3f min=%.3f max=%.3f"
-    s.mean s.stddev s.p50 s.p99 s.min s.max

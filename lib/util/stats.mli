@@ -12,19 +12,3 @@ val percentile : float array -> float -> float
 
 val min_max : float array -> float * float
 (** (min, max); (0., 0.) for an empty array. *)
-
-val geo_mean : float array -> float
-(** Geometric mean of positive values; 0. for an empty array. *)
-
-type summary = {
-  mean : float;
-  stddev : float;
-  p50 : float;
-  p99 : float;
-  min : float;
-  max : float;
-}
-
-val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

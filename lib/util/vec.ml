@@ -46,10 +46,3 @@ let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)
   done
-
-let to_array t = Array.sub t.data 0 t.len
-
-let of_array ~dummy a =
-  let t = create ~capacity:(max (Array.length a) 1) ~dummy () in
-  Array.iter (push t) a;
-  t

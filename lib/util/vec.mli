@@ -16,5 +16,3 @@ val clear : 'a t -> unit
 val is_empty : 'a t -> bool
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val to_array : 'a t -> 'a array
-val of_array : dummy:'a -> 'a array -> 'a t

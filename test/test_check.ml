@@ -411,6 +411,36 @@ let test_default_mode_stable () =
         (image k = image k))
     [ 3; 17; 41 ]
 
+(* The crash oracle reads each distinct image once, memoized under
+   [Arena.image_key] of every arena.  One arena state crashed under
+   keep_none and keep_all leaves two images with the same store and
+   flush counts: they must get two keys (counters cannot tell them
+   apart).  One more pending store that keep_none also drops leaves the
+   same image at the next store count: one key.  An allocation moves
+   only the bump pointer, which recovery allocates from: a new key. *)
+let test_image_key () =
+  let a = Arena.create ~words:(1 lsl 12) () in
+  let base = Arena.alloc a 16 in
+  Arena.write a base 1;
+  Arena.flush a base;
+  Arena.fence a;
+  let reference = Arena.crashed_copy a Storelog.Keep_all in
+  let key mode = Arena.image_key ~reference (Arena.crashed_copy a mode) in
+  Arena.write a (base + 8) 2;
+  let none = key Storelog.Keep_none and all = key Storelog.Keep_all in
+  let flushes mode = Arena.flush_count (Arena.crashed_copy a mode) in
+  Alcotest.(check int) "equal flush counts" (flushes Storelog.Keep_none)
+    (flushes Storelog.Keep_all);
+  Alcotest.(check bool) "different words, different keys" false (none = all);
+  let stores = Arena.store_count a in
+  Arena.write a (base + 9) 3;
+  Alcotest.(check bool) "a store later" true (Arena.store_count a > stores);
+  Alcotest.(check bool) "same image at two store counts, one key" true
+    (key Storelog.Keep_none = none);
+  Alcotest.(check bool) "keep_all moved on" false (key Storelog.Keep_all = all);
+  ignore (Arena.alloc a 16);
+  Alcotest.(check bool) "bump pointer is in the key" false (key Storelog.Keep_none = none)
+
 (* ------------------------------------------------------------------ *)
 (* The one model: windows over the commit log, per-key queries, WGL    *)
 (* ------------------------------------------------------------------ *)
@@ -515,6 +545,7 @@ let suite =
     Alcotest.test_case "one thread: every store crashed" `Quick test_one_thread_every_store;
     Alcotest.test_case "one thread: elide-flush replay" `Quick test_one_thread_mutant;
     Alcotest.test_case "default crash mode stable" `Quick test_default_mode_stable;
+    Alcotest.test_case "crash image key" `Quick test_image_key;
     Alcotest.test_case "spec window" `Quick test_spec_window;
     Alcotest.test_case "spec repeated prefix in window" `Quick test_spec_repeated_prefix;
     Alcotest.test_case "spec per-key query" `Quick test_spec_per_key;

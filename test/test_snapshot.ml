@@ -606,15 +606,25 @@ let test_snapcheck_mutant_caught () =
 
 (* The writer awaits the pin before its op [pin_after], so a write
    always follows the pin, where a read-latest snapshot reads the
-   future: seed 6's one schedule catches the mutant live.  Without
-   that wait a schedule may pin after the whole log, where the live
-   oracles see nothing wrong. *)
+   future.  The schedule that runs the writer whenever it can shows the
+   wait is needed: without it the writer applies the whole log before
+   the reader pins, and the live oracles see nothing wrong.  Choice 0
+   starts the writer; a thread that ends its quantum goes to the back
+   of the runnable queue, so choice 1 keeps picking the writer while
+   the reader waits, and the reader once the writer parks. *)
 let test_snapcheck_write_follows_pin () =
-  let r =
-    SC.run
-      ~config:{ SC.default with Cx.seed = 6; schedules = 1; crashes = false; mutant = true }
-      "snap-fastfair"
+  let writer_first =
+    {
+      Cx.family = "snapshot";
+      index = "snap-fastfair";
+      config = { SC.default with Cx.seed = 6; crashes = false; mutant = true };
+      kind = "tolerance";
+      decisions = Array.init 100_000 (fun i -> min i 1);
+      crash = None;
+      detail = "";
+    }
   in
+  let r = SC.replay writer_first in
   Alcotest.(check bool) "read-latest mutant caught live" true (r.C.violations <> [])
 
 let suite =
