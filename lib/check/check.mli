@@ -10,10 +10,10 @@
     a counterexample stores that record as is.  The first four are
     small descriptions ({!Sweep.t}: a [checkable] gate, a setup that
     builds one run, a live oracle and a crash oracle's [read] and
-    [judge]) run by the one {!Sweep} driver.  Replcheck keeps its own scenario product (it has
-    no Mcsim schedules) and shares the report, crash-mode parsing and
-    replay dispatch.  {!families} lists all five; {!replay} picks the
-    family a counterexample names.
+    [judge]) run by the one {!Sweep} driver.  Replcheck keeps its own
+    scenario product (it has no Mcsim schedules) and shares the report,
+    crash-mode parsing and replay dispatch.  {!families} lists all
+    five; {!replay} picks the family a counterexample names.
 
     {b The linearizability family} runs a seeded workload through the
     {!Sweep} driver, which explores schedules and crashes every store
