@@ -157,7 +157,8 @@ let judge (r : exec Sweep.run) image =
   | None, _ -> []
   | Some _, Error ex -> [ (Sweep.Durability, "snapshot recovery raised: " ^ ex) ]
   | Some (e, _, _), Ok pinned when Array.length pinned < e ->
-      let why = Printf.sprintf "reader pinned %d but recovery reads %d" e (Array.length pinned) in
+      let got = Array.length pinned in
+      let why = Printf.sprintf "reader pinned %d but recovery reads %d" e got in
       [ (Sweep.Durability, "published epoch lost: " ^ why) ]
   | Some (e, _, _), Ok pinned ->
       List.filter_map

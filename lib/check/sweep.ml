@@ -250,20 +250,20 @@ end)
    arenas stay as the replay left them, for the next mode.  The copies
    take over the images of the previous copies.  [f.read] runs once per
    distinct image, across all the run's schedules.  The memo key is
-   exact: {!Arena.image_key} of each copy against a copy of the run's
-   first crashed image of that arena, taken before [read], whose
+   exact: {!Arena.image_key} of each copy against [base], a copy of the
+   run's first crashed image of that arena, taken before [read], whose
    recovery writes to the copies.  Distinct images mostly show the
    same thing, and the memo keeps one copy of each observation. *)
 let crash_oracle f =
-  let spares = ref [||] and reference = ref [||] and seen = Images.create 64 in
+  let spares = ref [||] and base = ref [||] and seen = Images.create 64 in
   let shown = Hashtbl.create 64 in
   fun r crash ->
     let into i = if i < Array.length !spares then Some !spares.(i) else None in
     spares :=
       Array.mapi (fun i a -> Arena.crashed_copy ?into:(into i) a (mode_of_crash crash)) r.arenas;
-    if Array.length !reference = 0 then
-      reference := Array.map (fun a -> Arena.crashed_copy a Storelog.Keep_all) !spares;
-    let key = Array.map2 (fun reference a -> Arena.image_key ~reference a) !reference !spares in
+    if Array.length !base = 0 then
+      base := Array.map (fun a -> Arena.crashed_copy a Storelog.Keep_all) !spares;
+    let key = Array.map2 (fun reference -> Arena.image_key ~reference) !base !spares in
     if not (Images.mem seen key) then begin
       let o = f.read !spares in
       if not (Hashtbl.mem shown o) then Hashtbl.add shown o o;
