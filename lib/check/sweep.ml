@@ -144,25 +144,23 @@ type image = {
 
 let read_index d ~node_bytes ~keyspace ~written ~recover arena =
   let dcfg = { (index_config d ~node_bytes) with D.lock_mode = Locks.Single } in
-  let open_ () = d.D.open_existing dcfg arena in
-  let before =
-    if not d.D.caps.D.lock_free_reads then []
-    else
-      let search = (open_ ()).Intf.search in
-      match List.find_opt (fun (k, v) -> not (written k v)) (dump ~keyspace search) with
-      | None -> []
-      | Some (k, v) ->
-          let why = "pre-recovery reader returned fabricated binding" in
-          [ (Tolerance, Printf.sprintf "%s %d -> %d" why k v) ]
-      | exception e -> [ (Tolerance, "pre-recovery reader raised: " ^ Printexc.to_string e) ]
+  let caught f =
+    try Ok (f (d.D.open_existing dcfg arena)) with e -> Error (Printexc.to_string e)
   in
-  match
-    let o = open_ () in
-    recover o;
-    dump ~keyspace o.Intf.search
-  with
-  | dump -> { before; recovered = Ok dump }
-  | exception e -> { before; recovered = Error (Printexc.to_string e) }
+  let fabricated o =
+    List.init keyspace succ
+    |> List.filter_map (fun k -> Option.map (fun v -> (k, v)) (o.Intf.search k))
+    |> List.find_opt (fun (k, v) -> not (written k v))
+  in
+  let before =
+    match if d.D.caps.D.lock_free_reads then caught fabricated else Ok None with
+    | Ok None -> []
+    | Ok (Some (k, v)) ->
+        let why = "pre-recovery reader returned fabricated binding" in
+        [ (Tolerance, Printf.sprintf "%s %d -> %d" why k v) ]
+    | Error e -> [ (Tolerance, "pre-recovery reader raised: " ^ e) ]
+  in
+  { before; recovered = caught (fun o -> recover o; dump ~keyspace o.Intf.search) }
 
 (* ------------------------------------------------------------------ *)
 (* Family descriptions                                                 *)

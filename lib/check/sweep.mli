@@ -116,9 +116,10 @@ val read_index :
   Ff_pmem.Arena.t ->
   image
 (** What a crashed index image shows: if the index claims lock-free
-    reads, a search before recovery that returns a binding never
-    [written] ({!Spec.written}) or raises is a [Tolerance] finding;
-    then the image is reopened, [recover]ed and dumped. *)
+    reads, a search of keys [1 .. keyspace] before recovery that
+    returns a binding never [written] ({!Spec.written}), or an open or
+    search that raises, is a [Tolerance] finding; then the image is
+    reopened, [recover]ed and dumped.  Nothing it raises escapes. *)
 
 (** {1 Family descriptions} *)
 

@@ -441,6 +441,26 @@ let test_image_key () =
   ignore (Arena.alloc a 16);
   Alcotest.(check bool) "bump pointer is in the key" false (key Storelog.Keep_none = none)
 
+(* A crash before the shard manifest persists leaves an image that the
+   sharded index cannot even open: the read reports it as a finding
+   instead of raising out of the sweep. *)
+let test_read_open_raises () =
+  let module Sweep = Ff_check.Sweep in
+  let d = Registry.find_exn "sharded-fastfair" in
+  Alcotest.(check bool) "lock-free reads" true d.D.caps.D.lock_free_reads;
+  let image = Arena.crashed_copy (Sweep.arena ~keys:8 ()) Storelog.Keep_none in
+  let i =
+    Sweep.read_index d ~node_bytes:None ~keyspace:8 ~written:(fun _ _ -> true)
+      ~recover:(fun o -> o.Intf.recover ()) image
+  in
+  let raised = "pre-recovery reader raised: " in
+  (match i.Sweep.before with
+  | [ (Sweep.Tolerance, why) ] ->
+      Alcotest.(check string) "before recovery" raised
+        (String.sub why 0 (min (String.length why) (String.length raised)))
+  | _ -> Alcotest.fail "expected one tolerance finding");
+  Alcotest.(check bool) "recovery raised too" true (Result.is_error i.Sweep.recovered)
+
 (* ------------------------------------------------------------------ *)
 (* The one model: windows over the commit log, per-key queries, WGL    *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +566,7 @@ let suite =
     Alcotest.test_case "one thread: elide-flush replay" `Quick test_one_thread_mutant;
     Alcotest.test_case "default crash mode stable" `Quick test_default_mode_stable;
     Alcotest.test_case "crash image key" `Quick test_image_key;
+    Alcotest.test_case "read of an image that cannot open" `Quick test_read_open_raises;
     Alcotest.test_case "spec window" `Quick test_spec_window;
     Alcotest.test_case "spec repeated prefix in window" `Quick test_spec_repeated_prefix;
     Alcotest.test_case "spec per-key query" `Quick test_spec_per_key;

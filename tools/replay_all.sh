@@ -1,9 +1,8 @@
 #!/bin/sh
 # Replay every counterexample saved in DIR: each must reproduce (exit 1
-# and "counterexample REPRODUCED").  Build bin/ffcli.exe first; FFCLI
-# overrides the binary.
+# and "counterexample REPRODUCED").  Build bin/ffcli.exe first.
 #   usage: tools/replay_all.sh DIR
-ffcli=${FFCLI:-_build/default/bin/ffcli.exe}
+ffcli=_build/default/bin/ffcli.exe
 n=0
 for cx in "$1"/cx-*.json; do
   [ -e "$cx" ] || break
