@@ -66,7 +66,8 @@ type msg =
 type reply =
   | R_ok
   | R_val of int option
-  | R_ack of int
+  | R_ack of { seq : int; sent_ns : int }
+      (** backup's durable high-water, and when the ack left it *)
   | R_gap of int  (** backup is missing records; payload = its high-water *)
   | R_stale of int  (** term fence: request's term below the replica's *)
   | R_not_primary of int
@@ -85,6 +86,7 @@ type rep = {
   mutable issued : int;  (* primary: last issued record seq *)
   mutable applied : int;  (* backup: last durably applied seq *)
   mutable acked : int;  (* primary's view of the backup high-water *)
+  mutable acked_ns : int;  (* primary: when the backup's last ack left it *)
   rlog : (int, wop) Hashtbl.t;  (* retained tail, seq -> op *)
   mutable rlog_lo : int;  (* smallest seq still retained *)
 }
@@ -155,13 +157,12 @@ let role_of_code = function 1 -> Backup | 2 -> Primary | _ -> Idle
 
 (* Persist a replica's term/role word: one failure-atomic root_set in
    the PR-9 decision-word style. *)
-let set_role t nd s role term =
+let set_role nd s role term =
   let rep = nd.reps.(s) in
   rep.role <- role;
   rep.rterm <- term;
   Arena.root_set (Shard.instance_arena nd.ens s) slot_term
-    ((term lsl 2) lor role_code role);
-  ignore t
+    ((term lsl 2) lor role_code role)
 
 (* Apply [op] to shard [s] under one group-flush scope on its arena:
    the op's flushes become clwbs and the closing fence makes it
@@ -228,14 +229,14 @@ let replicate t nd s seq =
         rpc t ~src:nd.nid t.nodes.(b).nep
           (M_repl { ms = s; mterm = rep.rterm; mseq = one_seq; mop = op })
       with
-      | Ok (R_ack a) ->
+      | Ok (R_ack { seq = a; sent_ns }) ->
           rep.acked <- max rep.acked a;
+          rep.acked_ns <- sent_ns;
           `Acked a
       | Ok (R_gap a) -> `Gap a
-      | Ok (R_stale term) ->
+      | Ok (R_stale _) ->
           (* Term fence: we have been deposed. Step down. *)
           rep.role <- Idle;
-          ignore term;
           `Deposed
       | Ok _ | Error Rpc.Timeout -> `Dead
     in
@@ -279,7 +280,8 @@ let handle t nd msg =
   match msg with
   | M_write { ms; mterm; mop } ->
       let rep = nd.reps.(ms) in
-      if rep.role <> Primary || mterm <> rep.rterm then R_not_primary rep.rterm
+      if rep.role <> Primary || mterm <> rep.rterm then
+        Rpc.Reply (R_not_primary rep.rterm)
       else begin
         (* Local apply first, durable at its group fence before the
            record ships; the client ack is withheld until the backup
@@ -291,59 +293,69 @@ let handle t nd msg =
           (* BUG, armed only by Replcheck's mutant sweep: externalize
              the ack whether or not the backup is durable. *)
           ignore (replicate t nd ms rep.issued : bool);
-          R_ok
+          Rpc.Reply R_ok
         end
-        else if replicate t nd ms rep.issued then R_ok
+        else if replicate t nd ms rep.issued then
+          (* The backup's durable ack is the client's ack: it leaves
+             the backup together with the ack the primary just saw. *)
+          Rpc.Reply_from
+            { node = t.routes.(ms).backup; sent_ns = rep.acked_ns; resp = R_ok }
         else if t.cfg.read_only_when_solo then begin
           t.routes.(ms).ro <- true;
-          R_read_only
+          Rpc.Reply R_read_only
         end
-        else R_ok
+        else Rpc.Reply R_ok
       end
   | M_read { ms; mterm; mkey } ->
       let rep = nd.reps.(ms) in
-      if rep.role <> Primary || mterm <> rep.rterm then R_not_primary rep.rterm
-      else R_val (Shard.search nd.ens mkey)
+      Rpc.Reply
+        (if rep.role <> Primary || mterm <> rep.rterm then
+           R_not_primary rep.rterm
+         else R_val (Shard.search nd.ens mkey))
   | M_repl { ms; mterm; mseq; mop } ->
       let rep = nd.reps.(ms) in
-      if mterm < rep.rterm then R_stale rep.rterm (* term fencing *)
-      else begin
-        if mterm > rep.rterm || rep.role = Idle then
-          set_role t nd ms Backup mterm;
-        if mseq <= rep.applied then R_ack rep.applied
-        else if mseq = rep.applied + 1 then begin
-          apply_op nd ms mop;
-          rep.applied <- mseq;
-          (* Durable high-water after the op's group fence, never
-             inside the scope: a clwb there would not order this word
-             after the op's lines, so a crash could persist [applied]
-             without the op and the retry would be acked unapplied.  A
-             crash between the two replays this record, and applies
-             are idempotent. *)
-          Arena.root_set (Shard.instance_arena nd.ens ms) slot_applied mseq;
-          R_ack mseq
-        end
-        else R_gap rep.applied
-      end
+      let ack seq = R_ack { seq; sent_ns = Fabric.now t.fab } in
+      Rpc.Reply
+        (if mterm < rep.rterm then R_stale rep.rterm (* term fencing *)
+         else begin
+           if mterm > rep.rterm || rep.role = Idle then
+             set_role nd ms Backup mterm;
+           if mseq <= rep.applied then ack rep.applied
+           else if mseq = rep.applied + 1 then begin
+             apply_op nd ms mop;
+             rep.applied <- mseq;
+             (* Durable high-water after the op's group fence, never
+                inside the scope: a clwb there would not order this word
+                after the op's lines, so a crash could persist [applied]
+                without the op and the retry would be acked unapplied.  A
+                crash between the two replays this record, and applies
+                are idempotent. *)
+             Arena.root_set (Shard.instance_arena nd.ens ms) slot_applied mseq;
+             ack mseq
+           end
+           else R_gap rep.applied
+         end)
   | M_promote { ms; mterm } ->
       let rep = nd.reps.(ms) in
-      if mterm <= rep.rterm then R_stale rep.rterm
-      else begin
-        (* Crash-atomic failover decision: one persisted word. *)
-        set_role t nd ms Primary mterm;
-        rep.issued <- rep.applied;
-        rep.acked <- rep.applied;
-        Hashtbl.reset rep.rlog;
-        rep.rlog_lo <- 0;
-        R_ok
-      end
+      Rpc.Reply
+        (if mterm <= rep.rterm then R_stale rep.rterm
+         else begin
+           (* Crash-atomic failover decision: one persisted word. *)
+           set_role nd ms Primary mterm;
+           rep.issued <- rep.applied;
+           rep.acked <- rep.applied;
+           Hashtbl.reset rep.rlog;
+           rep.rlog_lo <- 0;
+           R_ok
+         end)
   | M_demote { ms; mterm } ->
       let rep = nd.reps.(ms) in
-      if mterm < rep.rterm then R_stale rep.rterm
-      else begin
-        set_role t nd ms Idle mterm;
-        R_ok
-      end
+      Rpc.Reply
+        (if mterm < rep.rterm then R_stale rep.rterm
+         else begin
+           set_role nd ms Idle mterm;
+           R_ok
+         end)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -366,7 +378,7 @@ let create ?(tracer = Trace.null) (cfg : config) =
           nid;
           ens;
           nup = true;
-          nep = Rpc.endpoint ~node:nid (fun _ -> R_ok);
+          nep = Rpc.endpoint ~node:nid (fun _ -> Rpc.Reply R_ok);
           reps =
             Array.init cfg.shards (fun s ->
                 {
@@ -376,6 +388,7 @@ let create ?(tracer = Trace.null) (cfg : config) =
                   issued = 0;
                   applied = 0;
                   acked = 0;
+                  acked_ns = 0;
                   rlog = Hashtbl.create 256;
                   rlog_lo = 0;
                 });
@@ -416,8 +429,8 @@ let create ?(tracer = Trace.null) (cfg : config) =
   (* Persist the initial term words. *)
   Array.iteri
     (fun s r ->
-      set_role t nodes.(r.primary) s Primary r.term;
-      set_role t nodes.(r.backup) s Backup r.term)
+      set_role nodes.(r.primary) s Primary r.term;
+      set_role nodes.(r.backup) s Backup r.term)
     routes;
   t
 
@@ -731,7 +744,7 @@ let recover_all t =
         (* Recovery epoch bump: the resolved authority re-asserts
            primacy at a fresh term, fencing any deposed claimant. *)
         let nt = term + 1 in
-        set_role t t.nodes.(!best) s Primary nt;
+        set_role t.nodes.(!best) s Primary nt;
         let rep = t.nodes.(!best).reps.(s) in
         rep.issued <- rep.applied;
         rep.acked <- rep.applied;

@@ -10,11 +10,25 @@
     {v client --RPC--> primary: apply, group fence (durable)
                        primary --RPC--> backup: apply, group fence,
                                                 then persist seq
-                       backup durable ack --> primary --> client ack v}
+                       backup durable ack --> primary
+                                          \-> client ack v}
 
     so an acknowledged write is durable on {e both} replicas — the
     NVTraverse discipline lifted across nodes: nothing is
-    externalized before it is persistent at its destination.
+    externalized before it is persistent at its destination.  The
+    backup's durable ack is the client's ack (chain replication's tail
+    ack): it leaves the backup together with its ack to the primary,
+    so a put costs three one-way fabric delays and a get two.  The
+    client gets it only once the primary has seen the backup's ack.
+    Every other reply comes from the primary: a read, a refusal, and the
+    answer to a retry after the backup's ack to the client was lost,
+    which the primary serves from the call's cache without applying
+    or replicating again.
+
+    The fabric has [nodes + 2] endpoints: node [i] is endpoint [i],
+    the control plane (heartbeats, failover) is endpoint [nodes] and
+    the client is endpoint [nodes + 1], so {!partition} can cut a
+    node's link to the client too.
 
     {b Term fencing.}  Every replica persists a term/role word in its
     shard arena (root slot {!slot_term}, PR-9 decision-word style:
@@ -117,7 +131,8 @@ val tick : t -> unit
     (also invoked opportunistically by client ops). *)
 
 val partition : t -> a:int -> b:int -> unit
-(** Cut the fabric link between nodes [a] and [b] until {!heal}. *)
+(** Cut the fabric link between endpoints [a] and [b] (a node, or the
+    client at [nodes + 1]) until {!heal}. *)
 
 val partition_for : t -> a:int -> b:int -> ns:int -> unit
 val heal : t -> unit

@@ -1,9 +1,13 @@
 module Prng = Ff_util.Prng
 
+type 'resp answer =
+  | Reply of 'resp
+  | Reply_from of { node : int; sent_ns : int; resp : 'resp }
+
 type ('req, 'resp) endpoint = {
   ep_node : int;
   mutable ep_up : bool;
-  mutable ep_handler : 'req -> 'resp;
+  mutable ep_handler : 'req -> 'resp answer;
   mutable ep_served : int;
   mutable ep_deduped : int;
 }
@@ -35,13 +39,14 @@ let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
   let serve () =
     match !cached with
     | Some r ->
+        (* Re-sent by the callee, whoever sent the first answer. *)
         ep.ep_deduped <- ep.ep_deduped + 1;
-        r
+        Reply r
     | None ->
-        let r = ep.ep_handler req in
+        let a = ep.ep_handler req in
         ep.ep_served <- ep.ep_served + 1;
-        cached := Some r;
-        r
+        cached := Some (match a with Reply r | Reply_from { resp = r; _ } -> r);
+        a
   in
   let rec attempt n =
     if n > retries then Error Timeout
@@ -68,9 +73,14 @@ let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
             Fabric.charge fabric d;
             serve ()
           in
-          let r = deliver d0 in
+          let a = deliver d0 in
           List.iter (fun d -> ignore (deliver d)) ds;
-          let rv = Fabric.transmit fabric ~src:ep.ep_node ~dst:src in
+          let r, from, sent =
+            match a with
+            | Reply r -> (r, ep.ep_node, Fabric.now fabric)
+            | Reply_from { node; sent_ns; resp } -> (resp, node, sent_ns)
+          in
+          let rv = Fabric.transmit fabric ~src:from ~dst:src in
           match rv.Fabric.v_deliveries with
           | [] ->
               (* Reply lost: the handler ran; the retry is served from
@@ -78,7 +88,10 @@ let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
               Fabric.charge fabric timeout_ns;
               attempt (n + 1)
           | d :: _ ->
-              Fabric.charge fabric d;
+              (* The reply arrives [d] after it was sent, and not
+                 before now: a reply sent earlier by another node
+                 overlaps the time already charged. *)
+              Fabric.charge fabric (sent + d - Fabric.now fabric);
               Ok r
         end
     end

@@ -12,14 +12,26 @@
     exactly-once effects over an at-least-once fabric.  Every copy and
     retry of a request is delivered before {!call} returns, so the
     cache dies with the call and an endpoint holds no per-request
-    state. *)
+    state.
+
+    A reply need not come from the callee: a handler may answer that
+    another node sent it (chain replication's tail ack), and that
+    reply then crosses the sender's link to the caller.  A cached
+    answer to a retry is always re-sent by the callee. *)
+
+type 'resp answer =
+  | Reply of 'resp  (** sent by the callee once the handler returns *)
+  | Reply_from of { node : int; sent_ns : int; resp : 'resp }
+      (** sent by fabric address [node] at simulated time [sent_ns]
+          (at most {!Fabric.now}); the caller charges only the part of
+          its delay that reaches past now *)
 
 type ('req, 'resp) endpoint
 
-val endpoint : node:int -> ('req -> 'resp) -> ('req, 'resp) endpoint
+val endpoint : node:int -> ('req -> 'resp answer) -> ('req, 'resp) endpoint
 (** An endpoint living at fabric address [node], initially up. *)
 
-val set_handler : ('req, 'resp) endpoint -> ('req -> 'resp) -> unit
+val set_handler : ('req, 'resp) endpoint -> ('req -> 'resp answer) -> unit
 val node : ('req, 'resp) endpoint -> int
 
 val up : ('req, 'resp) endpoint -> bool

@@ -78,7 +78,7 @@ let test_rpc_dedup () =
   let ep =
     Rpc.endpoint ~node:1 (fun x ->
         incr hits;
-        x * 2)
+        Rpc.Reply (x * 2))
   in
   let rng = Prng.create 9 in
   (match Rpc.call ~fabric:fab ~rng ~src:0 ep 21 with
@@ -91,7 +91,7 @@ let test_rpc_retry_after_drop () =
   (* Drop everything at first: exhausts retries. *)
   let faults = { Fabric.calm with Fabric.drop_per_1k = 1000 } in
   let fab = Fabric.create ~faults ~seed:5 ~endpoints:2 () in
-  let ep = Rpc.endpoint ~node:1 (fun x -> x) in
+  let ep = Rpc.endpoint ~node:1 (fun x -> Rpc.Reply x) in
   let rng = Prng.create 9 in
   (match Rpc.call ~retries:2 ~fabric:fab ~rng ~src:0 ep 1 with
   | Ok _ -> Alcotest.fail "should time out"
@@ -100,7 +100,7 @@ let test_rpc_retry_after_drop () =
 
 let test_rpc_down_endpoint () =
   let fab = Fabric.create ~faults:Fabric.calm ~seed:5 ~endpoints:2 () in
-  let ep = Rpc.endpoint ~node:1 (fun x -> x) in
+  let ep = Rpc.endpoint ~node:1 (fun x -> Rpc.Reply x) in
   Rpc.set_up ep false;
   let rng = Prng.create 9 in
   match Rpc.call ~retries:1 ~fabric:fab ~rng ~src:0 ep 1 with
@@ -113,7 +113,7 @@ let test_rpc_down_endpoint () =
    duplicates. *)
 let test_rpc_bounded_state () =
   let fab = Fabric.create ~seed:5 ~endpoints:2 () in
-  let ep = Rpc.endpoint ~node:1 (fun x -> x + 1) in
+  let ep = Rpc.endpoint ~node:1 (fun x -> Rpc.Reply (x + 1)) in
   let rng = Prng.create 9 in
   let calls lo hi =
     for i = lo to hi do
@@ -159,6 +159,67 @@ let test_cluster_basic () =
   Alcotest.(check bool) "replicated" true (s.Cluster.s_repl_records >= 200);
   Cluster.close c
 
+(* The backup acks the client directly: a put is client -> primary ->
+   backup -> client, three one-way delays on a calm fabric, and a get
+   is the usual two. *)
+let test_cluster_three_hop_put () =
+  let c = Cluster.create calm_config in
+  let d = Fabric.calm.Fabric.delay_ns in
+  let took f =
+    let t0 = Cluster.now_ns c in
+    f ();
+    Cluster.now_ns c - t0
+  in
+  for k = 1 to 20 do
+    Alcotest.(check int) (Printf.sprintf "put %d" k) (3 * d)
+      (took (fun () -> put_exn c k k));
+    Alcotest.(check int) (Printf.sprintf "get %d" k) (2 * d)
+      (took (fun () -> ignore (get_exn c k : int option)))
+  done;
+  Cluster.close c
+
+(* With the backup's link to the client cut, its ack never arrives:
+   the client retries and the primary answers from the call's cache
+   over its own link, applying and replicating nothing again.  A twin
+   cluster with the link up gives the fences of one apply per
+   replica. *)
+let test_cluster_cut_backup_ack () =
+  let twin () =
+    let c = Cluster.create calm_config in
+    for k = 1 to 30 do
+      put_exn c k k
+    done;
+    c
+  in
+  let c = twin () and calm = twin () in
+  let s = Cluster.shard_of_key c 1 in
+  let p = Cluster.primary_of c ~shard:s and b = Cluster.backup_of c ~shard:s in
+  let client = calm_config.Cluster.nodes + 1 in
+  Cluster.partition c ~a:b ~b:client;
+  let fences c node =
+    (Ff_pmem.Arena.total_stats (Cluster.shard_arena c ~node ~shard:s))
+      .Ff_pmem.Stats.fences
+  in
+  let put c =
+    let s0 = Cluster.stats c and fp = fences c p and fb = fences c b in
+    put_exn c 1 99;
+    let s1 = Cluster.stats c in
+    ( s1.Cluster.s_repl_records - s0.Cluster.s_repl_records,
+      s1.Cluster.s_rpc_dropped - s0.Cluster.s_rpc_dropped,
+      fences c p - fp,
+      fences c b - fb )
+  in
+  let records, dropped, fp, fb = put c in
+  let _, calm_dropped, calm_fp, calm_fb = put calm in
+  Alcotest.(check int) "one record replicated" 1 records;
+  Alcotest.(check int) "the backup's ack was cut" (calm_dropped + 1) dropped;
+  Alcotest.(check int) "primary applied once" calm_fp fp;
+  Alcotest.(check int) "backup applied once" calm_fb fb;
+  Alcotest.(check (option int)) "acked value reads back" (Some 99)
+    (get_exn c 1);
+  Cluster.close c;
+  Cluster.close calm
+
 (* Apply ordering on both replicas, seen through the arenas' event
    sinks.  A flush inside a group-flush scope is a clwb, durable only
    at the arena's next fence.  The backup must not store its applied
@@ -172,6 +233,7 @@ type apply_watch = {
   mutable allocs : int;
   mutable applied_stores : int;
   mutable early_applied_stores : int;
+  mutable applied_ns : int;  (* fabric time of the last slot-72 store *)
 }
 
 let test_cluster_apply_fences () =
@@ -180,7 +242,7 @@ let test_cluster_apply_fences () =
   let watch a =
     let w =
       { unfenced = false; clwbs = 0; allocs = 0; applied_stores = 0;
-        early_applied_stores = 0 }
+        early_applied_stores = 0; applied_ns = -1 }
     in
     Ff_pmem.Arena.set_event_sink a
       (Some
@@ -189,6 +251,7 @@ let test_cluster_apply_fences () =
              (fun addr ->
                if addr = Cluster.slot_applied then begin
                  w.applied_stores <- w.applied_stores + 1;
+                 w.applied_ns <- Cluster.now_ns c;
                  if w.unfenced then
                    w.early_applied_stores <- w.early_applied_stores + 1
                end);
@@ -212,17 +275,29 @@ let test_cluster_apply_fences () =
             watch (Cluster.shard_arena c ~node ~shard)))
       [ 0; 1 ]
   in
-  let acked what = function
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 ws in
+  (* The client's ack crosses the fabric after the backup's slot-72
+     store, never with or before it. *)
+  let acked what op =
+    let stores = sum (fun w -> w.applied_stores) in
+    match op () with
     | Error _ -> Alcotest.failf "%s rejected" what
     | Ok () ->
         if List.exists (fun w -> w.unfenced) ws then
-          Alcotest.failf "%s acked with an unfenced clwb on a replica" what
+          Alcotest.failf "%s acked with an unfenced clwb on a replica" what;
+        if sum (fun w -> w.applied_stores) <> stores + 1 then
+          Alcotest.failf "%s acked without one applied-seqno store" what;
+        let stored =
+          List.fold_left (fun acc w -> max acc w.applied_ns) (-1) ws
+        in
+        if Cluster.now_ns c - stored < Fabric.calm.Fabric.delay_ns then
+          Alcotest.failf "%s acked %d ns after the applied-seqno store" what
+            (Cluster.now_ns c - stored)
   in
   for k = 1 to 400 do
-    acked (Printf.sprintf "put %d" k) (Cluster.put c k (k * 10))
+    acked (Printf.sprintf "put %d" k) (fun () -> Cluster.put c k (k * 10))
   done;
-  acked "del 7" (Cluster.del c 7);
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 ws in
+  acked "del 7" (fun () -> Cluster.del c 7);
   Alcotest.(check bool) "puts split leaves" true (sum (fun w -> w.allocs) > 0);
   Alcotest.(check bool) "applies flush as clwbs" true
     (sum (fun w -> w.clwbs) > 0);
@@ -535,6 +610,10 @@ let suite =
     Alcotest.test_case "rpc down endpoint" `Quick test_rpc_down_endpoint;
     Alcotest.test_case "rpc state stays bounded" `Quick test_rpc_bounded_state;
     Alcotest.test_case "replicated puts" `Quick test_cluster_basic;
+    Alcotest.test_case "a put takes three hops" `Quick
+      test_cluster_three_hop_put;
+    Alcotest.test_case "cut backup ack is answered from the primary's cache"
+      `Quick test_cluster_cut_backup_ack;
     Alcotest.test_case "apply fences before ack and applied seqno" `Quick
       test_cluster_apply_fences;
     Alcotest.test_case "faulty fabric" `Quick test_cluster_faulty_fabric;
