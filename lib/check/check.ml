@@ -117,7 +117,6 @@ let setup (cfg : config) d w () =
     threads = Array.init (Array.length w.scripts) body;
     finish =
       (fun () ->
-        Arena.set_flush_elision arena false;
         {
           ops;
           calls =

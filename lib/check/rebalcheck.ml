@@ -227,9 +227,9 @@ let read (cfg : Cx.config) name (arenas : Arena.t array) =
       let what = if cfg.rebal_kind = Rb_migrate then "authority reopen" else "reattach" in
       Error (Printf.sprintf "post-crash %s raised: %s" what (Printexc.to_string ex))
 
-(* Crash run: the recovered state holds the acknowledged prefix.  A
-   crash point past the end of a shorter replay never fires; there is
-   no wreck to validate. *)
+(* Crash run: the recovered state holds the acknowledged prefix.  An
+   arena's last store count is crashed once the phase has ended: there
+   is no wreck to validate. *)
 let judge (cfg : Cx.config) w (r : exec Sweep.run) = function
   | _ when not r.Sweep.crashed -> []
   | Ok keys ->

@@ -176,7 +176,6 @@ type 'x run = {
   result : 'x;
   arenas : Arena.t array;
   crashed : bool;
-  candidates : (int * int * int) list;
 }
 
 type ('x, 'o) t = {
@@ -202,38 +201,29 @@ type ('x, 'o) t = {
    fresh arenas, then the concurrent phase runs under [policy] at
    quantum 1 on one simulated core, so the policy's decision sequence
    is a total order over every PM access.  Every store count the phase
-   passes through, on every arena it stores to, is a crash candidate;
-   [crash_at] is an absolute store count on one arena, where the crash
-   leaves in-flight operations pending. *)
-let execute f ~policy ~crash_at =
+   passes through, on every arena it stores to, is a crash point, and
+   [visit aid k run] sees each as the phase reaches it: a store sink
+   fires just before the store that makes arena [aid]'s count [k + 1],
+   where [run ()] snapshots the run with its in-flight operations
+   pending; each arena's last count is visited once the phase ends.
+   Returns the run and the number of stores its phase performed. *)
+let execute f ~policy ~visit =
   let s = f.setup () in
   let starts = Array.map Arena.store_count s.arenas in
-  let run () =
-    ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads)
+  let snapshot crashed () = { result = s.finish (); arenas = s.arenas; crashed } in
+  let sink aid a =
+    let ev_store _ = visit aid (Arena.store_count a) (snapshot true) in
+    Some
+      { Arena.ev_store; ev_flush = ignore; ev_fence = ignore; ev_alloc = (fun _ _ -> ());
+        ev_free = (fun _ _ -> ()); ev_crash = ignore }
   in
-  let crashed =
-    match crash_at with
-    | Some (aid, k) when aid < Array.length s.arenas ->
-        let a = s.arenas.(aid) in
-        Arena.crash_after a (k - Arena.store_count a) run
-    | Some _ | None -> run (); false
-  in
-  let candidates =
-    List.filter_map
-      (fun aid ->
-        let last = Arena.store_count s.arenas.(aid) in
-        if last > starts.(aid) then Some (aid, starts.(aid), last) else None)
-      (List.init (Array.length s.arenas) Fun.id)
-  in
-  { result = s.finish (); arenas = s.arenas; crashed; candidates }
-
-(* Re-execute along a recorded decision prefix (Fifo past its end). *)
-let replay_to f decisions crash_at =
-  let policy =
-    Schedule.record_policy ~prefix:decisions ~fallback:Mcsim.Fifo
-      (Schedule.recorder ())
-  in
-  execute f ~policy ~crash_at
+  Array.iteri (fun aid a -> Arena.set_event_sink a (sink aid a)) s.arenas;
+  ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads);
+  Array.iter (fun a -> Arena.set_event_sink a None) s.arenas;
+  let r = snapshot false () in
+  let stored = Array.mapi (fun aid a -> Arena.store_count a - starts.(aid)) s.arenas in
+  Array.iteri (fun aid n -> if n > 0 then visit aid (starts.(aid) + n) (fun () -> r)) stored;
+  (r, Array.fold_left ( + ) 0 stored)
 
 module Images = Hashtbl.Make (struct
   type t = int array array
@@ -245,13 +235,14 @@ end)
 (* The crash oracle of one family run.  It sees a crashed copy of every
    arena of the run, each under its own instance of the crash's mode (a
    randomized mode draws from a fresh PRNG per arena); the run's own
-   arenas stay as the replay left them, for the next mode.  The copies
-   take over the images of the previous copies.  [f.read] runs once per
-   distinct image, across all the run's schedules.  The memo key is
-   exact: {!Arena.image_key} of each copy against [base], a copy of the
-   run's first crashed image of that arena, taken before [read], whose
-   recovery writes to the copies.  Distinct images mostly show the
-   same thing, and the memo keeps one copy of each observation. *)
+   arenas stay as they are, for the next mode and the rest of the
+   phase.  The copies take over the images of the previous copies.
+   [f.read] runs once per distinct image, across all the run's
+   schedules.  The memo key is exact: {!Arena.image_key} of each copy
+   against [base], a copy of the run's first crashed image of that
+   arena, taken before [read], whose recovery writes to the copies.
+   Distinct images mostly show the same thing, and the memo keeps one
+   copy of each observation. *)
 let crash_oracle f =
   let spares = ref [||] and base = ref [||] and seen = Images.create 64 in
   let shown = Hashtbl.create 64 in
@@ -303,40 +294,41 @@ let run ?(tracer = Trace.null) f =
       let add ~decisions ~crash finding =
         violations := stamp f ~decisions ~crash finding :: !violations
       in
-      (* One crash point: replay the schedule up to store [k] of arena
-         [aid] once, then run the crash oracle under every mode, plus
-         every epoch cutoff still pending there under [non_tso]. *)
-      let crash_point choices aid k =
-        incr crash_points;
-        let r = replay_to f choices (Some (aid, k)) in
-        let cutoffs = if c.non_tso then Arena.pending_epochs r.arenas.(aid) else [] in
-        List.iter
-          (fun (mode, cutoff) ->
-            let crash = { Cx.arena = aid; store_count = k; mode; crash_seed = k; cutoff } in
-            incr crash_runs;
-            Trace.instant tracer crash_inst k;
-            List.iter
-              (add ~decisions:choices ~crash:(Some crash))
-              (crash_oracle r crash))
-          (List.map (fun m -> (m, None)) [ "keep_none"; "keep_all"; "random_eviction" ]
-          @ List.map (fun e -> ("non_tso_cutoff", Some e)) cutoffs)
+      (* Every crash point of the live execution, under every mode
+         plus every epoch cutoff still pending there under [non_tso]:
+         the oracle's findings are buffered, to be reported after the
+         live ones in (arena, count, mode) order. *)
+      let visit crashes aid k run =
+        if crash_note = None then begin
+          incr crash_points;
+          let r = run () in
+          let cutoffs = if c.non_tso then Arena.pending_epochs r.arenas.(aid) else [] in
+          List.iter
+            (fun (mode, cutoff) ->
+              let crash = { Cx.arena = aid; store_count = k; mode; crash_seed = k; cutoff } in
+              crashes := (crash, crash_oracle r crash) :: !crashes)
+            (List.map (fun m -> (m, None)) [ "keep_none"; "keep_all"; "random_eviction" ]
+            @ List.map (fun e -> ("non_tso_cutoff", Some e)) cutoffs)
+        end
       in
-      (* One explored schedule: execute, run the live oracle, then the
-         crash product. *)
+      (* One explored schedule: execute it once, crashing every point
+         on the way, then report the live oracle and the crash product. *)
       let check_schedule policy rc =
-        let r = execute f ~policy ~crash_at:None in
+        let crashes = ref [] in
+        let r, stored = execute f ~policy ~visit:(visit crashes) in
         let choices = Schedule.choices rc in
         Trace.span_begin tracer sched_span (Array.length choices);
         ops_checked := !ops_checked + f.ops r.result;
-        List.iter (fun (_, lo, hi) -> stores := !stores + hi - lo) r.candidates;
+        stores := !stores + stored;
         List.iter (add ~decisions:choices ~crash:None) (f.live r);
-        if crash_note = None then
-          List.iter
-            (fun (aid, first, last) ->
-              for k = first to last do
-                crash_point choices aid k
-              done)
-            r.candidates;
+        List.iter
+          (fun (crash, findings) ->
+            incr crash_runs;
+            Trace.instant tracer crash_inst crash.Cx.store_count;
+            List.iter (add ~decisions:choices ~crash:(Some crash)) findings)
+          (List.stable_sort
+             (fun (a, _) (b, _) -> compare a.Cx.arena b.Cx.arena)
+             (List.rev !crashes));
         Trace.span_end tracer sched_span
       in
       if f.canonical_fifo then begin
@@ -374,22 +366,28 @@ let replay f (cx : Cx.t) =
   | Some reason -> { (empty_report f.index) with skipped = Some reason }
   | None ->
       with_mutant f.mutant f.config.mutant @@ fun () ->
-      let crash_at = Option.map (fun c -> (c.Cx.arena, c.Cx.store_count)) cx.Cx.crash in
-      let r = replay_to f cx.Cx.decisions crash_at in
-      let findings =
-        match cx.Cx.crash with
-        | None -> f.live r
-        | Some crash -> crash_oracle f r crash
+      let policy =
+        Schedule.record_policy ~prefix:cx.Cx.decisions ~fallback:Mcsim.Fifo
+          (Schedule.recorder ())
       in
+      let found = ref [] in
+      let visit aid k run =
+        match cx.Cx.crash with
+        | Some c when c.Cx.arena = aid && c.Cx.store_count = k ->
+            found := crash_oracle f (run ()) c
+        | Some _ | None -> ()
+      in
+      let r, _ = execute f ~policy ~visit in
+      let crashes = if cx.Cx.crash = None then 0 else 1 in
       {
         (empty_report f.index) with
         schedules_run = 1;
-        crash_runs = (if crash_at = None then 0 else 1);
-        crash_points = (if crash_at = None then 0 else 1);
+        crash_runs = crashes;
+        crash_points = crashes;
         ops_checked = f.ops r.result;
         violations =
           List.map
             (fun (kind, detail) ->
               { kind; detail; counterexample = { cx with Cx.detail = detail } })
-            findings;
+            (if cx.Cx.crash = None then f.live r else !found);
       }

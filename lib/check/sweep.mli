@@ -9,29 +9,32 @@
 
     - {b One controlled execution}: the family's setup builds and
       prefills on fresh arenas, the driver notes every arena's store
-      count, optionally arms a crash plan, and runs the concurrent
-      phase on {!Ff_mcsim.Mcsim} with [cores = 1] and
-      [quantum_ns = 1], so every PM access is a preemption point and
-      the policy's decision sequence is a total order.
+      count and runs the concurrent phase on {!Ff_mcsim.Mcsim} with
+      [cores = 1] and [quantum_ns = 1], so every PM access is a
+      preemption point and the policy's decision sequence is a total
+      order.
     - {b Exploration}: PCT sampling or bounded-exhaustive DFS
       ({!Schedule}), optionally preceded by the canonical Fifo
       schedule.  Each explored schedule runs the live oracle.
     - {b Crash product}: every store count the concurrent phase
       passes through, on every arena it stores to, is a crash point
       (flushes and fences included: each falls between two stores),
-      and every crash point of every explored schedule is crashed.
-      The schedule is replayed decision-for-decision up to the point
-      once; then, for each {!Ff_pmem.Storelog.crash_mode} — plus
-      every epoch cutoff still pending there under [non_tso] — the
-      crash oracle sees {!Ff_pmem.Arena.crashed_copy} of every arena
-      of the run.  Its [read] of those images runs once per distinct
-      image of the family run, memoized under an exact key
+      and every crash point of every explored schedule is crashed on
+      the schedule's one execution: just before each store (and for
+      each arena's last count once the phase ends), for each
+      {!Ff_pmem.Storelog.crash_mode} — plus every epoch cutoff still
+      pending there under [non_tso] — the crash oracle sees
+      {!Ff_pmem.Arena.crashed_copy} of every arena of the run.  Its
+      [read] of those images runs once per distinct image of the
+      family run, memoized under an exact key
       ({!Ff_pmem.Arena.image_key} against the run's first crashed
-      images); its [judge] runs for every execution.
+      images); its [judge] runs for every execution, and its findings
+      follow the live ones in (arena, store count, mode) order.
       [crashes = false] turns the product off.
     - {b Counterexamples}: every violation carries a {!Counterexample}
       holding the family's config as is, which {!replay} re-executes
-      along the recorded decisions, crashing the recorded arena. *)
+      along the recorded decisions, crashing the recorded arena at the
+      recorded store count. *)
 
 type explorer = Counterexample.explorer = Dfs | Pct
 
@@ -125,21 +128,18 @@ val read_index :
 
 type 'x setup = {
   arenas : Ff_pmem.Arena.t array;
-      (** Every arena the run touches; arena 0 hosts the simulator. *)
+      (** Every arena the run touches (the driver owns their event
+          sinks); arena 0 hosts the simulator. *)
   threads : (int -> unit) array;  (** the concurrent phase *)
   finish : unit -> 'x;
-      (** Collect the run's outcome once the phase ended or crashed. *)
+      (** Snapshot the run's outcome, at every crash point of the phase
+          and once it ended; it must not change the run. *)
 }
 
 type 'x run = {
   result : 'x;
   arenas : Ff_pmem.Arena.t array;
-  crashed : bool;
-  candidates : (int * int * int) list;
-      (** the crash candidates: for every arena the concurrent phase
-          stored to, in arena order, [(arena, first, last)], its store
-          counts at the phase's start and end; every count from
-          [first] to [last] is a candidate *)
+  crashed : bool;  (** taken at a crash point before the phase ended *)
 }
 
 type ('x, 'o) t = {
@@ -176,7 +176,7 @@ val run : ?tracer:Ff_trace.Trace.t -> ('x, 'o) t -> report
     ["check.crash_point"] instant per crash execution. *)
 
 val replay : ('x, 'o) t -> Counterexample.t -> report
-(** Re-execute one recorded schedule (crashing the recorded arena, if
-    the counterexample records a crash) and re-run exactly the
-    recorded oracle, whose [read] sees the replayed image itself.  An
+(** Re-execute one recorded schedule and re-run exactly the recorded
+    oracle: the live one, or the crash oracle at the recorded crash
+    point of the execution, whose [read] sees that image itself.  An
     empty [violations] list means the artifact did not reproduce. *)

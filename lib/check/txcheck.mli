@@ -4,9 +4,9 @@
     validates whole {!Ff_tx.Tx} transactions: one writer thread runs a
     deterministic script of multi-key transactions while
     lock-free reader threads observe.  The {!Sweep} driver explores
-    the schedule x crash product; every crash point is replayed {e
-    through transaction recovery} (index [recover] first, then
-    {!Ff_tx.Tx.recover} over the persisted log).
+    the schedule x crash product; the image of every crash point is
+    checked {e through transaction recovery} (index [recover] first,
+    then {!Ff_tx.Tx.recover} over the persisted log).
 
     The durable-serializability oracle: the script is a {!Spec} commit
     log with one entry per transaction.  With [C] = transactions whose

@@ -215,9 +215,12 @@ let probe t n =
 (* Replication (primary -> backup)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Ship record [seq] of shard [s] to the backup; on a gap answer,
-   re-ship the missing tail from the retained log.  Returns true iff
-   the backup durably acked everything up to [seq]. *)
+(* Ship the records of shard [s] from the backup's last durable ack up
+   to [seq] out of the retained log.  Returns true iff the backup
+   durably acked everything up to [seq].  A backup answers a gap only
+   when a record lies past its applied high-water + 1; shipping starts
+   just past its last ack, so a gap means it lost acked records: that,
+   like a tail that fell out of retention, needs a full resync. *)
 let replicate t nd s seq =
   let rep = nd.reps.(s) in
   let r = t.routes.(s) in
@@ -232,13 +235,12 @@ let replicate t nd s seq =
       | Ok (R_ack { seq = a; sent_ns }) ->
           rep.acked <- max rep.acked a;
           rep.acked_ns <- sent_ns;
-          `Acked a
-      | Ok (R_gap a) -> `Gap a
+          Some a
       | Ok (R_stale _) ->
           (* Term fence: we have been deposed. Step down. *)
           rep.role <- Idle;
-          `Deposed
-      | Ok _ | Error Rpc.Timeout -> `Dead
+          None
+      | Ok _ | Error Rpc.Timeout -> None
     in
     let rec ship from =
       if from > seq then true
@@ -247,7 +249,7 @@ let replicate t nd s seq =
         | None -> false (* tail fell out of retention: needs full resync *)
         | Some op -> (
             match send from op with
-            | `Acked a ->
+            | Some a ->
                 if Trace.enabled t.tracer then begin
                   Trace.instant t.tracer Trace.id_repl a;
                   metric t "cluster.repl.records"
@@ -258,10 +260,7 @@ let replicate t nd s seq =
                   if Trace.enabled t.tracer then metric t "cluster.repl.resent"
                 end;
                 ship (max (from + 1) (a + 1))
-            | `Gap a ->
-                if a < from then false (* backup went backwards: resync *)
-                else ship (a + 1)
-            | `Deposed | `Dead -> false)
+            | None -> false)
     in
     let start = max rep.rlog_lo (rep.acked + 1) in
     let ok = ship start in

@@ -151,7 +151,7 @@ let policy_of_spec ?(seed = 42) name =
       invalid_arg
         (Printf.sprintf "Mcsim.policy_of_spec: unknown policy %S (fifo, random, pct)" s)
 
-type outcome = { makespan_ns : int; thread_end_ns : int array; events : int }
+type outcome = { makespan_ns : int; thread_end_ns : int array }
 
 let run_generation = ref 0
 
@@ -204,7 +204,6 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
   let awaiting : ((unit -> bool) * thread) list ref = ref [] in
   let idle = ref [] in
   let now = ref 0 in
-  let nevents = ref 0 in
   let current = ref threads.(0) in
   (* Simulated ns already consumed by the running segment: [!now +
      !seg_acc] is the precise current time inside a thread body, which
@@ -370,8 +369,7 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
           if !acc >= quantum_ns then result := Some (`Ran !acc)
       | P_blocked -> result := Some (`Blocked !acc)
       | P_finished -> result := Some (`Done !acc)
-      | P_none -> assert false);
-      incr nevents
+      | P_none -> assert false)
     done;
     match !result with Some r -> r | None -> assert false
   in
@@ -437,5 +435,4 @@ let run ?(cores = 16) ?(quantum_ns = 400) ?(lock_ns = 20) ?contention_ns
   {
     makespan_ns = makespan;
     thread_end_ns = Array.map (fun th -> th.end_ns) threads;
-    events = !nevents;
   }

@@ -88,7 +88,6 @@ val policy_of_spec : ?seed:int -> string -> policy
 type outcome = {
   makespan_ns : int;  (** simulated time at which the last thread finished *)
   thread_end_ns : int array;  (** per-thread completion times *)
-  events : int;  (** scheduler segments executed *)
 }
 
 val run :

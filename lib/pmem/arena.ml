@@ -3,7 +3,7 @@ module Prng = Ff_util.Prng
 exception Crashed
 exception Media_error of int
 
-type crash_plan = Never | After_stores of int | After_flushes of int
+type crash_plan = Never | After_stores of int
 
 type fault_kind = Fault_poison | Fault_flip | Fault_stuck
 
@@ -227,12 +227,7 @@ let read t addr =
 let maybe_crash_on_store t =
   match t.plan with
   | After_stores k when t.stores >= k -> raise Crashed
-  | Never | After_stores _ | After_flushes _ -> ()
-
-let maybe_crash_on_flush t =
-  match t.plan with
-  | After_flushes k when t.flushes >= k -> raise Crashed
-  | Never | After_stores _ | After_flushes _ -> ()
+  | Never | After_stores _ -> ()
 
 let write t addr v =
   check addr t;
@@ -270,7 +265,6 @@ let fence_if_not_tso t =
 
 let flush t addr =
   check addr t;
-  maybe_crash_on_flush t;
   (match t.sink with None -> () | Some s -> s.ev_flush addr);
   t.flushes <- t.flushes + 1;
   let s = t.ctx.stats in
@@ -592,8 +586,8 @@ let image_key ~reference t =
   let poison = poisoned_lines t in
   Array.of_list (n :: t.bump :: List.length poison :: (poison @ !diff))
 
-(* The crash-at-store protocol every crash experiment shares: arm,
-   run, swallow the crash, disarm whatever happened. *)
+(* Crash at a store: arm, run, swallow the crash, disarm whatever
+   happened. *)
 let crash_after t k f =
   t.plan <- After_stores (t.stores + k);
   Fun.protect ~finally:(fun () -> t.plan <- Never) @@ fun () ->

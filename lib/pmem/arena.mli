@@ -25,8 +25,8 @@
 type t
 
 exception Crashed
-(** Raised by {!write} / {!flush} when the injected crash plan fires.
-    The triggering store is {e not} applied. *)
+(** Raised by {!write} when the injected crash plan fires.  The
+    triggering store is {e not} applied. *)
 
 exception Media_error of int
 (** Raised by {!read} when the accessed word lies on a poisoned cache
@@ -38,7 +38,6 @@ exception Media_error of int
 type crash_plan =
   | Never
   | After_stores of int  (** raise on store number [k+1] *)
-  | After_flushes of int (** raise on flush number [k+1] *)
 
 val words_per_line : int
 (** 8 — a 64-byte cache line. *)
@@ -206,9 +205,9 @@ val root_set : t -> int -> int -> unit
 (** {1 Crash machinery} *)
 
 val set_crash_plan : t -> crash_plan -> unit
-(** Arm a plan by absolute counter value.  Crash experiments use the
-    three functions below instead; only code that arms several arenas
-    at once needs this. *)
+(** Arm a plan by absolute store count.  {!crash_after} and
+    {!crash_image} arm one for a single run; only code that arms
+    several arenas at once needs this. *)
 
 val store_count : t -> int
 val flush_count : t -> int
@@ -220,7 +219,10 @@ val crash_after : t -> int -> (unit -> unit) -> bool
     {!Crashed} is swallowed; any other exception from [f] propagates.
     The plan is disarmed on every return, so a later store never
     raises.  The arena is left as the crash found it: call
-    {!power_fail} to turn it into a post-crash image. *)
+    {!power_fail} to turn it into a post-crash image.  The crash ends
+    the run, so crashing every store this way reruns the work up to
+    each one; the model checker instead crashes a {!crashed_copy} of
+    one live run at every store, from an {!event_sink}. *)
 
 val store_span : t -> reopen:(t -> 'h) -> ('h -> unit) -> int
 (** [store_span base ~reopen run] is the number of stores [run]

@@ -441,6 +441,58 @@ let test_image_key () =
   ignore (Arena.alloc a 16);
   Alcotest.(check bool) "bump pointer is in the key" false (key Storelog.Keep_none = none)
 
+(* The crash product runs on the live execution: [Sweep.run] sets a
+   family up once per explored schedule, however many crash points the
+   schedule has, and each crash execution judges the run as it stood
+   at its point. *)
+let test_one_setup_per_schedule () =
+  let module Sweep = Ff_check.Sweep in
+  let setups = ref 0 and judged = ref 0 in
+  let setup () =
+    incr setups;
+    let a = Sweep.arena ~keys:1 () in
+    let base = Arena.alloc a 8 in
+    let start = Arena.store_count a and written = ref 0 in
+    let body tid =
+      for i = 0 to 2 do
+        Arena.write a (base + (2 * i) + tid) 1;
+        incr written;
+        Arena.flush a base
+      done
+    in
+    (* Stores the threads made that the arena has not counted. *)
+    let finish () = !written - (Arena.store_count a - start) in
+    { Sweep.arenas = [| a |]; threads = [| body; body |]; finish }
+  in
+  let judge (r : int Sweep.run) () =
+    incr judged;
+    if r.Sweep.result = 0 then []
+    else [ (Sweep.Durability, "the run does not stand at its crash point") ]
+  in
+  let schedules = 3 in
+  let r =
+    Sweep.run
+      {
+        Sweep.family = "linearizability";
+        index = "two writers";
+        config = { Sweep.default with Cx.schedules };
+        gate = None;
+        crash_gate = None;
+        canonical_fifo = false;
+        mutant = None;
+        setup;
+        ops = (fun _ -> 0);
+        live = (fun _ -> []);
+        read = ignore;
+        judge;
+      }
+  in
+  Alcotest.(check int) "one setup per schedule" schedules !setups;
+  Alcotest.(check int) "six stores, seven points a schedule" (schedules * 7) r.Sweep.crash_points;
+  Alcotest.(check int) "three modes per point" (3 * r.Sweep.crash_points) r.Sweep.crash_runs;
+  Alcotest.(check int) "every crash execution judged" r.Sweep.crash_runs !judged;
+  Alcotest.(check int) "judged at its point" 0 (List.length r.Sweep.violations)
+
 (* A crash before the shard manifest persists leaves an image that the
    sharded index cannot even open: the read reports it as a finding
    instead of raising out of the sweep. *)
@@ -566,6 +618,7 @@ let suite =
     Alcotest.test_case "one thread: elide-flush replay" `Quick test_one_thread_mutant;
     Alcotest.test_case "default crash mode stable" `Quick test_default_mode_stable;
     Alcotest.test_case "crash image key" `Quick test_image_key;
+    Alcotest.test_case "one setup per schedule" `Quick test_one_setup_per_schedule;
     Alcotest.test_case "read of an image that cannot open" `Quick test_read_open_raises;
     Alcotest.test_case "spec window" `Quick test_spec_window;
     Alcotest.test_case "spec repeated prefix in window" `Quick test_spec_repeated_prefix;

@@ -84,15 +84,7 @@ let test_crash_plan_store_counting () =
   Alcotest.(check int) "second store applied" 2 (Arena.peek a 101);
   Alcotest.(check int) "third store not applied" 0 (Arena.peek a 102)
 
-let test_crash_plan_flush_counting () =
-  let a = mk () in
-  Arena.set_crash_plan a (Arena.After_flushes (Arena.flush_count a + 1));
-  Arena.write a 100 1;
-  Arena.flush a 100;
-  let crashed = try Arena.flush a 100; false with Arena.Crashed -> true in
-  Alcotest.(check bool) "second flush crashes" true crashed
-
-(* The crash-at-store primitive that every crash experiment uses. *)
+(* The crash-at-store primitive. *)
 let write_n a n =
   for i = 0 to n - 1 do
     Arena.write a (100 + i) (i + 1)
@@ -424,7 +416,6 @@ let suite =
     Alcotest.test_case "power fail keep all" `Quick test_power_fail_keep_all;
     Alcotest.test_case "random eviction = line prefix" `Quick test_power_fail_random_is_per_line_prefix;
     Alcotest.test_case "crash plan stores" `Quick test_crash_plan_store_counting;
-    Alcotest.test_case "crash plan flushes" `Quick test_crash_plan_flush_counting;
     Alcotest.test_case "crash_after fires on store k+1" `Quick test_crash_after_fires_on_next_store;
     Alcotest.test_case "crash_after disarms when unfired" `Quick test_crash_after_no_crash_disarms;
     Alcotest.test_case "crash_after propagates and disarms" `Quick test_crash_after_propagates;
