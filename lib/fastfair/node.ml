@@ -48,22 +48,23 @@ let last_entry a l n =
   in
   go (cap - 1)
 
-type location = Found of int | Absent of int
+type location = Found of int | Absent of { pos : int; count : int }
 
-(* Keys are compared up to the first valid one greater than [key];
-   past it only the pointers are read, to find the count. *)
+(* Keys are compared up to the first valid one greater than [key], the
+   insertion position; past it only the pointers are read, to find the
+   count. *)
 let locate a l n key =
   let cap = l.L.capacity in
   let rec go i prev_raw =
-    if i >= cap then Absent i
+    if i >= cap then Absent { pos = i; count = i }
     else begin
       let p = L.ptr a n i in
-      if p = 0 then Absent i
+      if p = 0 then Absent { pos = i; count = i }
       else if p = prev_raw then go (i + 1) p
       else begin
         let k = L.key a n i in
         if k = key then Found i
-        else if k > key then Absent (count_from a l n (i + 1))
+        else if k > key then Absent { pos = i; count = count_from a l n (i + 1) }
         else go (i + 1) p
       end
     end
@@ -87,30 +88,31 @@ type step = Pass | Stop | Take
    is trusted at the next: a FAST shift landing between two loads
    would pair one record's value with its neighbour's key.  Slot 0's
    left, the leftmost pointer, is written only at init, so left to
-   right it is read up front with the header line.  The walk ends at
-   the first valid slot taken and returns [take k left p] for it, or
-   [None] at the end or on [Stop]. *)
+   right it is read up front with the header line, as [last], the
+   pointer of the last slot passed.  The walk ends at the first valid
+   slot taken and returns [take ~last k left p] for it, or [None] at
+   the end or on [Stop]. *)
 let walk a l n tr ~leaf ~rtl ~see ~take =
   let cap = l.L.capacity in
-  let rec go i leftmost =
+  let rec go i last =
     if i >= 0 && i < cap then begin
       let next = if rtl then i - 1 else i + 1 in
       let p = L.ptr a n i in
-      if p = 0 then if rtl then go next leftmost else None
+      if p = 0 then if rtl then go next last else None
       else
         let k = L.key a n i in
         match see k p with
-        | Pass -> go next leftmost
+        | Pass -> go next p
         | Stop -> None
         | Take ->
             let left =
-              if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else leftmost
+              if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else last
             in
             let p = L.ptr a n i in
-            if p <> left && p <> 0 && L.key a n i = k then Some (take k left p)
+            if p <> left && p <> 0 && L.key a n i = k then Some (take ~last k left p)
             else begin
               Trace.dup_skip tr ~leaf;
-              go next leftmost
+              go next last
             end
     end
     else None
@@ -155,14 +157,14 @@ let search a l n ~mode ?(tr = Trace.null) key =
           if k = key then Take
           else if (if rtl then k > key else k < key) then Pass
           else Stop)
-        ~take:(fun _ _ p -> p)
+        ~take:(fun ~last:_ _ _ p -> p)
 
 (* The cursor takes the smallest key above [last]: keys ascend, so the
    first one the walk takes. *)
 let next_above a l n ?(tr = Trace.null) last =
   walk a l n tr ~leaf:true ~rtl:false
     ~see:(fun k _ -> if k > last then Take else Pass)
-    ~take:(fun k _ p -> (k, p))
+    ~take:(fun ~last:_ k _ p -> (k, p))
 
 (* ------------------------------------------------------------------ *)
 (* Internal-node routing                                               *)
@@ -194,25 +196,36 @@ let binary_route a l n key =
    B-link move-right test).  Left to right the child is the left
    pointer of that first greater key, or the last pointer when there
    is none; right to left it is the first entry not above [key], or
-   the leftmost pointer.  [hi] is returned per call: under Mcsim a
-   route yields at every load, so scratch state shared between calls
-   would mix two descents' bounds. *)
+   the leftmost pointer.  Left to right, the left pointer is taken
+   only while it is still the pointer of the last slot passed (the
+   leftmost pointer when none was), else the walk starts again: a
+   separator FAST-inserted behind the walk (into a slot it skipped as
+   half written, or into slot 0 before its first load) puts its child
+   there, whose range may start above [key], and B-link descent can
+   only move right.  [hi] is returned per call: under Mcsim a route
+   yields at every load, so scratch state shared between calls would
+   mix two descents' bounds. *)
 let route a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_route a l n key
   | Linear ->
       retry a n @@ fun ~rtl ->
-      let child = ref 0 and hi = ref 0 in
-      match
-        walk a l n tr ~leaf:false ~rtl
-          ~see:(fun k p ->
-            if k <= key then if rtl then Take else (child := p; Pass)
-            else if rtl then (hi := k; Pass)
-            else Take)
-          ~take:(fun k left p -> if rtl then (p, !hi) else (left, k))
-      with
-      | Some r -> r
-      | None -> ((if !child = 0 then L.leftmost a n else !child), !hi)
+      let rec attempt () =
+        let child = ref 0 and hi = ref 0 in
+        match
+          walk a l n tr ~leaf:false ~rtl
+            ~see:(fun k p ->
+              if k <= key then if rtl then Take else (child := p; Pass)
+              else if rtl then (hi := k; Pass)
+              else Take)
+            ~take:(fun ~last k left p ->
+              if rtl then Some (p, !hi) else if left = last then Some (left, k) else None)
+        with
+        | Some (Some r) -> r
+        | Some None -> attempt ()
+        | None -> ((if !child = 0 then L.leftmost a n else !child), !hi)
+      in
+      attempt ()
 
 (* ------------------------------------------------------------------ *)
 (* FAST insertion (Algorithm 1)                                        *)

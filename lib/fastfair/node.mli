@@ -33,15 +33,18 @@ val first_entry : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) opti
 val last_entry : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> (int * int) option
 
 type location =
-  | Found of int   (** position of the valid entry holding the key *)
-  | Absent of int  (** the key is not present; the node's count *)
+  | Found of int  (** position of the valid entry holding the key *)
+  | Absent of { pos : int; count : int }
+      (** the key is not present: [pos] is the slot it would take (the
+          first valid key greater than it, or [count]), [count] the
+          node's count *)
 
 val locate : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> location
 (** Writer-side probe for one key, in one left-to-right pass: keys are
-    read up to the first valid one greater than the key, then only
-    pointers, so an absent key also yields the count {!insert_nonfull}
-    needs.  Assumes the lock is held, so no direction juggling is
-    needed. *)
+    read up to the first valid one greater than the key, which is the
+    key's insertion position, then only pointers, so an absent key
+    also yields the count {!insert_nonfull} needs.  Assumes the lock
+    is held, so no direction juggling is needed. *)
 
 val search :
   Ff_pmem.Arena.t ->
@@ -76,10 +79,14 @@ val route :
     and the first valid key greater than [key], or 0 when the walk
     found none — only then can a split have moved the key's range to
     the sibling.  Left to right the checked slot is that first greater
-    key and the child is the left pointer its check read; right to
-    left it is the first entry not above [key].  Read order as in
-    {!search}.  [Binary] routing reports [hi] = [max_int] unless the
-    route ran off the end. *)
+    key and the child is the left pointer its check read, taken only
+    if it equals the pointer of the last slot the walk passed (the
+    leftmost pointer when none was); otherwise a separator was
+    FAST-inserted behind the walk, its child may start above [key],
+    and the walk starts again.  Right to left the checked slot is the
+    first entry not above [key].  Read order as in {!search}.
+    [Binary] routing reports [hi] = [max_int] unless the route ran
+    off the end. *)
 
 val next_above :
   Ff_pmem.Arena.t ->

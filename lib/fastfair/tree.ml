@@ -28,6 +28,12 @@ type t = {
   mutable finger : Layout.node;
   mutable finger_lo : int;
   mutable finger_hi : int;
+  (* Run hint: the leaf and slot the last leaf insert landed in
+     ([run_leaf = 0] when unset).  Volatile and advisory like the
+     finger: a full leaf whose next key lands just right of it is cut
+     there, not at the median (DESIGN.md deviation 11). *)
+  mutable run_leaf : Layout.node;
+  mutable run_pos : int;
 }
 
 let arena t = t.arena
@@ -53,6 +59,8 @@ let make_t ?(node_bytes = 512) ?(mode = Node.Linear) ?(split_policy = Fair)
     finger = 0;
     finger_lo = 0;
     finger_hi = 0;
+    run_leaf = 0;
+    run_pos = 0;
   }
 
 let create ?node_bytes ?mode ?split_policy ?lock_mode ?leaf_read_locks
@@ -135,7 +143,9 @@ let runlock t n =
    wrong for the separator gap of internal splits (see Layout.low). *)
 let chain_covers t s key = s <> 0 && L.low t.arena s <= key
 
-let drop_finger t = t.finger <- 0
+let drop_finger t =
+  t.finger <- 0;
+  t.run_leaf <- 0
 
 (* A writer or reader that had to chase the sibling chain off the
    finger leaf found its range shrunk: forget it. *)
@@ -303,27 +313,38 @@ let restore_from_log t =
 (* Insertion: FAST in-node, FAIR split, parent update                  *)
 (* ------------------------------------------------------------------ *)
 
+let set_run t leaf pos =
+  t.run_leaf <- leaf;
+  t.run_pos <- pos
+
 let append_raw t sib j k p =
   let a = t.arena in
   L.set_key a sib j k;
   L.set_ptr a sib j p
 
 (* Split [node] (lock held, node full with [cnt] entries) and insert
-   the pending (key, value); releases the lock and attaches the new
-   sibling to the parent.  Paper Algorithm 2. *)
-let rec split_and_insert t node cnt key value =
+   the pending (key, value), whose insertion position is [pos];
+   releases the lock and attaches the new sibling to the parent.
+   Paper Algorithm 2, cutting at the median, except that a leaf whose
+   last insert landed at [pos - 1] is cut at [pos]: an ascending run
+   leaves the donor full, and at [pos = cnt] the sibling holds only
+   the new key, its separator.  Any cut in [1 .. cnt] keeps the store
+   order, so readers and recovery cannot tell. *)
+let rec split_and_insert t node cnt pos key value =
   let a = t.arena and l = t.layout in
-  let median = cnt / 2 in
   let level = L.level a node in
-  let sep = L.key a node median in
+  let cut =
+    if level = 0 && node = t.run_leaf && pos = t.run_pos + 1 then pos else cnt / 2
+  in
+  let sep = if cut = cnt then key else L.key a node cut in
   Trace.span_begin t.tracer Trace.id_split level;
   if Trace.enabled t.tracer then
     Trace.incr t.tracer (Printf.sprintf "fastfair.splits.level%d" level);
   if t.split_policy = Logged then write_split_log t node;
   let sib = Arena.alloc a l.L.node_words in
-  let leftmost = if level = 0 then 0 else L.ptr a node median in
+  let leftmost = if level = 0 then 0 else L.ptr a node cut in
   Node.init a l sib ~level ~leftmost ~low:sep;
-  let start = if level = 0 then median else median + 1 in
+  let start = if level = 0 then cut else cut + 1 in
   let j = ref 0 in
   for i = start to cnt - 1 do
     append_raw t sib !j (L.key a node i) (L.ptr a node i);
@@ -338,9 +359,11 @@ let rec split_and_insert t node cnt key value =
   L.set_sibling a node sib;
   Arena.flush a (node + L.off_sibling);
   (* In-place truncation of the donor. *)
-  Node.truncate_from a l node ~count:cnt median;
+  if cut < cnt then Node.truncate_from a l node ~count:cnt cut;
   if node = t.finger then t.finger_hi <- min t.finger_hi sep;
-  if key < sep then Node.insert_nonfull a l node ~count:median ~key ~value;
+  if key < sep then Node.insert_nonfull a l node ~count:cut ~key ~value;
+  if level = 0 then
+    if key < sep then set_run t node pos else set_run t sib (pos - cut);
   if t.split_policy = Logged then clear_split_log t;
   Trace.span_end t.tracer Trace.id_split;
   wunlock t node;
@@ -369,7 +392,7 @@ and insert_into_node t node key value ~internal =
     | Node.Found pos ->
         if not internal then Node.update_value a l node ~pos ~value;
         wunlock t node
-    | Node.Absent count ->
+    | Node.Absent { pos; count } ->
         if count < l.L.capacity then begin
           (* The level argument is a charged read: only pay it when
              tracing is on, so the disabled path is cost-free. *)
@@ -377,9 +400,10 @@ and insert_into_node t node key value ~internal =
             Trace.span_begin t.tracer Trace.id_fast_shift (L.level a node);
           Node.insert_nonfull a l node ~count ~key ~value;
           Trace.span_end t.tracer Trace.id_fast_shift;
+          if not internal then set_run t node pos;
           wunlock t node
         end
-        else split_and_insert t node count key value
+        else split_and_insert t node count pos key value
   end
 
 (* Insert a separator into the internal level [level], growing the root
@@ -618,35 +642,6 @@ let ops t =
     ~close:(fun () -> Arena.drain t.arena)
     ~set_tracer:(set_tracer t)
     ()
-
-let min_entry t =
-  let a = t.arena and l = t.layout in
-  let rec leftmost n = if L.is_leaf a n then n else leftmost (L.leftmost a n) in
-  let rec first n =
-    if n = 0 then None
-    else
-      match Node.first_entry a l n with
-      | Some e -> Some e
-      | None -> first (L.sibling a n)
-  in
-  first (leftmost (root t))
-
-let max_entry t =
-  let a = t.arena and l = t.layout in
-  (* rightmost leaf via rightmost children, then the chain's end *)
-  let rec rightmost n =
-    if L.is_leaf a n then n
-    else
-      match Node.last_entry a l n with
-      | Some (_, child) -> rightmost child
-      | None -> rightmost (L.leftmost a n)
-  in
-  let rec chase n best =
-    let best = match Node.last_entry a l n with Some e -> Some e | None -> best in
-    let s = L.sibling a n in
-    if s = 0 then best else chase s best
-  in
-  chase (rightmost (root t)) None
 
 let cardinal t =
   let a = t.arena and l = t.layout in

@@ -6,6 +6,14 @@
     range scans, and both lazy (writer-driven, Section 4.2) and eager
     recovery.
 
+    A full node is cut at its median, except a leaf whose previous
+    insert landed one slot left of the new key's position: it is cut
+    at that position, so an ascending run leaves its leaves full.  The
+    tree remembers that previous insert in a volatile run hint, kept
+    and dropped with the leaf finger (see {!to_leaf}); any cut keeps
+    FAIR's store order, so readers and recovery cannot tell which was
+    taken (DESIGN.md deviation 11).
+
     Keys are positive ints; values are nonzero ints and must be unique
     across the tree (the paper's record-pointer uniqueness, which the
     duplicate-pointer validity rule depends on).  [insert] of an
@@ -67,12 +75,14 @@ val to_leaf : t -> int -> Layout.node
     separator its routes saw.  A key inside
     those bounds starts at that leaf with no descent.  A split of the
     finger leaf narrows the bounds; a sibling chase off it,
-    {!recover} and {!drop_finger} clear it.  [Binary] mode never sets
+    {!recover} and {!drop_finger} clear it, and the run hint with
+    it.  [Binary] mode never sets
     it. *)
 
 val drop_finger : t -> unit
-(** Forget the leaf finger.  A pass that frees nodes behind the
-    tree's back (such as {!Compact.compact}) must call it. *)
+(** Forget the leaf finger and the run hint.  A pass that frees nodes
+    behind the tree's back (such as {!Compact.compact}) must call
+    it. *)
 
 val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Ascending leaf-chain scan over [lo, hi], deduplicating the
@@ -114,12 +124,6 @@ val reachable_nodes : t -> Layout.node list
 (** All nodes reachable from the root (uncharged; checker/debug). *)
 
 (**/**)
-
-val min_entry : t -> (int * int) option
-(** Smallest (key, value), or [None] when empty. *)
-
-val max_entry : t -> (int * int) option
-(** Largest (key, value), or [None] when empty. *)
 
 val cardinal : t -> int
 (** Number of keys (leaf-chain walk; uncharged entry counting). *)

@@ -321,6 +321,76 @@ let test_tree_sequential_and_reverse () =
       Invariant.check_exn t)
     [ List.init 800 (fun i -> i + 1); List.init 800 (fun i -> 800 - i) ]
 
+(* The leaf chain, leftmost leaf first: each leaf with its keys. *)
+let leaf_chain t =
+  let a = Tree.arena t and l = Tree.layout t in
+  let rec leftmost n =
+    if Arena.peek a (n + Layout.off_level) = 0 then n
+    else leftmost (Arena.peek a (n + Layout.off_leftmost))
+  in
+  let rec chain n acc =
+    if n = 0 then List.rev acc
+    else
+      chain (Arena.peek a (n + Layout.off_sibling))
+        ((n, List.map fst (Node.entries_debug a l n)) :: acc)
+  in
+  chain (leftmost (Tree.root t)) []
+
+(* Where a full leaf is cut (DESIGN.md deviation 11).  Ascending
+   inserts cut each leaf at its end, so every leaf but the last is
+   full.  In a shuffled sequence every leaf split is checked against
+   the rule: the cut is the new key's position [pos] if the previous
+   insert landed in the same leaf at [pos - 1], else the median, and
+   the keys from the cut up (with the new key when it is not below
+   them) move to the new sibling.  The sequence makes both kinds. *)
+let test_tree_split_cut () =
+  let tree () = snd (mk_tree ~node_bytes:128 ~words:(1 lsl 20) ()) in
+  let t = tree () in
+  let cap = (Tree.layout t).Layout.capacity in
+  for k = 1 to 800 do
+    Tree.insert t ~key:k ~value:(value_of k)
+  done;
+  let leaves = leaf_chain t in
+  Alcotest.(check int) "ascending: leaves" (800 / cap) (List.length leaves);
+  List.iter
+    (fun (_, ks) -> Alcotest.(check int) "ascending: leaf full" cap (List.length ks))
+    leaves;
+  let t = tree () in
+  let keys = Array.init 800 (fun i -> i + 1) in
+  Prng.shuffle (Prng.create 1) keys;
+  let landed = ref (0, -1) and runs = ref 0 and medians = ref 0 in
+  Array.iter
+    (fun k ->
+      let before = leaf_chain t in
+      Tree.insert t ~key:k ~value:(value_of k);
+      let after = leaf_chain t in
+      let rec split = function
+        | (d, dks) :: ((s, sks) :: _ as rest) ->
+            if List.mem_assoc s before then split rest else Some (d, dks, sks)
+        | [ _ ] | [] -> None
+      in
+      (match split after with
+      | None -> ()
+      | Some (donor, dks, sks) ->
+          let old = List.assoc donor before in
+          let pos = List.length (List.filter (fun x -> x < k) old) in
+          let cut =
+            if !landed = (donor, pos - 1) then (incr runs; pos) else (incr medians; cap / 2)
+          in
+          let sep = if cut = cap then k else List.nth old cut in
+          let all = List.sort compare (k :: old) in
+          Alcotest.(check (pair (list int) (list int)))
+            (Printf.sprintf "split inserting %d at %d" k pos)
+            (List.partition (fun x -> x < sep) all) (dks, sks));
+      let leaf, ks = List.find (fun (_, ks) -> List.mem k ks) after in
+      landed := (leaf, Option.get (List.find_index (( = ) k) ks)))
+    keys;
+  Invariant.check_exn t;
+  Alcotest.(check bool)
+    (Printf.sprintf "both cuts (%d run, %d median)" !runs !medians)
+    true
+    (!runs > 0 && !medians > 0)
+
 let test_tree_binary_mode () =
   let _, t = mk_tree ~mode:Node.Binary ~words:(1 lsl 20) () in
   let rng = Prng.create 31 in
@@ -610,49 +680,44 @@ let prop_crash_then_recover_sound =
 
 let level_of a n = Arena.peek a (n + Layout.off_level)
 
-(* Keys 10, 20, ..., 10n go into 128-byte nodes (4 entries), then the
-   insert of 10(n+1) crashes at its first store into a node of level
-   >= [above] that already existed: the split below that level is
-   published (sibling linked, donor truncated) but its separator never
-   reached the parent.  Every store is kept, so the reopened tree is
-   exactly that state.  Returns the tree, the donor and its dangling
-   sibling. *)
-let dangling_split ~mode ~above n =
+(* Keys 10, 20, 30, ... go into 128-byte nodes (4 entries) until an
+   insert stores into a node of level >= [above] that existed before
+   it; that insert crashes just before the store, so the split below
+   that level is published (sibling linked, donor truncated) but its
+   separator never reached the parent.  The crash is raised from the
+   store sink of the live tree, so the split is cut where the tree
+   itself cuts it.  Every store is kept, so the reopened tree is
+   exactly that state.  Returns the tree, the donor, its dangling
+   sibling and the keys inserted before the crashed one. *)
+let dangling_split ~mode ~above =
   let a = mk_arena () in
   let t = Tree.create ~node_bytes:128 ~mode a in
-  for i = 1 to n do
-    Tree.insert t ~key:(10 * i) ~value:(value_of (10 * i))
-  done;
   let words = (Tree.layout t).Layout.node_words in
-  let upper =
-    List.filter (fun nd -> level_of a nd >= above) (Tree.reachable_nodes t)
-  in
-  (* Dry run on a clone: the index of the insert's first store into
-     one of those nodes. *)
-  let seen = ref 0 and first = ref None in
   let nop _ = () and nop2 _ _ = () in
-  let reopen dry =
-    Arena.set_event_sink dry
+  let rec fill i =
+    let upper =
+      List.filter (fun nd -> level_of a nd >= above) (Tree.reachable_nodes t)
+    in
+    Arena.set_event_sink a
       (Some
          {
            Arena.ev_store =
              (fun addr ->
-               if !first = None
-                  && List.exists (fun nd -> addr >= nd && addr < nd + words) upper
-               then first := Some !seen;
-               incr seen);
+               if List.exists (fun nd -> addr >= nd && addr < nd + words) upper
+               then raise Arena.Crashed);
            ev_flush = nop;
            ev_fence = (fun () -> ());
            ev_alloc = nop2;
            ev_free = nop2;
            ev_crash = (fun () -> ());
          });
-    Tree.open_existing ~node_bytes:128 ~mode dry
+    let key = 10 * i in
+    match Tree.insert t ~key ~value:(value_of key) with
+    | () -> fill (i + 1)
+    | exception Arena.Crashed -> i - 1
   in
-  let trigger = 10 * (n + 1) in
-  let insert t = Tree.insert t ~key:trigger ~value:(value_of trigger) in
-  ignore (Arena.store_span a ~reopen insert);
-  ignore (Arena.crash_after a (Option.get !first) (fun () -> insert t));
+  let n = fill 1 in
+  Arena.set_event_sink a None;
   Arena.power_fail a Storelog.Keep_all;
   let t = Tree.open_existing ~node_bytes:128 ~mode a in
   let nodes = Tree.reachable_nodes t in
@@ -670,7 +735,7 @@ let dangling_split ~mode ~above n =
       nodes
   in
   let donor = List.find (fun nd -> Arena.peek a (nd + Layout.off_sibling) = sib) nodes in
-  (t, donor, sib)
+  (t, donor, sib, List.init n (fun i -> 10 * (i + 1)))
 
 (* Route parities: even scans left to right, odd right to left (as
    while a delete shifts); set on every internal node. *)
@@ -690,11 +755,14 @@ let variant_name (mode, odd) =
 (* A leaf split whose separator is missing: the descent stops at the
    donor (no move-right at the leaf), and search, range, insert and
    delete of keys at and past the donor's last entry still reach the
-   sibling through their own sibling checks. *)
+   sibling through their own sibling checks.  The ascending keys cut
+   the leaf at its end, so the sibling may hold the crashed insert's
+   key alone: the delete takes the sibling's second key, which is then
+   the one inserted past it. *)
 let test_descent_dangling_leaf () =
   List.iter
     (fun ((mode, odd) as v) ->
-      let t, donor, sib = dangling_split ~mode ~above:1 6 in
+      let t, donor, sib, _ = dangling_split ~mode ~above:1 in
       set_internal_parity t odd;
       let a = Tree.arena t and l = Tree.layout t in
       let name what = Printf.sprintf "%s: %s" (variant_name v) what in
@@ -710,14 +778,17 @@ let test_descent_dangling_leaf () =
       let got = ref [] in
       Tree.range t ~lo:last ~hi:max_int (fun k _ -> got := k :: !got);
       Alcotest.(check (list int)) (name "range") (last :: sib_keys) (List.rev !got);
-      let past = 10 * (List.length donor_keys + List.length sib_keys + 5) in
+      let past = List.fold_left max 0 sib_keys + 50 in
       Tree.insert t ~key:past ~value:(value_of past);
       Tree.insert t ~key:(List.hd sib_keys) ~value:1001;
-      Alcotest.(check bool) (name "delete") true (Tree.delete t (List.nth sib_keys 1));
+      let gone = List.nth (sib_keys @ [ past ]) 1 in
+      Alcotest.(check bool) (name "delete") true (Tree.delete t gone);
       Alcotest.(check (list (pair int int)))
         (name "writes landed in the sibling")
         ((List.hd sib_keys, 1001)
-         :: List.map (fun k -> (k, value_of k)) (List.tl (List.tl sib_keys) @ [ past ]))
+         :: List.filter_map
+              (fun k -> if k = gone then None else Some (k, value_of k))
+              (List.tl sib_keys @ [ past ]))
         (Node.entries_debug a l sib);
       Alcotest.(check (list int)) (name "donor untouched") donor_keys
         (List.map fst (Node.entries_debug a l donor)))
@@ -730,7 +801,7 @@ let test_descent_dangling_leaf () =
 let test_descent_dangling_internal () =
   List.iter
     (fun ((mode, odd) as v) ->
-      let t, donor, sib = dangling_split ~mode ~above:2 18 in
+      let t, donor, sib, keys = dangling_split ~mode ~above:2 in
       set_internal_parity t odd;
       let a = Tree.arena t and l = Tree.layout t in
       let name what = Printf.sprintf "%s: %s" (variant_name v) what in
@@ -748,7 +819,7 @@ let test_descent_dangling_internal () =
             && (s = 0 || Arena.peek a (s + Layout.off_low) > k)
             && List.mem_assoc k (Node.entries_debug a l leaf));
           Alcotest.(check (option int)) (name "search") (Some (value_of k)) (Tree.search t k))
-        (List.filter (fun k -> k >= last) (List.init 18 (fun i -> 10 * (i + 1)))))
+        (List.filter (fun k -> k >= last) keys))
     descent_variants
 
 (* A cold search for the first key of a full leaf (the root) reads the
@@ -830,6 +901,7 @@ let suite =
     Alcotest.test_case "tree delete" `Quick test_tree_delete;
     Alcotest.test_case "tree range" `Quick test_tree_range;
     Alcotest.test_case "tree seq+reverse" `Quick test_tree_sequential_and_reverse;
+    Alcotest.test_case "tree split cut" `Quick test_tree_split_cut;
     Alcotest.test_case "tree binary mode" `Quick test_tree_binary_mode;
     Alcotest.test_case "tree logged splits" `Quick test_tree_logged_split_policy;
     Alcotest.test_case "descent: dangling leaf split" `Quick test_descent_dangling_leaf;

@@ -134,27 +134,16 @@ let test_histogram_wide_range () =
 (* Tree helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_tree_min_max_cardinal () =
+let test_tree_cardinal () =
   let a = Arena.create ~words:(1 lsl 20) () in
   let t = Ff_fastfair.Tree.create ~node_bytes:128 a in
-  Alcotest.(check (option (pair int int))) "empty min" None (Ff_fastfair.Tree.min_entry t);
-  Alcotest.(check (option (pair int int))) "empty max" None (Ff_fastfair.Tree.max_entry t);
   Alcotest.(check int) "empty cardinal" 0 (Ff_fastfair.Tree.cardinal t);
   let rng = Prng.create 17 in
   let keys = W.distinct_uniform rng ~n:700 ~space:100_000 in
   Array.iter (fun k -> Ff_fastfair.Tree.insert t ~key:k ~value:(value_of k)) keys;
-  let sorted = Array.copy keys in
-  Array.sort compare sorted;
-  let lo = sorted.(0) and hi = sorted.(699) in
-  Alcotest.(check (option (pair int int))) "min" (Some (lo, value_of lo))
-    (Ff_fastfair.Tree.min_entry t);
-  Alcotest.(check (option (pair int int))) "max" (Some (hi, value_of hi))
-    (Ff_fastfair.Tree.max_entry t);
   Alcotest.(check int) "cardinal" 700 (Ff_fastfair.Tree.cardinal t);
-  ignore (Ff_fastfair.Tree.delete t hi);
-  Alcotest.(check int) "cardinal after delete" 699 (Ff_fastfair.Tree.cardinal t);
-  Alcotest.(check bool) "new max < old" true
-    (match Ff_fastfair.Tree.max_entry t with Some (k, _) -> k < hi | None -> false)
+  ignore (Ff_fastfair.Tree.delete t keys.(0));
+  Alcotest.(check int) "cardinal after delete" 699 (Ff_fastfair.Tree.cardinal t)
 
 let suite =
   [
@@ -168,5 +157,5 @@ let suite =
     Alcotest.test_case "histogram empty/zero" `Quick test_histogram_empty_and_zero;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram wide range" `Quick test_histogram_wide_range;
-    Alcotest.test_case "tree min/max/cardinal" `Quick test_tree_min_max_cardinal;
+    Alcotest.test_case "tree cardinal" `Quick test_tree_cardinal;
   ]

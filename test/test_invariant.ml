@@ -57,7 +57,17 @@ let test_detects_broken_terminator () =
   let a, t = mk () in
   let leaf = some_leaf t in
   let l = Tree.layout t in
-  (* nonzero pointer beyond the record terminator *)
+  (* Delete the leaf's last keys until its last two slots are empty,
+     however full its split left it, then put a nonzero pointer in the
+     last slot, beyond the record terminator. *)
+  let rec trim () =
+    let es = Node.entries_debug a l leaf in
+    if List.length es > l.Layout.capacity - 2 then begin
+      ignore (Tree.delete t (fst (List.nth es (List.length es - 1))));
+      trim ()
+    end
+  in
+  trim ();
   Arena.write a (leaf + Layout.ptr_off (l.Layout.capacity - 1)) 77777;
   expect_violation t "terminator"
 

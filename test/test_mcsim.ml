@@ -251,33 +251,19 @@ let test_suspended_reader_delete () =
         (Some (value_of key)) results.(i))
     [ 10; 30; 40 ]
 
-(* A reader parked inside a FAST shift.  The leaf holds 2, 4, 6 and 8,
-   and the writer FAST-inserts 5, just below 6, shifting 6 and 8 right.
-   The [Choose] schedule runs the reader alone for its first [n]
-   decisions (one PM access each at quantum 1), then the writer to its
-   end, then the reader to its end; [n] goes up until the reader is
-   done before the writer starts.  So the reader is parked once at
-   every load, among them the one between its pointer and key loads at
-   6's slot.  A reader that pairs the pointer it read there with the
-   key it reads after the shift reports 5 bound to 6's value, and one
-   that carries that pointer to the next slot skips 6.  [read] returns
-   the (key, value) pairs the reader saw, ascending: each of [keys]
-   with its own value, and 5 either missing or with its own value. *)
-let parked_reader_case ~keys read () =
-  let expect with5 =
-    List.map (fun k -> (k, value_of k)) (List.sort compare (if with5 then 5 :: keys else keys))
-  in
+(* Park a reader after each of its loads in turn.  The [Choose]
+   schedule runs the reader alone for its first [n] decisions (one PM
+   access each at quantum 1), then the writer to its end, then the
+   reader to its end; [n] goes up until the reader is done before the
+   writer starts.  [check n r] judges what the reader returned. *)
+let park_reader ~build ~write ~read ~check =
   let rec park n =
-    let a, t = mk_sim_tree ~node_bytes:512 () in
-    in_sim a (fun () -> List.iter (fun k -> Tree.insert t ~key:k ~value:(value_of k)) [ 2; 4; 6; 8 ]);
-    let seen = ref [] and reader_done = ref false and solo = ref false in
-    let reader _ =
-      seen := read t;
-      reader_done := true
-    in
+    let a, t = build () in
+    let seen = ref None and solo = ref false in
+    let reader _ = seen := Some (read t) in
     let writer _ =
-      solo := !reader_done;
-      Tree.insert t ~key:5 ~value:(value_of 5)
+      solo := !seen <> None;
+      write t
     in
     let picks = ref 0 in
     let pick tids =
@@ -290,12 +276,67 @@ let parked_reader_case ~keys read () =
     in
     ignore
       (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy:(Mcsim.Choose pick) ~arena:a [| reader; writer |]);
-    if !seen <> expect false && !seen <> expect true then
-      Alcotest.failf "parked after %d decisions: read [%s]" n
-        (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) !seen));
+    check n (Option.get !seen);
     if not !solo then park (n + 1)
   in
   park 0
+
+(* A reader parked inside a FAST shift.  The leaf holds 2, 4, 6 and 8,
+   and the writer FAST-inserts 5, just below 6, shifting 6 and 8 right.
+   Among the reader's parkings is the one between its pointer and key
+   loads at 6's slot.  A reader that pairs the pointer it read there
+   with the key it reads after the shift reports 5 bound to 6's value,
+   and one that carries that pointer to the next slot skips 6.  [read]
+   returns the (key, value) pairs the reader saw, ascending: each of
+   [keys] with its own value, and 5 either missing or with its own
+   value. *)
+let parked_reader_case ~keys read () =
+  let expect with5 =
+    List.map (fun k -> (k, value_of k)) (List.sort compare (if with5 then 5 :: keys else keys))
+  in
+  park_reader
+    ~build:(fun () ->
+      let a, t = mk_sim_tree ~node_bytes:512 () in
+      in_sim a (fun () -> List.iter (fun k -> Tree.insert t ~key:k ~value:(value_of k)) [ 2; 4; 6; 8 ]);
+      (a, t))
+    ~write:(fun t -> Tree.insert t ~key:5 ~value:(value_of 5))
+    ~read
+    ~check:(fun n seen ->
+      if seen <> expect false && seen <> expect true then
+        Alcotest.failf "parked after %d decisions: read [%s]" n
+          (String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%d->%d" k v) seen)))
+
+(* A route parked inside a separator's FAST insert.  Under a root
+   holding 40, 77 and 152, 128-byte leaves hold 10 20 30 35, 40 50 60,
+   77 103 114 140 and 152 160 170 (bulk-loaded three to a leaf, then
+   35 and 140 inserted), and both threads descend from the root.  The
+   writer inserts [key] into a full leaf, which splits it at the
+   median and FAST-inserts the separator into the root, and the reader
+   searches [probe], a key of that leaf below the separator.  A route
+   that walks past the half-written separator slot and then takes the
+   left pointer of the next slot reads the separator's child there,
+   whose range starts above [probe]: the descent cannot move left, so
+   the search misses. *)
+let parked_route_case ~key ~probe () =
+  let keys = [| 10; 20; 30; 40; 50; 60; 77; 103; 114; 152; 160; 170 |] in
+  park_reader
+    ~build:(fun () ->
+      let a = Arena.create ~words:(1 lsl 21) () in
+      let b =
+        Ff_fastfair.Bulk.load ~node_bytes:128 a (Array.map (fun k -> (k, value_of k)) keys)
+      in
+      Alcotest.(check (list int)) "root separators" [ 40; 77; 152 ]
+        (List.map fst (Ff_fastfair.Node.entries_debug a (Tree.layout b) (Tree.root b)));
+      let t = Tree.open_existing ~node_bytes:128 ~lock_mode:Locks.Sim a in
+      in_sim a (fun () ->
+          List.iter (fun k -> Tree.insert t ~key:k ~value:(value_of k)) [ 35; 140 ]);
+      Tree.drop_finger t;
+      (a, t))
+    ~write:(fun t -> Tree.insert t ~key ~value:(value_of key))
+    ~read:(fun t -> Tree.search t probe)
+    ~check:(fun n seen ->
+      if seen <> Some (value_of probe) then
+        Alcotest.failf "parked after %d decisions: search %d missed" n probe)
 
 let search_reader t =
   List.filter_map (fun k -> Option.map (fun v -> (k, v)) (Tree.search t k)) [ 5; 6 ]
@@ -404,6 +445,10 @@ let suite =
       (parked_reader_case ~keys:[ 6 ] search_reader);
     Alcotest.test_case "parked reader vs FAST insert: cursor" `Quick
       (parked_reader_case ~keys:[ 2; 4; 6; 8 ] cursor_reader);
+    Alcotest.test_case "parked route: middle separator" `Quick
+      (parked_route_case ~key:120 ~probe:103);
+    Alcotest.test_case "parked route: slot-0 separator" `Quick
+      (parked_route_case ~key:25 ~probe:20);
     Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers_disjoint;
     Alcotest.test_case "mixed readers/writers" `Quick test_concurrent_mixed_with_readers;
     Alcotest.test_case "leaflock variant" `Quick test_leaflock_variant_concurrent;
