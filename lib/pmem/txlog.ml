@@ -16,8 +16,9 @@ let off_coord = 4 (* coordinator shard + 1; 0 = none *)
    begin_tx, BEFORE any head store on the same header line: crash modes
    persist per-line store prefixes, so any crash image whose head is
    nonzero also carries the matching txid — and record slots still
-   holding a stale (previous-transaction) image then fail the tag
-   check instead of being replayed. *)
+   holding a stale image (an earlier transaction's, possibly from an
+   earlier run: ids continue across attach) then fail the tag check
+   instead of being replayed. *)
 let off_txid = 5
 
 let record_words = Arena.words_per_line
@@ -44,7 +45,7 @@ type t = {
   mutable next_id : int;
   mutable torn : bool;
   mutable payload : int list;
-      (* deferred appends' payload words, persisted with the records *)
+      (* the open transaction's payload words, not yet written back *)
 }
 
 let arena t = t.arena
@@ -54,7 +55,7 @@ let torn_commit t = t.torn
 
 let record_base t i = t.base + record_words + (i * record_words)
 
-let mk arena base cap =
+let mk arena base cap ~next_id =
   {
     arena;
     base;
@@ -62,18 +63,29 @@ let mk arena base cap =
     open_tx = false;
     txid = 0;
     count = 0;
-    next_id = 1;
+    next_id;
     torn = false;
     payload = [];
   }
 
+(* Ids continue past every id the region carries, the header's and any
+   slot's tag (a crash can keep a first append's record line but not
+   the header line): a slot from an earlier run then never matches a
+   later transaction's tag, although [records] reads past [head]. *)
 let attach arena =
   let base = Arena.root_get arena slot_addr in
   if base = 0 then None
   else begin
     let words = Arena.root_get arena slot_words in
     if Arena.peek arena base <> magic then None
-    else Some (mk arena base ((words - record_words) / record_words))
+    else begin
+      let cap = (words - record_words) / record_words in
+      let last = ref (Arena.peek arena (base + off_txid)) in
+      for i = 1 to cap do
+        last := max !last (Arena.peek arena (base + (i * record_words)))
+      done;
+      Some (mk arena base cap ~next_id:(!last + 1))
+    end
   end
 
 let ensure ?(capacity = default_capacity) arena =
@@ -95,7 +107,7 @@ let ensure ?(capacity = default_capacity) arena =
          than a root pointing at an uninitialized region. *)
       Arena.root_set arena slot_words words;
       Arena.root_set arena slot_addr base;
-      mk arena base capacity
+      mk arena base capacity ~next_id:1
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -108,8 +120,8 @@ let begin_tx t =
   t.next_id <- t.next_id + 1;
   t.count <- 0;
   t.payload <- [];
-  (* Pending until the first flush of the header line (every append
-     and persist_payload flushes it); ordered before any head store. *)
+  (* Pending until the first flush of the header line (the first
+     append's, or persist_payload's); ordered before any head store. *)
   Arena.write t.arena (t.base + off_txid) t.txid;
   t.txid
 
@@ -131,32 +143,38 @@ let append ?(persist = true) ?payload t r =
     (checksum ~tag:t.txid ~seq:i ~key:r.key ~old_v:r.old_v ~new_v:r.new_v);
   Arena.write a (t.base + off_head) (i + 1);
   t.count <- i + 1;
-  (* Undo-logging ordering: the payload word the new binding will point
-     to, the record line and the head that makes it valid are written
-     back, and one fence makes them all durable before the caller's
-     in-place write.  Inside the caller's group scope the write-backs
-     are [clwb]s and that fence is the only one.  The torn-commit
-     mutant elides exactly this persist. *)
-  if not persist then Option.iter (fun p -> t.payload <- p :: t.payload) payload
-  else if not t.torn then begin
-    Option.iter (Arena.flush a) payload;
+  Option.iter (fun p -> t.payload <- p :: t.payload) payload;
+  (* Undo-logging ordering: the record line is written back and one
+     fence makes it durable before the caller's in-place write.  The
+     first append also writes back the header, whose txid and nonzero
+     head put the log in flight; later head stores need not be durable,
+     since [records] reads slots while they validate.  The payload word
+     waits for the commit fence ({!write_back_payload}): until the log
+     is truncated, recovery binds the key back to its old, durable
+     cell.  Inside the caller's group scope the write-backs are [clwb]s
+     and that fence is the only one.  The torn-commit mutant elides
+     exactly this persist. *)
+  if persist && not t.torn then begin
     Arena.flush a rb;
-    Arena.flush a t.base;
+    if i = 0 then Arena.flush a t.base;
     Arena.fence a
   end
 
-(* The deferred path's one ordering point: staged payload lines (each
-   once, as fresh cells often share a line), record lines and the
-   header go out as one group closed by one fence, all before the
-   commit word or prepared marker is stored. *)
+(* Each remembered payload line once: fresh cells often share a line. *)
+let write_back_payload t =
+  List.iter
+    (fun line -> Arena.flush t.arena (line * Arena.words_per_line))
+    (List.sort_uniq compare
+       (List.map (fun p -> p / Arena.words_per_line) t.payload))
+
+(* The deferred path's one ordering point: staged payload lines, record
+   lines and the header go out as one group closed by one fence, all
+   before the commit word or prepared marker is stored. *)
 let persist_payload t =
   let a = t.arena in
   let own = not (Arena.in_group a) in
   if own then Arena.group_begin a;
-  List.iter
-    (fun line -> Arena.flush a (line * Arena.words_per_line))
-    (List.sort_uniq compare
-       (List.map (fun p -> p / Arena.words_per_line) t.payload));
+  write_back_payload t;
   for i = 0 to t.count - 1 do
     Arena.flush a (record_base t i)
   done;
@@ -220,21 +238,20 @@ let decision t ~gtid =
   Arena.read a (t.base + off_commit) <> 0
   && Arena.read a (t.base + off_prepared) = gtid
 
-(* A record is trusted only when its tag matches the header's durable
-   transaction id (ordered before the head on the same line), its
-   sequence number matches its slot, and its checksum validates: a
-   torn append (head advanced, record line not fully — or not at all —
-   persisted) truncates the tail instead of replaying garbage or a
-   stale record left over from an earlier, already-discarded
-   transaction. *)
+(* A nonzero head puts the log in flight; the records are then the
+   slots, read up to capacity, whose tag matches the header's durable
+   transaction id (ordered before the head on the same line), whose
+   sequence number matches their slot, and whose checksum validates.
+   A torn append (record line not fully — or not at all — persisted)
+   ends the scan instead of replaying garbage, and a slot left over
+   from an earlier transaction fails the tag check: ids only grow. *)
 let records t =
   let a = t.arena in
-  let head = min (Arena.read a (t.base + off_head)) t.cap in
-  if head <= 0 then []
+  if Arena.read a (t.base + off_head) <= 0 then []
   else begin
     let tag0 = Arena.read a (t.base + off_txid) in
     let rec go i acc =
-      if i >= head then List.rev acc
+      if i >= t.cap then List.rev acc
       else
         let rb = record_base t i in
         let tag = Arena.read a (rb + 0) in

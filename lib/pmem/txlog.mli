@@ -24,14 +24,21 @@
     at begin time, before any [head] store on the same line: since
     crash modes persist per-line store prefixes, a surviving nonzero
     [head] always comes with the matching [txid], and a record slot
-    still holding a stale previous-transaction image — internally
-    consistent, checksum and all — fails the tag check instead of
-    being replayed at recovery.
+    still holding a stale image — internally consistent, checksum and
+    all — fails the tag check instead of being replayed at recovery.
+    Ids only grow, across reopens too ({!attach} continues past every
+    id the region carries), so a stale slot never carries the current
+    tag.
 
     {b Commit-record protocol.}  Records are appended and persisted
-    {e before} the in-place updates they guard; [head] counts valid
-    records and is persisted after the record it covers (so a torn
-    append is invisible).  {!set_commit} persists the commit word
+    {e before} the in-place updates they guard.  A nonzero [head] puts
+    the log in flight; the records are the slots, read up to capacity,
+    that validate (tag, sequence number, checksum), so a torn append
+    ends the log and [head] itself need only be durable once: the
+    first append writes the header back with its record.  An undo-only
+    user writes back payload cells at commit ({!write_back_payload}):
+    until truncation, recovery binds the key back to its old, durable
+    cell.  {!set_commit} persists the commit word
     {e last}: recovery treats a nonzero commit word as "all effects are
     (re)applicable from the redo images", a zero commit word with
     [head > 0] as "roll back from the undo images".  {!discard} clears
@@ -75,7 +82,11 @@ val ensure : ?capacity:int -> Arena.t -> t
     on creation. *)
 
 val attach : Arena.t -> t option
-(** Attach to an existing region; [None] if the arena carries none. *)
+(** Attach to an existing region; [None] if the arena carries none.
+    Transaction ids continue after the largest id the region carries:
+    {!begin_tx} after a reopen returns the header's durable [txid] + 1,
+    or more when a crash kept a first append's record line but not the
+    header line, whose slot then carries the larger tag. *)
 
 val arena : t -> Arena.t
 val capacity : t -> int
@@ -90,29 +101,34 @@ val torn_commit : t -> bool
 (** {1 Writing the log} *)
 
 val begin_tx : t -> int
-(** Start a transaction; returns its id (monotonic, nonzero).  The log
-    must be idle (discarded).
+(** Start a transaction; returns its id (monotonic across reopens,
+    nonzero).  The log must be idle (discarded).
     @raise Invalid_argument if a transaction is already in flight. *)
 
 val append : ?persist:bool -> ?payload:int -> t -> record -> unit
 (** Append one record under the open transaction.  [payload] is the
     address of a word the caller stored and the record's new value
-    points to (a fresh row cell); it is persisted with the record.
+    points to (a fresh row cell); it is remembered for
+    {!write_back_payload} (or {!persist_payload}), never written back
+    here.
 
-    With [persist = true] (the default) the payload line, the record
-    line and the header line carrying the advanced [head] are written
-    back and a fence closes them before returning — the undo-logging
-    contract: the pre-image (and the cell the new binding will name) is
-    durable before the caller's in-place write.  The caller is expected
-    to hold a group-flush scope ({!Arena.group_begin}): the write-backs
-    are then [clwb]s and that fence is the append's only one, and the
-    scope stays open.  Outside a scope each write-back carries its own
-    fence.  With [persist = false]
-    the stores are merely issued and [payload] is remembered for
-    {!persist_payload} (shadow path: the caller persists the whole
-    payload at once).
+    With [persist = true] (the default) the record line is written back
+    (on the transaction's first append, the header line too, carrying
+    [txid] and a nonzero [head]) and a fence closes them before
+    returning — the undo-logging contract: the pre-image is durable
+    before the caller's in-place write.  The caller is expected to hold
+    a group-flush scope ({!Arena.group_begin}): the write-backs are
+    then [clwb]s and that fence is the append's only one, and the scope
+    stays open.  Outside a scope each write-back carries its own fence.
+    With [persist = false] the stores are merely issued (shadow path:
+    the caller persists the whole payload at once).
     @raise Invalid_argument when the region is full or no transaction
     is open. *)
+
+val write_back_payload : t -> unit
+(** Write back every remembered payload line, each line once, with no
+    fence: the undo path's payload ordering, closed by the fence
+    before {!discard}. *)
 
 val persist_payload : t -> unit
 (** Write back every remembered payload line (each line once), every
@@ -156,10 +172,11 @@ val decision : t -> gtid:int -> bool
     [gtid] (commit word set, prepared marker matching)? *)
 
 val records : t -> record list
-(** The [head] currently-valid records, oldest first.  Records whose
-    tag does not match the logged transaction, whose sequence number
-    does not match their slot, or whose checksum fails (torn append)
-    are dropped along with everything after them. *)
+(** The logged transaction's records, oldest first: none when [head] is
+    zero, else the slots up to capacity while each one's tag matches
+    the header's [txid], its sequence number its slot, and its checksum
+    its contents.  The first slot that fails (a torn append, or one an
+    earlier transaction left) ends the list. *)
 
 val commit_torn : t -> bool
 (** True when the commit word is durable but the payload it covers is

@@ -125,7 +125,7 @@ let load ?(path = Tx.Logged) ~arena index cfg =
 
 (* Rows update by shadow cell: a new payload cell is allocated, then
    the index binding swings to it through the transaction, which
-   persists the cell together with its log record.  Cell addresses
+   persists the cell before its commit point.  Cell addresses
    stay unique (the index value contract), the pre-image cell survives
    untouched for rollback, and a cell orphaned by an abort is ordinary
    leaked garbage the scrub pass reclaims. *)

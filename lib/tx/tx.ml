@@ -107,9 +107,9 @@ let write ?payload tx k post =
   else begin
     (* Logged path: the transaction runs under one group-flush scope
        (its own, or a caller's already open), so every write-back below
-       is a [clwb].  The append's fence makes the undo record (and
-       payload) durable before the in-place write; commit fences the
-       installs once, before truncation.  The write is counted and its
+       is a [clwb].  The append's fence makes the undo record durable
+       before the in-place write; commit fences the payload cells and
+       the installs once, before truncation.  The write is counted and its
        undo pushed before the install runs: an install that applies and
        then raises must still be rolled back before the log is
        truncated. *)
@@ -173,11 +173,15 @@ let commit tx =
             end;
             apply_staged tx
           end
-          else
-            (* The installs' write-backs are [clwb]s inside the scope:
-               one fence makes them durable before the store that
-               truncates the log, which is the commit point. *)
-            Arena.fence m.arena;
+          else begin
+            (* The payload cells' and the installs' write-backs are
+               [clwb]s inside the scope: one fence makes them durable
+               before the store that truncates the log, which is the
+               commit point.  The mutant skips the payload's. *)
+            if not (Txlog.torn_commit m.log) then
+              Txlog.write_back_payload m.log;
+            Arena.fence m.arena
+          end;
           Txlog.discard m.log));
   retire tx;
   m.commits <- m.commits + 1

@@ -8,14 +8,15 @@
     - {b Logged} (undo): the transaction runs under one group-flush
       scope, opened at its first write (or the caller's, if one is
       already open) and closed when it retires.  Every write persists
-      a combined undo/redo record, the header and the optional payload
-      line as [clwb]s closed by one fence, {e before} the eager
-      in-place install.  The installs' own write-backs are [clwb]s
-      too, made durable by one fence before commit truncates the log
-      ({!Ff_pmem.Txlog.discard}); that truncation is the commit point,
-      and there is no commit word.  A crash before truncation rolls
-      back from the undo images.  Classic persistent-memory
-      transactions, one fence per write.
+      a combined undo/redo record line (the first write, the log
+      header too) as [clwb]s closed by one fence, {e before} the eager
+      in-place install.  The payload cells' and the installs' own
+      write-backs are [clwb]s too, made durable by one fence before
+      commit truncates the log ({!Ff_pmem.Txlog.discard}); that
+      truncation is the commit point, and there is no commit word.  A
+      crash before truncation rolls back from the undo images, which
+      name the old, durable cells.  Classic persistent-memory
+      transactions, one fence and one record write-back per write.
     - {b Shadow} (MOD-style minimally ordered): writes stage in a
       volatile write set; commit group-flushes the whole payload with
       a single fence, persists the commit word, then installs under a
@@ -79,11 +80,11 @@ val put : ?payload:int -> tx -> int -> int -> unit
 
     [payload] is the address of a word the caller stored and [value]
     points to (a fresh row cell).  The transaction persists it for the
-    caller, so the caller issues no flush of its own: on [Logged] its
-    line joins the log append's write-back group, ordered by the same
-    fence before the in-place install; on [Shadow] (and in {!prepare})
-    it joins the payload group ahead of the commit word (or prepared
-    marker). *)
+    caller, so the caller issues no flush of its own: on [Logged]
+    commit writes its line back (each distinct line once) under the
+    fence before truncation, and until then recovery would bind the
+    key back to its old cell; on [Shadow] (and in {!prepare}) it joins
+    the payload group ahead of the commit word (or prepared marker). *)
 
 val del : tx -> int -> bool
 (** Delete; true if the key was visible beforehand. *)
@@ -95,8 +96,8 @@ val commit : tx -> unit
 (** Run the commit protocol for the transaction's path.  When this
     returns, the transaction's effects are durable and the log is
     truncated.  On [Logged] the truncation itself is the commit point,
-    after one fence covering every install; on [Shadow] the commit
-    word is, and the installs follow it. *)
+    after one fence covering every payload cell and install; on
+    [Shadow] the commit word is, and the installs follow it. *)
 
 val rollback : tx -> unit
 (** Undo every effect (logged path: re-install each pre-image through

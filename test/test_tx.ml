@@ -154,18 +154,21 @@ let test_shadow_crash_sweep_eviction () =
 
 (* Keys bind to one-word cells, as TPC-C rows do.  Each put stores a
    fresh cell and hands it to the transaction as [~payload] (or, for
-   the negative control, neither flushes nor passes it).  After every
-   crash point and recovery, each bound cell must read its value in the
-   persisted image, and the bindings must be all-or-nothing.  Returns
-   the offsets whose recovered state is wrong. *)
-let payload_sweep ?(pass_payload = true) path mode_of =
+   the negative control, neither flushes nor passes it); the
+   transaction then commits, or rolls back when [abort].  Every crash
+   point is crashed under each of [modes offset arena]; after recovery,
+   each bound cell must read its value in the persisted image, and the
+   bindings must be all-or-nothing (an aborted transaction's must name
+   the pre-image cells themselves).  Returns the offsets whose
+   recovered state is wrong. *)
+let payload_sweep ?(pass_payload = true) ?(abort = false) ?config path modes =
   let d = Registry.find_exn "fastfair" in
   let keyspace = 6 in
   let pre = List.init keyspace (fun i -> (i + 1, 11 + i)) in
   let post = [ (1, 101); (2, 102); (3, 13); (4, 104); (5, 15); (6, 16) ] in
   let bad = ref [] in
   for offset = 1 to 60 do
-    let a = fresh_arena () in
+    let a = Arena.create ?config ~words:(1 lsl 16) () in
     let ops = Registry.build "fastfair" a in
     let cells = Arena.alloc_raw a (4 * Arena.words_per_line) in
     let next = ref cells in
@@ -175,12 +178,15 @@ let payload_sweep ?(pass_payload = true) path mode_of =
       Arena.write a c v;
       c
     in
-    List.iter
-      (fun (k, v) ->
-        let c = cell v in
-        Arena.flush a c;
-        ops.Intf.insert k c)
-      pre;
+    let pre_cells =
+      List.map
+        (fun (k, v) ->
+          let c = cell v in
+          Arena.flush a c;
+          ops.Intf.insert k c;
+          (k, c))
+        pre
+    in
     let mgr = Tx.create ~path a ops in
     let committed = ref false and commit_started = ref false in
     ignore
@@ -191,39 +197,125 @@ let payload_sweep ?(pass_payload = true) path mode_of =
                let c = cell (100 + k) in
                if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
              [ 1; 2; 4 ];
-           commit_started := true;
-           Tx.commit tx;
-           committed := true));
-    Arena.power_fail a (mode_of offset);
-    let o = d.D.open_existing D.default_config a in
-    o.Intf.recover ();
-    ignore (Tx.recover (Tx.create ~path a o));
-    let got =
-      List.map (fun (k, c) -> (k, Arena.peek_persisted a c)) (dump o keyspace)
-    in
-    let ok =
-      if !committed then got = post
-      else if !commit_started then got = post || got = pre
-      else got = pre
-    in
-    if not ok then bad := offset :: !bad
+           if abort then Tx.rollback tx
+           else begin
+             commit_started := true;
+             Tx.commit tx;
+             committed := true
+           end));
+    List.iter
+      (fun mode ->
+        let c = Arena.crashed_copy a mode in
+        let o = d.D.open_existing D.default_config c in
+        o.Intf.recover ();
+        ignore (Tx.recover (Tx.create ~path c o));
+        let bound = dump o keyspace in
+        let got = List.map (fun (k, cell) -> (k, Arena.peek_persisted c cell)) bound in
+        let ok =
+          if abort then bound = pre_cells && got = pre
+          else if !committed then got = post
+          else if !commit_started then got = post || got = pre
+          else got = pre
+        in
+        if not ok then bad := offset :: !bad)
+      (modes offset a)
   done;
-  List.rev !bad
+  List.sort_uniq compare !bad
 
-let check_payload_sweep path mode_of () =
-  match payload_sweep path mode_of with
+let check_payload_sweep ?abort ?config path modes () =
+  match payload_sweep ?abort ?config path modes with
   | [] -> ()
   | offs ->
       Alcotest.failf "bound cells lost or torn at offsets %s"
         (String.concat "," (List.map string_of_int offs))
 
+let keep_none _ _ = [ Storelog.Keep_none ]
+let eviction o _ = [ Storelog.Random_eviction (Prng.create o) ]
+
+(* A random relaxed-order image plus one image per fence-epoch cutoff
+   still pending at the crash. *)
+let non_tso o a =
+  Storelog.Non_tso_random (Prng.create o)
+  :: List.map
+       (fun e -> Storelog.Non_tso_cutoff (e, Prng.create (o + e)))
+       (Arena.pending_epochs a)
+
 let test_payload_negative_control () =
   List.iter
     (fun path ->
       Alcotest.(check bool) "unpersisted cells are caught" true
-        (payload_sweep ~pass_payload:false path (fun _ -> Storelog.Keep_none)
-        <> []))
+        (payload_sweep ~pass_payload:false path keep_none <> []))
     [ Tx.Logged; Tx.Shadow ]
+
+(* ------------------------------------------------------------------ *)
+(* Restart                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A log slot left by an earlier run must not validate in a later one,
+   although [Txlog.records] reads past [head]: transaction ids continue
+   from the header's durable id.  Run 1 commits five writes and loses
+   power; run 2 logs two writes over the first two of those slots and
+   crashes with every store kept.  Recovery must undo only run 2's. *)
+let test_restart_stale_slots () =
+  let d = Registry.find_exn "fastfair" in
+  let a = fresh_arena () in
+  let ops = Registry.build "fastfair" a in
+  for k = 1 to 5 do
+    ops.Intf.insert k (10 + k)
+  done;
+  let mgr = Tx.create ~path:Tx.Logged a ops in
+  (match
+     Tx.run mgr (fun tx -> List.iter (fun k -> Tx.put tx k (100 + k)) [ 1; 2; 3; 4; 5 ])
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let header_txid () = Arena.peek a (Arena.root_get a Txlog.slot_addr + 5) in
+  let reopen () =
+    let o = d.D.open_existing D.default_config a in
+    o.Intf.recover ();
+    let m = Tx.create ~path:Tx.Logged a o in
+    (o, m, Tx.recover m)
+  in
+  Arena.power_fail a Storelog.Keep_none;
+  let _, m2, outcome = reopen () in
+  Alcotest.(check bool) "run 1 left a clean log" true (outcome = `Clean);
+  let durable = header_txid () in
+  let tx = Tx.begin_tx m2 in
+  Alcotest.(check int) "run 2's id follows the header's" (durable + 1)
+    (header_txid ());
+  Tx.put tx 1 201;
+  Tx.put tx 2 202;
+  Arena.power_fail a Storelog.Keep_all;
+  let o3, m3, outcome = reopen () in
+  (match outcome with
+  | `Undone n -> Alcotest.(check int) "only run 2's writes undone" 2 n
+  | _ -> Alcotest.fail "expected `Undone");
+  Alcotest.(check (list (pair int int))) "committed values kept"
+    [ (1, 101); (2, 102); (3, 103); (4, 104); (5, 105) ] (dump o3 5);
+  let durable = header_txid () in
+  Alcotest.(check int) "begin_tx after attach" (durable + 1)
+    (Txlog.begin_tx (Tx.txlog m3))
+
+(* A crash can keep a first append's record line but not the header
+   line that names its transaction; ids must continue past that slot's
+   tag too, or the next transaction reuses it and the stale slot
+   validates as its first record. *)
+let test_restart_past_slot_tag () =
+  let a = fresh_arena () in
+  let l = Txlog.ensure a in
+  ignore (Txlog.begin_tx l);
+  Txlog.discard l;
+  let id = Txlog.begin_tx l in
+  Txlog.append ~persist:false l { Txlog.key = 1; old_v = 11; new_v = 101 };
+  Arena.flush a (Arena.root_get a Txlog.slot_addr + Arena.words_per_line);
+  Arena.power_fail a Storelog.Keep_none;
+  Alcotest.(check int) "header kept the earlier id" (id - 1)
+    (Arena.peek a (Arena.root_get a Txlog.slot_addr + 5));
+  match Txlog.attach a with
+  | None -> Alcotest.fail "attach failed"
+  | Some l2 ->
+      Alcotest.(check int) "ids continue past the slot's tag" (id + 1)
+        (Txlog.begin_tx l2)
 
 (* ------------------------------------------------------------------ *)
 (* Write-back ordering guard                                           *)
@@ -266,8 +358,8 @@ let install_points evs =
 (* Inside the transaction's scope every write-back from [evs.(from)]
    up to the store that truncates the log (the last store to the head
    at [log + 2]) is grouped, so only a fence before that store orders
-   them. *)
-let fenced_before_truncation evs log ~from =
+   them; each of [lines] must be among them. *)
+let fenced_before_truncation ?(lines = []) evs log ~from =
   let trunc = ref (-1) in
   Array.iteri (fun i e -> if i > from && e = Store (log + 2) then trunc := i) evs;
   Alcotest.(check bool) "log truncated" true (!trunc > 0);
@@ -281,7 +373,7 @@ let fenced_before_truncation evs log ~from =
   done;
   Alcotest.(check bool) "write-backs" true (!written <> []);
   Alcotest.(check bool) "write-backs fenced before truncation" true
-    (fenced_before evs ~lo:from ~hi:!trunc !written)
+    (fenced_before evs ~lo:from ~hi:!trunc (lines @ !written))
 
 (* Three payload-carrying puts through an index whose installs leave
    an [Install] marker in the event stream.  [run ()] executes them in
@@ -336,6 +428,11 @@ let ordering_fixture ?(abort = false) path =
   in
   (a, cells, log, run)
 
+(* The undo path's three orderings: each record line is fenced before
+   its install's first store, the header line (txid and nonzero head,
+   written back with the first append only) before the first install,
+   and the payload cells, written back at commit, together with every
+   install's write-backs before the truncating store. *)
 let test_logged_write_back_ordering () =
   List.iter
     (fun in_caller_group ->
@@ -347,26 +444,25 @@ let test_logged_write_back_ordering () =
       if in_caller_group then Arena.group_end a;
       let installs = install_points evs in
       Alcotest.(check int) "three installs" 3 (List.length installs);
+      if not (fenced_before evs ~lo:0 ~hi:(List.hd installs) [ line_of log ])
+      then
+        Alcotest.failf
+          "caller group %b: header write-back not fenced before the first \
+           install"
+          in_caller_group;
       let rec go lo n = function
         | [] -> ()
         | hi :: rest ->
-            let record = line_of log + 1 + n in
-            if
-              not
-                (fenced_before evs ~lo ~hi
-                   [ line_of cells; record; line_of log ])
-            then
+            if not (fenced_before evs ~lo ~hi [ line_of log + 1 + n ]) then
               Alcotest.failf
-                "write %d (caller group %b): payload/record/header write-back \
-                 not fenced before the install"
+                "write %d (caller group %b): record write-back not fenced \
+                 before the install"
                 n in_caller_group;
             go hi (n + 1) rest
       in
       go 0 0 installs;
-      (* Commit by truncation: whatever any install wrote back, from
-         the first one on, is fenced before the store that clears the
-         head. *)
-      fenced_before_truncation evs log ~from:(List.hd installs))
+      fenced_before_truncation ~lines:[ line_of cells ] evs log
+        ~from:(List.hd installs))
     [ false; true ]
 
 (* Rollback restores the pre-images inside the same scope; those
@@ -777,17 +873,27 @@ let suite =
     Alcotest.test_case "shadow path crash sweep (eviction)" `Quick
       test_shadow_crash_sweep_eviction;
     Alcotest.test_case "logged payload crash sweep (keep_none)" `Quick
-      (check_payload_sweep Tx.Logged (fun _ -> Storelog.Keep_none));
+      (check_payload_sweep Tx.Logged keep_none);
     Alcotest.test_case "shadow payload crash sweep (keep_none)" `Quick
-      (check_payload_sweep Tx.Shadow (fun _ -> Storelog.Keep_none));
+      (check_payload_sweep Tx.Shadow keep_none);
     Alcotest.test_case "logged payload crash sweep (eviction)" `Quick
-      (check_payload_sweep Tx.Logged (fun o ->
-           Storelog.Random_eviction (Prng.create o)));
+      (check_payload_sweep Tx.Logged eviction);
     Alcotest.test_case "shadow payload crash sweep (eviction)" `Quick
-      (check_payload_sweep Tx.Shadow (fun o ->
-           Storelog.Random_eviction (Prng.create o)));
+      (check_payload_sweep Tx.Shadow eviction);
+    Alcotest.test_case "logged payload crash sweep (aborted)" `Quick
+      (check_payload_sweep ~abort:true Tx.Logged keep_none);
+    Alcotest.test_case "shadow payload crash sweep (aborted)" `Quick
+      (check_payload_sweep ~abort:true Tx.Shadow keep_none);
+    Alcotest.test_case "logged payload crash sweep (non-TSO)" `Quick
+      (check_payload_sweep ~config:(Config.arm ()) Tx.Logged non_tso);
+    Alcotest.test_case "shadow payload crash sweep (non-TSO)" `Quick
+      (check_payload_sweep ~config:(Config.arm ()) Tx.Shadow non_tso);
     Alcotest.test_case "payload sweep negative control" `Quick
       test_payload_negative_control;
+    Alcotest.test_case "restart: stale log slots stay invalid" `Quick
+      test_restart_stale_slots;
+    Alcotest.test_case "restart: ids continue past a slot's tag" `Quick
+      test_restart_past_slot_tag;
     Alcotest.test_case "logged write-backs fenced before install" `Quick
       test_logged_write_back_ordering;
     Alcotest.test_case "logged undos fenced before truncation" `Quick
