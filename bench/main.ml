@@ -550,75 +550,6 @@ let crash_target () =
     nrec ff_ns fp_ns
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks (wall-clock)                               *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  print_endline "== Bechamel wall-clock microbenchmarks (host time, ns/op) ==";
-  let open Bechamel in
-  let open Toolkit in
-  let n = 20_000 in
-  let mk_loaded maker =
-    let a = arena (n * 60) in
-    let t = maker.build a in
-    let keys = W.distinct_uniform (Prng.create 12) ~n ~space:(8 * n) in
-    W.load_keys t keys;
-    (t, keys)
-  in
-  let search_test maker =
-    let t, keys = mk_loaded maker in
-    let i = ref 0 in
-    Test.make ~name:(maker.label ^ "-search")
-      (Staged.stage (fun () ->
-           i := (!i + 1) mod n;
-           ignore (t.Intf.search keys.(!i))))
-  in
-  let insert_test maker =
-    let t, _ = mk_loaded maker in
-    let i = ref (16 * n) in
-    Test.make ~name:(maker.label ^ "-insert")
-      (Staged.stage (fun () ->
-           incr i;
-           t.Intf.insert !i (W.value_of !i)))
-  in
-  let range_test maker =
-    let t, _ = mk_loaded maker in
-    let i = ref 0 in
-    Test.make ~name:(maker.label ^ "-range100")
-      (Staged.stage (fun () ->
-           i := (!i + 997) mod (7 * n);
-           let c = ref 0 in
-           t.Intf.range !i (!i + 800) (fun _ _ -> incr c)))
-  in
-  let tests =
-    Test.make_grouped ~name:"ops"
-      [
-        search_test (fastfair ());
-        insert_test (fastfair ());
-        range_test (fastfair ());
-        search_test (wbtree ());
-        search_test (fptree ());
-        search_test (wort ());
-        search_test (skiplist ());
-      ]
-  in
-  let benchmark () =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> Printf.printf "%-24s %10.1f ns/op\n" name est
-      | Some [] | None -> Printf.printf "%-24s (no estimate)\n" name)
-    results
-
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: design choices isolated                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1810,7 +1741,6 @@ let targets =
     ("ablation", ablation);
     ("ycsb", ycsb);
     ("latencies", latencies);
-    ("micro", micro);
     ("sharded", sharded_target);
     ("scrub", scrub_target);
     ("soak", soak_target);
