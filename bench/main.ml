@@ -494,7 +494,6 @@ let crash_target () =
     done
   in
   let reopen = Tree.open_existing ~node_bytes:256 in
-  let probe = Arena.store_span a0 ~reopen batch in
   (* keys 10.. were never deleted; they must stay readable *)
   let readable tc =
     let ok = ref true in
@@ -504,22 +503,18 @@ let crash_target () =
       keys;
     !ok
   in
-  let points = List.init (probe + 1) Fun.id in
-  let tolerated = ref 0 and recovered = ref 0 in
-  List.iter
-    (fun k ->
-      let tc =
-        reopen
-          (Arena.crash_image a0 ~reopen batch ~at:k
-             (Storelog.Random_eviction (Prng.create k)))
-      in
+  let points = ref 0 and tolerated = ref 0 and recovered = ref 0 in
+  let a = Arena.clone a0 in
+  let t = reopen a in
+  Arena.crash_each [| a |] (fun () -> batch t) (fun _ k crash ->
+      incr points;
+      let tc = reopen (crash (Storelog.Random_eviction (Prng.create k))) in
       if readable tc then incr tolerated;
       Tree.recover tc;
-      if Ff_fastfair.Invariant.check tc = [] && readable tc then incr recovered)
-    points;
+      if Ff_fastfair.Invariant.check tc = [] && readable tc then incr recovered);
   Printf.printf
     "crash points: %d | readable pre-recovery: %d | sound post-recovery: %d\n"
-    (List.length points) !tolerated !recovered;
+    !points !tolerated !recovered;
   (* Recovery-cost comparison: FAST+FAIR reattaches instantly; FP-tree
      rebuilds its DRAM inner levels. *)
   let nrec = sc 50_000 in
@@ -573,20 +568,17 @@ let ablation () =
         Node.insert_nonfull a0 l node ~count:(Node.count a0 l node) ~key:k
           ~value:(W.value_of k))
       keys;
-    Arena.drain a0;
-    let run c = insert_fn c l node in
-    let total = Arena.store_span a0 ~reopen:Fun.id run in
+    let a = Arena.clone a0 in
     let bad = ref 0 and states = ref 0 in
-    for k = 0 to total do
-      incr states;
-      let c = Arena.crash_image a0 ~reopen:Fun.id run ~at:k Storelog.Keep_all in
-      if
-        not
-          (List.for_all
-             (fun key -> Node.search c l node ~mode:Node.Linear key = Some (W.value_of key))
-             keys)
-      then incr bad
-    done;
+    Arena.crash_each [| a |] (fun () -> insert_fn a l node) (fun _ _ crash ->
+        incr states;
+        let c = crash Storelog.Keep_all in
+        if
+          not
+            (List.for_all
+               (fun key -> Node.search c l node ~mode:Node.Linear key = Some (W.value_of key))
+               keys)
+        then incr bad);
     (!bad, !states)
   in
   let fast_bad, states =
@@ -901,12 +893,16 @@ let scrub_run_one name =
     t.Intf.close ();
     Arena.drain a;
     let t = d.Descriptor.open_existing config a in
-    ignore
-      (Arena.crash_after a 40 (fun () ->
+    let exception Cut in
+    (try
+       Arena.crash_each [| a |]
+         (fun () ->
            for i = 1 to 64 do
              let k = (8 * n) + i in
              t.Intf.insert k (W.value_of k)
-           done));
+           done)
+         (fun _ k _ -> if k = 40 then raise Cut)
+     with Cut -> ());
     Arena.set_fault_plan a
       (Some { Arena.fault_seed = 71; poison_lines = 2; flip_words = 0; stuck_words = 0 });
     Arena.power_fail a (Storelog.Random_eviction (Prng.create 40));

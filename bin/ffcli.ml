@@ -591,46 +591,47 @@ let scrub_run index_name keys seed poison json out mutate_skip =
       Array.iter (fun k -> t.Intf.insert k (W.value_of k)) fresh
     in
     let reopen = d.Descriptor.open_existing config in
-    let span = Arena.store_span base ~reopen run_batch in
-    (* The fault plan must be armed between the crash and the power
-       failure, so this one uses the primitive under [crash_image]. *)
-    let crash_at ~poison k =
-      let a = Arena.clone base in
-      let t = reopen a in
-      ignore (Arena.crash_after a k (fun () -> run_batch t));
-      if poison > 0 then
-        Arena.set_fault_plan a
-          (Some
-             {
-               Arena.fault_seed = seed + k;
-               poison_lines = poison;
-               flip_words = 0;
-               stuck_words = 0;
-             });
-      Arena.power_fail a (Storelog.Random_eviction (Prng.create k));
-      a
-    in
-    let rec find k =
-      if k > span then None
-      else begin
-        let a = crash_at ~poison:0 k in
-        let audit = Scrub.audit ~config d a in
-        if audit.Scrub.leaked_blocks <> [] then Some (k, audit) else find (k + 1)
+    (* Crash one run of the batch before every store from the first on
+       until the crashed copy leaks.  That point is crashed once more
+       for the scrub, with the fault plan armed on the live arena, which
+       the copy inherits between the crash and the power failure; no
+       later point is crashed, so the copy stays valid. *)
+    let a = Arena.clone base in
+    let t = reopen a in
+    let found = ref None in
+    let visit _ k crash =
+      let mode () = Storelog.Random_eviction (Prng.create k) in
+      if k >= 1 && Option.is_none !found then begin
+        let audit = Scrub.audit ~config d (crash (mode ())) in
+        if audit.Scrub.leaked_blocks <> [] then begin
+          if poison > 0 && not mutate_skip then
+            Arena.set_fault_plan a
+              (Some
+                 {
+                   Arena.fault_seed = seed + k;
+                   poison_lines = poison;
+                   flip_words = 0;
+                   stuck_words = 0;
+                 });
+          found := Some (k, audit, crash (mode ()))
+        end
       end
     in
-    match find 1 with
+    let before = Arena.store_count a in
+    Arena.crash_each [| a |] (fun () -> run_batch t) visit;
+    let span = Arena.store_count a - before in
+    match !found with
     | None ->
         Printf.printf "scrub: no leaking crash point in %d stores of %s\n" span
           index_name;
         1
-    | Some (k, audit) ->
+    | Some (k, audit, a) ->
         Printf.printf
           "crash at store %d/%d leaks %d words in %d blocks (found by audit)\n" k
           span audit.Scrub.leaked_words
           (List.length audit.Scrub.leaked_blocks);
         if mutate_skip then begin
           (* Mutant: plain recovery with the scrub pass disabled. *)
-          let a = crash_at ~poison:0 k in
           let t = d.Descriptor.open_existing config a in
           t.Intf.recover ();
           let r = Scrub.audit ~config d a in
@@ -647,7 +648,6 @@ let scrub_run index_name keys seed poison json out mutate_skip =
           end
         end
         else begin
-          let a = crash_at ~poison k in
           let r =
             Scrub.run ~config d a ~recover:(fun () ->
                 let t = d.Descriptor.open_existing config a in
@@ -867,8 +867,8 @@ let tx_path_of_string = function
   | s -> invalid_arg (Printf.sprintf "unknown commit path %S (logged, shadow)" s)
 
 (* The demo: load N accounts, run a history of committed transfers,
-   then replay one further transfer crashed mid-commit at every store
-   offset.  After each power failure + recovery the balance sheet
+   then run one further transfer, crashed at every store offset on
+   the way.  After each power failure + recovery the balance sheet
    must sit exactly on a transaction boundary (all-pre or all-post) —
    which also conserves the total.  A torn half-transfer is a
    violation and a nonzero exit. *)
@@ -936,11 +936,6 @@ let tx_demo index_name path_name accounts transfers seed json =
       t.Intf.recover ();
       (t, Tx.create ~path a t)
     in
-    (* The transfer body draws nothing from the PRNG, so every clone
-       executes the identical store sequence. *)
-    let run (_, m) = ignore (transfer m src dst amt) in
-    let span = Arena.store_span base ~reopen run in
-    let offsets = List.init (span + 1) Fun.id in
     let pre = Array.init accounts (fun i -> balances.(i + 1)) in
     let post =
       Array.init accounts (fun i ->
@@ -950,35 +945,43 @@ let tx_demo index_name path_name accounts transfers seed json =
           in
           balances.(a1) + delta)
     in
-    let redone = ref 0 and undone = ref 0 in
+    let redone = ref 0 and undone = ref 0 and points = ref 0 in
     let violations = ref [] in
-    List.iter
-      (fun k ->
-        let t3, m3 =
-          reopen
-            (Arena.crash_image base ~reopen run ~at:k
-               (Storelog.Random_eviction (Prng.create (seed + k))))
-        in
-        (match Tx.recover m3 with
-        | `Redone _ -> incr redone
-        | `Undone _ -> incr undone
-        | `Clean | `Aborted _ -> ());
-        let got =
-          Array.init accounts (fun i ->
-              match t3.Intf.search (i + 1) with
-              | Some v -> bal_dec v
-              | None -> min_int)
-        in
-        if got <> pre && got <> post then begin
-          let total = Array.fold_left ( + ) 0 got in
-          violations :=
-            ( k,
-              Printf.sprintf
-                "balances match neither side of the transfer (total %d, expected %d)"
-                total (accounts * init) )
-            :: !violations
-        end)
-      offsets;
+    let visit _ k crash =
+      incr points;
+      let t3, m3 = reopen (crash (Storelog.Random_eviction (Prng.create (seed + k)))) in
+      (match Tx.recover m3 with
+      | `Redone _ -> incr redone
+      | `Undone _ -> incr undone
+      | `Clean | `Aborted _ -> ());
+      let got =
+        Array.init accounts (fun i ->
+            match t3.Intf.search (i + 1) with
+            | Some v -> bal_dec v
+            | None -> min_int)
+      in
+      if got <> pre && got <> post then begin
+        let total = Array.fold_left ( + ) 0 got in
+        violations :=
+          ( k,
+            Printf.sprintf
+              "balances match neither side of the transfer (total %d, expected %d)"
+              total (accounts * init) )
+          :: !violations
+      end
+    in
+    (* One transfer on a copy of the device, crashed before each of its
+       stores and once it has returned. *)
+    let live = Arena.clone base in
+    let _, m = reopen live in
+    let span =
+      Arena.crash_each [| live |]
+        (fun () ->
+          let before = Arena.store_count live in
+          ignore (transfer m src dst amt);
+          Arena.store_count live - before)
+        visit
+    in
     let violations = List.rev !violations in
     let ok = violations = [] in
     if json then
@@ -998,7 +1001,7 @@ let tx_demo index_name path_name accounts transfers seed json =
                     [
                       ("transfer", J.Obj [ ("from", J.Int src); ("to", J.Int dst); ("amount", J.Int amt) ]);
                       ("store_span", J.Int span);
-                      ("points", J.Int (List.length offsets));
+                      ("points", J.Int !points);
                       ("redone", J.Int !redone);
                       ("undone", J.Int !undone);
                       ( "violations",
@@ -1015,7 +1018,7 @@ let tx_demo index_name path_name accounts transfers seed json =
         index_name path_name accounts !committed !aborted;
       Printf.printf
         "crash sweep: transfer %d->%d amount %d, %d points over %d stores\n" src
-        dst amt (List.length offsets) span;
+        dst amt !points span;
       Printf.printf "  recovery: %d redone, %d rolled back\n" !redone !undone;
       List.iter
         (fun (k, msg) -> Printf.printf "  VIOLATION at store %d: %s\n" k msg)

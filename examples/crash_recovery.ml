@@ -22,21 +22,18 @@ let () =
   Arena.drain arena;
   print_endline "base tree: keys {10,20,30,40} in one full 128-byte leaf";
 
-  (* How many stores does 'insert 25' (a full FAIR split) take? *)
+  (* Run 'insert 25' (a full FAIR split) once, on a copy of the
+     device, and crash it before every one of its 8-byte stores, then
+     once it has returned. *)
   let reopen = Tree.open_existing ~node_bytes:128 in
-  let insert_25 t = Tree.insert t ~key:25 ~value:(value_of 25) in
-  let total = Arena.store_span arena ~reopen insert_25 in
-  Printf.printf "insert 25 forces a node split: %d 8-byte stores\n\n" total;
-
-  let tolerated = ref 0 and atomic = ref 0 and recovered = ref 0 in
-  for k = 0 to total do
-    (* Clone the device, crash before the (k+1)-th store, and lose
-       everything that was not explicitly flushed (plus random
-       evictions). *)
-    let c =
-      Arena.crash_image arena ~reopen insert_25 ~at:k
-        (Storelog.Random_eviction (Prng.create k))
-    in
+  let live = Arena.clone arena in
+  let live_tree = reopen live in
+  let points = ref 0 and tolerated = ref 0 and atomic = ref 0 and recovered = ref 0 in
+  let visit _ k crash =
+    incr points;
+    (* Lose everything that was not explicitly flushed before store
+       k + 1 (plus random evictions). *)
+    let c = crash (Storelog.Random_eviction (Prng.create k)) in
 
     (* Reattach with NO recovery: lock-free readers must still see
        every committed key. *)
@@ -59,7 +56,12 @@ let () =
     Tree.recover t;
     (* eager pass to finish dangling structure for the check *)
     if Invariant.check t = [] then incr recovered
-  done;
+  in
+  Arena.crash_each [| live |]
+    (fun () -> Tree.insert live_tree ~key:25 ~value:(value_of 25))
+    visit;
+  let total = !points - 1 in
+  Printf.printf "insert 25 forces a node split: %d 8-byte stores\n\n" total;
 
   Printf.printf "crash points enumerated : %d\n" (total + 1);
   Printf.printf "readers tolerated state : %d / %d (no recovery ran)\n" !tolerated (total + 1);

@@ -202,28 +202,29 @@ type ('x, 'o) t = {
    quantum 1 on one simulated core, so the policy's decision sequence
    is a total order over every PM access.  Every store count the phase
    passes through, on every arena it stores to, is a crash point, and
-   [visit aid k run] sees each as the phase reaches it: a store sink
-   fires just before the store that makes arena [aid]'s count [k + 1],
-   where [run ()] snapshots the run with its in-flight operations
-   pending; each arena's last count is visited once the phase ends.
-   Returns the run and the number of stores its phase performed. *)
+   [visit aid k run] sees each as the phase reaches it
+   ({!Arena.crash_each}): just before the store that makes arena
+   [aid]'s absolute count [k + 1], where [run ()] snapshots the run
+   with its in-flight operations pending, and at each arena's last
+   count once the phase ends.  Returns the run and the number of
+   stores its phase performed. *)
 let execute f ~policy ~visit =
   let s = f.setup () in
   let starts = Array.map Arena.store_count s.arenas in
   let snapshot crashed () = { result = s.finish (); arenas = s.arenas; crashed } in
-  let sink aid a =
-    let ev_store _ = visit aid (Arena.store_count a) (snapshot true) in
-    Some
-      { Arena.ev_store; ev_flush = ignore; ev_fence = ignore; ev_alloc = (fun _ _ -> ());
-        ev_free = (fun _ _ -> ()); ev_crash = ignore }
+  let ended = ref None in
+  let phase () =
+    ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads);
+    let r = snapshot false () in
+    ended := Some r;
+    r
   in
-  Array.iteri (fun aid a -> Arena.set_event_sink a (sink aid a)) s.arenas;
-  ignore (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:s.arenas.(0) s.threads);
-  Array.iter (fun a -> Arena.set_event_sink a None) s.arenas;
-  let r = snapshot false () in
-  let stored = Array.mapi (fun aid a -> Arena.store_count a - starts.(aid)) s.arenas in
-  Array.iteri (fun aid n -> if n > 0 then visit aid (starts.(aid) + n) (fun () -> r)) stored;
-  (r, Array.fold_left ( + ) 0 stored)
+  let r =
+    Arena.crash_each s.arenas phase (fun aid k _ ->
+        let run = match !ended with Some r -> fun () -> r | None -> snapshot true in
+        visit aid (starts.(aid) + k) run)
+  in
+  (r, Array.fold_left ( + ) 0 (Array.mapi (fun aid a -> Arena.store_count a - starts.(aid)) s.arenas))
 
 module Images = Hashtbl.Make (struct
   type t = int array array

@@ -166,9 +166,11 @@ let set_role nd s role term =
 
 (* Apply [op] to shard [s] under one group-flush scope on its arena:
    the op's flushes become clwbs and the closing fence makes it
-   durable.  Exceptions follow [Shard.exec_batch]: [Arena.Crashed]
-   escapes with the scope open ([power_fail] clears it), while a
-   [Shard.Degraded] op still fences what it wrote before re-raising. *)
+   durable.  Exceptions follow [Shard.exec_batch]: one raised by a
+   store, such as an [Arena.crash_each] visit stopping the run at a
+   crash, escapes with the scope open ([power_fail] clears it), while
+   a [Shard.Degraded] op still fences what it wrote before
+   re-raising. *)
 let apply_op nd s op =
   let a = Shard.instance_arena nd.ens s in
   Arena.group_begin a;

@@ -1,9 +1,6 @@
 module Prng = Ff_util.Prng
 
-exception Crashed
 exception Media_error of int
-
-type crash_plan = Never | After_stores of int
 
 type fault_kind = Fault_poison | Fault_flip | Fault_stuck
 
@@ -68,7 +65,6 @@ type t = {
   mutable epoch : int;
   mutable stores : int;
   mutable flushes : int;
-  mutable plan : crash_plan;
   mutable yield_hook : (int -> unit) option;
   mutable sink : event_sink option;
   mutable group : bool;
@@ -110,7 +106,6 @@ let make config ~image =
     epoch = 0;
     stores = 0;
     flushes = 0;
-    plan = Never;
     yield_hook = None;
     sink = None;
     group = false;
@@ -224,14 +219,8 @@ let read t addr =
   end;
   t.image.(addr)
 
-let maybe_crash_on_store t =
-  match t.plan with
-  | After_stores k when t.stores >= k -> raise Crashed
-  | Never | After_stores _ -> ()
-
 let write t addr v =
   check addr t;
-  maybe_crash_on_store t;
   (match t.sink with None -> () | Some s -> s.ev_store addr);
   t.stores <- t.stores + 1;
   let ctx = t.ctx in
@@ -498,7 +487,6 @@ let inject_faults t p =
       faults
   end
 
-let set_crash_plan t plan = t.plan <- plan
 let store_count t = t.stores
 let flush_count t = t.flushes
 let epoch t = t.epoch
@@ -509,7 +497,6 @@ let power_fail t mode =
   (match t.sink with None -> () | Some s -> s.ev_crash ());
   Storelog.apply_crash t.log ~image:t.image mode;
   iter_ctxs t (fun c -> Cachesim.clear c.cache);
-  t.plan <- Never;
   t.group <- false;
   (* Fault injection applies to the pre-crash execution only: recovery
      code after the power failure runs with real flushes, so a mutant's
@@ -523,7 +510,7 @@ let power_fail t mode =
   Hashtbl.reset t.free_set;
   Hashtbl.reset t.live_blocks;
   (* Media damage from the armed fault plan lands now, on the post-crash
-     image; like the crash plan, the fault plan disarms after firing. *)
+     image; the fault plan disarms after firing. *)
   (match t.fplan with None -> () | Some p -> inject_faults t p);
   t.fplan <- None
 
@@ -568,6 +555,39 @@ let crashed_copy ?into t mode =
   Option.iter (inject_faults c) t.fplan;
   c
 
+let no_sink =
+  {
+    ev_store = ignore;
+    ev_flush = ignore;
+    ev_fence = ignore;
+    ev_alloc = (fun _ _ -> ());
+    ev_free = (fun _ _ -> ());
+    ev_crash = ignore;
+  }
+
+(* Each arena's sink visits its count, from the call on, before every
+   store, then passes the store on to the sink it replaced; each
+   arena's copies share one spare image. *)
+let crash_each arenas run visit =
+  let prev = Array.map (fun a -> a.sink) arenas in
+  let starts = Array.map (fun a -> a.stores) arenas in
+  let spares = Array.map (fun _ -> None) arenas in
+  let crash i mode =
+    let c = crashed_copy ?into:spares.(i) arenas.(i) mode in
+    spares.(i) <- Some c;
+    c
+  in
+  let visit_now i = visit i (arenas.(i).stores - starts.(i)) (crash i) in
+  Array.iteri
+    (fun i a ->
+      let s = Option.value prev.(i) ~default:no_sink in
+      a.sink <- Some { s with ev_store = (fun addr -> visit_now i; s.ev_store addr) })
+    arenas;
+  let restore () = Array.iteri (fun i a -> a.sink <- prev.(i)) arenas in
+  let r = Fun.protect ~finally:restore run in
+  Array.iteri (fun i a -> if a.stores > starts.(i) then visit_now i) arenas;
+  r
+
 (* Only the bump pointer and poison among [t]'s state change what a
    reader or recovery sees beyond the image: the store epoch tags
    stores for a later crash of [t] alone, like the store and flush
@@ -585,27 +605,6 @@ let image_key ~reference t =
   done;
   let poison = poisoned_lines t in
   Array.of_list (n :: t.bump :: List.length poison :: (poison @ !diff))
-
-(* Crash at a store: arm, run, swallow the crash, disarm whatever
-   happened. *)
-let crash_after t k f =
-  t.plan <- After_stores (t.stores + k);
-  Fun.protect ~finally:(fun () -> t.plan <- Never) @@ fun () ->
-  match f () with () -> false | exception Crashed -> true
-
-let store_span base ~reopen run =
-  let c = clone base in
-  let h = reopen c in
-  let before = c.stores in
-  run h;
-  c.stores - before
-
-let crash_image base ~reopen run ~at mode =
-  let c = clone base in
-  let h = reopen c in
-  ignore (crash_after c at (fun () -> run h));
-  power_fail c mode;
-  c
 
 let dirty_line_count t = Storelog.dirty_line_count t.log
 

@@ -24,20 +24,12 @@
 
 type t
 
-exception Crashed
-(** Raised by {!write} when the injected crash plan fires.  The
-    triggering store is {e not} applied. *)
-
 exception Media_error of int
 (** Raised by {!read} when the accessed word lies on a poisoned cache
     line — the simulator's uncorrectable media error.  The payload is
     the word address of the failed load.  {!peek} and {!peek_persisted}
     never raise it (they are the scrubber's diagnostic view of the
     damaged device). *)
-
-type crash_plan =
-  | Never
-  | After_stores of int  (** raise on store number [k+1] *)
 
 val words_per_line : int
 (** 8 — a 64-byte cache line. *)
@@ -94,7 +86,9 @@ val set_yield_hook : t -> (int -> unit) option -> unit
     it only calls plain closures and never learns what records them.
     With no sink installed (the default) the cost is one branch per
     operation; no simulated time is ever charged for eventing, so
-    enabling a sink cannot change measured results. *)
+    enabling a sink cannot change measured results.  {!crash_each}
+    installs its own sink for one run, passes every event on to the
+    sink it replaced, and restores that one when the run returns. *)
 
 type event_sink = {
   ev_store : int -> unit;  (** word store at this address *)
@@ -204,43 +198,8 @@ val root_set : t -> int -> int -> unit
 
 (** {1 Crash machinery} *)
 
-val set_crash_plan : t -> crash_plan -> unit
-(** Arm a plan by absolute store count.  {!crash_after} and
-    {!crash_image} arm one for a single run; only code that arms
-    several arenas at once needs this. *)
-
 val store_count : t -> int
 val flush_count : t -> int
-
-val crash_after : t -> int -> (unit -> unit) -> bool
-(** [crash_after a k f] arms a crash [k] stores from now (the store
-    that would make the count [store_count a + k + 1] raises, and is
-    not applied), runs [f], and returns whether the crash fired.
-    {!Crashed} is swallowed; any other exception from [f] propagates.
-    The plan is disarmed on every return, so a later store never
-    raises.  The arena is left as the crash found it: call
-    {!power_fail} to turn it into a post-crash image.  The crash ends
-    the run, so crashing every store this way reruns the work up to
-    each one; the model checker instead crashes a {!crashed_copy} of
-    one live run at every store, from an {!event_sink}. *)
-
-val store_span : t -> reopen:(t -> 'h) -> ('h -> unit) -> int
-(** [store_span base ~reopen run] is the number of stores [run]
-    performs on a reopened clone of [base]: the span of crash points
-    [0 .. span] to sweep.  [base] is drained, never otherwise mutated.
-    [reopen] attaches a handle ([Fun.id] for node-level code, an index
-    or a transaction manager above it) and its own stores are not
-    counted. *)
-
-val crash_image :
-  t -> reopen:(t -> 'h) -> ('h -> unit) -> at:int -> Storelog.crash_mode -> t
-(** [crash_image base ~reopen run ~at mode] clones [base], reopens
-    the clone, runs [run] under [crash_after … at] (so the crash
-    lands before the [at+1]-th store of [run]; [at >= span] runs to
-    completion), then {!power_fail}s the clone under [mode] and
-    returns it.  [reopen] runs before the crash is armed, so its
-    stores never count towards [at]; the returned clone is disarmed.
-    Reopen it again to validate and recover. *)
 
 val epoch : t -> int
 (** Current store epoch (bumped by every {!fence} and every non-group
@@ -264,7 +223,7 @@ val power_fail : t -> Storelog.crash_mode -> unit
 (** Turn the image into a crash state: roll every dirty line back to
     its persisted contents and apply the pending stores the mode keeps
     ({!Storelog.apply_crash}, O(pending stores), not O(capacity)).
-    Then clear caches and the store log, and disarm the crash plan.
+    Then clear caches and the store log.
     Free lists and the live-block table are also dropped (allocator
     metadata is volatile, as across {!save_to_file}/{!load_from_file}),
     and an armed {!fault_plan} fires on the post-crash image before
@@ -342,19 +301,41 @@ val forget_allocations : t -> unit
     unknown-block path, exactly as after {!power_fail}. *)
 
 val clone : t -> t
-(** Deep copy for crash-point enumeration.  Drains [t] first, then
-    builds the copy with the same constructor as {!create} and carries
-    over the image (one array copy), the store/flush/epoch counters,
-    the allocator state and the poisoned lines.  Everything else starts fresh: an
-    empty store log, tid 0's context only with zeroed statistics, and
-    no crash plan, fault plan, event sink or yield hook. *)
+(** Deep copy: a run on the copy leaves [t] as it is.  Drains [t]
+    first, then builds the copy with the same constructor as {!create}
+    and carries over the image (one array copy), the store/flush/epoch
+    counters, the allocator state and the poisoned lines.  Everything
+    else starts fresh: an empty store log, tid 0's context only with
+    zeroed statistics, and no fault plan, event sink or yield hook. *)
 
 val crashed_copy : ?into:t -> t -> Storelog.crash_mode -> t
 (** [crashed_copy t mode] is what [power_fail t mode] would leave, as a
-    new arena (like {!clone}: tid 0's context, no plan, sink or hook),
-    and [t] is unchanged, so one replay can crash under several modes;
-    give each a fresh randomized mode.  [into], a spent arena of [t]'s
-    capacity, lends the copy its image and must not be used again. *)
+    new arena (like {!clone}: tid 0's context, no fault plan, sink or
+    hook), and [t] is unchanged, so one run can crash under several
+    modes; give each a fresh randomized mode.  A {!fault_plan} armed on
+    [t] fires on the copy and stays armed on [t].  [into], a spent
+    arena of [t]'s capacity, lends the copy its image and must not be
+    used again. *)
+
+val crash_each :
+  t array -> (unit -> 'a) -> (int -> int -> (Storelog.crash_mode -> t) -> unit) -> 'a
+(** [crash_each arenas run visit] runs [run ()] once and crashes it at
+    every store on the way.  [visit i k crash] is called just before
+    the store that makes arena [i]'s store count, counted from the
+    call, [k + 1], and once more after [run] returns for each arena
+    [run] stored to, at its last count: a run of [n] stores to an arena
+    visits it [n + 1] times, [k = 0 .. n] in order, and an arena the
+    run never stores to is not visited.  [crash mode] is the
+    {!crashed_copy} of arena [i] as the visit finds it, taken into one
+    spare image per arena: the copy is valid until the next [crash] of
+    that arena, and the live run never sees it.
+
+    A visit may raise to stop the run: the exception propagates, the
+    store it preceded is not applied, and the arenas are left as the
+    crash found them ({!power_fail} one to crash it in place), so a
+    single mid-run crash is a visit that raises at one [k].  Every
+    store the run does make also reaches the {!event_sink} installed
+    before the call, and that sink is restored on every return. *)
 
 val image_key : reference:t -> t -> int array
 (** An exact key of what [t] shows a reader: its capacity, bump pointer

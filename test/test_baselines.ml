@@ -3,6 +3,7 @@
    crash + recovery for the persistent ones. *)
 
 open Ff_pmem
+open Crash_util
 module Prng = Ff_util.Prng
 module Intf = Ff_index.Intf
 module D = Ff_index.Descriptor
@@ -130,12 +131,12 @@ let test_crash_midstream m reopen () =
   (* Crash at arbitrary store counts during a load; all committed keys
      (ops that returned) must survive under the TSO prefix model. *)
   List.iter
-    (fun crash_at ->
+    (fun at ->
       let a = mk_arena () in
       let t = m.build a in
       let committed = ref [] in
       ignore
-        (Arena.crash_after a crash_at (fun () ->
+        (crash_at a at (fun () ->
              for k = 1 to 400 do
                t.Intf.insert k (value_of k);
                committed := k :: !committed
@@ -146,7 +147,7 @@ let test_crash_midstream m reopen () =
       List.iter
         (fun k ->
           Alcotest.(check (option int))
-            (Printf.sprintf "crash@%d key %d" crash_at k)
+            (Printf.sprintf "crash@%d key %d" at k)
             (Some (value_of k)) (t.Intf.search k))
         !committed)
     [ 50; 200; 500; 1500; 4000 ]
@@ -289,25 +290,26 @@ let test_wbtree_split_crash_enum () =
   let w0 = Ff_wbtree.Wbtree.create ~node_bytes:256 a0 in
   let setup = List.init 8 (fun i -> (i + 1) * 10) in
   List.iter (fun k -> Ff_wbtree.Wbtree.insert w0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen = Ff_wbtree.Wbtree.open_existing ~node_bytes:256 in
   let insert wc = Ff_wbtree.Wbtree.insert wc ~key:45 ~value:(value_of 45) in
-  let total = Arena.store_span a0 ~reopen insert in
+  let total = stores_of a0 ~reopen insert in
   Alcotest.(check bool) "split happened (many stores)" true (total > 30);
-  for k = 0 to total do
-    let wc = reopen (Arena.crash_image a0 ~reopen insert ~at:k Storelog.Keep_none) in
-    Ff_wbtree.Wbtree.recover wc;
-    List.iter
-      (fun key ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "wbtree crash@%d key %d" k key)
-          (Some (value_of key))
-          (Ff_wbtree.Wbtree.search wc key))
-      setup;
-    Alcotest.(check (list string))
-      (Printf.sprintf "wbtree crash@%d invariants" k)
-      [] (Ff_wbtree.Wbtree.check wc)
-  done
+  let points =
+    crash_every a0 ~reopen insert (fun k crash ->
+        let wc = reopen (crash Storelog.Keep_none) in
+        Ff_wbtree.Wbtree.recover wc;
+        List.iter
+          (fun key ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "wbtree crash@%d key %d" k key)
+              (Some (value_of key))
+              (Ff_wbtree.Wbtree.search wc key))
+          setup;
+        Alcotest.(check (list string))
+          (Printf.sprintf "wbtree crash@%d invariants" k)
+          [] (Ff_wbtree.Wbtree.check wc))
+  in
+  Alcotest.(check int) "wbtree: every store count crashed" (total + 1) points
 
 (* FP-tree micro-log: crash the leaf split at every store; after
    recovery (log replay + inner rebuild) nothing committed is lost and
@@ -317,30 +319,31 @@ let test_fptree_split_crash_enum () =
   let f0 = Ff_fptree.Fptree.create ~leaf_bytes:256 a0 in
   let setup = List.init 8 (fun i -> (i + 1) * 10) in
   List.iter (fun k -> Ff_fptree.Fptree.insert f0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen c =
     let fc = Ff_fptree.Fptree.open_existing ~leaf_bytes:256 c in
     Ff_fptree.Fptree.recover fc;
     fc
   in
   let insert fc = Ff_fptree.Fptree.insert fc ~key:45 ~value:(value_of 45) in
-  let total = Arena.store_span a0 ~reopen insert in
-  for k = 0 to total do
-    let fc = reopen (Arena.crash_image a0 ~reopen insert ~at:k Storelog.Keep_all) in
-    List.iter
-      (fun key ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "fptree crash@%d key %d" k key)
-          (Some (value_of key))
-          (Ff_fptree.Fptree.search fc key))
-      setup;
-    (* no duplicates: a full scan returns each key once *)
-    let seen = Hashtbl.create 16 in
-    let dups = ref 0 in
-    Ff_fptree.Fptree.range fc ~lo:1 ~hi:1000 (fun key _ ->
-        if Hashtbl.mem seen key then incr dups else Hashtbl.replace seen key ());
-    Alcotest.(check int) (Printf.sprintf "fptree crash@%d no dups" k) 0 !dups
-  done
+  let points =
+    crash_every a0 ~reopen insert (fun k crash ->
+        let fc = reopen (crash Storelog.Keep_all) in
+        List.iter
+          (fun key ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "fptree crash@%d key %d" k key)
+              (Some (value_of key))
+              (Ff_fptree.Fptree.search fc key))
+          setup;
+        (* no duplicates: a full scan returns each key once *)
+        let seen = Hashtbl.create 16 in
+        let dups = ref 0 in
+        Ff_fptree.Fptree.range fc ~lo:1 ~hi:1000 (fun key _ ->
+            if Hashtbl.mem seen key then incr dups else Hashtbl.replace seen key ());
+        Alcotest.(check int) (Printf.sprintf "fptree crash@%d no dups" k) 0 !dups)
+  in
+  Alcotest.(check int) "fptree: every store count crashed"
+    (stores_of a0 ~reopen insert + 1) points
 
 let crash_enum_tests =
   [

@@ -395,11 +395,11 @@ let test_default_mode_stable () =
         t.Intf.insert i (value_of i)
       done
     in
-    let t =
-      reopen
-        (Arena.crash_image base ~reopen batch ~at:k
-           (Storelog.Random_eviction (Ff_util.Prng.create k)))
-    in
+    let c = Arena.clone base in
+    let live = reopen c in
+    ignore (Crash_util.crash_at c k (fun () -> batch live));
+    Arena.power_fail c (Storelog.Random_eviction (Ff_util.Prng.create k));
+    let t = reopen c in
     t.Intf.recover ();
     dump t
   in

@@ -4,6 +4,7 @@
 
 open Ff_pmem
 open Ff_fastfair
+open Crash_util
 module Prng = Ff_util.Prng
 
 let value_of k = (2 * k) + 1
@@ -85,32 +86,30 @@ let test_compact_crash_points () =
   for k = 1 to 120 do
     if k mod 7 <> 0 then ignore (Tree.delete t0 k)
   done;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes:128 in
   let compact tc = ignore (Compact.compact tc) in
-  let total = Arena.store_span a0 ~reopen compact in
+  let total = stores_of a0 ~reopen compact in
   Alcotest.(check bool) "compaction stores" true (total > 0);
+  (* Every step-th store count, counted on one more clone. *)
   let step = max 1 (total / 80) in
-  let k = ref 0 in
-  while !k <= total do
-    let tc =
-      reopen
-        (Arena.crash_image a0 ~reopen compact ~at:!k
-           (Storelog.Random_eviction (Prng.create !k)))
-    in
+  let sampled = ref 0 in
+  let check k crash =
+    incr sampled;
+    let tc = reopen (crash (Storelog.Random_eviction (Prng.create k))) in
     (* pre-recovery reader tolerance *)
     List.iter
       (fun key ->
         Alcotest.(check (option int))
-          (Printf.sprintf "compact crash@%d key %d (pre)" !k key)
+          (Printf.sprintf "compact crash@%d key %d (pre)" k key)
           (Some (value_of key)) (Tree.search tc key))
       survivors;
     Tree.recover tc;
-    (match Invariant.check tc with
+    match Invariant.check tc with
     | [] -> ()
-    | vs -> Alcotest.failf "compact crash@%d: %s" !k (String.concat "; " vs));
-    k := !k + step
-  done
+    | vs -> Alcotest.failf "compact crash@%d: %s" k (String.concat "; " vs)
+  in
+  ignore (crash_every a0 ~reopen compact (fun k crash -> if k mod step = 0 then check k crash));
+  Alcotest.(check int) "crashed every step-th store count" ((total / step) + 1) !sampled
 
 (* ------------------------------------------------------------------ *)
 (* Cursor                                                              *)
@@ -213,16 +212,23 @@ let test_bulk_load_crash_atomicity () =
   let a = mk_arena () in
   let pairs = Array.init 500 (fun i -> (i + 1, value_of (i + 1))) in
   let load c = ignore (Bulk.load ~node_bytes:128 c pairs) in
-  let probe = Arena.store_span a ~reopen:Fun.id load in
-  let crash_at k = Arena.crash_image a ~reopen:Fun.id load ~at:k Storelog.Keep_none in
-  (* crash in the middle of the build *)
-  Alcotest.(check int) "root slot still empty" 0 (Arena.root_get (crash_at (probe / 2)) 0);
-  (* crash after: everything present *)
-  let t2 = Tree.open_existing ~node_bytes:128 (crash_at probe) in
-  for k = 1 to 500 do
-    Alcotest.(check (option int)) "bulk survives crash" (Some (value_of k))
-      (Tree.search t2 k)
-  done
+  let probe = stores_of a ~reopen:Fun.id load in
+  let points =
+    crash_every a ~reopen:Fun.id load (fun k crash ->
+        (* crash in the middle of the build *)
+        if k = probe / 2 then
+          Alcotest.(check int) "root slot still empty" 0
+            (Arena.root_get (crash Storelog.Keep_none) 0);
+        (* crash after: everything present *)
+        if k = probe then begin
+          let t2 = Tree.open_existing ~node_bytes:128 (crash Storelog.Keep_none) in
+          for k = 1 to 500 do
+            Alcotest.(check (option int)) "bulk survives crash" (Some (value_of k))
+              (Tree.search t2 k)
+          done
+        end)
+  in
+  Alcotest.(check int) "both crash points reached" (probe + 1) points
 
 (* A 1000-pair input with pair [i] replaced by [p]. *)
 let bulk_load_with i p () =
@@ -322,18 +328,18 @@ let test_unordered_insert_is_not_endurable () =
     (fun k ->
       Node.insert_nonfull a0 l n ~count:(Node.count a0 l n) ~key:k ~value:(value_of k))
     [ 10; 20; 30; 40; 50; 60; 70 ];
-  Arena.drain a0;
   let run c = Node.insert_nonfull_unordered c l n ~key:25 ~value:(value_of 25) in
-  let total = Arena.store_span a0 ~reopen:Fun.id run in
-  for k = 0 to total do
-    let c = Arena.crash_image a0 ~reopen:Fun.id run ~at:k Storelog.Keep_all in
-    List.iter
-      (fun key ->
-        match Node.search c l n ~mode:Node.Linear key with
-        | Some v when v = value_of key -> ()
-        | Some _ | None -> incr violations)
-      [ 10; 20; 30; 40; 50; 60; 70 ]
-  done;
+  let points =
+    crash_every a0 ~reopen:Fun.id run (fun _ crash ->
+        let c = crash Storelog.Keep_all in
+        List.iter
+          (fun key ->
+            match Node.search c l n ~mode:Node.Linear key with
+            | Some v when v = value_of key -> ()
+            | Some _ | None -> incr violations)
+          [ 10; 20; 30; 40; 50; 60; 70 ])
+  in
+  Alcotest.(check int) "every store count crashed" (stores_of a0 ~reopen:Fun.id run + 1) points;
   Alcotest.(check bool)
     (Printf.sprintf "unordered shift corrupts some crash state (%d violations)" !violations)
     true (!violations > 0)

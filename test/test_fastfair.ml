@@ -5,6 +5,7 @@
 
 open Ff_pmem
 open Ff_fastfair
+open Crash_util
 module Prng = Ff_util.Prng
 
 let value_of k = (2 * k) + 1 (* odd, unique, never collides with node addrs *)
@@ -117,9 +118,8 @@ let test_node_binary_search () =
 let node_crash_enumeration op_name setup op committed in_flight =
   let a0, l, n = mk_node ~node_bytes:256 () in
   setup a0 l n;
-  Arena.drain a0;
   let run c = op c l n in
-  let total = Arena.store_span a0 ~reopen:Fun.id run in
+  let total = stores_of a0 ~reopen:Fun.id run in
   Alcotest.(check bool) (op_name ^ ": op does stores") true (total > 0);
   let modes =
     [
@@ -128,16 +128,10 @@ let node_crash_enumeration op_name setup op committed in_flight =
       ("random", fun () -> Storelog.Random_eviction (Prng.create 99));
     ]
   in
-  for k = 0 to total do
+  let check_point k crash =
     List.iter
       (fun (mode_name, mode) ->
-        let c = Arena.clone a0 in
-        let crashed = Arena.crash_after c k (fun () -> run c) in
-        if k < total then
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: crash fires at %d" op_name k)
-            true crashed;
-        Arena.power_fail c (mode ());
+        let c = crash (mode ()) in
         (* Reader tolerance, before any repair. *)
         List.iter
           (fun (key, v) ->
@@ -165,7 +159,9 @@ let node_crash_enumeration op_name setup op committed in_flight =
           (Printf.sprintf "%s/%s k=%d clean after fix" op_name mode_name k)
           sorted keys)
       modes
-  done
+  in
+  Alcotest.(check int) (op_name ^ ": every store count crashed") (total + 1)
+    (crash_every a0 ~reopen:Fun.id run check_point)
 
 let test_node_crash_insert_middle () =
   let setup a l n = List.iter (node_insert a l n) [ 10; 20; 30; 40; 50; 60; 70 ] in
@@ -207,24 +203,22 @@ let test_node_crash_non_tso_with_fences () =
   let n = Arena.alloc a0 l.Layout.node_words in
   Node.init a0 l n ~level:0 ~leftmost:0 ~low:0;
   List.iter (node_insert a0 l n) [ 10; 20; 30; 40 ];
-  Arena.drain a0;
   let run c = node_insert c l n 25 in
-  let total = Arena.store_span a0 ~reopen:Fun.id run in
-  for k = 0 to total do
-    for seed = 0 to 5 do
-      let c =
-        Arena.crash_image a0 ~reopen:Fun.id run ~at:k
-          (Storelog.Non_tso_random (Prng.create (seed + (k * 31))))
-      in
-      List.iter
-        (fun key ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "non-tso k=%d committed %d" k key)
-            (Some (value_of key))
-            (Node.search c l n ~mode:Node.Linear key))
-        [ 10; 20; 30; 40 ]
-    done
-  done
+  let points =
+    crash_every a0 ~reopen:Fun.id run (fun k crash ->
+        for seed = 0 to 5 do
+          let c = crash (Storelog.Non_tso_random (Prng.create (seed + (k * 31)))) in
+          List.iter
+            (fun key ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "non-tso k=%d committed %d" k key)
+                (Some (value_of key))
+                (Node.search c l n ~mode:Node.Linear key))
+            [ 10; 20; 30; 40 ]
+        done)
+  in
+  Alcotest.(check int) "non-tso: every store count crashed"
+    (stores_of a0 ~reopen:Fun.id run + 1) points
 
 (* ------------------------------------------------------------------ *)
 (* Tree-level tests                                                    *)
@@ -425,51 +419,56 @@ let tree_crash_enum ?(node_bytes = 128) ~setup_keys ~op ~op_descr ~committed
   let a0 = mk_arena ~words:(1 lsl 20) () in
   let t0 = Tree.create ~node_bytes a0 in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup_keys;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes in
-  let total = Arena.store_span a0 ~reopen op in
+  let total = stores_of a0 ~reopen op in
   Alcotest.(check bool) (op_descr ^ " has stores") true (total > 0);
+  (* Every step-th store count, counted on one more clone. *)
   let step = max 1 (total / 64) in
-  let k = ref 0 in
-  while !k <= total do
+  let check crashed k =
+    let tc = reopen crashed in
+    (* (a) lock-free reader tolerance with no repair at all *)
     List.iter
-      (fun mode ->
-        let tc = reopen (Arena.crash_image a0 ~reopen op ~at:!k mode) in
-        (* (a) lock-free reader tolerance with no repair at all *)
-        List.iter
-          (fun key ->
-            Alcotest.(check (option int))
-              (Printf.sprintf "%s crash@%d committed %d (pre-recovery)" op_descr !k key)
-              (Some (value_of key))
-              (Tree.search tc key))
-          committed;
-        (match in_flight with
+      (fun key ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s crash@%d committed %d (pre-recovery)" op_descr k key)
+          (Some (value_of key))
+          (Tree.search tc key))
+      committed;
+    (match in_flight with
+    | None -> ()
+    | Some (key, v) -> (
+        match Tree.search tc key with
         | None -> ()
-        | Some (key, v) -> (
-            match Tree.search tc key with
-            | None -> ()
-            | Some got ->
-                Alcotest.(check int)
-                  (Printf.sprintf "%s crash@%d in-flight atomic" op_descr !k)
-                  v got));
-        (* (b) eager recovery then full invariants *)
-        Tree.recover tc;
-        (match Invariant.check tc with
-        | [] -> ()
-        | vs ->
-            Alcotest.failf "%s crash@%d: invariants: %s" op_descr !k
-              (String.concat "; " vs));
-        List.iter
-          (fun key ->
-            Alcotest.(check (option int))
-              (Printf.sprintf "%s crash@%d committed %d (post-recovery)" op_descr !k key)
-              (Some (value_of key))
-              (Tree.search tc key))
-          committed)
-      [ Storelog.Keep_none; Storelog.Keep_all;
-        Storelog.Random_eviction (Prng.create (!k * 7)) ];
-    k := !k + step
-  done
+        | Some got ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s crash@%d in-flight atomic" op_descr k)
+              v got));
+    (* (b) eager recovery then full invariants *)
+    Tree.recover tc;
+    (match Invariant.check tc with
+    | [] -> ()
+    | vs ->
+        Alcotest.failf "%s crash@%d: invariants: %s" op_descr k (String.concat "; " vs));
+    List.iter
+      (fun key ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s crash@%d committed %d (post-recovery)" op_descr k key)
+          (Some (value_of key))
+          (Tree.search tc key))
+      committed
+  in
+  let sampled = ref 0 in
+  ignore
+    (crash_every a0 ~reopen op (fun k crash ->
+         if k mod step = 0 then begin
+           incr sampled;
+           List.iter
+             (fun mode -> check (crash mode) k)
+             [ Storelog.Keep_none; Storelog.Keep_all;
+               Storelog.Random_eviction (Prng.create (k * 7)) ]
+         end));
+  Alcotest.(check int) (op_descr ^ " crashed every step-th store count")
+    ((total / step) + 1) !sampled
 
 let test_tree_crash_simple_insert () =
   let setup = [ 10; 20; 30; 40; 50 ] in
@@ -516,22 +515,21 @@ let test_tree_crash_logged_split () =
   let t0 = Tree.create ~node_bytes:128 ~split_policy:Tree.Logged a0 in
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes:128 ~split_policy:Tree.Logged in
-  let total = Arena.store_span a0 ~reopen insert_25 in
-  for k = 0 to total do
-    let tc =
-      reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_none)
-    in
-    Tree.recover tc;
-    List.iter
-      (fun key ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "logged crash@%d committed %d" k key)
-          (Some (value_of key))
-          (Tree.search tc key))
-      setup
-  done
+  let points =
+    crash_every a0 ~reopen insert_25 (fun k crash ->
+        let tc = reopen (crash Storelog.Keep_none) in
+        Tree.recover tc;
+        List.iter
+          (fun key ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "logged crash@%d committed %d" k key)
+              (Some (value_of key))
+              (Tree.search tc key))
+          setup)
+  in
+  Alcotest.(check int) "logged: every store count crashed"
+    (stores_of a0 ~reopen insert_25 + 1) points
 
 let test_tree_lazy_recovery_by_writers () =
   (* Crash mid-split, then let ordinary writers repair lazily. *)
@@ -539,22 +537,23 @@ let test_tree_lazy_recovery_by_writers () =
   let t0 = Tree.create ~node_bytes:128 a0 in
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes:128 in
-  let total = Arena.store_span a0 ~reopen insert_25 in
-  for k = 0 to total do
-    let tc = reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_all) in
-    Tree.recover ~lazy_:true tc;
-    (* Writers repair as a side effect of normal operation. *)
-    List.iter (fun key -> Tree.insert tc ~key ~value:(value_of key)) [ 15; 35; 45 ];
-    List.iter
-      (fun key ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "lazy crash@%d key %d" k key)
-          (Some (value_of key))
-          (Tree.search tc key))
-      (setup @ [ 15; 35; 45 ])
-  done
+  let points =
+    crash_every a0 ~reopen insert_25 (fun k crash ->
+        let tc = reopen (crash Storelog.Keep_all) in
+        Tree.recover ~lazy_:true tc;
+        (* Writers repair as a side effect of normal operation. *)
+        List.iter (fun key -> Tree.insert tc ~key ~value:(value_of key)) [ 15; 35; 45 ];
+        List.iter
+          (fun key ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "lazy crash@%d key %d" k key)
+              (Some (value_of key))
+              (Tree.search tc key))
+          (setup @ [ 15; 35; 45 ]))
+  in
+  Alcotest.(check int) "lazy: every store count crashed"
+    (stores_of a0 ~reopen insert_25 + 1) points
 
 let test_tree_crash_random_workload () =
   (* Crash at random points of a longer randomized workload; committed
@@ -566,7 +565,7 @@ let test_tree_crash_random_workload () =
     let committed = Hashtbl.create 256 in
     let planned = 50 + Prng.int rng 300 in
     ignore
-      (Arena.crash_after a (500 + Prng.int rng 4000) (fun () ->
+      (crash_at a (500 + Prng.int rng 4000) (fun () ->
            for _ = 1 to planned do
              let k = 1 + Prng.int rng 1000 in
              if Prng.int rng 10 < 7 then begin
@@ -646,13 +645,13 @@ let prop_range_equals_model =
 let prop_crash_then_recover_sound =
   QCheck.Test.make ~count:30 ~name:"random crash point: recovery sound"
     QCheck.(pair small_int (int_bound 3000))
-    (fun (seed, crash_after) ->
+    (fun (seed, at) ->
       let rng = Prng.create (seed + 1) in
       let a = mk_arena ~words:(1 lsl 21) () in
       let t = Tree.create ~node_bytes:128 a in
       let committed = Hashtbl.create 64 in
       ignore
-        (Arena.crash_after a (20 + crash_after) (fun () ->
+        (crash_at a (20 + at) (fun () ->
              for _ = 1 to 400 do
                let k = 1 + Prng.int rng 500 in
                Tree.insert t ~key:k ~value:(value_of k);
@@ -704,7 +703,7 @@ let dangling_split ~mode ~above =
            Arena.ev_store =
              (fun addr ->
                if List.exists (fun nd -> addr >= nd && addr < nd + words) upper
-               then raise Arena.Crashed);
+               then raise Cut);
            ev_flush = nop;
            ev_fence = (fun () -> ());
            ev_alloc = nop2;
@@ -714,7 +713,7 @@ let dangling_split ~mode ~above =
     let key = 10 * i in
     match Tree.insert t ~key ~value:(value_of key) with
     | () -> fill (i + 1)
-    | exception Arena.Crashed -> i - 1
+    | exception Cut -> i - 1
   in
   let n = fill 1 in
   Arena.set_event_sink a None;

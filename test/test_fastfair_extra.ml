@@ -4,6 +4,7 @@
 
 open Ff_pmem
 open Ff_fastfair
+open Crash_util
 module Prng = Ff_util.Prng
 module Mcsim = Ff_mcsim.Mcsim
 module Locks = Ff_index.Locks
@@ -116,28 +117,27 @@ let test_non_tso_tree_crash_enum () =
   let t0 = Tree.create ~node_bytes:128 a0 in
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes:128 in
-  let total = Arena.store_span a0 ~reopen insert_25 in
-  for k = 0 to total do
-    for seed = 0 to 3 do
-      let tc =
-        reopen
-          (Arena.crash_image a0 ~reopen insert_25 ~at:k
-             (Storelog.Non_tso_random (Prng.create ((k * 17) + seed))))
-      in
-      List.iter
-        (fun key ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "non-tso crash@%d seed %d key %d" k seed key)
-            (Some (value_of key)) (Tree.search tc key))
-        setup;
-      Tree.recover tc;
-      match Invariant.check tc with
-      | [] -> ()
-      | vs -> Alcotest.failf "non-tso crash@%d: %s" k (String.concat "; " vs)
-    done
-  done
+  let points =
+    crash_every a0 ~reopen insert_25 (fun k crash ->
+        for seed = 0 to 3 do
+          let tc =
+            reopen (crash (Storelog.Non_tso_random (Prng.create ((k * 17) + seed))))
+          in
+          List.iter
+            (fun key ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "non-tso crash@%d seed %d key %d" k seed key)
+                (Some (value_of key)) (Tree.search tc key))
+            setup;
+          Tree.recover tc;
+          match Invariant.check tc with
+          | [] -> ()
+          | vs -> Alcotest.failf "non-tso crash@%d: %s" k (String.concat "; " vs)
+        done)
+  in
+  Alcotest.(check int) "non-tso: every store count crashed"
+    (stores_of a0 ~reopen insert_25 + 1) points
 
 let test_leaflock_crash_enum () =
   (* The serializable variant must be exactly as endurable. *)
@@ -145,20 +145,21 @@ let test_leaflock_crash_enum () =
   let t0 = Tree.create ~node_bytes:128 ~leaf_read_locks:true a0 in
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
-  Arena.drain a0;
   let reopen = Tree.open_existing ~node_bytes:128 ~leaf_read_locks:true in
-  let total = Arena.store_span a0 ~reopen insert_25 in
-  for k = 0 to total do
-    let tc = reopen (Arena.crash_image a0 ~reopen insert_25 ~at:k Storelog.Keep_all) in
-    List.iter
-      (fun key ->
-        Alcotest.(check (option int))
-          (Printf.sprintf "leaflock crash@%d key %d" k key)
-          (Some (value_of key)) (Tree.search tc key))
-      setup;
-    Tree.recover tc;
-    Invariant.check_exn tc
-  done
+  let points =
+    crash_every a0 ~reopen insert_25 (fun k crash ->
+        let tc = reopen (crash Storelog.Keep_all) in
+        List.iter
+          (fun key ->
+            Alcotest.(check (option int))
+              (Printf.sprintf "leaflock crash@%d key %d" k key)
+              (Some (value_of key)) (Tree.search tc key))
+          setup;
+        Tree.recover tc;
+        Invariant.check_exn tc)
+  in
+  Alcotest.(check int) "leaflock: every store count crashed"
+    (stores_of a0 ~reopen insert_25 + 1) points
 
 let test_binary_mode_crash_recovery () =
   (* Binary mode relies on count hints; recovery must rebuild them. *)
@@ -228,7 +229,7 @@ let test_many_crash_recover_cycles () =
   let rng = Prng.create 5 in
   for cycle = 1 to 10 do
     ignore
-      (Arena.crash_after a (400 + Prng.int rng 2000) (fun () ->
+      (crash_at a (400 + Prng.int rng 2000) (fun () ->
            for _ = 1 to 500 do
              let k = 1 + Prng.int rng 3000 in
              Tree.insert !t ~key:k ~value:(value_of k);

@@ -54,7 +54,7 @@ let harness_skiplist = harness_case "skiplist" None
    key with its value. *)
 let test_fastfair_pre_recovery_tolerance () =
   (* Every store of the batch is crashed three ways, and each crash
-     image clones the arena: a small one keeps the sweep cheap. *)
+     copies the arena: a small one keeps the sweep cheap. *)
   let base = Arena.create ~words:(1 lsl 16) () in
   let t = Ff_fastfair.Tree.create ~node_bytes:128 base in
   let keys = List.init 150 (fun i -> (i + 1) * 3) in
@@ -65,25 +65,26 @@ let test_fastfair_pre_recovery_tolerance () =
       t.Intf.insert (10_000 + i) (value_of (10_000 + i))
     done
   in
-  let span = Arena.store_span base ~reopen batch in
+  let span = Crash_util.stores_of base ~reopen batch in
   Alcotest.(check bool) "span > 0" true (span > 0);
-  for at = 0 to span do
-    List.iter
-      (fun (label, mode) ->
-        let img = Arena.crash_image base ~reopen batch ~at mode in
-        let t' = reopen img in
+  let points =
+    Crash_util.crash_every base ~reopen batch (fun at crash ->
         List.iter
-          (fun k ->
-            Alcotest.(check (option int))
-              (Printf.sprintf "crash at %d (%s): key %d before recovery" at label k)
-              (Some (value_of k)) (t'.Intf.search k))
-          keys)
-      [
-        ("keep_none", Storelog.Keep_none);
-        ("keep_all", Storelog.Keep_all);
-        ("random_eviction", Storelog.Random_eviction (Prng.create at));
-      ]
-  done
+          (fun (label, mode) ->
+            let t' = reopen (crash mode) in
+            List.iter
+              (fun k ->
+                Alcotest.(check (option int))
+                  (Printf.sprintf "crash at %d (%s): key %d before recovery" at label k)
+                  (Some (value_of k)) (t'.Intf.search k))
+              keys)
+          [
+            ("keep_none", Storelog.Keep_none);
+            ("keep_all", Storelog.Keep_all);
+            ("random_eviction", Storelog.Random_eviction (Prng.create at));
+          ])
+  in
+  Alcotest.(check int) "every store count crashed" (span + 1) points
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)

@@ -3,6 +3,7 @@
 
 open Ff_pmem
 open Ff_fastfair
+open Crash_util
 module Prng = Ff_util.Prng
 
 let mk () =
@@ -84,7 +85,7 @@ let test_crash_durability () =
   let a, kv = mk () in
   let committed = ref [] in
   ignore
-    (Arena.crash_after a 3000 (fun () ->
+    (crash_at a 3000 (fun () ->
          for k = 1 to 500 do
            Kv.put kv ~key:k ~value:(k * 7);
            committed := k :: !committed
@@ -107,17 +108,25 @@ let test_crash_update_atomic () =
      cell holds the old or the new value, nothing else. *)
   let a, kv = mk () in
   Kv.put kv ~key:5 ~value:111;
-  Arena.drain a;
-  for k = 0 to 3 do
-    let reopen = Kv.open_existing ~node_bytes:256 in
-    let put kvc = Kv.put kvc ~key:5 ~value:222 in
-    let kvc = reopen (Arena.crash_image a ~reopen put ~at:k Storelog.Keep_all) in
+  let reopen = Kv.open_existing ~node_bytes:256 in
+  let put kvc = Kv.put kvc ~key:5 ~value:222 in
+  let total = stores_of a ~reopen put in
+  (* Points 0 .. 3: those past the put's last store crash its end. *)
+  let check k crash =
+    let kvc = reopen (crash Storelog.Keep_all) in
     match Kv.get kvc 5 with
     | Some 111 | Some 222 -> ()
     | other ->
         Alcotest.failf "crash@%d: got %s" k
           (match other with Some v -> string_of_int v | None -> "none")
-  done
+  in
+  let points =
+    crash_every a ~reopen put (fun k crash ->
+        for j = k to if k = total then 3 else min k 3 do
+          check j crash
+        done)
+  in
+  Alcotest.(check int) "every store count crashed" (total + 1) points
 
 let suite =
   [

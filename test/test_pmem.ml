@@ -69,89 +69,135 @@ let test_power_fail_random_is_per_line_prefix () =
     Alcotest.(check bool) "prefix state" true valid
   done
 
-let test_crash_plan_store_counting () =
-  let a = mk () in
-  Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + 2));
-  Arena.write a 100 1;
-  Arena.write a 101 2;
-  let crashed =
-    try
-      Arena.write a 102 3;
-      false
-    with Arena.Crashed -> true
-  in
-  Alcotest.(check bool) "third store crashes" true crashed;
-  Alcotest.(check int) "second store applied" 2 (Arena.peek a 101);
-  Alcotest.(check int) "third store not applied" 0 (Arena.peek a 102)
+(* The crash primitive, on a program of stores, flushes and fences to
+   distinct zeroed words, run over a base with flushed and pending
+   stores of its own.  [prefix k] is every step before store k + 1. *)
+type step = W of int * int | F of int | Fence
 
-(* The crash-at-store primitive. *)
-let write_n a n =
-  for i = 0 to n - 1 do
+let program =
+  List.concat
+    (List.init 30 (fun i ->
+         let addr = 200 + (5 * i mod 64) in
+         (W (addr, i + 1) :: (if i mod 4 = 3 then [ F addr ] else []))
+         @ if i mod 7 = 6 then [ Fence ] else []))
+
+let writes = List.filter_map (function W (a, v) -> Some (a, v) | F _ | Fence -> None) program
+let stores = List.length writes
+
+let exec a = function
+  | W (addr, v) -> Arena.write a addr v
+  | F addr -> Arena.flush a addr
+  | Fence -> Arena.fence a
+
+let run a () = List.iter (exec a) program
+
+let rec prefix k = function
+  | W _ :: _ when k = 0 -> []
+  | s :: rest -> s :: prefix (match s with W _ -> k - 1 | F _ | Fence -> k) rest
+  | [] -> []
+
+let crash_base () =
+  let a = mk () in
+  for i = 0 to 9 do
     Arena.write a (100 + i) (i + 1)
-  done
+  done;
+  Arena.flush_range a 100 5;
+  a
 
-let still_armed a =
-  try write_n a 10; false with Arena.Crashed -> true
+let image a = Array.init (Arena.capacity a) (Arena.peek a)
 
-let test_crash_after_fires_on_next_store () =
-  for k = 0 to 5 do
-    let a = mk () in
-    Arena.write a 200 1;
-    let start = Arena.store_count a in
-    let label = Printf.sprintf "k=%d: " k in
-    Alcotest.(check bool) (label ^ "fired") true (Arena.crash_after a k (fun () -> write_n a 10));
-    Alcotest.(check int) (label ^ "store count") (start + k) (Arena.store_count a);
-    Alcotest.(check int) (label ^ "store k+1 not applied") 0 (Arena.peek a (100 + k));
-    if k > 0 then
-      Alcotest.(check int) (label ^ "store k applied") k (Arena.peek a (100 + k - 1));
-    Alcotest.(check bool) (label ^ "disarmed") false (still_armed a)
-  done
+let test_crash_each_visits () =
+  let a = crash_base () and idle = mk () in
+  let visits = ref [] in
+  Arena.crash_each [| a; idle |] (run a) (fun i k _ ->
+      Alcotest.(check int) "only the stored arena is visited" 0 i;
+      List.iteri
+        (fun j (addr, v) ->
+          let label = Printf.sprintf "visit %d: store %d" k (j + 1) in
+          if j < k then Alcotest.(check int) (label ^ " applied") v (Arena.peek a addr)
+          else Alcotest.(check int) (label ^ " not applied") 0 (Arena.peek a addr))
+        writes;
+      visits := k :: !visits);
+  Alcotest.(check (list int)) "n + 1 visits, in order" (List.init (stores + 1) Fun.id)
+    (List.rev !visits)
 
-let test_crash_after_no_crash_disarms () =
-  let a = mk () in
-  Alcotest.(check bool) "did not fire" false (Arena.crash_after a 3 (fun () -> write_n a 3));
-  Alcotest.(check bool) "later store does not raise" false (still_armed a)
-
-let test_crash_after_propagates () =
-  let a = mk () in
-  (match
-     Arena.crash_after a 2 (fun () ->
-         Arena.write a 100 1;
-         failwith "boom")
-   with
-  | _ -> Alcotest.fail "exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "propagated" "boom" m);
-  Alcotest.(check bool) "disarmed after raise" false (still_armed a)
-
-let test_crash_image_at_span_completes () =
-  let base = mk () in
-  write_n base 20;
-  Arena.flush_range base 100 20;
-  let run a =
-    for i = 0 to 40 do
-      Arena.write a (200 + (3 * i)) (i + 7);
-      if i mod 5 = 0 then Arena.flush a (200 + (3 * i));
-      if i mod 11 = 0 then Arena.fence a
-    done
+let test_crash_each_stops_and_restores () =
+  let seen = ref 0 in
+  let sink =
+    Some
+      {
+        Arena.ev_store = (fun _ -> incr seen);
+        ev_flush = ignore;
+        ev_fence = ignore;
+        ev_alloc = (fun _ _ -> ());
+        ev_free = (fun _ _ -> ());
+        ev_crash = ignore;
+      }
   in
-  (* A reopen's own stores precede the armed window and are not counted. *)
-  let reopen a = Arena.write a 50 1; a in
-  let span = Arena.store_span base ~reopen run in
-  Alcotest.(check int) "span counts run's stores only" 41 span;
-  let image a = Array.init (Arena.capacity a) (Arena.peek_persisted a) in
-  List.iter
-    (fun (name, mode) ->
-      let crashed = Arena.crash_image base ~reopen run ~at:span (mode ()) in
-      let full = Arena.clone base in
-      run (reopen full);
-      Arena.power_fail full (mode ());
-      Alcotest.(check bool) (name ^ ": same persisted image") true
-        (image crashed = image full))
-    [
-      ("keep_none", fun () -> Storelog.Keep_none);
-      ("keep_all", fun () -> Storelog.Keep_all);
-      ("random", fun () -> Storelog.Random_eviction (Prng.create 5));
-    ]
+  let exception Stop in
+  (* k = stores stops at the visit after the run; k = stores + 1 never
+     stops it. *)
+  for k = 0 to stores + 1 do
+    let a = crash_base () in
+    Arena.set_event_sink a sink;
+    seen := 0;
+    let stopped =
+      match Arena.crash_each [| a |] (run a) (fun _ j _ -> if j = k then raise Stop) with
+      | () -> false
+      | exception Stop -> true
+    in
+    let want = crash_base () in
+    List.iter (exec want) (prefix k program);
+    let label = Printf.sprintf "k=%d: " k in
+    Alcotest.(check bool) (label ^ "the raise stopped the run") (k <= stores) stopped;
+    Alcotest.(check bool) (label ^ "left as the crash found it") true (image a = image want);
+    Alcotest.(check int) (label ^ "store count") (Arena.store_count want) (Arena.store_count a);
+    Alcotest.(check int) (label ^ "earlier sink saw each applied store") (min k stores) !seen;
+    Alcotest.(check bool) (label ^ "earlier sink restored") true (Arena.event_sink a == sink)
+  done
+
+let test_crash_each_equals_power_fail () =
+  let base = crash_base () in
+  let a = Arena.clone base in
+  let points = ref 0 in
+  Arena.crash_each [| a |] (run a) (fun _ k crash ->
+      incr points;
+      List.iter
+        (fun (name, mode) ->
+          let got = crash (mode ()) in
+          let want = Arena.clone base in
+          List.iter (exec want) (prefix k program);
+          Arena.power_fail want (mode ());
+          let label = Printf.sprintf "%s at %d: " name k in
+          Alcotest.(check bool) (label ^ "same image") true (image got = image want);
+          Alcotest.(check int) (label ^ "same store count") (Arena.store_count want)
+            (Arena.store_count got);
+          Alcotest.(check int) (label ^ "nothing pending") 0 (Arena.dirty_line_count got))
+        [
+          ("keep_none", fun () -> Storelog.Keep_none);
+          ("keep_all", fun () -> Storelog.Keep_all);
+          ("eviction", fun () -> Storelog.Random_eviction (Prng.create (k + 5)));
+        ]);
+  Alcotest.(check int) "every store count crashed" (stores + 1) !points
+
+let test_crash_each_spare_reuse () =
+  let base = crash_base () in
+  let a = Arena.clone base in
+  (* Scribble over every copy: the spare is all it may reach. *)
+  Arena.crash_each [| a |] (run a) (fun _ k crash ->
+      List.iter
+        (fun mode ->
+          let c = crash mode in
+          for addr = 96 to 300 do
+            Arena.write c addr (-k - 1)
+          done;
+          Arena.flush_range c 96 205)
+        [ Storelog.Keep_none; Storelog.Keep_all; Storelog.Random_eviction (Prng.create k) ]);
+  let want = Arena.clone base in
+  run want ();
+  let persisted x = Array.init (Arena.capacity x) (Arena.peek_persisted x) in
+  Alcotest.(check bool) "live image untouched" true (image a = image want);
+  Alcotest.(check bool) "live persisted image untouched" true (persisted a = persisted want)
 
 let test_fence_epochs_non_tso () =
   (* Under Non_tso, stores in a later epoch must not persist unless all
@@ -415,11 +461,13 @@ let suite =
     Alcotest.test_case "power fail keep none" `Quick test_power_fail_keep_none;
     Alcotest.test_case "power fail keep all" `Quick test_power_fail_keep_all;
     Alcotest.test_case "random eviction = line prefix" `Quick test_power_fail_random_is_per_line_prefix;
-    Alcotest.test_case "crash plan stores" `Quick test_crash_plan_store_counting;
-    Alcotest.test_case "crash_after fires on store k+1" `Quick test_crash_after_fires_on_next_store;
-    Alcotest.test_case "crash_after disarms when unfired" `Quick test_crash_after_no_crash_disarms;
-    Alcotest.test_case "crash_after propagates and disarms" `Quick test_crash_after_propagates;
-    Alcotest.test_case "crash_image at span = completion" `Quick test_crash_image_at_span_completes;
+    Alcotest.test_case "crash_each visits every store" `Quick test_crash_each_visits;
+    Alcotest.test_case "crash_each stops on a raise, restores the sink" `Quick
+      test_crash_each_stops_and_restores;
+    Alcotest.test_case "crash_each copy = clone, prefix, power_fail" `Quick
+      test_crash_each_equals_power_fail;
+    Alcotest.test_case "crash_each spare reuse spares the live run" `Quick
+      test_crash_each_spare_reuse;
     Alcotest.test_case "non-TSO fences ordered" `Quick test_fence_epochs_non_tso;
     Alcotest.test_case "non-TSO reorders without fence" `Quick test_non_tso_without_fence_can_reorder;
     Alcotest.test_case "alloc aligned+zeroed" `Quick test_alloc_line_aligned_and_zeroed;
@@ -623,8 +671,9 @@ let memory_tests =
 
 (* Golden crash images.  A fixed seeded FAST+FAIR insert/delete run,
    interleaved with unflushed stores to a small scratch window and
-   explicit fences, is cut mid-operation by a crash plan and then
-   power-failed under every crash mode: every pending epoch as a
+   explicit fences, is stopped mid-operation by a crash visit that
+   raises before its 6001st store, and then power-failed under every
+   crash mode: every pending epoch as a
    [Non_tso_cutoff], media faults, and a run whose unflushed stores
    cross the store log's high-water mark first.  Each persisted image
    is digested.  The digests were recorded once; they pin the store
@@ -643,8 +692,10 @@ let golden_run ?(flood = 0) () =
   done;
   let t = Ff_fastfair.Tree.create ~node_bytes:256 a in
   let r = Prng.create 13 in
-  ignore
-    (Arena.crash_after a 6000 (fun () ->
+  let exception Stop in
+  (try
+     Arena.crash_each [| a |]
+       (fun () ->
          for i = 1 to 2000 do
            let k = 1 + Prng.int r 500 in
            if Prng.int r 4 = 0 then ignore (Ff_fastfair.Tree.delete t k)
@@ -655,7 +706,9 @@ let golden_run ?(flood = 0) () =
              done;
              if i mod 20 = 0 then Arena.fence a
            end
-         done));
+         done)
+       (fun _ k _ -> if k = 6000 then raise Stop)
+   with Stop -> ());
   a
 
 let image_digest a =
@@ -725,7 +778,7 @@ let golden =
     ("flood non_tso_random", "a63752f93ccd131cd2d095a19d65098e");
   ]
 
-let test_golden_crash_images () =
+let test_golden_crashed_images () =
   Alcotest.(check (list (pair string string))) "crash image digests" golden (golden_digests ())
 
 (* The paths that touch pending stores without a power failure: saving
@@ -803,6 +856,6 @@ let test_golden_pending_images () =
 let suite =
   suite @ file_tests @ memory_tests
   @ [
-      Alcotest.test_case "golden crash images" `Quick test_golden_crash_images;
+      Alcotest.test_case "golden crash images" `Quick test_golden_crashed_images;
       Alcotest.test_case "golden pending-store images" `Quick test_golden_pending_images;
     ]

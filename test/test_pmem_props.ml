@@ -151,7 +151,7 @@ let prop_drain_then_keep_none_is_identity =
    leaves, and [peek] the one a crash that keeps them all leaves, also
    after a flood of unflushed stores past the store log's high-water
    mark has written the oldest back. *)
-let prop_peeks_predict_crash_images =
+let prop_peeks_predict_crashed_images =
   let h = Storelog.high_water in
   QCheck.Test.make ~count:40 ~name:"peek_persisted and peek predict Keep_none and Keep_all"
     QCheck.(
@@ -470,7 +470,7 @@ let suite =
       prop_random_eviction_per_word_monotone;
       prop_clone_equivalence;
       prop_drain_then_keep_none_is_identity;
-      prop_peeks_predict_crash_images;
+      prop_peeks_predict_crashed_images;
       prop_non_tso_respects_fences;
       prop_cachesim_matches_list_lru;
       prop_storelog_matches_reference;

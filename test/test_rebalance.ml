@@ -311,7 +311,7 @@ let split_crash_at after =
   (* Counted from the end of the prefill, so the sweep lands inside
      the rebalance itself. *)
   let crashed =
-    Arena.crash_after a after (fun () ->
+    Crash_util.crash_at a after (fun () ->
         ignore
           (Mcsim.run ~cores:1 ~quantum_ns:1 ~arena:a
              [| (fun _ -> ignore (Rebalance.split t ~shard:0 ~pivot:16)) |]))
@@ -337,7 +337,7 @@ let test_split_crash_sweep () =
      plus one far beyond (no crash at all). *)
   List.iter split_crash_at [ 5; 60; 200; 400; 100000 ]
 
-(* Crash a composite rebalance at every store from the decision
+(* Crash a composite rebalance before every store from the decision
    word's flip to Committed through the end, under [Keep_all], and
    hold resolution to the topology a crash-free run persists: the same
    shard manifest, the same shard count on reattach, and every key.
@@ -364,11 +364,8 @@ let committed_crash_sweep ~bounds ~rebalance ~shards_after =
   let total = Arena.store_count a - base in
   let expected = Shard.read_manifest a in
   let committed_seen = ref false and rolled_forward = ref 0 in
-  for n = 0 to total - 1 do
-    let a, t = setup () in
-    if not (Arena.crash_after a n (fun () -> ignore (go a t))) then
-      Alcotest.failf "crash at store %d of %d did not fire" n total;
-    Arena.power_fail a Storelog.Keep_all;
+  let check n crash =
+    let a = crash Storelog.Keep_all in
     (match Rebalance.phase a with
     | Rebalance.Committed _ -> committed_seen := true
     | Rebalance.Idle | Rebalance.Preparing _ -> ());
@@ -388,7 +385,17 @@ let committed_crash_sweep ~bounds ~rebalance ~shards_after =
         (List.map (fun k -> (k, value_of k)) keys)
         (dump_search (Shard.search t2) 30)
     end
-  done;
+  in
+  (* One more run, crashed before each of its stores. *)
+  let a, t = setup () in
+  let points = ref 0 in
+  ignore
+    (Arena.crash_each [| a |] (fun () -> go a t) (fun _ n crash ->
+         if n < total then begin
+           incr points;
+           check n crash
+         end));
+  Alcotest.(check int) "a crash before every store" total !points;
   Alcotest.(check bool) "some crash points rolled forward" true
     (!rolled_forward > 1)
 

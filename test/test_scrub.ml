@@ -179,29 +179,36 @@ let test_free_unknown_after_crash () =
 (* Mid-split crash leaks                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Crash an insert batch after [k] stores, apply a deterministic
-   eviction pattern, return the crashed arena. *)
-let crash_after ~base k =
-  let batch (t : Intf.ops) =
-    for i = 1 to 40 do
-      t.Intf.insert (5000 + i) (value_of (5000 + i))
-    done
-  in
-  Arena.crash_image base ~reopen:(reopen (ff ())) batch ~at:k
-    (Storelog.Random_eviction (Prng.create k))
+let batch (t : Intf.ops) =
+  for i = 1 to 40 do
+    t.Intf.insert (5000 + i) (value_of (5000 + i))
+  done
 
-(* First crash point whose post-crash image leaks a block. *)
+let eviction k = Storelog.Random_eviction (Prng.create k)
+
+(* Crash the insert batch on a clone of [base] just before its store
+   [k + 1], apply a deterministic eviction pattern, return the crashed
+   arena. *)
+let crashed_at ~base k =
+  let a = Arena.clone base in
+  let t = reopen (ff ()) a in
+  ignore (Crash_util.crash_at a k (fun () -> batch t));
+  Arena.power_fail a (eviction k);
+  a
+
+(* First crash point whose post-crash image leaks a block, from one
+   run of the batch; no later point is crashed, so its image stays. *)
 let find_leaky base =
   let d = ff () in
-  let rec go k =
-    if k > 3000 then Alcotest.fail "no leaking crash point found"
-    else begin
-      let a = crash_after ~base k in
-      let r = Scrub.audit ~config:small_cfg d a in
-      if r.Scrub.leaked_blocks <> [] then (k, a, r) else go (k + 1)
-    end
-  in
-  go 1
+  let found = ref None in
+  ignore
+    (Crash_util.crash_every base ~reopen:(reopen d) batch (fun k crash ->
+         if k >= 1 && k <= 3000 && Option.is_none !found then begin
+           let a = crash (eviction k) in
+           let r = Scrub.audit ~config:small_cfg d a in
+           if r.Scrub.leaked_blocks <> [] then found := Some (k, a, r)
+         end));
+  match !found with Some f -> f | None -> Alcotest.fail "no leaking crash point found"
 
 let scrub_full d a =
   Scrub.run ~config:small_cfg d a ~recover:(fun () ->
@@ -246,7 +253,7 @@ let test_scrub_report_deterministic () =
   let run () =
     let base, d = build_base () in
     let k, _, _ = find_leaky base in
-    let a = crash_after ~base k in
+    let a = crashed_at ~base k in
     Scrub.to_string (scrub_full d a)
   in
   Alcotest.(check string) "same seed, same report" (run ()) (run ())

@@ -89,6 +89,23 @@ let test_txlog_abandon () =
 (* Direct crash sweeps over both commit paths                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Crash [run] on [a] at every store-count offset 1 .. 60: just before
+   the store that makes the count [offset + 1] while the run is live,
+   and once it has returned, at every offset it never reached, where
+   the run is complete.  [f offset crash] checks one. *)
+let each_offset a run f =
+  let ended = ref false in
+  Arena.crash_each [| a |]
+    (fun () ->
+      run ();
+      ended := true)
+    (fun _ k crash ->
+      if !ended then
+        for offset = max 1 k to 60 do
+          f offset crash
+        done
+      else if k >= 1 && k <= 60 then f k crash)
+
 (* A three-op transaction is crashed after every store-count offset in
    a window wide enough to cover begin-to-commit; recovery must land
    on exactly the pre- or post-state, decided by whether the commit
@@ -97,44 +114,46 @@ let crash_sweep_path path mode_of =
   let d = Registry.find_exn "fastfair" in
   let keyspace = 6 in
   let post_expected = [ (1, 101); (2, 102); (4, 14); (5, 15); (6, 16) ] in
-  for offset = 1 to 60 do
-    let a = fresh_arena () in
-    let ops = Registry.build "fastfair" a in
-    for k = 1 to keyspace do
-      ops.Intf.insert k (10 + k)
-    done;
-    let mgr = Tx.create ~path a ops in
-    let baseline = dump ops keyspace in
-    let committed = ref false in
-    let commit_started = ref false in
-    ignore
-      (Arena.crash_after a offset (fun () ->
-           let tx = Tx.begin_tx mgr in
-           Tx.put tx 1 101;
-           Tx.put tx 2 102;
-           ignore (Tx.del tx 3);
-           commit_started := true;
-           Tx.commit tx;
-           committed := true));
-    Arena.power_fail a (mode_of offset);
-    let o = d.D.open_existing D.default_config a in
-    o.Intf.recover ();
-    let mgr2 = Tx.create ~path a o in
-    ignore (Tx.recover mgr2);
-    let got = dump o keyspace in
-    (* All-or-nothing: a returned commit must survive; a crash inside
-       the commit call may land either way; anything earlier must
-       recover to the pre-state. *)
-    let ok =
-      if !committed then got = post_expected
-      else if !commit_started then got = post_expected || got = baseline
-      else got = baseline
-    in
-    if not ok then
-      Alcotest.failf
-        "offset %d (committed=%b, commit_started=%b): recovered %s (pre %s)"
-        offset !committed !commit_started (show got) (show baseline)
-  done
+  let a = fresh_arena () in
+  let ops = Registry.build "fastfair" a in
+  for k = 1 to keyspace do
+    ops.Intf.insert k (10 + k)
+  done;
+  let mgr = Tx.create ~path a ops in
+  let baseline = dump ops keyspace in
+  let committed = ref false in
+  let commit_started = ref false in
+  let run () =
+    let tx = Tx.begin_tx mgr in
+    Tx.put tx 1 101;
+    Tx.put tx 2 102;
+    ignore (Tx.del tx 3);
+    commit_started := true;
+    Tx.commit tx;
+    committed := true
+  in
+  let points = ref 0 in
+  each_offset a run (fun offset crash ->
+      incr points;
+      let c = crash (mode_of offset) in
+      let o = d.D.open_existing D.default_config c in
+      o.Intf.recover ();
+      let mgr2 = Tx.create ~path c o in
+      ignore (Tx.recover mgr2);
+      let got = dump o keyspace in
+      (* All-or-nothing: a returned commit must survive; a crash inside
+         the commit call may land either way; anything earlier must
+         recover to the pre-state. *)
+      let ok =
+        if !committed then got = post_expected
+        else if !commit_started then got = post_expected || got = baseline
+        else got = baseline
+      in
+      if not ok then
+        Alcotest.failf
+          "offset %d (committed=%b, commit_started=%b): recovered %s (pre %s)"
+          offset !committed !commit_started (show got) (show baseline));
+  Alcotest.(check int) "every offset crashed" 60 !points
 
 let test_logged_crash_sweep () =
   crash_sweep_path Tx.Logged (fun _ -> Storelog.Keep_none)
@@ -167,59 +186,58 @@ let payload_sweep ?(pass_payload = true) ?(abort = false) ?config path modes =
   let pre = List.init keyspace (fun i -> (i + 1, 11 + i)) in
   let post = [ (1, 101); (2, 102); (3, 13); (4, 104); (5, 15); (6, 16) ] in
   let bad = ref [] in
-  for offset = 1 to 60 do
-    let a = Arena.create ?config ~words:(1 lsl 16) () in
-    let ops = Registry.build "fastfair" a in
-    let cells = Arena.alloc_raw a (4 * Arena.words_per_line) in
-    let next = ref cells in
-    let cell v =
-      let c = !next in
-      incr next;
-      Arena.write a c v;
-      c
-    in
-    let pre_cells =
-      List.map
-        (fun (k, v) ->
-          let c = cell v in
-          Arena.flush a c;
-          ops.Intf.insert k c;
-          (k, c))
-        pre
-    in
-    let mgr = Tx.create ~path a ops in
-    let committed = ref false and commit_started = ref false in
-    ignore
-      (Arena.crash_after a offset (fun () ->
-           let tx = Tx.begin_tx mgr in
-           List.iter
-             (fun k ->
-               let c = cell (100 + k) in
-               if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
-             [ 1; 2; 4 ];
-           if abort then Tx.rollback tx
-           else begin
-             commit_started := true;
-             Tx.commit tx;
-             committed := true
-           end));
+  let a = Arena.create ?config ~words:(1 lsl 16) () in
+  let ops = Registry.build "fastfair" a in
+  let cells = Arena.alloc_raw a (4 * Arena.words_per_line) in
+  let next = ref cells in
+  let cell v =
+    let c = !next in
+    incr next;
+    Arena.write a c v;
+    c
+  in
+  let pre_cells =
+    List.map
+      (fun (k, v) ->
+        let c = cell v in
+        Arena.flush a c;
+        ops.Intf.insert k c;
+        (k, c))
+      pre
+  in
+  let mgr = Tx.create ~path a ops in
+  let committed = ref false and commit_started = ref false in
+  let run () =
+    let tx = Tx.begin_tx mgr in
     List.iter
-      (fun mode ->
-        let c = Arena.crashed_copy a mode in
-        let o = d.D.open_existing D.default_config c in
-        o.Intf.recover ();
-        ignore (Tx.recover (Tx.create ~path c o));
-        let bound = dump o keyspace in
-        let got = List.map (fun (k, cell) -> (k, Arena.peek_persisted c cell)) bound in
-        let ok =
-          if abort then bound = pre_cells && got = pre
-          else if !committed then got = post
-          else if !commit_started then got = post || got = pre
-          else got = pre
-        in
-        if not ok then bad := offset :: !bad)
-      (modes offset a)
-  done;
+      (fun k ->
+        let c = cell (100 + k) in
+        if pass_payload then Tx.put ~payload:c tx k c else Tx.put tx k c)
+      [ 1; 2; 4 ];
+    if abort then Tx.rollback tx
+    else begin
+      commit_started := true;
+      Tx.commit tx;
+      committed := true
+    end
+  in
+  each_offset a run (fun offset crash ->
+      List.iter
+        (fun mode ->
+          let c = crash mode in
+          let o = d.D.open_existing D.default_config c in
+          o.Intf.recover ();
+          ignore (Tx.recover (Tx.create ~path c o));
+          let bound = dump o keyspace in
+          let got = List.map (fun (k, cell) -> (k, Arena.peek_persisted c cell)) bound in
+          let ok =
+            if abort then bound = pre_cells && got = pre
+            else if !committed then got = post
+            else if !commit_started then got = post || got = pre
+            else got = pre
+          in
+          if not ok then bad := offset :: !bad)
+        (modes offset a));
   List.sort_uniq compare !bad
 
 let check_payload_sweep ?abort ?config path modes () =
@@ -776,27 +794,27 @@ let test_shard_txn_commit_and_abort () =
   Alcotest.(check bool) "commits counted" true (commits >= 1);
   Alcotest.(check bool) "aborts counted" true (aborts >= 1)
 
-(* Crash a cross-shard transfer after every store offset on the
-   coordinator's arena; after power-fail + recovery the transfer must
-   be all-or-nothing on both shards. *)
+(* Crash a cross-shard transfer at every store offset 1 .. 50, counted
+   on every shard arena at once: the crash lands just before the first
+   store that would give any arena more than [offset] stores.  After
+   power-fail + recovery the transfer must be all-or-nothing on both
+   shards, and the sweep must see both outcomes. *)
 let test_shard_2pc_crash_atomicity () =
   let saw_pre = ref false and saw_post = ref false in
+  let exception Stop in
   for offset = 1 to 50 do
     let sh = Shard.create ~inner:"fastfair" ~shards:4 () in
     for k = 1 to 8 do
       Shard.insert sh ~key:k ~value:(100 + k)
     done;
-    let arenas = Shard.arenas sh in
-    Array.iter
-      (fun a ->
-        Arena.set_crash_plan a (Arena.After_stores (Arena.store_count a + offset)))
-      arenas;
-    (try
-       ignore
-         (Shard.txn sh (fun t ->
-              Shard.txn_put t 1 201;
-              Shard.txn_put t 2 202))
-     with Arena.Crashed -> ());
+    let transfer () =
+      ignore
+        (Shard.txn sh (fun t ->
+             Shard.txn_put t 1 201;
+             Shard.txn_put t 2 202))
+    in
+    (try Arena.crash_each (Shard.arenas sh) transfer (fun _ k _ -> if k = offset then raise Stop)
+     with Stop -> ());
     Shard.power_fail sh Storelog.Keep_none;
     Shard.recover sh;
     let v1 = Shard.search sh 1 and v2 = Shard.search sh 2 in
@@ -808,7 +826,8 @@ let test_shard_2pc_crash_atomicity () =
           (match v1 with Some v -> string_of_int v | None -> "none")
           (match v2 with Some v -> string_of_int v | None -> "none"))
   done;
-  Alcotest.(check bool) "sweep hit a pre-commit crash" true !saw_pre
+  Alcotest.(check bool) "sweep hit a pre-commit crash" true !saw_pre;
+  Alcotest.(check bool) "sweep hit a post-commit crash" true !saw_post
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: an aborted prefix is observationally invisible              *)

@@ -232,7 +232,7 @@ let test_tpcc_crash_midrun () =
   let a = Arena.create ~words:(1 lsl 22) () in
   let idx = Ff_fastfair.Tree.ops (Ff_fastfair.Tree.create ~node_bytes:256 a) in
   let t = Tpcc.load ~arena:a idx small_cfg in
-  ignore (Arena.crash_after a 20_000 (fun () -> Tpcc.run t Tpcc.w1 ~txns:2000));
+  ignore (Crash_util.crash_at a 20_000 (fun () -> Tpcc.run t Tpcc.w1 ~txns:2000));
   Arena.power_fail a (Storelog.Random_eviction (Prng.create 3));
   let tree = Ff_fastfair.Tree.open_existing ~node_bytes:256 a in
   Ff_fastfair.Tree.recover tree;
