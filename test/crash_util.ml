@@ -15,15 +15,18 @@ let stores_of base ~reopen run =
 (* Run [run] once on a reopened clone of [base] (the reopen's own
    stores are not crash points) and call [f k crash] at each of its
    crash points in turn: just before its store [k + 1], and at [k] =
-   its stores once it returns.  Returns the number of points. *)
+   its stores once it returns.  Checks that every one of the
+   [stores_of] store counts was visited, and returns that count. *)
 let crash_every base ~reopen run f =
+  let stores = stores_of base ~reopen run in
   let c = Arena.clone base in
   let h = reopen c in
   let points = ref 0 in
   Arena.crash_each [| c |] (fun () -> run h) (fun _ k crash ->
       incr points;
       f k crash);
-  !points
+  Alcotest.(check int) "a crash at every store count" (stores + 1) !points;
+  stores
 
 exception Cut
 

@@ -120,13 +120,11 @@ let test_crash_update_atomic () =
         Alcotest.failf "crash@%d: got %s" k
           (match other with Some v -> string_of_int v | None -> "none")
   in
-  let points =
-    crash_every a ~reopen put (fun k crash ->
-        for j = k to if k = total then 3 else min k 3 do
-          check j crash
-        done)
-  in
-  Alcotest.(check int) "every store count crashed" (total + 1) points
+  ignore
+    (crash_every a ~reopen put (fun k crash ->
+         for j = k to if k = total then 3 else min k 3 do
+           check j crash
+         done))
 
 let suite =
   [
