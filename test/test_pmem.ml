@@ -462,11 +462,11 @@ let suite =
     Alcotest.test_case "power fail keep all" `Quick test_power_fail_keep_all;
     Alcotest.test_case "random eviction = line prefix" `Quick test_power_fail_random_is_per_line_prefix;
     Alcotest.test_case "crash_each visits every store" `Quick test_crash_each_visits;
-    Alcotest.test_case "crash_each stops on a raise, restores the sink" `Quick
+    Alcotest.test_case "crash_each raise: stop, restore" `Quick
       test_crash_each_stops_and_restores;
-    Alcotest.test_case "crash_each copy = clone, prefix, power_fail" `Quick
+    Alcotest.test_case "crash_each copy = power_fail" `Quick
       test_crash_each_equals_power_fail;
-    Alcotest.test_case "crash_each spare reuse spares the live run" `Quick
+    Alcotest.test_case "crash_each spare spares live run" `Quick
       test_crash_each_spare_reuse;
     Alcotest.test_case "non-TSO fences ordered" `Quick test_fence_epochs_non_tso;
     Alcotest.test_case "non-TSO reorders without fence" `Quick test_non_tso_without_fence_can_reorder;
