@@ -970,8 +970,6 @@ let slo_p99_ns = ref 20_000_000
 let slo_out = ref ""
 let soak_trace_file = ref ""
 let slo_failed = ref false
-let soak_retry_limit = ref 3
-let soak_backoff_ns = ref 1_000
 
 (* End-to-end latency includes queueing behind up to batch_cap ops, so
    the default bound is generous; --slo-p99-ns 1 injects a breach. *)
@@ -1053,7 +1051,6 @@ let soak_scenario () =
     in
     Shard.create ~pm_config:config ~words ~batch_cap:64 ~group:true ~tracer:tr
       ~partition:(Shard.Partition.range ~bounds)
-      ~retry_limit:!soak_retry_limit ~backoff_ns:!soak_backoff_ns
       ~inner:"fastfair" ~shards ()
   in
   let arenas = Shard.arenas t in
@@ -1810,13 +1807,6 @@ let () =
       ( "--soak-trace",
         Arg.Set_string soak_trace_file,
         "FILE  write the soak target's Perfetto trace" );
-      ( "--retry-limit",
-        Arg.Set_int soak_retry_limit,
-        "N  degraded-shard retry budget for the soak ensemble (default 3)" );
-      ( "--backoff-ns",
-        Arg.Set_int soak_backoff_ns,
-        "N  base delay for the soak ensemble's jittered exponential retry \
-         backoff, in simulated ns (default 1000)" );
     ]
   in
   let usage =

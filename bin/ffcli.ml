@@ -360,7 +360,7 @@ let print_pm_text keys s =
    root-node line of the first K shards and probes each with one
    routed search, so the degraded/fault blocks show live values (the
    siblings keep serving; a scrubbed recover would re-admit). *)
-let stats index_name keys seed json shards degrade retry_limit backoff_ns =
+let stats index_name keys seed json shards degrade =
   if shards = 0 then begin
     let arena = mk_arena (max (keys * 64) (1 lsl 16)) in
     let t = Registry.build index_name arena in
@@ -388,7 +388,7 @@ let stats index_name keys seed json shards degrade retry_limit backoff_ns =
   else begin
     match
       Shard.create ~words:(max (keys * 64 / shards) (1 lsl 16))
-        ~retry_limit ~backoff_ns ~inner:index_name ~shards ()
+        ~inner:index_name ~shards ()
     with
     | exception Invalid_argument msg ->
         Printf.printf "stats: %s\n" msg;
@@ -1635,20 +1635,9 @@ let stats_cmd =
                shards and probe each once, so the fault and degradation \
                blocks report live values (needs --shards).")
   in
-  let retry_limit =
-    Arg.(value & opt int 3 & info [ "retry-limit" ] ~docv:"N"
-         ~doc:"With --shards: worker attempts per op before parking the \
-               batch (jittered exponential backoff between attempts).")
-  in
-  let backoff_ns =
-    Arg.(value & opt int 1000 & info [ "backoff-ns" ] ~docv:"NS"
-         ~doc:"With --shards: base backoff charged before retry n is \
-               base*2^n plus up to the same again of seeded jitter.")
-  in
   Cmd.v
     (Cmd.info "stats" ~doc:"PM event statistics for a bulk load")
-    Term.(const stats $ index_arg $ keys $ seed_arg $ json $ shards $ degrade
-          $ retry_limit $ backoff_ns)
+    Term.(const stats $ index_arg $ keys $ seed_arg $ json $ shards $ degrade)
 
 let dump_cmd =
   let keys =

@@ -15,7 +15,6 @@ type node = {
 
 type t = {
   arena : Arena.t; (* cost accounting only *)
-  fanout : int;
   lock_mode : Locks.mode;
   mutable root : node;
   root_mutex : Locks.mutex;
@@ -23,21 +22,21 @@ type t = {
 
 let node_visit_ns = 60
 let probe_ns = 1
+let fanout = 32
 
 let mk_node t ~level =
   {
     level;
     nkeys = 0;
-    keys = Array.make t.fanout 0;
-    values = Array.make t.fanout 0;
-    children = Array.make (t.fanout + 1) None;
+    keys = Array.make fanout 0;
+    values = Array.make fanout 0;
+    children = Array.make (fanout + 1) None;
     sibling = None;
     high = max_int;
     lock = Locks.make_mutex t.lock_mode;
   }
 
-let create ?(fanout = 32) ?(lock_mode = Locks.Single) arena =
-  let fanout = max fanout 4 in
+let create ?(lock_mode = Locks.Single) arena =
   let root =
     {
       level = 0;
@@ -50,7 +49,7 @@ let create ?(fanout = 32) ?(lock_mode = Locks.Single) arena =
       lock = Locks.make_mutex lock_mode;
     }
   in
-  { arena; fanout; lock_mode; root; root_mutex = Locks.make_mutex lock_mode }
+  { arena; lock_mode; root; root_mutex = Locks.make_mutex lock_mode }
 
 let charge_visit t n =
   Arena.cpu_work t.arena (node_visit_ns + (probe_ns * n.nkeys))
@@ -159,7 +158,7 @@ let rec insert_into t n key value child =
         n.values.(i) <- value;
         Locks.unlock n.lock
     | _, _ ->
-        if n.nkeys < t.fanout then begin
+        if n.nkeys < fanout then begin
           node_put n (upper t n key) key value child;
           Locks.unlock n.lock
         end

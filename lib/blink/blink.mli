@@ -12,8 +12,9 @@
 
 type t
 
-val create : ?fanout:int -> ?lock_mode:Ff_index.Locks.mode -> Ff_pmem.Arena.t -> t
-(** The arena is used only for cost accounting. *)
+val create : ?lock_mode:Ff_index.Locks.mode -> Ff_pmem.Arena.t -> t
+(** Nodes hold up to 32 keys.  The arena is used only for cost
+    accounting. *)
 
 val insert : t -> key:int -> value:int -> unit
 val search : t -> int -> int option

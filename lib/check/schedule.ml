@@ -73,7 +73,7 @@ let dfs ~max_schedules run =
 let pct ~schedules ~seed run =
   let results = ref [] in
   for i = 0 to schedules - 1 do
-    let policy = Mcsim.pct_policy ~seed:(seed + i) () in
+    let policy = Mcsim.pct_policy ~seed:(seed + i) in
     results := run ~policy :: !results
   done;
   { results = List.rev !results; schedules; exhausted = false }

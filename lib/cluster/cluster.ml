@@ -10,8 +10,9 @@ module Rpc = Ff_net.Rpc
 (* Reserved root slots (see lib/pmem/arena.ml's slot map). *)
 let slot_term = 71
 let slot_applied = 72
-let slot_resync = 73
-let reserved_slots = [ slot_term; slot_applied; slot_resync ]
+
+(* Slot 73 is reserved for a resync epoch marker. *)
+let reserved_slots = [ slot_term; slot_applied; 73 ]
 
 let mutant_ack_before_replicate = ref false
 
@@ -22,14 +23,7 @@ type config = {
   words : int;
   seed : int;
   faults : Fabric.faults;
-  heartbeat_ns : int;
-  heartbeat_timeout_ns : int;
-  rpc_timeout_ns : int;
-  rpc_retries : int;
-  rpc_backoff_ns : int;
   log_cap : int;
-  ship_ns_per_word : int;
-  read_only_when_solo : bool;
 }
 
 let default =
@@ -40,15 +34,16 @@ let default =
     words = 1 lsl 16;
     seed = 42;
     faults = Fabric.default_faults;
-    heartbeat_ns = 50_000;
-    heartbeat_timeout_ns = 200_000;
-    rpc_timeout_ns = 20_000;
-    rpc_retries = 4;
-    rpc_backoff_ns = 2_000;
     log_cap = 8192;
-    ship_ns_per_word = 10;
-    read_only_when_solo = true;
   }
+
+(* Failure detector pacing: a heartbeat round every [heartbeat_ns]; a
+   node unheard for [heartbeat_timeout_ns] is suspected. *)
+let heartbeat_ns = 50_000
+let heartbeat_timeout_ns = 200_000
+
+(* Resync transfer cost charged per shipped word. *)
+let ship_ns_per_word = 10
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
@@ -195,10 +190,7 @@ let log_add t rep seq op =
 (* RPC plumbing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rpc t ~src ep msg =
-  let c = t.cfg in
-  Rpc.call ~timeout_ns:c.rpc_timeout_ns ~retries:c.rpc_retries
-    ~backoff_ns:c.rpc_backoff_ns ~fabric:t.fab ~rng:t.rng ~src ep msg
+let rpc t ~src ep msg = Rpc.call ~fabric:t.fab ~rng:t.rng ~src ep msg
 
 (* Control-plane liveness probe: a few raw transmits, uncharged (the
    orchestrator rides a management channel); deterministic given the
@@ -301,11 +293,12 @@ let handle t nd msg =
              the backup together with the ack the primary just saw. *)
           Rpc.Reply_from
             { node = t.routes.(ms).backup; sent_ns = rep.acked_ns; resp = R_ok }
-        else if t.cfg.read_only_when_solo then begin
+        else begin
+          (* No live backup: refuse the ack rather than acknowledge a
+             write durable on one node only. *)
           t.routes.(ms).ro <- true;
           Rpc.Reply R_read_only
         end
-        else Rpc.Reply R_ok
       end
   | M_read { ms; mterm; mkey } ->
       let rep = nd.reps.(ms) in
@@ -457,7 +450,7 @@ let failover t ~shard =
         r.term <- nt;
         r.primary <- r.backup;
         r.backup <- oldp;
-        r.ro <- t.cfg.read_only_when_solo;
+        r.ro <- true;
         t.failovers <- t.failovers + 1;
         if Trace.enabled t.tracer then begin
           Trace.instant t.tracer Trace.id_failover shard;
@@ -475,12 +468,12 @@ let suspect t s =
 let tick t =
   let nnow = Fabric.now t.fab in
   if nnow >= t.next_hb then begin
-    t.next_hb <- nnow + t.cfg.heartbeat_ns;
+    t.next_hb <- nnow + heartbeat_ns;
     Array.iter
       (fun nd -> if probe t nd.nid then t.last_heard.(nd.nid) <- nnow)
       t.nodes;
     let stale n =
-      n < 0 || nnow - t.last_heard.(n) > t.cfg.heartbeat_timeout_ns
+      n < 0 || nnow - t.last_heard.(n) > heartbeat_timeout_ns
     in
     Array.iteri
       (fun s r ->
@@ -645,7 +638,7 @@ let resync t ~shard =
             ~dst
             ~between:(fun copied ->
               (* the ship crosses the network: charge transfer time *)
-              Fabric.charge t.fab ((copied - !last) * t.cfg.ship_ns_per_word);
+              Fabric.charge t.fab ((copied - !last) * ship_ns_per_word);
               last := copied)
         in
         (* The image carries the primary's term word; rewrite it as
@@ -698,7 +691,7 @@ let restart_node t n =
            which coherently resets both sides' watermarks, before the
            shard takes writes again; if that fails, degrade rather
            than risk acks that are durable on one node only. *)
-        if not (resync t ~shard:s) then r.ro <- t.cfg.read_only_when_solo
+        if not (resync t ~shard:s) then r.ro <- true
       end)
     t.routes
 
@@ -752,7 +745,7 @@ let recover_all t =
         r.term <- nt;
         r.primary <- !best;
         r.backup <- !second;
-        r.ro <- t.cfg.read_only_when_solo
+        r.ro <- true
       end)
     t.routes
 

@@ -43,8 +43,8 @@
     goes quiet: the backup persists [term+1, Primary] crash-atomically
     and the route flips.  Acked writes survive because they were
     durable on the backup before the ack.  With no live backup the
-    shard degrades to read-only service (default) instead of acking
-    unreplicated writes.
+    shard degrades to read-only service instead of acking unreplicated
+    writes.
 
     {b Catch-up.}  A rejoining or lagging replica is resynced with a
     {!Ff_pmem.Segment} identity-offset ship of the primary's quiesced
@@ -61,11 +61,9 @@ val slot_term : int
 val slot_applied : int
 (** Root slot 72: the backup's durably-applied replication seqno. *)
 
-val slot_resync : int
-(** Root slot 73: reserved for the resync epoch marker. *)
-
 val reserved_slots : int list
-(** [[71; 72; 73]] for the slot-map audit. *)
+(** [[71; 72; 73]] for the slot-map audit; slot 73 is reserved for a
+    resync epoch marker. *)
 
 type config = {
   nodes : int;  (** simulated nodes (>= 2) *)
@@ -74,17 +72,7 @@ type config = {
   words : int;  (** arena words per shard replica *)
   seed : int;
   faults : Fabric.faults;
-  heartbeat_ns : int;
-  heartbeat_timeout_ns : int;
-  rpc_timeout_ns : int;
-  rpc_retries : int;
-  rpc_backoff_ns : int;
   log_cap : int;  (** replication-log tail records retained per shard *)
-  ship_ns_per_word : int;  (** resync transfer cost charged per word *)
-  read_only_when_solo : bool;
-      (** refuse write acks when a shard has no live backup (default);
-          [false] lets a solo primary keep acking — measurably faster
-          and measurably unsafe, which is the point of the default *)
 }
 
 val default : config

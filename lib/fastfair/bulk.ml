@@ -28,7 +28,10 @@ let radix_sort keys vals =
   done;
   !src
 
-let load ?(node_bytes = 512) ?(fill = 0.85) ?(root_slot = 0) arena pairs =
+(* Leaf and internal occupancy. *)
+let fill = 0.85
+
+let load ?(node_bytes = 512) ?(root_slot = 0) arena pairs =
   let l = L.make ~node_bytes in
   Array.iter
     (fun (k, v) ->

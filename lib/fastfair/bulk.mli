@@ -14,12 +14,11 @@
 
 val load :
   ?node_bytes:int ->
-  ?fill:float ->
   ?root_slot:int ->
   Ff_pmem.Arena.t ->
   (int * int) array ->
   Tree.t
 (** [load arena pairs] with strictly positive unique keys and nonzero
-    unique values; pairs need not be sorted.  [fill] (default 0.85) is
-    the leaf/internal occupancy.  @raise Invalid_argument on duplicate
+    unique values; pairs need not be sorted.  Leaf and internal nodes
+    are packed to 85% occupancy.  @raise Invalid_argument on duplicate
     keys or invalid values. *)

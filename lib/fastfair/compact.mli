@@ -23,9 +23,6 @@
     writers): it is a maintenance operation, not part of the
     concurrent protocol. *)
 
-val merge_threshold : Layout.t -> int
-(** Nodes with fewer entries are merge candidates (capacity / 4). *)
-
 val compact : Tree.t -> int
 (** Merge underfull sibling runs bottom-up and collapse the root while
     it has no separators.  Returns the number of nodes freed. *)

@@ -43,8 +43,3 @@ let set_ptr a n i v = Arena.write a (n + ptr_off i) v
 let is_leaf a n = level a n = 0
 
 let left_ptr_of a n i = if i = 0 then leftmost a n else ptr a n (i - 1)
-
-let record_line_boundary _layout i =
-  (* records[i].ptr is at word 9+2i; it is the last word of its line
-     when (9 + 2i) mod 8 = 7, i.e. i mod 4 = 3. *)
-  (ptr_off i) mod Arena.words_per_line = Arena.words_per_line - 1

@@ -90,7 +90,3 @@ val is_leaf : Ff_pmem.Arena.t -> node -> bool
 val left_ptr_of : Ff_pmem.Arena.t -> node -> int -> int
 (** The "left-hand pointer" of records[i]: records[i-1].ptr, or
     [leftmost_ptr] for i = 0 (the validity-rule neighbour). *)
-
-val record_line_boundary : t -> int -> bool
-(** [record_line_boundary layout i] is true when records[i] ends a
-    cache line, i.e. FAST must flush before touching records[i+1]. *)

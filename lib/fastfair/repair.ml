@@ -23,7 +23,10 @@
      level from the leaf chain — inner nodes are pure routing state, so
      they can always be re-derived while the chain is intact.  The old
      inner nodes are zeroed and become leaked blocks for the scrubber
-     to reclaim. *)
+     to reclaim.  A poisoned inner HEADER hides the chain heads below
+     it (a root's, the whole tree): the walk still follows its clean
+     record lines and looks up the lost leftmost child by its sibling
+     pointer. *)
 
 module Arena = Ff_pmem.Arena
 module D = Ff_index.Descriptor
@@ -47,13 +50,35 @@ let plausible_node c n =
   && n mod wpl = 0
   && n + c.l.L.node_words <= Arena.capacity c.a
 
+(* The unvisited node of [level] whose sibling pointer names [n]: the
+   left neighbour of a chain node that nothing else points at.  Found
+   by scanning the heap's line-aligned blocks; [None] unless exactly
+   one qualifies, so a stale block cannot be adopted by mistake. *)
+let left_neighbour c seen ~level n =
+  let hi = Arena.reserved_words + Arena.used_words c.a - c.l.L.node_words in
+  let found = ref [] in
+  let x = ref Arena.reserved_words in
+  while !x <= hi do
+    let m = !x in
+    if (not (Hashtbl.mem seen m))
+       && header_clean c m
+       && pk c (m + L.off_level) = level
+       && pk c (m + L.off_sibling) = n
+       && (level > 0 || pk c (m + L.off_leftmost) = m)
+    then found := m :: !found;
+    x := m + wpl
+  done;
+  match !found with [ m ] -> Some m | _ -> None
+
 (* Poison-aware reachability walk.  Pointers are only followed out of
    clean lines, and only into plausible node addresses whose level
    matches the position in the tree — scrambled lines cannot steer the
    walk into garbage.  Returns the visit table (node -> level, with
-   [-1] when the level is unknown because the header is poisoned). *)
+   [-1] when the level is unknown because the header is poisoned) and
+   the header-poisoned nodes whose leftmost child was not found. *)
 let walk c =
   let seen : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let orphaned = ref [] in
   let rec visit n expected =
     if plausible_node c n && not (Hashtbl.mem seen n) then begin
       if header_clean c n then begin
@@ -73,17 +98,51 @@ let walk c =
           end
         end
       end
-      else
+      else begin
         (* Damaged header: the block is reachable (something pointed at
-           it) but its contents cannot be trusted for further routing. *)
-        Hashtbl.replace seen n (max expected (-1))
+           it) but its level and leftmost pointer are lost. *)
+        Hashtbl.replace seen n (max expected (-1));
+        if expected <> 0 then adopt_children n expected
+      end
     end
+  (* An inner node's clean record lines still name its children: a
+     record is trusted when its pointer leads to a clean node whose low
+     key is the record's separator.  The lost leftmost child is the
+     head of the chain leading into the first of them. *)
+  and adopt_children n expected =
+    let kids = ref [] in
+    for i = c.l.L.capacity - 1 downto 0 do
+      let ko = n + L.key_off i in
+      if line_clean c (ko / wpl) then begin
+        let p = pk c (ko + 1) in
+        if p <> 0 && plausible_node c p && header_clean c p
+           && pk c (p + L.off_low) = pk c ko
+        then kids := (pk c ko, p) :: !kids
+      end
+    done;
+    match List.sort compare !kids with
+    | [] -> ()
+    | (_, first) :: _ as kids ->
+        let level = pk c (first + L.off_level) in
+        if expected < 0 || level = expected - 1 then begin
+          List.iter
+            (fun (_, p) -> if pk c (p + L.off_level) = level then visit p level)
+            kids;
+          let rec head m found =
+            match left_neighbour c seen ~level m with
+            | Some l when not (List.mem l found) -> head l (l :: found)
+            | _ -> found
+          in
+          match head first [] with
+          | [] -> orphaned := (n, level) :: !orphaned
+          | found -> List.iter (fun l -> visit l level) found
+        end
   in
   visit (root c) (-1);
-  seen
+  (seen, !orphaned)
 
 let reachable_blocks c =
-  let seen = walk c in
+  let seen, _ = walk c in
   let nodes =
     List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) seen [])
   in
@@ -295,7 +354,15 @@ let rebuild_inners c old_inners leaves =
 
 let repair c lines =
   let repaired = ref [] and quarantined = ref [] and lost = ref 0 in
-  let seen = walk c in
+  let seen, orphaned = walk c in
+  (* A header-poisoned inner node whose leftmost child was not found
+     lost that subtree: its header line is quarantined, and a lost leaf
+     counts as full. *)
+  List.iter
+    (fun (n, level) ->
+      quarantined := (n / wpl) :: !quarantined;
+      if level = 0 then lost := !lost + c.l.L.capacity)
+    orphaned;
   let owner addr =
     Hashtbl.fold
       (fun n lvl acc -> if in_node c n addr then Some (n, lvl) else acc)
@@ -381,7 +448,7 @@ let repair c lines =
      in key order, then the inner levels are rebuilt from it; old
      inner nodes (damaged or merely abandoned) become leaks. *)
   (if !rebuild_needed then begin
-     let seen2 = walk c in
+     let seen2, _ = walk c in
      let leaves =
        Hashtbl.fold
          (fun n lvl acc ->

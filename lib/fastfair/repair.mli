@@ -14,7 +14,11 @@
     from the parent level when the inner levels are sound; any
     poisoned inner node triggers a rebuild of all routing levels from
     the leaf chain — inner nodes carry no primary data, so they can be
-    re-derived whenever the chain is walkable.  Abandoned inner nodes
+    re-derived whenever the chain is walkable.  A poisoned inner
+    header (the root's included) loses only its leftmost child
+    pointer: the clean record lines still name the other children, and
+    the leftmost one is the node whose sibling pointer names the first
+    of them.  Abandoned inner nodes
     are zeroed and left for leak reclamation. *)
 
 val provider :

@@ -23,7 +23,6 @@ type t = {
   arena : Arena.t;
   leaf_words : int;
   capacity : int;
-  inner_fanout : int;
   root_slot : int;
   mutable root : child;
   locks : Locks.Table.t;
@@ -45,8 +44,9 @@ let fingerprint key =
    >= ~2x DRAM. *)
 let inner_cpu_ns = 100 (* DRAM binary search of one 4KB inner node *)
 let tx_cpu_ns = 60 (* TSX begin/commit *)
+let inner_fanout = 64
 
-let make ?(leaf_bytes = 1024) ?(inner_fanout = 64) ?(root_slot = 6)
+let make ?(leaf_bytes = 1024) ?(root_slot = 6)
     ?(lock_mode = Locks.Single) arena =
   if leaf_bytes < 256 || leaf_bytes land (leaf_bytes - 1) <> 0 then
     invalid_arg "Fptree: leaf_bytes must be a power of two >= 256";
@@ -56,7 +56,6 @@ let make ?(leaf_bytes = 1024) ?(inner_fanout = 64) ?(root_slot = 6)
     arena;
     leaf_words;
     capacity;
-    inner_fanout = max inner_fanout 4;
     root_slot;
     root = Leaf 0;
     locks = Locks.Table.create lock_mode;
@@ -151,7 +150,6 @@ let rebuild_inners t =
     | [] -> Leaf head
     | [ (_, c) ] -> c
     | _ ->
-        let fan = t.inner_fanout in
         let rec chunk l acc =
           match l with
           | [] -> List.rev acc
@@ -161,7 +159,7 @@ let rebuild_inners t =
                 | x :: rest when n > 0 -> take (n - 1) rest (x :: got)
                 | _ -> (List.rev got, l)
               in
-              let grp, rest = take (fan + 1) l [] in
+              let grp, rest = take (inner_fanout + 1) l [] in
               chunk rest (grp :: acc)
         in
         let parent grp =
@@ -169,8 +167,8 @@ let rebuild_inners t =
           | [] -> assert false
           | (k0, _) :: _ ->
               let m = List.length grp in
-              let ka = Array.make fan 0 in
-              let ca = Array.make (fan + 1) (Leaf 0) in
+              let ka = Array.make inner_fanout 0 in
+              let ca = Array.make (inner_fanout + 1) (Leaf 0) in
               List.iteri
                 (fun i (k, c) ->
                   ca.(i) <- c;
@@ -187,15 +185,15 @@ let rebuild_inners t =
 (* Creation                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let create ?leaf_bytes ?inner_fanout ?root_slot ?lock_mode arena =
-  let t = make ?leaf_bytes ?inner_fanout ?root_slot ?lock_mode arena in
+let create ?leaf_bytes ?root_slot ?lock_mode arena =
+  let t = make ?leaf_bytes ?root_slot ?lock_mode arena in
   let leaf = new_leaf t in
   Arena.root_set arena t.root_slot leaf;
   t.root <- Leaf leaf;
   t
 
-let open_existing ?leaf_bytes ?inner_fanout ?root_slot ?lock_mode arena =
-  let t = make ?leaf_bytes ?inner_fanout ?root_slot ?lock_mode arena in
+let open_existing ?leaf_bytes ?root_slot ?lock_mode arena =
+  let t = make ?leaf_bytes ?root_slot ?lock_mode arena in
   t.log_area <- Arena.root_get arena (t.root_slot + 1);
   rebuild_inners t;
   t
@@ -379,9 +377,8 @@ and put_sep t inner i sep right =
   end
 
 let grow_root t sep left right =
-  let fan = t.inner_fanout in
-  let keys = Array.make fan 0 in
-  let children = Array.make (fan + 1) (Leaf 0) in
+  let keys = Array.make inner_fanout 0 in
+  let children = Array.make (inner_fanout + 1) (Leaf 0) in
   keys.(0) <- sep;
   children.(0) <- left;
   children.(1) <- right;

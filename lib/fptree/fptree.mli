@@ -17,12 +17,13 @@
 type t
 
 val create :
-  ?leaf_bytes:int -> ?inner_fanout:int -> ?root_slot:int ->
+  ?leaf_bytes:int -> ?root_slot:int ->
   ?lock_mode:Ff_index.Locks.mode -> Ff_pmem.Arena.t -> t
-(** Defaults: 1 KB leaves, inner fanout 64, root slot 6. *)
+(** Defaults: 1 KB leaves, root slot 6.  Volatile inner nodes hold up
+    to 64 children. *)
 
 val open_existing :
-  ?leaf_bytes:int -> ?inner_fanout:int -> ?root_slot:int ->
+  ?leaf_bytes:int -> ?root_slot:int ->
   ?lock_mode:Ff_index.Locks.mode -> Ff_pmem.Arena.t -> t
 (** Reattach to a persisted image.  The volatile inner levels are
     rebuilt from the leaf chain immediately (a restart cost every

@@ -15,7 +15,6 @@ val unlock : mutex -> unit
 
 type rwlock
 
-val make_rwlock : mode -> rwlock
 val rd_lock : rwlock -> unit
 val rd_unlock : rwlock -> unit
 val wr_lock : rwlock -> unit

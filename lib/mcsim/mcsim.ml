@@ -96,12 +96,16 @@ type policy = Fifo | Random of Prng.t | Choose of (int array -> int)
 
 (* PCT-style priority scheduling (Burckhardt et al., ASPLOS'10): every
    thread gets a distinct random priority; the scheduler always runs
-   the highest-priority runnable thread; at [change_points] randomly
-   chosen decision steps the running-priority thread is demoted below
-   everyone, which is what surfaces bugs needing d preemptions.
+   the highest-priority runnable thread; at [change_points] decision
+   steps drawn from [0, horizon) the running-priority thread is
+   demoted below everyone, which is what surfaces bugs needing d
+   preemptions.
    Implemented on top of [Choose], so the same controlled-scheduling
    hook serves PCT, bounded-exhaustive DFS and counterexample replay. *)
-let pct_policy ?(change_points = 3) ?(horizon = 4096) ~seed () =
+let change_points = 3
+let horizon = 4096
+
+let pct_policy ~seed =
   let rng = Prng.create seed in
   let prio = Hashtbl.create 16 in
   (* Fresh priorities are drawn lazily per tid; demotions push below
@@ -146,7 +150,7 @@ let policy_of_spec ?(seed = 42) name =
   match name with
   | "fifo" -> Fifo
   | "random" -> Random (Prng.create seed)
-  | "pct" -> pct_policy ~seed ()
+  | "pct" -> pct_policy ~seed
   | s ->
       invalid_arg
         (Printf.sprintf "Mcsim.policy_of_spec: unknown policy %S (fifo, random, pct)" s)

@@ -74,12 +74,12 @@ type policy =
           interleavings and to replay a recorded counterexample
           decision-for-decision. *)
 
-val pct_policy : ?change_points:int -> ?horizon:int -> seed:int -> unit -> policy
+val pct_policy : seed:int -> policy
 (** PCT-style probabilistic concurrency testing: distinct random
     priorities per thread, highest-priority runnable thread runs, and
-    at [change_points] (default 3) decision steps drawn uniformly from
-    [\[0, horizon)] (default 4096) the running thread is demoted below
-    all others.  Deterministic for a given seed. *)
+    at 3 decision steps drawn uniformly from [\[0, 4096)] the running
+    thread is demoted below all others.  Deterministic for a given
+    seed. *)
 
 val policy_of_spec : ?seed:int -> string -> policy
 (** ["fifo"], ["random"] or ["pct"], seeded; for CLI/bench flags.

@@ -30,8 +30,11 @@ let deduped ep = ep.ep_deduped
 
 type error = Timeout
 
-let call ?(timeout_ns = 20_000) ?(retries = 4) ?(backoff_ns = 2_000) ~fabric
-    ~rng ~src ep req =
+let timeout_ns = 20_000
+let retries = 4
+let backoff_ns = 2_000
+
+let call ~fabric ~rng ~src ep req =
   (* The idempotency cache of this call: every duplicate delivery and
      every retry of the request belongs to this call, so none can
      arrive after it returns. *)

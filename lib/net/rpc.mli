@@ -4,7 +4,7 @@
     Calls are executed inline on the caller's simulated thread: the
     fabric decides delivery, the caller charges the delays, and the
     endpoint's handler runs synchronously.  A lost request or reply
-    costs the caller [timeout_ns] and triggers a retry after a
+    costs the caller a timeout and triggers a retry after a
     jittered exponential backoff.  Each call keeps its own idempotency
     cache: the handler runs on the first delivered copy, and duplicate
     deliveries and retries of a request whose {e reply} was lost return
@@ -47,18 +47,17 @@ val deduped : ('req, 'resp) endpoint -> int
 
 type error = Timeout
 
+val retries : int
+(** 4: the retransmissions {!call} makes after its first transmit. *)
+
 val call :
-  ?timeout_ns:int ->
-  ?retries:int ->
-  ?backoff_ns:int ->
   fabric:Fabric.t ->
   rng:Ff_util.Prng.t ->
   src:int ->
   ('req, 'resp) endpoint ->
   'req ->
   ('resp, error) result
-(** [call ep req] with up to [retries] (default 4) retransmissions.
-    Each lost leg charges [timeout_ns] (default 20us); retry [n]
-    first charges [backoff_ns lsl (n-1)] plus a uniform jitter of the
-    same magnitude (default base 2us), drawn from [rng] — so
-    concurrent callers do not retry in lockstep. *)
+(** [call ep req] with up to {!retries} retransmissions.  Each lost
+    leg charges a 20us timeout; retry [n] first charges
+    [2us lsl (n-1)] plus a uniform jitter of the same magnitude, drawn
+    from [rng] — so concurrent callers do not retry in lockstep. *)

@@ -234,7 +234,7 @@ val power_fail : t -> Storelog.crash_mode -> unit
     A seeded, deterministic model of uncorrectable PM media errors.
     Arm a {!fault_plan} and the next {!power_fail} poisons whole cache
     lines (subsequent charged reads raise {!Media_error}) and injects
-    bit flips / stuck words via {!Storelog.Media_fault}.  Poisoning
+    bit flips / stuck words via {!Storelog.apply_faults}.  Poisoning
     scrambles the line's contents with seed-derived garbage, in the
     image and in the persisted state its pending stores would roll
     back to, so repair code must re-derive the data from surviving

@@ -35,8 +35,9 @@ let capture src =
 let words seg = seg.data_words
 let root seg slot = seg.roots.(slot)
 
-let copy ?(chunk_words = 512) ?(between = fun _ -> ()) ~src ~dst seg =
-  if chunk_words < 1 then invalid_arg "Segment.copy: chunk_words must be >= 1";
+let chunk_words = 512
+
+let copy ?(between = fun _ -> ()) ~src ~dst seg =
   if Arena.used_words dst <> 0 then
     invalid_arg
       "Segment.copy: destination heap is not empty (identity-offset \

@@ -34,14 +34,13 @@ val root : t -> int -> int
 (** Captured value of one root slot. *)
 
 val copy :
-  ?chunk_words:int -> ?between:(int -> unit) -> src:Arena.t -> dst:Arena.t ->
-  t -> unit
+  ?between:(int -> unit) -> src:Arena.t -> dst:Arena.t -> t -> unit
 (** Copy the segment's data region into a fresh destination arena at
-    identity offsets, [chunk_words] (default 512) words at a time,
-    flushing each chunk.  [between] is called after every chunk with
-    the cumulative words copied — rebalance charges its copy throttle
-    there.  Loads from [src] are charged reads, so a poisoned source
-    line aborts the copy with {!Arena.Media_error}.
+    identity offsets, 512 words at a time, flushing each chunk.
+    [between] is called after every chunk with the cumulative words
+    copied — rebalance charges its copy throttle there.  Loads from
+    [src] are charged reads, so a poisoned source line aborts the copy
+    with {!Arena.Media_error}.
     @raise Invalid_argument if the destination heap is not empty or
     too small. *)
 

@@ -288,12 +288,11 @@ type crash_mode =
   | Random_eviction of Prng.t
   | Non_tso_random of Prng.t
   | Non_tso_cutoff of int * Prng.t
-  | Media_fault of fault_spec * crash_mode
 
 (* Media faults draw word addresses from a private PRNG seeded by
    [fault_seed] alone, so a recorded (seed, index) pair replays the
-   identical fault sequence regardless of what the base crash mode
-   did: flips first (index order), then stuck words. *)
+   identical fault sequence regardless of what the crash mode did:
+   flips first (index order), then stuck words. *)
 let apply_faults ~image spec =
   let rng = Prng.create spec.fault_seed in
   let span = spec.fault_hi - spec.fault_lo in
@@ -346,7 +345,7 @@ let apply_non_tso_cutoff t image cutoff rng =
 
 let chain t line = List.rev (rev_chain t (Linemap.get t.table line) [])
 
-let rec apply_mode t ~image mode =
+let apply_mode t ~image mode =
   match mode with
   | Keep_none -> ()
   | Keep_all -> iter_stores t (apply t image)
@@ -366,11 +365,6 @@ let rec apply_mode t ~image mode =
       in
       if lo <= hi then apply_non_tso_cutoff t image (Prng.in_range rng lo (hi + 2)) rng
   | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t image cutoff rng
-  | Media_fault (spec, base) ->
-      (* Base crash state first, then the media damage on top: the
-         fault model corrupts whatever the crash left behind. *)
-      apply_mode t ~image base;
-      ignore (apply_faults ~image spec)
 
 let apply_crash t ~image mode =
   roll_back t ~image;

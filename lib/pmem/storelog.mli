@@ -100,17 +100,14 @@ type crash_mode =
           each word at the cutoff epoch persists a random prefix of its
           store sequence.  {!Ff_check} uses this to sweep every fence
           epoch exhaustively instead of sampling one. *)
-  | Media_fault of fault_spec * crash_mode
-      (** Apply the base crash mode, then corrupt the resulting
-          persisted image per the {!fault_spec} — the media-error
-          pattern of real PM, where a power event damages lines that
-          were otherwise durable. *)
 
 val apply_faults : image:int array -> fault_spec -> ([ `Flip | `Stuck ] * int) list
-(** Apply only the media damage of a {!fault_spec} to [image] and
-    return the injected faults in injection order (kind, word
-    address).  Exposed so {!Arena.power_fail} can record fault stats;
-    {!apply_crash} with {!Media_fault} calls this internally. *)
+(** Apply the media damage of a {!fault_spec} to [image] and return
+    the injected faults in injection order (kind, word address).
+    {!Arena.power_fail} calls it on the post-crash image when a fault
+    plan is armed — the media-error pattern of real PM, where a power
+    event damages lines that were otherwise durable — and records the
+    fault stats. *)
 
 val pending_epochs : t -> int list
 (** Distinct fence epochs among pending stores, sorted ascending —

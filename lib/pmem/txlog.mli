@@ -73,13 +73,10 @@ val slot_addr : int
 val slot_words : int
 (** 57 — root slot holding the region size in words. *)
 
-val default_capacity : int
-(** Records a freshly created region can hold (64). *)
-
 val ensure : ?capacity:int -> Arena.t -> t
 (** Attach to the arena's log region, creating (and root-anchoring) it
-    first if the arena has none.  Idempotent; [capacity] only applies
-    on creation. *)
+    first if the arena has none.  Idempotent; [capacity] (default 64
+    records) only applies on creation. *)
 
 val attach : Arena.t -> t option
 (** Attach to an existing region; [None] if the arena carries none.

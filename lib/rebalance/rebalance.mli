@@ -84,9 +84,7 @@ type throttle = {
           [0] disables throttling (copy at full speed) *)
   chunk_ops : int;  (** keys moved per throttle charge *)
 }
-
-val default_throttle : throttle
-(** 64 KiB per simulated ms, 64 keys per chunk. *)
+(** Defaults to 64 KiB per simulated ms, 64 keys per chunk. *)
 
 (** {1 Live rebalances}
 

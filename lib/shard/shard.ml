@@ -199,8 +199,6 @@ type t = {
      enqueued, reads that skipped the queue included; 0 while the
      queue is empty.  The queue closes when this reaches [batch_cap]. *)
   mutable window : int array;
-  retry_limit : int;
-  backoff_ns : int;
   mutable next_op : int;
   mutable last_scrub : Scrub.report list;
   (* Transaction machinery: one manager per shard arena (multi mode)
@@ -248,7 +246,7 @@ let wire_tracer tracer instances =
     Array.iter (fun it -> it.ops.Intf.set_tracer tracer) instances
 
 let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
-    ~tracer ~retry_limit ~backoff_ns =
+    ~tracer =
   let n = Array.length instances in
   wire_tracer tracer instances;
   {
@@ -262,8 +260,6 @@ let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
     tracer;
     queues = Array.init n (fun _ -> ref []);
     window = Array.make n 0;
-    retry_limit;
-    backoff_ns;
     next_op = 0;
     last_scrub = [];
     txs = None;
@@ -290,8 +286,7 @@ let shard_of_key t k = Partition.shard_of t.partition k
 
 let create ?(pm_config = Config.default) ?(words = 1 lsl 20)
     ?(inner_config = D.default_config) ?partition ?(batch_cap = 64)
-    ?(group = true) ?(tracer = Trace.null) ?(retry_limit = 3)
-    ?(backoff_ns = 1000) ~inner ~shards () =
+    ?(group = true) ?(tracer = Trace.null) ~inner ~shards () =
   check_shards shards;
   let d = Registry.find_exn inner in
   require_shardable ~relocatable:false d;
@@ -309,7 +304,7 @@ let create ?(pm_config = Config.default) ?(words = 1 lsl 20)
         mk_instance ~slot:i (Registry.build ~config:inner_config inner a) a)
   in
   make ~partition ~inner:d ~inner_config ~instances ~multi:true ~batch_cap
-    ~group ~tracer ~retry_limit ~backoff_ns
+    ~group ~tracer
 
 (* Single-arena composite: all shards carved from one arena, so the
    whole ensemble persists, crashes and reloads as one image. *)
@@ -367,8 +362,7 @@ let read_manifest = read_meta
 let write_manifest = persist_meta
 
 let build_single ?(batch_cap = 64) ?(group = false) ?(tracer = Trace.null)
-    ?(retry_limit = 3) ?(backoff_ns = 1000) ~inner:(d : D.t) ~partition cfg
-    arena =
+    ~inner:(d : D.t) ~partition cfg arena =
   require_shardable d;
   check_shards (Partition.shards partition);
   let instances =
@@ -378,10 +372,10 @@ let build_single ?(batch_cap = 64) ?(group = false) ?(tracer = Trace.null)
   persist_meta arena partition
     (Array.init (Partition.shards partition) Fun.id);
   make ~partition ~inner:d ~inner_config:cfg ~instances ~multi:false ~batch_cap
-    ~group ~tracer ~retry_limit ~backoff_ns
+    ~group ~tracer
 
 let attach_with ?(batch_cap = 64) ?(group = false) ?(tracer = Trace.null)
-    ?(retry_limit = 3) ?(backoff_ns = 1000) (d : D.t) cfg arena =
+    (d : D.t) cfg arena =
   let partition, map = read_meta arena in
   let instances =
     Array.init (Partition.shards partition) (fun i ->
@@ -390,26 +384,28 @@ let attach_with ?(batch_cap = 64) ?(group = false) ?(tracer = Trace.null)
           arena)
   in
   make ~partition ~inner:d ~inner_config:cfg ~instances ~multi:false ~batch_cap
-    ~group ~tracer ~retry_limit ~backoff_ns
+    ~group ~tracer
 
-let attach ?batch_cap ?group ?tracer ?retry_limit ?backoff_ns
-    ?(config = D.default_config) ~inner arena =
+let attach ?batch_cap ?group ?tracer ?(config = D.default_config) ~inner
+    arena =
   let d = Registry.find_exn inner in
   require_shardable d;
-  attach_with ?batch_cap ?group ?tracer ?retry_limit ?backoff_ns d config arena
+  attach_with ?batch_cap ?group ?tracer d config arena
 
 (* Build a single-arena composite with an explicit partition (the
    registered composite descriptor is fixed at 4 hash shards; elastic
    rebalancing wants range partitions of any width). *)
-let create_composite ?batch_cap ?group ?tracer ?retry_limit ?backoff_ns
-    ?(config = D.default_config) ~inner ~partition arena =
+let create_composite ?batch_cap ?group ?tracer ?(config = D.default_config)
+    ~inner ~partition arena =
   let d = Registry.find_exn inner in
-  build_single ?batch_cap ?group ?tracer ?retry_limit ?backoff_ns ~inner:d
-    ~partition config arena
+  build_single ?batch_cap ?group ?tracer ~inner:d ~partition config arena
 
 (* ------------------------------------------------------------------ *)
 (* Routed point operations and the merged range cursor                 *)
 (* ------------------------------------------------------------------ *)
+
+let retry_limit = 3
+let backoff_ns = 1000
 
 (* Graceful degradation: a [Media_error] escaping a shard marks it
    degraded instead of tearing down the ensemble.  The op is retried
@@ -434,7 +430,7 @@ let guarded t i f =
             Trace.instant t.tracer Trace.id_degraded i
           end
         end;
-        if n >= t.retry_limit then begin
+        if n >= retry_limit then begin
           it.rejected <- it.rejected + 1;
           raise (Degraded { shard = i; addr; attempts = n + 1 })
         end
@@ -443,7 +439,7 @@ let guarded t i f =
           (* Jittered exponential backoff: base << n plus a uniform
              draw of the same magnitude from this shard's own stream,
              so degraded shards do not retry in lockstep. *)
-          let base = t.backoff_ns lsl n in
+          let base = backoff_ns lsl n in
           Arena.cpu_work it.arena
             (base + Ff_util.Prng.int it.backoff_rng (max 1 base));
           attempt (n + 1)

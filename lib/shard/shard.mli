@@ -77,6 +77,10 @@ exception Degraded of { shard : int; addr : int; attempts : int }
 val max_shards : int
 (** 28 — each shard owns two reserved root slots below the manifests. *)
 
+val retry_limit : int
+(** 3: the retries a point op gets after a
+    {!Ff_pmem.Arena.Media_error} before it raises {!Degraded}. *)
+
 (** {1 Construction} *)
 
 val create :
@@ -87,8 +91,6 @@ val create :
   ?batch_cap:int ->
   ?group:bool ->
   ?tracer:Ff_trace.Trace.t ->
-  ?retry_limit:int ->
-  ?backoff_ns:int ->
   inner:string ->
   shards:int ->
   unit ->
@@ -98,12 +100,11 @@ val create :
     carries its own root-slot manifest).  [partition] defaults to
     {!Partition.hash}; [group] (default true) runs scheduler batches
     under a group-flush scope.  A point op that raises
-    {!Ff_pmem.Arena.Media_error} is retried up to [retry_limit]
-    (default 3) times with jittered exponential backoff starting at
-    [backoff_ns] (default 1000) simulated ns — each retry [n] waits
-    [backoff_ns lsl n] plus a deterministic uniform draw of the same
-    magnitude, so degraded shards do not retry in lockstep — before
-    surfacing as {!Degraded}.
+    {!Ff_pmem.Arena.Media_error} is retried up to {!retry_limit} times
+    with jittered exponential backoff — each retry [n] waits
+    [1000 lsl n] simulated ns plus a deterministic uniform draw of the
+    same magnitude, so degraded shards do not retry in lockstep —
+    before surfacing as {!Degraded}.
     @raise Invalid_argument if the inner structure lacks a required
     capability, or the partition disagrees with [shards]. *)
 
@@ -111,8 +112,6 @@ val attach :
   ?batch_cap:int ->
   ?group:bool ->
   ?tracer:Ff_trace.Trace.t ->
-  ?retry_limit:int ->
-  ?backoff_ns:int ->
   ?config:Ff_index.Descriptor.config ->
   inner:string ->
   Ff_pmem.Arena.t ->
@@ -126,8 +125,6 @@ val create_composite :
   ?batch_cap:int ->
   ?group:bool ->
   ?tracer:Ff_trace.Trace.t ->
-  ?retry_limit:int ->
-  ?backoff_ns:int ->
   ?config:Ff_index.Descriptor.config ->
   inner:string ->
   partition:Partition.t ->

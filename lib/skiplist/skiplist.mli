@@ -33,4 +33,3 @@ val lock : t -> Ff_index.Locks.mutex
 (** Single global writer lock used by the concurrent driver (readers
     are lock-free, as in the paper). *)
 
-val set_lock_mode : t -> Ff_index.Locks.mode -> unit

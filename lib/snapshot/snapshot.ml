@@ -133,7 +133,11 @@ let rebuild_cache t =
   done;
   t.floor <- Arena.read t.arena (t.base + 1)
 
-let create ?(buckets = 64) arena inner =
+(* Hash chains in a fresh version store; the count is persisted in
+   the header, so [attach] reads it back. *)
+let buckets = 64
+
+let create arena inner =
   let base = Arena.alloc arena (header_words buckets) in
   Arena.write arena base magic;
   Arena.write arena (base + 1) 0;

@@ -26,9 +26,9 @@ val slot_anchor : int
 (** Root slot (66) holding the version-store base address; written
     last, manifest-magic style, so store creation is crash-atomic. *)
 
-val create : ?buckets:int -> Ff_pmem.Arena.t -> Ff_index.Intf.ops -> t
+val create : Ff_pmem.Arena.t -> Ff_index.Intf.ops -> t
 (** Wrap a freshly built inner index, allocating and anchoring an
-    empty version store ([buckets] defaults to 64 hash chains). *)
+    empty version store of 64 hash chains. *)
 
 val attach : Ff_pmem.Arena.t -> Ff_index.Intf.ops -> t
 (** Reattach to a persisted version store from its anchor (after a
@@ -123,10 +123,8 @@ val mutant_read_latest : bool ref
     the pinned epoch.  The model checker's snapshot-serializability
     family must fail with this set. *)
 
-(** {1 Composition} *)
+(** {1 Composition}
 
-val descriptor_over : string -> Ff_index.Descriptor.t
-(** Descriptor ["snap-<inner>"] wrapping a registered inner structure.
-    ["snap-fastfair"] (plus its scrub provider, which adds the version
-    store's blocks to the reachability set and quarantines poisoned
-    version lines with counted loss) self-registers at load. *)
+    Descriptor ["snap-fastfair"] (plus its scrub provider, which adds
+    the version store's blocks to the reachability set and quarantines
+    poisoned version lines with counted loss) self-registers at load. *)

@@ -48,7 +48,7 @@ type tx
 val create :
   ?path:path -> ?capacity:int -> Ff_pmem.Arena.t -> Ff_index.Intf.ops -> t
 (** Bind a manager to [arena]'s log region (created on first use with
-    [capacity] records, default {!Ff_pmem.Txlog.default_capacity}) and
+    [capacity] records, default 64) and
     the given index handle.  [path] defaults to [Logged].  Re-creating
     a manager after a crash attaches to the surviving region —
     {!recover} then resolves whatever it holds. *)

@@ -36,29 +36,12 @@ type mix = {
   range_pct : int;
   range_len : int;  (** fixed scan length target when [scan_len_max = 0] *)
   read_latest : bool;
-      (** reads draw from the last {!recency_window} inserted keys
-          (YCSB-D's "latest" distribution, windowed) *)
+      (** reads draw from the last 16 inserted keys (YCSB-D's "latest"
+          distribution, windowed) *)
   scan_len_max : int;
       (** when positive, each [Range] draws its length uniformly from
           [\[1, scan_len_max\]] (YCSB-E) *)
 }
-
-val ycsb_a : mix
-(** YCSB-A: 50% read / 50% update (update = insert on a loaded key). *)
-
-val ycsb_b : mix
-(** YCSB-B: 95% read / 5% update. *)
-
-val ycsb_c : mix
-(** YCSB-C: read-only. *)
-
-val ycsb_d : mix
-(** YCSB-D: 95% read / 5% insert, reads biased to the latest inserts
-    ([read_latest]). *)
-
-val ycsb_e : mix
-(** YCSB-E: 95% scan / 5% insert, scan length uniform in
-    [\[1, 100\]]. *)
 
 val mix_names : string list
 (** Canonical accepted preset names (["ycsb-a"] .. ["ycsb-e"]) — the
@@ -66,11 +49,11 @@ val mix_names : string list
 
 val ycsb_mix : string -> mix option
 (** Preset lookup by name: ["a"|"b"|"c"|"d"|"e"], with or without a
-    ["ycsb-"] prefix, case-insensitive. *)
-
-val recency_window : int
-(** Size of the sliding window of recent inserts that [read_latest]
-    reads draw from (16). *)
+    ["ycsb-"] prefix, case-insensitive.  A: 50% read / 50% update
+    (update = insert on a loaded key); B: 95% read / 5% update; C:
+    read-only; D: 95% read / 5% insert, reads biased to the latest
+    inserts ([read_latest]); E: 95% scan / 5% insert, scan length
+    uniform in [\[1, 100\]]. *)
 
 val mixed_trace :
   Ff_util.Prng.t -> n:int -> space:int -> mix -> op array

@@ -272,7 +272,7 @@ let suspended_reader_case d () =
       in
       ignore
         (Mcsim.run ~cores:1 ~quantum_ns:1
-           ~policy:(Mcsim.pct_policy ~seed ())
+           ~policy:(Mcsim.pct_policy ~seed)
            ~arena:a
            [| writer; reader; reader |]))
     [ 1; 2; 3; 4; 5 ];

@@ -93,17 +93,18 @@ let test_rpc_retry_after_drop () =
   let fab = Fabric.create ~faults ~seed:5 ~endpoints:2 () in
   let ep = Rpc.endpoint ~node:1 (fun x -> Rpc.Reply x) in
   let rng = Prng.create 9 in
-  (match Rpc.call ~retries:2 ~fabric:fab ~rng ~src:0 ep 1 with
+  (match Rpc.call ~fabric:fab ~rng ~src:0 ep 1 with
   | Ok _ -> Alcotest.fail "should time out"
   | Error Rpc.Timeout -> ());
-  Alcotest.(check int) "three transmits" 3 (Fabric.sends fab)
+  Alcotest.(check int) "first transmit + retries" (Rpc.retries + 1)
+    (Fabric.sends fab)
 
 let test_rpc_down_endpoint () =
   let fab = Fabric.create ~faults:Fabric.calm ~seed:5 ~endpoints:2 () in
   let ep = Rpc.endpoint ~node:1 (fun x -> Rpc.Reply x) in
   Rpc.set_up ep false;
   let rng = Prng.create 9 in
-  match Rpc.call ~retries:1 ~fabric:fab ~rng ~src:0 ep 1 with
+  match Rpc.call ~fabric:fab ~rng ~src:0 ep 1 with
   | Ok _ -> Alcotest.fail "down endpoint must not answer"
   | Error Rpc.Timeout -> ()
 

@@ -734,15 +734,6 @@ let golden_digests () =
           (crash_digest (Storelog.Non_tso_cutoff (e, Prng.create (5 + e)))))
       epochs
   in
-  let media =
-    {
-      Storelog.fault_seed = 99;
-      flip_words = 6;
-      stuck_words = 2;
-      fault_lo = Arena.reserved_words;
-      fault_hi = golden_words;
-    }
-  in
   [
     ("pending epochs", string_of_int (List.length epochs));
     ("keep_none", crash_digest Storelog.Keep_none);
@@ -750,8 +741,6 @@ let golden_digests () =
     ("random_eviction", crash_digest (Storelog.Random_eviction (Prng.create 3)));
     ("non_tso_random", crash_digest (Storelog.Non_tso_random (Prng.create 4)));
     ("non_tso_cutoff, every epoch", Digest.to_hex (Digest.string (String.concat ";" cutoffs)));
-    ( "media_fault",
-      crash_digest (Storelog.Media_fault (media, Storelog.Random_eviction (Prng.create 6))) );
     ( "fault_plan",
       crash_digest
         ~plan:{ Arena.fault_seed = 11; poison_lines = 2; flip_words = 3; stuck_words = 1 }
@@ -770,7 +759,6 @@ let golden =
     ("random_eviction", "bc310c7085576ffa6b5b84b0008698b5");
     ("non_tso_random", "1cce5c7f94290d1b14721d290a43f189");
     ("non_tso_cutoff, every epoch", "0be2491b6cc933b2f8fd2b874c78691e");
-    ("media_fault", "8f1a7b2559775247a9478a39892c561b");
     ("fault_plan", "c5e9bc75c638474832f849579cb3d193");
     ("flood keep_none", "6f9cdbabdc8a1d369077365fb595a926");
     ("flood keep_all", "0fa947dee8d19f53a08019e24aca1809");
@@ -816,15 +804,6 @@ let pending_digests () =
     Arena.power_fail c (Storelog.Random_eviction (Prng.create 9));
     image_digest c
   in
-  let media =
-    {
-      Storelog.fault_seed = 98;
-      flip_words = 4;
-      stuck_words = 1;
-      fault_lo = Arena.reserved_words;
-      fault_hi = golden_words;
-    }
-  in
   [
     ("save_to_file", saved);
     ("poison keep_none", poisoned Storelog.Keep_none);
@@ -832,8 +811,6 @@ let pending_digests () =
     ("poison random_eviction", poisoned (Storelog.Random_eviction (Prng.create 3)));
     ("poison non_tso_random", poisoned (Storelog.Non_tso_random (Prng.create 4)));
     ("poison non_tso_cutoff", poisoned (Storelog.Non_tso_cutoff (60, Prng.create 5)));
-    ( "poison media_fault",
-      poisoned (Storelog.Media_fault (media, Storelog.Random_eviction (Prng.create 6))) );
     ("clone", cloned);
   ]
 
@@ -845,7 +822,6 @@ let golden_pending =
     ("poison random_eviction", "eb86d2a075b0572a39c515099ddffe29");
     ("poison non_tso_random", "91ca83b74bce97c8498c38b2202a1b8c");
     ("poison non_tso_cutoff", "51b1eb38715484f8e68d6898862e6f34");
-    ("poison media_fault", "c9e2bd78dedd94ac5d1ee356a7fac5b3");
     ("clone", "72d4dac68388a6d68e3c808156e0161f");
   ]
 

@@ -328,7 +328,7 @@ module Log_ref = struct
     let words = List.sort Int.compare (Hashtbl.fold (fun addr _ acc -> addr :: acc) by_word []) in
     List.iter (fun addr -> apply_prefix t persisted rng (List.rev (Hashtbl.find by_word addr))) words
 
-  let rec apply_crash t persisted (mode : Storelog.crash_mode) =
+  let apply_crash t persisted (mode : Storelog.crash_mode) =
     match mode with
     | Keep_none -> ()
     | Keep_all -> iter_stores t (apply t persisted)
@@ -342,9 +342,6 @@ module Log_ref = struct
         in
         if lo <= hi then apply_non_tso_cutoff t persisted (Prng.in_range rng lo (hi + 2)) rng
     | Non_tso_cutoff (cutoff, rng) -> apply_non_tso_cutoff t persisted cutoff rng
-    | Media_fault (spec, base) ->
-        apply_crash t persisted base;
-        ignore (Storelog.apply_faults ~image:persisted spec)
 end
 
 (* A store-log program over 64 lines: stores, fences (the epoch) and
@@ -400,18 +397,12 @@ let logs_agree steps seed =
     && List.sort Int.compare (Storelog.dirty_lines log) = Log_ref.dirty_lines r
     && Storelog.dirty_line_count log = List.length (Log_ref.dirty_lines r)
   in
-  let media base =
-    Storelog.Media_fault
-      ({ Storelog.fault_seed = seed; flip_words = 3; stuck_words = 1; fault_lo = 0; fault_hi = log_words },
-       base)
-  in
   let modes =
     [
       (fun () -> Storelog.Keep_none);
       (fun () -> Storelog.Keep_all);
       (fun () -> Storelog.Random_eviction (Prng.create seed));
       (fun () -> Storelog.Non_tso_random (Prng.create seed));
-      (fun () -> media (Storelog.Random_eviction (Prng.create seed)));
     ]
     (* Every pending epoch as a cutoff, or about eight evenly spread. *)
     @ List.filteri

@@ -361,6 +361,38 @@ let test_repair_inner_rebuild () =
       incr count);
   Alcotest.(check int) "all keys in range" 120 !count
 
+(* A poisoned inner header takes the node's level and its leftmost
+   child pointer with it.  The clean record lines still name the other
+   children, and the lost leftmost child is the node whose sibling
+   pointer names the first surviving one.  Nothing else points at the
+   chain heads below the root, or below the leftmost level-1 node. *)
+let test_repair_inner_header () =
+  let level a n = Arena.peek a (n + L.off_level) in
+  let rec leftmost_at a n lvl =
+    if level a n = lvl then n
+    else leftmost_at a (Arena.peek a (n + L.off_leftmost)) lvl
+  in
+  List.iter
+    (fun target ->
+      let a, d = build_base () in
+      let root = Arena.root_get a 0 in
+      Alcotest.(check bool) "tree has two inner levels" true (level a root > 1);
+      Arena.poison_line a (target a root / wpl);
+      let r = scrub_full d a in
+      Alcotest.(check bool) "clean" true (Scrub.clean r);
+      Alcotest.(check (list int)) "no poison left" [] (Arena.poisoned_lines a);
+      let t = reopen d a in
+      t.Intf.recover ();
+      let missing = ref 0 in
+      for k = 1 to 120 do
+        match t.Intf.search (k * 10) with
+        | Some v -> Alcotest.(check int) "value intact" (value_of (k * 10)) v
+        | None -> incr missing
+      done;
+      Alcotest.(check bool) "missing keys accounted as lost records" true
+        (!missing <= r.Scrub.lost_records))
+    [ (fun _ root -> root); (fun a root -> leftmost_at a root 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Leak oracle over every scrubbable index                             *)
 (* ------------------------------------------------------------------ *)
@@ -410,7 +442,7 @@ let test_non_scrubbable_rejected () =
 let degraded_setup () =
   let t =
     Shard.create ~inner:"fastfair" ~shards:2 ~words:(1 lsl 16)
-      ~inner_config:small_cfg ~retry_limit:2 ~backoff_ns:100 ()
+      ~inner_config:small_cfg ()
   in
   for k = 1 to 400 do
     Shard.insert t ~key:k ~value:(value_of k)
@@ -440,13 +472,14 @@ let test_degraded_shard () =
   | _ -> Alcotest.fail "expected Degraded"
   | exception Shard.Degraded { shard; attempts; _ } ->
       Alcotest.(check int) "degraded shard" bad shard;
-      Alcotest.(check int) "initial try + 2 retries" 3 attempts);
+      Alcotest.(check int) "initial try + retries" (Shard.retry_limit + 1)
+        attempts);
   Alcotest.(check (array bool)) "health flags"
     (Array.init 2 (fun i -> i <> bad))
     (Shard.healthy t);
   let me, rt, rj = (Shard.degraded_stats t).(bad) in
-  Alcotest.(check int) "media errors" 3 me;
-  Alcotest.(check int) "retries" 2 rt;
+  Alcotest.(check int) "media errors" (Shard.retry_limit + 1) me;
+  Alcotest.(check int) "retries" Shard.retry_limit rt;
   Alcotest.(check int) "rejected" 1 rj;
   (* Sibling shards keep serving. *)
   let served = ref 0 in
@@ -557,6 +590,8 @@ let suite =
     Alcotest.test_case "repair: leaf records quarantined" `Quick
       test_repair_leaf_records;
     Alcotest.test_case "repair: inner rebuild" `Quick test_repair_inner_rebuild;
+    Alcotest.test_case "repair: root + inner header" `Quick
+      test_repair_inner_header;
     Alcotest.test_case "leak oracle: all scrubbable indexes" `Quick
       test_leak_oracle_all_scrubbable;
     Alcotest.test_case "non-scrubbable rejected" `Quick test_non_scrubbable_rejected;

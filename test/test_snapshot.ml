@@ -312,7 +312,7 @@ let test_pin_vs_first_write () =
         (Mcsim.run ~cores:1 ~quantum_ns:1 ~policy ~arena:a [| writer; reader |]))
     (("fifo", Mcsim.Fifo)
     :: List.init 16 (fun s ->
-           (Printf.sprintf "pct %d" s, Mcsim.pct_policy ~seed:s ())));
+           (Printf.sprintf "pct %d" s, Mcsim.pct_policy ~seed:s)));
   Alcotest.(check (list string)) "no post-pin write visible" [] (List.rev !leaks)
 
 (* Regression: a pin must not starve the writer it quiesces.  The
