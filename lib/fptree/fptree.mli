@@ -20,7 +20,7 @@ val create :
   ?leaf_bytes:int -> ?root_slot:int ->
   ?lock_mode:Ff_index.Locks.mode -> Ff_pmem.Arena.t -> t
 (** Defaults: 1 KB leaves, root slot 6.  Volatile inner nodes hold up
-    to 64 children. *)
+    to 64 keys. *)
 
 val open_existing :
   ?leaf_bytes:int -> ?root_slot:int ->
