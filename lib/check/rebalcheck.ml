@@ -46,12 +46,14 @@ let dcfg (cfg : Cx.config) = { D.default_config with D.node_bytes = cfg.node_byt
    leaves the key wrong for good; a later delete of a key the model
    already lacks would redo a lost delete, which is why the last op,
    not the last change, decides.  The copy reads the moved span in
-   ascending key order, so the lowest key is the first it has passed.
+   ascending key order, so the lowest key is the first it passes.
    The rebalancer starts one entry earlier (that entry races the plan
-   publication and the tap quiesce) and the writer then waits for the
-   tap.  Both waits block in the simulator: a spinning writer would
-   starve the rebalancer under PCT.  [None] when no moved key's last
-   op changes it. *)
+   publication and the tap quiesce) and the writer then waits until
+   the copy has read past the key ([Rebalance]'s [scanned]), so the
+   change lands there whatever the writer's ops cost.  Both waits
+   block in the simulator: a spinning writer would starve the
+   rebalancer under PCT.  [Some (key, entry)], or [None] when no moved
+   key's last op changes it. *)
 let held_entry (cfg : Cx.config) w =
   let moved k = cfg.rebal_kind = Rb_migrate || k >= pivot cfg in
   let last = Hashtbl.create 8 in
@@ -71,7 +73,6 @@ let held_entry (cfg : Cx.config) w =
       | Some i, None -> Some (k, i)
       | _, acc -> acc)
     last None
-  |> Option.map snd
 
 (* Writer applies the commit log through the routed serving layer
    while the rebalancer thread splits / merges / migrates underneath
@@ -103,17 +104,17 @@ let setup (cfg : Cx.config) name w () =
       List.iter (fun (k, v) -> Shard.insert t ~key:k ~value:v) (Spec.initial w));
   let applied = ref 0 in
   let rebalanced = ref false in
-  let tap = match cfg.rebal_kind with Rb_merge -> 1 | Rb_split | Rb_migrate -> 0 in
-  (* Merge's cutover removes the tapped shard. *)
-  let tapped () = Shard.shards t > tap && Shard.tapped t ~shard:tap in
   let held = held_entry cfg w in
-  let start = max 0 (Option.value held ~default:0 - 1) in
+  let start = match held with Some (_, i) -> max 0 (i - 1) | None -> 0 in
   let started = ref false in
+  let scanned = ref 0 in
   let writer _ =
     Array.iteri
       (fun i ops ->
         if i = start then started := true;
-        if Some i = held then Mcsim.await (fun () -> tapped () || !rebalanced);
+        (match held with
+        | Some (k, h) when h = i -> Mcsim.await (fun () -> !scanned >= k || !rebalanced)
+        | Some _ | None -> ());
         List.iter
           (fun op ->
             (match op with
@@ -129,11 +130,13 @@ let setup (cfg : Cx.config) name w () =
        copy across many writer ops, maximising the dual-write window
        the checker must protect. *)
     let throttle = { Rebalance.bytes_per_ms = 16; chunk_ops = 1 } in
+    let scanned k = scanned := k in
     Mcsim.await (fun () -> !started);
     (match cfg.rebal_kind with
-    | Rb_split -> ignore (Rebalance.split ~throttle t ~shard:0 ~pivot:(pivot cfg))
-    | Rb_merge -> ignore (Rebalance.merge ~throttle t ~left:0)
-    | Rb_migrate -> ignore (Rebalance.migrate ~throttle t ~shard:0 ~dst:arenas.(1)));
+    | Rb_split -> ignore (Rebalance.split ~throttle ~scanned t ~shard:0 ~pivot:(pivot cfg))
+    | Rb_merge -> ignore (Rebalance.merge ~throttle ~scanned t ~left:0)
+    | Rb_migrate ->
+        ignore (Rebalance.migrate ~throttle ~scanned t ~shard:0 ~dst:arenas.(1)));
     rebalanced := true
   in
   {

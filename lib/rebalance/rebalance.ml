@@ -366,7 +366,7 @@ type recipe = {
 
 let no_step () = 0
 
-let run th t r =
+let run ~scanned th t r =
   let p = r.block in
   let coord = Shard.instance_arena t p.p_shard in
   let tr = Shard.tracer t in
@@ -386,9 +386,13 @@ let run th t r =
            over; every later change is in the delta buffer. *)
         Shard.quiesce t (fun () -> Shard.tap_writes t ~shard:r.tap record);
         let t0 = now_ns coord in
-        let pairs =
-          Intf.range_list (Shard.instance_ops t r.tap) p.p_span_lo p.p_span_hi
-        in
+        let pairs = ref [] in
+        (Shard.instance_ops t r.tap).Intf.range p.p_span_lo p.p_span_hi
+          (fun k v ->
+            pairs := (k, v) :: !pairs;
+            scanned k);
+        scanned max_int;
+        let pairs = List.rev !pairs in
         let serialize = if served then Shard.quiesce t else fun f -> f () in
         let moved =
           chunked tr ~serialize coord th
@@ -407,6 +411,7 @@ let run th t r =
           Shard.ship_image t ~shard:r.tap ~dst
             ~freeze:(fun () ->
               Shard.tap_writes t ~shard:r.tap record;
+              scanned max_int;
               now_ns coord)
             ~between:(fun copied ->
               if Trace.enabled tr then
@@ -459,7 +464,7 @@ let run th t r =
 (* The three plans                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let split ?(throttle = default_throttle) ?dst t ~shard ~pivot =
+let split ?(throttle = default_throttle) ?(scanned = ignore) ?dst t ~shard ~pivot =
   require_range t;
   check_position t shard "split";
   let lo, hi = Shard.shard_span t shard in
@@ -486,7 +491,7 @@ let split ?(throttle = default_throttle) ?dst t ~shard ~pivot =
     | None -> (d.D.build { cfg with D.root_slot = 2 * slot } coord, coord)
     | Some a -> (Registry.build ~config:cfg d.D.name a, a)
   in
-  run throttle t
+  run ~scanned throttle t
     {
       block =
         {
@@ -514,7 +519,7 @@ let split ?(throttle = default_throttle) ?dst t ~shard ~pivot =
       retire = true;
     }
 
-let merge ?(throttle = default_throttle) t ~left =
+let merge ?(throttle = default_throttle) ?(scanned = ignore) t ~left =
   require_range t;
   check_position t left "merge";
   check_position t (left + 1) "merge";
@@ -523,7 +528,7 @@ let merge ?(throttle = default_throttle) t ~left =
   let coord = Shard.instance_arena t left in
   let left_ops = Shard.instance_ops t left in
   let rslot = Shard.instance_slot t right in
-  run throttle t
+  run ~scanned throttle t
     {
       block =
         {
@@ -559,14 +564,14 @@ let merge ?(throttle = default_throttle) t ~left =
       retire = true;
     }
 
-let migrate ?(throttle = default_throttle) t ~shard ~dst =
+let migrate ?(throttle = default_throttle) ?(scanned = ignore) t ~shard ~dst =
   if not (Shard.multi t) then
     invalid_arg
       "Rebalance.migrate: composite shards share one arena (serving mode \
        only)";
   check_position t shard "migrate";
   let lo, hi = Shard.shard_span t shard in
-  run throttle t
+  run ~scanned throttle t
     {
       block =
         {

@@ -91,7 +91,11 @@ type throttle = {
     All three run against a live ensemble and are safe under
     concurrent traffic from other simulated threads.  They return a
     {!report} of what moved and how long the copy and the cutover
-    window took in simulated time. *)
+    window took in simulated time.  [scanned] observes the copy: it
+    gets each key the copy reads from the source, then [max_int] once
+    the copy has read the whole span (a migrate's image is read whole
+    at the tap), so a writer can place a change where only the
+    dual-write delta carries it.  Defaults to [ignore]. *)
 
 type report = {
   r_kind : kind;
@@ -106,7 +110,8 @@ type report = {
 }
 
 val split :
-  ?throttle:throttle -> ?dst:Ff_pmem.Arena.t -> Ff_shard.Shard.t ->
+  ?throttle:throttle -> ?scanned:(int -> unit) -> ?dst:Ff_pmem.Arena.t ->
+  Ff_shard.Shard.t ->
   shard:int -> pivot:int -> report
 (** Split position [shard] at [pivot]: keys [>= pivot] move to a new
     shard at position [shard+1].  Composite mode carves the new shard
@@ -116,7 +121,9 @@ val split :
     @raise Invalid_argument on a hash partition, a pivot outside the
     shard's span, or a missing/superfluous [dst]. *)
 
-val merge : ?throttle:throttle -> Ff_shard.Shard.t -> left:int -> report
+val merge :
+  ?throttle:throttle -> ?scanned:(int -> unit) -> Ff_shard.Shard.t ->
+  left:int -> report
 (** Merge position [left+1] into [left].  The right shard keeps
     serving (reads and dual-applied writes) while its span is copied
     into the left tree; cutover drops it from the topology.  The
@@ -124,7 +131,7 @@ val merge : ?throttle:throttle -> Ff_shard.Shard.t -> left:int -> report
     after an aborted predecessor cannot resurrect stale keys. *)
 
 val migrate :
-  ?throttle:throttle -> Ff_shard.Shard.t -> shard:int ->
+  ?throttle:throttle -> ?scanned:(int -> unit) -> Ff_shard.Shard.t -> shard:int ->
   dst:Ff_pmem.Arena.t -> report
 (** Serving mode only: ship shard [shard]'s whole arena image to the
     fresh [dst] arena through a relocatable {!Ff_pmem.Segment} —
