@@ -91,6 +91,8 @@ let check t =
         (fun p ->
           let lm = peek a (p + L.off_leftmost) in
           Hashtbl.replace referenced lm min_int;
+          if peek a (lm + L.off_level) <> level then
+            acc := Printf.sprintf "parent %d's leftmost child %d of wrong level" p lm :: !acc;
           List.iter
             (fun (k, c) ->
               Hashtbl.replace referenced c k;

@@ -151,18 +151,21 @@ let drop_finger t =
    finger leaf found its range shrunk: forget it. *)
 let left_finger t leaf = if leaf = t.finger then drop_finger t
 
-(* Descend from [node] to the node covering [key] at [level]; [hi]
-   bounds the range above.  The sibling is read only where the route
-   scan finds no entry greater than the key (B-link move-right), and
-   then its low key also bounds the child's range; at [level] itself
-   nobody moves right: readers chase siblings on a miss and writers
-   re-check [chain_covers] under the lock.  A descent that reaches a
-   leaf leaves the finger on it, from the leaf's persisted low key up
-   to [hi] ([Binary] routes report no upper separator, so that mode
-   sets none). *)
-let rec descend t node key ~level ~hi =
+(* Descend from [node], whose level is [nl], to the node covering
+   [key] at [level]; [hi] bounds the range above.  Only the root's
+   level is read: a node's level never changes, a child is one level
+   below its parent and a sibling shares its node's level
+   ([Invariant] checks both).  The sibling is read only where the
+   route scan finds no entry greater than the key (B-link
+   move-right), and then its low key also bounds the child's range;
+   at [level] itself nobody moves right: readers chase siblings on a
+   miss and writers re-check [chain_covers] under the lock.  A descent
+   that reaches a leaf leaves the finger on it, from the leaf's
+   persisted low key up to [hi] ([Binary] routes report no upper
+   separator, so that mode sets none). *)
+let rec descend t node nl key ~level ~hi =
   let a = t.arena in
-  if L.level a node = level then begin
+  if nl = level then begin
     if level = 0 && t.mode = Node.Linear then begin
       (* Load first: the three fields change with no yield between. *)
       let lo = L.low a node in
@@ -174,18 +177,20 @@ let rec descend t node key ~level ~hi =
   end
   else
     let child, c_hi = Node.route a t.layout node ~mode:t.mode ~tr:t.tracer key in
-    if c_hi <> 0 then descend t child key ~level ~hi:(min hi c_hi)
+    if c_hi <> 0 then descend t child (nl - 1) key ~level ~hi:(min hi c_hi)
     else
       let s = L.sibling a node in
-      if s = 0 then descend t child key ~level ~hi
+      if s = 0 then descend t child (nl - 1) key ~level ~hi
       else
         let low = L.low a s in
-        if low <= key then descend t s key ~level ~hi
-        else descend t child key ~level ~hi:(min hi low)
+        if low <= key then descend t s nl key ~level ~hi
+        else descend t child (nl - 1) key ~level ~hi:(min hi low)
 
 let to_leaf t key =
   if t.finger <> 0 && t.finger_lo <= key && key < t.finger_hi then t.finger
-  else descend t (root t) key ~level:0 ~hi:max_int
+  else
+    let rt = root t in
+    descend t rt (L.level t.arena rt) key ~level:0 ~hi:max_int
 
 (* ------------------------------------------------------------------ *)
 (* Lazy recovery hooks (Section 4.2)                                   *)
@@ -411,11 +416,9 @@ and insert_into_node t node key value ~internal =
 and insert_at_level t ~level ~key ~child ~donor =
   let a = t.arena in
   let rt = root t in
-  if L.level a rt < level then grow_root t ~level ~sep:key ~child ~donor
-  else begin
-    insert_into_node t (descend t rt key ~level ~hi:max_int) key child
-      ~internal:true
-  end
+  let rl = L.level a rt in
+  if rl < level then grow_root t ~level ~sep:key ~child ~donor
+  else insert_into_node t (descend t rt rl key ~level ~hi:max_int) key child ~internal:true
 
 and grow_root t ~level ~sep ~child ~donor =
   let a = t.arena and l = t.layout in

@@ -307,7 +307,7 @@ let test_bulk_load_same_work () =
   Arena.reset_stats small;
   Array.iter (fun k -> ignore (Tree.search t k)) (Array.sub keys 0 2000);
   Alcotest.(check (list int)) "searches after"
-    [ 200709; 0; 0; 0; 190369; 10340; 7694; 1561219; 0 ] (counts small)
+    [ 194712; 0; 0; 0; 184372; 10340; 7694; 1555222; 0 ] (counts small)
 
 (* ------------------------------------------------------------------ *)
 (* Negative control: the naive unordered shift corrupts crash states   *)
