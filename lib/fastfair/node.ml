@@ -50,26 +50,21 @@ let last_entry a l n =
 
 type location = Found of int | Absent of { pos : int; count : int }
 
-(* Keys are compared up to the first valid one greater than [key], the
-   insertion position; past it only the pointers are read, to find the
-   count. *)
+(* Under the write lock, after lazy recovery, slots below the count
+   hint are exactly the valid entries, with ascending keys: only keys
+   are read, up to the first one not below [key]. *)
 let locate a l n key =
-  let cap = l.L.capacity in
-  let rec go i prev_raw =
-    if i >= cap then Absent { pos = i; count = i }
-    else begin
-      let p = L.ptr a n i in
-      if p = 0 then Absent { pos = i; count = i }
-      else if p = prev_raw then go (i + 1) p
-      else begin
-        let k = L.key a n i in
-        if k = key then Found i
-        else if k > key then Absent { pos = i; count = count_from a l n (i + 1) }
-        else go (i + 1) p
-      end
-    end
+  ignore l;
+  let cnt = L.count_hint a n in
+  let rec go i =
+    if i >= cnt then Absent { pos = i; count = cnt }
+    else
+      let k = L.key a n i in
+      if k = key then Found i
+      else if k > key then Absent { pos = i; count = cnt }
+      else go (i + 1)
   in
-  go 0 (L.leftmost a n)
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Lock-free reads (Algorithm 3)                                       *)

@@ -40,11 +40,11 @@ type location =
           node's count *)
 
 val locate : Ff_pmem.Arena.t -> Layout.t -> Layout.node -> int -> location
-(** Writer-side probe for one key, in one left-to-right pass: keys are
-    read up to the first valid one greater than the key, which is the
-    key's insertion position, then only pointers, so an absent key
-    also yields the count {!insert_nonfull} needs.  Assumes the lock
-    is held, so no direction juggling is needed. *)
+(** Writer-side probe for one key: the count hint, then keys left to
+    right up to the first one not below the key, which is the key's
+    slot or its insertion position.  Assumes the lock is held and the
+    node clean (lazy recovery done), so the count hint is the count
+    and every slot below it holds a valid entry. *)
 
 val search :
   Ff_pmem.Arena.t ->
