@@ -142,17 +142,45 @@ let binary_search_leaf a l n key =
   in
   go 0 (cnt - 1)
 
+(* Left to right, an exact match needs no pointer at a slot it
+   passes: valid keys are positive and strictly ascending, stay
+   non-decreasing through a FAST shift, and the never-written tail
+   reads 0.  So the walk reads keys only, up to the first one not
+   below [key]; the slot holding [key] gets [walk]'s full check (the
+   key, the left pointer, the slot's own pointer, the key again), and
+   a key not above the previous one costs one pointer load, whose zero
+   ends the array.  A key above [key] ends the walk whatever its slot
+   holds: no later slot can hold [key]. *)
+let find_key a l n tr key =
+  let cap = l.L.capacity in
+  let rec go i prev =
+    if i >= cap then None
+    else
+      let k = L.key a n i in
+      if k <= prev && L.ptr a n i = 0 then None
+      else if k < key then go (i + 1) k
+      else if k > key then None
+      else
+        let left = if i > 0 then L.ptr a n (i - 1) else L.leftmost a n in
+        let p = L.ptr a n i in
+        if p <> left && p <> 0 && L.key a n i = k then Some p
+        else begin
+          Trace.dup_skip tr ~leaf:true;
+          go (i + 1) k
+        end
+  in
+  go 0 0
+
 let search a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_search_leaf a l n key
   | Linear ->
       retry a n @@ fun ~rtl ->
-      walk a l n tr ~leaf:true ~rtl
-        ~see:(fun k _ ->
-          if k = key then Take
-          else if (if rtl then k > key else k < key) then Pass
-          else Stop)
-        ~take:(fun ~last:_ _ _ p -> p)
+      if rtl then
+        walk a l n tr ~leaf:true ~rtl
+          ~see:(fun k _ -> if k = key then Take else if k > key then Pass else Stop)
+          ~take:(fun ~last:_ _ _ p -> p)
+      else find_key a l n tr key
 
 (* The cursor takes the smallest key above [last]: keys ascend, so the
    first one the walk takes. *)

@@ -55,9 +55,12 @@ val search :
   int ->
   int option
 (** Lock-free search of one node (Algorithm 3): direction chosen by
-    the switch counter's parity, re-walk if the counter moved.  The
-    walk reads each slot's pointer, then its key, and checks only the
-    slot holding the key, in the released code's order: the key, the
+    the switch counter's parity, re-walk if the counter moved.  Left
+    to right the walk reads keys only up to the first one not below
+    the key (a key not above the previous one also costs its pointer,
+    and a zero pointer ends the array); right to left it reads each
+    slot's pointer, then its key.  Either way only the slot holding
+    the key is checked, in the released code's order: the key, the
     left pointer, the slot's own pointer, the key again; the entry is
     valid only if the pointers differ and the key did not change.  The
     order matters: a FAST shift can land between a reader's loads at a

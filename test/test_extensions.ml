@@ -307,7 +307,7 @@ let test_bulk_load_same_work () =
   Arena.reset_stats small;
   Array.iter (fun k -> ignore (Tree.search t k)) (Array.sub keys 0 2000);
   Alcotest.(check (list int)) "searches after"
-    [ 194712; 0; 0; 0; 184372; 10340; 7694; 1555222; 0 ] (counts small)
+    [ 168571; 0; 0; 0; 158231; 10340; 7694; 1529081; 0 ] (counts small)
 
 (* ------------------------------------------------------------------ *)
 (* Negative control: the naive unordered shift corrupts crash states   *)
