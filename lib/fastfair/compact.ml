@@ -53,12 +53,17 @@ let merge_into t a_node b level =
       ~value:lm
   end;
   (* Migrate entries: commit in the left node first, then retire the
-     donor's copy; the transient duplicate carries the same value. *)
+     donor's copy; the transient duplicate carries the same value.  A
+     leaf donor's delete turns its switch odd, so a crashed image's
+     readers scan it right to left; an internal donor's first entry is
+     shifted out with the switch left even, as routes never read it: a
+     half-done left shift only routes a key to the child left of its
+     own, which the descent's move-right corrects. *)
   let rec drain () =
     match Node.first_entry a l b with
     | Some (k, v) ->
         Node.insert_nonfull a l a_node ~count:(Node.count a l a_node) ~key:k ~value:v;
-        ignore (Node.delete a l b k);
+        if level = 0 then ignore (Node.delete a l b k) else Node.remove_at a l b 0;
         drain ()
     | None -> ()
   in

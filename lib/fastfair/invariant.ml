@@ -38,9 +38,12 @@ let node_violations a l n acc =
   done;
   let hint = peek a (n + L.off_count) in
   if hint <> !cnt then acc := err "count hint %d <> count %d" hint !cnt :: !acc;
-  (* Leaf anchor. *)
-  if peek a (n + L.off_level) = 0 && leftmost <> n then
-    acc := err "leaf anchor is %d, expected self" leftmost :: !acc;
+  (* Leaf anchor; internal routes read no switch, so it must be even. *)
+  if peek a (n + L.off_level) = 0 then begin
+    if leftmost <> n then acc := err "leaf anchor is %d, expected self" leftmost :: !acc
+  end
+  else if peek a (n + L.off_switch) land 1 = 1 then
+    acc := err "internal node with an odd switch" :: !acc;
   !acc
 
 let leftmost_of_level t level =

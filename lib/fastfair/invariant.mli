@@ -10,8 +10,9 @@ val check : Tree.t -> string list
     - per node: valid entries strictly ascending, no duplicate-pointer
       garbage, zero-terminated record array, accurate count hint;
     - leaf chain strictly ascending globally, all at level 0;
-    - internal nodes: children at level-1, separators route correctly,
-      every level-chain node attached to its parent;
+    - internal nodes: even switch, children (the leftmost one
+      included) at level-1, separators route correctly, every
+      level-chain node attached to its parent;
     - values unique tree-wide. *)
 
 val check_exn : Tree.t -> unit

@@ -216,37 +216,33 @@ let binary_route a l n key =
 (* Route picks the child covering [key] and the first valid key
    greater than [key], [hi] (0 when the walk ran off its end: only then
    can a split have moved the key's range to the sibling, the descent's
-   B-link move-right test).  Left to right the child is the left
-   pointer of that first greater key, or the last pointer when there
-   is none; right to left it is the first entry not above [key], or
-   the leftmost pointer.  Left to right, the left pointer is taken
-   only while it is still the pointer of the last slot passed (the
-   leftmost pointer when none was), else the walk starts again: a
-   separator FAST-inserted behind the walk (into a slot it skipped as
-   half written, or into slot 0 before its first load) puts its child
-   there, whose range may start above [key], and B-link descent can
-   only move right.  [hi] is returned per call: under Mcsim a route
-   yields at every load, so scratch state shared between calls would
-   mix two descents' bounds. *)
+   B-link move-right test): the left pointer of that first greater
+   key, or the last pointer when there is none.  An internal node's
+   switch is always even (only [delete] makes it odd; [Tree.delete]
+   deletes from leaves only, and [Compact] frees the internal donor it
+   deletes from), so the walk is left to right with no switch loads.
+   The left pointer is taken only while it is still the pointer of the
+   last slot passed (the leftmost pointer when none was), else the
+   walk starts again: a separator FAST-inserted behind the walk (into
+   a slot it skipped as half written, or into slot 0 before its first
+   load) puts its child there, whose range may start above [key], and
+   B-link descent can only move right.  [hi] is returned per call:
+   under Mcsim a route yields at every load, so scratch state shared
+   between calls would mix two descents' bounds. *)
 let route a l n ~mode ?(tr = Trace.null) key =
   match mode with
   | Binary -> binary_route a l n key
   | Linear ->
-      retry a n @@ fun ~rtl ->
       let rec attempt () =
-        let child = ref 0 and hi = ref 0 in
+        let child = ref 0 in
         match
-          walk a l n tr ~leaf:false ~rtl
-            ~see:(fun k p ->
-              if k <= key then if rtl then Take else (child := p; Pass)
-              else if rtl then (hi := k; Pass)
-              else Take)
-            ~take:(fun ~last k left p ->
-              if rtl then Some (p, !hi) else if left = last then Some (left, k) else None)
+          walk a l n tr ~leaf:false ~rtl:false
+            ~see:(fun k p -> if k <= key then (child := p; Pass) else Take)
+            ~take:(fun ~last k left _ -> if left = last then Some (left, k) else None)
         with
         | Some (Some r) -> r
         | Some None -> attempt ()
-        | None -> ((if !child = 0 then L.leftmost a n else !child), !hi)
+        | None -> ((if !child = 0 then L.leftmost a n else !child), 0)
       in
       attempt ()
 

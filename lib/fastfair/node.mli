@@ -81,15 +81,16 @@ val route :
     covering [key] ([leftmost_ptr] when the key precedes all entries)
     and the first valid key greater than [key], or 0 when the walk
     found none — only then can a split have moved the key's range to
-    the sibling.  Left to right the checked slot is that first greater
-    key and the child is the left pointer its check read, taken only
-    if it equals the pointer of the last slot the walk passed (the
-    leftmost pointer when none was); otherwise a separator was
-    FAST-inserted behind the walk, its child may start above [key],
-    and the walk starts again.  Right to left the checked slot is the
-    first entry not above [key].  Read order as in {!search}.
-    [Binary] routing reports [hi] = [max_int] unless the route ran
-    off the end. *)
+    the sibling.  The walk is always left to right and reads no
+    switch: an internal node's switch stays even.  It reads each
+    slot's pointer, then its key; the checked slot is that first
+    greater key, in {!search}'s order, and the child is the left
+    pointer its check read, taken only if it equals the pointer of the
+    last slot the walk passed (the leftmost pointer when none was);
+    otherwise a separator was FAST-inserted behind the walk, its child
+    may start above [key], and the walk starts again.  [Binary]
+    routing reports [hi] = [max_int] unless the route ran off the
+    end. *)
 
 val next_above :
   Ff_pmem.Arena.t ->
