@@ -834,7 +834,66 @@ let test_descent_cold_cost () =
   Alcotest.(check (option int)) "found" (Some (value_of 1)) (Tree.search t 1);
   let s = Arena.total_stats a in
   Alcotest.(check (list int)) "loads, line misses, sequential misses" [ 9; 2; 1 ]
-    [ s.Stats.loads; s.Stats.line_misses; s.Stats.seq_misses ]
+    [ s.Stats.loads; s.Stats.line_misses; s.Stats.seq_misses ];
+  (* Per-node loads, which do not depend on cache state.  A
+     left-to-right search reads the switch twice and keys up to the
+     first one not below the target; only the slot holding it costs
+     its left and own pointer and the key again, and a key not above
+     the previous one costs its pointer, zero at the end. *)
+  let a, l, n = mk_node ~node_bytes:256 () in
+  List.iter (node_insert a l n) [ 10; 20; 30; 40 ];
+  let loads name expect f =
+    Arena.reset_stats a;
+    let r = f () in
+    Alcotest.(check int) (name ^ ": loads") expect (Arena.total_stats a).Stats.loads;
+    r
+  in
+  let search name expect n k =
+    loads name expect (fun () -> Node.search a l n ~mode:Node.Linear k)
+  in
+  Alcotest.(check (option int)) "present" (Some (value_of 30)) (search "present" 8 n 30);
+  Alcotest.(check (option int)) "absent inside" None (search "absent inside" 5 n 25);
+  Alcotest.(check (option int)) "absent past the end" None (search "past the end" 8 n 50);
+  let e = Arena.alloc a l.Layout.node_words in
+  Node.init a l e ~level:0 ~leftmost:0 ~low:0;
+  Alcotest.(check (option int)) "empty leaf" None (search "empty leaf" 4 e 5);
+  (* The locked locate: the count hint, then keys up to the first one
+     not below the target. *)
+  let locate name expect k = loads name expect (fun () -> Node.locate a l n k) in
+  Alcotest.(check bool) "locate present" true (locate "locate present" 4 30 = Node.Found 2);
+  Alcotest.(check bool) "locate absent" true
+    (locate "locate absent" 4 25 = Node.Absent { pos = 2; count = 4 });
+  Alcotest.(check bool) "locate past the end" true
+    (locate "locate past the end" 5 50 = Node.Absent { pos = 4; count = 4 });
+  (* The last key removed as lazy recovery removes garbage (the switch
+     stays even): its key stays in the slot past the end, whose zero
+     pointer fails the check. *)
+  Node.remove_at a l n 3;
+  Alcotest.(check (option int)) "deleted last key" None (search "deleted last key" 10 n 40);
+  Alcotest.(check (option int)) "past a stale copy" None (search "past a stale copy" 8 n 50);
+  (* An internal route reads no switch: the leftmost pointer, then
+     pointer and key per slot, and the checked slot's three loads. *)
+  let i = Arena.alloc a l.Layout.node_words in
+  Node.init a l i ~level:1 ~leftmost:(value_of 0) ~low:0;
+  List.iter (node_insert a l i) [ 10; 20; 30 ];
+  let route name expect k = loads name expect (fun () -> Node.route a l i ~mode:Node.Linear k) in
+  Alcotest.(check (pair int int)) "route" (value_of 20, 30) (route "route" 10 25);
+  Alcotest.(check (pair int int)) "route past the end" (value_of 30, 0)
+    (route "route past the end" 8 35);
+  (* A median split leaves the sibling's tail as allocated: zero. *)
+  let a, t = mk_tree ~node_bytes:256 () in
+  for k = 12 downto 1 do
+    Tree.insert t ~key:(2 * k) ~value:(value_of (2 * k))
+  done;
+  Tree.insert t ~key:1 ~value:(value_of 1);
+  let leaf = Arena.peek a (Tree.root t + Layout.off_leftmost) in
+  let sib = Arena.peek a (leaf + Layout.off_sibling) in
+  Alcotest.(check (list int)) "sibling keys" [ 14; 16; 18; 20; 22; 24 ]
+    (List.map fst (Node.entries_debug a (Tree.layout t) sib));
+  Arena.reset_stats a;
+  Alcotest.(check (option int)) "split sibling" None
+    (Node.search a (Tree.layout t) sib ~mode:Node.Linear 25);
+  Alcotest.(check int) "split sibling: loads" 10 (Arena.total_stats a).Stats.loads
 
 (* The leaf finger: a repeated search of one key starts at the leaf
    the first one reached, so it skips the descent's loads; [recover]

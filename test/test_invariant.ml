@@ -108,6 +108,26 @@ let test_detects_low_key_violation () =
     expect_violation t "low"
   end
 
+(* Internal routes read no switch, so an odd one is corruption. *)
+let test_detects_odd_internal_switch () =
+  let a, t = mk () in
+  Arena.write a (Tree.root t + Layout.off_switch) 1;
+  expect_violation t "odd switch"
+
+(* A level-2 node off its chain's head (so level discovery still
+   works) whose leftmost pointer names a leaf: the descent would take
+   the leaf for a level-1 node. *)
+let test_detects_wrong_level_leftmost () =
+  let a, t = mk () in
+  let level n = Arena.peek a (n + Layout.off_level) in
+  let rec head n = if level n > 2 then head (Arena.peek a (n + Layout.off_leftmost)) else n in
+  let h = head (Tree.root t) in
+  match List.find_opt (fun n -> level n = 2 && n <> h) (Tree.reachable_nodes t) with
+  | None -> Alcotest.fail "expected a second level-2 node"
+  | Some n ->
+      Arena.write a (n + Layout.off_leftmost) (some_leaf t);
+      expect_violation t "leftmost child"
+
 let test_keys_listing () =
   let _, t = mk ~n:50 () in
   Alcotest.(check (list int)) "keys in order" (List.init 50 (fun i -> i + 1))
@@ -124,5 +144,7 @@ let suite =
     Alcotest.test_case "detects root sibling" `Quick test_detects_root_sibling;
     Alcotest.test_case "detects duplicate values" `Quick test_detects_duplicate_values;
     Alcotest.test_case "detects low-key violation" `Quick test_detects_low_key_violation;
+    Alcotest.test_case "detects odd internal switch" `Quick test_detects_odd_internal_switch;
+    Alcotest.test_case "detects wrong-level leftmost" `Quick test_detects_wrong_level_leftmost;
     Alcotest.test_case "keys listing" `Quick test_keys_listing;
   ]
