@@ -666,16 +666,17 @@ let scrub_run index_name keys seed poison json out mutate_skip =
           (* The leak must be gone (composite indexes reclaim inside
              their own recover, so re-audit rather than trusting this
              report's reclaimed count) and genuinely reusable: the
-             next node-sized allocation must land inside a gap that
-             was leaked at detection time or reclaimed by this run. *)
+             next allocation of the leaked block's own size must land
+             inside a gap that was leaked at detection time or
+             reclaimed by this run. *)
           let post = Scrub.audit ~config d a in
           let leak_gone = post.Scrub.leaked_blocks = [] in
           Printf.printf "post-scrub audit: %s\n"
             (if leak_gone then "no leaks remain" else "LEAKS REMAIN");
           let grain =
-            match Registry.scrub_provider d.Descriptor.name with
-            | Some p -> (p config a).Descriptor.scrub_grain
-            | None -> Arena.words_per_line
+            match audit.Scrub.leaked_blocks @ r.Scrub.leaked_blocks with
+            | (_, w) :: _ -> w
+            | [] -> Arena.words_per_line
           in
           let na = Arena.alloc_raw a grain in
           let reused =
