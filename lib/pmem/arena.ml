@@ -46,22 +46,18 @@ let words_per_line = 8
      74-79  unassigned (the window stays line-aligned) *)
 let reserved_words = 80
 
-type ctx = { cache : Cachesim.t; stats : Stats.t }
-
-let new_ctx config =
-  { cache = Cachesim.create ~capacity:config.Config.cache_lines; stats = Stats.create () }
-
 type t = {
   config : Config.t;
   (* What the CPU sees; the persisted state is this image rolled back
      through [log]. *)
   image : int array;
   log : Storelog.t;
-  (* A thread's context is built on its first use: most arenas only
-     ever run tid 0. *)
-  ctxs : ctx option array;
+  (* One LLC, shared by every simulated thread; a thread keeps only its
+     counters. *)
+  cache : Cachesim.t;
+  stats : Stats.t array;
   mutable cur : int;
-  mutable ctx : ctx; (* the context of [cur] *)
+  mutable cur_stats : Stats.t; (* [stats.(cur)] *)
   mutable epoch : int;
   mutable stores : int;
   mutable flushes : int;
@@ -93,16 +89,15 @@ let round_to_lines words = (words + words_per_line - 1) / words_per_line * words
 
 (* The fresh state that [create], [clone] and [load_from_file] start from. *)
 let make config ~image =
-  let ctx = new_ctx config in
-  let ctxs = Array.make config.Config.max_threads None in
-  ctxs.(0) <- Some ctx;
+  let stats = Array.init config.Config.max_threads (fun _ -> Stats.create ()) in
   {
     config;
     image;
     log = Storelog.create ();
-    ctxs;
+    cache = Cachesim.create ~capacity:config.Config.cache_lines;
+    stats;
     cur = 0;
-    ctx;
+    cur_stats = stats.(0);
     epoch = 0;
     stores = 0;
     flushes = 0;
@@ -132,37 +127,27 @@ let config t = t.config
 let capacity t = Array.length t.image
 
 let set_tid t tid =
-  assert (tid >= 0 && tid < Array.length t.ctxs);
-  let ctx =
-    match t.ctxs.(tid) with
-    | Some c -> c
-    | None ->
-        let c = new_ctx t.config in
-        t.ctxs.(tid) <- Some c;
-        c
-  in
-  t.cur <- tid;
-  t.ctx <- ctx
+  t.cur_stats <- t.stats.(tid);
+  t.cur <- tid
 
 let tid t = t.cur
-let stats t tid = match t.ctxs.(tid) with Some c -> c.stats | None -> Stats.create ()
-let iter_ctxs t f = Array.iter (Option.iter f) t.ctxs
+let stats t tid = t.stats.(tid)
 
 let total_stats t =
   let acc = Stats.create () in
-  iter_ctxs t (fun c -> Stats.add acc c.stats);
+  Array.iter (Stats.add acc) t.stats;
   acc
 
 let elapsed_ns t =
   let ns = ref 0 in
-  for i = 0 to Array.length t.ctxs - 1 do
-    match t.ctxs.(i) with Some c -> ns := !ns + Stats.total_ns c.stats | None -> ()
+  for i = 0 to Array.length t.stats - 1 do
+    ns := !ns + Stats.total_ns t.stats.(i)
   done;
   !ns
 
-let reset_stats t = iter_ctxs t (fun c -> Stats.reset c.stats)
+let reset_stats t = Array.iter Stats.reset t.stats
 
-let set_phase t phase = t.ctx.stats.Stats.phase <- phase
+let set_phase t phase = t.cur_stats.Stats.phase <- phase
 
 let set_yield_hook t hook = t.yield_hook <- hook
 let set_event_sink t sink = t.sink <- sink
@@ -170,7 +155,7 @@ let event_sink t = t.sink
 
 (* Charge [ns] to the current phase bucket and run the yield hook. *)
 let charge t ns =
-  let s = t.ctx.stats in
+  let s = t.cur_stats in
   (match s.Stats.phase with
   | Stats.Search -> s.Stats.search_ns <- s.Stats.search_ns + ns
   | Stats.Update -> s.Stats.update_ns <- s.Stats.update_ns + ns
@@ -178,12 +163,12 @@ let charge t ns =
   match t.yield_hook with None -> () | Some f -> f ns
 
 let charge_flush t ns =
-  let s = t.ctx.stats in
+  let s = t.cur_stats in
   s.Stats.flush_ns <- s.Stats.flush_ns + ns;
   match t.yield_hook with None -> () | Some f -> f ns
 
 let charge_fence t ns =
-  let s = t.ctx.stats in
+  let s = t.cur_stats in
   s.Stats.fence_ns <- s.Stats.fence_ns + ns;
   match t.yield_hook with None -> () | Some f -> f ns
 
@@ -195,11 +180,10 @@ let check addr t =
 
 let read t addr =
   check addr t;
-  let ctx = t.ctx in
-  let s = ctx.stats in
+  let s = t.cur_stats in
   s.Stats.loads <- s.Stats.loads + 1;
   let cfg = t.config in
-  (match Cachesim.access ctx.cache (line_of addr) with
+  (match Cachesim.access t.cache (line_of addr) with
   | Cachesim.Hit ->
       s.Stats.line_hits <- s.Stats.line_hits + 1;
       charge t cfg.Config.l1_hit_ns
@@ -223,8 +207,7 @@ let write t addr v =
   check addr t;
   (match t.sink with None -> () | Some s -> s.ev_store addr);
   t.stores <- t.stores + 1;
-  let ctx = t.ctx in
-  let s = ctx.stats in
+  let s = t.cur_stats in
   s.Stats.stores <- s.Stats.stores + 1;
   let undo = t.image.(addr) in
   t.image.(addr) <- v;
@@ -236,13 +219,13 @@ let write t addr v =
     t.poison_n <- t.poison_n - 1
   end;
   (* Write-allocate: the line is resident after the store. *)
-  ignore (Cachesim.access ctx.cache line);
+  ignore (Cachesim.access t.cache line);
   Storelog.record t.log ~addr ~value:v ~undo ~line ~epoch:t.epoch;
   charge t t.config.Config.store_ns
 
 let fence t =
   (match t.sink with None -> () | Some s -> s.ev_fence ());
-  let s = t.ctx.stats in
+  let s = t.cur_stats in
   s.Stats.fences <- s.Stats.fences + 1;
   t.epoch <- t.epoch + 1;
   charge_fence t t.config.Config.fence_ns
@@ -256,7 +239,7 @@ let flush t addr =
   check addr t;
   (match t.sink with None -> () | Some s -> s.ev_flush addr);
   t.flushes <- t.flushes + 1;
-  let s = t.ctx.stats in
+  let s = t.cur_stats in
   s.Stats.flushes <- s.Stats.flushes + 1;
   (* Fault injection: an elided flush performs all the accounting of a
      real one (events, counters, cost, epoch) but leaves the stores in
@@ -496,7 +479,7 @@ let pending_epochs t = Storelog.pending_epochs t.log
 let power_fail t mode =
   (match t.sink with None -> () | Some s -> s.ev_crash ());
   Storelog.apply_crash t.log ~image:t.image mode;
-  iter_ctxs t (fun c -> Cachesim.clear c.cache);
+  Cachesim.clear t.cache;
   t.group <- false;
   (* Fault injection applies to the pre-crash execution only: recovery
      code after the power failure runs with real flushes, so a mutant's

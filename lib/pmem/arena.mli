@@ -16,8 +16,10 @@
     every transient state the paper's Section III argues readers must
     tolerate.
 
-    Every access charges simulated nanoseconds to the current thread
-    context according to {!Config.t}: LLC misses cost the PM read
+    Every access charges simulated nanoseconds to the current thread's
+    counters according to {!Config.t}.  The arena has one LLC
+    ({!Cachesim.t}), shared by all its simulated threads as the
+    paper's cores share one L3: LLC misses cost the PM read
     latency (with an MLP/prefetch discount for sequential lines),
     flushes cost the PM write latency, fences cost fence time.  The
     accounting powers every latency figure of the paper. *)
@@ -50,23 +52,21 @@ val create : ?config:Config.t -> words:int -> unit -> t
 val config : t -> Config.t
 val capacity : t -> int
 
-(** {1 Thread contexts and accounting} *)
+(** {1 Threads and accounting} *)
 
 val set_tid : t -> int -> unit
-(** Select the accounting context (simulated thread); default 0.  A
-    thread's context (its cache simulator and {!Stats.t}) is built the
-    first time the thread is selected, so an arena holds only the
-    contexts of threads it has run.  The id must be below the config's
+(** Select the simulated thread whose {!Stats.t} the following accesses
+    charge; default 0.  Threads share the arena's one cache, so a
+    thread keeps only its counters.  The id must be below the config's
     [max_threads]. *)
 
 val tid : t -> int
 
 val stats : t -> int -> Stats.t
-(** A thread's live statistics.  A thread that was never selected has
-    no context and reads as fresh zeroed stats, which are not kept. *)
+(** A thread's live statistics (zero for a thread that never ran). *)
 
 val total_stats : t -> Stats.t
-(** Sum over the threads that have a context. *)
+(** Sum over every thread. *)
 
 val elapsed_ns : t -> int
 (** [Stats.total_ns (total_stats t)], without building the sum: the
@@ -223,7 +223,7 @@ val power_fail : t -> Storelog.crash_mode -> unit
 (** Turn the image into a crash state: roll every dirty line back to
     its persisted contents and apply the pending stores the mode keeps
     ({!Storelog.apply_crash}, O(pending stores), not O(capacity)).
-    Then clear caches and the store log.
+    Then clear the cache and the store log.
     Free lists and the live-block table are also dropped (allocator
     metadata is volatile, as across {!save_to_file}/{!load_from_file}),
     and an armed {!fault_plan} fires on the post-crash image before
@@ -305,13 +305,14 @@ val clone : t -> t
     first, then builds the copy with the same constructor as {!create}
     and carries over the image (one array copy), the store/flush/epoch
     counters, the allocator state and the poisoned lines.  Everything
-    else starts fresh: an empty store log, tid 0's context only with
-    zeroed statistics, and no fault plan, event sink or yield hook. *)
+    else starts fresh: an empty store log, a cold cache, zeroed
+    statistics with tid 0 selected, and no fault plan, event sink or
+    yield hook. *)
 
 val crashed_copy : ?into:t -> t -> Storelog.crash_mode -> t
 (** [crashed_copy t mode] is what [power_fail t mode] would leave, as a
-    new arena (like {!clone}: tid 0's context, no fault plan, sink or
-    hook), and [t] is unchanged, so one run can crash under several
+    new arena (like {!clone}: a cold cache, zeroed statistics, no fault
+    plan, sink or hook), and [t] is unchanged, so one run can crash under several
     modes; give each a fresh randomized mode.  A {!fault_plan} armed on
     [t] fires on the copy and stays armed on [t].  [into], a spent
     arena of [t]'s capacity, lends the copy its image and must not be

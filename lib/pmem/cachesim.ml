@@ -6,7 +6,7 @@
    nothing once the arrays have grown.
 
    The slot arrays grow with the number of resident lines, up to
-   [capacity], and so does the map: most contexts never fill a
+   [capacity], and so does the map: most arenas never fill a
    full-size cache. *)
 
 type t = {

@@ -1,10 +1,11 @@
-(** LRU cache-line residency simulator (one instance per simulated
-    thread/core).
+(** LRU cache-line residency simulator: an arena's one last-level
+    cache, shared by all its simulated threads.
 
     Decides whether a line access is an LLC hit or a PM miss, and
     whether a miss is sequentially adjacent to the previous miss (in
     which case the hardware prefetcher / memory-level parallelism
-    discount of the cost model applies). *)
+    discount of the cost model applies).  The previous miss is the
+    cache's, whichever thread took it: one stream per LLC. *)
 
 type t
 
