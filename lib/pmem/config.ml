@@ -2,13 +2,11 @@ type memory_order = Tso | Non_tso
 
 type t = {
   memory_order : memory_order;
-  atomic_word_bytes : int;
   read_latency_ns : int;
   write_latency_ns : int;
   l1_hit_ns : int;
   store_ns : int;
   fence_ns : int;
-  cpu_word_ns : int;
   branch_miss_ns : int;
   mlp_factor : int;
   cache_lines : int;
@@ -18,13 +16,11 @@ type t = {
 let default =
   {
     memory_order = Tso;
-    atomic_word_bytes = 8;
     read_latency_ns = 100;
     write_latency_ns = 100;
     l1_hit_ns = 1;
     store_ns = 1;
     fence_ns = 8;
-    cpu_word_ns = 1;
     branch_miss_ns = 6;
     mlp_factor = 4;
     cache_lines = 16384;
@@ -38,7 +34,6 @@ let arm ?(read_ns = 100) ?(write_ns = 700) () =
   {
     default with
     memory_order = Non_tso;
-    atomic_word_bytes = 4;
     read_latency_ns = read_ns;
     write_latency_ns = write_ns;
     fence_ns = 20;

@@ -14,23 +14,19 @@ type memory_order =
 
 type t = {
   memory_order : memory_order;
-  atomic_word_bytes : int;
-      (** Failure-atomic store granularity: 8 on x86-64, 4 on the
-          paper's ARM Snapdragon testbed. *)
   read_latency_ns : int;   (** PM cache-line read latency (LLC miss). *)
   write_latency_ns : int;  (** PM cache-line write-back (clflush wait). *)
   l1_hit_ns : int;         (** Cost of a load served by the cache sim. *)
   store_ns : int;          (** Cost of a store (absorbed by the cache). *)
   fence_ns : int;          (** mfence on TSO; dmb on non-TSO configs. *)
-  cpu_word_ns : int;       (** CPU work per key comparison. *)
   branch_miss_ns : int;    (** Mispredict penalty (binary-search probes). *)
   mlp_factor : int;
       (** Divisor applied to [read_latency_ns] for a line access that is
           sequentially adjacent to the previous miss (prefetch hit). *)
-  cache_lines : int;       (** Per-thread LRU line-cache capacity. *)
+  cache_lines : int;       (** LRU capacity of the arena's one shared cache. *)
   max_threads : int;
-      (** Bound on simulated thread ids; a thread's accounting context
-          is built on its first use. *)
+      (** Bound on simulated thread ids; each keeps its own
+          {!Stats.t}. *)
 }
 
 val default : t
@@ -40,5 +36,6 @@ val pm : ?read_ns:int -> ?write_ns:int -> unit -> t
 (** TSO machine with PM latencies (defaults 300/300 like Section 5.3). *)
 
 val arm : ?read_ns:int -> ?write_ns:int -> unit -> t
-(** Non-TSO machine with 4-byte atomic words and dmb fences, modelling
-    the paper's Nexus 5 setup of Section 5.5. *)
+(** Non-TSO machine with dmb fences, modelling the paper's Nexus 5
+    setup of Section 5.5 (its 4-byte atomic stores are not modelled:
+    every store is one failure-atomic 8-byte word). *)

@@ -206,7 +206,6 @@ type t = {
      invalidated whenever the instances' ops handles are replaced. *)
   mutable txs : Tx.t array option;
   mutable next_gtid : int;
-  mutable tx_torn : bool;
   mutable tx_replays : int;
   (* A global snapshot pin or rebalance cutover in progress: new
      mutations stall until the quiesced section ends (reads keep
@@ -264,7 +263,6 @@ let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
     last_scrub = [];
     txs = None;
     next_gtid = 1;
-    tx_torn = false;
     tx_replays = 0;
     pinning = false;
     commits_in_flight = 0;
@@ -1185,19 +1183,9 @@ let tx_managers t =
         else
           [| Tx.create ~path:Tx.Shadow t.instances.(0).arena (ops_of t "tx") |]
       in
-      Array.iter
-        (fun m ->
-          Tx.set_torn_commit m t.tx_torn;
-          if Trace.enabled t.tracer then Tx.set_tracer m t.tracer)
-        a;
+      if Trace.enabled t.tracer then Array.iter (fun m -> Tx.set_tracer m t.tracer) a;
       t.txs <- Some a;
       a
-
-let set_tx_torn t b =
-  t.tx_torn <- b;
-  match t.txs with
-  | Some a -> Array.iter (fun m -> Tx.set_torn_commit m b) a
-  | None -> ()
 
 type txn = {
   sh : t;

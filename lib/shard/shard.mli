@@ -307,9 +307,6 @@ val txn : t -> (txn -> 'a) -> ('a, string) result
 (** [txn t f] opens, applies [f], commits; {!Ff_tx.Tx.Abort} rolls
     back into [Error reason]. *)
 
-val set_tx_torn : t -> bool -> unit
-(** Arm the torn-commit mutant on every shard's log.  Test-only. *)
-
 val tx_stats : t -> int * int * int
 (** [(commits, aborts, replays)]; replays counts logs the last
     recovery had to resolve. *)
