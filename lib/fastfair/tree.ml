@@ -550,6 +550,17 @@ let chain_of t first =
   let rec go n acc = if n = 0 then List.rev acc else go (L.sibling a n) (n :: acc) in
   go first []
 
+(* Grow the root if it has been split but the new root never
+   committed.  Only the root's splitter may grow it over its sibling,
+   and a writer that splits the sibling waits for that: after a crash
+   killed the splitter, it is recovery's job. *)
+let finish_root_grow t =
+  let a = t.arena in
+  let rt = root t in
+  let s = L.sibling a rt in
+  if s <> 0 then grow_root t ~level:(L.level a rt + 1) ~sep:(L.low a s) ~child:s ~donor:rt;
+  s <> 0
+
 let eager_recover t =
   let a = t.arena and l = t.layout in
   let changed = ref true in
@@ -557,14 +568,7 @@ let eager_recover t =
   while !changed && !rounds < 64 do
     changed := false;
     incr rounds;
-    (* Grow the root if it has been split but the new root never
-       committed. *)
-    let rt = root t in
-    (if L.sibling a rt <> 0 then begin
-       let s = L.sibling a rt in
-       changed := true;
-       grow_root t ~level:(L.level a rt + 1) ~sep:(L.low a s) ~child:s ~donor:rt
-     end);
+    if finish_root_grow t then changed := true;
     let rt = root t in
     let top = L.level a rt in
     for level = top downto 0 do
@@ -607,7 +611,11 @@ let recover ?(lazy_ = false) t =
   Hashtbl.reset t.clean;
   drop_finger t;
   if t.split_policy = Logged then restore_from_log t;
-  if lazy_ then t.lazy_pending <- true else eager_recover t;
+  if lazy_ then begin
+    while finish_root_grow t do () done;
+    t.lazy_pending <- true
+  end
+  else eager_recover t;
   Trace.span_end t.tracer Trace.id_recovery
 
 (* ------------------------------------------------------------------ *)

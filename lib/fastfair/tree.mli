@@ -98,7 +98,10 @@ val recover : ?lazy_:bool -> t -> unit
     defers repair to write threads: each node is fixed the first time
     a writer locks it, and a dangling sibling is re-attached to the
     parent by the next writer that reaches it through the sibling
-    pointer.  [lazy_ = false] (default) repairs everything eagerly:
+    pointer.  Only an interrupted root growth is finished up front
+    (O(1) loads): a writer that splits the root's dangling sibling
+    would otherwise wait forever for the dead splitter to grow the
+    root.  [lazy_ = false] (default) repairs everything eagerly:
     completes interrupted splits (truncation, parent insertion, root
     growth) and compacts duplicate-pointer garbage in every reachable
     node. *)

@@ -524,25 +524,38 @@ let test_tree_crash_logged_split () =
            setup))
 
 let test_tree_lazy_recovery_by_writers () =
-  (* Crash mid-split, then let ordinary writers repair lazily. *)
+  (* Crash mid-split, then let ordinary writers repair lazily.  The
+     inserts up to 200 split the root's sibling too, so a crash after
+     the root split linked its sibling, but before the new root was
+     published, needs the root grow finished.  A budget of simulated
+     ns turns a writer that waits forever for it into a failure. *)
   let a0 = mk_arena ~words:(1 lsl 20) () in
   let t0 = Tree.create ~node_bytes:128 a0 in
   let setup = [ 10; 20; 30; 40 ] in
   List.iter (fun k -> Tree.insert t0 ~key:k ~value:(value_of k)) setup;
   let reopen = Tree.open_existing ~node_bytes:128 in
+  let later = 15 :: 35 :: List.init 160 (fun i -> 41 + i) in
   ignore
     (crash_every a0 ~reopen insert_25 (fun k crash ->
-         let tc = reopen (crash Storelog.Keep_all) in
+         let ac = crash Storelog.Keep_all in
+         let tc = reopen ac in
          Tree.recover ~lazy_:true tc;
+         let budget = ref 10_000_000 in
+         Arena.set_yield_hook ac
+           (Some
+              (fun ns ->
+                budget := !budget - ns;
+                if !budget < 0 then
+                  Alcotest.failf "lazy crash@%d: the writers ran out of simulated time" k));
          (* Writers repair as a side effect of normal operation. *)
-         List.iter (fun key -> Tree.insert tc ~key ~value:(value_of key)) [ 15; 35; 45 ];
+         List.iter (fun key -> Tree.insert tc ~key ~value:(value_of key)) later;
          List.iter
            (fun key ->
              Alcotest.(check (option int))
                (Printf.sprintf "lazy crash@%d key %d" k key)
                (Some (value_of key))
                (Tree.search tc key))
-           (setup @ [ 15; 35; 45 ])))
+           (setup @ later)))
 
 let test_tree_crash_random_workload () =
   (* Crash at random points of a longer randomized workload; committed
