@@ -72,21 +72,40 @@ let locate a l n key =
 
 type step = Pass | Stop | Take
 
+(* [left0] when slot 0's left pointer has not been read yet. *)
+let unread = -1
+
+(* The check of the slot a walk takes at [i], whose key read [k], in
+   the released code's order: the key, the left pointer, the slot's
+   own pointer, the key again.  It is valid only if the pointers
+   differ and the key did not change, and then the result is
+   [Some (f left p)]; else it is a half-shifted record (the paper's
+   endurable transient inconsistency), and the result is [None].  Slot
+   0's left, the leftmost pointer, is written only at init: a caller
+   that has read it passes it as [left0], and it is loaded here when
+   [left0] is [unread]. *)
+let take_slot a n tr ~leaf i k ~left0 f =
+  let left =
+    if i > 0 then L.ptr a n (i - 1) else if left0 = unread then L.leftmost a n else left0
+  in
+  let p = L.ptr a n i in
+  if p <> left && p <> 0 && L.key a n i = k then Some (f left p)
+  else begin
+    Trace.dup_skip tr ~leaf;
+    None
+  end
+
 (* The one lock-free walk, left to right or right to left: per slot
    the pointer (zero ends the array left to right, and is an empty
    slot right to left), then the key, which [see k p] judges.  A slot
-   the caller takes is checked in the released code's order: the key,
-   the left pointer, the slot's own pointer, the key again.  It is
-   valid only if the pointers differ and the key did not change; else
-   it is a half-shifted record (the paper's endurable transient
-   inconsistency) and the walk goes on.  No pointer read at one slot
-   is trusted at the next: a FAST shift landing between two loads
-   would pair one record's value with its neighbour's key.  Slot 0's
-   left, the leftmost pointer, is written only at init, so left to
-   right it is read up front with the header line, as [last], the
-   pointer of the last slot passed.  The walk ends at the first valid
-   slot taken and returns [take ~last k left p] for it, or [None] at
-   the end or on [Stop]. *)
+   the caller takes gets [take_slot]'s check, and the walk goes on
+   past one that fails it.  No pointer read at one slot is trusted at
+   the next: a FAST shift landing between two loads would pair one
+   record's value with its neighbour's key.  Left to right, the
+   leftmost pointer is read up front with the header line, as [last],
+   the pointer of the last slot passed.  The walk ends at the first
+   valid slot taken and returns [take ~last k left p] for it, or
+   [None] at the end or on [Stop]. *)
 let walk a l n tr ~leaf ~rtl ~see ~take =
   let cap = l.L.capacity in
   let rec go i last =
@@ -99,16 +118,11 @@ let walk a l n tr ~leaf ~rtl ~see ~take =
         match see k p with
         | Pass -> go next p
         | Stop -> None
-        | Take ->
-            let left =
-              if i > 0 then L.ptr a n (i - 1) else if rtl then L.leftmost a n else last
-            in
-            let p = L.ptr a n i in
-            if p <> left && p <> 0 && L.key a n i = k then Some (take ~last k left p)
-            else begin
-              Trace.dup_skip tr ~leaf;
-              go next last
-            end
+        | Take -> (
+            let left0 = if rtl then unread else last in
+            match take_slot a n tr ~leaf i k ~left0 (take ~last k) with
+            | Some _ as r -> r
+            | None -> go next last)
     end
     else None
   in
@@ -146,7 +160,7 @@ let binary_search_leaf a l n key =
    passes: valid keys are positive and strictly ascending, stay
    non-decreasing through a FAST shift, and the never-written tail
    reads 0.  So the walk reads keys only, up to the first one not
-   below [key]; the slot holding [key] gets [walk]'s full check (the
+   below [key]; the slot holding [key] gets [take_slot]'s check (the
    key, the left pointer, the slot's own pointer, the key again), and
    a key not above the previous one costs one pointer load, whose zero
    ends the array.  A key above [key] ends the walk whatever its slot
@@ -161,13 +175,9 @@ let find_key a l n tr key =
       else if k < key then go (i + 1) k
       else if k > key then None
       else
-        let left = if i > 0 then L.ptr a n (i - 1) else L.leftmost a n in
-        let p = L.ptr a n i in
-        if p <> left && p <> 0 && L.key a n i = k then Some p
-        else begin
-          Trace.dup_skip tr ~leaf:true;
-          go (i + 1) k
-        end
+        match take_slot a n tr ~leaf:true i k ~left0:unread (fun _ p -> p) with
+        | Some _ as r -> r
+        | None -> go (i + 1) k
   in
   go 0 0
 
