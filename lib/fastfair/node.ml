@@ -79,17 +79,17 @@ let unread = -1
    the released code's order: the key, the left pointer, the slot's
    own pointer, the key again.  It is valid only if the pointers
    differ and the key did not change, and then the result is
-   [Some (f left p)]; else it is a half-shifted record (the paper's
-   endurable transient inconsistency), and the result is [None].  Slot
-   0's left, the leftmost pointer, is written only at init: a caller
-   that has read it passes it as [left0], and it is loaded here when
-   [left0] is [unread]. *)
-let take_slot a n tr ~leaf i k ~left0 f =
+   [Some (take ~last k left p)]; else it is a half-shifted record (the
+   paper's endurable transient inconsistency), and the result is
+   [None].  Slot 0's left, the leftmost pointer, is written only at
+   init: a caller that has read it passes it as [left0], and it is
+   loaded here when [left0] is [unread]. *)
+let take_slot a n tr ~leaf i k ~left0 ~last take =
   let left =
     if i > 0 then L.ptr a n (i - 1) else if left0 = unread then L.leftmost a n else left0
   in
   let p = L.ptr a n i in
-  if p <> left && p <> 0 && L.key a n i = k then Some (f left p)
+  if p <> left && p <> 0 && L.key a n i = k then Some (take ~last k left p)
   else begin
     Trace.dup_skip tr ~leaf;
     None
@@ -120,7 +120,7 @@ let walk a l n tr ~leaf ~rtl ~see ~take =
         | Stop -> None
         | Take -> (
             let left0 = if rtl then unread else last in
-            match take_slot a n tr ~leaf i k ~left0 (take ~last k) with
+            match take_slot a n tr ~leaf i k ~left0 ~last take with
             | Some _ as r -> r
             | None -> go next last)
     end
@@ -175,7 +175,7 @@ let find_key a l n tr key =
       else if k < key then go (i + 1) k
       else if k > key then None
       else
-        match take_slot a n tr ~leaf:true i k ~left0:unread (fun _ p -> p) with
+        match take_slot a n tr ~leaf:true i k ~left0:unread ~last:0 (fun ~last:_ _ _ p -> p) with
         | Some _ as r -> r
         | None -> go (i + 1) k
   in
