@@ -954,7 +954,7 @@ let tx_demo index_name path_name accounts transfers seed json =
       (match Tx.recover m3 with
       | `Redone _ -> incr redone
       | `Undone _ -> incr undone
-      | `Clean | `Aborted _ -> ());
+      | `Clean -> ());
       let got =
         Array.init accounts (fun i ->
             match t3.Intf.search (i + 1) with

@@ -95,16 +95,18 @@ val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 
 val recover : ?lazy_:bool -> t -> unit
 (** Post-crash normalization.  [lazy_ = true] (paper Section 4.2)
-    defers repair to write threads: each node is fixed the first time
-    a writer locks it, and a dangling sibling is re-attached to the
-    parent by the next writer that reaches it through the sibling
-    pointer.  Only an interrupted root growth is finished up front
-    (O(1) loads): a writer that splits the root's dangling sibling
-    would otherwise wait forever for the dead splitter to grow the
-    root.  [lazy_ = false] (default) repairs everything eagerly:
-    completes interrupted splits (truncation, parent insertion, root
-    growth) and compacts duplicate-pointer garbage in every reachable
-    node. *)
+    defers repair to write threads: the first writer to lock a node
+    compacts its duplicate-pointer garbage and completes an
+    interrupted truncation.  Nothing re-attaches a sibling a crashed
+    split left dangling: it gets no separator in its parent and stays
+    reachable only through its left sibling's pointer, which searches
+    and writers chase when the key lies past their node.  Only an
+    interrupted root growth is finished up front (O(1) loads): a
+    writer that splits the root's dangling sibling would otherwise
+    wait forever for the dead splitter to grow the root.
+    [lazy_ = false] (default) repairs everything eagerly: completes
+    interrupted splits (truncation, parent insertion, root growth) and
+    compacts duplicate-pointer garbage in every reachable node. *)
 
 val ops : t -> Ff_index.Intf.ops
 (** Uniform driver view. *)

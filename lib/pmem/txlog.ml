@@ -9,8 +9,12 @@ let magic = 0x54584c31 (* "TXL1" *)
 let off_magic = 0
 let off_commit = 1
 let off_head = 2
-let off_prepared = 3
-let off_coord = 4 (* coordinator shard + 1; 0 = none *)
+
+(* Words +3 and +4 are reserved: zeroed at creation and at every
+   truncation, read by nothing.  Dropping those stores would move every
+   crash image and the stores each transaction issues. *)
+let off_reserved = 3
+let reserved_words = 2
 
 (* Id of the transaction the record slots belong to.  Written at
    begin_tx, BEFORE any head store on the same header line: crash modes
@@ -97,8 +101,9 @@ let ensure ?(capacity = default_capacity) arena =
       Arena.write arena (base + off_magic) magic;
       Arena.write arena (base + off_commit) 0;
       Arena.write arena (base + off_head) 0;
-      Arena.write arena (base + off_prepared) 0;
-      Arena.write arena (base + off_coord) 0;
+      for o = off_reserved to off_reserved + reserved_words - 1 do
+        Arena.write arena (base + o) 0
+      done;
       Arena.write arena (base + off_txid) 0;
       Arena.flush arena base;
       Arena.fence arena;
@@ -169,7 +174,7 @@ let write_back_payload t =
 
 (* The deferred path's one ordering point: staged payload lines, record
    lines and the header go out as one group closed by one fence, all
-   before the commit word or prepared marker is stored. *)
+   before the commit word is stored. *)
 let persist_payload t =
   let a = t.arena in
   let own = not (Arena.in_group a) in
@@ -187,20 +192,13 @@ let set_commit t =
   Arena.flush a t.base;
   Arena.fence a
 
-let set_prepared t ~gtid ~coord =
-  if gtid <= 0 then invalid_arg "Txlog.set_prepared: gtid must be positive";
-  let a = t.arena in
-  Arena.write a (t.base + off_prepared) gtid;
-  Arena.write a (t.base + off_coord) (coord + 1);
-  Arena.flush a t.base;
-  Arena.fence a
-
 let discard t =
   let a = t.arena in
   Arena.write a (t.base + off_commit) 0;
   Arena.write a (t.base + off_head) 0;
-  Arena.write a (t.base + off_prepared) 0;
-  Arena.write a (t.base + off_coord) 0;
+  for o = off_reserved to off_reserved + reserved_words - 1 do
+    Arena.write a (t.base + o) 0
+  done;
   Arena.flush a t.base;
   Arena.fence a;
   t.open_tx <- false;
@@ -215,28 +213,15 @@ let abandon t =
 (* Reading and recovery                                                *)
 (* ------------------------------------------------------------------ *)
 
-type state =
-  | Idle
-  | In_flight of int
-  | Committed of int
-  | Prepared of { gtid : int; coord : int; count : int }
+type state = Idle | In_flight of int | Committed of int
 
 let state t =
   let a = t.arena in
   let commit = Arena.read a (t.base + off_commit) in
   let head = Arena.read a (t.base + off_head) in
-  let prepared = Arena.read a (t.base + off_prepared) in
   if commit <> 0 then Committed head
-  else if prepared <> 0 then
-    Prepared
-      { gtid = prepared; coord = Arena.read a (t.base + off_coord) - 1; count = head }
   else if head > 0 then In_flight head
   else Idle
-
-let decision t ~gtid =
-  let a = t.arena in
-  Arena.read a (t.base + off_commit) <> 0
-  && Arena.read a (t.base + off_prepared) = gtid
 
 (* A nonzero head puts the log in flight; the records are then the
    slots, read up to capacity, whose tag matches the header's durable
@@ -278,7 +263,7 @@ let commit_torn t =
   | Committed head -> head = 0 || List.length (records t) < min head t.cap
   | _ -> false
 
-let resolve t ~decided ~redo ~undo =
+let resolve t ~redo ~undo =
   match state t with
   | Idle -> `Clean
   | Committed _ ->
@@ -291,14 +276,3 @@ let resolve t ~decided ~redo ~undo =
       List.iter undo (List.rev rs);
       discard t;
       `Undone (List.length rs)
-  | Prepared { gtid; coord; _ } ->
-      let rs = records t in
-      if decided ~gtid ~coord then begin
-        List.iter redo rs;
-        discard t;
-        `Redone (List.length rs)
-      end
-      else begin
-        discard t;
-        `Aborted (List.length rs)
-      end

@@ -2,8 +2,7 @@
 
     A reserved, root-anchored segment of the arena holding combined
     undo/redo records plus a commit-record header — the PM-side half of
-    the transaction layer ([Ff_tx.Tx] drives it; [Ff_shard] runs a
-    two-phase commit over one log per shard).
+    the transaction layer ([Ff_tx.Tx] drives it).
 
     {b Layout.}  Root slot {!slot_addr} holds the region's base word
     address (nonzero once initialized; written {e last}, so a crash
@@ -12,7 +11,7 @@
     header line:
 
     {v
-    +0 magic     +1 commit    +2 head      +3 prepared  +4 coord
+    +0 magic     +1 commit    +2 head      +3 reserved  +4 reserved
     +5 txid
     v}
 
@@ -28,7 +27,8 @@
     all — fails the tag check instead of being replayed at recovery.
     Ids only grow, across reopens too ({!attach} continues past every
     id the region carries), so a stale slot never carries the current
-    tag.
+    tag.  The two reserved words are zeroed when the region is created
+    and at every {!discard}, and nothing reads them.
 
     {b Commit-record protocol.}  Records are appended and persisted
     {e before} the in-place updates they guard.  A nonzero [head] puts
@@ -46,12 +46,6 @@
     user whose in-place writes are durable before it truncates (the
     [Logged] path of [Ff_tx.Tx]) needs no commit word: {!discard} is
     its commit point.
-
-    {b Two-phase commit.}  A participant persists its payload, then a
-    [prepared] marker naming the coordinator shard; the coordinator's
-    commit word is the global decision record.  Recovery consults the
-    coordinator (via the closure given to {!resolve}) before choosing
-    redo or discard.
 
     {b Mutant.}  {!set_torn_commit} breaks the protocol — appends and
     the pre-commit payload are never persisted, so the commit word (or,
@@ -130,21 +124,17 @@ val write_back_payload : t -> unit
 val persist_payload : t -> unit
 (** Write back every remembered payload line (each line once), every
     appended record line and the header as one group, and fence once —
-    the shadow and prepare paths' single payload ordering point, before
-    the commit word or prepared marker. *)
+    the shadow path's single payload ordering point, before the commit
+    word. *)
 
 val set_commit : t -> unit
 (** Persist the commit word (store + flush + fence), {e after} the
     payload per the protocol — unless {!set_torn_commit} inverted it. *)
 
-val set_prepared : t -> gtid:int -> coord:int -> unit
-(** Persist the two-phase-commit participant marker: global
-    transaction id and coordinator shard index.  Payload must already
-    be persisted. *)
-
 val discard : t -> unit
-(** Clear commit/head/prepared/coord (one line flush + fence) and
-    close the in-flight transaction.  The log is idle afterwards. *)
+(** Clear the commit word, [head] and the two reserved words (one line
+    flush + fence) and close the in-flight transaction.  The log is
+    idle afterwards. *)
 
 val abandon : t -> unit
 (** Close an open transaction that appended {e nothing}: purely
@@ -158,15 +148,10 @@ type state =
   | Idle
   | In_flight of int  (** head: records logged, no commit word *)
   | Committed of int  (** commit word set; payload count *)
-  | Prepared of { gtid : int; coord : int; count : int }
 
 val state : t -> state
-(** Decode the header (post-crash this reads the surviving image). *)
-
-val decision : t -> gtid:int -> bool
-(** Coordinator-side query for two-phase-commit recovery: does this
-    log carry a durable commit decision for global transaction
-    [gtid] (commit word set, prepared marker matching)? *)
+(** Decode the header's commit word and [head] (post-crash this reads
+    the surviving image). *)
 
 val records : t -> record list
 (** The logged transaction's records, oldest first: none when [head] is
@@ -185,10 +170,9 @@ val commit_torn : t -> bool
 
 val resolve :
   t ->
-  decided:(gtid:int -> coord:int -> bool) ->
   redo:(record -> unit) ->
   undo:(record -> unit) ->
-  [ `Clean | `Redone of int | `Undone of int | `Aborted of int ]
+  [ `Clean | `Redone of int | `Undone of int ]
 (** Recovery: replay or roll back whatever the log holds, then
     {!discard}.
 
@@ -196,8 +180,4 @@ val resolve :
       logical re-application), [`Redone n].
     - [In_flight] — roll back through [undo] in reverse append order,
       [`Undone n].
-    - [Prepared] — ask [decided] whether the coordinator's decision
-      record exists; redo if so, otherwise abort without applying
-      anything ([`Aborted n] — a prepared participant made no in-place
-      writes).
     - [Idle] — [`Clean]. *)

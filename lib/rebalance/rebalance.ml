@@ -151,11 +151,6 @@ let composite_manifest arena =
   | m -> Some m
   | exception Invalid_argument _ -> None
 
-let mslot_bounds, mslot_policy, mslot_shards =
-  match Shard.manifest_slots with
-  | [ b; p; s ] -> (b, p, s)
-  | _ -> assert false
-
 let resolve arena =
   match phase arena with
   | Idle ->
@@ -188,39 +183,17 @@ let resolve arena =
              arena knows the destination is authoritative. *)
           Resolved_migrated
       | (Split | Merge) as k ->
-          let n = Arena.root_get arena mslot_shards in
-          if n >= 1 && n <= Shard.max_shards then begin
-            (* Composite arena.  The live finish persists the manifest
-               as a three-root update (bounds block, policy, count) —
-               individually atomic, jointly tearable.  The bounds
-               block is published first, so its length tells which
-               side of the tear we crashed on. *)
-            let blk = Arena.root_get arena mslot_bounds in
-            let blen = if blk = 0 then -1 else Arena.peek arena blk in
-            if blen + 1 = p.p_new_count then begin
-              (* New bounds/map block already published (it was
-                 flushed and fenced before its root flipped): finish
-                 the torn update.  Idempotent when nothing tore. *)
-              Arena.root_set arena mslot_policy 1;
-              Arena.root_set arena mslot_shards p.p_new_count
-            end
-            else begin
-              (* Old manifest intact: promote it from the plan. *)
-              match composite_manifest arena with
-              | None -> ()
-              | Some (partition, map) ->
-                  let partition', map' =
-                    if k = Split then
-                      Shard.split_topology partition map ~shard:p.p_shard
-                        ~pivot:p.p_pivot p.p_slot
-                    else Shard.merge_topology partition map ~left:p.p_shard
-                  in
-                  Shard.write_manifest arena partition' map'
-            end;
-            if k = Merge then clear_inner_roots arena p.p_slot
-          end;
-          (* else: serving arena — topology is the harness's to
-             rebuild *)
+          let edit partition map =
+            if k = Split then
+              Shard.split_topology partition map ~shard:p.p_shard
+                ~pivot:p.p_pivot p.p_slot
+            else Shard.merge_topology partition map ~left:p.p_shard
+          in
+          (* A serving arena has no manifest: its topology is the
+             harness's to rebuild. *)
+          if Shard.roll_forward_manifest arena ~count:p.p_new_count edit
+             && k = Merge
+          then clear_inner_roots arena p.p_slot;
           publish_decision arena 0;
           drop_plan arena;
           Resolved_completed k)

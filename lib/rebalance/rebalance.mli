@@ -72,9 +72,8 @@ val resolve : Ff_pmem.Arena.t -> resolution
     {!Ff_pmem.Arena.power_fail} and {!Ff_shard.Shard.attach}).
     Idempotent: crashing inside [resolve] and running it again reaches
     the same state.  Aborts clear the prepared target's root slots;
-    roll-forward promotes the committed topology via
-    {!Ff_shard.Shard.write_manifest} (skipped if the live finish
-    already persisted it). *)
+    roll-forward finishes the committed topology's manifest through
+    {!Ff_shard.Shard.roll_forward_manifest}. *)
 
 (** {1 Throttling} *)
 

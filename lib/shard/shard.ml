@@ -12,8 +12,6 @@ module Metrics = Ff_trace.Metrics
 module Mcsim = Ff_mcsim.Mcsim
 module Workload = Ff_workload.Workload
 module Scrub = Ff_scrub.Scrub
-module Tx = Ff_tx.Tx
-module Txlog = Ff_pmem.Txlog
 module Epoch = Ff_pmem.Epoch
 
 exception Degraded of { shard : int; addr : int; attempts : int }
@@ -201,22 +199,16 @@ type t = {
   mutable window : int array;
   mutable next_op : int;
   mutable last_scrub : Scrub.report list;
-  (* Transaction machinery: one manager per shard arena (multi mode)
-     or one routing manager (composite mode), built lazily and
-     invalidated whenever the instances' ops handles are replaced. *)
-  mutable txs : Tx.t array option;
-  mutable next_gtid : int;
-  mutable tx_replays : int;
   (* A global snapshot pin or rebalance cutover in progress: new
      mutations stall until the quiesced section ends (reads keep
      flowing). *)
   mutable pinning : bool;
   (* Mutations past the write gate but not yet fully applied — point
-     writes mid-flight, batches executing, cross-shard commits applying
-     shard by shard.  A quiesce must wait these out: a snapshot cut
-     could otherwise capture half a committed transaction, and a
-     rebalance cutover could otherwise lose a write that was applied to
-     the source after the delta buffer was replayed. *)
+     writes mid-flight, bulk inserts applying shard by shard, batches
+     executing.  A quiesce must wait these out: a snapshot cut could
+     otherwise capture half a bulk insert, and a rebalance cutover could
+     otherwise lose a write that was applied to the source after the
+     delta buffer was replayed. *)
   mutable commits_in_flight : int;
 }
 
@@ -261,9 +253,6 @@ let make ~partition ~inner ~inner_config ~instances ~multi ~batch_cap ~group
     window = Array.make n 0;
     next_op = 0;
     last_scrub = [];
-    txs = None;
-    next_gtid = 1;
-    tx_replays = 0;
     pinning = false;
     commits_in_flight = 0;
   }
@@ -357,7 +346,32 @@ let read_meta arena =
    one) before any ensemble handle exists. *)
 let manifest_slots = [ slot_bounds; slot_policy; slot_shards ]
 let read_manifest = read_meta
-let write_manifest = persist_meta
+
+(* [persist_meta] is a three-root update (bounds block, policy, count):
+   each root store is atomic, the three together can tear.  The bounds
+   block is published first, so its length tells which side of a tear
+   a crash left: a block already sized for [count] shards only lacks
+   the policy and count roots (rewriting them is idempotent when
+   nothing tore); otherwise the old manifest is intact and [edit]
+   derives the new one from it. *)
+let roll_forward_manifest arena ~count edit =
+  let n = Arena.root_get arena slot_shards in
+  if n < 1 || n > max_shards then false
+  else begin
+    let blk = Arena.root_get arena slot_bounds in
+    let blen = if blk = 0 then -1 else Arena.peek arena blk in
+    (if blen + 1 = count then begin
+       Arena.root_set arena slot_policy 1;
+       Arena.root_set arena slot_shards count
+     end
+     else
+       match read_meta arena with
+       | partition, map ->
+           let partition', map' = edit partition map in
+           persist_meta arena partition' map'
+       | exception Invalid_argument _ -> ());
+    true
+  end
 
 let build_single ?(batch_cap = 64) ?(group = false) ?(tracer = Trace.null)
     ~inner:(d : D.t) ~partition cfg arena =
@@ -646,9 +660,9 @@ let drain_queues t =
 (* ------------------------------------------------------------------ *)
 
 (* Run [f] with the ensemble quiesced: new mutations stall behind
-   [pinning], mutations already past the gate (point writes, executing
-   batches, cross-shard commits applying shard by shard) are waited
-   out, and the batch queues drain.  Reads keep flowing throughout.
+   [pinning], mutations already past the gate (point writes, bulk
+   inserts applying shard by shard, executing batches) are waited out,
+   and the batch queues drain.  Reads keep flowing throughout.
    Both the snapshot pin and the rebalance cutover commit inside this
    window. *)
 let quiesce t f =
@@ -773,9 +787,7 @@ let tap_writes t ~shard f =
         (fun pairs ->
           base.Intf.bulk_insert pairs;
           Array.iter (fun (k, v) -> f k (Some v)) pairs);
-    };
-  (* Cached transaction managers hold the untapped handle. *)
-  t.txs <- None
+    }
 
 let untap_writes t ~shard =
   let it = t.instances.(shard) in
@@ -783,8 +795,7 @@ let untap_writes t ~shard =
   | None -> ()
   | Some base ->
       it.ops <- base;
-      it.tap_base <- None;
-      t.txs <- None
+      it.tap_base <- None
 
 let tapped t ~shard = t.instances.(shard).tap_base <> None
 
@@ -804,8 +815,7 @@ let check_spliceable t =
 let rebuild_sched t =
   let n = Array.length t.instances in
   t.queues <- Array.init n (fun _ -> ref []);
-  t.window <- Array.make n 0;
-  t.txs <- None
+  t.window <- Array.make n 0
 
 (* The split and merge topology edits, computed once for the live
    splices (over the instance array) and for crash resolution (over a
@@ -987,7 +997,6 @@ let close t = Array.iter (fun it -> it.ops.Intf.close ()) t.instances
 
 let power_fail t mode =
   ignore (drain_queues t);
-  t.txs <- None;
   if t.multi then
     Array.iter (fun it -> Arena.power_fail it.arena mode) t.instances
   else Arena.power_fail t.instances.(0).arena mode
@@ -1028,52 +1037,8 @@ let set_health t i was clean =
     Trace.instant t.tracer Trace.id_readmit i
   end
 
-(* Resolve every shard's transaction log after the structural recovery
-   pass.  Prepared participants consult the coordinator shard's log for
-   the global decision, so all Prepared logs resolve in a first pass
-   while every coordinator's commit record is still intact; Committed /
-   In_flight logs (including coordinators, which discard their decision
-   records) resolve second. *)
-let dec_v v = if v = 0 then None else Some v
-
-let tx_resolve t =
-  let n = Array.length t.instances in
-  let logs =
-    if t.multi then Array.map (fun it -> Txlog.attach it.arena) t.instances
-    else
-      Array.init n (fun i ->
-          if i = 0 then Txlog.attach t.instances.(0).arena else None)
-  in
-  let install i k post =
-    let j = if t.multi then i else Partition.shard_of t.partition k in
-    t.instances.(j).ops.Intf.install k post
-  in
-  let decided ~gtid ~coord =
-    coord >= 0 && coord < n
-    && match logs.(coord) with
-       | Some cl -> Txlog.decision cl ~gtid
-       | None -> false
-  in
-  let resolve i log =
-    let redo (r : Txlog.record) = install i r.Txlog.key (dec_v r.Txlog.new_v) in
-    let undo (r : Txlog.record) = install i r.Txlog.key (dec_v r.Txlog.old_v) in
-    match Txlog.resolve log ~decided ~redo ~undo with
-    | `Clean -> ()
-    | `Redone k | `Undone k | `Aborted k ->
-        t.tx_replays <- t.tx_replays + 1;
-        if Trace.enabled t.tracer then Trace.instant t.tracer Trace.id_tx_replay k
-  in
-  let prepared log =
-    match Txlog.state log with Txlog.Prepared _ -> true | _ -> false
-  in
-  Array.iteri
-    (fun i -> function Some l when prepared l -> resolve i l | _ -> ())
-    logs;
-  Array.iteri (fun i -> function Some l -> resolve i l | None -> ()) logs
-
 let recover t =
   t.last_scrub <- [];
-  t.txs <- None;
   if t.multi then begin
     if Scrub.scrubbable t.inner then
       Array.iteri
@@ -1103,8 +1068,7 @@ let recover t =
       Array.iteri (fun i _ -> set_health t i was.(i) (Scrub.clean r)) t.instances
     end
     else plain_recover t
-  end;
-  tx_resolve t
+  end
 
 let healthy t = Array.map (fun it -> it.healthy) t.instances
 
@@ -1126,21 +1090,16 @@ let recover_parallel ?cores t =
         it.ops.Intf.recover ())
       t.instances
   in
-  let outcome =
-    if t.multi then begin
-      Array.iter
-        (fun it -> Arena.set_yield_hook it.arena (Some Mcsim.charge))
-        t.instances;
-      Fun.protect
-        ~finally:(fun () ->
-          Array.iter (fun it -> Arena.set_yield_hook it.arena None) t.instances)
-        (fun () -> Mcsim.run ~cores bodies)
-    end
-    else Mcsim.run ~cores ~arena:t.instances.(0).arena bodies
-  in
-  t.txs <- None;
-  tx_resolve t;
-  outcome
+  if t.multi then begin
+    Array.iter
+      (fun it -> Arena.set_yield_hook it.arena (Some Mcsim.charge))
+      t.instances;
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun it -> Arena.set_yield_hook it.arena None) t.instances)
+      (fun () -> Mcsim.run ~cores bodies)
+  end
+  else Mcsim.run ~cores ~arena:t.instances.(0).arena bodies
 
 (* ------------------------------------------------------------------ *)
 (* Composite registry descriptor                                       *)
@@ -1160,135 +1119,6 @@ let ops_of t name =
       t.tracer <- tr;
       wire_tracer tr t.instances)
     ()
-
-(* ------------------------------------------------------------------ *)
-(* Multi-key transactions                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* One Tx manager per shard arena in serving mode; in composite mode
-   the single arena carries a single log, so one manager routes
-   installs through the ensemble's own ops.  Shard transactions always
-   stage (deferred writes): a cross-shard global decision must precede
-   every in-place install, and a single-shard transaction then commits
-   through the same shadow protocol as a degenerate one-participant
-   case. *)
-let tx_managers t =
-  match t.txs with
-  | Some a -> a
-  | None ->
-      let a =
-        if t.multi then
-          Array.map (fun it -> Tx.create ~path:Tx.Shadow it.arena it.ops)
-            t.instances
-        else
-          [| Tx.create ~path:Tx.Shadow t.instances.(0).arena (ops_of t "tx") |]
-      in
-      if Trace.enabled t.tracer then Array.iter (fun m -> Tx.set_tracer m t.tracer) a;
-      t.txs <- Some a;
-      a
-
-type txn = {
-  sh : t;
-  mutable parts : (int * Tx.tx) list; (* participating shard -> open tx *)
-  mutable live : bool;
-}
-
-let txn_begin t =
-  ignore (tx_managers t);
-  { sh = t; parts = []; live = true }
-
-let txn_live x = if not x.live then invalid_arg "Shard.txn: already retired"
-
-let txn_shard_of x k =
-  if x.sh.multi then Partition.shard_of x.sh.partition k else 0
-
-let txn_part x k =
-  let i = txn_shard_of x k in
-  match List.assoc_opt i x.parts with
-  | Some p -> p
-  | None ->
-      let p = Tx.begin_tx (tx_managers x.sh).(i) in
-      x.parts <- (i, p) :: x.parts;
-      p
-
-let txn_get x k =
-  txn_live x;
-  match List.assoc_opt (txn_shard_of x k) x.parts with
-  | Some p -> Tx.get p k
-  | None -> search x.sh k
-
-let txn_put x k v =
-  txn_live x;
-  Tx.put (txn_part x k) k v
-
-let txn_del x k =
-  txn_live x;
-  Tx.del (txn_part x k) k
-
-let txn_rollback x =
-  txn_live x;
-  List.iter (fun (_, p) -> Tx.cancel p) x.parts;
-  x.live <- false
-
-(* Commit: single participant commits locally; several run two-phase
-   commit with the lowest participating shard as coordinator.  The
-   coordinator's commit word is the global decision record; it is
-   truncated last, so a prepared participant can always still read the
-   decision at recovery. *)
-let txn_commit x =
-  txn_live x;
-  let t = x.sh in
-  write_gate t;
-  (* Counted from the moment the gate is passed: a global pin raised
-     after this point waits for the whole commit (prepare, decide, and
-     every per-shard apply) to land before cutting.  No yield point
-     separates the gate check from the increment. *)
-  t.commits_in_flight <- t.commits_in_flight + 1;
-  Fun.protect
-    ~finally:(fun () -> t.commits_in_flight <- t.commits_in_flight - 1)
-    (fun () ->
-      match x.parts with
-      | [] -> ()
-      | [ (_, p) ] -> Tx.commit p
-      | parts ->
-          let parts = List.sort (fun (a, _) (b, _) -> compare a b) parts in
-          let coord = fst (List.hd parts) in
-          let cp = List.assoc coord parts in
-          let gtid = t.next_gtid in
-          t.next_gtid <- gtid + 1;
-          List.iter
-            (fun (i, p) -> if i <> coord then Tx.prepare p ~gtid ~coord)
-            parts;
-          Tx.prepare cp ~gtid ~coord;
-          Tx.decide cp;
-          List.iter (fun (_, p) -> Tx.apply p) parts;
-          List.iter (fun (i, p) -> if i <> coord then Tx.finish p) parts;
-          Tx.finish cp);
-  x.live <- false
-
-let txn t f =
-  let x = txn_begin t in
-  match f x with
-  | v ->
-      txn_commit x;
-      Ok v
-  | exception Tx.Abort reason ->
-      txn_rollback x;
-      Error reason
-  | exception e ->
-      if x.live then txn_rollback x;
-      raise e
-
-let tx_stats t =
-  let c, a =
-    match t.txs with
-    | Some ms ->
-        Array.fold_left
-          (fun (c, a) m -> (c + Tx.commits m, a + Tx.aborts m))
-          (0, 0) ms
-    | None -> (0, 0)
-  in
-  (c, a, t.tx_replays)
 
 let descriptor ?(policy = `Hash) ~inner ~shards () =
   check_shards shards;

@@ -177,8 +177,8 @@ val free_slot : t -> int
 
 val quiesce : t -> (unit -> 'a) -> 'a
 (** Run [f] with the ensemble quiesced: new mutations stall, mutations
-    already past the write gate (point writes, executing batches,
-    cross-shard commits) are waited out, and the batch queues drain.
+    already past the write gate (point writes, bulk inserts, executing
+    batches) are waited out, and the batch queues drain.
     Reads keep flowing.  The snapshot pin commits inside this same
     window. *)
 
@@ -201,7 +201,7 @@ val splice_split :
     [pivot] and a new position [shard+1] (inner [ops] on [arena],
     composite root-slot id [slot]) owns the rest.  Queues must be
     drained (call inside {!quiesce}); the scheduler arrays are
-    rebuilt and cached transaction managers invalidated. *)
+    rebuilt. *)
 
 val splice_merge : t -> left:int -> unit
 (** Drop position [left+1]; [left] absorbs its span (the data must
@@ -251,10 +251,19 @@ val read_manifest : Ff_pmem.Arena.t -> Partition.t * int array
     handle needed) so rebalance crash resolution can inspect the
     pre-crash topology. *)
 
-val write_manifest : Ff_pmem.Arena.t -> Partition.t -> int array -> unit
-(** Persist a composite shard manifest (bounds block, slot map, policy
-    tag, count).  The rebalancer's roll-forward uses this to promote a
-    committed topology before the ensemble reattaches. *)
+val roll_forward_manifest :
+  Ff_pmem.Arena.t -> count:int ->
+  (Partition.t -> int array -> Partition.t * int array) -> bool
+(** Crash resolution of a committed topology change: finish the
+    manifest update the live cutover was making.  If the published
+    bounds block is already sized for [count] shards, the update tore
+    after it, and only the policy and count roots are rewritten;
+    otherwise the old manifest is decoded, [edit] (a {!split_topology}
+    or {!merge_topology}) derives the new one, and that is persisted
+    (bounds block first, then the policy and count roots).  An
+    undecodable old manifest is left as it is.  Returns [false],
+    writing nothing, on an arena with no shard manifest (a serving
+    arena). *)
 
 (** {1 Routed operations} *)
 
@@ -273,43 +282,6 @@ val bulk_insert : t -> (int * int) array -> unit
 val range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** Globally ordered scan across all overlapping shards (k-way merged
     cursor; emits one [merge] trace instant). *)
-
-(** {1 Multi-key transactions}
-
-    Failure-atomic transactions over the ensemble, built on one
-    {!Ff_tx.Tx} manager per shard arena.  Writes stage in volatile
-    write sets; a transaction touching one shard commits through the
-    local shadow protocol, while one spanning several shards runs a
-    two-phase commit over the per-shard log regions: every participant
-    persists its payload plus a prepared marker, the coordinator (the
-    lowest participating shard) persists the commit word as the global
-    decision record, installs happen under group-flush scopes, and the
-    coordinator's log is truncated last.  {!recover} (and
-    {!recover_parallel}) resolve surviving logs — prepared
-    participants consult the coordinator's decision — so a crash at
-    any point leaves every key in either the full transaction or none
-    of it. *)
-
-type txn
-(** An open ensemble transaction.  Not reusable after
-    {!txn_commit} / {!txn_rollback}. *)
-
-val txn_begin : t -> txn
-val txn_get : txn -> int -> int option
-(** Reads through the transaction's own staged writes. *)
-
-val txn_put : txn -> int -> int -> unit
-val txn_del : txn -> int -> bool
-val txn_commit : txn -> unit
-val txn_rollback : txn -> unit
-
-val txn : t -> (txn -> 'a) -> ('a, string) result
-(** [txn t f] opens, applies [f], commits; {!Ff_tx.Tx.Abort} rolls
-    back into [Error reason]. *)
-
-val tx_stats : t -> int * int * int
-(** [(commits, aborts, replays)]; replays counts logs the last
-    recovery had to resolve. *)
 
 (** {1 Batched scheduler} *)
 
@@ -411,12 +383,14 @@ val recover : t -> unit
     validation, leak reclamation) and is re-admitted — marked healthy
     — only if its report came back clean; in single-arena mode one
     composite scrub (provider ["sharded-<inner>"]) covers all shards
-    plus the partition metadata.  Reports land in {!scrub_reports}. *)
+    plus the partition metadata.  Reports land in {!scrub_reports}.
+    Recovery reopens the inner structures only: a transaction log in a
+    shard arena is left to whoever runs [Ff_tx.Tx.recover] on it. *)
 
 val recover_parallel : ?cores:int -> t -> Ff_mcsim.Mcsim.outcome
 (** Recover every shard on its own simulated thread; the outcome's
     makespan is the parallel recovery time.  [cores] defaults to the
-    shard count. *)
+    shard count.  Like {!recover}, it resolves no transaction log. *)
 
 (** {1 Registry composition} *)
 

@@ -227,60 +227,19 @@ let run t f =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* Two-phase commit hooks                                              *)
-(* ------------------------------------------------------------------ *)
-
-let prepare tx ~gtid ~coord =
-  check_live tx;
-  if not (deferred tx) then
-    invalid_arg "Tx.prepare: two-phase commit requires a Shadow manager";
-  let m = tx.mgr in
-  in_span m Trace.id_tx_log tx.nops (fun () ->
-      if Txlog.torn_commit m.log then Txlog.set_prepared m.log ~gtid ~coord
-      else begin
-        Txlog.persist_payload m.log;
-        Txlog.set_prepared m.log ~gtid ~coord
-      end)
-
-let decide tx =
-  check_live tx;
-  in_span tx.mgr Trace.id_tx_commit tx.nops (fun () ->
-      Txlog.set_commit tx.mgr.log)
-
-let decision t ~gtid = Txlog.decision t.log ~gtid
-
-let apply tx =
-  check_live tx;
-  in_span tx.mgr Trace.id_tx_commit tx.nops (fun () -> apply_staged tx)
-
-let finish tx =
-  check_live tx;
-  Txlog.discard tx.mgr.log;
-  retire tx;
-  tx.mgr.commits <- tx.mgr.commits + 1
-
-let cancel tx =
-  check_live tx;
-  let m = tx.mgr in
-  if tx.nops = 0 then Txlog.abandon m.log
-  else in_span m Trace.id_tx_abort tx.nops (fun () -> Txlog.discard m.log);
-  retire tx;
-  m.aborts <- m.aborts + 1
-
-(* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let recover ?(decided = fun ~gtid:_ ~coord:_ -> false) t =
+let recover t =
   let redo r = t.ops.Intf.install r.Txlog.key (dec r.Txlog.new_v) in
   let undo r = t.ops.Intf.install r.Txlog.key (dec r.Txlog.old_v) in
   let outcome =
     in_span t Trace.id_tx_replay 0 (fun () ->
-        Txlog.resolve t.log ~decided ~redo ~undo)
+        Txlog.resolve t.log ~redo ~undo)
   in
   (match outcome with
   | `Clean -> ()
-  | `Redone n | `Undone n | `Aborted n ->
+  | `Redone n | `Undone n ->
       t.replays <- t.replays + 1;
       instant t Trace.id_tx_replay n);
   outcome

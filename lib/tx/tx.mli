@@ -25,12 +25,7 @@
 
     Per-path costs are attributed to the [tx_begin] / [tx_log] /
     [tx_commit] / [tx_abort] / [tx_replay] profile sites when a tracer
-    is attached, so `bench` can report measured fences/op for each.
-
-    The two-phase-commit hooks ({!prepare} / {!decide} / {!apply} /
-    {!finish}) expose the commit sequence step-by-step for the shard
-    layer, which coordinates one deferred transaction per participant
-    shard. *)
+    is attached, so `bench` can report measured fences/op for each. *)
 
 type path = Logged | Shadow
 
@@ -42,8 +37,8 @@ type t
 (** A transaction manager: one arena + its log region + one index. *)
 
 type tx
-(** An open transaction.  Not reusable after {!commit}, {!rollback},
-    or {!finish}. *)
+(** An open transaction.  Not reusable after {!commit} or
+    {!rollback}. *)
 
 val create :
   ?path:path -> ?capacity:int -> Ff_pmem.Arena.t -> Ff_index.Intf.ops -> t
@@ -67,8 +62,7 @@ val set_torn_commit : t -> bool -> unit
 
 val begin_tx : t -> tx
 (** Open a transaction: staged privately until commit on a [Shadow]
-    manager (the two-phase-commit hooks require it), installed eagerly
-    on a [Logged] one. *)
+    manager, installed eagerly on a [Logged] one. *)
 
 val get : tx -> int -> int option
 (** Read through the transaction: sees the transaction's own
@@ -83,8 +77,8 @@ val put : ?payload:int -> tx -> int -> int -> unit
     caller, so the caller issues no flush of its own: on [Logged]
     commit writes its line back (each distinct line once) under the
     fence before truncation, and until then recovery would bind the
-    key back to its old cell; on [Shadow] (and in {!prepare}) it joins
-    the payload group ahead of the commit word (or prepared marker). *)
+    key back to its old cell; on [Shadow] it joins the payload group
+    ahead of the commit word. *)
 
 val del : tx -> int -> bool
 (** Delete; true if the key was visible beforehand. *)
@@ -113,55 +107,17 @@ val run : t -> (tx -> 'a) -> ('a, string) result
     retires with its log left for {!recover}.  On every way out the
     arena's group scope is as [run] found it. *)
 
-(** {1 Two-phase commit hooks}
-
-    For a coordinator shard [c] and participants [p1..pn], the shard
-    layer runs: [prepare] on every participant (payload + prepared
-    marker), [prepare] then [decide] on the coordinator (its commit
-    word is the global decision record), [apply] everywhere, [finish]
-    on every participant, and [finish] on the coordinator {e last} —
-    so a prepared participant can always still consult the
-    coordinator's decision at recovery. *)
-
-val prepare : tx -> gtid:int -> coord:int -> unit
-(** Persist the staged payload and the prepared marker.  The
-    transaction's manager must be [Shadow].
-    @raise Invalid_argument on a [Logged] manager's transaction. *)
-
-val decide : tx -> unit
-(** Coordinator only, after {!prepare}: persist the commit word — the
-    global decision point. *)
-
-val decision : t -> gtid:int -> bool
-(** Does this manager's log carry a durable commit decision for
-    [gtid]?  (The [decided] closure participants use at recovery.) *)
-
-val apply : tx -> unit
-(** Install the staged writes in-place under one group-flush scope. *)
-
-val finish : tx -> unit
-(** Truncate the log and retire the transaction (counts as a commit). *)
-
-val cancel : tx -> unit
-(** Participant-side abort of a staged (possibly prepared)
-    transaction: nothing was installed, so just truncate and retire
-    (counts as an abort). *)
-
 (** {1 Recovery} *)
 
-val recover :
-  ?decided:(gtid:int -> coord:int -> bool) ->
-  t ->
-  [ `Clean | `Redone of int | `Undone of int | `Aborted of int ]
+val recover : t -> [ `Clean | `Redone of int | `Undone of int ]
 (** Resolve whatever the log region holds after a crash — redo a
-    committed payload, roll back an in-flight one, consult [decided]
-    for a prepared one (default: abort) — replaying logically through
-    the index's [install] hook.  Call after the index's own
-    [recover]. *)
+    committed payload, roll back an in-flight one — replaying
+    logically through the index's [install] hook.  Call after the
+    index's own [recover]. *)
 
 (** {1 Stats} *)
 
 val commits : t -> int
 val aborts : t -> int
 val replays : t -> int
-(** Transactions resolved by {!recover} (redone, undone, or aborted). *)
+(** Transactions resolved by {!recover} (redone or undone). *)

@@ -446,11 +446,11 @@ let test_shard_snapshot_requires_cap () =
       Alcotest.(check bool) "refusal names the capability" true
         (contains m "not snapshottable")
 
-(* Regression: a global pin racing a multi-shard transaction commit
+(* Regression: a global pin racing a bulk insert that spans shards
    must not cut between the per-shard applies — the pinned epoch sees
-   the transaction's writes on every participating shard or on none.
-   The pinner awaits a flag the committer sets on its way into
-   txn_commit, so the two genuinely overlap under the simulator. *)
+   the bulk insert's writes on every shard it touches or on none.  The
+   pinner awaits a flag the writer sets on its way into bulk_insert,
+   so the two genuinely overlap under the simulator. *)
 let test_txn_commit_vs_pin () =
   let t = Shard.create ~words:(1 lsl 18) ~inner:"snap-fastfair" ~shards:4 () in
   let n = 16 in
@@ -460,12 +460,9 @@ let test_txn_commit_vs_pin () =
   let committing = ref false in
   let g = ref 0 in
   let committer _ =
-    let x = Shard.txn_begin t in
-    for k = 1 to 8 do
-      Shard.txn_put x k (fresh_value n k)
-    done;
+    let pairs = Array.init 8 (fun i -> (i + 1, fresh_value n (i + 1))) in
     committing := true;
-    Shard.txn_commit x
+    Shard.bulk_insert t pairs
   in
   let pinner _ =
     Mcsim.await (fun () -> !committing);
@@ -487,7 +484,7 @@ let test_txn_commit_vs_pin () =
     | None -> Alcotest.failf "key %d: absent at the pinned epoch" k
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "pin cuts on a transaction boundary (%d/8 new)" !news)
+    (Printf.sprintf "pin cuts on a bulk-insert boundary (%d/8 new)" !news)
     true (!news = 0 || !news = 8)
 
 (* ------------------------------------------------------------------ *)

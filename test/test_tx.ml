@@ -1,8 +1,8 @@
 (* Transaction-layer acceptance tests: the txlog commit protocol, both
    commit paths under direct crash sweeps, the durable-serializability
    checker (clean runs must pass, the torn-commit mutant must fail
-   with a replayable counterexample), shard-level two-phase commit,
-   and a QCheck property that an aborted transaction prefix is
+   with a replayable counterexample), a transaction on the sharded
+   composite across a crash, and a QCheck property that an aborted transaction prefix is
    observationally invisible on every txnable structure. *)
 
 open Ff_pmem
@@ -14,7 +14,6 @@ module Tx = Ff_tx.Tx
 module TC = Ff_check.Txcheck
 module C = Ff_check.Check
 module Cx = Ff_check.Counterexample
-module Shard = Ff_shard.Shard
 
 let fresh_arena () = Arena.create ~words:(1 lsl 20) ()
 
@@ -51,21 +50,6 @@ let test_txlog_protocol () =
   | _ -> Alcotest.fail "expected Committed");
   Txlog.discard l;
   Alcotest.(check bool) "idle after discard" true (Txlog.state l = Txlog.Idle);
-  (* prepared / decision protocol *)
-  ignore (Txlog.begin_tx l);
-  Txlog.append l { Txlog.key = 1; old_v = 0; new_v = 3 };
-  Txlog.set_prepared l ~gtid:7 ~coord:2;
-  (match Txlog.state l with
-  | Txlog.Prepared { gtid; coord; count } ->
-      Alcotest.(check int) "gtid" 7 gtid;
-      Alcotest.(check int) "coord" 2 coord;
-      Alcotest.(check int) "count" 1 count
-  | _ -> Alcotest.fail "expected Prepared");
-  Alcotest.(check bool) "undecided" false (Txlog.decision l ~gtid:7);
-  Txlog.set_commit l;
-  Alcotest.(check bool) "decided" true (Txlog.decision l ~gtid:7);
-  Alcotest.(check bool) "wrong gtid" false (Txlog.decision l ~gtid:8);
-  Txlog.discard l;
   (* reattach discovers the same region *)
   match Txlog.attach a with
   | Some l2 -> Alcotest.(check int) "capacity persists" (Txlog.capacity l) (Txlog.capacity l2)
@@ -761,73 +745,62 @@ let test_counterexample_tx_optional () =
       Alcotest.(check string) "tx stays empty" "linearizability" cx'.Cx.family
 
 (* ------------------------------------------------------------------ *)
-(* Shard-level two-phase commit                                        *)
+(* A transaction on the sharded composite across a crash              *)
 (* ------------------------------------------------------------------ *)
 
-(* Keys 1 and 2 land on different shards under the hash partition with
-   4 shards, making every transfer a genuine two-participant 2PC. *)
-let test_shard_txn_commit_and_abort () =
-  let sh = Shard.create ~inner:"fastfair" ~shards:4 () in
+(* The composite's recover is Shard.recover, which reopens and
+   recovers the shards and leaves the arena's transaction log alone.
+   Crash a Shadow commit after its commit word is durable, just before
+   the first install's first store: Shard.recover must leave the log
+   committed, and Tx.recover must then redo it. *)
+let test_composite_commit_redone_by_tx_recover () =
+  let d = Registry.find_exn "sharded-fastfair" in
+  let a = fresh_arena () in
+  let ops = Registry.build "sharded-fastfair" a in
   for k = 1 to 8 do
-    Shard.insert sh ~key:k ~value:(100 + k)
+    ops.Intf.insert k (100 + k)
   done;
-  (match
-     Shard.txn sh (fun t ->
-         Shard.txn_put t 1 201;
-         Shard.txn_put t 2 202;
-         ignore (Shard.txn_del t 3))
-   with
-  | Ok () -> ()
-  | Error r -> Alcotest.failf "txn failed: %s" r);
-  Alcotest.(check (option int)) "k1 committed" (Some 201) (Shard.search sh 1);
-  Alcotest.(check (option int)) "k2 committed" (Some 202) (Shard.search sh 2);
-  Alcotest.(check (option int)) "k3 deleted" None (Shard.search sh 3);
-  (match
-     Shard.txn sh (fun t ->
-         Shard.txn_put t 4 999;
-         raise (Tx.Abort "changed my mind"))
-   with
-  | Ok () -> Alcotest.fail "abort did not surface"
-  | Error r -> Alcotest.(check string) "reason" "changed my mind" r);
-  Alcotest.(check (option int)) "k4 untouched" (Some 104) (Shard.search sh 4);
-  let commits, aborts, _ = Shard.tx_stats sh in
-  Alcotest.(check bool) "commits counted" true (commits >= 1);
-  Alcotest.(check bool) "aborts counted" true (aborts >= 1)
-
-(* Crash a cross-shard transfer at every store offset 1 .. 50, counted
-   on every shard arena at once: the crash lands just before the first
-   store that would give any arena more than [offset] stores.  After
-   power-fail + recovery the transfer must be all-or-nothing on both
-   shards, and the sweep must see both outcomes. *)
-let test_shard_2pc_crash_atomicity () =
-  let saw_pre = ref false and saw_post = ref false in
+  let installing = ref false in
+  let watched =
+    {
+      ops with
+      Intf.install =
+        (fun k v ->
+          installing := true;
+          ops.Intf.install k v);
+    }
+  in
+  let mgr = Tx.create ~path:Tx.Shadow a watched in
+  let image = ref None in
   let exception Stop in
-  for offset = 1 to 50 do
-    let sh = Shard.create ~inner:"fastfair" ~shards:4 () in
-    for k = 1 to 8 do
-      Shard.insert sh ~key:k ~value:(100 + k)
-    done;
-    let transfer () =
-      ignore
-        (Shard.txn sh (fun t ->
-             Shard.txn_put t 1 201;
-             Shard.txn_put t 2 202))
-    in
-    (try Arena.crash_each (Shard.arenas sh) transfer (fun _ k _ -> if k = offset then raise Stop)
-     with Stop -> ());
-    Shard.power_fail sh Storelog.Keep_none;
-    Shard.recover sh;
-    let v1 = Shard.search sh 1 and v2 = Shard.search sh 2 in
-    (match (v1, v2) with
-    | Some 101, Some 102 -> saw_pre := true
-    | Some 201, Some 202 -> saw_post := true
-    | _ ->
-        Alcotest.failf "offset %d: transfer torn (%s, %s)" offset
-          (match v1 with Some v -> string_of_int v | None -> "none")
-          (match v2 with Some v -> string_of_int v | None -> "none"))
-  done;
-  Alcotest.(check bool) "sweep hit a pre-commit crash" true !saw_pre;
-  Alcotest.(check bool) "sweep hit a post-commit crash" true !saw_post
+  (try
+     Arena.crash_each [| a |]
+       (fun () ->
+         let tx = Tx.begin_tx mgr in
+         Tx.put tx 1 201;
+         Tx.put tx 2 202;
+         Tx.commit tx)
+       (fun _ _ crash ->
+         if !installing then begin
+           image := Some (crash Storelog.Keep_none);
+           raise Stop
+         end)
+   with Stop -> ());
+  let c = match !image with Some c -> c | None -> Alcotest.fail "no install" in
+  (match Option.map Txlog.state (Txlog.attach c) with
+  | Some (Txlog.Committed 2) -> ()
+  | _ -> Alcotest.fail "crash image holds no committed log");
+  let o = d.D.open_existing D.default_config c in
+  o.Intf.recover ();
+  (match Tx.recover (Tx.create ~path:Tx.Shadow c o) with
+  | `Redone n -> Alcotest.(check int) "records redone" 2 n
+  | `Undone _ -> Alcotest.fail "Tx.recover undid a committed log"
+  | `Clean -> Alcotest.fail "Tx.recover found the log already resolved");
+  Alcotest.(check (list (pair int int))) "committed values"
+    (List.init 8 (fun i ->
+         let k = i + 1 in
+         (k, if k <= 2 then 200 + k else 100 + k)))
+    (dump o 8)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: an aborted prefix is observationally invisible              *)
@@ -942,9 +915,7 @@ let suite =
       test_torn_commit_shadow_caught;
     Alcotest.test_case "counterexample tx extension optional" `Quick
       test_counterexample_tx_optional;
-    Alcotest.test_case "shard txn commit and abort" `Quick
-      test_shard_txn_commit_and_abort;
-    Alcotest.test_case "shard 2PC crash atomicity sweep" `Quick
-      test_shard_2pc_crash_atomicity;
+    Alcotest.test_case "composite commit redone by Tx.recover" `Quick
+      test_composite_commit_redone_by_tx_recover;
     QCheck_alcotest.to_alcotest prop_abort_prefix_invisible;
   ]

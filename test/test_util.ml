@@ -80,19 +80,6 @@ let test_zipf_uniform_ish_low_theta () =
   done;
   Alcotest.(check bool) "all ranks hit" true (Array.for_all (fun c -> c > 0) hits)
 
-let test_stats_basics () =
-  let xs = [| 1.; 2.; 3.; 4.; 5. |] in
-  Alcotest.(check (float 1e-9)) "mean" 3. (Stats.mean xs);
-  let lo, hi = Stats.min_max xs in
-  Alcotest.(check (float 1e-9)) "min" 1. lo;
-  Alcotest.(check (float 1e-9)) "max" 5. hi;
-  Alcotest.(check (float 1e-9)) "p50" 3. (Stats.percentile xs 50.);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5) (Stats.stddev xs)
-
-let test_stats_empty () =
-  Alcotest.(check (float 0.)) "mean empty" 0. (Stats.mean [||]);
-  Alcotest.(check (float 0.)) "p50 empty" 0. (Stats.percentile [||] 50.)
-
 let test_vec () =
   let v = Vec.create ~dummy:0 () in
   for i = 1 to 100 do
@@ -203,8 +190,6 @@ let suite =
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf low theta" `Quick test_zipf_uniform_ish_low_theta;
-    Alcotest.test_case "stats basics" `Quick test_stats_basics;
-    Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "heap order" `Quick test_heap_order;
     Alcotest.test_case "heap stability" `Quick test_heap_stability;
